@@ -2,7 +2,8 @@
 //!
 //! The paper says "V-optimal histogram" without an algorithm; the exact
 //! dynamic program is `O(N²β)` and cannot have run at the paper's scale
-//! (see `DESIGN.md` §1.3). This experiment quantifies what our choice of
+//! (its largest domain, |L| = 8 at k = 6, has about 3·10⁵ paths, so the
+//! DP needs about 6·10¹² steps already at β = 64). This experiment quantifies what our choice of
 //! the greedy-merge approximation costs: on a domain where the exact DP
 //! *is* feasible, it compares SSE and mean error rate of every histogram
 //! family under the sum-based ordering, plus construction time.

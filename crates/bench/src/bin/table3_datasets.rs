@@ -1,7 +1,10 @@
 //! Reproduces the paper's **Table 3** (dataset statistics) from the
 //! facsimile generators, plus the structural diagnostics that justify the
-//! real-data substitutions (per-label skew and label-correlation score —
-//! see `DESIGN.md` §1.5).
+//! real-data substitutions: per-label skew and label-correlation score.
+//! The real datasets cannot be redistributed, so their facsimiles must
+//! keep the two properties the paper's ordering comparison rests on —
+//! skewed per-label cardinalities and correlated consecutive labels — and
+//! these columns show that they do.
 
 use phe_bench::{emit, timed, RunConfig, Scale};
 use phe_graph::GraphStats;

@@ -3,8 +3,9 @@
 //! # phe-bench — shared harness for the experiment binaries
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §2 for the full index). This library holds what
-//! they share: scale handling, dataset loading, β sweeps, and text/CSV
+//! paper or answers one systems question (the "Benchmarks" table in
+//! `docs/ARCHITECTURE.md` indexes them). This library holds what they
+//! share: scale handling, dataset loading, β sweeps, and text/CSV
 //! table output.
 //!
 //! All binaries accept:

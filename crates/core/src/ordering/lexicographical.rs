@@ -9,7 +9,8 @@
 //! symbols ranked *above* every label, which would sort `"1"` *after*
 //! `"1/3"` — contradicting the paper's own Table 2, where `"1"` precedes
 //! `"1/1"`. We implement the Table 2 (prefix-first) semantics; the
-//! blank-symbol sentence is taken to be an erratum. See `DESIGN.md`.
+//! blank-symbol sentence is taken to be an erratum, and
+//! `tests/paper_fidelity.rs` pins every Table 2 row.
 
 use crate::domain::PathDomain;
 use crate::ordering::DomainOrdering;

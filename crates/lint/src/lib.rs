@@ -10,9 +10,9 @@
 //! * [`scanner`] lexes Rust sources into code/comment/string regions so
 //!   the passes never false-positive on `unsafe` inside a doc example
 //!   or a raw string;
-//! * [`passes`] implements the four checks (unsafe-audit,
-//!   panic-freedom, atomic-ordering, metric-catalog) over the scanned
-//!   workspace;
+//! * [`passes`] implements the five checks (unsafe-audit,
+//!   panic-freedom, atomic-ordering, metric-catalog, doc-links) over the
+//!   scanned workspace;
 //! * [`config`] hand-parses `lint.toml` (pass scopes + allowlist);
 //! * [`report`] renders findings as text or machine-readable JSON with
 //!   per-pass exit-code bits.
@@ -63,9 +63,12 @@ pub fn run_check(root: &Path, selected: &[String]) -> Result<Report, String> {
             .map_err(|e| format!("reading {}: {e}", walk::rel_string(&rel)))?;
         scanned.push(scanner::ScannedFile::new(rel, source));
     }
+    let docs = walk::files_with_suffix(root, &excludes, ".md")
+        .map_err(|e| format!("walking {root:?}: {e}"))?;
     let ctx = LintContext {
         root: root.to_path_buf(),
         files: scanned,
+        docs,
         config,
         allows,
     };

@@ -7,7 +7,7 @@
 //!
 //! Exit codes: `0` clean; otherwise the OR of each failing pass's bit
 //! (unsafe-audit 1, panic-freedom 2, atomic-ordering 4,
-//! metric-catalog 8); `64` for usage/config/IO errors.
+//! metric-catalog 8, doc-links 16); `64` for usage/config/IO errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,4 +1,4 @@
-//! The pass registry and the four shipped passes.
+//! The pass registry and the five shipped passes.
 //!
 //! | pass | exit bit | invariant |
 //! |---|---|---|
@@ -6,6 +6,7 @@
 //! | `panic-freedom` | 2 | no panicking calls/macros in the configured serving hot paths |
 //! | `atomic-ordering` | 4 | every `Ordering::Relaxed` carries an `// ORDERING:` soundness note |
 //! | `metric-catalog` | 8 | metric names: code ↔ `phe-obs` catalog ↔ ARCHITECTURE.md table agree |
+//! | `doc-links` | 16 | relative Markdown links and backticked `*.md` paths in Rust comments resolve |
 //!
 //! Annotation grammar (all checked against the comment attached to the
 //! finding line — trailing on the same line, or the contiguous
@@ -25,7 +26,7 @@
 //! justification.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use crate::config::{AllowEntry, Config};
 use crate::report::Finding;
@@ -38,6 +39,8 @@ pub struct LintContext {
     pub root: PathBuf,
     /// Every in-scope `.rs` file, scanned.
     pub files: Vec<ScannedFile>,
+    /// Every in-scope `.md` file, workspace-relative.
+    pub docs: Vec<PathBuf>,
     /// Parsed `lint.toml`.
     pub config: Config,
     /// Parsed `[allow] entries`.
@@ -71,6 +74,7 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(PanicFreedom),
         Box::new(AtomicOrdering),
         Box::new(MetricCatalog),
+        Box::new(DocLinks),
     ]
 }
 
@@ -532,6 +536,156 @@ impl Pass for MetricCatalog {
     }
 }
 
+// --------------------------------------------------------------- doc-links
+
+/// Documentation references must point at files that exist.
+struct DocLinks;
+
+impl DocLinks {
+    /// Relative inline-link targets (`[text](target)`) in Markdown text
+    /// as `(target, 1-based line, 1-based column)`, `#fragment` and link
+    /// title dropped. External (`scheme:`), absolute, and fragment-only
+    /// targets are skipped, and so are code spans and fenced code blocks.
+    fn markdown_links(text: &str) -> Vec<(String, usize, usize)> {
+        let mut links = Vec::new();
+        let mut fenced = false;
+        for (idx, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            if fenced {
+                continue;
+            }
+            let mut base = 0;
+            for (i, segment) in line.split('`').enumerate() {
+                if i % 2 == 0 {
+                    for (target, column) in Self::segment_links(segment) {
+                        links.push((target, idx + 1, base + column));
+                    }
+                }
+                base += segment.len() + 1;
+            }
+        }
+        links
+    }
+
+    /// The relative link targets in one stretch of Markdown outside code
+    /// spans, with their 1-based columns within it.
+    fn segment_links(segment: &str) -> Vec<(String, usize)> {
+        let mut links = Vec::new();
+        let mut from = 0;
+        while let Some(pos) = segment[from..].find("](").map(|p| p + from) {
+            let start = pos + 2;
+            let Some(len) = segment[start..].find(')') else {
+                break;
+            };
+            from = start + len;
+            let target = segment[start..from]
+                .split_whitespace()
+                .next()
+                .unwrap_or_default()
+                .trim_start_matches('<')
+                .trim_end_matches('>');
+            let path = target.split('#').next().unwrap_or_default();
+            if !path.is_empty() && !path.starts_with('/') && !path.contains(':') {
+                links.push((path.to_owned(), start + 1));
+            }
+        }
+        links
+    }
+
+    /// Backticked `*.md` paths in a Rust file's comments as
+    /// `(path, byte offset)`; backticks pair up within a line.
+    fn comment_paths(file: &ScannedFile) -> Vec<(String, usize)> {
+        let mut paths = Vec::new();
+        let mut line_start = 0;
+        for line in file.comments.split('\n') {
+            let mut offset = line_start;
+            for (i, span) in line.split('`').enumerate() {
+                // A file name, not a bare extension: `.md` alone is prose.
+                let is_path = span.rsplit('/').next().is_some_and(|name| name.len() > 3)
+                    && span.ends_with(".md")
+                    && span
+                        .bytes()
+                        .all(|b| b.is_ascii_alphanumeric() || b"._/-".contains(&b));
+                if i % 2 == 1 && is_path {
+                    paths.push((span.to_owned(), offset));
+                }
+                offset += span.len() + 1;
+            }
+            line_start += line.len() + 1;
+        }
+        paths
+    }
+
+    /// Whether `target` names an existing file relative to `dir` (a
+    /// workspace-relative directory) or, failing that, to the root.
+    fn resolves(root: &Path, dir: &Path, target: &str) -> bool {
+        root.join(dir).join(target).is_file() || root.join(target).is_file()
+    }
+}
+
+impl Pass for DocLinks {
+    fn name(&self) -> &'static str {
+        "doc-links"
+    }
+    fn bit(&self) -> u8 {
+        16
+    }
+    fn description(&self) -> &'static str {
+        "relative Markdown links and backticked `*.md` paths in Rust comments resolve to files"
+    }
+
+    fn run(&self, ctx: &LintContext) -> Vec<Finding> {
+        let mut findings = Vec::new();
+        let mut report = |file: String, line: usize, column: usize, message: String| {
+            if !ctx.allowed(self.name(), &file, line) {
+                findings.push(Finding {
+                    pass: self.name().to_owned(),
+                    file,
+                    line,
+                    column,
+                    message,
+                });
+            }
+        };
+        let dangling = |target: &str| {
+            format!(
+                "`{target}` does not resolve to a file (relative to this file's directory \
+                 or the workspace root)"
+            )
+        };
+        for file in &ctx.files {
+            let dir = file.path.parent().unwrap_or(Path::new(""));
+            for (target, offset) in Self::comment_paths(file) {
+                if !Self::resolves(&ctx.root, dir, &target) {
+                    let rel = crate::walk::rel_string(&file.path);
+                    let (line, column) = (file.line_of(offset), file.column_of(offset));
+                    report(rel, line, column, dangling(&target));
+                }
+            }
+        }
+        for doc in &ctx.docs {
+            let rel = crate::walk::rel_string(doc);
+            let text = match std::fs::read_to_string(ctx.root.join(doc)) {
+                Ok(text) => text,
+                Err(e) => {
+                    report(rel, 1, 1, format!("cannot read: {e}"));
+                    continue;
+                }
+            };
+            let dir = doc.parent().unwrap_or(Path::new(""));
+            for (target, line, column) in Self::markdown_links(&text) {
+                if !Self::resolves(&ctx.root, dir, &target) {
+                    report(rel.clone(), line, column, dangling(&target));
+                }
+            }
+        }
+        findings
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,6 +700,7 @@ mod tests {
         LintContext {
             root: PathBuf::from("."),
             files,
+            docs: Vec::new(),
             config,
             allows,
         }
@@ -711,6 +866,44 @@ mod tests {
             "{messages:?}"
         );
         assert_eq!(findings.len(), 5, "{findings:?}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn doc_links_resolve_against_the_file_dir_then_the_root() {
+        let root = std::env::temp_dir().join(format!("phe-lint-dl-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("docs")).unwrap();
+        std::fs::write(
+            root.join("README.md"),
+            "[a](docs/A.md) [b](B.md#x) [w](https://x.y)\n",
+        )
+        .unwrap();
+        std::fs::write(
+            root.join("docs/A.md"),
+            "[up](../README.md) [root](README.md) [gone](C.md) `[span](G.md)`\n```\n[code](D.md)\n```\n",
+        )
+        .unwrap();
+        let src =
+            "//! See `docs/A.md` and `A.md`; `E.md` is gone.\nfn f() { let s = \"`F.md`\"; }\n";
+        let mut ctx = ctx(vec![scan("src/lib.rs", src)], "");
+        ctx.root = root.clone();
+        ctx.docs = vec![PathBuf::from("README.md"), PathBuf::from("docs/A.md")];
+        let findings = run(&DocLinks, &ctx);
+        let got: Vec<(String, usize, usize)> = findings
+            .iter()
+            .map(|f| (f.file.clone(), f.line, f.column))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("src/lib.rs".to_owned(), 1, 26), // A.md: not in src/, not at the root
+                ("src/lib.rs".to_owned(), 1, 34), // E.md
+                ("README.md".to_owned(), 1, 20),  // B.md
+                ("docs/A.md".to_owned(), 1, 45),  // C.md
+            ],
+            "{findings:?}"
+        );
+        assert!(findings.iter().all(|f| f.pass == "doc-links"));
         std::fs::remove_dir_all(&root).ok();
     }
 }

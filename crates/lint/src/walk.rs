@@ -1,5 +1,6 @@
-//! Workspace file discovery: every `.rs` file under the root, minus the
-//! configured excludes, returned sorted so runs are deterministic.
+//! Workspace file discovery: every `.rs` (or `.md`) file under the root,
+//! minus the configured excludes, returned sorted so runs are
+//! deterministic.
 
 use std::path::{Path, PathBuf};
 
@@ -8,6 +9,15 @@ use std::path::{Path, PathBuf};
 /// `target/` plus hidden directories unconditionally). Paths come back
 /// workspace-relative, `/`-separated, sorted.
 pub fn rust_files(root: &Path, excludes: &[String]) -> std::io::Result<Vec<PathBuf>> {
+    files_with_suffix(root, excludes, ".rs")
+}
+
+/// [`rust_files`] for any file-name suffix (e.g. `".md"`).
+pub fn files_with_suffix(
+    root: &Path,
+    excludes: &[String],
+    suffix: &str,
+) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -32,7 +42,7 @@ pub fn rust_files(root: &Path, excludes: &[String]) -> std::io::Result<Vec<PathB
             let file_type = entry.file_type()?;
             if file_type.is_dir() {
                 stack.push(path);
-            } else if file_type.is_file() && rel_text.ends_with(".rs") {
+            } else if file_type.is_file() && rel_text.ends_with(suffix) {
                 out.push(PathBuf::from(rel_text));
             }
         }

@@ -17,7 +17,7 @@ fn run_fixture() -> phe_lint::report::Report {
 #[test]
 fn fixture_exit_code_sets_every_pass_bit() {
     let report = run_fixture();
-    assert_eq!(report.exit_code(), 1 | 2 | 4 | 8);
+    assert_eq!(report.exit_code(), 1 | 2 | 4 | 8 | 16);
 }
 
 #[test]
@@ -48,6 +48,7 @@ fn text_report_pins_file_line_column() {
         "src/violations.rs:34:20: [atomic-ordering]",
         "src/violations.rs:47:27: [metric-catalog]",
         "docs/DOC.md:10:1: [metric-catalog]",
+        "docs/DOC.md:16:53: [doc-links]",
     ] {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
     }

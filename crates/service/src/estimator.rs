@@ -137,6 +137,17 @@ impl ServableEstimator {
         )
     }
 
+    /// Derives the servable form of an estimator that must outlive the
+    /// publish as a slot's maintenance state, so it is read through its
+    /// snapshot instead of consumed. Every maintained publish — rebuild,
+    /// compacted delta, policy rebuild — derives its statistics here.
+    pub(crate) fn from_maintained(
+        estimator: &PathSelectivityEstimator,
+    ) -> Result<ServableEstimator, String> {
+        let snapshot = estimator.snapshot().map_err(|e| e.to_string())?;
+        ServableEstimator::from_snapshot(&snapshot).map_err(|e| e.to_string())
+    }
+
     fn from_parts(
         label_names: Vec<String>,
         k: usize,

@@ -1,18 +1,18 @@
-//! The readiness-driven event-loop serving backend (unix).
+//! The [`Server`]: a readiness-driven event loop over `poll(2)`.
 //!
 //! Connections are multiplexed across a fixed set of **shards**, each a
 //! thread blocking in [`ReadinessBackend::wait`] over its connections
 //! plus a [`WakePipe`]. Every connection is a small state machine: a
-//! read buffer reassembling NDJSON lines across partial reads (the same
-//! UTF-8-safe framing the thread pool used), inline dispatch for cheap
-//! ops, and a write buffer with partial-write continuation. CPU-heavy
-//! ops (`rebuild`, `load`, `delta`, large `estimate`/`estimate_expr`
-//! batches) are handed to a few **dispatch workers** over a bounded
-//! queue so the loop never blocks; their responses ride back to the
-//! owning shard through its inbox + wake pipe. A connection with a
-//! dispatched request in flight pauses parsing until the response is
-//! queued, which both preserves response ordering and applies natural
-//! per-connection backpressure.
+//! read buffer reassembling NDJSON lines across partial reads (UTF-8
+//! safe: bytes are decoded only once a line is complete), inline
+//! dispatch for cheap ops, and a write buffer with partial-write
+//! continuation. CPU-heavy ops (`rebuild`, `load`, `delta`, large
+//! `estimate`/`estimate_expr` batches) are handed to a few **dispatch
+//! workers** over a bounded queue so the loop never blocks; their
+//! responses ride back to the owning shard through its inbox + wake
+//! pipe. A connection with a dispatched request in flight pauses parsing
+//! until the response is queued, which both preserves response ordering
+//! and applies natural per-connection backpressure.
 //!
 //! Admission control sits on top: the acceptor refuses connections past
 //! `max_connections` with a structured `overloaded` line (`reason =
@@ -23,8 +23,10 @@
 //! [`ServiceMetrics`]: `phe_connections_open`,
 //! `phe_admission_total{outcome=admitted|refused|shed}`, and
 //! `phe_dispatch_queue_depth`.
-
-#![cfg(unix)]
+//!
+//! The server also owns the [`MaintenanceCoordinator`] every `delta`
+//! goes through: it starts the coordinator's ticker with the listener
+//! and stops it on [`Server::shutdown`].
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -37,14 +39,18 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::maintenance::MaintenanceCoordinator;
+use crate::maintenance::{MaintenanceConfig, MaintenanceCoordinator};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{error_response, overloaded_response, MaintenanceAction, Request};
 use crate::reactor::{
     raise_nofile_limit, PollBackend, ReadinessBackend, WakePipe, READABLE, WRITABLE,
 };
 use crate::registry::EstimatorRegistry;
-use crate::server::{handle_request, ServerConfig, MAX_REQUEST_BYTES};
+use crate::server::{handle_request, ServerConfig};
+
+/// A request line still unterminated past this size closes the connection
+/// (an unbounded line would otherwise grow the buffer without limit).
+const MAX_REQUEST_BYTES: usize = 16 * 1024 * 1024;
 
 /// Token the shard's own wake pipe is registered under; connection
 /// tokens start at 1.
@@ -250,7 +256,7 @@ struct ShardCtx {
     shard: usize,
     registry: Arc<EstimatorRegistry>,
     metrics: Arc<ServiceMetrics>,
-    maintenance: Option<Arc<MaintenanceCoordinator>>,
+    maintenance: Arc<MaintenanceCoordinator>,
     allow_load: bool,
     admission: Arc<Admission>,
     dispatch_tx: SyncSender<Job>,
@@ -376,28 +382,47 @@ fn is_sheddable(request: &Request) -> bool {
 
 // ------------------------------------------------------------ the server
 
-/// A running event-loop server; dropping it does **not** stop the
-/// threads — call [`EventLoopServer::shutdown`].
-pub struct EventLoopServer {
+/// A running server; dropping it does **not** stop the threads — call
+/// [`Server::shutdown`].
+pub struct Server {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     acceptor_wake: Arc<WakePipe>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: std::thread::JoinHandle<()>,
     ports: Arc<Vec<ShardPort>>,
     shards: Vec<std::thread::JoinHandle<()>>,
     dispatchers: Vec<std::thread::JoinHandle<()>>,
+    maintenance: Arc<MaintenanceCoordinator>,
+    ticker: std::thread::JoinHandle<()>,
 }
 
-impl EventLoopServer {
-    /// Binds and starts the acceptor, shard, and dispatch threads.
-    /// Returns once the listener is live, so `local_addr` is immediately
-    /// connectable (ephemeral ports included).
+impl Server {
+    /// Binds and starts accepting, with a maintenance loop built from
+    /// [`MaintenanceConfig::default`]. Returns once the listener is live,
+    /// so `local_addr` is immediately connectable (ephemeral ports
+    /// included).
+    pub fn start(
+        registry: Arc<EstimatorRegistry>,
+        metrics: Arc<ServiceMetrics>,
+        config: ServerConfig,
+    ) -> std::io::Result<Server> {
+        let maintenance = MaintenanceCoordinator::new(
+            Arc::clone(&registry),
+            Arc::clone(&metrics),
+            MaintenanceConfig::default(),
+        );
+        Server::start_with(registry, metrics, maintenance, config)
+    }
+
+    /// [`Server::start`] with the caller's [`MaintenanceCoordinator`]:
+    /// `delta` ops enqueue batches on it, the `maintenance` op steers it,
+    /// and the server runs its ticker until [`Server::shutdown`].
     pub fn start_with(
         registry: Arc<EstimatorRegistry>,
         metrics: Arc<ServiceMetrics>,
-        maintenance: Option<Arc<MaintenanceCoordinator>>,
+        maintenance: Arc<MaintenanceCoordinator>,
         config: ServerConfig,
-    ) -> std::io::Result<EventLoopServer> {
+    ) -> std::io::Result<Server> {
         // The whole point is thousands of sockets in one process; the
         // common 1024-descriptor soft default would wedge at ~1000.
         raise_nofile_limit(config.max_connections as u64 + 64);
@@ -434,7 +459,7 @@ impl EventLoopServer {
                 shard,
                 registry: Arc::clone(&registry),
                 metrics: Arc::clone(&metrics),
-                maintenance: maintenance.clone(),
+                maintenance: Arc::clone(&maintenance),
                 allow_load: config.allow_load,
                 admission: Arc::clone(&admission),
                 dispatch_tx: dispatch_tx.clone(),
@@ -452,7 +477,7 @@ impl EventLoopServer {
             let ports = Arc::clone(&ports);
             let registry = Arc::clone(&registry);
             let metrics = Arc::clone(&metrics);
-            let maintenance = maintenance.clone();
+            let maintenance = Arc::clone(&maintenance);
             let admission = Arc::clone(&admission);
             let allow_load = config.allow_load;
             dispatchers.push(std::thread::spawn(move || loop {
@@ -466,13 +491,8 @@ impl EventLoopServer {
                     ticket,
                     t0,
                 } = job;
-                let (response, paths, ok) = handle_request(
-                    request,
-                    &registry,
-                    &metrics,
-                    maintenance.as_ref(),
-                    allow_load,
-                );
+                let (response, paths, ok) =
+                    handle_request(request, &registry, &metrics, &maintenance, allow_load);
                 metrics.dispatch_dequeued();
                 let elapsed = t0.elapsed();
                 metrics.record_request(paths, elapsed, ok);
@@ -497,14 +517,17 @@ impl EventLoopServer {
             })
         };
 
-        Ok(EventLoopServer {
+        let ticker = maintenance.start_ticker();
+        Ok(Server {
             local_addr,
             stop,
             acceptor_wake,
-            acceptor: Some(acceptor),
+            acceptor,
             ports,
             shards,
             dispatchers,
+            maintenance,
+            ticker,
         })
     }
 
@@ -515,23 +538,24 @@ impl EventLoopServer {
 
     /// Signals shutdown and joins every thread. The wake pipes interrupt
     /// the acceptor and every shard immediately — idle connections add
-    /// no latency — and the shards' exit disconnects the dispatch queue,
-    /// draining the workers.
-    pub fn shutdown(mut self) {
+    /// no latency — the shards' exit disconnects the dispatch queue,
+    /// draining the workers, and the maintenance ticker wakes on its
+    /// shutdown signal.
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::Release);
         self.acceptor_wake.wake();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        let _ = self.acceptor.join();
         for port in self.ports.iter() {
             port.wake.wake();
         }
-        for shard in self.shards.drain(..) {
+        for shard in self.shards {
             let _ = shard.join();
         }
-        for dispatcher in self.dispatchers.drain(..) {
+        for dispatcher in self.dispatchers {
             let _ = dispatcher.join();
         }
+        self.maintenance.request_shutdown();
+        let _ = self.ticker.join();
     }
 }
 
@@ -727,7 +751,6 @@ fn process_lines(ctx: &ShardCtx, token: usize, c: &mut Conn) {
             None => {
                 c.scanned = c.buf.len();
                 if c.buf.len() > MAX_REQUEST_BYTES {
-                    // Same cap the thread pool enforced with `take`.
                     ctx.metrics.record_request(0, Duration::ZERO, false);
                     c.push_response(&error_response("request line too large"));
                     c.buf.clear();
@@ -737,7 +760,7 @@ fn process_lines(ctx: &ShardCtx, token: usize, c: &mut Conn) {
                 }
                 if c.read_closed && !c.buf.is_empty() {
                     // EOF with a trailing unterminated fragment: answer
-                    // it, like the thread pool always has.
+                    // it as a final request.
                     c.scanned = 0;
                     std::mem::take(&mut c.buf)
                 } else {
@@ -819,7 +842,7 @@ fn handle_one(ctx: &ShardCtx, token: usize, c: &mut Conn, line: &str) {
             request,
             &ctx.registry,
             &ctx.metrics,
-            ctx.maintenance.as_ref(),
+            &ctx.maintenance,
             ctx.allow_load,
         );
         let elapsed = t0.elapsed();

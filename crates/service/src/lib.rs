@@ -16,12 +16,14 @@
 //!   many paths, fronted by a sharded LRU [`cache::ShardedLruCache`] with
 //!   hit/miss counters (optimizer workloads re-ask hot join paths
 //!   constantly).
-//! * [`server::Server`] — a std-only TCP serving loop (on unix a
-//!   readiness-driven event loop over a `poll(2)` [`reactor`], with
-//!   admission control and load shedding; elsewhere the
-//!   [`threadpool`] fallback), speaking newline-delimited JSON (see
-//!   [`protocol`]) through the `phe serve` and `phe query --remote`
-//!   CLI subcommands.
+//! * [`Server`] — a std-only TCP server: a readiness-driven event loop
+//!   over a `poll(2)` [`reactor`], with admission control and load
+//!   shedding, speaking newline-delimited JSON (see [`protocol`])
+//!   through the `phe serve` and `phe query --remote` CLI subcommands.
+//! * [`maintenance::MaintenanceCoordinator`] — the one write path for
+//!   `delta` ops: every server runs one, queueing change batches and
+//!   folding them into compacted compare-and-swap publishes, with
+//!   rebuilds triggered by lineage length or accuracy drift.
 //! * [`metrics::ServiceMetrics`] — qps, p50/p99 latency, cache hit rate;
 //!   the serve loop prints the report on SIGINT/shutdown.
 //!
@@ -54,11 +56,16 @@
 //! Over the wire, the same batch is one NDJSON line — see [`protocol`]
 //! for the full op set and [`client::ServiceClient`] for the blocking
 //! client.
+//!
+//! The crate is unix-only: the event loop is built on `poll(2)` and
+//! `pipe(2)`.
+
+#[cfg(not(unix))]
+compile_error!("phe-service is unix-only: its event loop is built on poll(2)");
 
 pub mod cache;
 pub mod client;
 pub mod estimator;
-#[cfg(unix)]
 pub mod eventloop;
 pub mod maintenance;
 pub mod metrics;
@@ -66,16 +73,15 @@ pub mod protocol;
 pub mod reactor;
 pub mod registry;
 pub mod server;
-pub mod threadpool;
 
 pub use cache::{CacheCounters, CachedExpr, ExprCache, ShardedLruCache};
 pub use client::{BatchEstimates, BatchExprEstimates, ClientError, ExprResult, ServiceClient};
 pub use estimator::{CatalogResidency, EstimateError, ServableEstimator};
+pub use eventloop::Server;
 pub use maintenance::{
     EnqueueError, FailAction, FailPoint, FailurePlan, Gate, MaintenanceConfig,
     MaintenanceCoordinator, RunOutcome, SlotStatus,
 };
 pub use metrics::{MetricsReport, ServiceMetrics};
 pub use registry::{EstimatorRegistry, ExprOutcome, ServingEstimator};
-pub use server::{install_sigint_flag, load_snapshot, Server, ServerConfig};
-pub use threadpool::ThreadPoolServer;
+pub use server::{install_sigint_flag, load_snapshot, ServerConfig};

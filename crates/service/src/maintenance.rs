@@ -1,9 +1,9 @@
 //! The maintenance loop: self-managing freshness for maintained slots.
 //!
-//! PR 3's `delta` op applies one change batch per request — correct, but
-//! the counting pass dominates cost, so N small batches pay N passes.
-//! The [`MaintenanceCoordinator`] makes maintained slots self-managing
-//! instead:
+//! Applying one change batch per request is correct, but the counting
+//! pass dominates cost, so N small batches would pay N passes. The
+//! [`MaintenanceCoordinator`] — one per server, the only write path for
+//! `delta` ops — makes maintained slots self-managing instead:
 //!
 //! * **Delta queue + compactor** — `delta` ops *enqueue* parsed change
 //!   batches. On each publish interval (or a forced `maintenance`
@@ -21,12 +21,16 @@
 //!   maintaining rebuild from the slot's own maintained graph — no
 //!   filesystem involved — which resets both lineage and drift.
 //!
+//! A publish interval of zero means *apply on arrival*: the ticker sleeps
+//! until an enqueue wakes it, so each batch publishes as soon as it is
+//! queued — still through the queue, the CAS, and the rebuild policy.
+//!
 //! Every publish goes through the same
 //! [`EstimatorRegistry::register_if_version_maintained`] compare-and-swap
-//! as the PR 3 workers, so a compacted publish can never overwrite a
-//! fresher `load`: the CAS fails, the result is discarded, and the queue
-//! is purged because the lineage its batches were written against is
-//! gone.
+//! as the protocol `rebuild` op, so a compacted publish can never
+//! overwrite a fresher `load`: the CAS fails, the result is discarded,
+//! and the queue is purged because the lineage its batches were written
+//! against is gone.
 //!
 //! ## Fault injection
 //!
@@ -182,7 +186,8 @@ impl FailurePlan {
 #[derive(Debug, Clone, Copy)]
 pub struct MaintenanceConfig {
     /// How often the ticker compacts queued batches and evaluates
-    /// rebuild triggers.
+    /// rebuild triggers. Zero means apply on arrival: every enqueue
+    /// wakes the ticker.
     pub publish_interval: Duration,
     /// When a maintained slot should stop merging and fully rebuild.
     pub policy: RebuildPolicy,
@@ -343,18 +348,30 @@ struct SlotQueue {
     last_outcome: Option<String>,
 }
 
+/// What the ticker sleeps on.
+#[derive(Debug, Default)]
+struct TickerSignal {
+    /// The owning server is shutting down.
+    shutdown: bool,
+    /// A batch was queued since the last pass.
+    pending: bool,
+}
+
+/// At a zero publish interval, how long the ticker waits before retrying
+/// batches a pass left queued (busy slot, failed pass).
+const RETRY_AFTER: Duration = Duration::from_millis(250);
+
 /// The per-process maintenance loop: one delta queue per maintained
 /// slot, a compactor, and policy-triggered rebuilds. See the module doc
-/// for the design; `phe serve` owns one and runs
-/// [`MaintenanceCoordinator::start_ticker`].
+/// for the design; every [`crate::Server`] owns one and runs its ticker.
 pub struct MaintenanceCoordinator {
     registry: Arc<EstimatorRegistry>,
     metrics: Arc<ServiceMetrics>,
     config: Mutex<MaintenanceConfig>,
     slots: Mutex<HashMap<String, SlotQueue>>,
     plan: FailurePlan,
-    shutdown: StdMutex<bool>,
-    shutdown_cv: Condvar,
+    signal: StdMutex<TickerSignal>,
+    signal_cv: Condvar,
 }
 
 impl MaintenanceCoordinator {
@@ -370,8 +387,8 @@ impl MaintenanceCoordinator {
             config: Mutex::new(config),
             slots: Mutex::new(HashMap::new()),
             plan: FailurePlan::default(),
-            shutdown: StdMutex::new(false),
-            shutdown_cv: Condvar::new(),
+            signal: StdMutex::new(TickerSignal::default()),
+            signal_cv: Condvar::new(),
         })
     }
 
@@ -420,6 +437,7 @@ impl MaintenanceCoordinator {
         drop(slots);
         self.metrics.record_maintenance_batches("enqueued", 1);
         self.metrics.record_maintenance_queue_depth(name, depth);
+        self.wake();
         Ok(depth)
     }
 
@@ -499,9 +517,10 @@ impl MaintenanceCoordinator {
 
     /// The pass body; the single-flight mark is held by the caller.
     fn run_locked(&self, name: &str) -> RunOutcome {
-        // Version first, maintenance second — same order as the protocol
-        // delta handler, so a `load` racing us either clears the state
-        // (pass refused) or bumps the version (CAS below fails).
+        // Version first, maintenance second: a `load` racing us either
+        // clears the state (pass refused) or bumps the version (CAS below
+        // fails). Fetching the state first would open a window where a
+        // stale pass overwrites a fresh load.
         let expected = self.registry.get(name).map_or(0, |g| g.version());
         let Some(state) = self.registry.maintenance(name) else {
             return RunOutcome::NoLineage {
@@ -530,6 +549,7 @@ impl MaintenanceCoordinator {
                 // no-op, so they are consumed without a publish.
                 self.pop(name, batches, true);
             } else {
+                self.metrics.record_delta_started();
                 let (estimator, graph) = match state.estimator.apply_delta(&state.graph, &composed)
                 {
                     Ok(pair) => pair,
@@ -553,11 +573,7 @@ impl MaintenanceCoordinator {
                 // Drift is published only once the CAS confirms these
                 // statistics won.
                 let drift = estimator.drift().copied();
-                let servable = match estimator
-                    .snapshot()
-                    .map_err(|e| e.to_string())
-                    .and_then(|s| ServableEstimator::from_snapshot(&s).map_err(|e| e.to_string()))
-                {
+                let servable = match ServableEstimator::from_maintained(&estimator) {
                     Ok(servable) => servable,
                     Err(message) => {
                         self.metrics.record_delta_failed();
@@ -670,11 +686,7 @@ impl MaintenanceCoordinator {
                 };
             }
         };
-        let servable = match fresh
-            .snapshot()
-            .map_err(|e| e.to_string())
-            .and_then(|s| ServableEstimator::from_snapshot(&s).map_err(|e| e.to_string()))
-        {
+        let servable = match ServableEstimator::from_maintained(&fresh) {
             Ok(servable) => servable,
             Err(message) => {
                 self.metrics.record_rebuild_failed();
@@ -716,32 +728,67 @@ impl MaintenanceCoordinator {
         }
     }
 
-    /// Spawns the publish-interval ticker. Stop it with
-    /// [`MaintenanceCoordinator::request_shutdown`] and join the handle.
-    pub fn start_ticker(self: &Arc<Self>) -> JoinHandle<()> {
+    /// Spawns the publish-interval ticker; the owning server stops it
+    /// with [`MaintenanceCoordinator::request_shutdown`] and joins it.
+    pub(crate) fn start_ticker(self: &Arc<Self>) -> JoinHandle<()> {
         let this = Arc::clone(self);
-        std::thread::spawn(move || loop {
-            let interval = this.config.lock().publish_interval;
-            // The flag is one boolean — recovering a poisoned lock reads
-            // either valid state, so the ticker survives a panicking
-            // sibling instead of killing shutdown.
-            let stop = this.shutdown.lock().unwrap_or_else(PoisonError::into_inner);
-            let (stop, _) = this
-                .shutdown_cv
-                .wait_timeout_while(stop, interval, |stopped| !*stopped)
-                .unwrap_or_else(PoisonError::into_inner);
-            if *stop {
-                return;
+        std::thread::spawn(move || {
+            let mut backlog = false;
+            loop {
+                let interval = this.config.lock().publish_interval;
+                let on_arrival = interval.is_zero();
+                let idle = |s: &mut TickerSignal| !(s.shutdown || (on_arrival && s.pending));
+                // The signal is two booleans — recovering a poisoned lock
+                // reads valid state, so the ticker survives a panicking
+                // sibling instead of killing shutdown.
+                let guard = this.signal.lock().unwrap_or_else(PoisonError::into_inner);
+                let timeout = match (on_arrival, backlog) {
+                    (false, _) => Some(interval),
+                    (true, true) => Some(RETRY_AFTER),
+                    (true, false) => None,
+                };
+                let mut signal = match timeout {
+                    Some(timeout) => {
+                        this.signal_cv
+                            .wait_timeout_while(guard, timeout, idle)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                    None => this
+                        .signal_cv
+                        .wait_while(guard, idle)
+                        .unwrap_or_else(PoisonError::into_inner),
+                };
+                if signal.shutdown {
+                    return;
+                }
+                // Cleared before the pass peeks the queues: a batch queued
+                // from here on raises the flag again and gets its own pass.
+                signal.pending = false;
+                drop(signal);
+                this.tick();
+                backlog = this.slots.lock().values().any(|q| !q.batches.is_empty());
             }
-            drop(stop);
-            this.tick();
         })
     }
 
     /// Asks the ticker to exit at its next wakeup (immediate).
-    pub fn request_shutdown(&self) {
-        *self.shutdown.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.shutdown_cv.notify_all();
+    pub(crate) fn request_shutdown(&self) {
+        self.signal
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
+        self.signal_cv.notify_all();
+    }
+
+    /// Tells the ticker a batch was queued (it acts on it at once only at
+    /// a zero publish interval).
+    fn wake(&self) {
+        self.signal
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pending = true;
+        self.signal_cv.notify_all();
     }
 
     fn queue_len(&self, name: &str) -> usize {

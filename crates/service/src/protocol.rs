@@ -30,8 +30,8 @@
 //! | `metrics` | `format` (`"report"`) | `metrics` object, or `exposition` text when `format` is `"prometheus"` | qps, p50/p99, cache hit rate, rebuild + delta counters; the Prometheus form is the same text the `--metrics-addr` scrape endpoint serves |
 //! | `load` | `name`, `snapshot` | `version` | restores a snapshot file from the **server's** filesystem and hot-swaps the slot |
 //! | `rebuild` | `name`, `graph`, `k` (3), `beta` (64), `ordering` (`"sum-based"`), `histogram` (`"v-optimal-greedy"`), `threads` (1), `maintain` (false) | `{"status":"rebuilding"}` | asynchronous full build from a graph file |
-//! | `delta` | `name`, `changes` | `{"status":"applying-delta"}` (immediate mode) or `{"status":"queued","queued":n}` (maintenance loop) | incremental update from a changes file; with a maintenance loop the batch is queued for the next compacted publish |
-//! | `maintenance` | `action` (`"status"`), `name` (for `compact`), `max_applied_deltas` / `drift_scale` / `drift_mean_threshold`+`drift_q_threshold` (for `set-policy`) | `status`/`set-policy`: `policy`, `publish_interval_ms`, `slots` rows (`queued`, `enqueued`, `compacted`, `purged`, `last_trigger`, `last_outcome`); `compact`: `outcome` | inspect or steer the maintenance loop; refused when the server runs without one |
+//! | `delta` | `name`, `changes` | `{"status":"queued","queued":n}` | incremental update from a changes file, parsed at once (a bad file is an error line) and queued on the server's maintenance loop for its next compacted publish — on arrival at a zero publish interval |
+//! | `maintenance` | `action` (`"status"`), `name` (for `compact`), `max_applied_deltas` / `drift_scale` / `drift_mean_threshold`+`drift_q_threshold` (for `set-policy`) | `status`/`set-policy`: `policy`, `publish_interval_ms`, `slots` rows (`queued`, `enqueued`, `compacted`, `purged`, `last_trigger`, `last_outcome`); `compact`: `outcome` | inspect or steer the server's maintenance loop |
 //!
 //! ```text
 //! → {"op":"ping"}
@@ -43,18 +43,19 @@
 //! → {"op":"rebuild","name":"main","graph":"/path/graph.tsv","k":3,"beta":64,"maintain":true}
 //! ← {"ok":true,"status":"rebuilding"}
 //! → {"op":"delta","name":"main","changes":"/path/changes.tsv"}
-//! ← {"ok":true,"status":"applying-delta"}
+//! ← {"ok":true,"status":"queued","queued":1}
 //! ```
 //!
 //! ## Background publishes: `rebuild` and `delta`
 //!
-//! Both ops answer immediately; a background thread does the work and
-//! publishes with a **compare-and-swap** on the slot version, so a result
-//! that raced with a newer `load`/`rebuild` is discarded (counted as
-//! *superseded* in `metrics`), never published over fresher statistics.
-//! Watch the slot's `version` via `list` to observe the swap. One
-//! background job per slot at a time; concurrent requests are refused
-//! with an error.
+//! Both ops answer immediately; a background thread (`rebuild`) or the
+//! server's maintenance loop (`delta`) does the work and publishes with a
+//! **compare-and-swap** on the slot version, so a result that raced with
+//! a newer `load`/`rebuild` is discarded (counted as *superseded* in
+//! `metrics`), never published over fresher statistics. Watch the slot's
+//! `version` via `list` to observe the swap. One rebuild or maintenance
+//! pass per slot at a time; a `rebuild` arriving while one runs is
+//! refused with an error.
 //!
 //! `rebuild` reads a graph TSV and builds fresh statistics through the
 //! sparse pipeline. With `"maintain": true` it additionally keeps the
@@ -63,12 +64,13 @@
 //!
 //! `delta` reads a changes file (`+<TAB>src<TAB>label<TAB>dst` /
 //! `-<TAB>src<TAB>label<TAB>dst` lines) against the slot's maintenance
-//! state, counts only the touched paths, merges them into the retained
-//! sparse catalog, and hot-swaps statistics **bit-identical** to a full
-//! rebuild on the changed graph — at a cost proportional to the change.
-//! The maintenance state advances with each applied delta, so deltas
-//! chain. A slot without maintenance state (never rebuilt with
-//! `maintain`) refuses the op synchronously.
+//! state and queues it; the loop composes the queued batches, counts only
+//! the touched paths, merges them into the retained sparse catalog, and
+//! hot-swaps statistics **bit-identical** to a full rebuild on the
+//! changed graph — at a cost proportional to the change. The maintenance
+//! state advances with each published pass, so deltas chain. A slot
+//! without maintenance state (never rebuilt with `maintain`) refuses the
+//! op synchronously, as does an unreadable changes file.
 //!
 //! Path steps may be label names (strings) or raw label ids (integers);
 //! a batch may mix both styles between paths.

@@ -1,6 +1,6 @@
 //! A minimal readiness reactor over `poll(2)`, std-only.
 //!
-//! The event-loop server ([`crate::server::Server`]) multiplexes every
+//! The event-loop server ([`crate::Server`]) multiplexes every
 //! connection over non-blocking sockets; this module supplies the one
 //! primitive std lacks — *readiness*: "which of these descriptors can
 //! make progress right now?". It is deliberately shaped like the
@@ -15,8 +15,6 @@
 //! syscalls (`poll`, `pipe`, `read`, `write`, `close`, `fcntl`) are
 //! bound directly — the same idiom as the `signal(2)` binding the
 //! SIGINT handler has always used.
-
-#![cfg(unix)]
 
 use std::collections::HashMap;
 use std::io;

@@ -1,15 +1,13 @@
-//! Request handling and the public [`Server`] facade.
+//! Request handling and the server configuration.
 //!
-//! The protocol logic — parse one NDJSON request line, dispatch the op
-//! against the shared [`EstimatorRegistry`], render one response line —
-//! lives here as `handle_line`/`handle_request`, shared by both serving
-//! backends: the readiness-driven event loop (`crate::eventloop`, unix)
-//! and the thread-per-connection pool ([`crate::threadpool`], non-unix
-//! fallback and bench baseline). Per-request latency, path counts, and
-//! errors land in [`ServiceMetrics`]; the CLI prints the report on
-//! SIGINT/shutdown.
+//! The protocol logic — dispatch one parsed request against the shared
+//! [`EstimatorRegistry`] and render one response line — lives here as
+//! `handle_request`; the event loop ([`crate::eventloop`]) parses each
+//! line on its shard thread and runs the heavy ops on dispatch workers.
+//! Every `delta` goes through the server's [`MaintenanceCoordinator`].
+//! Per-request latency, path counts, and errors land in
+//! [`ServiceMetrics`]; the CLI prints the report on SIGINT/shutdown.
 
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,13 +29,12 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 ⇒ ephemeral).
     pub addr: String,
     /// Dispatch worker threads for CPU-heavy ops (`rebuild`, large
-    /// `estimate` / `estimate_expr` batches). On the thread-pool backend
-    /// this is the pool size (each thread serves one connection).
+    /// `estimate` / `estimate_expr` batches).
     pub workers: usize,
     /// Whether `load` requests may read snapshot files from this host.
     pub allow_load: bool,
     /// Event-loop shards multiplexing connections (0 ⇒ pick from core
-    /// count). Ignored by the thread-pool backend.
+    /// count).
     pub shards: usize,
     /// Admission: connections past this cap are refused at accept with a
     /// structured `overloaded` line (`reason = "capacity"`), then closed.
@@ -86,91 +83,14 @@ impl ServerConfig {
     }
 }
 
-#[cfg(unix)]
-type Inner = crate::eventloop::EventLoopServer;
-#[cfg(not(unix))]
-type Inner = crate::threadpool::ThreadPoolServer;
-
-/// A running server; dropping it does **not** stop the threads — call
-/// [`Server::shutdown`].
-///
-/// On unix this is the readiness-driven event-loop backend (connection
-/// state machines over a `poll(2)` reactor, with admission control and
-/// load shedding); elsewhere it falls back to the thread-per-connection
-/// pool in [`crate::threadpool`].
-pub struct Server {
-    inner: Inner,
-}
-
-impl Server {
-    /// Binds and starts accepting. Returns once the listener is live, so
-    /// `local_addr` is immediately connectable (ephemeral ports included).
-    ///
-    /// `delta` ops apply immediately in a background thread (no
-    /// maintenance loop); see [`Server::start_with`] to serve with one.
-    pub fn start(
-        registry: Arc<EstimatorRegistry>,
-        metrics: Arc<ServiceMetrics>,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
-        Server::start_with(registry, metrics, None, config)
-    }
-
-    /// [`Server::start`] with an optional [`MaintenanceCoordinator`].
-    /// When present, `delta` ops enqueue batches on it (compacted and
-    /// published by its ticker) and the `maintenance` op is served;
-    /// when absent, `delta` keeps the immediate-apply behaviour.
-    pub fn start_with(
-        registry: Arc<EstimatorRegistry>,
-        metrics: Arc<ServiceMetrics>,
-        maintenance: Option<Arc<MaintenanceCoordinator>>,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
-        Ok(Server {
-            inner: Inner::start_with(registry, metrics, maintenance, config)?,
-        })
-    }
-
-    /// The bound address (resolves port 0 to the actual ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Signals shutdown and joins every thread. The event loop wakes on
-    /// its shutdown pipes immediately, so idle connections do not delay
-    /// the join.
-    pub fn shutdown(self) {
-        self.inner.shutdown();
-    }
-}
-
-/// A request line still unterminated past this size closes the connection
-/// (an unbounded line would otherwise grow the buffer without limit).
-pub(crate) const MAX_REQUEST_BYTES: usize = 16 * 1024 * 1024;
-
-/// Answers one request line; returns `(response, paths_estimated, ok)`.
-pub(crate) fn handle_line(
-    line: &str,
-    registry: &Arc<EstimatorRegistry>,
-    metrics: &Arc<ServiceMetrics>,
-    maintenance: Option<&Arc<MaintenanceCoordinator>>,
-    allow_load: bool,
-) -> (String, usize, bool) {
-    let request = match Request::parse(line) {
-        Ok(r) => r,
-        Err(e) => return (error_response(&e.to_string()), 0, false),
-    };
-    handle_request(request, registry, metrics, maintenance, allow_load)
-}
-
 /// Answers one parsed request; returns `(response, paths_estimated, ok)`.
-/// Split from [`handle_line`] so the event loop can parse on the loop
-/// thread, classify, and run the heavy ops on dispatch workers.
+/// The event loop parses on its shard thread, classifies, and runs the
+/// heavy ops on dispatch workers.
 pub(crate) fn handle_request(
     request: Request,
     registry: &Arc<EstimatorRegistry>,
     metrics: &Arc<ServiceMetrics>,
-    maintenance: Option<&Arc<MaintenanceCoordinator>>,
+    maintenance: &Arc<MaintenanceCoordinator>,
     allow_load: bool,
 ) -> (String, usize, bool) {
     metrics.record_op(match &request {
@@ -274,26 +194,24 @@ pub(crate) fn handle_request(
                             Value::Number(Number::PosInt(d.sampled as u64)),
                         ));
                     }
-                    if let Some(coordinator) = maintenance {
-                        let status = coordinator.status(&slot_name);
-                        if status != crate::maintenance::SlotStatus::default() {
-                            row.push((
-                                "maintenance_queued".into(),
-                                Value::Number(Number::PosInt(status.queued as u64)),
-                            ));
-                            row.push((
-                                "maintenance_compacted".into(),
-                                Value::Number(Number::PosInt(status.compacted)),
-                            ));
-                            row.push((
-                                "maintenance_last_trigger".into(),
-                                status.last_trigger.map_or(Value::Null, Value::string),
-                            ));
-                            row.push((
-                                "maintenance_last_outcome".into(),
-                                status.last_outcome.map_or(Value::Null, Value::string),
-                            ));
-                        }
+                    let status = maintenance.status(&slot_name);
+                    if status != crate::maintenance::SlotStatus::default() {
+                        row.push((
+                            "maintenance_queued".into(),
+                            Value::Number(Number::PosInt(status.queued as u64)),
+                        ));
+                        row.push((
+                            "maintenance_compacted".into(),
+                            Value::Number(Number::PosInt(status.compacted)),
+                        ));
+                        row.push((
+                            "maintenance_last_trigger".into(),
+                            status.last_trigger.map_or(Value::Null, Value::string),
+                        ));
+                        row.push((
+                            "maintenance_last_outcome".into(),
+                            status.last_outcome.map_or(Value::Null, Value::string),
+                        ));
                     }
                     Value::Object(row)
                 })
@@ -367,86 +285,38 @@ pub(crate) fn handle_request(
             if !allow_load {
                 return (error_response("delta is disabled on this server"), 0, false);
             }
-            if let Some(coordinator) = maintenance {
-                // Maintenance loop: parse now (labels resolve against the
-                // maintained base — a delta can't introduce labels, so the
-                // alphabet is stable across queued batches), queue the
-                // batch, and let the next compacted publish fold it in.
-                let Some(state) = registry.maintenance(&name) else {
-                    return (
-                        error_response(&format!(
-                            "no maintained statistics for {name:?}; run a rebuild with \
-                             \"maintain\": true first"
-                        )),
-                        0,
-                        false,
-                    );
-                };
-                let delta = match phe_graph::delta::read_changes_path(&changes, &state.graph) {
-                    Ok(delta) => delta,
-                    Err(e) => {
-                        return (error_response(&format!("reading {changes}: {e}")), 0, false)
-                    }
-                };
-                return match coordinator.enqueue(&name, delta) {
-                    Ok(queued) => (
-                        ok_response(vec![
-                            ("status".into(), Value::string("queued")),
-                            (
-                                "queued".into(),
-                                Value::Number(Number::PosInt(queued as u64)),
-                            ),
-                        ]),
-                        0,
-                        true,
-                    ),
-                    // A full queue is backpressure, not a hard error: the
-                    // structured marker tells the client to retry after
-                    // the next compacted publish drains it.
-                    Err(e @ EnqueueError::QueueFull { .. }) => {
-                        (backpressure_response(&e.to_string()), 0, false)
-                    }
-                    Err(e) => (error_response(&e.to_string()), 0, false),
-                };
-            }
-            if !registry.try_begin_rebuild(&name) {
-                return (
-                    error_response(&format!("rebuild of {name:?} already in flight")),
-                    0,
-                    false,
-                );
-            }
-            // Version first, maintenance second: a `load` landing between
-            // the two clears the maintenance state (op refused below); a
-            // `load` landing after both bumps the version and the
-            // background publish's compare-and-swap fails. Either way a
-            // concurrent publish wins — fetching the state first would
-            // open a window where a stale delta overwrites a fresh load.
-            let expected_version = registry.get(&name).map_or(0, |g| g.version());
+            // Parse now (labels resolve against the maintained base — a
+            // delta can't introduce labels, so the alphabet is stable
+            // across queued batches), queue the batch, and let the
+            // maintenance loop's next compacted publish fold it in.
             let Some(state) = registry.maintenance(&name) else {
-                registry.finish_rebuild(&name);
-                return (
-                    error_response(&format!(
-                        "no maintained statistics for {name:?}; run a rebuild with \
-                         \"maintain\": true first"
-                    )),
-                    0,
-                    false,
-                );
+                let refusal = EnqueueError::NoLineage { slot: name };
+                return (error_response(&refusal.to_string()), 0, false);
             };
-            spawn_delta(
-                Arc::clone(registry),
-                Arc::clone(metrics),
-                name,
-                changes,
-                state,
-                expected_version,
-            );
-            (
-                ok_response(vec![("status".into(), Value::string("applying-delta"))]),
-                0,
-                true,
-            )
+            let delta = match phe_graph::delta::read_changes_path(&changes, &state.graph) {
+                Ok(delta) => delta,
+                Err(e) => return (error_response(&format!("reading {changes}: {e}")), 0, false),
+            };
+            match maintenance.enqueue(&name, delta) {
+                Ok(queued) => (
+                    ok_response(vec![
+                        ("status".into(), Value::string("queued")),
+                        (
+                            "queued".into(),
+                            Value::Number(Number::PosInt(queued as u64)),
+                        ),
+                    ]),
+                    0,
+                    true,
+                ),
+                // A full queue is backpressure, not a hard error: the
+                // structured marker tells the client to retry after the
+                // next compacted publish drains it.
+                Err(e @ EnqueueError::QueueFull { .. }) => {
+                    (backpressure_response(&e.to_string()), 0, false)
+                }
+                Err(e) => (error_response(&e.to_string()), 0, false),
+            }
         }
         Request::Rebuild {
             name,
@@ -561,15 +431,8 @@ pub(crate) fn handle_request(
             }
         }
         Request::Maintenance { name, action } => {
-            let Some(coordinator) = maintenance else {
-                return (
-                    error_response("no maintenance loop on this server"),
-                    0,
-                    false,
-                );
-            };
             match action {
-                MaintenanceAction::Status => (maintenance_status(coordinator), 0, true),
+                MaintenanceAction::Status => (maintenance_status(maintenance), 0, true),
                 MaintenanceAction::Compact => {
                     if !allow_load {
                         // A forced compaction can trigger a full rebuild —
@@ -580,7 +443,7 @@ pub(crate) fn handle_request(
                             false,
                         );
                     }
-                    let outcome = coordinator.run_slot(&name);
+                    let outcome = maintenance.run_slot(&name);
                     let ok = !matches!(
                         outcome,
                         crate::maintenance::RunOutcome::Failed { .. }
@@ -609,7 +472,7 @@ pub(crate) fn handle_request(
                             false,
                         );
                     }
-                    let mut policy = coordinator.config().policy;
+                    let mut policy = maintenance.config().policy;
                     if let Some(n) = max_applied_deltas {
                         policy.max_applied_deltas = n;
                     }
@@ -622,8 +485,8 @@ pub(crate) fn handle_request(
                             max_q_error: q,
                         });
                     }
-                    coordinator.set_policy(policy);
-                    (maintenance_status(coordinator), 0, true)
+                    maintenance.set_policy(policy);
+                    (maintenance_status(maintenance), 0, true)
                 }
             }
         }
@@ -808,16 +671,18 @@ fn estimate_exprs(
 }
 
 /// Kicks off a detached background rebuild: load the graph, build fresh
-/// statistics through the sparse pipeline, hot-swap the slot. With
-/// `maintain`, the graph and the sparse-retaining estimator are stored as
-/// the slot's maintenance state, enabling subsequent `delta` ops.
-/// Failures — including panics from the build layer (e.g. a graph with no
-/// edge labels) — are counted in the metrics and logged to stderr; the
-/// requesting connection got its acknowledgement long ago. The caller
-/// must already hold the slot's rebuild mark
+/// statistics through the sparse pipeline, and compare-and-swap them into
+/// the slot. With `maintain`, the graph and the sparse-retaining
+/// estimator ride the swap as the slot's maintenance state, enabling
+/// subsequent `delta` ops; without it, the swap invalidates whatever
+/// lineage the slot held. A failed CAS means a newer publish landed
+/// mid-build; the fresher statistics win and the result is discarded as
+/// superseded. Failures — including panics from the build layer (e.g. a
+/// graph with no edge labels) — are counted in the metrics and logged to
+/// stderr; the requesting connection got its acknowledgement long ago.
+/// The caller must already hold the slot's rebuild mark
 /// ([`EstimatorRegistry::try_begin_rebuild`]); it is released here on
 /// every outcome.
-#[allow(clippy::too_many_arguments)]
 fn spawn_rebuild(
     registry: Arc<EstimatorRegistry>,
     metrics: Arc<ServiceMetrics>,
@@ -829,159 +694,49 @@ fn spawn_rebuild(
 ) {
     metrics.record_rebuild_started();
     std::thread::spawn(move || {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let graph = phe_graph::io::read_tsv_path(&graph_path)
-                .map_err(|e| format!("reading {graph_path}: {e}"))?;
-            let estimator = phe_core::PathSelectivityEstimator::build(&graph, config)
-                .map_err(|e| format!("building statistics: {e}"))?;
-            Ok::<_, String>((graph, estimator))
-        }));
-        match result {
-            Ok(Ok((graph, estimator))) => {
-                publish(
-                    &registry,
-                    &metrics,
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || -> Result<(ServableEstimator, Option<MaintenanceState>), String> {
+                let graph = phe_graph::io::read_tsv_path(&graph_path)
+                    .map_err(|e| format!("reading {graph_path}: {e}"))?;
+                let estimator = phe_core::PathSelectivityEstimator::build(&graph, config)
+                    .map_err(|e| format!("building statistics: {e}"))?;
+                if !maintain {
+                    return Ok((ServableEstimator::from_estimator(estimator), None));
+                }
+                let servable = ServableEstimator::from_maintained(&estimator)?;
+                Ok((servable, Some(MaintenanceState { graph, estimator })))
+            },
+        ))
+        .unwrap_or_else(|panic| Err(panic_message(panic.as_ref()).to_owned()));
+        match built {
+            Ok((servable, keep)) => {
+                match registry.register_if_version_maintained(
                     &name,
+                    servable,
                     expected_version,
-                    maintain.then_some(graph),
-                    estimator,
-                    "rebuild",
-                    || metrics.record_rebuild_superseded(),
-                    || metrics.record_rebuild_failed(),
-                );
+                    keep,
+                ) {
+                    Some(version) => {
+                        if version > 1 {
+                            metrics.record_swap();
+                        }
+                        // A fresh build starts a new lineage (or none): the
+                        // old drift gauges describe dead statistics.
+                        metrics.clear_drift(&name);
+                    }
+                    None => {
+                        metrics.record_rebuild_superseded();
+                        eprintln!("rebuild of {name:?} superseded by a newer publish; discarded");
+                    }
+                }
             }
-            Ok(Err(message)) => {
+            Err(message) => {
                 metrics.record_rebuild_failed();
                 eprintln!("rebuild of {name:?} failed: {message}");
             }
-            Err(panic) => {
-                metrics.record_rebuild_failed();
-                eprintln!(
-                    "rebuild of {name:?} failed: {}",
-                    panic_message(panic.as_ref())
-                );
-            }
         }
         registry.finish_rebuild(&name);
     });
-}
-
-/// Kicks off a detached background delta application against the slot's
-/// maintenance state: parse the changes file, count only the touched
-/// paths, merge into the retained sparse catalog, and compare-and-swap
-/// publish. On success the maintenance state advances to the post-delta
-/// graph + estimator, so deltas chain. The caller must already hold the
-/// slot's rebuild mark; it is released here on every outcome.
-fn spawn_delta(
-    registry: Arc<EstimatorRegistry>,
-    metrics: Arc<ServiceMetrics>,
-    name: String,
-    changes_path: String,
-    state: Arc<MaintenanceState>,
-    expected_version: u64,
-) {
-    metrics.record_delta_started();
-    std::thread::spawn(move || {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let delta = phe_graph::delta::read_changes_path(&changes_path, &state.graph)
-                .map_err(|e| format!("reading {changes_path}: {e}"))?;
-            let (estimator, graph) = state
-                .estimator
-                .apply_delta(&state.graph, &delta)
-                .map_err(|e| format!("applying delta: {e}"))?;
-            Ok::<_, String>((graph, estimator))
-        }));
-        match result {
-            Ok(Ok((graph, estimator))) => {
-                publish(
-                    &registry,
-                    &metrics,
-                    &name,
-                    expected_version,
-                    Some(graph),
-                    estimator,
-                    "delta",
-                    || metrics.record_delta_superseded(),
-                    || metrics.record_delta_failed(),
-                );
-            }
-            Ok(Err(message)) => {
-                metrics.record_delta_failed();
-                eprintln!("delta for {name:?} failed: {message}");
-            }
-            Err(panic) => {
-                metrics.record_delta_failed();
-                eprintln!(
-                    "delta for {name:?} failed: {}",
-                    panic_message(panic.as_ref())
-                );
-            }
-        }
-        registry.finish_rebuild(&name);
-    });
-}
-
-/// Shared publish tail of the background workers: derive the servable
-/// estimator, compare-and-swap it into the slot, and (when `graph` is
-/// present) advance the slot's maintenance state. A failed CAS means a
-/// newer publish landed mid-build; the fresher statistics win and the
-/// result is discarded as superseded.
-#[allow(clippy::too_many_arguments)]
-fn publish(
-    registry: &EstimatorRegistry,
-    metrics: &ServiceMetrics,
-    name: &str,
-    expected_version: u64,
-    graph: Option<phe_graph::Graph>,
-    estimator: phe_core::PathSelectivityEstimator,
-    what: &str,
-    on_superseded: impl FnOnce(),
-    on_failed: impl FnOnce(),
-) {
-    // Drift is sampled by `apply_delta` (rebuilds carry `None`), published
-    // as per-slot gauges only once the CAS confirms these statistics won.
-    let drift = estimator.drift().copied();
-    let (servable, keep) = match graph {
-        Some(graph) => {
-            // The estimator must survive for maintenance, so the servable
-            // is derived through its snapshot instead of consuming it.
-            let derived = estimator
-                .snapshot()
-                .map_err(|e| e.to_string())
-                .and_then(|s| ServableEstimator::from_snapshot(&s).map_err(|e| e.to_string()));
-            match derived {
-                Ok(servable) => (servable, Some(MaintenanceState { graph, estimator })),
-                Err(message) => {
-                    on_failed();
-                    eprintln!("{what} for {name:?} failed to snapshot: {message}");
-                    return;
-                }
-            }
-        }
-        None => (ServableEstimator::from_estimator(estimator), None),
-    };
-    // The maintenance update rides the compare-and-swap atomically: on
-    // success a maintaining build stores its fresh state, and any other
-    // publish invalidates whatever lineage the slot held (a later `delta`
-    // is then refused instead of merging into a stale base).
-    match registry.register_if_version_maintained(name, servable, expected_version, keep) {
-        Some(version) => {
-            if version > 1 {
-                metrics.record_swap();
-            }
-            match drift {
-                Some(drift) => metrics.record_drift(name, &drift),
-                // No sampled drift means this publish started a fresh
-                // lineage (full rebuild) or dropped maintenance entirely;
-                // either way the old gauges describe dead statistics.
-                None => metrics.clear_drift(name),
-            }
-        }
-        None => {
-            on_superseded();
-            eprintln!("{what} for {name:?} superseded by a newer publish; discarded");
-        }
-    }
 }
 
 /// Best-effort panic payload extraction for the background workers' logs.
@@ -1034,7 +789,6 @@ pub fn load_snapshot(path: &str) -> Result<ServableEstimator, String> {
 
 static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 extern "C" fn sigint_handler(_signum: i32) {
     // Only async-signal-safe work here: one atomic store.
     SIGINT_SEEN.store(true, Ordering::SeqCst);
@@ -1042,24 +796,20 @@ extern "C" fn sigint_handler(_signum: i32) {
 
 /// Installs a SIGINT handler that flips a flag instead of killing the
 /// process, so the serve loop can drain and print its metrics report.
-/// Returns a closure polling the flag. On non-unix targets the closure is
-/// always false (ctrl-C terminates the process as usual).
+/// Returns a closure polling the flag.
 pub fn install_sigint_flag() -> impl Fn() -> bool {
-    #[cfg(unix)]
-    {
-        // `signal(2)` via a direct libc binding: the compat environment has
-        // no `libc` crate, and std exposes no signal API. SIGINT = 2 on
-        // every unix this builds for.
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        // SAFETY: `sigint_handler` is `extern "C"`, async-signal-safe
-        // (one relaxed-free `SeqCst` store, no allocation, no locks), and
-        // lives for the whole program; `signal(2)` itself cannot fault.
-        unsafe {
-            signal(SIGINT, sigint_handler as extern "C" fn(i32) as usize);
-        }
+    // `signal(2)` via a direct libc binding: the compat environment has
+    // no `libc` crate, and std exposes no signal API. SIGINT = 2 on every
+    // unix this builds for.
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGINT: i32 = 2;
+    // SAFETY: `sigint_handler` is `extern "C"`, async-signal-safe (one
+    // relaxed-free `SeqCst` store, no allocation, no locks), and lives for
+    // the whole program; `signal(2)` itself cannot fault.
+    unsafe {
+        signal(SIGINT, sigint_handler as extern "C" fn(i32) as usize);
     }
     || SIGINT_SEEN.load(Ordering::SeqCst)
 }
@@ -1067,9 +817,48 @@ pub fn install_sigint_flag() -> impl Fn() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phe_core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
+    use crate::maintenance::MaintenanceConfig;
+    use phe_core::{
+        EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator, RebuildPolicy,
+    };
     use phe_datasets::{erdos_renyi, LabelDistribution};
     use std::time::Instant;
+
+    /// Parses and answers one request line, as a shard does.
+    fn handle_line(
+        line: &str,
+        registry: &Arc<EstimatorRegistry>,
+        metrics: &Arc<ServiceMetrics>,
+        maintenance: &Arc<MaintenanceCoordinator>,
+        allow_load: bool,
+    ) -> (String, usize, bool) {
+        match Request::parse(line) {
+            Ok(request) => handle_request(request, registry, metrics, maintenance, allow_load),
+            Err(e) => (error_response(&e.to_string()), 0, false),
+        }
+    }
+
+    /// An apply-on-arrival coordinator (publish interval 0) with the
+    /// rebuild triggers off, so every publish is the delta's own; its
+    /// ticker runs only where a test starts it.
+    fn coordinator(
+        registry: &Arc<EstimatorRegistry>,
+        metrics: &Arc<ServiceMetrics>,
+    ) -> Arc<MaintenanceCoordinator> {
+        MaintenanceCoordinator::new(
+            Arc::clone(registry),
+            Arc::clone(metrics),
+            MaintenanceConfig {
+                publish_interval: Duration::ZERO,
+                policy: RebuildPolicy {
+                    max_applied_deltas: 0,
+                    drift_scale: 0.0,
+                    drift_override: None,
+                },
+                ..MaintenanceConfig::default()
+            },
+        )
+    }
 
     fn test_registry() -> Arc<EstimatorRegistry> {
         let g = erdos_renyi(40, 240, 3, LabelDistribution::Zipf { exponent: 1.0 }, 11);
@@ -1095,15 +884,16 @@ mod tests {
     fn handle_line_answers_each_op() {
         let registry = test_registry();
         let metrics = Arc::new(ServiceMetrics::new());
+        let maintenance = coordinator(&registry, &metrics);
 
-        let (r, _, ok) = handle_line(r#"{"op":"ping"}"#, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(r#"{"op":"ping"}"#, &registry, &metrics, &maintenance, true);
         assert!(ok && r.contains(r#""ok":true"#), "{r}");
 
         let (r, paths, ok) = handle_line(
             r#"{"op":"estimate","paths":[[0,1],[2]]}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(ok, "{r}");
@@ -1111,10 +901,16 @@ mod tests {
         assert!(r.contains("estimates"), "{r}");
         assert!(r.contains(r#""version":1"#), "{r}");
 
-        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, &maintenance, true);
         assert!(ok && r.contains("default"), "{r}");
 
-        let (r, _, ok) = handle_line(r#"{"op":"metrics"}"#, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(
+            r#"{"op":"metrics"}"#,
+            &registry,
+            &metrics,
+            &maintenance,
+            true,
+        );
         assert!(ok && r.contains("cache_hit_rate"), "{r}");
     }
 
@@ -1122,12 +918,13 @@ mod tests {
     fn handle_line_answers_estimate_expr() {
         let registry = test_registry();
         let metrics = Arc::new(ServiceMetrics::new());
+        let maintenance = coordinator(&registry, &metrics);
 
         let (r, exprs, ok) = handle_line(
             r#"{"op":"estimate_expr","exprs":["0|1","0/1?"]}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(ok, "{r}");
@@ -1141,7 +938,7 @@ mod tests {
             r#"{"op":"estimate_expr","exprs":["1|0"]}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(ok && r.contains(r#""cached":true"#), "{r}");
@@ -1151,13 +948,13 @@ mod tests {
             r#"{"op":"estimate_expr","exprs":["0|1"],"explain":true}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(ok && r.contains(r#""branches":[["0","#), "{r}");
 
         // The list op reports the slot's expression-cache counters.
-        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, &maintenance, true);
         assert!(ok && r.contains(r#""expr_cache_hits":1"#), "{r}");
         assert!(r.contains(r#""expr_cache_misses""#), "{r}");
 
@@ -1166,7 +963,7 @@ mod tests {
             r#"{"op":"estimate_expr","exprs":["0|"]}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(!ok && r.contains("unexpected end"), "{r}");
@@ -1174,7 +971,7 @@ mod tests {
             r#"{"op":"estimate_expr","estimator":"missing","exprs":["0"]}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(!ok && r.contains("missing"), "{r}");
@@ -1184,6 +981,7 @@ mod tests {
     fn rebuild_hot_swaps_in_the_background() {
         let registry = test_registry();
         let metrics = Arc::new(ServiceMetrics::new());
+        let maintenance = coordinator(&registry, &metrics);
 
         // Write a small graph for the rebuild to read.
         let g = erdos_renyi(30, 150, 3, LabelDistribution::Uniform, 7);
@@ -1196,7 +994,7 @@ mod tests {
             r#"{{"op":"rebuild","name":"default","graph":{:?},"k":2,"beta":8}}"#,
             path.to_str().unwrap()
         );
-        let (r, _, ok) = handle_line(&line, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(&line, &registry, &metrics, &maintenance, true);
         assert!(ok && r.contains("rebuilding"), "{r}");
 
         // The swap lands asynchronously; poll the slot version.
@@ -1220,7 +1018,7 @@ mod tests {
             r#"{"op":"rebuild","name":"default","graph":"/nonexistent.tsv"}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(ok, "{r}");
@@ -1240,7 +1038,7 @@ mod tests {
             empty.to_str().unwrap()
         );
         let failed_before = metrics.report().rebuilds_failed;
-        let (r, _, ok) = handle_line(&empty_line, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(&empty_line, &registry, &metrics, &maintenance, true);
         assert!(ok, "{r}");
         let deadline = Instant::now() + Duration::from_secs(30);
         while metrics.report().rebuilds_failed == failed_before {
@@ -1252,18 +1050,18 @@ mod tests {
             "mark must be released after a panicked rebuild"
         );
         // While a slot is marked, further rebuilds are refused.
-        let (r, _, ok) = handle_line(&line, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(&line, &registry, &metrics, &maintenance, true);
         assert!(!ok && r.contains("in flight"), "{r}");
         registry.finish_rebuild("default");
 
         // Disabled alongside load; bad parameters are synchronous errors.
-        let (r, _, ok) = handle_line(&line, &registry, &metrics, None, false);
+        let (r, _, ok) = handle_line(&line, &registry, &metrics, &maintenance, false);
         assert!(!ok && r.contains("disabled"), "{r}");
         let (r, _, ok) = handle_line(
             r#"{"op":"rebuild","graph":"/g.tsv","ordering":"nope"}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(!ok && r.contains("unknown ordering"), "{r}");
@@ -1275,6 +1073,9 @@ mod tests {
     fn delta_applies_incrementally_against_maintained_state() {
         let registry = test_registry();
         let metrics = Arc::new(ServiceMetrics::new());
+        // Publish interval 0: every queued batch publishes on arrival.
+        let maintenance = coordinator(&registry, &metrics);
+        let ticker = maintenance.start_ticker();
 
         let g = erdos_renyi(30, 150, 3, LabelDistribution::Uniform, 7);
         let dir = std::env::temp_dir().join(format!("phe-delta-{}", std::process::id()));
@@ -1288,7 +1089,7 @@ mod tests {
             r#"{{"op":"delta","name":"default","changes":{:?}}}"#,
             changes_path.to_str().unwrap()
         );
-        let (r, _, ok) = handle_line(&delta_line, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(&delta_line, &registry, &metrics, &maintenance, true);
         assert!(!ok && r.contains("maintain"), "{r}");
         assert!(
             registry.try_begin_rebuild("default"),
@@ -1301,7 +1102,7 @@ mod tests {
             r#"{{"op":"rebuild","name":"default","graph":{:?},"k":2,"beta":8,"maintain":true}}"#,
             graph_path.to_str().unwrap()
         );
-        let (r, _, ok) = handle_line(&rebuild_line, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(&rebuild_line, &registry, &metrics, &maintenance, true);
         assert!(ok, "{r}");
         let deadline = Instant::now() + Duration::from_secs(30);
         while registry.get("default").unwrap().version() != 2 {
@@ -1330,8 +1131,10 @@ mod tests {
         )
         .unwrap();
 
-        let (r, _, ok) = handle_line(&delta_line, &registry, &metrics, None, true);
-        assert!(ok && r.contains("applying-delta"), "{r}");
+        // The batch is queued, and the ticker publishes it with no
+        // `maintenance compact` op.
+        let (r, _, ok) = handle_line(&delta_line, &registry, &metrics, &maintenance, true);
+        assert!(ok && r.contains(r#""status":"queued""#), "{r}");
         let deadline = Instant::now() + Duration::from_secs(30);
         while registry.get("default").unwrap().version() != 3 {
             assert!(Instant::now() < deadline, "delta never landed");
@@ -1368,7 +1171,7 @@ mod tests {
             "{drift:?}"
         );
         assert!(drift.max_q_error >= 1.0, "{drift:?}");
-        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, &maintenance, true);
         assert!(ok && r.contains(r#""drift_mean_abs_error""#), "{r}");
         assert!(r.contains(r#""drift_sampled_paths""#), "{r}");
         let exposition = metrics.render_prometheus();
@@ -1381,25 +1184,22 @@ mod tests {
             r#"{"op":"metrics","format":"prometheus"}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             true,
         );
         assert!(ok && r.contains("phe_drift_sampled_paths"), "{r}");
 
-        // A bad changes path is an asynchronous failure.
+        // A bad changes path fails synchronously: the file is parsed
+        // before the batch is queued, so nothing reaches the loop.
         let bad_line = r#"{"op":"delta","name":"default","changes":"/nonexistent.tsv"}"#;
-        let (r, _, ok) = handle_line(bad_line, &registry, &metrics, None, true);
-        assert!(ok, "{r}");
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while metrics.report().deltas_failed == 0 {
-            assert!(Instant::now() < deadline, "failure never recorded");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            registry.try_begin_rebuild("default"),
-            "mark released after a failed delta"
+        let (r, _, ok) = handle_line(bad_line, &registry, &metrics, &maintenance, true);
+        assert!(!ok && r.contains("reading /nonexistent.tsv"), "{r}");
+        let status = maintenance.status("default");
+        assert_eq!(
+            (status.queued, status.enqueued, status.compacted),
+            (0, 1, 1)
         );
-        registry.finish_rebuild("default");
+        assert_eq!(metrics.report().deltas_failed, 0);
 
         // A non-maintaining rebuild publishes statistics not derived from
         // the maintained lineage: the maintenance state is invalidated
@@ -1409,7 +1209,7 @@ mod tests {
             r#"{{"op":"rebuild","name":"default","graph":{:?},"k":2,"beta":8}}"#,
             graph_path.to_str().unwrap()
         );
-        let (r, _, ok) = handle_line(&plain_rebuild, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(&plain_rebuild, &registry, &metrics, &maintenance, true);
         assert!(ok, "{r}");
         let deadline = Instant::now() + Duration::from_secs(30);
         while registry.get("default").unwrap().version() != 4 {
@@ -1420,14 +1220,109 @@ mod tests {
             registry.maintenance("default").is_none(),
             "maintenance state must not survive a non-maintaining publish"
         );
-        let (r, _, ok) = handle_line(&delta_line, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(&delta_line, &registry, &metrics, &maintenance, true);
         assert!(!ok && r.contains("maintain"), "{r}");
 
         // Disabled alongside load.
-        let (r, _, ok) = handle_line(&delta_line, &registry, &metrics, None, false);
+        let (r, _, ok) = handle_line(&delta_line, &registry, &metrics, &maintenance, false);
         assert!(!ok && r.contains("disabled"), "{r}");
 
+        maintenance.request_shutdown();
+        ticker.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn back_to_back_enqueues_both_publish_on_arrival() {
+        let g = erdos_renyi(30, 150, 3, LabelDistribution::Uniform, 13);
+        let config = EstimatorConfig {
+            k: 2,
+            beta: 8,
+            threads: 1,
+            retain_sparse: true,
+            ..EstimatorConfig::default()
+        };
+        let estimator = PathSelectivityEstimator::build(&g, config).unwrap();
+        let registry = Arc::new(EstimatorRegistry::with_default_counters());
+        let servable = ServableEstimator::from_maintained(&estimator).unwrap();
+        let state = MaintenanceState {
+            graph: g.clone(),
+            estimator,
+        };
+        registry.register_if_version_maintained("default", servable, 0, Some(state));
+        let metrics = Arc::new(ServiceMetrics::new());
+        let maintenance = coordinator(&registry, &metrics);
+        let ticker = maintenance.start_ticker();
+
+        // Two batches, each dropping one edge, queued back to back.
+        let edges: Vec<_> = g.iter_edges().take(2).collect();
+        let mut expected = g.clone();
+        for &(s, lab, t) in &edges {
+            let mut batch = phe_graph::GraphDelta::new();
+            batch.remove(s, lab, t);
+            expected = expected.apply_delta(&batch).unwrap();
+            maintenance.enqueue("default", batch).unwrap();
+        }
+
+        // Whether the ticker folds them into one pass or two, both
+        // publish and neither is stranded: the queue drains with no
+        // further enqueue.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while maintenance.status("default").compacted != 2 {
+            assert!(
+                Instant::now() < deadline,
+                "stranded batch: {:?}",
+                maintenance.status("default")
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(maintenance.status("default").queued, 0);
+        assert!(registry.get("default").unwrap().version() > 1);
+        let state = registry.maintenance("default").unwrap();
+        assert!(state.graph.iter_edges().eq(expected.iter_edges()));
+
+        maintenance.request_shutdown();
+        ticker.join().unwrap();
+    }
+
+    #[test]
+    fn shutdown_joins_the_server_owned_ticker_promptly() {
+        for publish_interval in [Duration::from_secs(2), Duration::ZERO] {
+            let registry = test_registry();
+            let metrics = Arc::new(ServiceMetrics::new());
+            let maintenance = MaintenanceCoordinator::new(
+                Arc::clone(&registry),
+                Arc::clone(&metrics),
+                MaintenanceConfig {
+                    publish_interval,
+                    ..MaintenanceConfig::default()
+                },
+            );
+            let server = crate::Server::start_with(
+                registry,
+                metrics,
+                Arc::clone(&maintenance),
+                ServerConfig {
+                    addr: "127.0.0.1:0".to_owned(),
+                    workers: 1,
+                    shards: 1,
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap();
+            // Let the ticker settle into its wait.
+            std::thread::sleep(Duration::from_millis(50));
+            let t0 = Instant::now();
+            server.shutdown();
+            assert!(
+                t0.elapsed() < Duration::from_millis(250),
+                "{publish_interval:?}: shutdown took {:?}",
+                t0.elapsed()
+            );
+            // Every server thread, the ticker included, has exited and
+            // dropped its handle on the coordinator.
+            assert_eq!(Arc::strong_count(&maintenance), 1);
+        }
     }
 
     #[test]
@@ -1488,13 +1383,14 @@ mod tests {
         // The list op surfaces the residency columns.
         let registry = Arc::new(EstimatorRegistry::with_default_counters());
         let metrics = Arc::new(ServiceMetrics::new());
+        let maintenance = coordinator(&registry, &metrics);
         let line = format!(
             r#"{{"op":"load","name":"disk","snapshot":{:?}}}"#,
             snapshot_path.to_str().unwrap()
         );
-        let (r, _, ok) = handle_line(&line, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(&line, &registry, &metrics, &maintenance, true);
         assert!(ok, "{r}");
-        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, None, true);
+        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, &maintenance, true);
         assert!(ok && r.contains(r#""catalog_mapped""#), "{r}");
         assert!(r.contains(r#""follow_pruning":true"#), "{r}");
         assert!(r.contains(r#""catalog_payload_bytes""#), "{r}");
@@ -1520,6 +1416,7 @@ mod tests {
     fn handle_line_reports_errors_without_dying() {
         let registry = test_registry();
         let metrics = Arc::new(ServiceMetrics::new());
+        let maintenance = coordinator(&registry, &metrics);
         for bad in [
             "garbage",
             r#"{"op":"estimate","estimator":"missing","paths":[[0]]}"#,
@@ -1527,7 +1424,7 @@ mod tests {
             r#"{"op":"estimate","paths":[["nope"]]}"#,
             r#"{"op":"load","name":"x","snapshot":"/nonexistent.json"}"#,
         ] {
-            let (r, _, ok) = handle_line(bad, &registry, &metrics, None, true);
+            let (r, _, ok) = handle_line(bad, &registry, &metrics, &maintenance, true);
             assert!(!ok, "{bad} should fail");
             assert!(r.contains(r#""ok":false"#), "{r}");
         }
@@ -1536,7 +1433,7 @@ mod tests {
             r#"{"op":"load","name":"x","snapshot":"/y.json"}"#,
             &registry,
             &metrics,
-            None,
+            &maintenance,
             false,
         );
         assert!(!ok && r.contains("disabled"), "{r}");

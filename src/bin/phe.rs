@@ -112,9 +112,9 @@ USAGE:
       endpoint (GET /metrics). Maintained slots run an autonomous
       freshness loop: delta ops enqueue (past --max-queue-depth batches
       per slot they are refused with a backpressure line, default 1024);
-      every --publish-interval-ms (default 2000; 0 disables the loop and
-      applies deltas inline) the queue is compacted into one counting
-      pass and published; a full rebuild triggers after --compact-after
+      every --publish-interval-ms (default 2000; 0 publishes each batch
+      as it arrives) the queue is compacted into one counting pass and
+      published; a full rebuild triggers after --compact-after
       applied deltas (default 64; 0 disables) or when accuracy drift
       exceeds the Baraud-Birge threshold scaled by --drift-scale
       (default 1.0; 0 disables)
@@ -722,9 +722,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             Some(endpoint)
         }
     };
-    // The maintenance loop is on by default; --publish-interval-ms 0
-    // reverts `delta` to the legacy apply-inline path (no queue, no
-    // compaction, no policy rebuilds).
+    // Every delta goes through the maintenance loop the server runs;
+    // --publish-interval-ms 0 publishes each queued batch on arrival.
     let publish_interval_ms: u64 = flags.get_parsed("publish-interval-ms")?.unwrap_or(2000);
     let max_queue_depth: Option<usize> = flags.get_parsed("max-queue-depth")?;
     let mut policy = phe::core::RebuildPolicy::default();
@@ -734,25 +733,22 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(drift_scale) = flags.get_parsed("drift-scale")? {
         policy.drift_scale = drift_scale;
     }
-    let coordinator = (publish_interval_ms > 0).then(|| {
-        phe::service::MaintenanceCoordinator::new(
-            std::sync::Arc::clone(&registry),
-            metrics.clone(),
-            phe::service::MaintenanceConfig {
-                publish_interval: std::time::Duration::from_millis(publish_interval_ms),
-                policy,
-                max_queue_depth: max_queue_depth
-                    .unwrap_or(phe::service::MaintenanceConfig::default().max_queue_depth),
-            },
-        )
-    });
-    let ticker = coordinator.as_ref().map(|c| c.start_ticker());
+    let coordinator = phe::service::MaintenanceCoordinator::new(
+        std::sync::Arc::clone(&registry),
+        metrics.clone(),
+        phe::service::MaintenanceConfig {
+            publish_interval: std::time::Duration::from_millis(publish_interval_ms),
+            policy,
+            max_queue_depth: max_queue_depth
+                .unwrap_or(phe::service::MaintenanceConfig::default().max_queue_depth),
+        },
+    );
 
     let sigint = phe::service::install_sigint_flag();
     let server = phe::service::Server::start_with(
         std::sync::Arc::clone(&registry),
         metrics.clone(),
-        coordinator.clone(),
+        coordinator,
         config,
     )
     .map_err(|e| format!("starting server: {e}"))?;
@@ -762,19 +758,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         server.local_addr()
     );
     match publish_interval_ms {
-        0 => println!("maintenance loop disabled (deltas apply inline)"),
+        0 => println!("maintenance loop: deltas publish on arrival"),
         ms => println!("maintenance loop: compacted publish every {ms}ms"),
     }
     while !sigint() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     println!("\nshutting down...");
-    if let Some(coordinator) = &coordinator {
-        coordinator.request_shutdown();
-    }
-    if let Some(handle) = ticker {
-        let _ = handle.join();
-    }
     server.shutdown();
     if let Some(mut endpoint) = metrics_server {
         endpoint.shutdown();

@@ -460,6 +460,12 @@ fn applied_deltas_threshold_triggers_full_rebuild() {
         ),
         Some(1.0)
     );
+    // Each of the two non-empty compacted passes started one delta.
+    assert_eq!(metrics.report().deltas_started, 2);
+    assert_eq!(
+        prometheus_value(&metrics, "phe_deltas_total", &[("event", "started")]),
+        Some(2.0)
+    );
     assert!(coordinator
         .status("main")
         .last_trigger

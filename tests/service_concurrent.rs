@@ -398,7 +398,7 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
     let server = Server::start_with(
         Arc::clone(&registry),
         Arc::clone(&metrics),
-        Some(Arc::clone(&coordinator)),
+        Arc::clone(&coordinator),
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 8,

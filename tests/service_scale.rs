@@ -399,7 +399,7 @@ fn per_client_quota_refuses_excess_inflight_requests() {
     let server = Server::start_with(
         Arc::clone(&registry),
         Arc::clone(&metrics),
-        Some(Arc::clone(&coordinator)),
+        Arc::clone(&coordinator),
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 1,
@@ -483,7 +483,7 @@ fn queue_pressure_sheds_heavy_ops_but_answers_ping() {
     let server = Server::start_with(
         Arc::clone(&registry),
         Arc::clone(&metrics),
-        Some(Arc::clone(&coordinator)),
+        Arc::clone(&coordinator),
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 1,
