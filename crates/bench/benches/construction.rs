@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_histogram::builder::{EquiDepth, EquiWidth, HistogramBuilder, VOptimal};
+use phe_histogram::SparseFrequencies;
 use phe_pathenum::SelectivityCatalog;
 
 fn bench_construction(c: &mut Criterion) {
@@ -14,6 +15,7 @@ fn bench_construction(c: &mut Criterion) {
     let ordering = OrderingKind::SumBased.build(&graph, &catalog, k);
     let ordered = ordered_frequencies(&catalog, ordering.as_ref());
     let beta = ordered.len() / 16;
+    let view = SparseFrequencies::dense(&ordered);
 
     let builders: Vec<(&str, Box<dyn HistogramBuilder>)> = vec![
         ("equi-width", Box::new(EquiWidth)),
@@ -27,7 +29,7 @@ fn bench_construction(c: &mut Criterion) {
     group.sample_size(10);
     for (name, builder) in &builders {
         group.bench_function(BenchmarkId::from_parameter(*name), |b| {
-            b.iter(|| builder.build(&ordered, beta).unwrap().bucket_count())
+            b.iter(|| builder.build(&view, beta).unwrap().bucket_count())
         });
     }
     group.finish();

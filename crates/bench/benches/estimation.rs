@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_core::{HistogramKind, LabelPath};
-use phe_histogram::PointEstimator;
+use phe_histogram::{PointEstimator, SparseFrequencies};
 use phe_pathenum::SelectivityCatalog;
 
 fn bench_estimation(c: &mut Criterion) {
@@ -31,7 +31,9 @@ fn bench_estimation(c: &mut Criterion) {
     for kind in OrderingKind::ALL {
         let ordering = kind.build(&graph, &catalog, k);
         let ordered = ordered_frequencies(&catalog, ordering.as_ref());
-        let histogram = HistogramKind::VOptimalGreedy.build(&ordered, beta).unwrap();
+        let histogram = HistogramKind::VOptimalGreedy
+            .build(&SparseFrequencies::dense(&ordered), beta)
+            .unwrap();
         group.bench_function(BenchmarkId::from_parameter(kind.name()), |b| {
             b.iter(|| {
                 let mut acc = 0.0f64;

@@ -13,6 +13,7 @@ use phe_core::eval::{evaluate_configuration, ordered_frequencies};
 use phe_core::ordering::OrderingKind;
 use phe_core::HistogramKind;
 use phe_histogram::builder::{EquiDepth, EquiWidth, HistogramBuilder, VOptimal};
+use phe_histogram::SparseFrequencies;
 use phe_pathenum::parallel::compute_parallel;
 
 fn main() {
@@ -24,6 +25,7 @@ fn main() {
     let ordering = OrderingKind::SumBased.build(&graph, &catalog, k);
     let ordered = ordered_frequencies(&catalog, ordering.as_ref());
     let n = ordered.len();
+    let view = SparseFrequencies::dense(&ordered);
     eprintln!("domain: {n} paths (k = {k}), sum-based ordering");
 
     let kinds: [(HistogramKind, &dyn HistogramBuilder); 5] = [
@@ -42,7 +44,7 @@ fn main() {
     let mut rows = Vec::new();
     for beta in beta_sweep(n, 5) {
         for (kind, builder) in &kinds {
-            let (histogram, build_secs) = timed(|| builder.build(&ordered, beta));
+            let (histogram, build_secs) = timed(|| builder.build(&view, beta));
             let histogram = match histogram {
                 Ok(h) => h,
                 Err(e) => {

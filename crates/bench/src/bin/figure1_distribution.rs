@@ -8,7 +8,7 @@ use phe_bench::{emit, RunConfig};
 use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_histogram::builder::{EquiWidth, HistogramBuilder};
-use phe_histogram::PointEstimator;
+use phe_histogram::{PointEstimator, SparseFrequencies};
 use phe_pathenum::parallel::compute_parallel;
 
 fn main() {
@@ -24,7 +24,9 @@ fn main() {
     // is not stated, so we use domain/16 which matches the plot's visual
     // granularity.
     let beta = (ordered.len() / 16).max(1);
-    let histogram = EquiWidth.build(&ordered, beta).expect("non-empty domain");
+    let histogram = EquiWidth
+        .build(&SparseFrequencies::dense(&ordered), beta)
+        .expect("non-empty domain");
 
     let interner = graph.labels();
     let rows: Vec<Vec<String>> = (0..ordered.len())

@@ -18,7 +18,7 @@ use phe_bench::{beta_sweep, emit, timed, RunConfig};
 use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_core::{HistogramKind, LabelPath};
-use phe_histogram::PointEstimator;
+use phe_histogram::{PointEstimator, SparseFrequencies};
 use phe_pathenum::parallel::compute_parallel;
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
         for (_, ordering) in &orderings {
             let ordered = ordered_frequencies(&catalog, ordering.as_ref());
             let histogram = HistogramKind::VOptimalGreedy
-                .build(&ordered, beta)
+                .build(&SparseFrequencies::dense(&ordered), beta)
                 .expect("non-empty domain");
             // Warm up, then time enough rounds for ≥ ~2M estimates so the
             // per-call figure is stable.

@@ -10,7 +10,7 @@ use phe_pathenum::{
 
 pub use crate::label_histogram::HistogramKind;
 
-use crate::eval::{evaluate_configuration, ordered_frequencies, sparse_ordered_frequencies};
+use crate::eval::{evaluate_histogram, ordered_frequencies, sparse_ordered_frequencies};
 use crate::label_histogram::LabelPathHistogram;
 use crate::ordering::OrderingKind;
 use crate::path::{LabelPath, MAX_K};
@@ -538,7 +538,9 @@ impl PathSelectivityEstimator {
 
     /// Builds from a precomputed **dense** catalog (lets experiment
     /// drivers compute the catalog once and build many estimators over
-    /// it). This is the dense reference pipeline — the sparse pipeline is
+    /// it). This is the dense reference pipeline: the dense ordering
+    /// constructor and the unranking permutation, compressed into runs
+    /// for the one histogram build — the sparse pipeline is
     /// property-tested to produce bit-identical estimates against it. The
     /// supplied catalog is always retained, regardless of
     /// [`EstimatorConfig::retain_catalog`].
@@ -551,12 +553,14 @@ impl PathSelectivityEstimator {
         let t1 = Instant::now();
         let ordering = config.ordering.build(graph, &catalog, config.k);
         let ordered = ordered_frequencies(&catalog, ordering.as_ref());
+        let runs =
+            CompressedRuns::from_sorted_iter((0u64..).zip(ordered).filter(|&(_, count)| count > 0));
         let ordering_time = t1.elapsed();
 
         let t2 = Instant::now();
-        let histogram = LabelPathHistogram::from_ordered_frequencies(
+        let histogram = LabelPathHistogram::from_sparse_frequencies(
             ordering,
-            &ordered,
+            &runs,
             config.histogram,
             config.beta,
         )?;
@@ -569,15 +573,7 @@ impl PathSelectivityEstimator {
         let sparse = config
             .retain_sparse
             .then(|| SparseCatalog::from_dense(&catalog));
-        let ordered_runs = config.retain_sparse.then(|| {
-            CompressedRuns::from_sorted_iter(
-                ordered
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &count)| count > 0)
-                    .map(|(index, &count)| (index as u64, count)),
-            )
-        });
+        let ordered_runs = config.retain_sparse.then_some(runs);
         let (label_names, label_frequencies) = snapshot_state(graph);
         let footprint = CatalogFootprint::from_dense(&catalog);
         let provenance = Provenance {
@@ -690,13 +686,7 @@ impl PathSelectivityEstimator {
     /// # Panics
     /// As for [`PathSelectivityEstimator::exact`].
     pub fn accuracy_report(&self) -> AccuracyReport {
-        evaluate_configuration(
-            self.require_catalog(),
-            self.histogram.ordering(),
-            self.config.histogram,
-            self.config.beta,
-        )
-        .expect("configuration already built once")
+        evaluate_histogram(self.require_catalog(), &self.histogram)
     }
 
     /// The configuration this estimator was built with.

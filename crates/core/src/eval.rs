@@ -1,10 +1,10 @@
 //! Whole-domain accuracy evaluation — the machinery behind Figure 2 —
 //! plus the sparse permutation step of the streaming build pipeline.
 
-use phe_histogram::{AccuracyReport, HistogramError, PointEstimator};
+use phe_histogram::{AccuracyReport, HistogramError, PointEstimator, SparseFrequencies};
 use phe_pathenum::{CompressedRuns, SelectivityCatalog, SparseCatalog};
 
-use crate::label_histogram::HistogramKind;
+use crate::label_histogram::{HistogramKind, LabelPathHistogram};
 use crate::ordering::DomainOrdering;
 
 /// Permutes the catalog's frequencies into an ordering's index space:
@@ -64,9 +64,24 @@ pub fn evaluate_configuration(
     beta: usize,
 ) -> Result<AccuracyReport, HistogramError> {
     let ordered = ordered_frequencies(catalog, ordering);
-    let histogram = kind.build(&ordered, beta)?;
+    let histogram = kind.build(&SparseFrequencies::dense(&ordered), beta)?;
+    Ok(report(&histogram, &ordered))
+}
+
+/// Evaluates an already built histogram — e.g. the one an estimator
+/// retains — over **every** path in the domain, without rebuilding it.
+pub fn evaluate_histogram(
+    catalog: &SelectivityCatalog,
+    histogram: &LabelPathHistogram,
+) -> AccuracyReport {
+    let ordered = ordered_frequencies(catalog, histogram.ordering());
+    report(histogram.histogram(), &ordered)
+}
+
+/// Scores the estimate at every ordered index against the ordered truth.
+fn report(histogram: &impl PointEstimator, ordered: &[u64]) -> AccuracyReport {
     let estimates: Vec<f64> = (0..ordered.len()).map(|i| histogram.estimate(i)).collect();
-    Ok(AccuracyReport::evaluate(&estimates, &ordered))
+    AccuracyReport::evaluate(&estimates, ordered)
 }
 
 #[cfg(test)]
@@ -217,5 +232,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.count, catalog.len());
+    }
+
+    #[test]
+    fn retained_histogram_report_matches_a_rebuild() {
+        let g = erdos_renyi(40, 160, 3, LabelDistribution::Zipf { exponent: 1.0 }, 3);
+        for kind in crate::label_histogram::HistogramKind::ALL {
+            let config = crate::EstimatorConfig {
+                k: 3,
+                beta: 7,
+                ordering: OrderingKind::SumBased,
+                histogram: kind,
+                threads: 1,
+                retain_catalog: true,
+                retain_sparse: false,
+            };
+            let est = crate::PathSelectivityEstimator::build(&g, config).unwrap();
+            let catalog = est.catalog().unwrap();
+            let rebuilt =
+                evaluate_configuration(catalog, est.histogram().ordering(), kind, 7).unwrap();
+            let retained = evaluate_histogram(catalog, est.histogram());
+            let bits = |r: &AccuracyReport| {
+                [
+                    r.mean_abs_error_rate,
+                    r.mean_signed_error_rate,
+                    r.max_abs_error_rate,
+                    r.rmse,
+                    r.median_q_error,
+                    r.p95_q_error,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(&rebuilt), bits(&retained), "{}", kind.name());
+            assert_eq!(rebuilt.count, retained.count);
+            assert_eq!(bits(&est.accuracy_report()), bits(&retained));
+        }
     }
 }

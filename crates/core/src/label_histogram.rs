@@ -90,8 +90,14 @@ impl HistogramKind {
         }
     }
 
-    /// Builds the histogram over an ordered frequency sequence.
-    pub fn build(&self, data: &[u64], beta: usize) -> Result<BuiltHistogram, HistogramError> {
+    /// Builds the histogram over ordered `(index, frequency)` runs with
+    /// implicit zeros; a dense ordered sequence enters through
+    /// [`SparseFrequencies::dense`].
+    pub fn build(
+        &self,
+        data: &SparseFrequencies<'_>,
+        beta: usize,
+    ) -> Result<BuiltHistogram, HistogramError> {
         Ok(match self {
             HistogramKind::EquiWidth => BuiltHistogram::Buckets(EquiWidth.build(data, beta)?),
             HistogramKind::EquiDepth => BuiltHistogram::Buckets(EquiDepth.build(data, beta)?),
@@ -106,37 +112,6 @@ impl HistogramKind {
             }
             HistogramKind::EndBiased => {
                 BuiltHistogram::EndBiased(EndBiasedHistogram::build(data, beta)?)
-            }
-        })
-    }
-
-    /// Builds the histogram from sparse ordered `(index, frequency)` runs
-    /// with implicit zeros — same boundaries as [`HistogramKind::build`]
-    /// on the materialized sequence (see the `phe-histogram` sparse
-    /// builders for the exactness guarantee).
-    pub fn build_sparse(
-        &self,
-        data: &SparseFrequencies<'_>,
-        beta: usize,
-    ) -> Result<BuiltHistogram, HistogramError> {
-        Ok(match self {
-            HistogramKind::EquiWidth => {
-                BuiltHistogram::Buckets(EquiWidth.build_sparse(data, beta)?)
-            }
-            HistogramKind::EquiDepth => {
-                BuiltHistogram::Buckets(EquiDepth.build_sparse(data, beta)?)
-            }
-            HistogramKind::VOptimalExact => {
-                BuiltHistogram::Buckets(VOptimal::exact().build_sparse(data, beta)?)
-            }
-            HistogramKind::VOptimalGreedy => {
-                BuiltHistogram::Buckets(VOptimal::greedy().build_sparse(data, beta)?)
-            }
-            HistogramKind::VOptimalMaxDiff => {
-                BuiltHistogram::Buckets(VOptimal::maxdiff().build_sparse(data, beta)?)
-            }
-            HistogramKind::EndBiased => {
-                BuiltHistogram::EndBiased(EndBiasedHistogram::build_sparse(data, beta)?)
             }
         })
     }
@@ -173,34 +148,14 @@ pub struct LabelPathHistogram {
 }
 
 impl LabelPathHistogram {
-    /// Builds a histogram of `kind` with `beta` buckets over the given
-    /// frequency sequence, which must already be permuted into
-    /// `ordering`'s index space (see [`crate::eval::ordered_frequencies`]).
-    pub fn from_ordered_frequencies(
-        ordering: Box<dyn DomainOrdering>,
-        ordered: &[u64],
-        kind: HistogramKind,
-        beta: usize,
-    ) -> Result<LabelPathHistogram, HistogramError> {
-        assert_eq!(
-            ordered.len() as u64,
-            ordering.domain_size(),
-            "frequency sequence does not cover the domain"
-        );
-        let histogram = kind.build(ordered, beta)?;
-        Ok(LabelPathHistogram {
-            ordering,
-            histogram,
-        })
-    }
-
     /// Builds a histogram from **block-compressed** sparse ordered
     /// `(index, frequency)` runs (implicit zeros), already permuted into
     /// `ordering`'s index space by
-    /// [`crate::eval::sparse_ordered_frequencies`]. This is the streaming
-    /// pipeline's construction path: the builders decode the blocks
-    /// through a cursor, and neither the dense ordered sequence nor the
-    /// plain pair vector is ever materialized.
+    /// [`crate::eval::sparse_ordered_frequencies`] (or, in the dense
+    /// reference pipeline, compressed from its dense permutation). This is
+    /// the one construction path: the builders decode the blocks through a
+    /// cursor, and the streaming pipeline never materializes the dense
+    /// ordered sequence or a plain pair vector.
     pub fn from_sparse_frequencies(
         ordering: Box<dyn DomainOrdering>,
         runs: &phe_pathenum::CompressedRuns,
@@ -209,7 +164,7 @@ impl LabelPathHistogram {
     ) -> Result<LabelPathHistogram, HistogramError> {
         let source = CompressedSource(runs);
         let data = SparseFrequencies::from_source(&source, ordering.domain_size())?;
-        let histogram = kind.build_sparse(&data, beta)?;
+        let histogram = kind.build(&data, beta)?;
         Ok(LabelPathHistogram {
             ordering,
             histogram,
@@ -268,25 +223,37 @@ mod tests {
     use crate::domain::PathDomain;
     use crate::ordering::NumericalOrdering;
     use crate::ranking::LabelRanking;
+    use phe_pathenum::CompressedRuns;
 
     fn l(x: u16) -> LabelId {
         LabelId(x)
     }
 
-    #[test]
-    fn estimate_reads_through_the_ordering() {
-        // Domain of 2 labels, k=2: canonical frequencies 0..=5 ascending,
-        // identity ordering, singleton buckets ⇒ estimates are exact.
-        let domain = PathDomain::new(2, 2);
-        let ordering = Box::new(NumericalOrdering::new(
-            domain,
+    /// Identity-ordered 2-label, k=2 domain (6 paths).
+    fn ordering() -> Box<dyn DomainOrdering> {
+        Box::new(NumericalOrdering::new(
+            PathDomain::new(2, 2),
             LabelRanking::identity(2),
             "num-alph",
-        ));
+        ))
+    }
+
+    fn runs(ordered: &[u64]) -> CompressedRuns {
+        CompressedRuns::from_sorted_iter(
+            (0u64..)
+                .zip(ordered.iter().copied())
+                .filter(|&(_, count)| count > 0),
+        )
+    }
+
+    #[test]
+    fn estimate_reads_through_the_ordering() {
+        // Canonical frequencies ascending, identity ordering, singleton
+        // buckets ⇒ estimates are exact.
         let freqs = [10u64, 20, 30, 40, 50, 60];
-        let h = LabelPathHistogram::from_ordered_frequencies(
-            ordering,
-            &freqs,
+        let h = LabelPathHistogram::from_sparse_frequencies(
+            ordering(),
+            &runs(&freqs),
             HistogramKind::EquiWidth,
             6,
         )
@@ -298,36 +265,35 @@ mod tests {
 
     #[test]
     fn all_kinds_build() {
-        let domain = PathDomain::new(2, 2);
-        let freqs = [5u64, 1, 9, 2, 8, 3];
+        let freqs = [5u64, 0, 9, 2, 0, 3];
         for kind in HistogramKind::ALL {
-            let ordering = Box::new(NumericalOrdering::new(
-                domain,
-                LabelRanking::identity(2),
-                "num-alph",
-            ));
-            let h =
-                LabelPathHistogram::from_ordered_frequencies(ordering, &freqs, kind, 3).unwrap();
+            let h = LabelPathHistogram::from_sparse_frequencies(ordering(), &runs(&freqs), kind, 3)
+                .unwrap();
             let e = h.estimate(&LabelPath::single(l(0)));
             assert!(e.is_finite() && e >= 0.0, "{kind}: estimate {e}");
+            // The dense view of the same sequence builds the same histogram.
+            let dense = kind.build(&SparseFrequencies::dense(&freqs), 3).unwrap();
+            for i in 0..freqs.len() {
+                assert_eq!(
+                    dense.estimate(i).to_bits(),
+                    h.histogram().estimate(i).to_bits()
+                );
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "does not cover the domain")]
-    fn wrong_length_sequence_rejected() {
-        let domain = PathDomain::new(2, 2);
-        let ordering = Box::new(NumericalOrdering::new(
-            domain,
-            LabelRanking::identity(2),
-            "num-alph",
+    fn runs_outside_the_domain_are_rejected() {
+        let too_long = runs(&[1, 2, 3, 4, 5, 6, 7]);
+        assert!(matches!(
+            LabelPathHistogram::from_sparse_frequencies(
+                ordering(),
+                &too_long,
+                HistogramKind::EquiWidth,
+                2
+            ),
+            Err(HistogramError::InvalidSparseRuns(_))
         ));
-        let _ = LabelPathHistogram::from_ordered_frequencies(
-            ordering,
-            &[1, 2, 3],
-            HistogramKind::EquiWidth,
-            2,
-        );
     }
 
     #[test]

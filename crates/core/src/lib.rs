@@ -116,7 +116,7 @@ pub use domain::PathDomain;
 pub use estimator::{
     DeltaError, DriftReport, EstimatorConfig, HistogramKind, PathSelectivityEstimator,
 };
-pub use eval::{evaluate_configuration, ordered_frequencies};
+pub use eval::{evaluate_configuration, evaluate_histogram, ordered_frequencies};
 pub use label_histogram::LabelPathHistogram;
 pub use maintenance::{DriftThreshold, RebuildPolicy, RebuildTrigger};
 pub use ordering::{

@@ -22,22 +22,6 @@ pub struct Bucket {
 }
 
 impl Bucket {
-    /// Builds a bucket over `data[lo..=hi]`, scanning for min/max.
-    pub fn from_range(data: &[u64], lo: usize, hi: usize) -> Bucket {
-        debug_assert!(lo <= hi && hi < data.len());
-        let slice = &data[lo..=hi];
-        let sum = slice.iter().sum();
-        let min = *slice.iter().min().expect("non-empty range");
-        let max = *slice.iter().max().expect("non-empty range");
-        Bucket {
-            lo,
-            hi,
-            sum,
-            min,
-            max,
-        }
-    }
-
     /// Number of domain values covered.
     #[inline]
     pub fn count(&self) -> usize {
@@ -61,21 +45,26 @@ impl Bucket {
 mod tests {
     use super::*;
 
+    fn bucket(lo: usize, hi: usize, sum: u64) -> Bucket {
+        Bucket {
+            lo,
+            hi,
+            sum,
+            min: 0,
+            max: sum,
+        }
+    }
+
     #[test]
-    fn from_range_stats() {
-        let data = [5u64, 1, 9, 3];
-        let b = Bucket::from_range(&data, 1, 3);
+    fn mean_is_sum_over_count() {
+        let b = bucket(1, 3, 13);
         assert_eq!(b.count(), 3);
-        assert_eq!(b.sum, 13);
-        assert_eq!(b.min, 1);
-        assert_eq!(b.max, 9);
         assert!((b.mean() - 13.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn singleton_bucket() {
-        let data = [7u64];
-        let b = Bucket::from_range(&data, 0, 0);
+        let b = bucket(0, 0, 7);
         assert_eq!(b.count(), 1);
         assert_eq!(b.mean(), 7.0);
         assert!(b.contains(0));
@@ -84,8 +73,7 @@ mod tests {
 
     #[test]
     fn contains_bounds() {
-        let data = [0u64; 10];
-        let b = Bucket::from_range(&data, 2, 5);
+        let b = bucket(2, 5, 0);
         assert!(!b.contains(1));
         assert!(b.contains(2));
         assert!(b.contains(5));

@@ -1,12 +1,8 @@
 //! Histogram construction strategies.
 
-use crate::bucket::Bucket;
 use crate::error::HistogramError;
 use crate::histogram::Histogram;
-use crate::prefix::PrefixSums;
-use crate::sparse::{
-    buckets_from_ends_sparse, check_inputs_sparse, SparseFrequencies, SparsePrefix,
-};
+use crate::sparse::{SparseFrequencies, SparsePrefix, DENSE_MATERIALIZE_LIMIT};
 
 pub use crate::v_optimal::{VOptimal, VOptimalMode};
 
@@ -15,58 +11,62 @@ pub use crate::v_optimal::{VOptimal, VOptimalMode};
 ///
 /// All implementations in this crate produce exactly `min(beta, N)`
 /// buckets and uphold the partition invariants of
-/// [`Histogram::validate`].
+/// [`Histogram::validate`]. A dense `&[u64]` sequence is built through
+/// the [`SparseFrequencies::dense`] view.
 pub trait HistogramBuilder {
     /// Short stable name, used in benchmark output and reports.
     fn name(&self) -> &'static str;
 
-    /// Builds the histogram.
-    fn build(&self, data: &[u64], beta: usize) -> Result<Histogram, HistogramError>;
-
-    /// Builds the histogram from sparse `(index, frequency)` runs with
-    /// implicit zeros, producing **the same bucket boundaries** as
-    /// [`HistogramBuilder::build`] on the materialized sequence.
-    ///
-    /// The default implementation materializes the dense sequence (guarded
-    /// by [`crate::sparse::DENSE_MATERIALIZE_LIMIT`]); builders with a
-    /// sparse-native algorithm override it so zero runs cost O(1).
-    fn build_sparse(
-        &self,
-        data: &SparseFrequencies<'_>,
-        beta: usize,
-    ) -> Result<Histogram, HistogramError> {
-        self.build(&data.materialize()?, beta)
-    }
+    /// Builds the histogram over `(index, frequency)` runs with implicit
+    /// zeros, paying O(1) per zero run.
+    fn build(&self, data: &SparseFrequencies<'_>, beta: usize)
+        -> Result<Histogram, HistogramError>;
 }
 
-/// Checks the common preconditions and normalizes the bucket budget.
-pub(crate) fn check_inputs(data: &[u64], beta: usize) -> Result<usize, HistogramError> {
-    if data.is_empty() {
+/// Checks the common preconditions and normalizes the bucket budget to
+/// `min(beta, N)`.
+pub(crate) fn check_inputs(
+    data: &SparseFrequencies<'_>,
+    beta: usize,
+) -> Result<usize, HistogramError> {
+    if data.domain_size() == 0 {
         return Err(HistogramError::EmptyData);
     }
     if beta == 0 {
         return Err(HistogramError::ZeroBuckets);
     }
-    Ok(beta.min(data.len()))
+    let beta = (beta as u64).min(data.domain_size());
+    if beta > DENSE_MATERIALIZE_LIMIT {
+        return Err(HistogramError::DomainTooLarge {
+            domain: data.domain_size(),
+            limit: DENSE_MATERIALIZE_LIMIT,
+        });
+    }
+    Ok(beta as usize)
 }
 
-/// Builds buckets from sorted boundary end-indexes (inclusive); the last
-/// boundary must be `data.len() - 1`.
-pub(crate) fn buckets_from_ends(data: &[u64], ends: &[usize]) -> Vec<Bucket> {
-    debug_assert_eq!(*ends.last().expect("at least one bucket"), data.len() - 1);
-    let mut buckets = Vec::with_capacity(ends.len());
-    let mut lo = 0usize;
-    for &hi in ends {
-        buckets.push(Bucket::from_range(data, lo, hi));
-        lo = hi + 1;
-    }
-    buckets
+/// Assembles the histogram whose buckets end at the sorted inclusive
+/// `ends`; the last end must be `N − 1`.
+pub(crate) fn histogram_from_ends(data: &SparseFrequencies<'_>, ends: &[u64]) -> Histogram {
+    debug_assert_eq!(ends.last().copied(), data.domain_size().checked_sub(1));
+    let prefix = SparsePrefix::new(data);
+    let mut lo = 0u64;
+    let buckets = ends
+        .iter()
+        .map(|&hi| {
+            let bucket = prefix.bucket(lo, hi);
+            lo = hi + 1;
+            bucket
+        })
+        .collect();
+    Histogram::from_buckets(buckets, data.domain_size() as usize)
 }
 
 /// Equal-index-range partitioning — the histogram of the paper's Figure 1.
 ///
-/// Bucket `i` covers `⌈N·i/β⌉ .. ⌈N·(i+1)/β⌉ − 1`, so widths differ by at
-/// most one and no bucket is empty.
+/// Bucket `i` covers `⌊N·i/β⌋ .. ⌊N·(i+1)/β⌋ − 1`, so widths differ by at
+/// most one and no bucket is empty. Boundaries depend only on `(N, β)`,
+/// so only the per-bucket statistics touch the entries: O(β + nnz).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EquiWidth;
 
@@ -75,31 +75,18 @@ impl HistogramBuilder for EquiWidth {
         "equi-width"
     }
 
-    fn build(&self, data: &[u64], beta: usize) -> Result<Histogram, HistogramError> {
-        let beta = check_inputs(data, beta)?;
-        let n = data.len();
-        let ends: Vec<usize> = (1..=beta).map(|i| n * i / beta - 1).collect();
-        Ok(Histogram::from_buckets(buckets_from_ends(data, &ends), n))
-    }
-
-    /// Sparse-native: bucket boundaries depend only on `(N, β)`, so only
-    /// the per-bucket statistics touch the entries — O(β + nnz) total.
-    fn build_sparse(
+    fn build(
         &self,
         data: &SparseFrequencies<'_>,
         beta: usize,
     ) -> Result<Histogram, HistogramError> {
-        let beta = check_inputs_sparse(data, beta)?;
+        let beta = check_inputs(data, beta)?;
         let n = data.domain_size();
         // u128 intermediate: `n · i` can overflow u64 on huge domains.
         let ends: Vec<u64> = (1..=beta as u64)
             .map(|i| (n as u128 * i as u128 / beta as u128 - 1) as u64)
             .collect();
-        let prefix = SparsePrefix::new(data);
-        Ok(Histogram::from_buckets(
-            buckets_from_ends_sparse(data, &prefix, &ends),
-            n as usize,
-        ))
+        Ok(histogram_from_ends(data, &ends))
     }
 }
 
@@ -109,6 +96,10 @@ impl HistogramBuilder for EquiWidth {
 /// `(b+1)/β` of the total mass, while reserving enough trailing indexes to
 /// keep every remaining bucket non-empty. Degrades to [`EquiWidth`] when
 /// the total mass is zero.
+///
+/// The running sum only changes at non-zero entries, so the per-index
+/// close decisions inside a constant-sum region are solved
+/// arithmetically. Each bucket close is O(1) ⇒ O(β + nnz) total.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EquiDepth;
 
@@ -117,51 +108,16 @@ impl HistogramBuilder for EquiDepth {
         "equi-depth"
     }
 
-    fn build(&self, data: &[u64], beta: usize) -> Result<Histogram, HistogramError> {
-        let beta = check_inputs(data, beta)?;
-        let n = data.len();
-        let prefix = PrefixSums::new(data);
-        let total = prefix.total();
-        if total == 0 {
-            return EquiWidth.build(data, beta);
-        }
-        let mut ends = Vec::with_capacity(beta);
-        let mut acc = 0u64;
-        for (i, &v) in data.iter().enumerate() {
-            acc += v;
-            let closed = ends.len();
-            if closed == beta - 1 {
-                // Everything left belongs to the final bucket.
-                break;
-            }
-            let remaining_values = n - i - 1;
-            let remaining_buckets = beta - closed - 1; // after closing here
-            let threshold = (closed as u64 + 1) * total / beta as u64;
-            let must_close = remaining_values == remaining_buckets;
-            let wants_close = acc >= threshold && remaining_values >= remaining_buckets;
-            if must_close || wants_close {
-                ends.push(i);
-            }
-        }
-        ends.push(n - 1);
-        debug_assert_eq!(ends.len(), beta);
-        Ok(Histogram::from_buckets(buckets_from_ends(data, &ends), n))
-    }
-
-    /// Sparse-native: the dense scan only changes state at non-zero
-    /// entries (the running sum is constant across a zero run), so the
-    /// per-index close decisions inside a constant-sum region are solved
-    /// arithmetically. Each bucket close is O(1) ⇒ O(β + nnz) total.
-    fn build_sparse(
+    fn build(
         &self,
         data: &SparseFrequencies<'_>,
         beta: usize,
     ) -> Result<Histogram, HistogramError> {
-        let beta = check_inputs_sparse(data, beta)?;
+        let beta = check_inputs(data, beta)?;
         let n = data.domain_size();
         let total = data.total();
         if total == 0 {
-            return EquiWidth.build_sparse(data, beta);
+            return EquiWidth.build(data, beta);
         }
         let mut ends: Vec<u64> = Vec::with_capacity(beta);
         let mut acc = 0u64;
@@ -185,18 +141,15 @@ impl HistogramBuilder for EquiDepth {
         }
         ends.push(n - 1);
         debug_assert_eq!(ends.len(), beta);
-        let prefix = SparsePrefix::new(data);
-        Ok(Histogram::from_buckets(
-            buckets_from_ends_sparse(data, &prefix, &ends),
-            n as usize,
-        ))
+        Ok(histogram_from_ends(data, &ends))
     }
 }
 
-/// Replays the dense equi-depth close decisions over a constant-`acc`
+/// Replays the per-index equi-depth close decisions over a constant-`acc`
 /// index region `[a, b]`. Returns `false` once `β − 1` buckets are closed
-/// (the dense loop's `break`). Each iteration closes a bucket or exits, so
-/// the cost is bounded by the closes performed, not the region width.
+/// (everything left belongs to the final bucket). Each iteration closes a
+/// bucket or exits, so the cost is bounded by the closes performed, not
+/// the region width.
 fn equi_depth_region(
     a: u64,
     b: u64,
@@ -214,7 +167,9 @@ fn equi_depth_region(
             return false;
         }
         let remaining_buckets = beta - closed - 1;
-        let threshold = (closed + 1) * total / beta;
+        // u128 intermediate: `(closed + 1) · total` can overflow u64; the
+        // quotient is at most `total`.
+        let threshold = ((closed + 1) as u128 * total as u128 / beta as u128) as u64;
         if acc >= threshold {
             // `wants_close`; the feasibility guard (`remaining_values >=
             // remaining_buckets`) is an invariant of the scan, asserted
@@ -242,10 +197,14 @@ mod tests {
     use super::*;
     use crate::PointEstimator;
 
+    fn dense(data: &[u64]) -> SparseFrequencies<'_> {
+        SparseFrequencies::dense(data)
+    }
+
     #[test]
     fn equi_width_even_split() {
         let data: Vec<u64> = (0..12).collect();
-        let h = EquiWidth.build(&data, 3).unwrap();
+        let h = EquiWidth.build(&dense(&data), 3).unwrap();
         assert_eq!(h.bucket_count(), 3);
         let widths: Vec<usize> = h.buckets().iter().map(|b| b.count()).collect();
         assert_eq!(widths, vec![4, 4, 4]);
@@ -254,7 +213,7 @@ mod tests {
     #[test]
     fn equi_width_uneven_split_balanced() {
         let data: Vec<u64> = (0..10).collect();
-        let h = EquiWidth.build(&data, 4).unwrap();
+        let h = EquiWidth.build(&dense(&data), 4).unwrap();
         let widths: Vec<usize> = h.buckets().iter().map(|b| b.count()).collect();
         assert_eq!(widths.iter().sum::<usize>(), 10);
         assert!(widths.iter().all(|&w| w == 2 || w == 3), "{widths:?}");
@@ -264,7 +223,7 @@ mod tests {
     fn beta_larger_than_domain_gives_singletons() {
         let data = [5u64, 6, 7];
         for builder in [&EquiWidth as &dyn HistogramBuilder, &EquiDepth] {
-            let h = builder.build(&data, 10).unwrap();
+            let h = builder.build(&dense(&data), 10).unwrap();
             assert_eq!(h.bucket_count(), 3, "{}", builder.name());
             for (i, &v) in data.iter().enumerate() {
                 assert_eq!(h.estimate(i), v as f64);
@@ -275,7 +234,7 @@ mod tests {
     #[test]
     fn empty_data_rejected() {
         assert_eq!(
-            EquiWidth.build(&[], 3).unwrap_err(),
+            EquiWidth.build(&dense(&[]), 3).unwrap_err(),
             HistogramError::EmptyData
         );
     }
@@ -283,7 +242,7 @@ mod tests {
     #[test]
     fn zero_buckets_rejected() {
         assert_eq!(
-            EquiDepth.build(&[1, 2], 0).unwrap_err(),
+            EquiDepth.build(&dense(&[1, 2]), 0).unwrap_err(),
             HistogramError::ZeroBuckets
         );
     }
@@ -294,7 +253,7 @@ mod tests {
         // closes right at it (cumulative threshold crossed), and the light
         // tail is spread over the remaining buckets.
         let data = [1u64, 1, 1, 1, 100, 1, 1, 1];
-        let h = EquiDepth.build(&data, 3).unwrap();
+        let h = EquiDepth.build(&dense(&data), 3).unwrap();
         assert_eq!(h.bucket_count(), 3);
         let b = h.bucket_of(4);
         assert_eq!(b.hi, 4, "bucket must close at the heavy value: {b:?}");
@@ -308,7 +267,7 @@ mod tests {
     #[test]
     fn equi_depth_zero_mass_degrades_to_width() {
         let data = [0u64; 9];
-        let h = EquiDepth.build(&data, 3).unwrap();
+        let h = EquiDepth.build(&dense(&data), 3).unwrap();
         assert_eq!(h.bucket_count(), 3);
         let widths: Vec<usize> = h.buckets().iter().map(|b| b.count()).collect();
         assert_eq!(widths, vec![3, 3, 3]);
@@ -318,7 +277,7 @@ mod tests {
     fn equi_depth_exact_bucket_count_under_skew() {
         // All mass at the front — feasibility guard must still make 4 buckets.
         let data = [100u64, 0, 0, 0, 0, 0, 0, 0];
-        let h = EquiDepth.build(&data, 4).unwrap();
+        let h = EquiDepth.build(&dense(&data), 4).unwrap();
         assert_eq!(h.bucket_count(), 4);
         h.validate().unwrap();
     }
@@ -327,9 +286,20 @@ mod tests {
     fn single_bucket_covers_all() {
         let data = [3u64, 1, 4];
         for builder in [&EquiWidth as &dyn HistogramBuilder, &EquiDepth] {
-            let h = builder.build(&data, 1).unwrap();
+            let h = builder.build(&dense(&data), 1).unwrap();
             assert_eq!(h.bucket_count(), 1);
             assert!((h.estimate(1) - 8.0 / 3.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn equi_depth_threshold_does_not_overflow() {
+        // `(closed + 1) · total` overflowed u64 here: a panic in debug
+        // builds, ends [0, 1, 2, 7] in release.
+        let heavy = 1u64 << 61;
+        let data = [heavy, 0, heavy, 0, heavy, 0, heavy, 0];
+        let h = EquiDepth.build(&dense(&data), 4).unwrap();
+        let ends: Vec<usize> = h.buckets().iter().map(|b| b.hi).collect();
+        assert_eq!(ends, vec![0, 2, 4, 7]);
     }
 }

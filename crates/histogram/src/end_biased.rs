@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::HistogramError;
+use crate::sparse::{absent_indexes, SparseFrequencies};
 use crate::PointEstimator;
 
 /// End-biased histogram: `β − 1` exact singletons + one rest-average.
@@ -25,47 +26,15 @@ pub struct EndBiasedHistogram {
 
 impl EndBiasedHistogram {
     /// Builds an end-biased histogram with `beta` total entries
-    /// (`beta − 1` exact values + the rest-average).
-    pub fn build(data: &[u64], beta: usize) -> Result<EndBiasedHistogram, HistogramError> {
-        if data.is_empty() {
-            return Err(HistogramError::EmptyData);
-        }
-        if beta == 0 {
-            return Err(HistogramError::ZeroBuckets);
-        }
-        let singles = (beta - 1).min(data.len());
-        // Indexes of the `singles` largest frequencies; ties toward lower
-        // index for determinism.
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        order.sort_by(|&a, &b| data[b].cmp(&data[a]).then(a.cmp(&b)));
-        let exact: HashMap<usize, u64> = order[..singles].iter().map(|&i| (i, data[i])).collect();
-        let rest_count = data.len() - singles;
-        let rest_sum: u64 = data
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !exact.contains_key(i))
-            .map(|(_, &v)| v)
-            .sum();
-        let rest_mean = if rest_count == 0 {
-            0.0
-        } else {
-            rest_sum as f64 / rest_count as f64
-        };
-        Ok(EndBiasedHistogram {
-            exact,
-            rest_mean,
-            domain_size: data.len(),
-        })
-    }
-
-    /// Builds from sparse `(index, frequency)` runs with implicit zeros,
-    /// matching [`EndBiasedHistogram::build`] on the dense sequence
-    /// exactly: the dense tie-break (higher frequency first, then lower
-    /// index) puts every implicit zero after every entry, ordered by
-    /// index — so zero singletons, when the budget reaches them, are the
-    /// smallest non-entry indexes. O(nnz log nnz + β).
-    pub fn build_sparse(
-        data: &crate::sparse::SparseFrequencies<'_>,
+    /// (`beta − 1` exact values + the rest-average) from sparse runs with
+    /// implicit zeros.
+    ///
+    /// Singletons are the highest frequencies, ties toward the lower
+    /// index. That order puts every implicit zero after every entry,
+    /// ordered by index — so zero singletons, when the budget reaches
+    /// them, are the smallest non-entry indexes. O(nnz log nnz + β).
+    pub fn build(
+        data: &SparseFrequencies<'_>,
         beta: usize,
     ) -> Result<EndBiasedHistogram, HistogramError> {
         if data.domain_size() == 0 {
@@ -86,7 +55,7 @@ impl EndBiasedHistogram {
         // Remaining budget stores zeros at the smallest non-entry indexes.
         let zero_budget = (singles - from_entries) as usize;
         let occupied = data.cursor().map(|(index, _)| index);
-        for position in crate::sparse::absent_indexes(occupied, n).take(zero_budget) {
+        for position in absent_indexes(occupied, n).take(zero_budget) {
             exact.insert(position as usize, 0);
         }
         debug_assert_eq!(exact.len() as u64, singles, "budget exceeds zero count");
@@ -139,10 +108,14 @@ impl PointEstimator for EndBiasedHistogram {
 mod tests {
     use super::*;
 
+    fn dense(data: &[u64]) -> SparseFrequencies<'_> {
+        SparseFrequencies::dense(data)
+    }
+
     #[test]
     fn heavy_hitters_are_exact() {
         let data = [1u64, 500, 2, 3, 900, 1];
-        let h = EndBiasedHistogram::build(&data, 3).unwrap();
+        let h = EndBiasedHistogram::build(&dense(&data), 3).unwrap();
         assert_eq!(h.exact_count(), 2);
         assert_eq!(h.estimate(1), 500.0);
         assert_eq!(h.estimate(4), 900.0);
@@ -154,7 +127,7 @@ mod tests {
     #[test]
     fn beta_one_is_global_average() {
         let data = [2u64, 4, 6];
-        let h = EndBiasedHistogram::build(&data, 1).unwrap();
+        let h = EndBiasedHistogram::build(&dense(&data), 1).unwrap();
         assert_eq!(h.exact_count(), 0);
         assert!((h.estimate(0) - 4.0).abs() < 1e-12);
     }
@@ -162,7 +135,7 @@ mod tests {
     #[test]
     fn beta_covers_everything() {
         let data = [2u64, 4, 6];
-        let h = EndBiasedHistogram::build(&data, 10).unwrap();
+        let h = EndBiasedHistogram::build(&dense(&data), 10).unwrap();
         assert_eq!(h.exact_count(), 3);
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(h.estimate(i), v as f64);
@@ -173,7 +146,7 @@ mod tests {
     #[test]
     fn tie_break_prefers_lower_index() {
         let data = [5u64, 5, 5];
-        let h = EndBiasedHistogram::build(&data, 2).unwrap();
+        let h = EndBiasedHistogram::build(&dense(&data), 2).unwrap();
         assert_eq!(h.estimate(0), 5.0);
         // 1 and 2 share the rest mean (which also equals 5 here).
         assert_eq!(h.estimate(1), 5.0);
@@ -181,47 +154,22 @@ mod tests {
 
     #[test]
     fn errors() {
-        assert!(EndBiasedHistogram::build(&[], 2).is_err());
-        assert!(EndBiasedHistogram::build(&[1], 0).is_err());
+        assert!(EndBiasedHistogram::build(&dense(&[]), 2).is_err());
+        assert!(EndBiasedHistogram::build(&dense(&[1]), 0).is_err());
     }
 
     #[test]
     #[should_panic(expected = "outside domain")]
     fn out_of_domain_panics() {
-        let h = EndBiasedHistogram::build(&[1, 2], 2).unwrap();
+        let h = EndBiasedHistogram::build(&dense(&[1, 2]), 2).unwrap();
         h.estimate(2);
     }
 
     #[test]
-    fn sparse_build_matches_dense() {
-        use crate::sparse::SparseFrequencies;
-        let cases: &[&[u64]] = &[
-            &[1, 500, 2, 3, 900, 1],
-            &[0, 0, 7, 0, 0, 0, 7, 9],
-            &[0, 0, 0],
-            &[5],
-        ];
-        for dense in cases {
-            let entries = SparseFrequencies::collect_from_dense(dense);
-            let s = SparseFrequencies::new(&entries, dense.len() as u64).unwrap();
-            for beta in [1usize, 2, 3, 10] {
-                let d = EndBiasedHistogram::build(dense, beta).unwrap();
-                let sp = EndBiasedHistogram::build_sparse(&s, beta).unwrap();
-                assert_eq!(d.exact_count(), sp.exact_count(), "{dense:?} β={beta}");
-                assert_eq!(d.rest_mean().to_bits(), sp.rest_mean().to_bits());
-                for i in 0..dense.len() {
-                    assert_eq!(d.estimate(i), sp.estimate(i), "{dense:?} β={beta} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sparse_build_on_huge_domain() {
-        use crate::sparse::SparseFrequencies;
         let entries = [(3u64, 40u64), ((1 << 40) - 1, 7)];
         let s = SparseFrequencies::new(&entries, 1 << 40).unwrap();
-        let h = EndBiasedHistogram::build_sparse(&s, 3).unwrap();
+        let h = EndBiasedHistogram::build(&s, 3).unwrap();
         assert_eq!(h.estimate(3), 40.0);
         assert_eq!(h.estimate((1 << 40) - 1), 7.0);
         assert_eq!(h.estimate(100), 0.0);

@@ -17,8 +17,10 @@ pub enum HistogramError {
         /// The configured maximum.
         limit: usize,
     },
-    /// A sparse build needed to materialize (or enumerate) the full dense
-    /// domain and the domain exceeds the materialization limit.
+    /// A build needs a dense-sized output or input past the
+    /// materialization limit: a bucket budget above
+    /// [`crate::sparse::DENSE_MATERIALIZE_LIMIT`], or (in `phe-core`) a
+    /// dense catalog the machine cannot hold.
     DomainTooLarge {
         /// The (implicit-zeros) domain size.
         domain: u64,
@@ -43,7 +45,7 @@ impl fmt::Display for HistogramError {
             HistogramError::DomainTooLarge { domain, limit } => write!(
                 f,
                 "domain of {domain} values exceeds the {limit}-value dense materialization \
-                 limit; use a sparse-native builder"
+                 limit"
             ),
             HistogramError::InvalidSparseRuns(msg) => {
                 write!(f, "invalid sparse frequency runs: {msg}")

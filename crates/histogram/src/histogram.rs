@@ -33,6 +33,9 @@ impl Histogram {
             domain_size,
             starts,
         };
+        // LINT-ALLOW(panic): every builder in this crate emits a partition
+        // by construction (property-tested); a violation is a bug here, not
+        // an input condition, and must not be served.
         h.validate().expect("builder produced invalid buckets");
         h
     }
@@ -47,11 +50,11 @@ impl Histogram {
                 Err("empty domain must have no buckets".into())
             };
         }
-        if self.buckets.is_empty() {
+        let (Some(first), Some(last)) = (self.buckets.first(), self.buckets.last()) else {
             return Err("non-empty domain with no buckets".into());
-        }
-        if self.buckets[0].lo != 0 {
-            return Err(format!("first bucket starts at {}", self.buckets[0].lo));
+        };
+        if first.lo != 0 {
+            return Err(format!("first bucket starts at {}", first.lo));
         }
         for w in self.buckets.windows(2) {
             if w[1].lo != w[0].hi + 1 {
@@ -61,7 +64,6 @@ impl Histogram {
                 ));
             }
         }
-        let last = self.buckets.last().expect("non-empty");
         if last.hi != self.domain_size - 1 {
             return Err(format!(
                 "last bucket ends at {} but domain size is {}",
@@ -152,18 +154,22 @@ impl PointEstimator for Histogram {
 mod tests {
     use super::*;
     use crate::builder::{EquiWidth, HistogramBuilder};
+    use crate::sparse::SparseFrequencies;
+
+    /// A bucket over a constant-valued range.
+    fn flat(lo: usize, hi: usize, value: u64) -> Bucket {
+        Bucket {
+            lo,
+            hi,
+            sum: value * (hi - lo + 1) as u64,
+            min: value,
+            max: value,
+        }
+    }
 
     fn sample() -> Histogram {
         // data: [1,1,1,1, 100,100,100, 5,5,5]
-        let data = [1u64, 1, 1, 1, 100, 100, 100, 5, 5, 5];
-        Histogram::from_buckets(
-            vec![
-                Bucket::from_range(&data, 0, 3),
-                Bucket::from_range(&data, 4, 6),
-                Bucket::from_range(&data, 7, 9),
-            ],
-            data.len(),
-        )
+        Histogram::from_buckets(vec![flat(0, 3, 1), flat(4, 6, 100), flat(7, 9, 5)], 10)
     }
 
     #[test]
@@ -201,12 +207,8 @@ mod tests {
 
     #[test]
     fn validate_detects_gap() {
-        let data = [1u64, 2, 3, 4];
         let h = Histogram {
-            buckets: vec![
-                Bucket::from_range(&data, 0, 1),
-                Bucket::from_range(&data, 3, 3),
-            ],
+            buckets: vec![flat(0, 1, 1), flat(3, 3, 4)],
             domain_size: 4,
             starts: vec![0, 3],
         };
@@ -215,9 +217,8 @@ mod tests {
 
     #[test]
     fn validate_detects_short_coverage() {
-        let data = [1u64, 2, 3, 4];
         let h = Histogram {
-            buckets: vec![Bucket::from_range(&data, 0, 2)],
+            buckets: vec![flat(0, 2, 1)],
             domain_size: 4,
             starts: vec![0],
         };
@@ -241,6 +242,7 @@ mod tests {
     #[test]
     fn size_bytes_scales_with_beta() {
         let data: Vec<u64> = (0..100).collect();
+        let data = SparseFrequencies::dense(&data);
         let h4 = EquiWidth.build(&data, 4).unwrap();
         let h32 = EquiWidth.build(&data, 32).unwrap();
         assert!(h32.size_bytes() > h4.size_bytes());

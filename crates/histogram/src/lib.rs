@@ -8,13 +8,14 @@
 //! some domain ordering; the whole point of the paper is that the choice of
 //! that ordering decides how well *any* bucketing can do.
 //!
-//! This crate is deliberately domain-agnostic: it sees only `&[u64]` — or,
-//! for domains too large to materialize, a [`sparse::SparseFrequencies`]
-//! view of the non-zero `(index, frequency)` runs with implicit zeros.
-//! Every builder accepts both ([`builder::HistogramBuilder::build_sparse`]),
-//! and the sparse-native implementations (equi-width, equi-depth, greedy
-//! and max-diff V-optimal, end-biased) produce identical bucket boundaries
-//! to their dense counterparts while paying O(1) per zero run.
+//! This crate is deliberately domain-agnostic. Every builder reads one
+//! input type, [`SparseFrequencies`]: the non-zero `(index, frequency)`
+//! runs of the sequence, with implicit zeros, so a zero run costs O(1)
+//! however long it is. The runs come from a borrowed pair slice, from any
+//! streaming [`RunSource`] (phe-core's block-compressed catalogs), or
+//! from a plain `&[u64]` through the zero-copy [`SparseFrequencies::dense`]
+//! view. There is one implementation per builder; the integration tests
+//! pin each to a textbook oracle written over `&[u64]`.
 //!
 //! Provided partitioners (see [`builder::HistogramBuilder`]):
 //!
@@ -22,20 +23,26 @@
 //! * [`builder::EquiDepth`] — equal cumulative frequency;
 //! * [`builder::VOptimal`] — variance-minimizing, in three modes:
 //!   exact `O(N²β)` dynamic programming, greedy bottom-up merging
-//!   (`O(N log N)`), and the max-diff boundary heuristic;
+//!   (`O(nnz log nnz)`), and the max-diff boundary heuristic;
 //! * [`end_biased::EndBiasedHistogram`] — exact singletons for the
 //!   highest-frequency values plus one average for the rest (not a bucketed
 //!   range partition; kept for the ablation study).
 //!
 //! ```
-//! use phe_histogram::builder::{EquiWidth, HistogramBuilder};
-//! use phe_histogram::PointEstimator;
+//! use phe_histogram::{EquiWidth, HistogramBuilder, PointEstimator, SparseFrequencies};
 //!
+//! // A dense sequence, viewed in place.
 //! let data = [10u64, 12, 11, 900, 950, 920];
-//! let h = EquiWidth.build(&data, 2).unwrap();
+//! let h = EquiWidth.build(&SparseFrequencies::dense(&data), 2).unwrap();
 //! assert_eq!(h.bucket_count(), 2);
 //! assert!((h.estimate(0) - 11.0).abs() < 1e-9);
 //! assert!((h.estimate(4) - 923.33).abs() < 0.01);
+//!
+//! // Sparse runs over a domain far too large to materialize.
+//! let runs = [(3u64, 40u64), (1 << 40, 7)];
+//! let sparse = SparseFrequencies::new(&runs, 1 << 41).unwrap();
+//! let h = EquiWidth.build(&sparse, 2).unwrap();
+//! assert_eq!(h.total_sum(), 47);
 //! ```
 
 pub mod bucket;
@@ -44,7 +51,6 @@ pub mod end_biased;
 pub mod error;
 pub mod histogram;
 pub mod metrics;
-pub mod prefix;
 pub mod sparse;
 pub mod v_optimal;
 
@@ -54,7 +60,6 @@ pub use end_biased::EndBiasedHistogram;
 pub use error::HistogramError;
 pub use histogram::Histogram;
 pub use metrics::{error_rate, mean_abs_error_rate, q_error, AccuracyReport};
-pub use prefix::PrefixSums;
 pub use sparse::{EntryCursor, RunSource, SparseFrequencies, SparsePrefix};
 
 /// Anything that can answer a point-frequency estimate for a domain index.

@@ -1,37 +1,35 @@
 //! Sparse frequency sequences: `(index, frequency)` runs with implicit
-//! zeros.
+//! zeros — the one input every builder in this crate reads.
 //!
 //! A sparse-first build pipeline hands histogram builders the non-zero
 //! frequencies only — sorted by domain index — so a domain dominated by
-//! zero-selectivity paths costs O(nnz) instead of O(N). The builders in
-//! this crate consume [`SparseFrequencies`] through
-//! [`crate::builder::HistogramBuilder::build_sparse`]; the sparse-native
-//! implementations produce **identical bucket boundaries** to their dense
-//! counterparts (guaranteed whenever the squared-frequency prefix sums are
-//! exactly representable in `f64`, i.e. `Σ f² < 2⁵³` — the same regime in
-//! which the dense V-optimal cost model itself is exact).
+//! zero-selectivity paths costs O(nnz) instead of O(N). A plain dense
+//! slice enters through [`SparseFrequencies::dense`], a zero-copy view
+//! whose cursor skips the zeros, so there is exactly one implementation
+//! of every builder. The integration tests pin each builder to a
+//! textbook oracle written over plain `&[u64]`.
 //!
 //! ## Streaming access
 //!
-//! [`SparseFrequencies`] does not hold a pair vector: it wraps either a
-//! borrowed slice (tests, dense views) or any [`RunSource`] — a streaming
+//! [`SparseFrequencies`] does not hold a pair vector: it wraps a borrowed
+//! pair slice, a borrowed dense slice, or any [`RunSource`] — a streaming
 //! provider of sorted entries, e.g. a block-compressed run whose decoder
 //! hands out entries without ever materializing `nnz × 16` bytes. Every
 //! builder reads through [`SparseFrequencies::cursor`] in sequential
 //! passes; random access happens only on the O(nnz) prefix arrays of
 //! [`SparsePrefix`], which the builders need anyway.
 //!
-//! [`SparsePrefix`] is the sparse analogue of [`crate::prefix::PrefixSums`]:
-//! it accumulates the *same* `f64` square-sum sequence the dense prefix
-//! would (zeros add exactly `0.0`), so range sums, square sums, and SSE
-//! values are bit-identical to the dense computation.
+//! [`SparsePrefix`] accumulates the `f64` square sums entry by entry; a
+//! dense prefix over the same sequence would add an exact `+0.0` at every
+//! zero, so range sums, square sums and SSE values equal the textbook
+//! dense computation bit for bit.
 
 use crate::bucket::Bucket;
 use crate::error::HistogramError;
 
-/// The largest domain a sparse build may materialize (or enumerate
-/// per-index) when a builder has no sparse-native path. 2²⁶ values ⇒ a
-/// 512 MiB dense vector — beyond that, materializing defeats the point.
+/// The largest bucket budget a build may honour: β buckets materialize β
+/// [`Bucket`] values whatever the input representation, and 2²⁶ of them
+/// are already a dense-sized output.
 pub const DENSE_MATERIALIZE_LIMIT: u64 = 1 << 26;
 
 /// A streaming provider of sorted, strictly increasing, non-zero
@@ -51,6 +49,7 @@ pub trait RunSource {
 #[derive(Clone, Copy)]
 enum Source<'a> {
     Slice(&'a [(u64, u64)]),
+    Dense(&'a [u64]),
     Stream(&'a dyn RunSource),
 }
 
@@ -58,8 +57,10 @@ enum Source<'a> {
 /// inputs iterate allocation-free; streamed inputs carry their source's
 /// boxed decoder (one allocation per pass, not per entry).
 pub enum EntryCursor<'a> {
-    /// Borrowed-slice pass.
+    /// Borrowed pair-slice pass.
     Slice(std::iter::Copied<std::slice::Iter<'a, (u64, u64)>>),
+    /// Borrowed dense-slice pass; zeros are skipped.
+    Dense(std::iter::Enumerate<std::slice::Iter<'a, u64>>),
     /// Streamed pass from a [`RunSource`].
     Stream(Box<dyn Iterator<Item = (u64, u64)> + 'a>),
 }
@@ -71,6 +72,9 @@ impl Iterator for EntryCursor<'_> {
     fn next(&mut self) -> Option<(u64, u64)> {
         match self {
             EntryCursor::Slice(iter) => iter.next(),
+            EntryCursor::Dense(iter) => iter
+                .find(|&(_, &frequency)| frequency != 0)
+                .map(|(index, &frequency)| (index as u64, frequency)),
             EntryCursor::Stream(iter) => iter.next(),
         }
     }
@@ -103,8 +107,9 @@ impl<'a> SparseFrequencies<'a> {
     ///
     /// # Errors
     /// [`HistogramError::InvalidSparseRuns`] when indexes are unsorted,
-    /// duplicated, or outside the domain, or a listed frequency is zero
-    /// (zeros must stay implicit so `nnz` is meaningful).
+    /// duplicated, or outside the domain, a listed frequency is zero
+    /// (zeros must stay implicit so `nnz` is meaningful), or the total mass
+    /// overflows `u64` (bucket sums could not hold it).
     pub fn new(
         entries: &'a [(u64, u64)],
         domain_size: u64,
@@ -123,6 +128,29 @@ impl<'a> SparseFrequencies<'a> {
         domain_size: u64,
     ) -> Result<SparseFrequencies<'a>, HistogramError> {
         Self::validate(Source::Stream(source), domain_size)
+    }
+
+    /// A zero-copy view of a dense sequence: index `i` has frequency
+    /// `data[i]`, and the cursor skips the zeros. A slice is sorted,
+    /// duplicate-free and in-domain by construction, so the view needs no
+    /// validation beyond one counting pass.
+    ///
+    /// # Panics
+    /// Panics if the sequence's total mass overflows `u64` — the same
+    /// refusal [`SparseFrequencies::new`] reports as an error.
+    pub fn dense(data: &'a [u64]) -> SparseFrequencies<'a> {
+        let nnz = data.iter().filter(|&&frequency| frequency != 0).count();
+        let total = data.iter().try_fold(0u64, |acc, &f| acc.checked_add(f));
+        SparseFrequencies {
+            source: Source::Dense(data),
+            domain_size: data.len() as u64,
+            nnz,
+            // LINT-ALLOW(panic): dense views are in-memory copies of a
+            // counted catalog (accuracy evaluation, test oracles), whose
+            // mass the counting layer already summed in u64; serving and
+            // maintenance stream validated runs through `from_source`.
+            total: total.expect("dense frequency mass overflows u64"),
+        }
     }
 
     fn validate(
@@ -158,7 +186,11 @@ impl<'a> SparseFrequencies<'a> {
             }
             previous = Some(index);
             nnz += 1;
-            total = total.wrapping_add(frequency);
+            total = total.checked_add(frequency).ok_or_else(|| {
+                HistogramError::InvalidSparseRuns(format!(
+                    "total frequency mass overflows u64 at index {index}"
+                ))
+            })?;
         }
         result.nnz = nnz;
         result.total = total;
@@ -170,6 +202,7 @@ impl<'a> SparseFrequencies<'a> {
     pub fn cursor(&self) -> EntryCursor<'a> {
         match self.source {
             Source::Slice(entries) => EntryCursor::Slice(entries.iter().copied()),
+            Source::Dense(data) => EntryCursor::Dense(data.iter().enumerate()),
             Source::Stream(source) => EntryCursor::Stream(source.cursor()),
         }
     }
@@ -190,34 +223,6 @@ impl<'a> SparseFrequencies<'a> {
     #[inline]
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Materializes the dense sequence.
-    ///
-    /// # Errors
-    /// [`HistogramError::DomainTooLarge`] past [`DENSE_MATERIALIZE_LIMIT`].
-    pub fn materialize(&self) -> Result<Vec<u64>, HistogramError> {
-        if self.domain_size > DENSE_MATERIALIZE_LIMIT {
-            return Err(HistogramError::DomainTooLarge {
-                domain: self.domain_size,
-                limit: DENSE_MATERIALIZE_LIMIT,
-            });
-        }
-        let mut dense = vec![0u64; self.domain_size as usize];
-        for (index, frequency) in self.cursor() {
-            dense[index as usize] = frequency;
-        }
-        Ok(dense)
-    }
-
-    /// Borrows a sparse view of a dense sequence (zeros dropped) — the
-    /// test oracle direction.
-    pub fn collect_from_dense(data: &[u64]) -> Vec<(u64, u64)> {
-        data.iter()
-            .enumerate()
-            .filter(|(_, &frequency)| frequency > 0)
-            .map(|(index, &frequency)| (index as u64, frequency))
-            .collect()
     }
 
     /// The maximal equal-value runs of the dense sequence, as inclusive
@@ -248,7 +253,7 @@ impl<'a> SparseFrequencies<'a> {
 /// (a sorted, strictly increasing index sequence), ascending.
 ///
 /// This is the "walk the implicit zeros" primitive shared by the
-/// sparse-native builders: end-biased zero singletons, max-diff zero-diff
+/// builders: end-biased zero singletons, max-diff zero-diff
 /// boundary fill, and the ideal ordering's zero plateau all need the
 /// smallest non-occupied indexes without materializing the domain.
 pub fn absent_indexes<I>(occupied: I, domain_size: u64) -> impl Iterator<Item = u64>
@@ -266,10 +271,9 @@ where
     })
 }
 
-/// Sparse prefix sums: exact `u64` range sums and the *same* `f64`
-/// square-sum accumulation order as [`crate::prefix::PrefixSums`], so SSE
-/// values match the dense computation bit for bit (zeros contribute an
-/// exact `+0.0`).
+/// Sparse prefix sums: exact `u64` range sums and `f64` square sums
+/// accumulated in index order, so SSE values match the textbook dense
+/// prefix computation bit for bit (its zeros contribute an exact `+0.0`).
 ///
 /// This is the one place a builder gets random access: the prefix arrays
 /// are O(nnz) and addressed by *entry rank*, so per-entry frequencies are
@@ -281,7 +285,7 @@ pub struct SparsePrefix {
     /// `sum[j]` = Σ frequency of the first `j` entries.
     sum: Vec<u64>,
     /// `sq[j]` = Σ frequency² of the first `j` entries, accumulated in
-    /// entry order exactly as the dense prefix would.
+    /// entry order.
     sq: Vec<f64>,
 }
 
@@ -297,9 +301,8 @@ impl SparsePrefix {
         let mut q = 0.0f64;
         for (index, frequency) in data.cursor() {
             indexes.push(index);
-            s = s
-                .checked_add(frequency)
-                .expect("frequency sum overflows u64 — domain too heavy");
+            // Cannot overflow: construction checked the total mass.
+            s += frequency;
             q += (frequency as f64) * (frequency as f64);
             sum.push(s);
             sq.push(q);
@@ -335,14 +338,8 @@ impl SparsePrefix {
         self.sq[self.rank(hi + 1)] - self.sq[self.rank(lo)]
     }
 
-    /// Number of non-zero entries inside `[lo, hi]`.
-    #[inline]
-    pub fn nnz_in_range(&self, lo: u64, hi: u64) -> usize {
-        self.rank(hi + 1) - self.rank(lo)
-    }
-
-    /// SSE of `[lo, hi]` around its mean — the same expression (and the
-    /// same zero clamp) as [`crate::prefix::PrefixSums::range_sse`].
+    /// SSE of `[lo, hi]` around its mean, `Σ f² − (Σ f)² / n`, clamped at
+    /// zero to absorb floating-point cancellation on constant runs.
     #[inline]
     pub fn range_sse(&self, lo: u64, hi: u64) -> f64 {
         let n = (hi - lo + 1) as f64;
@@ -398,60 +395,9 @@ impl SparsePrefix {
     }
 }
 
-/// Builds the bucket vector for sorted inclusive end indexes, the sparse
-/// analogue of [`crate::builder::buckets_from_ends`].
-pub(crate) fn buckets_from_ends_sparse(
-    data: &SparseFrequencies<'_>,
-    prefix: &SparsePrefix,
-    ends: &[u64],
-) -> Vec<Bucket> {
-    debug_assert_eq!(
-        *ends.last().expect("at least one bucket"),
-        data.domain_size() - 1
-    );
-    let mut buckets = Vec::with_capacity(ends.len());
-    let mut lo = 0u64;
-    for &hi in ends {
-        buckets.push(prefix.bucket(lo, hi));
-        lo = hi + 1;
-    }
-    buckets
-}
-
-/// Sparse analogue of [`crate::builder::check_inputs`]: normalizes the
-/// bucket budget and refuses shapes a sparse build cannot honour without
-/// densifying.
-pub(crate) fn check_inputs_sparse(
-    data: &SparseFrequencies<'_>,
-    beta: usize,
-) -> Result<usize, HistogramError> {
-    if data.domain_size() == 0 {
-        return Err(HistogramError::EmptyData);
-    }
-    if beta == 0 {
-        return Err(HistogramError::ZeroBuckets);
-    }
-    let beta = (beta as u64).min(data.domain_size());
-    // β buckets materialize β `Bucket` values regardless of representation:
-    // a budget past the materialization limit is a dense-sized output and
-    // gets the dense-sized refusal.
-    if beta > DENSE_MATERIALIZE_LIMIT {
-        return Err(HistogramError::DomainTooLarge {
-            domain: data.domain_size(),
-            limit: DENSE_MATERIALIZE_LIMIT,
-        });
-    }
-    Ok(beta as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefix::PrefixSums;
-
-    fn sparse_of(dense: &[u64]) -> Vec<(u64, u64)> {
-        SparseFrequencies::collect_from_dense(dense)
-    }
 
     /// A minimal streamed source over a plain vector, standing in for the
     /// block-compressed decoder that lives upstream of this crate.
@@ -477,6 +423,31 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_mass_overflow() {
+        // The total used to wrap to 0 here, and the first builder's
+        // prefix pass then panicked on the same overflow.
+        let entries = [(0u64, u64::MAX), (1, 1)];
+        assert!(matches!(
+            SparseFrequencies::new(&entries, 4),
+            Err(HistogramError::InvalidSparseRuns(_))
+        ));
+        let source = VecSource(entries.to_vec());
+        assert!(matches!(
+            SparseFrequencies::from_source(&source, 4),
+            Err(HistogramError::InvalidSparseRuns(_))
+        ));
+        // The largest representable mass is fine.
+        let s = SparseFrequencies::new(&[(0, u64::MAX - 1), (3, 1)], 4).unwrap();
+        assert_eq!(s.total(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn dense_view_refuses_mass_overflow() {
+        SparseFrequencies::dense(&[u64::MAX, 0, 1]);
+    }
+
+    #[test]
     fn streamed_source_matches_slice() {
         let entries = vec![(1u64, 5u64), (4, 2), (9, 1)];
         let source = VecSource(entries.clone());
@@ -484,14 +455,8 @@ mod tests {
         let sliced = SparseFrequencies::new(&entries, 10).unwrap();
         assert_eq!(streamed.nnz(), sliced.nnz());
         assert_eq!(streamed.total(), sliced.total());
-        assert_eq!(
-            streamed.cursor().collect::<Vec<_>>(),
-            sliced.cursor().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            streamed.materialize().unwrap(),
-            sliced.materialize().unwrap()
-        );
+        assert_eq!(streamed.cursor().collect::<Vec<_>>(), entries);
+        assert_eq!(sliced.cursor().collect::<Vec<_>>(), entries);
         assert_eq!(streamed.equal_value_runs(), sliced.equal_value_runs());
         // Streamed sources are validated just like slices.
         let bad = VecSource(vec![(4, 2), (1, 5)]);
@@ -501,58 +466,49 @@ mod tests {
     }
 
     #[test]
-    fn materialize_round_trips() {
+    fn dense_view_skips_zeros() {
         let dense = [0u64, 5, 0, 0, 7, 1, 0];
-        let entries = sparse_of(&dense);
-        let s = SparseFrequencies::new(&entries, dense.len() as u64).unwrap();
-        assert_eq!(s.materialize().unwrap(), dense);
-        assert_eq!(s.total(), 13);
-        assert_eq!(s.nnz(), 3);
+        let view = SparseFrequencies::dense(&dense);
+        let entries = [(1u64, 5u64), (4, 7), (5, 1)];
+        assert_eq!(view.cursor().collect::<Vec<_>>(), entries);
+        assert_eq!(view.domain_size(), 7);
+        assert_eq!(view.total(), 13);
+        assert_eq!(view.nnz(), 3);
+        let sliced = SparseFrequencies::new(&entries, 7).unwrap();
+        assert_eq!(view.equal_value_runs(), sliced.equal_value_runs());
+        // All-zero and empty slices are valid views with no entries.
+        assert_eq!(SparseFrequencies::dense(&[0, 0]).cursor().count(), 0);
+        assert_eq!(SparseFrequencies::dense(&[]).domain_size(), 0);
     }
 
     #[test]
-    fn materialize_refuses_huge_domains() {
-        let entries = [(0u64, 1u64)];
-        let s = SparseFrequencies::new(&entries, 1 << 40).unwrap();
-        assert!(matches!(
-            s.materialize(),
-            Err(HistogramError::DomainTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn prefix_matches_dense_bitwise() {
-        let dense = [3u64, 0, 0, 4, 4, 0, 9, 2, 0, 0, 0, 7];
-        let entries = sparse_of(&dense);
-        let s = SparseFrequencies::new(&entries, dense.len() as u64).unwrap();
-        let sparse = SparsePrefix::new(&s);
-        let reference = PrefixSums::new(&dense);
-        for lo in 0..dense.len() {
-            for hi in lo..dense.len() {
+    fn sse_matches_direct_computation() {
+        let data = [3u64, 0, 1, 4, 0, 0, 1, 5, 9, 2, 6, 0];
+        let prefix = SparsePrefix::new(&SparseFrequencies::dense(&data));
+        for lo in 0..data.len() {
+            for hi in lo..data.len() {
+                let slice = &data[lo..=hi];
                 assert_eq!(
-                    sparse.range_sum(lo as u64, hi as u64),
-                    reference.range_sum(lo, hi)
+                    prefix.range_sum(lo as u64, hi as u64),
+                    slice.iter().sum::<u64>()
                 );
-                assert_eq!(
-                    sparse.range_sq(lo as u64, hi as u64).to_bits(),
-                    reference.range_sq(lo, hi).to_bits(),
-                    "sq differs on [{lo},{hi}]"
-                );
-                assert_eq!(
-                    sparse.range_sse(lo as u64, hi as u64).to_bits(),
-                    reference.range_sse(lo, hi).to_bits(),
-                    "sse differs on [{lo},{hi}]"
+                let mean = slice.iter().sum::<u64>() as f64 / slice.len() as f64;
+                let direct: f64 = slice.iter().map(|&v| (v as f64 - mean).powi(2)).sum();
+                let fast = prefix.range_sse(lo as u64, hi as u64);
+                assert!(
+                    (fast - direct).abs() < 1e-9,
+                    "sse mismatch on [{lo},{hi}]: {fast} vs {direct}"
                 );
             }
         }
+        // Constant runs cancel to exactly zero.
+        assert_eq!(prefix.range_sse(4, 5), 0.0);
     }
 
     #[test]
     fn buckets_account_for_implicit_zeros() {
         let dense = [0u64, 5, 0, 0, 7, 1];
-        let entries = sparse_of(&dense);
-        let s = SparseFrequencies::new(&entries, 6).unwrap();
-        let prefix = SparsePrefix::new(&s);
+        let prefix = SparsePrefix::new(&SparseFrequencies::dense(&dense));
         let b = prefix.bucket(0, 2);
         assert_eq!((b.sum, b.min, b.max), (5, 0, 5));
         let b = prefix.bucket(4, 5);
@@ -573,9 +529,7 @@ mod tests {
     #[test]
     fn equal_value_runs_partition_the_domain() {
         let dense = [0u64, 0, 5, 5, 1, 0, 0, 2, 2, 2];
-        let entries = sparse_of(&dense);
-        let s = SparseFrequencies::new(&entries, dense.len() as u64).unwrap();
-        let runs = s.equal_value_runs();
+        let runs = SparseFrequencies::dense(&dense).equal_value_runs();
         assert_eq!(runs, vec![(0, 1), (2, 3), (4, 4), (5, 6), (7, 9)]);
         // All-zero and empty-entry domains are one run.
         let s = SparseFrequencies::new(&[], 4).unwrap();

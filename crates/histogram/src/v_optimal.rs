@@ -10,22 +10,23 @@
 //!   configurable size limit.
 //! * [`VOptimalMode::GreedyMerge`] — bottom-up agglomerative merging:
 //!   start from singleton buckets and repeatedly merge the adjacent pair
-//!   with the smallest SSE increase, `O(N log N)`. Not optimal, but close
-//!   in practice (the `ablation_voptimal` binary quantifies the gap), and
-//!   fast enough for the paper-scale domain of 55 986 paths.
+//!   with the smallest SSE increase. Not optimal, but close in practice
+//!   (the `ablation_voptimal` binary quantifies the gap). Zero runs and
+//!   other equal-value runs collapse without touching their indexes, so
+//!   the cost is `O(nnz log nnz)` however large the domain.
 //! * [`VOptimalMode::MaxDiff`] — place the `β − 1` boundaries at the
-//!   largest adjacent differences. Cheapest, crudest.
+//!   largest adjacent differences. Cheapest, crudest: `O(nnz log nnz)`.
+//!
+//! Every mode reads [`SparsePrefix`] range statistics, which equal the
+//! textbook dense prefix sums bit for bit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::builder::{buckets_from_ends, check_inputs, HistogramBuilder};
+use crate::builder::{check_inputs, histogram_from_ends, HistogramBuilder};
 use crate::error::HistogramError;
 use crate::histogram::Histogram;
-use crate::prefix::PrefixSums;
-use crate::sparse::{
-    buckets_from_ends_sparse, check_inputs_sparse, SparseFrequencies, SparsePrefix,
-};
+use crate::sparse::{SparseFrequencies, SparsePrefix};
 
 /// Construction mode for [`VOptimal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,57 +82,27 @@ impl HistogramBuilder for VOptimal {
         }
     }
 
-    fn build(&self, data: &[u64], beta: usize) -> Result<Histogram, HistogramError> {
-        let beta = check_inputs(data, beta)?;
-        let ends = match self.mode {
-            VOptimalMode::Exact { limit } => {
-                if data.len() > limit {
-                    return Err(HistogramError::ExactTooLarge {
-                        domain: data.len(),
-                        limit,
-                    });
-                }
-                exact_dp_ends(data, beta)
-            }
-            VOptimalMode::GreedyMerge => greedy_merge_ends(data, beta),
-            VOptimalMode::MaxDiff => maxdiff_ends(data, beta),
-        };
-        Ok(Histogram::from_buckets(
-            buckets_from_ends(data, &ends),
-            data.len(),
-        ))
-    }
-
-    /// Sparse-native construction for the greedy and max-diff modes
-    /// (identical boundaries to the dense build — see the exactness
-    /// argument on `greedy_merge_ends_sparse`); the exact DP keeps its
-    /// hard size limit and materializes within it.
-    fn build_sparse(
+    fn build(
         &self,
         data: &SparseFrequencies<'_>,
         beta: usize,
     ) -> Result<Histogram, HistogramError> {
-        let beta = check_inputs_sparse(data, beta)?;
-        let n = data.domain_size();
+        let beta = check_inputs(data, beta)?;
         let ends = match self.mode {
             VOptimalMode::Exact { limit } => {
+                let n = data.domain_size();
                 if n > limit as u64 {
                     return Err(HistogramError::ExactTooLarge {
                         domain: n as usize,
                         limit,
                     });
                 }
-                // Within the DP limit the domain is tiny; densify.
-                return self.build(&data.materialize()?, beta);
+                exact_dp_ends(data, beta)
             }
             VOptimalMode::GreedyMerge => greedy_merge_ends_sparse(data, beta),
-            VOptimalMode::MaxDiff => maxdiff_ends_sparse(data, beta),
+            VOptimalMode::MaxDiff => maxdiff_ends(data, beta),
         };
-        let prefix = SparsePrefix::new(data);
-        Ok(Histogram::from_buckets(
-            buckets_from_ends_sparse(data, &prefix, &ends),
-            n as usize,
-        ))
+        Ok(histogram_from_ends(data, &ends))
     }
 }
 
@@ -153,16 +124,23 @@ impl Ord for TotalF64 {
     }
 }
 
-/// Exact `O(N²β)` dynamic program. Returns inclusive bucket end indexes.
+/// Exact `O(N²β)` dynamic program over a domain within the DP limit.
+/// Returns inclusive bucket end indexes.
+///
+/// The entry rank of every position is computed once, so each SSE read
+/// is the same two prefix subtractions the textbook dense DP performs.
 #[allow(clippy::needless_range_loop)] // DP recurrences read clearer with indices
-fn exact_dp_ends(data: &[u64], beta: usize) -> Vec<usize> {
-    let n = data.len();
-    let prefix = PrefixSums::new(data);
+fn exact_dp_ends(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
+    let n = data.domain_size() as usize;
+    let prefix = SparsePrefix::new(data);
+    let ranks: Vec<usize> = (0..=n as u64).map(|i| prefix.rank(i)).collect();
+    let range_sse =
+        |lo: usize, hi: usize| prefix.range_sse_at(lo as u64, hi as u64, ranks[lo], ranks[hi + 1]);
     // dp[i] = min SSE of partitioning data[0..i] into the current number of
     // buckets; cut[j][i] = best position of the previous boundary.
     let mut prev = vec![0.0f64; n + 1];
     for i in 1..=n {
-        prev[i] = prefix.range_sse(0, i - 1);
+        prev[i] = range_sse(0, i - 1);
     }
     let mut cuts: Vec<Vec<u32>> = Vec::with_capacity(beta.saturating_sub(1));
     let mut cur = vec![0.0f64; n + 1];
@@ -174,7 +152,7 @@ fn exact_dp_ends(data: &[u64], beta: usize) -> Vec<usize> {
             let mut best_x = j - 1;
             // Last bucket covers x..i-1 (0-based), x ranges over [j-1, i-1].
             for x in (j - 1)..i {
-                let cost = prev[x] + prefix.range_sse(x, i - 1);
+                let cost = prev[x] + range_sse(x, i - 1);
                 if cost < best {
                     best = cost;
                     best_x = x;
@@ -187,36 +165,19 @@ fn exact_dp_ends(data: &[u64], beta: usize) -> Vec<usize> {
         std::mem::swap(&mut prev, &mut cur);
     }
     // Backtrack boundaries.
-    let mut ends = vec![0usize; beta];
-    ends[beta - 1] = n - 1;
+    let mut ends = vec![0u64; beta];
+    ends[beta - 1] = n as u64 - 1;
     let mut i = n;
     for j in (2..=beta).rev() {
         let x = cuts[j - 2][i] as usize;
-        ends[j - 2] = x - 1;
+        ends[j - 2] = x as u64 - 1;
         i = x;
     }
     ends
 }
 
-/// Greedy bottom-up merging. Returns inclusive bucket end indexes.
-///
-/// One implementation serves both representations: the dense entry point
-/// is a sparse view of its input, so dense and sparse builds share every
-/// merge decision *by construction* (there are no two copies of the heap
-/// machinery to drift apart).
-fn greedy_merge_ends(data: &[u64], beta: usize) -> Vec<usize> {
-    let entries = SparseFrequencies::collect_from_dense(data);
-    let sparse =
-        SparseFrequencies::new(&entries, data.len() as u64).expect("dense view upholds invariants");
-    greedy_merge_ends_sparse(&sparse, beta)
-        .into_iter()
-        .map(|end| end as usize)
-        .collect()
-}
-
-/// Sparse greedy bottom-up merging — the one shared implementation
-/// (dense inputs go through [`greedy_merge_ends`]'s sparse view), so zero
-/// indexes are never touched.
+/// Greedy bottom-up merging over sparse runs — zero indexes are never
+/// touched. Returns inclusive bucket end indexes.
 ///
 /// The textbook greedy starts from `N` singleton buckets and repeatedly
 /// pops the cheapest adjacent merge. The key structural fact: a merge costs
@@ -234,8 +195,8 @@ fn greedy_merge_ends(data: &[u64], beta: usize) -> Vec<usize> {
 ///
 /// The phase split equals the all-singletons heap whenever the
 /// squared-frequency prefix sums are exact in `f64` (`Σ f² < 2⁵³`); past
-/// that it is simply the algorithm's (deterministic) definition — dense
-/// and sparse inputs run this same code either way.
+/// that it is simply the algorithm's (deterministic) definition. The
+/// `oracle` integration test pins it to the textbook heap.
 fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
     let n = data.domain_size();
     if beta as u64 >= n {
@@ -341,6 +302,9 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
 
     let mut alive = r;
     while alive > beta {
+        // LINT-ALLOW(panic): every merge pushes a fresh pair for each
+        // surviving neighbour, so while more than β ≥ 1 segments are alive
+        // an adjacent pair with current versions is always queued.
         let Reverse((_, leader, vl, vr)) = heap.pop().expect("heap exhausted before reaching beta");
         let l = leader as usize;
         if !segs[l].alive || segs[l].version != vl {
@@ -401,11 +365,12 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
     ends
 }
 
-/// Sparse max-diff boundaries, identical to [`maxdiff_ends`]: non-zero
-/// adjacent differences exist only next to entries (O(nnz) candidates);
-/// if the budget outlives them, the dense tie-break fills in zero-diff
-/// boundaries at the smallest positions, which we enumerate directly.
-fn maxdiff_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
+/// Max-diff boundaries: the `β − 1` largest adjacent differences, ties
+/// toward earlier positions. Non-zero adjacent differences exist only
+/// next to entries (O(nnz) candidates); if the budget outlives them, the
+/// tie-break fills in zero-diff boundaries at the smallest positions,
+/// which we enumerate directly. Returns inclusive bucket end indexes.
+fn maxdiff_ends(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
     let n = data.domain_size();
     if beta as u64 >= n {
         return (0..n).collect();
@@ -443,7 +408,7 @@ fn maxdiff_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
     let want = beta - 1;
     let mut ends: Vec<u64> = diffs.iter().take(want).map(|&(_, p)| p).collect();
     if ends.len() < want {
-        // The dense sort puts all zero-diff pairs after, ordered by
+        // A full sort would put all zero-diff pairs after, ordered by
         // position: take the smallest positions (valid boundaries are
         // `0..n-1`) not already used by a non-zero diff (all of which
         // were taken, since want ≥ |diffs|).
@@ -460,39 +425,20 @@ fn maxdiff_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
     ends
 }
 
-/// Max-diff boundaries. Returns inclusive bucket end indexes.
-fn maxdiff_ends(data: &[u64], beta: usize) -> Vec<usize> {
-    let n = data.len();
-    if beta >= n {
-        return (0..n).collect();
-    }
-    // (difference, position) for each adjacent pair; boundary after `pos`.
-    let mut diffs: Vec<(u64, usize)> = data
-        .windows(2)
-        .enumerate()
-        .map(|(i, w)| (w[0].abs_diff(w[1]), i))
-        .collect();
-    // Largest differences first; ties broken toward earlier positions for
-    // determinism.
-    diffs.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut ends: Vec<usize> = diffs[..beta - 1].iter().map(|&(_, i)| i).collect();
-    ends.push(n - 1);
-    ends.sort_unstable();
-    ends.dedup();
-    debug_assert_eq!(ends.len(), beta);
-    ends
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{EquiWidth, HistogramBuilder};
     use crate::PointEstimator;
 
+    fn dense(data: &[u64]) -> SparseFrequencies<'_> {
+        SparseFrequencies::dense(data)
+    }
+
     #[test]
     fn exact_finds_obvious_clusters() {
         let data = [1u64, 1, 1, 50, 50, 50, 9, 9, 9];
-        let h = VOptimal::exact().build(&data, 3).unwrap();
+        let h = VOptimal::exact().build(&dense(&data), 3).unwrap();
         assert_eq!(h.bucket_count(), 3);
         assert!(h.sse(&data) < 1e-9, "clusters are exactly representable");
         assert_eq!(h.estimate(0), 1.0);
@@ -503,14 +449,14 @@ mod tests {
     #[test]
     fn greedy_finds_obvious_clusters() {
         let data = [1u64, 1, 1, 50, 50, 50, 9, 9, 9];
-        let h = VOptimal::greedy().build(&data, 3).unwrap();
+        let h = VOptimal::greedy().build(&dense(&data), 3).unwrap();
         assert!(h.sse(&data) < 1e-9);
     }
 
     #[test]
     fn maxdiff_finds_obvious_clusters() {
         let data = [1u64, 1, 1, 50, 50, 50, 9, 9, 9];
-        let h = VOptimal::maxdiff().build(&data, 3).unwrap();
+        let h = VOptimal::maxdiff().build(&dense(&data), 3).unwrap();
         assert!(h.sse(&data) < 1e-9);
     }
 
@@ -527,13 +473,16 @@ mod tests {
             })
             .collect();
         for beta in [2usize, 5, 10, 20] {
-            let exact = VOptimal::exact().build(&data, beta).unwrap().sse(&data);
+            let exact = VOptimal::exact()
+                .build(&dense(&data), beta)
+                .unwrap()
+                .sse(&data);
             for other in [
                 &VOptimal::greedy() as &dyn HistogramBuilder,
                 &VOptimal::maxdiff(),
                 &EquiWidth,
             ] {
-                let sse = other.build(&data, beta).unwrap().sse(&data);
+                let sse = other.build(&dense(&data), beta).unwrap().sse(&data);
                 assert!(
                     exact <= sse + 1e-6,
                     "exact {exact} > {} {sse} at beta {beta}",
@@ -550,7 +499,7 @@ mod tests {
             mode: VOptimalMode::Exact { limit: 50 },
         };
         assert!(matches!(
-            b.build(&data, 4),
+            b.build(&dense(&data), 4),
             Err(HistogramError::ExactTooLarge {
                 domain: 100,
                 limit: 50
@@ -567,7 +516,7 @@ mod tests {
                 &VOptimal::greedy(),
                 &VOptimal::maxdiff(),
             ] {
-                let h = b.build(&data, beta).unwrap();
+                let h = b.build(&dense(&data), beta).unwrap();
                 assert_eq!(h.bucket_count(), beta.min(40), "{} beta={beta}", b.name());
                 h.validate().unwrap();
             }
@@ -580,8 +529,14 @@ mod tests {
         // structure it should match; this guards against regressions that
         // break the merge bookkeeping entirely.
         let data = [10u64, 10, 0, 0, 10, 10];
-        let e = VOptimal::exact().build(&data, 3).unwrap().sse(&data);
-        let g = VOptimal::greedy().build(&data, 3).unwrap().sse(&data);
+        let e = VOptimal::exact()
+            .build(&dense(&data), 3)
+            .unwrap()
+            .sse(&data);
+        let g = VOptimal::greedy()
+            .build(&dense(&data), 3)
+            .unwrap()
+            .sse(&data);
         assert!((e - g).abs() < 1e-9, "exact {e}, greedy {g}");
     }
 
@@ -593,7 +548,7 @@ mod tests {
             &VOptimal::greedy(),
             &VOptimal::maxdiff(),
         ] {
-            let h = b.build(&data, 3).unwrap();
+            let h = b.build(&dense(&data), 3).unwrap();
             assert_eq!(h.bucket_count(), 1);
             assert_eq!(h.estimate(0), 42.0);
         }
@@ -604,57 +559,6 @@ mod tests {
         assert_eq!(VOptimal::default().mode, VOptimalMode::GreedyMerge);
     }
 
-    fn sparse_view(dense: &[u64]) -> Vec<(u64, u64)> {
-        SparseFrequencies::collect_from_dense(dense)
-    }
-
-    /// Pseudo-random sparse-ish sequence: mostly zeros, some runs.
-    fn noisy(len: usize, seed: u64, zero_bias: u64) -> Vec<u64> {
-        let mut x = seed;
-        (0..len)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let v = (x >> 33) % 100;
-                if v < zero_bias {
-                    0
-                } else {
-                    v
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sparse_builds_match_dense_boundaries() {
-        for (seed, zero_bias) in [(1u64, 70), (2, 95), (3, 0), (4, 99), (5, 50)] {
-            for len in [1usize, 7, 40, 200] {
-                let dense = noisy(len, seed, zero_bias);
-                let entries = sparse_view(&dense);
-                let s = SparseFrequencies::new(&entries, len as u64).unwrap();
-                for beta in [1usize, 2, 5, 16, len, len + 9] {
-                    for b in [
-                        &VOptimal::greedy() as &dyn HistogramBuilder,
-                        &VOptimal::maxdiff(),
-                        &VOptimal::exact(),
-                        &crate::builder::EquiWidth,
-                        &crate::builder::EquiDepth,
-                    ] {
-                        let from_dense = b.build(&dense, beta).unwrap();
-                        let from_sparse = b.build_sparse(&s, beta).unwrap();
-                        assert_eq!(
-                            from_dense.buckets(),
-                            from_sparse.buckets(),
-                            "{} diverged: seed {seed}, bias {zero_bias}, len {len}, β {beta}",
-                            b.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn sparse_greedy_skips_huge_zero_runs() {
         // A domain far past the materialization limit: entries cluster at
@@ -662,13 +566,13 @@ mod tests {
         let n: u64 = 1 << 32;
         let entries: Vec<(u64, u64)> = vec![(0, 10), (1, 12), (2, 11), (n - 2, 90), (n - 1, 95)];
         let s = SparseFrequencies::new(&entries, n).unwrap();
-        let h = VOptimal::greedy().build_sparse(&s, 3).unwrap();
+        let h = VOptimal::greedy().build(&s, 3).unwrap();
         assert_eq!(h.bucket_count(), 3);
         h.validate().unwrap();
         assert_eq!(h.total_sum(), 218);
-        // The dense path must refuse this size rather than allocate.
+        // The exact DP must refuse this size rather than allocate.
         assert!(matches!(
-            VOptimal::exact().build_sparse(&s, 3),
+            VOptimal::exact().build(&s, 3),
             Err(HistogramError::ExactTooLarge { .. })
         ));
     }

@@ -1,7 +1,7 @@
 //! Property tests for histogram construction and estimation invariants.
 
 use phe_histogram::builder::{EquiDepth, EquiWidth, HistogramBuilder, VOptimal};
-use phe_histogram::{error_rate, EndBiasedHistogram, Histogram, PointEstimator, PrefixSums};
+use phe_histogram::{error_rate, EndBiasedHistogram, Histogram, PointEstimator, SparseFrequencies};
 use proptest::prelude::*;
 
 fn arb_data() -> impl Strategy<Value = Vec<u64>> {
@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn builders_produce_valid_partitions(data in arb_data(), beta in 1usize..40) {
         for b in all_builders() {
-            let h = b.build(&data, beta).unwrap();
+            let h = b.build(&SparseFrequencies::dense(&data), beta).unwrap();
             check_partition(&h, &data, beta, b.name())?;
         }
     }
@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn estimates_bounded_by_bucket_min_max(data in arb_data(), beta in 1usize..20) {
         for b in all_builders() {
-            let h = b.build(&data, beta).unwrap();
+            let h = b.build(&SparseFrequencies::dense(&data), beta).unwrap();
             for i in 0..data.len() {
                 let e = h.estimate(i);
                 let bucket = h.bucket_of(i);
@@ -70,9 +70,9 @@ proptest! {
 
     #[test]
     fn exact_voptimal_sse_lower_bounds_all(data in prop::collection::vec(0u64..1000, 2..80), beta in 1usize..12) {
-        let exact = VOptimal::exact().build(&data, beta).unwrap().sse(&data);
+        let exact = VOptimal::exact().build(&SparseFrequencies::dense(&data), beta).unwrap().sse(&data);
         for b in all_builders() {
-            let sse = b.build(&data, beta).unwrap().sse(&data);
+            let sse = b.build(&SparseFrequencies::dense(&data), beta).unwrap().sse(&data);
             prop_assert!(exact <= sse + 1e-6, "{}: exact {exact} > {sse}", b.name());
         }
     }
@@ -81,7 +81,7 @@ proptest! {
     fn more_buckets_never_hurt_exact(data in prop::collection::vec(0u64..1000, 2..60)) {
         let mut last = f64::INFINITY;
         for beta in [1usize, 2, 4, 8, 16] {
-            let sse = VOptimal::exact().build(&data, beta).unwrap().sse(&data);
+            let sse = VOptimal::exact().build(&SparseFrequencies::dense(&data), beta).unwrap().sse(&data);
             prop_assert!(sse <= last + 1e-6, "sse grew from {last} to {sse} at beta {beta}");
             last = sse;
         }
@@ -90,7 +90,7 @@ proptest! {
     #[test]
     fn full_range_estimate_equals_total(data in arb_data(), beta in 1usize..20) {
         for b in all_builders() {
-            let h = b.build(&data, beta).unwrap();
+            let h = b.build(&SparseFrequencies::dense(&data), beta).unwrap();
             let total: u64 = data.iter().sum();
             let est = h.estimate_range(0, data.len() - 1);
             prop_assert!(
@@ -103,7 +103,7 @@ proptest! {
     #[test]
     fn singleton_buckets_are_exact(data in prop::collection::vec(0u64..1000, 1..50)) {
         for b in all_builders() {
-            let h = b.build(&data, data.len()).unwrap();
+            let h = b.build(&SparseFrequencies::dense(&data), data.len()).unwrap();
             for (i, &v) in data.iter().enumerate() {
                 prop_assert_eq!(h.estimate(i), v as f64, "{} index {}", b.name(), i);
             }
@@ -118,21 +118,8 @@ proptest! {
     }
 
     #[test]
-    fn prefix_sums_match_direct(data in arb_data()) {
-        let p = PrefixSums::new(&data);
-        let n = data.len();
-        // Spot-check a handful of ranges rather than all O(n²).
-        for (lo, hi) in [(0, n - 1), (0, 0), (n / 2, n - 1), (n / 3, 2 * n / 3)] {
-            if lo <= hi {
-                let direct: u64 = data[lo..=hi].iter().sum();
-                prop_assert_eq!(p.range_sum(lo, hi), direct);
-            }
-        }
-    }
-
-    #[test]
     fn end_biased_exact_on_heavy_hitters(data in prop::collection::vec(0u64..1000, 1..100), beta in 1usize..20) {
-        let h = EndBiasedHistogram::build(&data, beta).unwrap();
+        let h = EndBiasedHistogram::build(&SparseFrequencies::dense(&data), beta).unwrap();
         // The exact_count largest values are estimated exactly.
         let mut order: Vec<usize> = (0..data.len()).collect();
         order.sort_by(|&a, &b| data[b].cmp(&data[a]).then(a.cmp(&b)));
@@ -146,8 +133,8 @@ proptest! {
         // Greedy merging is a heuristic; sanity-bound how far off it can
         // drift on small instances (loose factor — this is a tripwire for
         // catastrophic regressions, not a quality guarantee).
-        let exact = VOptimal::exact().build(&data, beta).unwrap().sse(&data);
-        let greedy = VOptimal::greedy().build(&data, beta).unwrap().sse(&data);
+        let exact = VOptimal::exact().build(&SparseFrequencies::dense(&data), beta).unwrap().sse(&data);
+        let greedy = VOptimal::greedy().build(&SparseFrequencies::dense(&data), beta).unwrap().sse(&data);
         prop_assert!(greedy <= exact * 3.0 + 1e-6, "greedy {greedy} vs exact {exact}");
     }
 }

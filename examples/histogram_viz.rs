@@ -11,7 +11,7 @@ use phe::core::eval::ordered_frequencies;
 use phe::core::ordering::OrderingKind;
 use phe::datasets::moreno_health_like_scaled;
 use phe::histogram::builder::{EquiWidth, HistogramBuilder};
-use phe::histogram::PointEstimator;
+use phe::histogram::{PointEstimator, SparseFrequencies};
 use phe::pathenum::SelectivityCatalog;
 
 const WIDTH: usize = 56;
@@ -30,7 +30,9 @@ fn main() {
     for kind in [OrderingKind::NumAlph, OrderingKind::SumBased] {
         let ordering = kind.build(&graph, &catalog, k);
         let ordered = ordered_frequencies(&catalog, ordering.as_ref());
-        let histogram = EquiWidth.build(&ordered, beta).expect("non-empty");
+        let histogram = EquiWidth
+            .build(&SparseFrequencies::dense(&ordered), beta)
+            .expect("non-empty");
         let max = *ordered.iter().max().expect("non-empty") as f64;
 
         println!("\n== {} ordering, equi-width β = {beta} ==\n", kind.name());
