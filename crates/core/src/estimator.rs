@@ -307,10 +307,13 @@ impl PathSelectivityEstimator {
             .map_err(catalog_to_histogram_error)?;
         let catalog_time = t0.elapsed();
 
-        Self::from_sparse_catalog(graph, sparse, config, catalog_time)
+        Self::fresh_lineage(graph, sparse, config, catalog_time)
     }
 
-    /// Builds from a precomputed **sparse** catalog.
+    /// Builds from a precomputed **sparse** catalog, starting a fresh
+    /// lineage — bit-identical to [`PathSelectivityEstimator::build`] over
+    /// the graph that catalog counts, `build_id` included. The ordering
+    /// and histogram stages nest under a `build` span, as in a full build.
     ///
     /// # Errors
     /// As for [`PathSelectivityEstimator::build`].
@@ -320,75 +323,55 @@ impl PathSelectivityEstimator {
         config: EstimatorConfig,
         catalog_time: Duration,
     ) -> Result<PathSelectivityEstimator, HistogramError> {
-        let provenance = Provenance {
-            build_id: build_id(graph, &sparse, config),
-            applied_deltas: 0,
-        };
-        Self::from_sparse_with_provenance(graph, sparse, config, catalog_time, provenance)
+        let _build = phe_obs::span::stage("build");
+        Self::fresh_lineage(graph, sparse, config, catalog_time)
     }
 
     /// The shared sparse-pipeline tail: ordering remap → histogram build →
-    /// retained-state capture, stamping the given delta lineage.
-    fn from_sparse_with_provenance(
+    /// retained-state capture, stamping a fresh lineage. Callers hold the
+    /// `build` span.
+    fn fresh_lineage(
         graph: &Graph,
         sparse: SparseCatalog,
         config: EstimatorConfig,
         catalog_time: Duration,
-        provenance: Provenance,
     ) -> Result<PathSelectivityEstimator, HistogramError> {
+        let provenance = Provenance {
+            build_id: build_id(graph, &sparse, config),
+            applied_deltas: 0,
+        };
         let t1 = Instant::now();
         let order_span = phe_obs::span::stage("build.order");
         let ordering = config.ordering.build_sparse(graph, &sparse, config.k);
         let runs = sparse_ordered_frequencies(&sparse, ordering.as_ref());
         drop(order_span);
         let ordering_time = t1.elapsed();
-        Self::assemble(
-            graph,
-            sparse,
-            config,
-            provenance,
-            ordering,
-            runs,
+        let t2 = Instant::now();
+        let histogram_span = phe_obs::span::stage("build.histogram");
+        let histogram = histogram_over(&sparse, config, ordering, &runs)?;
+        drop(histogram_span);
+        let stats = BuildStats {
             catalog_time,
             ordering_time,
-        )
+            histogram_time: t2.elapsed(),
+        };
+        Self::assemble(graph, sparse, config, provenance, histogram, runs, stats)
     }
 
-    /// Builds the histogram over precomputed ordered runs and captures
-    /// every piece of retained state. The one place an estimator is
-    /// actually constructed, shared by full builds and both delta paths.
-    #[allow(clippy::too_many_arguments)]
+    /// Captures every piece of retained state around a built histogram.
+    /// The one place an estimator is actually constructed, shared by full
+    /// builds and the delta path.
     fn assemble(
         graph: &Graph,
         sparse: SparseCatalog,
         config: EstimatorConfig,
         provenance: Provenance,
-        ordering: Box<dyn crate::ordering::DomainOrdering>,
+        histogram: LabelPathHistogram,
         runs: CompressedRuns,
-        catalog_time: Duration,
-        ordering_time: Duration,
+        stats: BuildStats,
     ) -> Result<PathSelectivityEstimator, HistogramError> {
-        // Retaining ground truth needs a dense-feasible domain: fail the
-        // precondition before the histogram build.
-        if config.retain_catalog {
-            sparse
-                .check_dense_feasible()
-                .map_err(catalog_to_histogram_error)?;
-        }
         let footprint = CatalogFootprint::from_sparse(&sparse);
-
-        let t2 = Instant::now();
-        let ordered_runs = config.retain_sparse.then(|| runs.clone());
-        let histogram_span = phe_obs::span::stage("build.histogram");
-        let histogram = LabelPathHistogram::from_sparse_frequencies(
-            ordering,
-            &runs,
-            config.histogram,
-            config.beta,
-        )?;
-        drop(histogram_span);
-        let histogram_time = t2.elapsed();
-
+        let ordered_runs = config.retain_sparse.then_some(runs);
         let pair_frequencies = pair_frequencies_for(config, graph.label_count(), |l1, l2| {
             sparse.selectivity(&[l1, l2])
         });
@@ -407,11 +390,7 @@ impl PathSelectivityEstimator {
             ordered_runs,
             footprint,
             histogram,
-            stats: BuildStats {
-                catalog_time,
-                ordering_time,
-                histogram_time,
-            },
+            stats,
             provenance,
             graph_fingerprint: graph_fingerprint(graph),
             label_names,
@@ -516,7 +495,14 @@ impl PathSelectivityEstimator {
             None => sparse_ordered_frequencies(&merged, ordering.as_ref()),
         };
         let ordering_time = t1.elapsed();
-
+        let t2 = Instant::now();
+        let histogram =
+            histogram_over(&merged, self.config, ordering, &runs).map_err(DeltaError::Histogram)?;
+        let stats = BuildStats {
+            catalog_time,
+            ordering_time,
+            histogram_time: t2.elapsed(),
+        };
         let mut estimator = Self::assemble(
             &new_graph,
             merged,
@@ -525,10 +511,9 @@ impl PathSelectivityEstimator {
                 build_id: self.provenance.build_id,
                 applied_deltas: self.provenance.applied_deltas + 1,
             },
-            ordering,
+            histogram,
             runs,
-            catalog_time,
-            ordering_time,
+            stats,
         )
         .map_err(DeltaError::Histogram)?;
         drop(rederive_span);
@@ -790,6 +775,24 @@ impl PathSelectivityEstimator {
     pub fn into_serving_parts(self) -> (EstimatorConfig, Vec<String>, LabelPathHistogram) {
         (self.config, self.label_names, self.histogram)
     }
+}
+
+/// Builds the histogram over ordering-permuted runs, failing the
+/// `retain_catalog` precondition (a dense-feasible domain) first. The
+/// caller owns the stage span: `build.histogram` in a build, the
+/// enclosing `delta.rederive` in a delta.
+fn histogram_over(
+    sparse: &SparseCatalog,
+    config: EstimatorConfig,
+    ordering: Box<dyn crate::ordering::DomainOrdering>,
+    runs: &CompressedRuns,
+) -> Result<LabelPathHistogram, HistogramError> {
+    if config.retain_catalog {
+        sparse
+            .check_dense_feasible()
+            .map_err(catalog_to_histogram_error)?;
+    }
+    LabelPathHistogram::from_sparse_frequencies(ordering, runs, config.histogram, config.beta)
 }
 
 /// The id a fresh full build stamps on its lineage: an FNV-1a hash of the

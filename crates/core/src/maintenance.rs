@@ -1,5 +1,6 @@
 //! Rebuild policy for maintained estimators: when is "merge the delta"
-//! no longer good enough and a full rebuild warranted?
+//! no longer good enough and a rebuild — re-deriving the ordering and
+//! histogram from scratch — warranted?
 //!
 //! Two triggers, both cheap to evaluate after every compacted publish:
 //!
@@ -7,8 +8,11 @@
 //!   [`apply_delta`](crate::PathSelectivityEstimator::apply_delta) merge
 //!   is bit-identical to a rebuild *of the statistics*, but the snapshot
 //!   lineage grows unboundedly and the ordering-reuse fast path degrades
-//!   as churn reshuffles label frequencies. Past a threshold, fold the
-//!   lineage back into a fresh full build.
+//!   as churn reshuffles label frequencies. Past a threshold, restart
+//!   the lineage: re-derive ordering and histogram from the maintained
+//!   catalog
+//!   ([`from_sparse_catalog`](crate::PathSelectivityEstimator::from_sparse_catalog))
+//!   — no recount, since the merged catalog already equals one.
 //! * **Accuracy drift** — the [`DriftReport`] sampled after each delta
 //!   (PR 6) measures estimate-vs-exact error *on the paths churn
 //!   touched*. The threshold it is compared against is not an ad-hoc

@@ -23,11 +23,13 @@
 //! Unranking is the paper's Algorithm 2. Ranking (needed at estimation
 //! time) is the inverse, not spelled out in the paper; it mirrors the same
 //! three stages. Both are `O(poly(k) · |groups|)`; the per-`(m, sr)`
-//! partition lists are memoized **process-wide** for large alphabets
-//! (see [`Groups::Shared`]'s docs — repeated builds, e.g. incremental
-//! delta rebuilds, pay the partition enumeration once per group ever;
-//! disable with [`SumBasedOrdering::with_cache`] to measure the uncached
-//! cost — that switch is what the Table 4 timing ablation uses).
+//! partition lists are memoized **process-wide** for all alphabets
+//! (see [`shared_groups`] — repeated builds, e.g. incremental delta
+//! re-derivations and snapshot restores, pay the partition enumeration
+//! once per group ever; small alphabets additionally pin their groups in
+//! a lock-free per-ordering table; disable with
+//! [`SumBasedOrdering::with_cache`] to measure the uncached cost — that
+//! switch is what the Table 4 timing ablation uses).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -136,11 +138,12 @@ enum Groups {
 }
 
 /// The process-wide `(n, m, sr) → GroupIndex` memo behind
-/// [`Groups::Shared`]. A partition group depends only on those three
-/// values, so every sum-based ordering in the process can share one memo
-/// — which is what keeps repeated builds cheap: a serving system that
-/// re-derives its ordering per incremental delta (or per background
-/// rebuild) pays the Formula 4 partition enumeration once per group
+/// [`Groups::Shared`] and the [`Groups::Eager`] table fill. A partition
+/// group depends only on those three values, so every sum-based ordering
+/// in the process can share one memo — which is what keeps repeated
+/// builds cheap: a serving system that re-derives its ordering per
+/// incremental delta (or per background rebuild, or per snapshot
+/// restore) pays the Formula 4 partition enumeration once per group
 /// *ever*, not once per build.
 type SharedGroupMap = RwLock<HashMap<(u16, u8, u32), Arc<GroupIndex>>>;
 
@@ -157,8 +160,24 @@ fn shared_groups() -> &'static SharedGroupMap {
     GROUPS.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Alphabets up to this size get the eagerly precomputed group table
-/// (total partition count stays small); larger alphabets memoize lazily.
+/// The `(n, m, sr)` group from [`shared_groups`], enumerating and
+/// inserting it on a miss.
+fn shared_group(n: u64, m: usize, sr: u64) -> Arc<GroupIndex> {
+    let cache = shared_groups();
+    let key = (n as u16, m as u8, sr as u32);
+    if let Some(hit) = cache.read().get(&key) {
+        return Arc::clone(hit);
+    }
+    let computed = Arc::new(GroupIndex::new(integer_partitions(sr, m, n)));
+    let mut cache = cache.write();
+    if cache.len() >= SHARED_GROUP_CAP {
+        cache.clear();
+    }
+    Arc::clone(cache.entry(key).or_insert(computed))
+}
+
+/// Alphabets up to this size get the eagerly filled group table (total
+/// partition count stays small); larger alphabets look groups up lazily.
 const EAGER_LIMIT: usize = 32;
 
 /// Sum-based ordering over a ranking rule (the paper pairs it with
@@ -200,13 +219,13 @@ impl SumBasedOrdering {
             cum_dist[m] = row;
         }
         let groups = if n <= EAGER_LIMIT {
+            // Filled from the process-wide memo: an alphabet seen before
+            // costs k²·|L| `Arc` clones, not a partition enumeration.
             let row = k * n + 1;
             let mut table = vec![None; k * row];
             for m in 1..=k {
                 for sr in m..=(m * n) {
-                    table[(m - 1) * row + sr] = Some(Arc::new(GroupIndex::new(
-                        integer_partitions(sr as u64, m, n as u64),
-                    )));
+                    table[(m - 1) * row + sr] = Some(shared_group(n as u64, m, sr as u64));
                 }
             }
             Groups::Eager(table)
@@ -255,24 +274,7 @@ impl SumBasedOrdering {
                         .expect("(m, sr) group outside the reachable range"),
                 )
             }
-            Groups::Shared => {
-                let cache = shared_groups();
-                let key = (n as u16, m as u8, sr as u32);
-                if let Some(hit) = cache.read().get(&key) {
-                    return GroupHandle::Owned(Arc::clone(hit));
-                }
-                let computed = Arc::new(GroupIndex::new(integer_partitions(sr, m, n)));
-                let mut cache = cache.write();
-                if cache.len() >= SHARED_GROUP_CAP {
-                    cache.clear();
-                }
-                GroupHandle::Owned(
-                    cache
-                        .entry(key)
-                        .or_insert_with(|| Arc::clone(&computed))
-                        .clone(),
-                )
-            }
+            Groups::Shared => GroupHandle::Owned(shared_group(n, m, sr)),
             Groups::Uncached => {
                 GroupHandle::Owned(Arc::new(GroupIndex::new(integer_partitions(sr, m, n))))
             }
@@ -426,11 +428,41 @@ mod tests {
 
     #[test]
     fn cache_and_uncached_agree() {
-        let d = PathDomain::new(3, 3);
-        let cached = SumBasedOrdering::new(d, card_ranking());
-        let uncached = SumBasedOrdering::new(d, card_ranking()).with_cache(false);
-        for i in 0..d.size() {
-            assert_eq!(cached.path_at(i), uncached.path_at(i));
+        // Both sides of EAGER_LIMIT: the eager table (n = 3, n = 32) and
+        // the lazy shared lookup (n = 33).
+        for (n, k) in [(3, 3), (EAGER_LIMIT, 2), (EAGER_LIMIT + 1, 2)] {
+            let d = PathDomain::new(n, k);
+            let frequencies: Vec<u64> = (0..n as u64).map(|l| (l * 37) % 11 + l).collect();
+            let ranking = || LabelRanking::cardinality_from_frequencies(&frequencies);
+            let cached = SumBasedOrdering::new(d, ranking());
+            let uncached = SumBasedOrdering::new(d, ranking()).with_cache(false);
+            assert_eq!(matches!(cached.groups, Groups::Eager(_)), n <= EAGER_LIMIT);
+            for i in 0..d.size() {
+                let path = uncached.path_at(i);
+                assert_eq!(cached.path_at(i), path, "n = {n}, index {i}");
+                assert_eq!(cached.index_of(&path), uncached.index_of(&path));
+            }
+        }
+    }
+
+    #[test]
+    fn eager_tables_share_the_process_wide_groups() {
+        let d = PathDomain::new(5, 3);
+        let ranking = || LabelRanking::cardinality_from_frequencies(&[9, 4, 7, 1, 3]);
+        let (a, b) = (
+            SumBasedOrdering::new(d, ranking()),
+            SumBasedOrdering::new(d, ranking()),
+        );
+        let (Groups::Eager(a), Groups::Eager(b)) = (&a.groups, &b.groups) else {
+            panic!("n = 5 is under EAGER_LIMIT");
+        };
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            match (x, y) {
+                (Some(x), Some(y)) => assert!(Arc::ptr_eq(x, y), "group rebuilt, not shared"),
+                (None, None) => {}
+                _ => panic!("tables cover different groups"),
+            }
         }
     }
 

@@ -32,9 +32,13 @@
 //!
 //! Files are written to a temporary sibling and renamed into place, and
 //! never modified afterwards — the immutability the mmap safety rules
-//! ([`crate::mmap`]) require. Spill shards reuse the same writer; being
-//! process-private temp files, the shard reader trusts them (a torn
-//! shard is a bug, not an input).
+//! ([`crate::mmap`]) require. A catalog file is [`Durability::Synced`]:
+//! the temp file is fsynced before the rename and the parent directory
+//! after it, so a crash leaves the old file or the new one, never a torn
+//! one. Spill shards reuse the same writer as [`Durability::Scratch`];
+//! being process-private temp files deleted after the build, they skip
+//! the fsyncs, and the shard reader trusts them (a torn shard is a bug,
+//! not an input).
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -89,10 +93,21 @@ fn corrupt(what: impl Into<String>) -> CatalogFileError {
     CatalogFileError::Corrupt(what.into())
 }
 
+/// Whether [`write_runs_file`] makes its file crash-durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Durability {
+    /// fsync the temp file before the rename and the parent directory
+    /// after it: once the write returns, the file survives a crash.
+    Synced,
+    /// No fsync: for process-private files deleted after use.
+    Scratch,
+}
+
 /// Writes `catalog` to `path` in the `.phc` format (temp file + rename,
-/// so a reader never sees a torn file). Returns the file size in bytes.
+/// so a reader never sees a torn file), durably. Returns the file size in
+/// bytes.
 pub fn write_catalog_file(path: &Path, catalog: &SparseCatalog) -> io::Result<u64> {
-    write_runs_file(path, catalog.encoding(), catalog.runs())
+    write_runs_file(path, catalog.encoding(), catalog.runs(), Durability::Synced)
 }
 
 /// Writes an encoding-tagged compressed run to `path` — the shared
@@ -101,6 +116,7 @@ pub fn write_runs_file(
     path: &Path,
     encoding: &PathEncoding,
     runs: &CompressedRuns,
+    durability: Durability,
 ) -> io::Result<u64> {
     let mut head = Vec::with_capacity(HEADER_LEN + runs.skip_index().len() * ROW_LEN);
     head.extend_from_slice(MAGIC);
@@ -128,9 +144,34 @@ pub fn write_runs_file(
     file.write_all(&head)?;
     file.write_all(runs.bytes())?;
     file.write_all(&hasher.finish().to_le_bytes())?;
-    file.into_inner().map_err(io::Error::from)?;
+    let file = file.into_inner().map_err(io::Error::from)?;
+    if durability == Durability::Synced {
+        file.sync_all()?;
+    }
+    drop(file);
     std::fs::rename(&tmp, path)?;
+    if durability == Durability::Synced {
+        sync_parent_dir(path)?;
+    }
     Ok((head.len() + runs.payload_bytes() + 8) as u64)
+}
+
+/// Makes a rename into `path`'s directory durable by fsyncing the
+/// directory itself.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Directory handles cannot be fsynced portably off unix; the rename is
+/// left to the filesystem's own ordering there.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 /// Opens a `.phc` catalog file for serving: maps it (read-to-heap
@@ -453,7 +494,7 @@ mod tests {
         let encoding = PathEncoding::new(4, 8);
 
         let path = temp_path("shard");
-        write_runs_file(&path, &encoding, &runs).unwrap();
+        write_runs_file(&path, &encoding, &runs, Durability::Scratch).unwrap();
         let shard = open_shard(&path).unwrap();
         let from_disk = merge_streams(vec![shard]);
         assert_eq!(from_disk, runs, "single-shard merge is the identity");
@@ -465,8 +506,8 @@ mod tests {
         let high = CompressedRuns::from_entries(&entries[1000..]);
         let low_path = temp_path("shard-low");
         let high_path = temp_path("shard-high");
-        write_runs_file(&low_path, &encoding, &low).unwrap();
-        write_runs_file(&high_path, &encoding, &high).unwrap();
+        write_runs_file(&low_path, &encoding, &low, Durability::Scratch).unwrap();
+        write_runs_file(&high_path, &encoding, &high, Durability::Scratch).unwrap();
         let merged = merge_streams(vec![
             open_shard(&low_path).unwrap(),
             open_shard(&high_path).unwrap(),
@@ -488,8 +529,8 @@ mod tests {
         let encoding = PathEncoding::new(4, 8);
         let path_a = temp_path("inter-a");
         let path_b = temp_path("inter-b");
-        write_runs_file(&path_a, &encoding, &run_a).unwrap();
-        write_runs_file(&path_b, &encoding, &run_b).unwrap();
+        write_runs_file(&path_a, &encoding, &run_a, Durability::Scratch).unwrap();
+        write_runs_file(&path_b, &encoding, &run_b, Durability::Scratch).unwrap();
         let from_disk = merge_streams(vec![
             open_shard(&path_a).unwrap(),
             open_shard(&path_b).unwrap(),

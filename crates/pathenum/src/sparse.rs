@@ -89,7 +89,7 @@ use phe_graph::{FixedBitSet, Graph, LabelId};
 
 use crate::catalog::{check_dense_domain, CatalogError, SelectivityCatalog};
 use crate::encoding::PathEncoding;
-use crate::file::{open_shard, write_runs_file, ShardReader};
+use crate::file::{open_shard, write_runs_file, Durability, ShardReader};
 use crate::parallel::build_tasks;
 use crate::relation::PathRelation;
 use crate::runs::{merge_streams, BlockMeta, CompressedRuns, MemStream, RunStream, RunsCursor};
@@ -318,7 +318,7 @@ impl SparseCatalog {
                         // ORDERING: unique shard file name; no ordering.
                         let n = shard_seq.fetch_add(1, Ordering::Relaxed);
                         let path = dir.join(format!("shard-{n}.phc"));
-                        match write_runs_file(&path, &encoding, &shard) {
+                        match write_runs_file(&path, &encoding, &shard, Durability::Scratch) {
                             Ok(written) => {
                                 // ORDERING: statistics counter read only
                                 // after scope join (which synchronizes).

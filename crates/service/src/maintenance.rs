@@ -17,9 +17,10 @@
 //! * **Rebuild triggers** — after each pass the slot's lineage is held
 //!   against a [`RebuildPolicy`]: too many applied deltas, or a sampled
 //!   [`phe_core::DriftReport`] crossing the Baraud–Birgé-derived
-//!   threshold (see `phe_core::maintenance`), trigger one full
-//!   maintaining rebuild from the slot's own maintained graph — no
-//!   filesystem involved — which resets both lineage and drift.
+//!   threshold (see `phe_core::maintenance`), trigger one policy
+//!   rebuild: the ordering and histogram are re-derived from scratch over
+//!   the slot's own maintained catalog — no recount, no filesystem — which
+//!   restarts the lineage and resets drift.
 //!
 //! A publish interval of zero means *apply on arrival*: the ticker sleeps
 //! until an enqueue wakes it, so each batch publishes as soon as it is
@@ -68,7 +69,7 @@ pub enum FailPoint {
     /// Immediately before the compare-and-swap — the window where a
     /// concurrent `load` races the worker and must win.
     BeforeCas,
-    /// Before a policy-triggered full rebuild's build pass.
+    /// Before a policy-triggered rebuild's re-derivation.
     BeforeRebuild,
 }
 
@@ -652,8 +653,13 @@ impl MaintenanceCoordinator {
         }
     }
 
-    /// A policy-triggered full maintaining rebuild from the slot's own
-    /// maintained graph; resets lineage and drift on success.
+    /// A policy-triggered rebuild: re-derives the ordering and histogram
+    /// from scratch over the slot's maintained sparse catalog, restarting
+    /// the lineage and resetting drift on success. No recount — the
+    /// maintained catalog already equals one (delta ≡ rebuild), so the
+    /// result is bit-identical to a full build of the maintained graph,
+    /// `build_id` included. The operator's `rebuild` op is the path that
+    /// counts from a graph file.
     fn rebuild_locked(
         &self,
         name: &str,
@@ -674,9 +680,24 @@ impl MaintenanceCoordinator {
         }
         let expected = self.registry.get(name).map_or(0, |g| g.version());
         self.metrics.record_rebuild_started();
+        // A maintained estimator always retains its catalog; a state
+        // without one is a bug, reported rather than papered over with a
+        // recount.
+        let Some(catalog) = state.estimator.sparse_catalog() else {
+            self.metrics.record_rebuild_failed();
+            return RunOutcome::Failed {
+                message: "policy rebuild: maintained state has no sparse catalog".into(),
+                retained: self.queue_len(name),
+            };
+        };
         // `retain_sparse` is already set in a maintained config, so the
-        // fresh build starts a new maintainable lineage.
-        let fresh = match PathSelectivityEstimator::build(&state.graph, *state.estimator.config()) {
+        // fresh estimator starts a new maintainable lineage.
+        let fresh = match PathSelectivityEstimator::from_sparse_catalog(
+            &state.graph,
+            catalog.clone(),
+            *state.estimator.config(),
+            Duration::ZERO,
+        ) {
             Ok(estimator) => estimator,
             Err(e) => {
                 self.metrics.record_rebuild_failed();

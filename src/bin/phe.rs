@@ -114,7 +114,8 @@ USAGE:
       per slot they are refused with a backpressure line, default 1024);
       every --publish-interval-ms (default 2000; 0 publishes each batch
       as it arrives) the queue is compacted into one counting pass and
-      published; a full rebuild triggers after --compact-after
+      published; a rebuild (ordering and histogram re-derived from the
+      maintained catalog, no recount) triggers after --compact-after
       applied deltas (default 64; 0 disables) or when accuracy drift
       exceeds the Baraud-Birge threshold scaled by --drift-scale
       (default 1.0; 0 disables)

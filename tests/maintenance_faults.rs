@@ -13,8 +13,11 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Duration;
 
-use phe::core::{DriftThreshold, EstimatorConfig, PathSelectivityEstimator, RebuildPolicy};
+use phe::core::{
+    DriftThreshold, EstimatorConfig, LabelPath, PathSelectivityEstimator, RebuildPolicy,
+};
 use phe::datasets::{erdos_renyi, LabelDistribution};
 use phe::graph::{Graph, GraphDelta, LabelId, VertexId};
 use phe::service::registry::MaintenanceState;
@@ -165,6 +168,29 @@ fn assert_converged(registry: &EstimatorRegistry, name: &str, final_graph: &Grap
         reference.sparse_catalog().expect("reference catalog"),
         "maintained catalog diverged from a recount of the final graph"
     );
+}
+
+/// Asserts the slot's lineage was restarted by a policy rebuild that
+/// re-derived from the maintained catalog: its `build_id` and every
+/// realized-path estimate — maintained and served — equal a full build of
+/// the maintained graph, and no counting time was spent.
+fn assert_rederived_from_catalog(registry: &EstimatorRegistry, name: &str) {
+    let state = registry.maintenance(name).expect("slot stays maintained");
+    let reference = PathSelectivityEstimator::build(&state.graph, config()).expect("full build");
+    assert_eq!(state.estimator.build_id(), reference.build_id());
+    assert_eq!(
+        state.estimator.build_stats().catalog_time,
+        Duration::ZERO,
+        "a policy rebuild must re-derive from the maintained catalog, not recount"
+    );
+    let served = registry.get(name).expect("slot serves");
+    let catalog = reference.sparse_catalog().expect("reference catalog");
+    for (path, _) in catalog.iter_nonzero() {
+        let want = reference.estimate(&path).to_bits();
+        assert_eq!(state.estimator.estimate(&path).to_bits(), want, "{path:?}");
+        let got = served.estimator().estimate(&LabelPath::new(&path));
+        assert_eq!(got.to_bits(), want, "served {path:?}");
+    }
 }
 
 fn prometheus_value(metrics: &ServiceMetrics, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
@@ -373,6 +399,7 @@ fn drift_crossing_triggers_exactly_one_rebuild_and_resets_gauges() {
     let state = registry.maintenance("main").expect("still maintained");
     assert_eq!(state.estimator.applied_deltas(), 0);
     assert!(state.estimator.drift().is_none());
+    assert_rederived_from_catalog(&registry, "main");
     assert_eq!(
         prometheus_value(&metrics, "phe_drift_mean_abs_error", &[("slot", "main")]),
         None,
@@ -452,6 +479,7 @@ fn applied_deltas_threshold_triggers_full_rebuild() {
             .applied_deltas(),
         0
     );
+    assert_rederived_from_catalog(&registry, "main");
     assert_eq!(
         prometheus_value(
             &metrics,
