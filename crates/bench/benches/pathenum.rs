@@ -1,10 +1,14 @@
-//! Catalog computation strategies (Ablation C): shared-prefix trie DFS
-//! vs independent per-path evaluation vs the source-partitioned parallel
-//! variant.
+//! Catalog computation strategies (Ablation C): the shared-prefix trie
+//! walk vs independent per-path evaluation vs the source-partitioned
+//! parallel variant, on a near-complete follow matrix (Erdős–Rényi: every
+//! label can follow every other, so follow pruning rarely fires) and on a
+//! follow-sparse chained schema (each label is followed by a few
+//! neighbours, so pruning skips most compositions).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use phe_datasets::schema::{narrow_chained_schema, schema_graph};
 use phe_datasets::{erdos_renyi, LabelDistribution};
-use phe_pathenum::{naive, parallel, SelectivityCatalog};
+use phe_pathenum::{naive, parallel, SelectivityCatalog, SparseCatalog};
 
 fn bench_catalog(c: &mut Criterion) {
     let graph = erdos_renyi(200, 1200, 4, LabelDistribution::Uniform, 42);
@@ -20,6 +24,24 @@ fn bench_catalog(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::from_parameter("parallel-2"), |b| {
         b.iter(|| parallel::compute_parallel(&graph, k, 2).total_mass())
+    });
+    group.finish();
+
+    // 16 labels, k = 4: a 70k-path domain of which a few thousand are
+    // realized. The naive oracle is left out — it evaluates every one.
+    let chained = schema_graph(600, &narrow_chained_schema(16, 16 * 80, 0.08), 42);
+    let k = 4;
+    let mut group = c.benchmark_group("catalog-follow-sparse");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("trie-dfs"), |b| {
+        b.iter(|| SparseCatalog::compute(&chained, k).unwrap().total_mass())
+    });
+    group.bench_function(BenchmarkId::from_parameter("parallel-2"), |b| {
+        b.iter(|| {
+            SparseCatalog::compute_parallel(&chained, k, 2)
+                .unwrap()
+                .total_mass()
+        })
     });
     group.finish();
 

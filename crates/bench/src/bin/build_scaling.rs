@@ -9,7 +9,9 @@
 //!   because past the dense limit it *cannot* be allocated);
 //! * the dense build time where the dense representation is feasible, or
 //!   `"infeasible"` where it is not — the configurations only the sparse
-//!   pipeline can reach.
+//!   pipeline can reach. The dense catalog is a view of the sparse one,
+//!   so this times the same single-threaded count plus its `to_dense`
+//!   materialization.
 //!
 //! Output: an aligned table, one per-stage timing line per observed
 //! build span (`"bench": "build_stages"`, collected into the

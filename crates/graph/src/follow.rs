@@ -7,10 +7,12 @@
 //! complement sound: a label sequence with a non-following adjacent pair
 //! has zero occurrences in the graph, for every source and target.
 //!
-//! Two layers consume it: the delta-counting pipeline in `phe-pathenum`
-//! (skipping subtrees that can never reach a dirty label) and the
-//! query layer's regular-path-expression expansion in `phe-query`
-//! (discarding impossible concrete branches before they are estimated).
+//! Three layers consume it: the full-catalog counting kernel in
+//! `phe-pathenum` (descending the label-path trie only along labels
+//! that can follow), the delta-counting pipeline there (skipping
+//! subtrees that can never reach a dirty label), and the query layer's
+//! regular-path-expression expansion in `phe-query` (discarding
+//! impossible concrete branches before they are estimated).
 
 use crate::graph::Graph;
 use crate::ids::LabelId;

@@ -1,9 +1,16 @@
-//! The full selectivity catalog: `f(ℓ)` for every path `|ℓ| ≤ k`.
+//! The dense selectivity catalog: `f(ℓ)` for every path `|ℓ| ≤ k`,
+//! zeros included.
+//!
+//! Dense is a *view*: counting is done once, by the sparse kernel
+//! ([`crate::sparse::SparseCatalog::compute`], a follow-pruned trie walk
+//! with count-only leaves), and [`SelectivityCatalog::compute`]
+//! materializes its result over the whole domain. The [`crate::naive`]
+//! per-path evaluator stays the independent oracle for both.
 
-use phe_graph::{FixedBitSet, Graph, LabelId};
+use phe_graph::{Graph, LabelId};
 
 use crate::encoding::PathEncoding;
-use crate::relation::PathRelation;
+use crate::sparse::SparseCatalog;
 
 /// The largest domain the **dense** catalog will allocate: beyond this the
 /// flat `Vec<u64>` alone exceeds 2 GiB and the sparse pipeline
@@ -149,9 +156,10 @@ pub struct SelectivityCatalog {
 }
 
 impl SelectivityCatalog {
-    /// Computes the catalog with the shared-prefix trie traversal
-    /// (single-threaded). See [`crate::parallel::compute_parallel`] for the
-    /// multi-threaded variant.
+    /// Computes the catalog single-threaded: the sparse count
+    /// ([`SparseCatalog::compute`]) materialized with
+    /// [`SparseCatalog::to_dense`]. See
+    /// [`crate::parallel::compute_parallel`] for the multi-threaded view.
     ///
     /// # Panics
     /// Panics if the domain overflows the index space or the dense
@@ -166,48 +174,16 @@ impl SelectivityCatalog {
 
     /// Checked variant of [`SelectivityCatalog::compute`]: refuses domains
     /// that overflow the canonical index space or exceed
-    /// [`DENSE_DOMAIN_LIMIT`] with a [`CatalogError`] instead of an
-    /// allocation panic (or worse, an OOM abort) deep in `Vec::with_capacity`.
+    /// [`DENSE_DOMAIN_LIMIT`] with a [`CatalogError`] — before counting,
+    /// so an infeasible request costs no build.
     pub fn try_compute(graph: &Graph, k: usize) -> Result<SelectivityCatalog, CatalogError> {
-        let encoding = PathEncoding::try_new(graph.label_count().max(1), k)?;
-        check_dense_domain(&encoding)?;
-        Ok(Self::compute_with_encoding(graph, encoding, k))
+        check_dense_domain(&PathEncoding::try_new(graph.label_count().max(1), k)?)?;
+        SparseCatalog::compute(graph, k)?.to_dense()
     }
 
-    /// Fills the dense count vector for a pre-validated encoding.
-    fn compute_with_encoding(
-        graph: &Graph,
-        encoding: PathEncoding,
-        k: usize,
-    ) -> SelectivityCatalog {
-        let mut counts = vec![0u64; encoding.domain_size()];
-        if graph.label_count() == 0 {
-            return SelectivityCatalog { encoding, counts };
-        }
-        let mut scratch = FixedBitSet::new(graph.vertex_count());
-        let mut path = Vec::with_capacity(k);
-        for label in graph.label_ids() {
-            let rel = PathRelation::from_label(graph, label);
-            path.push(label);
-            counts[encoding.encode(&path)] = rel.pair_count();
-            if !rel.is_empty() && k > 1 {
-                extend_recursive(
-                    graph,
-                    &encoding,
-                    &mut counts,
-                    &rel,
-                    &mut path,
-                    &mut scratch,
-                    k,
-                );
-            }
-            path.pop();
-        }
-        SelectivityCatalog { encoding, counts }
-    }
-
-    /// Wraps an externally computed count vector (canonical order).
-    /// Used by the parallel builder.
+    /// Wraps an externally computed count vector (canonical order) — how
+    /// [`SparseCatalog::to_dense`] and the [`crate::naive`] oracle build
+    /// theirs.
     ///
     /// # Panics
     /// Panics if the vector does not cover the domain — use
@@ -320,31 +296,6 @@ pub(crate) fn check_dense_domain(encoding: &PathEncoding) -> Result<(), CatalogE
         });
     }
     Ok(())
-}
-
-/// Depth-first extension of `rel` (the relation of `path`) by every label.
-///
-/// Every trie node's relation is computed exactly once and shared by all of
-/// its extensions, which is what makes the full catalog tractable: the naive
-/// alternative re-evaluates each length-`m` prefix `n^(k-m)` times.
-fn extend_recursive(
-    graph: &Graph,
-    encoding: &PathEncoding,
-    counts: &mut [u64],
-    rel: &PathRelation,
-    path: &mut Vec<LabelId>,
-    scratch: &mut FixedBitSet,
-    k: usize,
-) {
-    for label in graph.label_ids() {
-        let next = rel.compose(graph, label, scratch);
-        path.push(label);
-        counts[encoding.encode(path)] = next.pair_count();
-        if !next.is_empty() && path.len() < k {
-            extend_recursive(graph, encoding, counts, &next, path, scratch, k);
-        }
-        path.pop();
-    }
 }
 
 #[cfg(test)]

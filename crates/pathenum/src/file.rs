@@ -30,9 +30,11 @@
 //!   resident at a time, so the k-way merge of spilled shards runs in
 //!   bounded memory.
 //!
-//! Files are written to a temporary sibling and renamed into place, and
-//! never modified afterwards — the immutability the mmap safety rules
-//! ([`crate::mmap`]) require. A catalog file is [`Durability::Synced`]:
+//! Files are written by [`replace_file`] — to a temporary sibling, then
+//! renamed into place — and never modified afterwards: the immutability
+//! the mmap safety rules ([`crate::mmap`]) require. The CLI's snapshot
+//! JSON goes through the same writer. A catalog file is
+//! [`Durability::Synced`]:
 //! the temp file is fsynced before the rename and the parent directory
 //! after it, so a crash leaves the old file or the new one, never a torn
 //! one. Spill shards reuse the same writer as [`Durability::Scratch`];
@@ -93,7 +95,7 @@ fn corrupt(what: impl Into<String>) -> CatalogFileError {
     CatalogFileError::Corrupt(what.into())
 }
 
-/// Whether [`write_runs_file`] makes its file crash-durable.
+/// Whether [`replace_file`] makes its file crash-durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
     /// fsync the temp file before the rename and the parent directory
@@ -136,24 +138,40 @@ pub fn write_runs_file(
     let mut hasher = Fnv64::new();
     hasher.update(&head);
     hasher.update(runs.bytes());
+    let checksum = hasher.finish().to_le_bytes();
+    replace_file(path, &[&head, runs.bytes(), &checksum], durability)?;
+    Ok((head.len() + runs.payload_bytes() + checksum.len()) as u64)
+}
 
+/// Replaces `path` with the concatenation of `parts`: written to the
+/// sibling `<path>.tmp`, then renamed into place, so a reader sees the old
+/// file or the new one, never a torn one. [`Durability::Synced`] fsyncs
+/// the temp file before the rename and the parent directory after it.
+/// The one writer behind `.phc` catalogs, spill shards and the CLI's
+/// snapshot files. On failure the temp file is removed.
+pub fn replace_file(path: &Path, parts: &[&[u8]], durability: Durability) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    let mut file = BufWriter::new(File::create(&tmp)?);
-    file.write_all(&head)?;
-    file.write_all(runs.bytes())?;
-    file.write_all(&hasher.finish().to_le_bytes())?;
-    let file = file.into_inner().map_err(io::Error::from)?;
-    if durability == Durability::Synced {
-        file.sync_all()?;
+    let written = (|| {
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        for part in parts {
+            file.write_all(part)?;
+        }
+        let file = file.into_inner().map_err(io::Error::from)?;
+        if durability == Durability::Synced {
+            file.sync_all()?;
+        }
+        std::fs::rename(&tmp, path)
+    })();
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    drop(file);
-    std::fs::rename(&tmp, path)?;
     if durability == Durability::Synced {
         sync_parent_dir(path)?;
     }
-    Ok((head.len() + runs.payload_bytes() + 8) as u64)
+    Ok(())
 }
 
 /// Makes a rename into `path`'s directory durable by fsyncing the

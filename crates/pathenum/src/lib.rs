@@ -11,22 +11,27 @@
 //! * [`relation::PathRelation`] — a binary relation over vertices stored
 //!   CSR-style (sorted, duplicate-free target lists per source);
 //! * [`relation::PathRelation::compose`] — relation ∘ edge-label composition
-//!   with bitset de-duplication;
-//! * [`catalog::SelectivityCatalog`] — the full `f` table, computed by a
-//!   depth-first traversal of the label-path trie that shares each prefix
-//!   relation between all its extensions;
-//! * [`naive`] — an independent per-path evaluator used as a correctness
-//!   oracle and as the unshared baseline in benchmarks;
-//! * [`parallel`] — a source-partitioned parallel catalog builder
-//!   (scoped threads), exact because `f(ℓ) = Σ_s |targets(s, ℓ)|`
-//!   decomposes over disjoint source sets;
+//!   with bitset de-duplication, and
+//!   [`relation::PathRelation::compose_count`], its size without the
+//!   relation;
 //! * [`sparse`] — the [`sparse::SparseCatalog`]: sorted
 //!   `(canonical_index, count)` runs over only the *realized* paths,
-//!   built by sharded per-thread counting with a k-way merge. This is the
+//!   counted by the crate's one trie-walk kernel — a depth-first traversal
+//!   of the label-path trie that shares each prefix relation between all
+//!   its extensions, descends only along labels that can follow, and
+//!   counts depth-`k` leaves without building them — sequentially or
+//!   sharded per thread with a k-way merge. This is the
 //!   representation that scales past the dense limit
 //!   ([`catalog::DENSE_DOMAIN_LIMIT`]); oversized `(|L|, k)` requests are
 //!   refused with a checked [`catalog::CatalogError`] rather than an
 //!   allocation panic;
+//! * [`catalog::SelectivityCatalog`] — the full `f` table, zeros included:
+//!   a dense view (`to_dense`) of the sparse count;
+//! * [`parallel`] — the same view over the source-partitioned parallel
+//!   count, exact because `f(ℓ) = Σ_s |targets(s, ℓ)|` decomposes over
+//!   disjoint source sets;
+//! * [`naive`] — an independent per-path evaluator used as the correctness
+//!   oracle and as the unshared baseline in benchmarks;
 //! * [`delta`] — incremental maintenance: [`delta::compute_delta`] counts
 //!   the signed selectivity difference of a graph change by visiting only
 //!   the paths the changed edges can have touched, and

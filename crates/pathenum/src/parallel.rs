@@ -1,167 +1,59 @@
-//! Source-partitioned parallel catalog computation.
+//! The multi-threaded dense catalog: a view over the sparse parallel
+//! build.
 //!
 //! `f(ℓ) = Σ_s |{t : (s,t) ∈ ℓ(G)}|` decomposes exactly over disjoint
-//! source sets, so the label-path trie can be traversed independently for
-//! each `(first label, source range)` task and the per-task count vectors
-//! summed. Tasks are pulled from a shared atomic counter, which
-//! load-balances the (highly skewed) subtree costs without any estimation.
+//! source sets, so [`SparseCatalog::compute_parallel`] walks the
+//! label-path trie independently for each `(first label, source range)`
+//! task and merges the per-worker runs. This module only materializes
+//! that result densely, for the callers that index every path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use phe_graph::{FixedBitSet, Graph, LabelId};
+use phe_graph::Graph;
 
 use crate::catalog::SelectivityCatalog;
-use crate::encoding::PathEncoding;
-use crate::relation::PathRelation;
+use crate::sparse::SparseCatalog;
 
 /// Computes the catalog using `threads` worker threads (0 ⇒ one per
-/// available core). Produces bit-identical results to
+/// available core): [`SparseCatalog::compute_parallel`] materialized with
+/// [`SparseCatalog::to_dense`]. Bit-identical to
 /// [`SelectivityCatalog::compute`].
+///
+/// # Panics
+/// Panics if the domain overflows the index space or the dense
+/// materialization limit.
 pub fn compute_parallel(graph: &Graph, k: usize, threads: usize) -> SelectivityCatalog {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let encoding = PathEncoding::new(graph.label_count().max(1), k);
-    let size = encoding.domain_size();
-    if graph.label_count() == 0 || graph.vertex_count() == 0 {
-        return SelectivityCatalog::from_counts(encoding, vec![0; size]);
-    }
-    if threads <= 1 {
-        return SelectivityCatalog::compute(graph, k);
-    }
-
-    let tasks = build_tasks(graph, threads);
-    let next_task = AtomicUsize::new(0);
-    let global: Mutex<Vec<u64>> = Mutex::new(vec![0u64; size]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local = vec![0u64; size];
-                let mut scratch = FixedBitSet::new(graph.vertex_count());
-                let mut path = Vec::with_capacity(k);
-                loop {
-                    // ORDERING: work-stealing ticket — the worker only
-                    // needs a unique index into the read-only task list,
-                    // which the atomic RMW alone guarantees.
-                    let i = next_task.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(label, lo, hi)) = tasks.get(i) else {
-                        break;
-                    };
-                    let rel = PathRelation::from_label_source_range(graph, label, lo, hi);
-                    if rel.is_empty() {
-                        continue;
-                    }
-                    path.clear();
-                    path.push(label);
-                    local[encoding.encode(&path)] += rel.pair_count();
-                    if k > 1 {
-                        extend(
-                            graph,
-                            &encoding,
-                            &mut local,
-                            &rel,
-                            &mut path,
-                            &mut scratch,
-                            k,
-                        );
-                    }
-                }
-                let mut g = global.lock().expect("count mutex poisoned");
-                for (dst, src) in g.iter_mut().zip(&local) {
-                    *dst += src;
-                }
-            });
-        }
-    });
-
-    SelectivityCatalog::from_counts(encoding, global.into_inner().expect("count mutex poisoned"))
-}
-
-/// Splits every label's source space into ranges sized for ~4 tasks per
-/// thread per label, so the atomic queue can rebalance skewed subtrees.
-/// Shared with the sparse builder ([`crate::sparse::SparseCatalog`]).
-pub(crate) fn build_tasks(graph: &Graph, threads: usize) -> Vec<(LabelId, u32, u32)> {
-    let n = graph.vertex_count() as u32;
-    let chunks = (threads * 4).max(1) as u32;
-    let chunk = n.div_ceil(chunks).max(1);
-    let mut tasks = Vec::new();
-    for label in graph.label_ids() {
-        let mut lo = 0u32;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            tasks.push((label, lo, hi));
-            lo = hi;
-        }
-    }
-    tasks
-}
-
-fn extend(
-    graph: &Graph,
-    encoding: &PathEncoding,
-    counts: &mut [u64],
-    rel: &PathRelation,
-    path: &mut Vec<LabelId>,
-    scratch: &mut FixedBitSet,
-    k: usize,
-) {
-    for label in graph.label_ids() {
-        let next = rel.compose(graph, label, scratch);
-        path.push(label);
-        counts[encoding.encode(path)] += next.pair_count();
-        if !next.is_empty() && path.len() < k {
-            extend(graph, encoding, counts, &next, path, scratch, k);
-        }
-        path.pop();
+    match SparseCatalog::compute_parallel(graph, k, threads).and_then(|sparse| sparse.to_dense()) {
+        Ok(catalog) => catalog,
+        Err(e) => panic!("{e}"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::compute_catalog_naive;
     use phe_graph::GraphBuilder;
 
-    fn dense_graph(n: u32, labels: u16, seed: u64) -> Graph {
-        // Small deterministic pseudo-random graph without pulling in `rand`:
-        // a linear congruential walk.
-        let mut b = GraphBuilder::with_numeric_labels(n, labels);
-        let mut x = seed
-            .wrapping_mul(2862933555777941757)
-            .wrapping_add(3037000493);
-        for _ in 0..(n as usize * 6) {
-            x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            let s = (x >> 33) as u32 % n;
-            x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            let t = (x >> 33) as u32 % n;
-            x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            let l = ((x >> 33) as u16) % labels;
-            b.add_edge(phe_graph::VertexId(s), LabelId(l), phe_graph::VertexId(t));
-        }
-        b.build()
-    }
-
     #[test]
-    fn parallel_matches_sequential() {
-        let g = dense_graph(60, 3, 42);
-        let seq = SelectivityCatalog::compute(&g, 4);
-        for threads in [2, 3, 8] {
+    fn parallel_matches_naive_oracle() {
+        let mut b = GraphBuilder::new();
+        for (s, lbl, t) in [
+            (0, "a", 1),
+            (1, "a", 2),
+            (2, "a", 0),
+            (0, "b", 2),
+            (2, "b", 1),
+            (1, "c", 1),
+            (2, "c", 3),
+            (3, "a", 3),
+        ] {
+            b.add_edge_named(s, lbl, t);
+        }
+        let g = b.build();
+        let oracle = compute_catalog_naive(&g, 4);
+        for threads in [1, 2, 3, 8] {
             let par = compute_parallel(&g, 4, threads);
-            assert_eq!(seq.counts(), par.counts(), "threads = {threads}");
+            assert_eq!(oracle.counts(), par.counts(), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn single_thread_falls_back() {
-        let g = dense_graph(30, 2, 7);
-        let seq = SelectivityCatalog::compute(&g, 3);
-        let par = compute_parallel(&g, 3, 1);
-        assert_eq!(seq.counts(), par.counts());
     }
 
     #[test]
@@ -170,23 +62,5 @@ mod tests {
         let c = compute_parallel(&g, 3, 4);
         assert_eq!(c.len(), 1 + 1 + 1); // one pseudo-label alphabet
         assert_eq!(c.total_mass(), 0);
-    }
-
-    #[test]
-    fn task_partition_covers_all_sources() {
-        let g = dense_graph(100, 2, 9);
-        let tasks = build_tasks(&g, 3);
-        for label in g.label_ids() {
-            let mut covered = vec![false; g.vertex_count()];
-            for &(l, lo, hi) in &tasks {
-                if l == label {
-                    for v in lo..hi {
-                        assert!(!covered[v as usize], "source {v} covered twice");
-                        covered[v as usize] = true;
-                    }
-                }
-            }
-            assert!(covered.iter().all(|&c| c), "label {label} missing sources");
-        }
     }
 }

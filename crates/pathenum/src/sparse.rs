@@ -24,15 +24,31 @@
 //! block granularity (untouched blocks copy wholesale, without a
 //! re-encode).
 //!
-//! Construction mirrors the dense builders:
+//! ## Counting: one kernel
 //!
-//! * [`SparseCatalog::compute`] — the shared-prefix trie DFS, emitting one
+//! Every full count — sparse or dense, one thread or many — runs the same
+//! trie walk (`TrieWalk`): a depth-first traversal of the label-path trie
+//! that computes each prefix relation once and shares it between its
+//! extensions. It descends only along labels that can follow the last one
+//! (per the graph's [`FollowMatrix`]: when no `a`-edge ends where a
+//! `b`-edge starts, every relation ending in `a` composes with `b` to the
+//! empty set), and counts the depth-`k` children with
+//! [`PathRelation::compose_count`] instead of building them. The dense
+//! [`SelectivityCatalog`] is a view: [`SelectivityCatalog::compute`] and
+//! [`crate::parallel::compute_parallel`] materialize this module's result
+//! with [`SparseCatalog::to_dense`]; [`crate::naive`] stays the
+//! independent oracle.
+//!
+//! The builders around the kernel:
+//!
+//! * [`SparseCatalog::compute`] — one walk per first label, emitting one
 //!   entry per non-empty relation;
 //! * [`SparseCatalog::compute_parallel`] — sharded per-thread counting
-//!   over `(label, source-range)` tasks; each worker sorts, coalesces,
-//!   and **compresses** its local entries into a run, and the runs are
-//!   combined by [`CompressedRuns::merge_many`] (k-way heap merge with
-//!   block-wise wholesale copies) that sums counts of equal indexes;
+//!   over `(label, source-range)` tasks, all workers sharing one walk;
+//!   each worker sorts, coalesces, and **compresses** its local entries
+//!   into a run, and the runs are combined by
+//!   [`CompressedRuns::merge_many`] (k-way heap merge with block-wise
+//!   wholesale copies) that sums counts of equal indexes;
 //! * [`SparseCatalog::compute_parallel_spilling`] — the same build under
 //!   a memory budget: a worker whose local entry buffer exceeds its
 //!   budget share compresses it and **spills it to a shard file**
@@ -41,7 +57,7 @@
 //!   block per shard instead of the whole entry set;
 //! * [`SparseCatalog::from_dense`] / [`SparseCatalog::to_dense`] — lossless
 //!   conversions (the dense direction is guarded by the materialization
-//!   limit), which make the dense catalog the test oracle for this one;
+//!   limit);
 //! * [`SparseCatalog::merge_delta`] — incremental maintenance: folds a
 //!   signed [`crate::delta::SparseDeltaRun`] (the outcome of
 //!   [`crate::delta::compute_delta`] over a graph change) into this
@@ -85,12 +101,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use phe_graph::{FixedBitSet, Graph, LabelId};
+use phe_graph::{FixedBitSet, FollowMatrix, Graph, LabelId};
 
 use crate::catalog::{check_dense_domain, CatalogError, SelectivityCatalog};
 use crate::encoding::PathEncoding;
 use crate::file::{open_shard, write_runs_file, Durability, ShardReader};
-use crate::parallel::build_tasks;
 use crate::relation::PathRelation;
 use crate::runs::{merge_streams, BlockMeta, CompressedRuns, MemStream, RunStream, RunsCursor};
 
@@ -170,21 +185,13 @@ impl SparseCatalog {
         let mut entries = Vec::new();
         {
             let _count = phe_obs::span::stage("build.count");
-            if graph.label_count() > 0 {
-                let mut scratch = FixedBitSet::new(graph.vertex_count());
-                let mut path = Vec::with_capacity(k);
-                for label in graph.label_ids() {
-                    let rel = PathRelation::from_label(graph, label);
-                    collect_subtree(
-                        graph,
-                        &encoding,
-                        &mut entries,
-                        &rel,
-                        label,
-                        &mut path,
-                        &mut scratch,
-                        k,
-                    );
+            let walk = TrieWalk::new(graph, encoding);
+            let mut scratch = FixedBitSet::new(graph.vertex_count());
+            let mut path = Vec::with_capacity(k);
+            for label in graph.label_ids() {
+                let rel = PathRelation::from_label(graph, label);
+                if !rel.is_empty() {
+                    walk.collect(&rel, label, &mut path, &mut scratch, &mut entries);
                 }
             }
         }
@@ -271,6 +278,8 @@ impl SparseCatalog {
         let spill_failure: Mutex<Option<String>> = Mutex::new(None);
 
         let count_span = phe_obs::span::stage("build.count");
+        // Built once, outside the scope: every worker walks with it.
+        let walk = TrieWalk::new(graph, encoding);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
@@ -287,16 +296,7 @@ impl SparseCatalog {
                         };
                         let rel = PathRelation::from_label_source_range(graph, label, lo, hi);
                         if !rel.is_empty() {
-                            collect_subtree(
-                                graph,
-                                &encoding,
-                                &mut local,
-                                &rel,
-                                label,
-                                &mut path,
-                                &mut scratch,
-                                k,
-                            );
+                            walk.collect(&rel, label, &mut path, &mut scratch, &mut local);
                         }
                         // Past the budget: compress what we have and
                         // push it out to a shard file, freeing the
@@ -578,34 +578,100 @@ impl SparseCatalog {
     }
 }
 
-/// DFS over the label extensions of `rel` (the relation of `…/label`),
-/// pushing one `(canonical_index, pair_count)` entry per non-empty
-/// relation. Entries arrive in trie order, *not* canonical order.
-#[allow(clippy::too_many_arguments)]
-fn collect_subtree(
-    graph: &Graph,
-    encoding: &PathEncoding,
-    entries: &mut Vec<(u64, u64)>,
-    rel: &PathRelation,
-    label: LabelId,
-    path: &mut Vec<LabelId>,
-    scratch: &mut FixedBitSet,
-    k: usize,
-) {
-    path.push(label);
-    let count = rel.pair_count();
-    if count > 0 {
-        entries.push((encoding.encode(path) as u64, count));
-        if path.len() < k {
-            for next_label in graph.label_ids() {
-                let next = rel.compose(graph, next_label, scratch);
-                collect_subtree(
-                    graph, encoding, entries, &next, next_label, path, scratch, k,
-                );
-            }
+/// The one full-count kernel: a depth-first walk of the label-path trie
+/// that computes each prefix relation once and shares it between all of
+/// its extensions. Two cuts keep the walk to paths the graph can realize:
+///
+/// * **Follow-pruned descent.** A node ending in label `a` is extended
+///   only by `a`'s successors in the graph's [`FollowMatrix`]: when
+///   `!follows(a, b)`, no `a`-edge target has an outgoing `b`-edge, so
+///   every relation ending in `a` composes with `b` to the empty set (the
+///   argument delta counting and query pruning rest on as well).
+/// * **Count-only leaves.** The children at depth `k` are never extended,
+///   so only their size is read: [`PathRelation::compose_count`] counts
+///   them without building them.
+///
+/// Read-only once built, so the parallel build shares one across workers.
+struct TrieWalk<'g> {
+    graph: &'g Graph,
+    encoding: PathEncoding,
+    /// `successors[a]`: every label `b` with `follows(a, b)`, ascending.
+    successors: Vec<Vec<LabelId>>,
+}
+
+impl<'g> TrieWalk<'g> {
+    fn new(graph: &'g Graph, encoding: PathEncoding) -> TrieWalk<'g> {
+        let follows = FollowMatrix::from_graph(graph);
+        let successors = graph
+            .label_ids()
+            .map(|a| {
+                graph
+                    .label_ids()
+                    .filter(|&b| follows.follows(a, b))
+                    .collect()
+            })
+            .collect();
+        TrieWalk {
+            graph,
+            encoding,
+            successors,
         }
     }
-    path.pop();
+
+    /// Pushes one `(canonical_index, pair_count)` entry for `path/label`,
+    /// whose relation is the non-empty `rel`, and one for each of its
+    /// non-empty extensions up to length `k`. Entries arrive in trie
+    /// order, *not* canonical order.
+    fn collect(
+        &self,
+        rel: &PathRelation,
+        label: LabelId,
+        path: &mut Vec<LabelId>,
+        scratch: &mut FixedBitSet,
+        entries: &mut Vec<(u64, u64)>,
+    ) {
+        path.push(label);
+        entries.push((self.encoding.encode(path) as u64, rel.pair_count()));
+        let successors = &self.successors[label.index()];
+        let k = self.encoding.max_len();
+        if path.len() + 1 == k {
+            for &next in successors {
+                let count = rel.compose_count(self.graph, next, scratch);
+                if count > 0 {
+                    path.push(next);
+                    entries.push((self.encoding.encode(path) as u64, count));
+                    path.pop();
+                }
+            }
+        } else if path.len() < k {
+            for &next in successors {
+                let child = rel.compose(self.graph, next, scratch);
+                if !child.is_empty() {
+                    self.collect(&child, next, path, scratch, entries);
+                }
+            }
+        }
+        path.pop();
+    }
+}
+
+/// Splits every label's source space into ranges sized for ~4 tasks per
+/// thread per label, so the parallel build's atomic queue can rebalance
+/// skewed subtrees.
+fn build_tasks(graph: &Graph, threads: usize) -> Vec<(LabelId, u32, u32)> {
+    let n = graph.vertex_count() as u32;
+    let chunks = (threads * 4).max(1) as u32;
+    let chunk = n.div_ceil(chunks).max(1);
+    let mut tasks = Vec::new();
+    for label in graph.label_ids() {
+        let mut lo = 0u32;
+        while lo < n {
+            let hi = (lo + chunk).min(n);
+            tasks.push((label, lo, hi));
+            lo = hi;
+        }
+    }
+    tasks
 }
 
 /// Sorts a shard and sums duplicate indexes in place.
@@ -626,6 +692,7 @@ fn coalesce_sorted(entries: &mut Vec<(u64, u64)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive;
     use phe_graph::GraphBuilder;
 
     fn dense_graph(n: u32, labels: u16, seed: u64) -> Graph {
@@ -646,14 +713,49 @@ mod tests {
     }
 
     #[test]
-    fn sequential_matches_dense_oracle() {
+    fn sequential_matches_naive_oracle() {
         let g = dense_graph(50, 3, 7);
-        let dense = SelectivityCatalog::compute(&g, 4);
+        let oracle = naive::compute_catalog_naive(&g, 4);
         let sparse = SparseCatalog::compute(&g, 4).unwrap();
-        assert_eq!(sparse, SparseCatalog::from_dense(&dense));
-        assert_eq!(sparse.to_dense().unwrap().counts(), dense.counts());
-        assert_eq!(sparse.total_mass(), dense.total_mass());
-        assert_eq!(sparse.zero_count(), dense.zero_count());
+        assert_eq!(sparse, SparseCatalog::from_dense(&oracle));
+        assert_eq!(sparse.to_dense().unwrap().counts(), oracle.counts());
+        assert_eq!(sparse.total_mass(), oracle.total_mass());
+        assert_eq!(sparse.zero_count(), oracle.zero_count());
+    }
+
+    #[test]
+    fn compose_count_matches_composed_pair_count() {
+        let g = dense_graph(40, 4, 11);
+        let mut scratch = FixedBitSet::new(g.vertex_count());
+        for first in g.label_ids() {
+            let rel = PathRelation::from_label(&g, first);
+            for second in g.label_ids() {
+                let mid = rel.compose(&g, second, &mut scratch);
+                for next in g.label_ids() {
+                    let built = mid.compose(&g, next, &mut scratch).pair_count();
+                    assert_eq!(mid.compose_count(&g, next, &mut scratch), built);
+                    assert!(scratch.is_empty(), "compose_count leaves scratch cleared");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn task_partition_covers_all_sources() {
+        let g = dense_graph(100, 2, 9);
+        let tasks = build_tasks(&g, 3);
+        for label in g.label_ids() {
+            let mut covered = vec![false; g.vertex_count()];
+            for &(l, lo, hi) in &tasks {
+                if l == label {
+                    for v in lo..hi {
+                        assert!(!covered[v as usize], "source {v} covered twice");
+                        covered[v as usize] = true;
+                    }
+                }
+            }
+            assert!(covered.iter().all(|&c| c), "label {label} missing sources");
+        }
     }
 
     #[test]
@@ -697,20 +799,20 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_lookups_match_dense() {
+    fn selectivity_lookups_match_naive_oracle() {
         let g = dense_graph(40, 4, 9);
-        let dense = SelectivityCatalog::compute(&g, 3);
+        let oracle = naive::compute_catalog_naive(&g, 3);
         let sparse = SparseCatalog::compute(&g, 3).unwrap();
-        for index in 0..dense.len() {
+        for index in 0..oracle.len() {
             assert_eq!(
                 sparse.selectivity_at(index as u64),
-                dense.selectivity_at(index),
+                oracle.selectivity_at(index),
                 "index {index}"
             );
         }
         assert_eq!(
             sparse.selectivity(&[LabelId(0), LabelId(1)]),
-            dense.selectivity(&[LabelId(0), LabelId(1)])
+            oracle.selectivity(&[LabelId(0), LabelId(1)])
         );
     }
 

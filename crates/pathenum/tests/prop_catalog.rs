@@ -1,11 +1,13 @@
-//! Property tests: the three catalog strategies (trie-DFS, naive oracle,
-//! parallel) agree on arbitrary graphs, and relation algebra invariants hold.
+//! Property tests: the counting kernel — sequential and parallel, sparse
+//! and as its dense view — agrees with the naive per-path oracle on
+//! arbitrary graphs, including graphs whose sparse label-follow matrix
+//! makes the kernel's pruning fire; and relation algebra invariants hold.
 
-use phe_graph::{FixedBitSet, GraphBuilder, LabelId, VertexId};
-use phe_pathenum::{naive, parallel, PathRelation, SelectivityCatalog};
+use phe_graph::{FixedBitSet, FollowMatrix, Graph, GraphBuilder, LabelId, VertexId};
+use phe_pathenum::{naive, parallel, PathRelation, SelectivityCatalog, SparseCatalog};
 use proptest::prelude::*;
 
-fn arb_graph() -> impl Strategy<Value = (phe_graph::Graph, u16)> {
+fn arb_graph() -> impl Strategy<Value = (Graph, u16)> {
     (
         2u16..4,
         prop::collection::vec((0u32..25, 0u16..4, 0u32..25), 1..120),
@@ -16,6 +18,35 @@ fn arb_graph() -> impl Strategy<Value = (phe_graph::Graph, u16)> {
                 b.add_edge(VertexId(s), LabelId(l % labels), VertexId(t));
             }
             (b.build(), labels)
+        })
+}
+
+/// Vertices per block of [`arb_chained_graph`].
+const BLOCK: u32 = 4;
+
+/// Chained labels, so most label pairs never follow: label `l < chain`
+/// only runs from block `l` to block `l + 1` (followed by `l + 1` alone),
+/// label `chain` has no edges at all, and a few random self-loops add the
+/// odd extra follow pair. Returns the graph and its edgeless label.
+fn arb_chained_graph() -> impl Strategy<Value = (Graph, LabelId)> {
+    (
+        2u16..5,
+        prop::collection::vec((0u16..8, 0u32..BLOCK, 0u32..BLOCK), 1..40),
+        prop::collection::vec((0u16..8, 0u32..64), 0..4),
+    )
+        .prop_map(|(chain, edges, loops)| {
+            let vertices = (u32::from(chain) + 1) * BLOCK;
+            let mut b = GraphBuilder::with_numeric_labels(vertices, chain + 1);
+            for (l, s, t) in edges {
+                let l = l % chain;
+                let block = u32::from(l) * BLOCK;
+                b.add_edge(VertexId(block + s), LabelId(l), VertexId(block + BLOCK + t));
+            }
+            for (l, v) in loops {
+                let v = VertexId(v % vertices);
+                b.add_edge(v, LabelId(l % chain), v);
+            }
+            (b.build(), LabelId(chain))
         })
 }
 
@@ -30,10 +61,23 @@ proptest! {
     }
 
     #[test]
-    fn parallel_catalog_matches_sequential((g, _labels) in arb_graph(), k in 1usize..4, threads in 2usize..5) {
-        let seq = SelectivityCatalog::compute(&g, k);
+    fn parallel_catalog_matches_naive_oracle((g, _labels) in arb_graph(), k in 1usize..4, threads in 2usize..5) {
         let par = parallel::compute_parallel(&g, k, threads);
-        prop_assert_eq!(seq.counts(), par.counts());
+        let slow = naive::compute_catalog_naive(&g, k);
+        prop_assert_eq!(par.counts(), slow.counts());
+    }
+
+    #[test]
+    fn pruned_kernel_matches_naive_oracle_on_chained_labels((g, edgeless) in arb_chained_graph(), k in 1usize..6, threads in 2usize..5) {
+        // The follow matrix really is sparse: the edgeless label neither
+        // follows nor is followed by anything.
+        let follows = FollowMatrix::from_graph(&g);
+        for l in g.label_ids() {
+            prop_assert!(!follows.follows(l, edgeless) && !follows.follows(edgeless, l));
+        }
+        let oracle = SparseCatalog::from_dense(&naive::compute_catalog_naive(&g, k));
+        prop_assert_eq!(&SparseCatalog::compute(&g, k).unwrap(), &oracle);
+        prop_assert_eq!(&SparseCatalog::compute_parallel(&g, k, threads).unwrap(), &oracle);
     }
 
     #[test]

@@ -346,8 +346,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             phc_path.display()
         );
     }
-    let json = serde_json::to_string_pretty(&snapshot).map_err(|e| e.to_string())?;
-    std::fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
+    write_snapshot(&out, &snapshot)?;
     println!(
         "built {} statistics over {} paths (k = {}, β = {})",
         config.ordering.name(),
@@ -487,14 +486,25 @@ fn cmd_delta(args: &[String]) -> Result<(), String> {
 
     if let Some(out) = flags.get("out") {
         let snapshot = refreshed.snapshot().map_err(|e| e.to_string())?;
-        let json = serde_json::to_string_pretty(&snapshot).map_err(|e| e.to_string())?;
-        std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
+        write_snapshot(out, &snapshot)?;
         println!(
             "wrote {out} ({} bytes retained state)",
             snapshot.retained_bytes()
         );
     }
     Ok(())
+}
+
+/// Writes a snapshot as pretty JSON, durably replacing any file at `out`
+/// (temp file, fsync, rename, directory fsync).
+fn write_snapshot(out: &str, snapshot: &EstimatorSnapshot) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(snapshot).map_err(|e| e.to_string())?;
+    phe::pathenum::file::replace_file(
+        std::path::Path::new(out),
+        &[json.as_bytes()],
+        phe::pathenum::file::Durability::Synced,
+    )
+    .map_err(|e| format!("writing {out}: {e}"))
 }
 
 /// Renders a spanned parse error with its caret-underlined snippet, the

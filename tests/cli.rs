@@ -519,3 +519,88 @@ fn estimate_rejects_unknown_labels_and_overlong_paths() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("k ≤ 2"));
 }
+
+#[test]
+fn out_replaces_an_existing_snapshot_and_leaves_no_temp_file() {
+    let dir = workdir("replace_out");
+    let graph = dir.join("g.tsv");
+    let changes = dir.join("changes.tsv");
+    let stats = dir.join("stats.json");
+    let tmp = dir.join("stats.json.tmp");
+    let _ = std::fs::remove_file(&tmp);
+
+    let out = phe()
+        .args([
+            "generate",
+            "chained",
+            "--scale",
+            "0.05",
+            "--seed",
+            "5",
+            "--out",
+            graph.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    // `build --out` over a stale file replaces it.
+    std::fs::write(&stats, "stale").unwrap();
+    let out = phe()
+        .args([
+            "build",
+            graph.to_str().unwrap(),
+            "--k",
+            "2",
+            "--beta",
+            "16",
+            "--out",
+            stats.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&stats).unwrap();
+    assert!(json.contains("\"applied_deltas\": 0"), "{json}");
+    assert!(!tmp.exists(), "build left {}", tmp.display());
+
+    // `delta --out` over the build's snapshot replaces it too.
+    std::fs::write(&changes, "+\t1\tr2\t0\n").unwrap();
+    let out = phe()
+        .args([
+            "delta",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--changes",
+            changes.to_str().unwrap(),
+            "--k",
+            "2",
+            "--beta",
+            "16",
+            "--out",
+            stats.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&stats).unwrap();
+    assert!(json.contains("\"applied_deltas\": 1"), "{json}");
+    assert!(!tmp.exists(), "delta left {}", tmp.display());
+    let out = phe()
+        .args(["estimate", stats.to_str().unwrap(), "r2"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
