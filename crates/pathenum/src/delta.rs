@@ -38,18 +38,30 @@
 //!   composition). The untouched bulk of the trie is never visited.
 //! * **Tainted** nodes (entered when a composition reads changed rows
 //!   and some row's result differs) carry only the **changed rows** —
-//!   each source's old and new target sets. The unchanged bulk of the
-//!   relation composes identically on both sides and cancels out of the
-//!   count difference, so a tainted child's signed diff is the row-wise
-//!   difference over the carried rows alone, and the work is
-//!   proportional to the *changed rows*, not the relation. Rows that
-//!   re-converge are dropped; a child whose rows all re-converge falls
-//!   back to a clean node (the subtree may still meet deeper dirt). The
-//!   one composition the row delta cannot answer locally — a **dirty**
-//!   label deeper in a tainted subtree, where an *unchanged* row may
-//!   newly meet a changed source — re-evaluates that node exactly from
-//!   both graphs (gated by the follow matrix, so it never fires unless
-//!   the label sequence is realizable).
+//!   each source with its old and new target sets. The unchanged bulk of
+//!   the relation composes identically on both sides and cancels out of
+//!   the count difference, so a tainted child's signed diff under a
+//!   clean label is the row-wise difference over the carried rows alone,
+//!   and the work is proportional to the *changed rows*, not the
+//!   relation. Rows that re-converge are dropped.
+//!
+//! Two compositions below a tainted node need more than its carried
+//! rows: a **dirty** child label, where an *unchanged* row may newly
+//! meet a changed source, and a child whose rows all re-converge, which
+//! drops back to clean mode and needs its full (shared) relation. Both
+//! read the tainted node's **new-side relation**, which its DFS frame
+//! memoizes: on first use it composes the parent frame's new-side
+//! relation (a clean parent's shared relation, or a tainted parent's own
+//! memo) with the node's label in the new graph — one composition deep,
+//! shared by every child of the node. The old side is never built: it is
+//! the new side with the carried rows swapped back, so a dirty child
+//! merge-joins the new-side rows with the carried rows by source and
+//! composes, on both sides, only the carried rows and the unchanged rows
+//! whose targets meet the label's changed sources. A re-converged child's
+//! shared relation is the new-side relation composed with its label.
+
+use std::cell::OnceCell;
+use std::ops::Range;
 
 use phe_graph::delta::GraphDelta;
 use phe_graph::{FixedBitSet, FollowMatrix, Graph, LabelId};
@@ -140,6 +152,13 @@ pub fn compute_delta(
         masks: &masks,
         k,
         scratch: FixedBitSet::new(vertex_count),
+        side_image: FixedBitSet::new(vertex_count),
+        old_extra: Vec::new(),
+        new_extra: Vec::new(),
+        old_image: Vec::new(),
+        new_image: Vec::new(),
+        shared_image: Vec::new(),
+        spare_masks: Vec::new(),
         path: Vec::with_capacity(k),
         entries: Vec::new(),
     };
@@ -155,13 +174,13 @@ pub fn compute_delta(
             let rn = PathRelation::from_label(new, label);
             ctx.path.push(label);
             if ro == rn {
-                if !ro.is_empty() {
-                    ctx.clean_subtree(&ro);
+                if !rn.is_empty() {
+                    ctx.clean_subtree(&Frame::known(label, &rn));
                 }
             } else {
                 ctx.emit(rn.pair_count() as i64 - ro.pair_count() as i64);
                 let rows = differing_rows(&ro, &rn);
-                ctx.tainted_subtree(&rows);
+                ctx.tainted_subtree(&Frame::known(label, &rn), &rows);
             }
             ctx.path.pop();
         } else {
@@ -169,7 +188,7 @@ pub fn compute_delta(
             let rel = PathRelation::from_label(new, label);
             if !rel.is_empty() {
                 ctx.path.push(label);
-                ctx.clean_subtree(&rel);
+                ctx.clean_subtree(&Frame::known(label, &rel));
                 ctx.path.pop();
             }
         }
@@ -198,9 +217,92 @@ struct DeltaCtx<'a> {
     /// Vertex-level reachability masks (see [`ReachMasks`]).
     masks: &'a ReachMasks,
     k: usize,
+    /// Composition scratch; while a row is folded, the image of the
+    /// targets both its sides share.
     scratch: FixedBitSet,
+    /// One side's image beyond the shared one, while a row is folded.
+    side_image: FixedBitSet,
+    /// Reused buffers of one row's fold (see [`DeltaCtx::fold_row`]): the
+    /// targets each side composes on its own, each side's image beyond
+    /// the shared one, and the shared image.
+    old_extra: Vec<u32>,
+    new_extra: Vec<u32>,
+    old_image: Vec<u32>,
+    new_image: Vec<u32>,
+    shared_image: Vec<u32>,
+    /// Target-mask buffers of returned clean nodes, reused by the next
+    /// ones (at most one per trie depth is ever live).
+    spare_masks: Vec<Mask>,
     path: Vec<LabelId>,
     entries: Vec<(u64, i64)>,
+}
+
+/// One node on the DFS path: its label and its new-side relation.
+struct Frame<'p> {
+    label: LabelId,
+    rel: FrameRel<'p>,
+}
+
+enum FrameRel<'p> {
+    /// A relation already at hand: a clean node's (identical in both
+    /// graphs) or a root's new-side edge set.
+    Known(&'p PathRelation),
+    /// A tainted node's new-side relation, composed from the parent
+    /// frame's on first use.
+    Memo {
+        parent: &'p Frame<'p>,
+        rel: OnceCell<PathRelation>,
+    },
+}
+
+impl<'p> Frame<'p> {
+    fn known(label: LabelId, rel: &'p PathRelation) -> Frame<'p> {
+        Frame {
+            label,
+            rel: FrameRel::Known(rel),
+        }
+    }
+
+    fn tainted(label: LabelId, parent: &'p Frame<'p>) -> Frame<'p> {
+        Frame {
+            label,
+            rel: FrameRel::Memo {
+                parent,
+                rel: OnceCell::new(),
+            },
+        }
+    }
+
+    /// The node's relation in the new graph (for a clean node, in both).
+    fn new_relation(&self, new: &Graph, scratch: &mut FixedBitSet) -> &PathRelation {
+        match &self.rel {
+            FrameRel::Known(rel) => rel,
+            FrameRel::Memo { parent, rel } => rel.get_or_init(|| {
+                parent
+                    .new_relation(new, scratch)
+                    .compose(new, self.label, scratch)
+            }),
+        }
+    }
+}
+
+/// The changed rows of a node's child as they are composed, and their
+/// signed pair-count difference. Rows are kept only when the child has
+/// children of its own; a leaf needs just the difference.
+struct ChildRows {
+    keep: bool,
+    diff: i64,
+    rows: Vec<RowDelta>,
+}
+
+impl ChildRows {
+    fn new(keep: bool) -> ChildRows {
+        ChildRows {
+            keep,
+            diff: 0,
+            rows: Vec::new(),
+        }
+    }
 }
 
 /// Word-level bitmask over vertices.
@@ -212,18 +314,22 @@ fn masks_intersect(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// Per-vertex reachability structure driving the clean-mode prunes, all
-/// derived from one reverse BFS (`vertex_distances`) over the union of
-/// the old and new edges:
+/// derived from one multi-source reverse BFS from the changed sources
+/// over the union of the old and new edges (all labels), capped at
+/// `k − 1` steps — deeper vertices can never funnel a relation onto a
+/// changed row within one path's budget:
 ///
 /// * `changed[l]` — the changed `l`-edge sources (where composing `l`
 ///   reads a changed row and divergence can be *created*);
-/// * `reach[d]` — vertices within `d` walk steps of any changed source;
-/// * `pre[l][d]` — vertices with an `l`-edge into `reach[d]`: composing
-///   `l` from a relation disjoint from `pre[l][d]` yields targets outside
-///   `reach[d]`, so requiring `targets ∩ pre[l][r−2] ≠ ∅` before
-///   composing a clean child prunes, per child and **before paying the
-///   composition**, every subtree whose relations can no longer funnel
-///   onto a changed row within the remaining budget.
+/// * `reach[d]` (`d < k`) — vertices within `d` walk steps of any changed
+///   source;
+/// * `pre[l][d]` (`d < k − 1`) — vertices with an `l`-edge into
+///   `reach[d]`: composing `l` from a relation disjoint from `pre[l][d]`
+///   yields targets outside `reach[d]`, so requiring
+///   `targets ∩ pre[l][r−2] ≠ ∅` before composing a clean child prunes,
+///   per child and **before paying the composition**, every subtree whose
+///   relations can no longer funnel onto a changed row within the
+///   remaining budget.
 struct ReachMasks {
     changed: Vec<Mask>,
     reach: Vec<Mask>,
@@ -234,8 +340,6 @@ impl ReachMasks {
     fn build(old: &Graph, new: &Graph, changed_sources: &[Vec<u32>], k: usize) -> ReachMasks {
         let vertex_count = old.vertex_count().max(new.vertex_count());
         let words = vertex_count.div_ceil(64).max(1);
-        let vdist = vertex_distances(old, new, changed_sources, k);
-
         let changed: Vec<Mask> = changed_sources
             .iter()
             .map(|sources| {
@@ -248,29 +352,46 @@ impl ReachMasks {
             .collect();
 
         let mut reach: Vec<Mask> = vec![vec![0u64; words]; k];
-        for (v, &d) in vdist.iter().enumerate() {
-            for mask in reach.iter_mut().skip(d as usize) {
-                mask[v / 64] |= 1 << (v % 64);
+        let mut pre: Vec<Vec<Mask>> = vec![vec![vec![0u64; words]; k - 1]; old.label_count()];
+        let mut seen = vec![false; vertex_count];
+        let mut frontier: Vec<u32> = Vec::new();
+        for &s in changed_sources.iter().flatten() {
+            if !std::mem::replace(&mut seen[s as usize], true) {
+                frontier.push(s);
             }
         }
-
-        let label_count = old.label_count();
-        let mut pre: Vec<Vec<Mask>> = vec![vec![vec![0u64; words]; k]; label_count];
-        for graph in [old, new] {
-            for l in graph.label_ids() {
-                let csr = graph.forward_csr(l);
-                for v in csr.non_empty_rows() {
-                    let min_out = csr
-                        .neighbors(v)
-                        .iter()
-                        .map(|&w| vdist[w as usize])
-                        .min()
-                        .unwrap_or(u32::MAX);
-                    for mask in pre[l.index()].iter_mut().skip(min_out as usize) {
-                        mask[v as usize / 64] |= 1 << (v % 64);
+        // `frontier` holds the vertices at distance `d`. Scanning their
+        // in-edges finds distance `d + 1` and, since every vertex is
+        // scanned once at its own distance, puts each `l`-edge source into
+        // exactly the `pre[l][d..]` its nearest such target allows.
+        for d in 0..k {
+            for &v in &frontier {
+                for mask in &mut reach[d..] {
+                    mask[v as usize / 64] |= 1 << (v % 64);
+                }
+            }
+            if d + 1 == k {
+                break;
+            }
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for graph in [old, new] {
+                    if v as usize >= graph.vertex_count() {
+                        continue;
+                    }
+                    for label in graph.label_ids() {
+                        for &u in graph.in_neighbors_raw(v, label) {
+                            for mask in &mut pre[label.index()][d..] {
+                                mask[u as usize / 64] |= 1 << (u % 64);
+                            }
+                            if !std::mem::replace(&mut seen[u as usize], true) {
+                                next.push(u);
+                            }
+                        }
                     }
                 }
             }
+            frontier = next;
         }
         ReachMasks {
             changed,
@@ -280,15 +401,16 @@ impl ReachMasks {
     }
 }
 
-/// Collects a relation's target set as a vertex bitmask.
-fn target_mask(rel: &PathRelation, words: usize) -> Mask {
-    let mut mask = vec![0u64; words];
+/// Collects a relation's target set as a vertex bitmask of `words` words,
+/// reusing `mask`'s buffer.
+fn fill_target_mask(rel: &PathRelation, words: usize, mask: &mut Mask) {
+    mask.clear();
+    mask.resize(words, 0);
     for i in 0..rel.source_count() {
         for &t in rel.targets_of_nth(i) {
             mask[t as usize / 64] |= 1 << (t % 64);
         }
     }
-    mask
 }
 
 impl DeltaCtx<'_> {
@@ -302,198 +424,335 @@ impl DeltaCtx<'_> {
     /// Descends below a node whose relation is identical in both graphs.
     /// Emits nothing at this level (the counts agree); recurses only where
     /// a dirty label remains reachable within the budget.
-    fn clean_subtree(&mut self, rel: &PathRelation) {
+    fn clean_subtree(&mut self, here: &Frame<'_>) {
         if self.path.len() == self.k {
             return;
         }
         let remaining = self.k - self.path.len();
+        let masks = self.masks;
+        let rel = here.new_relation(self.new, &mut self.scratch);
         // Vertex-level prune: a descendant diverges only if some walk of
         // ≤ remaining − 1 further compositions moves a target of this
         // relation onto a changed-edge source (where a dirty composition
         // can then read a changed row). Relation targets advance one walk
         // step per composition, so if no target is within `remaining − 1`
         // walk steps of any changed source, the entire subtree is clean.
-        let tmask = target_mask(rel, self.masks.reach[0].len());
-        if !masks_intersect(&tmask, &self.masks.reach[remaining - 1]) {
-            return;
-        }
-        for label in self.old.label_ids() {
-            let li = label.index();
-            // After appending `label`, `remaining − 1` slots stay; the
-            // subtree matters only if dirt is that close in follow steps.
-            if self.dist[li] > remaining - 1 {
-                continue;
-            }
-            if self.dirty[li] && masks_intersect(&tmask, &self.masks.changed[li]) {
-                // The composition reads changed rows: old and new can part
-                // ways here — but only in the rows whose targets meet a
-                // changed source. Compose exactly those rows on both
-                // sides; everything else is untouched by construction.
-                let (old_g, new_g) = (self.old, self.new);
-                let mut rows: Vec<RowDelta> = Vec::new();
-                let mut diff = 0i64;
-                for i in 0..rel.source_count() {
-                    let targets = rel.targets_of_nth(i);
-                    let hit = targets
-                        .iter()
-                        .any(|&t| mask_bit(&self.masks.changed[li], t));
-                    if !hit {
-                        continue;
-                    }
-                    let old_targets = self.compose_targets(targets, old_g, label);
-                    let new_targets = self.compose_targets(targets, new_g, label);
-                    if old_targets != new_targets {
-                        diff += new_targets.len() as i64 - old_targets.len() as i64;
-                        rows.push(RowDelta {
-                            old_targets,
-                            new_targets,
-                        });
-                    }
+        let mut tmask = self.spare_masks.pop().unwrap_or_default();
+        fill_target_mask(rel, masks.reach[0].len(), &mut tmask);
+        if masks_intersect(&tmask, &masks.reach[remaining - 1]) {
+            for label in self.old.label_ids() {
+                let li = label.index();
+                // After appending `label`, `remaining − 1` slots stay; the
+                // subtree matters only if dirt is that close in follow steps.
+                if self.dist[li] > remaining - 1 {
+                    continue;
                 }
-                if rows.is_empty() {
-                    // Every touched row composed to the same result: the
-                    // child is still clean. Descend with the full relation
-                    // if the subtree remains viable.
-                    if remaining >= 2 && masks_intersect(&tmask, &self.masks.pre[li][remaining - 2])
-                    {
-                        let next = rel.compose(self.new, label, &mut self.scratch);
-                        if !next.is_empty() {
-                            self.path.push(label);
-                            self.clean_subtree(&next);
-                            self.path.pop();
-                        }
-                    }
-                } else {
+                // Composing `label` is worth paying for only if some target
+                // has a `label`-edge into a vertex that can still funnel
+                // onto a changed row within the remaining budget.
+                let viable =
+                    remaining >= 2 && masks_intersect(&tmask, &masks.pre[li][remaining - 2]);
+                if self.dirty[li] && masks_intersect(&tmask, &masks.changed[li]) {
+                    // The composition reads changed rows: old and new can
+                    // part ways here — but only in the rows whose targets
+                    // meet a changed source. Compose exactly those rows on
+                    // both sides; everything else is untouched by
+                    // construction.
+                    let mut child = ChildRows::new(remaining >= 2);
+                    self.fold_unchanged(
+                        &mut child,
+                        rel,
+                        0..rel.source_count(),
+                        &masks.changed[li],
+                        label,
+                    );
+                    self.enter_child(here, label, child, viable);
+                } else if viable {
+                    // A clean composition: identical in both graphs (the
+                    // label is clean, or no target is a changed source).
+                    // Children failing the test are skipped without
+                    // composing at all.
                     self.path.push(label);
-                    self.emit(diff);
-                    self.tainted_subtree(&rows);
-                    self.path.pop();
-                }
-            } else if remaining >= 2 && masks_intersect(&tmask, &self.masks.pre[li][remaining - 2])
-            {
-                // A clean composition (identical in both graphs: the label
-                // is clean, or no target is a changed source) — and one
-                // worth paying for: some target has a `label`-edge into a
-                // vertex that can still funnel onto a changed row within
-                // the remaining budget. Children failing this test are
-                // skipped without composing at all.
-                let next = rel.compose(self.new, label, &mut self.scratch);
-                if !next.is_empty() {
-                    self.path.push(label);
-                    self.clean_subtree(&next);
+                    self.clean_child(here, label);
                     self.path.pop();
                 }
             }
         }
+        self.spare_masks.push(tmask);
     }
 
     /// Descends below a node whose old and new relations differ in
-    /// exactly `rows` (every other row is identical in both graphs). The
-    /// signed count difference of each child is the row-wise difference
-    /// over these rows alone — the unchanged bulk cancels — so the work
-    /// here is proportional to the *changed rows*, not the relation. A
-    /// child whose changed rows all re-converge ends the recursion: the
-    /// subtree below it is identical in both graphs.
+    /// exactly `rows`, sorted by source (every other row is identical in
+    /// both graphs). Under a clean label the unchanged rows compose
+    /// identically and cancel out of the count difference, so the child's
+    /// signed diff is the row-wise difference over these rows alone.
     ///
-    /// The one case the row delta cannot answer locally is composing a
-    /// **dirty** label: an unchanged row may meet a changed source and
-    /// newly diverge. That child (a path containing two dirty labels —
-    /// rare under localized churn) falls back to exact full evaluation
-    /// of both sides and re-derives the row delta from scratch.
-    fn tainted_subtree(&mut self, rows: &[RowDelta]) {
+    /// A **dirty** label can also part an unchanged row that meets one of
+    /// its changed sources, and a child whose rows all re-converge drops
+    /// back to clean mode with its full relation. Both read the node's
+    /// new-side relation, which `here` derives from its parent's with one
+    /// composition on first use and then shares with every child.
+    fn tainted_subtree(&mut self, here: &Frame<'_>, rows: &[RowDelta]) {
         if self.path.len() == self.k {
             return;
         }
-        let (old_g, new_g) = (self.old, self.new);
-        let prev = self
-            .path
-            .last()
-            .copied()
-            .expect("tainted nodes sit below the root");
+        let remaining = self.k - self.path.len();
+        let masks = self.masks;
         for label in self.old.label_ids() {
-            // If `prev` cannot be followed by `label` in either graph,
-            // the child relation is empty on both sides and nothing below
-            // it can differ — in particular, the dirty-label fallback's
-            // full evaluations are skipped wholesale.
-            if !self.follows.follows(prev, label) {
+            // If `here` cannot be followed by `label` in either graph, the
+            // child relation is empty on both sides and nothing below it
+            // can differ.
+            if !self.follows.follows(here.label, label) {
                 continue;
             }
-            if self.dirty[label.index()] {
-                self.path.push(label);
-                let ro = PathRelation::evaluate(old_g, &self.path);
-                let rn = PathRelation::evaluate(new_g, &self.path);
-                self.emit(rn.pair_count() as i64 - ro.pair_count() as i64);
-                if ro == rn {
-                    if !ro.is_empty() {
-                        self.clean_subtree(&rn);
-                    }
-                } else {
-                    let next = differing_rows(&ro, &rn);
-                    self.tainted_subtree(&next);
-                }
-                self.path.pop();
-                continue;
-            }
-            // Clean label: unchanged rows compose identically on both
-            // sides, so only the carried rows can keep the sides apart.
-            let mut next: Vec<RowDelta> = Vec::new();
-            let mut diff = 0i64;
-            for row in rows {
-                let old_targets = self.compose_targets(&row.old_targets, old_g, label);
-                let new_targets = self.compose_targets(&row.new_targets, new_g, label);
-                if old_targets != new_targets {
-                    diff += new_targets.len() as i64 - old_targets.len() as i64;
-                    next.push(RowDelta {
-                        old_targets,
-                        new_targets,
-                    });
+            let li = label.index();
+            let mut child = ChildRows::new(remaining >= 2);
+            if self.dirty[li] {
+                self.fold_dirty(&mut child, here, rows, label);
+            } else {
+                for row in rows {
+                    self.fold_row(
+                        &mut child,
+                        row.source,
+                        &row.old_targets,
+                        &row.new_targets,
+                        label,
+                        &masks.changed[li],
+                    );
                 }
             }
-            if next.is_empty() {
-                // Re-converged: the child relation is identical in both
-                // graphs. That is a *clean* child, not a dead one — a
-                // deeper dirty composition could still diverge it — so if
-                // dirt remains follow-reachable within the budget, drop
-                // back to clean mode with the full (shared) relation.
-                let remaining = self.k - self.path.len();
-                if self.dist[label.index()] < remaining {
-                    self.path.push(label);
-                    let rel = PathRelation::evaluate(new_g, &self.path);
-                    if !rel.is_empty() {
-                        self.clean_subtree(&rel);
-                    }
-                    self.path.pop();
-                }
-                continue;
-            }
-            self.path.push(label);
-            self.emit(diff);
-            self.tainted_subtree(&next);
-            self.path.pop();
+            // A child whose rows all re-converge is *clean*, not dead — a
+            // deeper dirty composition could still diverge it — so it is
+            // worth descending while dirt stays follow-reachable.
+            let viable = remaining >= 2 && self.dist[li] < remaining;
+            self.enter_child(here, label, child, viable);
         }
     }
 
-    /// One row's targets pushed through `label`'s edges of `graph`,
-    /// de-duplicated and sorted.
-    fn compose_targets(&mut self, targets: &[u32], graph: &Graph, label: LabelId) -> Vec<u32> {
-        for &t in targets {
-            if (t as usize) < graph.vertex_count() {
-                for &w in graph.out_neighbors_raw(t, label) {
-                    self.scratch.insert(w);
-                }
+    /// Enters the child `label` of `here` with its computed rows: emits
+    /// the child's count difference, then continues in tainted mode over
+    /// the rows that still differ or, if none does and `clean_viable`, in
+    /// clean mode.
+    fn enter_child(
+        &mut self,
+        here: &Frame<'_>,
+        label: LabelId,
+        child: ChildRows,
+        clean_viable: bool,
+    ) {
+        self.path.push(label);
+        self.emit(child.diff);
+        if !child.rows.is_empty() {
+            self.tainted_subtree(&Frame::tainted(label, here), &child.rows);
+        } else if clean_viable {
+            self.clean_child(here, label);
+        }
+        self.path.pop();
+    }
+
+    /// Descends into the child `label` of `here` (already on the path),
+    /// whose relation is identical in both graphs: `here`'s new-side
+    /// relation composed with `label`.
+    fn clean_child(&mut self, here: &Frame<'_>, label: LabelId) {
+        let rel = here.new_relation(self.new, &mut self.scratch);
+        let next = rel.compose(self.new, label, &mut self.scratch);
+        if !next.is_empty() {
+            self.clean_subtree(&Frame::known(label, &next));
+        }
+    }
+
+    /// Folds the rows of a dirty child `label` of the tainted node `here`
+    /// into `child`. A merge-join by source of `here`'s new-side relation
+    /// with the carried `rows`: carried rows compose from their own old
+    /// and new targets; unchanged rows share one target set on both sides
+    /// and compose only where it meets a changed `label`-source — every
+    /// other unchanged row composes identically and cancels out.
+    fn fold_dirty(
+        &mut self,
+        child: &mut ChildRows,
+        here: &Frame<'_>,
+        rows: &[RowDelta],
+        label: LabelId,
+    ) {
+        let masks = self.masks;
+        let changed = &masks.changed[label.index()];
+        let new_rel = here.new_relation(self.new, &mut self.scratch);
+        let sources = new_rel.sources();
+        let mut i = 0;
+        for row in rows {
+            let below = i + sources[i..].partition_point(|&s| s < row.source);
+            self.fold_unchanged(child, new_rel, i..below, changed, label);
+            i = below;
+            if sources.get(i) == Some(&row.source) {
+                debug_assert_eq!(new_rel.targets_of_nth(i), row.new_targets.as_slice());
+                i += 1;
+            }
+            self.fold_row(
+                child,
+                row.source,
+                &row.old_targets,
+                &row.new_targets,
+                label,
+                changed,
+            );
+        }
+        self.fold_unchanged(child, new_rel, i..sources.len(), changed, label);
+    }
+
+    /// Folds the rows `range` of `rel` — equal in both graphs — into
+    /// `child`, composing only those whose targets meet `changed`.
+    fn fold_unchanged(
+        &mut self,
+        child: &mut ChildRows,
+        rel: &PathRelation,
+        range: Range<usize>,
+        changed: &[u64],
+        label: LabelId,
+    ) {
+        for i in range {
+            let targets = rel.targets_of_nth(i);
+            if targets.iter().any(|&t| mask_bit(changed, t)) {
+                self.fold_row(child, rel.sources()[i], targets, targets, label, changed);
             }
         }
-        let mut out = Vec::new();
-        self.scratch.drain_sorted_into(&mut out);
-        out
+    }
+
+    /// Composes one row through `label` on both sides and folds the
+    /// result into `child`: its size difference always, the row itself
+    /// (the only allocation) only if it differs and `child` keeps rows.
+    ///
+    /// A target on both sides that is not a changed `label`-source
+    /// (`changed`) has the same `label`-edges in both graphs, so the image
+    /// of those shared targets — most of either side's image — is composed
+    /// once, into `scratch`. Each side then composes only its other
+    /// targets, and only their image beyond the shared one decides whether
+    /// and by how much the sides differ.
+    fn fold_row(
+        &mut self,
+        child: &mut ChildRows,
+        source: u32,
+        old_targets: &[u32],
+        new_targets: &[u32],
+        label: LabelId,
+        changed: &[u64],
+    ) {
+        self.old_extra.clear();
+        self.new_extra.clear();
+        let (mut i, mut j) = (0, 0);
+        loop {
+            match (old_targets.get(i), new_targets.get(j)) {
+                (Some(&o), Some(&n)) if o == n => {
+                    if mask_bit(changed, o) {
+                        self.old_extra.push(o);
+                        self.new_extra.push(o);
+                    } else {
+                        mark_image(&mut self.scratch, o, self.new, label);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+                (Some(&o), Some(&n)) if o < n => {
+                    self.old_extra.push(o);
+                    i += 1;
+                }
+                (Some(&o), None) => {
+                    self.old_extra.push(o);
+                    i += 1;
+                }
+                (_, Some(&n)) => {
+                    self.new_extra.push(n);
+                    j += 1;
+                }
+                (None, None) => break,
+            }
+        }
+        let shared = &self.scratch;
+        let image = &mut self.side_image;
+        mark_beyond(shared, image, &self.old_extra, self.old, label);
+        if !child.keep {
+            let old_len = image.len();
+            image.clear();
+            mark_beyond(shared, image, &self.new_extra, self.new, label);
+            child.diff += image.len() as i64 - old_len as i64;
+            image.clear();
+            self.scratch.clear();
+            return;
+        }
+        self.old_image.clear();
+        image.drain_sorted_into(&mut self.old_image);
+        mark_beyond(shared, image, &self.new_extra, self.new, label);
+        self.new_image.clear();
+        image.drain_sorted_into(&mut self.new_image);
+        if self.old_image == self.new_image {
+            self.scratch.clear();
+            return;
+        }
+        child.diff += self.new_image.len() as i64 - self.old_image.len() as i64;
+        self.shared_image.clear();
+        self.scratch.drain_sorted_into(&mut self.shared_image);
+        child.rows.push(RowDelta {
+            source,
+            old_targets: merge_disjoint(&self.shared_image, &self.old_image),
+            new_targets: merge_disjoint(&self.shared_image, &self.new_image),
+        });
     }
 }
 
-/// One changed row of a tainted relation: the same source's target set
+/// Marks the image of target `t` under `label` in `graph` (none when `t`
+/// lies beyond the graph).
+fn mark_image(image: &mut FixedBitSet, t: u32, graph: &Graph, label: LabelId) {
+    if (t as usize) < graph.vertex_count() {
+        for &w in graph.out_neighbors_raw(t, label) {
+            image.insert(w);
+        }
+    }
+}
+
+/// Marks in `image` the image of `targets` under `label` in `graph` that
+/// `shared` lacks.
+fn mark_beyond(
+    shared: &FixedBitSet,
+    image: &mut FixedBitSet,
+    targets: &[u32],
+    graph: &Graph,
+    label: LabelId,
+) {
+    for &t in targets {
+        if (t as usize) < graph.vertex_count() {
+            for &w in graph.out_neighbors_raw(t, label) {
+                if !shared.contains(w) {
+                    image.insert(w);
+                }
+            }
+        }
+    }
+}
+
+/// Merges two sorted, disjoint vertex lists into one sorted list.
+fn merge_disjoint(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// One changed row of a tainted relation: a source with its target sets
 /// on the old and new side (differing by construction; either may be
-/// empty). The source vertex itself is irrelevant to counting — only the
-/// target-set sizes enter the difference — so it is not stored.
+/// empty). Only the target-set sizes enter the count difference; the
+/// source places the row among the new-side relation's rows when a dirty
+/// label is composed below.
 struct RowDelta {
+    source: u32,
     old_targets: Vec<u32>,
     new_targets: Vec<u32>,
 }
@@ -512,6 +771,7 @@ fn differing_rows(old_rel: &PathRelation, new_rel: &PathRelation) -> Vec<RowDelt
                 let (ot, nt) = (old_rel.targets_of_nth(i), new_rel.targets_of_nth(j));
                 if ot != nt {
                     rows.push(RowDelta {
+                        source: o,
                         old_targets: ot.to_vec(),
                         new_targets: nt.to_vec(),
                     });
@@ -521,25 +781,29 @@ fn differing_rows(old_rel: &PathRelation, new_rel: &PathRelation) -> Vec<RowDelt
             }
             (Some(o), Some(n)) if o < n => {
                 rows.push(RowDelta {
+                    source: o,
                     old_targets: old_rel.targets_of_nth(i).to_vec(),
                     new_targets: Vec::new(),
                 });
                 i += 1;
             }
-            (Some(_), None) => {
+            (Some(o), None) => {
                 rows.push(RowDelta {
+                    source: o,
                     old_targets: old_rel.targets_of_nth(i).to_vec(),
                     new_targets: Vec::new(),
                 });
                 i += 1;
             }
-            _ => {
+            (_, Some(n)) => {
                 rows.push(RowDelta {
+                    source: n,
                     old_targets: Vec::new(),
                     new_targets: new_rel.targets_of_nth(j).to_vec(),
                 });
                 j += 1;
             }
+            (None, None) => break,
         }
     }
     rows
@@ -549,47 +813,6 @@ fn differing_rows(old_rel: &PathRelation, new_rel: &PathRelation) -> Vec<RowDelt
 #[inline]
 fn mask_bit(mask: &[u64], v: u32) -> bool {
     mask[v as usize / 64] & (1 << (v % 64)) != 0
-}
-
-/// Per-vertex walk distance to the nearest changed-edge source: a
-/// multi-source reverse BFS over the union of the old and new graphs'
-/// edges (all labels), capped at `k − 1` steps — deeper vertices can
-/// never funnel a relation onto a changed row within one path's budget.
-fn vertex_distances(old: &Graph, new: &Graph, changed_sources: &[Vec<u32>], k: usize) -> Vec<u32> {
-    let vertex_count = old.vertex_count().max(new.vertex_count());
-    let mut dist = vec![u32::MAX; vertex_count];
-    let mut frontier: Vec<u32> = Vec::new();
-    for sources in changed_sources {
-        for &s in sources {
-            if dist[s as usize] == u32::MAX {
-                dist[s as usize] = 0;
-                frontier.push(s);
-            }
-        }
-    }
-    for d in 1..k.max(1) as u32 {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for graph in [old, new] {
-                if u as usize >= graph.vertex_count() {
-                    continue;
-                }
-                for label in graph.label_ids() {
-                    for &v in graph.in_neighbors_raw(u, label) {
-                        if dist[v as usize] == u32::MAX {
-                            dist[v as usize] = d;
-                            next.push(v);
-                        }
-                    }
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    dist
 }
 
 /// Multi-source BFS over the **reversed label-follow graph** (see
@@ -838,5 +1061,84 @@ mod tests {
         // And the run still matches the oracle.
         let run = compute_delta(&old, &new, &delta, 4).unwrap();
         assert_eq!(run.entries(), dense_diff(&old, &new, 4).as_slice());
+    }
+
+    /// Builds `edges` over `n` vertices and `labels` numeric labels.
+    fn graph_of(n: u32, labels: u16, edges: &[(u32, u16, u32)]) -> Graph {
+        let mut b = GraphBuilder::with_numeric_labels(n, labels);
+        for &(s, lab, t) in edges {
+            b.add_edge(v(s), l(lab), v(t));
+        }
+        b.build()
+    }
+
+    /// The run's difference for one path (0 when absent).
+    fn diff_of(run: &SparseDeltaRun, path: &[LabelId]) -> i64 {
+        let index = run.encoding().encode(path) as u64;
+        run.entries()
+            .iter()
+            .find(|&&(i, _)| i == index)
+            .map_or(0, |&(_, d)| d)
+    }
+
+    #[test]
+    fn unchanged_row_of_tainted_node_meets_changed_source_of_dirty_label() {
+        // Labels a = 0 and b = 1 are both dirty. Inserting 0 -a-> 5 taints
+        // `a` in row 0 only; inserting 3 -b-> 6 changes a `b`-source that
+        // the *unchanged* `a` row 2 (targets {3}) reaches. So `a/b` gains
+        // its pair from an uncarried row, while the carried row 0
+        // re-converges ({1} and {1, 5} both reach only 2 by `b`).
+        // 6 -a-> 7 keeps the divergence alive through `a/b/a`.
+        let old = graph_of(
+            8,
+            2,
+            &[(0, 0, 1), (2, 0, 3), (3, 1, 4), (4, 0, 2), (1, 1, 2)],
+        );
+        let mut delta = GraphDelta::new();
+        delta.insert(v(0), l(0), v(5));
+        delta.insert(v(3), l(1), v(6));
+        delta.insert(v(6), l(0), v(7));
+        let new = old.apply_delta(&delta).unwrap();
+        for k in 1..=4 {
+            let run = compute_delta(&old, &new, &delta, k).unwrap();
+            assert_eq!(run.entries(), dense_diff(&old, &new, k).as_slice(), "k {k}");
+            if k >= 2 {
+                assert_eq!(diff_of(&run, &[l(0), l(1)]), 1, "k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn reconverged_rows_meet_a_deeper_dirty_label() {
+        // Labels a = 0 and b = 2 are dirty, c = 1 is clean. Removing
+        // 0 -a-> 2 taints `a` in row 0 ({1, 2} → {1}), but both targets
+        // reach 3 by `c`, so `a/c` re-converges and drops back to clean
+        // mode. Inserting 3 -b-> 5 then diverges `a/c/b` one label deeper.
+        let old = graph_of(
+            6,
+            3,
+            &[
+                (0, 0, 1),
+                (0, 0, 2),
+                (1, 1, 3),
+                (2, 1, 3),
+                (3, 2, 4),
+                (4, 0, 0),
+            ],
+        );
+        let mut delta = GraphDelta::new();
+        delta.remove(v(0), l(0), v(2));
+        delta.insert(v(3), l(2), v(5));
+        let new = old.apply_delta(&delta).unwrap();
+        for k in 1..=4 {
+            let run = compute_delta(&old, &new, &delta, k).unwrap();
+            assert_eq!(run.entries(), dense_diff(&old, &new, k).as_slice(), "k {k}");
+            if k >= 2 {
+                assert_eq!(diff_of(&run, &[l(0), l(1)]), 0, "k {k}");
+            }
+            if k >= 3 {
+                assert_eq!(diff_of(&run, &[l(0), l(1), l(2)]), 1, "k {k}");
+            }
+        }
     }
 }

@@ -1,10 +1,17 @@
 //! Property tests: the counting kernel — sequential and parallel, sparse
 //! and as its dense view — agrees with the naive per-path oracle on
 //! arbitrary graphs, including graphs whose sparse label-follow matrix
-//! makes the kernel's pruning fire; and relation algebra invariants hold.
+//! makes the kernel's pruning fire; delta counting merged into the base
+//! catalog agrees with the oracle on the changed graph; and relation
+//! algebra invariants hold.
 
+use std::collections::HashSet;
+
+use phe_graph::delta::GraphDelta;
 use phe_graph::{FixedBitSet, FollowMatrix, Graph, GraphBuilder, LabelId, VertexId};
-use phe_pathenum::{naive, parallel, PathRelation, SelectivityCatalog, SparseCatalog};
+use phe_pathenum::{
+    compute_delta, naive, parallel, PathRelation, SelectivityCatalog, SparseCatalog,
+};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = (Graph, u16)> {
@@ -50,8 +57,49 @@ fn arb_chained_graph() -> impl Strategy<Value = (Graph, LabelId)> {
         })
 }
 
+/// Churn on the follow-adjacent labels `band` and `band + 1` of a chained
+/// graph: each edit `(step, s, t)` names the block edge `s → t` of label
+/// `band + step` (`step` is 0 or 1), removed when the graph has it and
+/// inserted when not (repeats are skipped).
+fn band_churn(graph: &Graph, band: u16, edits: &[(u16, u32, u32)]) -> GraphDelta {
+    let mut delta = GraphDelta::new();
+    let mut seen = HashSet::new();
+    for &(step, s, t) in edits {
+        let l = band + step;
+        let block = u32::from(l) * BLOCK;
+        let (s, t) = (VertexId(block + s), VertexId(block + BLOCK + t));
+        if !seen.insert((s, t, l)) {
+            continue;
+        }
+        if graph.has_edge(s, LabelId(l), t) {
+            delta.remove(s, LabelId(l), t);
+        } else {
+            delta.insert(s, LabelId(l), t);
+        }
+    }
+    delta
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn merged_delta_matches_naive_oracle_under_band_churn(
+        (g, edgeless) in arb_chained_graph(),
+        band in 0u16..3,
+        edits in prop::collection::vec((0u16..2, 0u32..BLOCK, 0u32..BLOCK), 1..12),
+        k in 1usize..6,
+    ) {
+        // Labels `band` and `band + 1` follow each other along the chain
+        // (`edgeless` is the chain length).
+        let band = band % (edgeless.0 - 1);
+        let delta = band_churn(&g, band, &edits);
+        let new = g.apply_delta(&delta).unwrap();
+        let base = SparseCatalog::from_dense(&naive::compute_catalog_naive(&g, k));
+        let run = compute_delta(&g, &new, &delta, k).unwrap();
+        let oracle = SparseCatalog::from_dense(&naive::compute_catalog_naive(&new, k));
+        prop_assert_eq!(&base.merge_delta(&run).unwrap(), &oracle);
+    }
 
     #[test]
     fn trie_catalog_matches_naive_oracle((g, _labels) in arb_graph(), k in 1usize..4) {
