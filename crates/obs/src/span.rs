@@ -15,7 +15,8 @@
 //!   `build.histogram`
 //! * `delta` → `delta.apply`, `delta.count`, `delta.merge`,
 //!   `delta.rederive`
-//! * `query.parse`, `query.expand`, `query.prune`, `query.estimate`
+//! * `query.parse`, `query.expand` (follow pruning happens inside the
+//!   expansion walk), `query.estimate`
 //!
 //! Trees are per-thread: a span opened on a worker thread records its
 //! stage histogram as usual but does not attach to a capture running on

@@ -6,9 +6,23 @@
 //! (`a{m,n}`), and the single-step wildcard (`.`). The histogram machinery
 //! estimates fixed label sequences; this module closes the gap by
 //! **expanding** an expression into its set of concrete paths up to the
-//! estimator's maximum length `k` — optionally pruned by the graph's
-//! [`FollowMatrix`], so branches that cannot occur in the graph are
-//! discarded before anything is estimated.
+//! estimator's maximum length `k`.
+//!
+//! Expansion compiles the expression into a Glushkov position automaton:
+//! every label or wildcard leaf is one position, and `e{m,n}` unrolls into
+//! `min(n, k + 1)` copies of `e`, the first `min(m, k + 1)` of them
+//! mandatory — enough for words of length `≤ k` to be accepted exactly and
+//! for prefixes of length `k + 1` to be counted right. The walk then visits
+//! the automaton's subset states depth first, trying candidate labels in
+//! ascending id order and checking the graph's [`FollowMatrix`] at every
+//! extension, so a prefix the graph refutes is never built, let alone
+//! extended. Two counts report what the walk refused:
+//!
+//! * `pruned`: the distinct prefixes `q = p·l` of the expression's words
+//!   with `2 ≤ |q| ≤ k` whose `p` the follow matrix allows but whose last
+//!   step it refutes (`follows(last(p), l)` is false);
+//! * `truncated`: the distinct prefixes of length `k + 1` whose first `k`
+//!   labels the follow matrix allows.
 //!
 //! Two properties make expansion the right compilation target:
 //!
@@ -22,9 +36,11 @@
 //!   lexicographically by label id — the same order a brute-force
 //!   enumeration of the domain visits — and estimate totals are summed in
 //!   that order, so independent computations of the same expression agree
-//!   bit for bit.
+//!   bit for bit. The walk yields this order without sorting: its
+//!   pre-order within one length is lexicographic, so concatenating the
+//!   accepted paths bucketed by length is canonical, and subset states
+//!   make every prefix unique.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use phe_core::{LabelPath, MAX_K};
@@ -113,10 +129,9 @@ impl PathExpr {
                         other => flat.push(other),
                     }
                 }
-                if flat.len() == 1 {
-                    flat.pop().expect("len checked")
-                } else {
-                    PathExpr::Concat(flat)
+                match <[PathExpr; 1]>::try_from(flat) {
+                    Ok([only]) => only,
+                    Err(flat) => PathExpr::Concat(flat),
                 }
             }
             PathExpr::Alt(branches) => {
@@ -129,10 +144,9 @@ impl PathExpr {
                 }
                 flat.sort();
                 flat.dedup();
-                if flat.len() == 1 {
-                    flat.pop().expect("len checked")
-                } else {
-                    PathExpr::Alt(flat)
+                match <[PathExpr; 1]>::try_from(flat) {
+                    Ok([only]) => only,
+                    Err(flat) => PathExpr::Alt(flat),
                 }
             }
             PathExpr::Repeat { inner, min, max } => {
@@ -192,147 +206,35 @@ impl PathExpr {
 
     /// Expands this expression into its set of concrete label paths of
     /// length `1..=opts.max_len`, pruned by the follow matrix when one is
-    /// provided. See the module docs for the ordering and disjointness
-    /// guarantees.
+    /// provided. See the module docs for the walk, the ordering and
+    /// disjointness guarantees, and the `pruned` / `truncated` counts.
     ///
     /// # Errors
-    /// [`ExpandError::TooManyPaths`] when any intermediate set exceeds
-    /// `opts.max_paths` — the guard that keeps `.{1,8}`-style expressions
-    /// from enumerating the whole domain.
+    /// [`ExpandError::TooManyPaths`] when the accepted paths, or the live
+    /// prefixes of any one length, exceed `opts.max_paths` — the guard
+    /// that keeps `.{1,8}`-style expressions from enumerating the whole
+    /// domain — and when the unrolled automaton would need more than
+    /// `MAX_POSITIONS` (512) positions.
     pub fn expand(&self, opts: &ExpandOptions<'_>) -> Result<Expansion, ExpandError> {
         let _expand = phe_obs::span::stage("query.expand");
-        let mut stats = ExpandStats::default();
-        let set = self.expand_set(opts, &mut stats)?;
-        let matches_empty = set.contains(&Vec::new());
-        let mut seqs: Vec<Vec<u16>> = set.into_iter().filter(|s| !s.is_empty()).collect();
-        // Length-major, then lexicographic: the canonical order every
-        // consumer sums in.
-        seqs.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-        let paths = seqs
-            .into_iter()
-            .map(|s| {
-                let ids: Vec<LabelId> = s.into_iter().map(LabelId).collect();
-                LabelPath::new(&ids)
-            })
-            .collect();
+        let max_len = opts.max_len.min(MAX_K);
+        let automaton = Automaton::compile(self, max_len).ok_or(ExpandError::TooManyPaths {
+            limit: opts.max_paths,
+        })?;
+        let mut walk = Walk::new(&automaton, opts, max_len);
+        walk.visit(0)?;
         Ok(Expansion {
-            paths,
-            pruned: stats.pruned,
-            truncated: stats.truncated,
-            matches_empty,
+            paths: walk.buckets.concat(),
+            pruned: walk.pruned,
+            truncated: walk.truncated,
+            matches_empty: automaton.nullable,
         })
     }
 
-    /// Expansion width: the number of concrete paths, without building
-    /// them into [`LabelPath`]s. Convenience for workload stratification.
+    /// Expansion width: the number of concrete paths. Convenience for
+    /// workload stratification.
     pub fn width(&self, opts: &ExpandOptions<'_>) -> Result<usize, ExpandError> {
         Ok(self.expand(opts)?.paths.len())
-    }
-
-    fn expand_set(
-        &self,
-        opts: &ExpandOptions<'_>,
-        stats: &mut ExpandStats,
-    ) -> Result<BTreeSet<Vec<u16>>, ExpandError> {
-        let mut out = BTreeSet::new();
-        match self {
-            PathExpr::Label(l) => {
-                out.insert(vec![l.0]);
-            }
-            PathExpr::Wildcard => {
-                for l in 0..opts.label_count {
-                    out.insert(vec![l as u16]);
-                }
-            }
-            PathExpr::Alt(branches) => {
-                for branch in branches {
-                    for seq in branch.expand_set(opts, stats)? {
-                        out.insert(seq);
-                    }
-                    Self::check_cap(out.len(), opts)?;
-                }
-            }
-            PathExpr::Concat(parts) => {
-                out.insert(Vec::new());
-                for part in parts {
-                    let step = part.expand_set(opts, stats)?;
-                    out = Self::join(&out, &step, opts, stats)?;
-                }
-            }
-            PathExpr::Repeat { inner, min, max } => {
-                let step = inner.expand_set(opts, stats)?;
-                let mut power: BTreeSet<Vec<u16>> = BTreeSet::new();
-                power.insert(Vec::new());
-                for r in 0..=*max {
-                    if r >= *min {
-                        for seq in &power {
-                            out.insert(seq.clone());
-                        }
-                        Self::check_cap(out.len(), opts)?;
-                    }
-                    if r < *max {
-                        power = Self::join(&power, &step, opts, stats)?;
-                        if power.is_empty() {
-                            break; // further powers only grow longer
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The pruned cross-product of two expansion sets: each left sequence
-    /// extended by each right sequence, discarding combinations that
-    /// exceed the length budget (`truncated`) or whose boundary label
-    /// pair the follow matrix refutes (`pruned`). Members of both inputs
-    /// are internally follow-consistent by induction, so the boundary
-    /// check is the only one needed.
-    fn join(
-        left: &BTreeSet<Vec<u16>>,
-        right: &BTreeSet<Vec<u16>>,
-        opts: &ExpandOptions<'_>,
-        stats: &mut ExpandStats,
-    ) -> Result<BTreeSet<Vec<u16>>, ExpandError> {
-        // Prune time is the follow-checked join: only metered when a
-        // follow matrix is actually consulted.
-        let _prune = opts
-            .follow
-            .is_some()
-            .then(|| phe_obs::span::stage("query.prune"));
-        let mut out = BTreeSet::new();
-        for a in left {
-            for b in right {
-                if a.len() + b.len() > opts.max_len {
-                    stats.truncated += 1;
-                    continue;
-                }
-                if let (Some(follow), Some(&last), Some(&first)) =
-                    (opts.follow, a.last(), b.first())
-                {
-                    if !follow.follows(LabelId(last), LabelId(first)) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                }
-                let mut seq = Vec::with_capacity(a.len() + b.len());
-                seq.extend_from_slice(a);
-                seq.extend_from_slice(b);
-                out.insert(seq);
-                Self::check_cap(out.len(), opts)?;
-            }
-        }
-        Ok(out)
-    }
-
-    fn check_cap(len: usize, opts: &ExpandOptions<'_>) -> Result<(), ExpandError> {
-        if len > opts.max_paths {
-            Err(ExpandError::TooManyPaths {
-                limit: opts.max_paths,
-            })
-        } else {
-            Ok(())
-        }
     }
 
     /// Renders with label names from an interner, e.g. `(knows|likes)/x?`.
@@ -504,10 +406,379 @@ impl<'a> ExpandOptions<'a> {
     }
 }
 
-#[derive(Default)]
-struct ExpandStats {
+/// The most positions one expression's automaton may have. Nested
+/// repetitions multiply positions — `(a{0,8}){0,8}` unrolls to 64 at
+/// `k = 8` — so an expression over this bound is refused before anything
+/// is allocated.
+pub(crate) const MAX_POSITIONS: usize = 512;
+
+/// The Glushkov position automaton of one expression, unrolled for a
+/// length budget. Every position set is a bitset of `words` `u64`s.
+struct Automaton {
+    words: usize,
+    /// Positions that may hold a word's first label.
+    first: Vec<u64>,
+    /// Positions that may hold a word's last label.
+    last: Vec<u64>,
+    /// Row `p`: the positions that may come right after position `p`.
+    follow: Vec<u64>,
+    /// Whether the expression matches the empty sequence.
+    nullable: bool,
+    /// The wildcard positions.
+    wildcards: Vec<u64>,
+    /// The distinct concrete labels, ascending.
+    labels: Vec<LabelId>,
+    /// Row `i`: the positions holding `labels[i]`.
+    label_positions: Vec<u64>,
+}
+
+/// Derives `first`, `last`, `follow` and `nullable` in one recursive pass,
+/// numbering leaves left to right. The sets of the sub-expressions being
+/// combined live on a stack, so building allocates nothing per node.
+struct Builder {
+    words: usize,
+    /// Copies a repetition unrolls into at most: `k + 1`.
+    copies: usize,
+    /// Each position's label; `None` is the wildcard.
+    leaves: Vec<Option<LabelId>>,
+    follow: Vec<u64>,
+    /// Per stacked sub-expression: its `first` set, then its `last` set.
+    sets: Vec<u64>,
+    /// Per stacked sub-expression: whether it matches the empty sequence.
+    nullable: Vec<bool>,
+}
+
+impl Automaton {
+    /// Compiles `expr` for paths of length `≤ max_len`, or `None` when it
+    /// needs more than [`MAX_POSITIONS`] positions.
+    fn compile(expr: &PathExpr, max_len: usize) -> Option<Automaton> {
+        let copies = max_len + 1;
+        let positions = position_count(expr, copies);
+        if positions > MAX_POSITIONS {
+            return None;
+        }
+        let words = positions.div_ceil(64).max(1);
+        let mut builder = Builder {
+            words,
+            copies,
+            leaves: Vec::with_capacity(positions),
+            follow: vec![0; positions * words],
+            sets: Vec::new(),
+            nullable: Vec::new(),
+        };
+        builder.push(expr);
+        let mut labels: Vec<LabelId> = builder.leaves.iter().flatten().copied().collect();
+        labels.sort_unstable();
+        labels.dedup();
+        let mut wildcards = vec![0; words];
+        let mut label_positions = vec![0; labels.len() * words];
+        for (p, leaf) in builder.leaves.iter().enumerate() {
+            match leaf {
+                None => set_bit(&mut wildcards, p),
+                Some(l) => {
+                    if let Ok(i) = labels.binary_search(l) {
+                        set_bit(&mut label_positions[i * words..(i + 1) * words], p);
+                    }
+                }
+            }
+        }
+        let last = builder.sets.split_off(words);
+        Some(Automaton {
+            words,
+            first: builder.sets,
+            last,
+            follow: builder.follow,
+            nullable: builder.nullable == [true],
+            wildcards,
+            labels,
+            label_positions,
+        })
+    }
+
+    /// The positions that may come right after position `p`.
+    fn follow_row(&self, p: usize) -> &[u64] {
+        &self.follow[p * self.words..(p + 1) * self.words]
+    }
+
+    /// The positions holding `labels[i]`.
+    fn label_row(&self, i: usize) -> &[u64] {
+        &self.label_positions[i * self.words..(i + 1) * self.words]
+    }
+}
+
+/// The positions `expr` unrolls into when repetitions keep at most
+/// `copies` copies (saturating, so a hostile nesting cannot overflow).
+fn position_count(expr: &PathExpr, copies: usize) -> usize {
+    match expr {
+        PathExpr::Label(_) | PathExpr::Wildcard => 1,
+        PathExpr::Concat(parts) | PathExpr::Alt(parts) => parts
+            .iter()
+            .fold(0, |n, part| n.saturating_add(position_count(part, copies))),
+        PathExpr::Repeat { inner, max, .. } => {
+            position_count(inner, copies).saturating_mul(usize::from(*max).min(copies))
+        }
+    }
+}
+
+impl Builder {
+    /// Stacks the sets of `expr`.
+    fn push(&mut self, expr: &PathExpr) {
+        match expr {
+            PathExpr::Label(l) => self.push_leaf(Some(*l)),
+            PathExpr::Wildcard => self.push_leaf(None),
+            PathExpr::Concat(parts) => {
+                self.push_empty(true);
+                for part in parts {
+                    self.push(part);
+                    self.concat();
+                }
+            }
+            PathExpr::Alt(branches) => {
+                self.push_empty(false);
+                for branch in branches {
+                    self.push(branch);
+                    self.alt();
+                }
+            }
+            PathExpr::Repeat { inner, min, max } => {
+                let copies = usize::from(*max).min(self.copies);
+                let mandatory = usize::from(*min).min(copies);
+                self.push_empty(true);
+                for _ in 0..mandatory {
+                    self.push(inner);
+                    self.concat();
+                }
+                // The optional copies nest, `(e(e(e)?)?)?`, so each copy
+                // leads only into the next one: stack them all, then fold
+                // from the right.
+                for _ in mandatory..copies {
+                    self.push(inner);
+                }
+                self.push_empty(true);
+                for _ in mandatory..copies {
+                    self.concat();
+                    // Each folded tail is optional as a whole.
+                    if let Some(optional) = self.nullable.last_mut() {
+                        *optional = true;
+                    }
+                }
+                self.concat();
+            }
+        }
+    }
+
+    fn push_empty(&mut self, nullable: bool) {
+        self.sets.resize(self.sets.len() + 2 * self.words, 0);
+        self.nullable.push(nullable);
+    }
+
+    fn push_leaf(&mut self, label: Option<LabelId>) {
+        let p = self.leaves.len();
+        self.leaves.push(label);
+        self.push_empty(false);
+        let top = self.sets.len() - 2 * self.words;
+        let (first, last) = self.sets[top..].split_at_mut(self.words);
+        set_bit(first, p);
+        set_bit(last, p);
+    }
+
+    /// Replaces the top two sub-expressions `a`, `b` by `a` followed by
+    /// `b`: every last position of `a` leads into every first position of
+    /// `b`.
+    fn concat(&mut self) {
+        let words = self.words;
+        let b_at = self.sets.len() - 2 * words;
+        let (below, b) = self.sets.split_at_mut(b_at);
+        let (a_first, a_last) = below[b_at - 2 * words..].split_at_mut(words);
+        let (b_first, b_last) = b.split_at(words);
+        for p in ones(a_last) {
+            or_into(&mut self.follow[p * words..(p + 1) * words], b_first);
+        }
+        let b_nullable = self.nullable.pop() == Some(true);
+        if let Some(a_nullable) = self.nullable.last_mut() {
+            if *a_nullable {
+                or_into(a_first, b_first);
+            }
+            if b_nullable {
+                or_into(a_last, b_last);
+            } else {
+                a_last.copy_from_slice(b_last);
+            }
+            *a_nullable &= b_nullable;
+        }
+        self.sets.truncate(b_at);
+    }
+
+    /// Replaces the top two sub-expressions `a`, `b` by `a | b`.
+    fn alt(&mut self) {
+        let b_at = self.sets.len() - 2 * self.words;
+        let (below, b) = self.sets.split_at_mut(b_at);
+        or_into(&mut below[b_at - 2 * self.words..], b);
+        let b_nullable = self.nullable.pop() == Some(true);
+        if let Some(a_nullable) = self.nullable.last_mut() {
+            *a_nullable |= b_nullable;
+        }
+        self.sets.truncate(b_at);
+    }
+}
+
+/// The depth-first walk over an automaton's subset states. Scratch is
+/// sized once per expansion; apart from the accepted [`LabelPath`]s the
+/// walk allocates nothing per prefix.
+struct Walk<'a> {
+    automaton: &'a Automaton,
+    follow: Option<&'a FollowMatrix>,
+    label_count: usize,
+    max_len: usize,
+    max_paths: usize,
+    /// Row `d`: the positions that may hold the label at index `d` of the
+    /// current prefix (row 0 is the automaton's `first`).
+    candidates: Vec<u64>,
+    /// The candidate positions that admit the label under test.
+    state: Vec<u64>,
+    prefix: [LabelId; MAX_K],
+    /// Bucket `d`: accepted paths of length `d + 1`, in visit order.
+    buckets: Vec<Vec<LabelPath>>,
+    /// Entry `d`: live prefixes of length `d + 1` built so far.
+    live: [usize; MAX_K],
+    accepted: usize,
     pruned: u64,
     truncated: u64,
+}
+
+impl<'a> Walk<'a> {
+    fn new(automaton: &'a Automaton, opts: &ExpandOptions<'a>, max_len: usize) -> Walk<'a> {
+        let words = automaton.words;
+        let mut candidates = vec![0; (max_len + 1) * words];
+        candidates[..words].copy_from_slice(&automaton.first);
+        Walk {
+            automaton,
+            follow: opts.follow,
+            label_count: opts.label_count,
+            max_len,
+            max_paths: opts.max_paths,
+            candidates,
+            state: vec![0; words],
+            prefix: [LabelId(0); MAX_K],
+            buckets: vec![Vec::new(); max_len],
+            live: [0; MAX_K],
+            accepted: 0,
+            pruned: 0,
+            truncated: 0,
+        }
+    }
+
+    /// Extends the current prefix of length `depth` by every label its
+    /// candidate positions admit, in ascending id order.
+    fn visit(&mut self, depth: usize) -> Result<(), ExpandError> {
+        let automaton = self.automaton;
+        let words = automaton.words;
+        let row = depth * words..(depth + 1) * words;
+        // Labels come from two ascending sources, merged: the alphabet
+        // when a wildcard is a candidate, and the concrete labels.
+        let wild_end = if meets(&self.candidates[row.clone()], &automaton.wildcards) {
+            self.label_count
+        } else {
+            0
+        };
+        let (mut wild, mut concrete) = (0, 0);
+        loop {
+            let next_concrete = automaton.labels.get(concrete).map(|l| l.index());
+            let label = match (wild < wild_end, next_concrete) {
+                (true, Some(c)) => wild.min(c),
+                (true, None) => wild,
+                (false, Some(c)) => c,
+                (false, None) => break,
+            };
+            let by_wildcard = label < wild_end;
+            if by_wildcard {
+                wild = label + 1;
+            }
+            let by_label = (next_concrete == Some(label)).then_some(concrete);
+            if by_label.is_some() {
+                concrete += 1;
+            }
+            // A wildcard candidate admits every alphabet label; a concrete
+            // label needs one of its positions among the candidates.
+            let admitted = by_wildcard
+                || by_label
+                    .is_some_and(|c| meets(&self.candidates[row.clone()], automaton.label_row(c)));
+            if !admitted {
+                continue;
+            }
+            let label = LabelId(label as u16);
+            if depth == self.max_len {
+                self.truncated += 1;
+                continue;
+            }
+            if let (Some(follow), Some(prev)) = (self.follow, depth.checked_sub(1)) {
+                if !follow.follows(self.prefix[prev], label) {
+                    self.pruned += 1;
+                    continue;
+                }
+            }
+            for (i, slot) in self.state.iter_mut().enumerate() {
+                let mut admits = if by_wildcard {
+                    automaton.wildcards[i]
+                } else {
+                    0
+                };
+                if let Some(c) = by_label {
+                    admits |= automaton.label_row(c)[i];
+                }
+                *slot = self.candidates[row.start + i] & admits;
+            }
+            self.prefix[depth] = label;
+            self.live[depth] += 1;
+            if meets(&self.state, &automaton.last) {
+                self.buckets[depth].push(LabelPath::new(&self.prefix[..=depth]));
+                self.accepted += 1;
+            }
+            if self.live[depth] > self.max_paths || self.accepted > self.max_paths {
+                return Err(ExpandError::TooManyPaths {
+                    limit: self.max_paths,
+                });
+            }
+            let (_, rest) = self.candidates.split_at_mut((depth + 1) * words);
+            let next = &mut rest[..words];
+            next.fill(0);
+            for p in ones(&self.state) {
+                or_into(next, automaton.follow_row(p));
+            }
+            if next.iter().any(|&w| w != 0) {
+                self.visit(depth + 1)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+fn set_bit(set: &mut [u64], p: usize) {
+    set[p / 64] |= 1 << (p % 64);
+}
+
+fn or_into(into: &mut [u64], from: &[u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a |= b;
+    }
+}
+
+fn meets(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// The members of a position set, ascending.
+fn ones(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// The concrete-path compilation of an expression.
@@ -516,10 +787,13 @@ pub struct Expansion {
     /// Distinct concrete paths, sorted length-major then lexicographically
     /// by label id.
     pub paths: Vec<LabelPath>,
-    /// Join candidates discarded because the follow matrix refuted their
-    /// boundary label pair — work the estimator never sees.
+    /// Distinct prefixes `q = p·l` (`2 ≤ |q| ≤ k`) of the expression's
+    /// words whose `p` the follow matrix allows but whose last step
+    /// `last(p) → l` it refutes — branches the estimator never sees.
     pub pruned: u64,
-    /// Join candidates discarded for exceeding the length budget.
+    /// Distinct prefixes of length `k + 1` of the expression's words whose
+    /// first `k` labels the follow matrix allows — cut by the length
+    /// budget.
     pub truncated: u64,
     /// Whether the expression also denotes the empty sequence (e.g. `a?`
     /// alone) — not estimable, reported so callers can surface it.
@@ -529,7 +803,8 @@ pub struct Expansion {
 /// Why an expression could not be expanded (or planned).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExpandError {
-    /// The expansion set exceeded the configured bound.
+    /// The expansion exceeded the configured path bound, or its
+    /// automaton's 512-position bound.
     TooManyPaths {
         /// The configured bound.
         limit: usize,
@@ -702,6 +977,71 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ExpandError::TooManyPaths { limit: 4 }));
         assert!(err.to_string().contains("4"));
+    }
+
+    fn repeat(inner: PathExpr, min: u8, max: u8) -> PathExpr {
+        PathExpr::Repeat {
+            inner: Box::new(inner),
+            min,
+            max,
+        }
+    }
+
+    #[test]
+    fn repetition_unrolls_one_copy_past_the_budget() {
+        // 0{1,8} at k = 2: 0 and 00 are accepted, and 000 is the one
+        // prefix of length k + 1.
+        let x = repeat(PathExpr::Label(l(0)), 1, 8)
+            .expand(&ExpandOptions::new(3, 2))
+            .unwrap();
+        assert_eq!(seqs(&x), vec![vec![0], vec![0, 0]]);
+        assert_eq!(x.truncated, 1);
+        assert_eq!(x.pruned, 0);
+    }
+
+    #[test]
+    fn wildcard_blowup_is_refused() {
+        // .{1,8} over 32 labels at k = 8 denotes ~1.1e12 paths.
+        let err = repeat(PathExpr::Wildcard, 1, 8)
+            .expand(&ExpandOptions::new(32, 8))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ExpandError::TooManyPaths {
+                limit: DEFAULT_MAX_PATHS
+            }
+        );
+    }
+
+    #[test]
+    fn nested_repetitions_stay_bounded() {
+        // (((0{0,8}){0,8}){0,8}){0,8} denotes every run of 0s up to 4096
+        // long; at k its automaton has min(8, k + 1)^4 positions.
+        let mut e = PathExpr::Label(l(0));
+        for _ in 0..4 {
+            e = repeat(e, 0, 8);
+        }
+        for max_len in [2, 4, 8] {
+            let runs: Vec<Vec<u16>> = (1..=max_len).map(|n| vec![0; n]).collect();
+            match e.expand(&ExpandOptions::new(3, max_len)) {
+                Ok(x) => {
+                    assert_eq!(seqs(&x), runs, "k = {max_len}");
+                    assert!(x.matches_empty);
+                }
+                Err(err) => {
+                    assert!(max_len > 2, "81 positions must expand");
+                    assert!(matches!(err, ExpandError::TooManyPaths { .. }), "{err}");
+                }
+            }
+        }
+        // (0{0,8}){0,8}: 64 positions at k = 8, well inside the bound.
+        let x = repeat(repeat(PathExpr::Label(l(0)), 0, 8), 0, 8)
+            .expand(&ExpandOptions::new(3, 8))
+            .unwrap();
+        assert_eq!(
+            seqs(&x),
+            (1..=8).map(|n| vec![0; n]).collect::<Vec<Vec<u16>>>()
+        );
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! LABEL   := any run of characters outside ()|?{},/. and whitespace
 //! ```
 //!
+//! Nesting is bounded by `MAX_NESTING` (64), both in open groups and in
+//! levels of the parsed tree, so a hostile request cannot exhaust the
+//! stack of the parser or of anything that later recurses over the tree.
+//!
 //! Every [`QueryError`] carries the byte [`Span`] of the offending input;
 //! [`QueryError::snippet`] renders the caret-underlined excerpt the CLI
 //! prints. Label names resolve through a [`LabelResolver`] — a graph, a
@@ -26,6 +30,13 @@ use phe_core::MAX_K;
 use phe_graph::{Graph, LabelId, LabelInterner};
 
 use crate::expr::PathExpr;
+
+/// The deepest an expression may nest: open groups while parsing, and
+/// levels of the parsed tree (every alternation, concatenation and
+/// repetition is a level). Far deeper than any hand-written expression,
+/// and shallow enough that normalization, rendering, expansion and drop
+/// all recurse safely on a 2 MiB thread stack.
+pub(crate) const MAX_NESTING: usize = 64;
 
 /// Anything that can turn a label name into an id.
 pub trait LabelResolver {
@@ -95,6 +106,11 @@ pub enum QueryErrorKind {
     EmptyGroup,
     /// A malformed or out-of-range repetition `{m,n}`.
     BadRepeat(String),
+    /// Groups or levels of the parsed tree nested deeper than `max`.
+    TooDeep {
+        /// The supported maximum.
+        max: usize,
+    },
     /// The expression is valid but not a single concrete path — returned
     /// by [`parse_path`], whose callers expect a plain chain.
     NotConcrete,
@@ -152,6 +168,9 @@ impl fmt::Display for QueryError {
             QueryErrorKind::UnclosedParen => write!(f, "unclosed \"(\""),
             QueryErrorKind::EmptyGroup => write!(f, "empty group or alternation branch"),
             QueryErrorKind::BadRepeat(reason) => write!(f, "bad repetition: {reason}"),
+            QueryErrorKind::TooDeep { max } => {
+                write!(f, "path expression nests deeper than {max} levels")
+            }
             QueryErrorKind::NotConcrete => write!(
                 f,
                 "expression is not a single concrete path (alternation, wildcard, \
@@ -177,9 +196,10 @@ pub fn parse_expr<R: LabelResolver + ?Sized>(
         resolver: &|name| resolver.resolve_label(name),
         tokens: &tokens,
         pos: 0,
+        groups: 0,
         input,
     };
-    let expr = parser.alt()?;
+    let (expr, _) = parser.alt()?;
     match parser.peek() {
         None => Ok(expr),
         Some(t) => Err(QueryError::new(
@@ -296,8 +316,13 @@ struct Parser<'a> {
     resolver: &'a dyn Fn(&str) -> Option<LabelId>,
     tokens: &'a [Tok],
     pos: usize,
+    /// Groups open at `pos`.
+    groups: usize,
     input: &'a str,
 }
+
+/// A parsed sub-expression and the height of its tree.
+type Parsed = (PathExpr, usize);
 
 impl Parser<'_> {
     fn peek(&self) -> Option<&Tok> {
@@ -308,21 +333,47 @@ impl Parser<'_> {
         Span::new(self.input.len(), self.input.len())
     }
 
-    fn alt(&mut self) -> Result<PathExpr, QueryError> {
-        let mut branches = vec![self.concat()?];
-        while matches!(self.peek(), Some(t) if t.kind == TokKind::Pipe) {
-            self.pos += 1;
-            branches.push(self.concat()?);
+    /// Checks that `height` stays within [`MAX_NESTING`]; `from` is the
+    /// first token of the construct the error points at.
+    fn nest(&self, parsed: Parsed, from: usize) -> Result<Parsed, QueryError> {
+        if parsed.1 <= MAX_NESTING {
+            return Ok(parsed);
         }
-        Ok(if branches.len() == 1 {
-            branches.pop().expect("one branch")
-        } else {
-            PathExpr::Alt(branches)
-        })
+        let start = self
+            .tokens
+            .get(from)
+            .map_or(self.input.len(), |t| t.span.start);
+        let end = self
+            .pos
+            .checked_sub(1)
+            .and_then(|last| self.tokens.get(last))
+            .map_or(self.input.len(), |t| t.span.end);
+        Err(QueryError::new(
+            QueryErrorKind::TooDeep { max: MAX_NESTING },
+            Span::new(start, end.max(start)),
+        ))
     }
 
-    fn concat(&mut self) -> Result<PathExpr, QueryError> {
+    fn alt(&mut self) -> Result<Parsed, QueryError> {
+        let from = self.pos;
+        let (first, mut height) = self.concat()?;
+        let mut branches = vec![first];
+        while matches!(self.peek(), Some(t) if t.kind == TokKind::Pipe) {
+            self.pos += 1;
+            let (branch, h) = self.concat()?;
+            height = height.max(h);
+            branches.push(branch);
+        }
+        match <[PathExpr; 1]>::try_from(branches) {
+            Ok([only]) => Ok((only, height)),
+            Err(branches) => self.nest((PathExpr::Alt(branches), height + 1), from),
+        }
+    }
+
+    fn concat(&mut self) -> Result<Parsed, QueryError> {
+        let from = self.pos;
         let mut parts = Vec::new();
+        let mut height = 0;
         loop {
             // Separator slashes are skippable (compat: `a//b`, `/a/`).
             while matches!(self.peek(), Some(t) if t.kind == TokKind::Slash) {
@@ -330,7 +381,9 @@ impl Parser<'_> {
             }
             match self.peek() {
                 Some(t) if matches!(t.kind, TokKind::Ident | TokKind::Dot | TokKind::LParen) => {
-                    parts.push(self.unit()?);
+                    let (part, h) = self.unit()?;
+                    height = height.max(h);
+                    parts.push(part);
                 }
                 _ => break,
             }
@@ -348,24 +401,20 @@ impl Parser<'_> {
                 Some(t) => QueryError::new(QueryErrorKind::UnexpectedChar(t.first_char), t.span),
             });
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one part")
-        } else {
-            PathExpr::Concat(parts)
-        })
+        match <[PathExpr; 1]>::try_from(parts) {
+            Ok([only]) => Ok((only, height)),
+            Err(parts) => self.nest((PathExpr::Concat(parts), height + 1), from),
+        }
     }
 
-    fn unit(&mut self) -> Result<PathExpr, QueryError> {
-        let mut expr = self.atom()?;
+    fn unit(&mut self) -> Result<Parsed, QueryError> {
+        let (mut expr, mut height) = self.atom()?;
         loop {
-            match self.peek() {
+            let from = self.pos;
+            let (min, max) = match self.peek() {
                 Some(t) if t.kind == TokKind::Question => {
                     self.pos += 1;
-                    expr = PathExpr::Repeat {
-                        inner: Box::new(expr),
-                        min: 0,
-                        max: 1,
-                    };
+                    (0, 1)
                 }
                 Some(t) if t.kind == TokKind::LBrace => {
                     let open = t.span;
@@ -394,31 +443,29 @@ impl Parser<'_> {
                             span,
                         ));
                     }
-                    expr = PathExpr::Repeat {
-                        inner: Box::new(expr),
-                        min,
-                        max,
-                    };
+                    (min, max)
                 }
-                _ => return Ok(expr),
-            }
+                _ => return Ok((expr, height)),
+            };
+            let inner = Box::new(expr);
+            (expr, height) = self.nest((PathExpr::Repeat { inner, min, max }, height + 1), from)?;
         }
     }
 
-    fn atom(&mut self) -> Result<PathExpr, QueryError> {
+    fn atom(&mut self) -> Result<Parsed, QueryError> {
         let t = *self
             .peek()
             .ok_or_else(|| QueryError::new(QueryErrorKind::UnexpectedEnd, self.end_span()))?;
         match t.kind {
             TokKind::Dot => {
                 self.pos += 1;
-                Ok(PathExpr::Wildcard)
+                Ok((PathExpr::Wildcard, 1))
             }
             TokKind::Ident => {
                 self.pos += 1;
                 let name = self.text(t.span);
                 match (self.resolver)(name) {
-                    Some(id) => Ok(PathExpr::Label(id)),
+                    Some(id) => Ok((PathExpr::Label(id), 1)),
                     None => Err(QueryError::new(
                         QueryErrorKind::UnknownLabel(name.to_owned()),
                         t.span,
@@ -426,8 +473,16 @@ impl Parser<'_> {
                 }
             }
             TokKind::LParen => {
+                if self.groups == MAX_NESTING {
+                    return Err(QueryError::new(
+                        QueryErrorKind::TooDeep { max: MAX_NESTING },
+                        t.span,
+                    ));
+                }
                 self.pos += 1;
+                self.groups += 1;
                 let inner = self.alt()?;
+                self.groups -= 1;
                 match self.peek() {
                     Some(close) if close.kind == TokKind::RParen => {
                         self.pos += 1;
@@ -509,6 +564,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::ExpandOptions;
     use phe_graph::GraphBuilder;
 
     fn graph() -> Graph {
@@ -635,6 +691,67 @@ mod tests {
             matches!(&err.kind, QueryErrorKind::BadRepeat(r) if r.contains('{')),
             "{err:?}"
         );
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, what spawned server
+    /// threads get by default.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_without_exhausting_the_stack() {
+        // 200,000 groups around one label: a 400 KB request.
+        let nested = format!("{}knows{}", "(".repeat(200_000), ")".repeat(200_000));
+        let err = on_small_stack(move || parse_expr(&graph(), &nested).unwrap_err());
+        assert_eq!(err.kind, QueryErrorKind::TooDeep { max: MAX_NESTING });
+        assert_eq!(err.span, Span::new(MAX_NESTING, MAX_NESTING + 1));
+        assert!(err.to_string().contains("64"), "{err}");
+
+        // Stacked postfix operators deepen the tree without any group.
+        let stacked = format!("knows{}", "?".repeat(200_000));
+        let err = on_small_stack(move || parse_expr(&graph(), &stacked).unwrap_err());
+        assert_eq!(err.kind, QueryErrorKind::TooDeep { max: MAX_NESTING });
+    }
+
+    #[test]
+    fn the_deepest_accepted_expressions_recurse_safely() {
+        // MAX_NESTING open groups; and a tree exactly MAX_NESTING levels
+        // high, alternating alternation and concatenation levels.
+        let groups = format!(
+            "{}knows{}",
+            "(".repeat(MAX_NESTING),
+            ")".repeat(MAX_NESTING)
+        );
+        let mut tall = "knows".to_string();
+        for level in 1..MAX_NESTING {
+            tall = if level % 2 == 1 {
+                format!("({tall}|likes)")
+            } else {
+                format!("({tall})likes")
+            };
+        }
+        let too_tall = format!("({tall})?");
+        let too_many_groups = format!("({groups})");
+        on_small_stack(move || {
+            let g = graph();
+            for source in [&groups, &tall] {
+                let e = parse_expr(&g, source).unwrap();
+                let normalized = e.normalize();
+                let rendered = normalized.display_with(g.labels()).to_string();
+                assert_eq!(parse_expr(&g, &rendered).unwrap().normalize(), normalized);
+                e.expand(&ExpandOptions::new(2, MAX_K)).unwrap();
+            }
+            for source in [&too_tall, &too_many_groups] {
+                let err = parse_expr(&g, source).unwrap_err();
+                assert_eq!(err.kind, QueryErrorKind::TooDeep { max: MAX_NESTING });
+            }
+        });
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! |----|--------|--------|-------|
 //! | `ping` | — | `{"ok":true}` | liveness probe |
 //! | `estimate` | `estimator` (default `"default"`), `paths` | `version`, `estimates` | one pinned generation answers the whole batch |
-//! | `estimate_expr` | `estimator` (default `"default"`), `exprs` (expression strings), `explain` (false) | `version`, `results` rows: `estimate`, `paths`, `pruned`, `truncated`, `matches_empty`, `cached`, plus `branches` (`[path, estimate]` pairs) when `explain` | regular path expressions — alternation `(a\|b)`, optional `a?`, repetition `a{m,n}`, wildcard `.`; cached by *normalized* expression, so `(a\|b)c` and `(b\|a)c` share an entry; one pinned generation answers the whole batch |
+//! | `estimate_expr` | `estimator` (default `"default"`), `exprs` (expression strings), `explain` (false) | `version`, `results` rows: `estimate`, `paths`, `pruned`, `truncated`, `matches_empty`, `cached`, plus `branches` (`[path, estimate]` pairs) when `explain` | regular path expressions — alternation `(a\|b)`, optional `a?`, repetition `a{m,n}`, wildcard `.`; cached by *normalized* expression, so `(a\|b)c` and `(b\|a)c` share an entry; one pinned generation answers the whole batch. With `k` the estimator's maximum path length: `pruned` counts the distinct prefixes `q = p·l` (`2 ≤ \|q\| ≤ k`) of the expression's words whose `p` the follow matrix allows but whose last step `l` it refutes; `truncated` counts the distinct prefixes of length `k + 1` whose first `k` labels it allows |
 //! | `list` | — | `estimators` rows: `name`, `version`, `k`, `labels`, `size_bytes`, `description`, `base_build_id`, `applied_deltas` (lineage; `null` for pre-lineage snapshots), plus `maintained_catalog_bytes` / `maintained_plain_bytes` / `maintained_bytes_per_entry` for slots with maintenance state and `drift_mean_abs_error` / `drift_max_q_error` / `drift_sampled_paths` once a delta has been applied | each row read from a single generation; a climbing `applied_deltas` flags a slot due for a compacting rebuild |
 //! | `metrics` | `format` (`"report"`) | `metrics` object, or `exposition` text when `format` is `"prometheus"` | qps, p50/p99, cache hit rate, rebuild + delta counters; the Prometheus form is the same text the `--metrics-addr` scrape endpoint serves |
 //! | `load` | `name`, `snapshot` | `version` | restores a snapshot file from the **server's** filesystem and hot-swaps the slot |

@@ -605,7 +605,7 @@ fn estimate_exprs(
     let mut rows = Vec::with_capacity(exprs.len());
     for source in exprs {
         // Explain requests additionally capture the span tree of the
-        // answer (parse -> expand -> prune -> estimate) so operators see
+        // answer (parse -> expand -> estimate) so operators see
         // where an expression's time went.
         let (outcome, stages) = if explain {
             let (outcome, roots) =
@@ -1323,6 +1323,38 @@ mod tests {
             // dropped its handle on the coordinator.
             assert_eq!(Arc::strong_count(&maintenance), 1);
         }
+    }
+
+    #[test]
+    fn hostile_nesting_gets_an_error_row_and_the_server_keeps_serving() {
+        let server = crate::Server::start(
+            test_registry(),
+            Arc::new(ServiceMetrics::new()),
+            ServerConfig {
+                addr: "127.0.0.1:0".to_owned(),
+                workers: 1,
+                shards: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut client = crate::ServiceClient::connect(server.local_addr()).unwrap();
+        // 200,000 groups around one label: a 400 KB line, far under the
+        // request size limit, that must not exhaust a server thread's stack.
+        let hostile = format!("{}0{}", "(".repeat(200_000), ")".repeat(200_000));
+        match client.estimate_expr("default", &[hostile], false) {
+            Err(crate::ClientError::Server(message)) => {
+                let head: String = message.chars().take(200).collect();
+                assert!(message.contains("nests deeper"), "{head}");
+            }
+            other => panic!("expected an error row, got {other:?}"),
+        }
+        let next = client
+            .estimate_expr("default", &["0|1".to_owned()], false)
+            .unwrap();
+        assert_eq!(next.results.len(), 1);
+        assert_eq!(next.results[0].paths, 2);
+        server.shutdown();
     }
 
     #[test]

@@ -127,7 +127,7 @@ USAGE:
       pruning of impossible branches (local mode). --explain prints the
       expansion tree, per-branch estimates, prune counts, and (remote)
       the server-side stage timings. --trace prints the local
-      stage-time tree (parse/expand/prune/estimate)
+      stage-time tree (parse/expand/estimate)
 ";
 
 /// Tiny flag parser: positional args plus `--flag value` pairs.

@@ -11,6 +11,14 @@
 //!    (length-major, lexicographic), across **all 7 orderings × 6
 //!    histogram kinds** — and the exact-oracle path agrees with actual
 //!    graph counts.
+//! 4. **The walk's counts.** `pruned` and `truncated` equal their
+//!    definitions over a brute-force prefix enumeration: `pruned` is the
+//!    number of distinct prefixes `q = p·l` (`2 ≤ |q| ≤ k`) of the
+//!    expression's words whose `p` the follow matrix allows and whose last
+//!    step it refutes; `truncated` is the number of distinct prefixes of
+//!    length `k + 1` whose first `k` labels it allows.
+
+use std::collections::BTreeSet;
 
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::graph::{FollowMatrix, Graph, GraphBuilder, LabelId, VertexId};
@@ -106,6 +114,46 @@ fn brute_force_matches(
     out
 }
 
+/// The longest word `expr` matches.
+fn longest_word(expr: &PathExpr) -> usize {
+    match expr {
+        PathExpr::Label(_) | PathExpr::Wildcard => 1,
+        PathExpr::Concat(parts) => parts.iter().map(longest_word).sum(),
+        PathExpr::Alt(branches) => branches.iter().map(longest_word).max().unwrap_or(0),
+        PathExpr::Repeat { inner, max, .. } => longest_word(inner) * *max as usize,
+    }
+}
+
+/// `(pruned, truncated)` by definition, from every distinct prefix of
+/// every word `expr` matches (all words must be at most `longest` long).
+fn brute_force_counts(
+    expr: &PathExpr,
+    longest: usize,
+    max_len: usize,
+    follow: Option<&FollowMatrix>,
+) -> (u64, u64) {
+    let mut prefixes: BTreeSet<Vec<LabelId>> = BTreeSet::new();
+    for word in brute_force_matches(expr, longest, None) {
+        for n in 1..=word.len() {
+            prefixes.insert(word[..n].to_vec());
+        }
+    }
+    let allows = |p: &[LabelId]| follow.is_none_or(|f| f.allows(p));
+    let pruned = prefixes
+        .iter()
+        .filter(|q| (2..=max_len).contains(&q.len()))
+        .filter(|q| {
+            let (p, l) = (&q[..q.len() - 1], q[q.len() - 1]);
+            follow.is_some_and(|f| allows(p) && !f.follows(p[p.len() - 1], l))
+        })
+        .count();
+    let truncated = prefixes
+        .iter()
+        .filter(|q| q.len() == max_len + 1 && allows(&q[..max_len]))
+        .count();
+    (pruned as u64, truncated as u64)
+}
+
 fn opts(max_len: usize) -> ExpandOptions<'static> {
     ExpandOptions::new(LABELS as usize, max_len)
 }
@@ -139,6 +187,34 @@ proptest! {
                 follow.is_some()
             );
             prop_assert_eq!(expansion.matches_empty, expr.matches(&[]));
+        }
+    }
+
+    // The walk's counts match their definitions, with and without a
+    // follow matrix. Words are kept short enough to enumerate.
+    #[test]
+    fn pruned_and_truncated_match_their_definitions(
+        expr in ArbExpr { depth: 3 },
+        g in arb_graph(),
+        max_len in 1usize..6,
+    ) {
+        let longest = longest_word(&expr);
+        prop_assume!(longest <= 6);
+        let follow = FollowMatrix::from_graph(&g);
+        for follow in [None, Some(&follow)] {
+            let mut o = opts(max_len);
+            if let Some(f) = follow {
+                o = o.with_follow(f);
+            }
+            let expansion = expr.expand(&o).unwrap();
+            prop_assert_eq!(
+                (expansion.pruned, expansion.truncated),
+                brute_force_counts(&expr, longest, max_len, follow),
+                "expr {} at k = {} (follow: {})",
+                expr,
+                max_len,
+                follow.is_some()
+            );
         }
     }
 
