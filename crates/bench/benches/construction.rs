@@ -6,13 +6,14 @@ use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_histogram::builder::{EquiDepth, EquiWidth, HistogramBuilder, VOptimal};
 use phe_histogram::SparseFrequencies;
-use phe_pathenum::SelectivityCatalog;
+use phe_pathenum::SparseCatalog;
 
 fn bench_construction(c: &mut Criterion) {
     let graph = phe_datasets::moreno_health_like_scaled(0.25, 42);
     let k = 4;
-    let catalog = SelectivityCatalog::compute(&graph, k);
-    let ordering = OrderingKind::SumBased.build(&graph, &catalog, k);
+    let sparse = SparseCatalog::compute(&graph, k).unwrap();
+    let catalog = sparse.to_dense().unwrap();
+    let ordering = OrderingKind::SumBased.build_sparse(&graph, &sparse, k);
     let ordered = ordered_frequencies(&catalog, ordering.as_ref());
     let beta = ordered.len() / 16;
     let view = SparseFrequencies::dense(&ordered);
@@ -39,7 +40,7 @@ fn bench_construction(c: &mut Criterion) {
     let mut permute = c.benchmark_group("ordered_frequencies");
     permute.sample_size(10);
     for kind in [OrderingKind::NumCard, OrderingKind::SumBased] {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &sparse, k);
         permute.bench_function(BenchmarkId::from_parameter(kind.name()), |b| {
             b.iter(|| ordered_frequencies(&catalog, ordering.as_ref()).len())
         });

@@ -11,12 +11,13 @@ use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_core::{HistogramKind, LabelPath};
 use phe_histogram::{PointEstimator, SparseFrequencies};
-use phe_pathenum::SelectivityCatalog;
+use phe_pathenum::SparseCatalog;
 
 fn bench_estimation(c: &mut Criterion) {
     let graph = phe_datasets::moreno_health_like_scaled(0.25, 42);
     let k = 4;
-    let catalog = SelectivityCatalog::compute(&graph, k);
+    let sparse = SparseCatalog::compute(&graph, k).unwrap();
+    let catalog = sparse.to_dense().unwrap();
     let n = catalog.len();
     let beta = n / 8;
 
@@ -29,7 +30,7 @@ fn bench_estimation(c: &mut Criterion) {
     let mut group = c.benchmark_group("estimation");
     group.sample_size(20);
     for kind in OrderingKind::ALL {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &sparse, k);
         let ordered = ordered_frequencies(&catalog, ordering.as_ref());
         let histogram = HistogramKind::VOptimalGreedy
             .build(&SparseFrequencies::dense(&ordered), beta)

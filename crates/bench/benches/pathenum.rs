@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phe_datasets::schema::{narrow_chained_schema, schema_graph};
 use phe_datasets::{erdos_renyi, LabelDistribution};
-use phe_pathenum::{naive, parallel, SelectivityCatalog, SparseCatalog};
+use phe_pathenum::{naive, SparseCatalog};
 
 fn bench_catalog(c: &mut Criterion) {
     let graph = erdos_renyi(200, 1200, 4, LabelDistribution::Uniform, 42);
@@ -17,13 +17,17 @@ fn bench_catalog(c: &mut Criterion) {
     let mut group = c.benchmark_group("catalog");
     group.sample_size(10);
     group.bench_function(BenchmarkId::from_parameter("trie-dfs"), |b| {
-        b.iter(|| SelectivityCatalog::compute(&graph, k).total_mass())
+        b.iter(|| SparseCatalog::compute(&graph, k).unwrap().total_mass())
     });
     group.bench_function(BenchmarkId::from_parameter("naive-per-path"), |b| {
         b.iter(|| naive::compute_catalog_naive(&graph, k).total_mass())
     });
     group.bench_function(BenchmarkId::from_parameter("parallel-2"), |b| {
-        b.iter(|| parallel::compute_parallel(&graph, k, 2).total_mass())
+        b.iter(|| {
+            SparseCatalog::compute_parallel(&graph, k, 2)
+                .unwrap()
+                .total_mass()
+        })
     });
     group.finish();
 

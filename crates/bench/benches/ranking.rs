@@ -6,12 +6,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phe_core::ordering::OrderingKind;
 use phe_core::LabelPath;
-use phe_pathenum::SelectivityCatalog;
+use phe_pathenum::SparseCatalog;
 
 fn bench_ranking(c: &mut Criterion) {
     let graph = phe_datasets::moreno_health_like_scaled(0.25, 42);
     let k = 4;
-    let catalog = SelectivityCatalog::compute(&graph, k);
+    let catalog = SparseCatalog::compute(&graph, k).unwrap();
     let n = catalog.len() as u64;
 
     let queries: Vec<LabelPath> = (0..n)
@@ -22,7 +22,7 @@ fn bench_ranking(c: &mut Criterion) {
     let mut rank_group = c.benchmark_group("index_of");
     rank_group.sample_size(20);
     for kind in OrderingKind::ALL {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &catalog, k);
         rank_group.bench_function(BenchmarkId::from_parameter(kind.name()), |b| {
             b.iter(|| {
                 let mut acc = 0u64;
@@ -38,7 +38,7 @@ fn bench_ranking(c: &mut Criterion) {
     let mut unrank_group = c.benchmark_group("path_at");
     unrank_group.sample_size(20);
     for kind in OrderingKind::ALL {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &catalog, k);
         unrank_group.bench_function(BenchmarkId::from_parameter(kind.name()), |b| {
             b.iter(|| {
                 let mut acc = 0usize;

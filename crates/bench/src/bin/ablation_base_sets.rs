@@ -12,7 +12,7 @@ use phe_bench::{beta_sweep, emit, timed, RunConfig};
 use phe_core::eval::evaluate_configuration;
 use phe_core::ordering::OrderingKind;
 use phe_core::HistogramKind;
-use phe_pathenum::parallel::compute_parallel;
+use phe_pathenum::SparseCatalog;
 
 fn main() {
     let config = RunConfig::from_args();
@@ -30,11 +30,13 @@ fn main() {
 
     for dataset in config.datasets() {
         let graph = &dataset.graph;
-        let (catalog, secs) = timed(|| compute_parallel(graph, k, 0));
+        let (sparse, secs) =
+            timed(|| SparseCatalog::compute_parallel(graph, k, 0).expect("domain fits u48"));
         eprintln!("{}: catalog in {secs:.1}s", dataset.name);
+        let catalog = sparse.to_dense().expect("dense-feasible domain");
         let built: Vec<_> = orderings
             .iter()
-            .map(|kind| kind.build(graph, &catalog, k))
+            .map(|kind| kind.build_sparse(graph, &sparse, k))
             .collect();
         for beta in beta_sweep(catalog.len(), 5) {
             if beta < 2 {

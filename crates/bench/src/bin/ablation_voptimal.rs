@@ -14,15 +14,16 @@ use phe_core::ordering::OrderingKind;
 use phe_core::HistogramKind;
 use phe_histogram::builder::{EquiDepth, EquiWidth, HistogramBuilder, VOptimal};
 use phe_histogram::SparseFrequencies;
-use phe_pathenum::parallel::compute_parallel;
+use phe_pathenum::SparseCatalog;
 
 fn main() {
     let config = RunConfig::from_args();
     // Cap k so the exact DP stays feasible (domain ≤ 8192).
     let k = config.k_override.unwrap_or(4).min(4);
     let graph = config.moreno();
-    let catalog = compute_parallel(&graph, k, 0);
-    let ordering = OrderingKind::SumBased.build(&graph, &catalog, k);
+    let sparse = SparseCatalog::compute_parallel(&graph, k, 0).expect("domain fits u48");
+    let catalog = sparse.to_dense().expect("dense-feasible domain");
+    let ordering = OrderingKind::SumBased.build_sparse(&graph, &sparse, k);
     let ordered = ordered_frequencies(&catalog, ordering.as_ref());
     let n = ordered.len();
     let view = SparseFrequencies::dense(&ordered);

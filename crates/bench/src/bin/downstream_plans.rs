@@ -12,8 +12,7 @@
 use phe_bench::{emit, timed, RunConfig};
 use phe_core::ordering::OrderingKind;
 use phe_core::{EstimatorConfig, HistogramKind, PathSelectivityEstimator};
-use phe_pathenum::parallel::compute_parallel;
-use phe_pathenum::{SamplingConfig, SamplingEstimator};
+use phe_pathenum::{SamplingConfig, SamplingEstimator, SparseCatalog};
 use phe_query::{
     execute, optimize, stratified_workload, CardinalityEstimator, ExactOracle, HistogramEstimator,
     IndependenceBaseline, SamplingAdapter,
@@ -27,12 +26,13 @@ fn main() {
     let mut rows = Vec::new();
     for dataset in config.datasets() {
         let graph = &dataset.graph;
-        let (catalog, secs) = timed(|| compute_parallel(graph, k, 0));
+        let (catalog, secs) =
+            timed(|| SparseCatalog::compute_parallel(graph, k, 0).expect("domain fits u48"));
         eprintln!("{}: catalog in {secs:.1}s", dataset.name);
         let beta = (catalog.len() / beta_fraction).max(4);
 
         let build = |ordering: OrderingKind| {
-            PathSelectivityEstimator::from_catalog(
+            PathSelectivityEstimator::from_sparse_catalog(
                 graph,
                 catalog.clone(),
                 EstimatorConfig {

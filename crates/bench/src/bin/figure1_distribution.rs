@@ -9,15 +9,16 @@ use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_histogram::builder::{EquiWidth, HistogramBuilder};
 use phe_histogram::{PointEstimator, SparseFrequencies};
-use phe_pathenum::parallel::compute_parallel;
+use phe_pathenum::SparseCatalog;
 
 fn main() {
     let config = RunConfig::from_args();
     // Figure 1 is defined at k = 3 regardless of scale.
     let k = config.k_override.unwrap_or(3);
     let graph = config.moreno();
-    let catalog = compute_parallel(&graph, k, 0);
-    let ordering = OrderingKind::NumAlph.build(&graph, &catalog, k);
+    let sparse = SparseCatalog::compute_parallel(&graph, k, 0).expect("domain fits u48");
+    let catalog = sparse.to_dense().expect("dense-feasible domain");
+    let ordering = OrderingKind::NumAlph.build_sparse(&graph, &sparse, k);
     let ordered = ordered_frequencies(&catalog, ordering.as_ref());
 
     // The paper's figure shows an equi-width histogram; its bucket count

@@ -19,7 +19,7 @@ use phe_bench::{beta_sweep, emit, timed, RunConfig};
 use phe_core::eval::evaluate_configuration;
 use phe_core::ordering::OrderingKind;
 use phe_core::HistogramKind;
-use phe_pathenum::parallel::compute_parallel;
+use phe_pathenum::SparseCatalog;
 
 fn main() {
     let config = RunConfig::from_args();
@@ -33,19 +33,23 @@ fn main() {
 
     for dataset in &datasets {
         let graph = &dataset.graph;
-        let (catalog_full, secs) = timed(|| compute_parallel(graph, k_max, 0));
+        let (sparse, secs) =
+            timed(|| SparseCatalog::compute_parallel(graph, k_max, 0).expect("domain fits u48"));
         eprintln!(
             "{}: catalog of {} paths in {secs:.1}s",
             dataset.name,
-            catalog_full.len()
+            sparse.len()
         );
+        let catalog_full = sparse.to_dense().expect("dense-feasible domain");
 
         let mut rows = Vec::new();
         for &k in &k_values {
             let catalog = catalog_full.truncated(k);
+            // One count at k_max serves every k: the only catalog-reading
+            // kind here, sum-based-L2, reads just the length-1 and -2 counts.
             let built: Vec<_> = orderings
                 .iter()
-                .map(|kind| kind.build(graph, &catalog, k))
+                .map(|kind| kind.build_sparse(graph, &sparse, k))
                 .collect();
             for &beta in &beta_sweep(catalog.len(), 6) {
                 if beta < 2 {

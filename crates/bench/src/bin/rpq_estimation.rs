@@ -30,7 +30,7 @@ use phe_bench::{emit, timed, RunConfig, Scale};
 use phe_core::{EstimatorConfig, PathSelectivityEstimator};
 use phe_datasets::schema::{narrow_chained_schema, schema_graph};
 use phe_graph::FollowMatrix;
-use phe_pathenum::SelectivityCatalog;
+use phe_pathenum::SparseCatalog;
 use phe_query::{
     stratified_workload, CardinalityEstimator, ExpandOptions, HistogramEstimator, PathExpr,
 };
@@ -51,7 +51,7 @@ fn main() {
 
     let schema = narrow_chained_schema(labels, labels as u64 * edges_per_label, 0.08);
     let graph = schema_graph(vertices, &schema, config.seed);
-    let catalog = SelectivityCatalog::compute(&graph, k);
+    let catalog = SparseCatalog::compute(&graph, k).expect("domain fits u48");
     let follow = FollowMatrix::from_graph(&graph);
     let built = PathSelectivityEstimator::build(
         &graph,

@@ -19,7 +19,7 @@ use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_core::{HistogramKind, LabelPath};
 use phe_histogram::{PointEstimator, SparseFrequencies};
-use phe_pathenum::parallel::compute_parallel;
+use phe_pathenum::SparseCatalog;
 
 fn main() {
     let config = RunConfig::from_args();
@@ -31,7 +31,9 @@ fn main() {
         graph.edge_count()
     );
 
-    let (catalog, secs) = timed(|| compute_parallel(&graph, k, 0));
+    let (sparse, secs) =
+        timed(|| SparseCatalog::compute_parallel(&graph, k, 0).expect("domain fits u48"));
+    let catalog = sparse.to_dense().expect("dense-feasible domain");
     let n = catalog.len();
     eprintln!("catalog: {n} label paths in {secs:.1}s");
 
@@ -47,7 +49,7 @@ fn main() {
     let betas = beta_sweep(n, 7);
     let orderings: Vec<_> = OrderingKind::PAPER_FIVE
         .iter()
-        .map(|kind| (kind.name(), kind.build(&graph, &catalog, k)))
+        .map(|kind| (kind.name(), kind.build_sparse(&graph, &sparse, k)))
         .collect();
 
     let mut rows = Vec::new();

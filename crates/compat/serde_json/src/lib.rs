@@ -318,12 +318,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Neither byte occurs inside a multi-byte UTF-8
+                    // sequence, so the run ends on a char boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -409,6 +415,34 @@ mod tests {
         let s = to_string(&v).unwrap();
         let back: u64 = from_str(&s).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn multibyte_characters_next_to_escapes_round_trip() {
+        let parsed: String = from_str(r#""é\"ü\\n😀""#).unwrap();
+        assert_eq!(parsed, "é\"ü\\n😀");
+        for text in ["é\"ü\\n😀", "\"é", "😀\\", "a\u{8}ü\t", "ü"] {
+            let json = to_string(&Value::String(text.into())).unwrap();
+            let back: String = from_str(&json).unwrap();
+            assert_eq!(back, text, "{json}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB: re-validating the rest of the input per character, as a
+        // quadratic parser does, takes minutes here even in a release build.
+        let text = "abc😀\"".repeat(1 << 19);
+        assert_eq!(text.len(), 4 << 20);
+        let json = to_string(&Value::String(text.clone())).unwrap();
+        let start = std::time::Instant::now();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, text);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(2),
+            "{:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

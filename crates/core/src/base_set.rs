@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use phe_graph::LabelId;
-use phe_pathenum::SelectivityCatalog;
+use phe_pathenum::SparseCatalog;
 
 use crate::combinatorics::{
     dist_table, integer_partitions, multiset_permutation_rank, multiset_permutation_unrank, nop,
@@ -86,13 +86,15 @@ pub struct SumBasedL2Ordering {
 type PartitionCache = RwLock<HashMap<(u8, u32), Arc<Vec<Partition>>>>;
 
 impl SumBasedL2Ordering {
-    /// Builds the ordering from a selectivity catalog (which supplies both
-    /// `f(l)` and `f(l1/l2)`).
+    /// Builds the ordering from a sparse catalog, which supplies both
+    /// `f(l)` and `f(l1/l2)`; the `n + n²` frequency lookups are binary
+    /// searches over the realized entries.
     ///
     /// # Panics
-    /// Panics if the catalog was computed with `k < 2`, or if the label
-    /// alphabet exceeds 256 (pair pseudo-labels must fit `u16`).
-    pub fn from_catalog(domain: PathDomain, catalog: &SelectivityCatalog) -> SumBasedL2Ordering {
+    /// Panics if the catalog was computed with `k < 2` (for a domain with
+    /// `k ≥ 2`), or if the label alphabet exceeds 256 (pair pseudo-labels
+    /// must fit `u16`).
+    pub fn from_sparse(domain: PathDomain, catalog: &SparseCatalog) -> SumBasedL2Ordering {
         let n = domain.label_count();
         assert!(n <= 256, "L2 base set needs |L| ≤ 256, got {n}");
         assert_eq!(
@@ -106,43 +108,6 @@ impl SumBasedL2Ordering {
         // A k = 1 domain never decomposes into pairs: the ordering
         // degenerates to cardinality-ranked singles and any pair ranking
         // works. Otherwise the catalog must supply real 2-path counts.
-        let mut pair_freqs = vec![0u64; n * n];
-        if domain.max_len() >= 2 {
-            assert!(
-                catalog.encoding().max_len() >= 2,
-                "catalog must cover paths of length ≥ 2 to rank pairs"
-            );
-            for l1 in 0..n as u16 {
-                for l2 in 0..n as u16 {
-                    pair_freqs[(l1 as usize) * n + l2 as usize] =
-                        catalog.selectivity(&[LabelId(l1), LabelId(l2)]);
-                }
-            }
-        }
-        SumBasedL2Ordering::from_frequencies(domain, &single_freqs, &pair_freqs)
-    }
-
-    /// Builds the ordering from a sparse catalog — identical to
-    /// [`SumBasedL2Ordering::from_catalog`] on the equivalent dense
-    /// catalog; the `n + n²` frequency lookups are binary searches over
-    /// the realized entries.
-    ///
-    /// # Panics
-    /// As for [`SumBasedL2Ordering::from_catalog`].
-    pub fn from_sparse(
-        domain: PathDomain,
-        catalog: &phe_pathenum::SparseCatalog,
-    ) -> SumBasedL2Ordering {
-        let n = domain.label_count();
-        assert!(n <= 256, "L2 base set needs |L| ≤ 256, got {n}");
-        assert_eq!(
-            catalog.encoding().label_count(),
-            n,
-            "catalog alphabet does not match the domain"
-        );
-        let single_freqs: Vec<u64> = (0..n as u16)
-            .map(|l| catalog.selectivity(&[LabelId(l)]))
-            .collect();
         let mut pair_freqs = vec![0u64; n * n];
         if domain.max_len() >= 2 {
             assert!(
@@ -460,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn from_catalog_uses_true_two_path_counts() {
+    fn from_sparse_uses_true_two_path_counts() {
         use phe_graph::GraphBuilder;
         // 0 -a-> 1 -b-> 2 and 0 -b-> 1: f(a)=1, f(b)=2, f(a/b)=1, others 0.
         let mut b = GraphBuilder::new();
@@ -468,9 +433,9 @@ mod tests {
         b.add_edge_named(1, "b", 2);
         b.add_edge_named(0, "b", 1);
         let g = b.build();
-        let catalog = SelectivityCatalog::compute(&g, 2);
+        let catalog = SparseCatalog::compute(&g, 2).unwrap();
         let domain = PathDomain::new(2, 2);
-        let o = SumBasedL2Ordering::from_catalog(domain, &catalog);
+        let o = SumBasedL2Ordering::from_sparse(domain, &catalog);
         // Round trip still holds.
         for i in 0..o.domain_size() {
             assert_eq!(o.index_of(&o.path_at(i)), i);

@@ -10,7 +10,7 @@ use phe_pathenum::{
 
 pub use crate::label_histogram::HistogramKind;
 
-use crate::eval::{evaluate_histogram, ordered_frequencies, sparse_ordered_frequencies};
+use crate::eval::{evaluate_histogram, sparse_ordered_frequencies};
 use crate::label_histogram::LabelPathHistogram;
 use crate::ordering::OrderingKind;
 use crate::path::{LabelPath, MAX_K};
@@ -89,17 +89,6 @@ impl CatalogFootprint {
             sparse_bytes: catalog.size_bytes() as u64,
             sparse_plain_bytes: catalog.plain_bytes() as u64,
             dense_bytes: catalog.dense_bytes(),
-        }
-    }
-
-    fn from_dense(catalog: &SelectivityCatalog) -> CatalogFootprint {
-        let nonzero = (catalog.len() - catalog.zero_count()) as u64;
-        CatalogFootprint {
-            domain_size: catalog.len() as u64,
-            nonzero_paths: nonzero,
-            sparse_bytes: nonzero * 16,
-            sparse_plain_bytes: nonzero * 16,
-            dense_bytes: catalog.len() as u128 * 8,
         }
     }
 
@@ -372,9 +361,7 @@ impl PathSelectivityEstimator {
     ) -> Result<PathSelectivityEstimator, HistogramError> {
         let footprint = CatalogFootprint::from_sparse(&sparse);
         let ordered_runs = config.retain_sparse.then_some(runs);
-        let pair_frequencies = pair_frequencies_for(config, graph.label_count(), |l1, l2| {
-            sparse.selectivity(&[l1, l2])
-        });
+        let pair_frequencies = pair_frequencies_for(config, &sparse);
         let catalog = if config.retain_catalog {
             Some(sparse.to_dense().map_err(catalog_to_histogram_error)?)
         } else {
@@ -521,78 +508,6 @@ impl PathSelectivityEstimator {
         Ok((estimator, new_graph))
     }
 
-    /// Builds from a precomputed **dense** catalog (lets experiment
-    /// drivers compute the catalog once and build many estimators over
-    /// it). This is the dense reference pipeline: the dense ordering
-    /// constructor and the unranking permutation, compressed into runs
-    /// for the one histogram build — the sparse pipeline is
-    /// property-tested to produce bit-identical estimates against it. The
-    /// supplied catalog is always retained, regardless of
-    /// [`EstimatorConfig::retain_catalog`].
-    pub fn from_catalog(
-        graph: &Graph,
-        catalog: SelectivityCatalog,
-        config: EstimatorConfig,
-        catalog_time: Duration,
-    ) -> Result<PathSelectivityEstimator, HistogramError> {
-        let t1 = Instant::now();
-        let ordering = config.ordering.build(graph, &catalog, config.k);
-        let ordered = ordered_frequencies(&catalog, ordering.as_ref());
-        let runs =
-            CompressedRuns::from_sorted_iter((0u64..).zip(ordered).filter(|&(_, count)| count > 0));
-        let ordering_time = t1.elapsed();
-
-        let t2 = Instant::now();
-        let histogram = LabelPathHistogram::from_sparse_frequencies(
-            ordering,
-            &runs,
-            config.histogram,
-            config.beta,
-        )?;
-        let histogram_time = t2.elapsed();
-
-        let pair_frequencies = pair_frequencies_for(config, graph.label_count(), |l1, l2| {
-            catalog.selectivity(&[l1, l2])
-        });
-
-        let sparse = config
-            .retain_sparse
-            .then(|| SparseCatalog::from_dense(&catalog));
-        let ordered_runs = config.retain_sparse.then_some(runs);
-        let (label_names, label_frequencies) = snapshot_state(graph);
-        let footprint = CatalogFootprint::from_dense(&catalog);
-        let provenance = Provenance {
-            build_id: fnv_build_id(
-                config,
-                &label_frequencies,
-                footprint.domain_size,
-                footprint.nonzero_paths,
-                catalog.total_mass(),
-            ),
-            applied_deltas: 0,
-        };
-        Ok(PathSelectivityEstimator {
-            config,
-            footprint,
-            catalog: Some(catalog),
-            sparse,
-            ordered_runs,
-            histogram,
-            stats: BuildStats {
-                catalog_time,
-                ordering_time,
-                histogram_time,
-            },
-            provenance,
-            graph_fingerprint: graph_fingerprint(graph),
-            label_names,
-            label_frequencies,
-            pair_frequencies,
-            follow: FollowMatrix::from_graph(graph),
-            drift: None,
-        })
-    }
-
     /// Captures the retained state (ordering inputs + histogram) as a
     /// serializable [`crate::snapshot::EstimatorSnapshot`].
     ///
@@ -691,8 +606,7 @@ impl PathSelectivityEstimator {
     }
 
     /// The retained ground-truth catalog, if the build kept one
-    /// ([`EstimatorConfig::retain_catalog`], or the dense
-    /// [`PathSelectivityEstimator::from_catalog`] pipeline).
+    /// ([`EstimatorConfig::retain_catalog`]).
     pub fn catalog(&self) -> Option<&SelectivityCatalog> {
         self.catalog.as_ref()
     }
@@ -800,17 +714,24 @@ fn histogram_over(
 /// Deterministic, so the same graph + configuration always yields the
 /// same id, and deltas applied on top inherit it unchanged.
 fn build_id(graph: &Graph, sparse: &SparseCatalog, config: EstimatorConfig) -> u64 {
-    let frequencies: Vec<u64> = graph
-        .label_ids()
-        .map(|l| graph.label_frequency(l))
-        .collect();
-    fnv_build_id(
-        config,
-        &frequencies,
-        sparse.len() as u64,
-        sparse.nonzero_count() as u64,
-        sparse.total_mass(),
-    )
+    let mut fnv = Fnv::new();
+    fnv.mix(config.k as u64);
+    fnv.mix(config.beta as u64);
+    for byte in config
+        .ordering
+        .name()
+        .bytes()
+        .chain(config.histogram.name().bytes())
+    {
+        fnv.mix(byte as u64);
+    }
+    for l in graph.label_ids() {
+        fnv.mix(graph.label_frequency(l));
+    }
+    fnv.mix(sparse.len() as u64);
+    fnv.mix(sparse.nonzero_count() as u64);
+    fnv.mix(sparse.total_mass());
+    fnv.0
 }
 
 /// The one FNV-1a accumulator behind both provenance hashes
@@ -829,33 +750,6 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x100000001b3);
         }
     }
-}
-
-fn fnv_build_id(
-    config: EstimatorConfig,
-    label_frequencies: &[u64],
-    domain: u64,
-    nnz: u64,
-    total_mass: u64,
-) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.mix(config.k as u64);
-    fnv.mix(config.beta as u64);
-    for byte in config
-        .ordering
-        .name()
-        .bytes()
-        .chain(config.histogram.name().bytes())
-    {
-        fnv.mix(byte as u64);
-    }
-    for &f in label_frequencies {
-        fnv.mix(f);
-    }
-    fnv.mix(domain);
-    fnv.mix(nnz);
-    fnv.mix(total_mass);
-    fnv.0
 }
 
 /// FNV-1a over the graph's vertex count and full edge set (in the
@@ -885,23 +779,21 @@ fn snapshot_state(graph: &Graph) -> (Vec<String>, Vec<u64>) {
     (label_names, label_frequencies)
 }
 
-/// The `n²` pair selectivities the L2 ordering snapshot needs, from either
-/// pipeline's catalog. `None` for every other ordering.
-fn pair_frequencies_for(
-    config: EstimatorConfig,
-    n: usize,
-    selectivity: impl Fn(LabelId, LabelId) -> u64,
-) -> Option<Vec<u64>> {
+/// The `n²` pair selectivities the L2 ordering snapshot needs, read from
+/// the catalog. `None` for every other ordering.
+fn pair_frequencies_for(config: EstimatorConfig, sparse: &SparseCatalog) -> Option<Vec<u64>> {
     if config.ordering != OrderingKind::SumBasedL2 {
         return None;
     }
+    let n = sparse.encoding().label_count();
     let mut pairs = vec![0u64; n * n];
     // A k = 1 domain never uses pair ranks (see SumBasedL2Ordering);
     // store zeros so the snapshot stays restorable.
     if config.k >= 2 {
         for l1 in 0..n as u16 {
             for l2 in 0..n as u16 {
-                pairs[(l1 as usize) * n + l2 as usize] = selectivity(LabelId(l1), LabelId(l2));
+                pairs[(l1 as usize) * n + l2 as usize] =
+                    sparse.selectivity(&[LabelId(l1), LabelId(l2)]);
             }
         }
     }

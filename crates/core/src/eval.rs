@@ -87,6 +87,7 @@ fn report(histogram: &impl PointEstimator, ordered: &[u64]) -> AccuracyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base_set::SumBasedL2Ordering;
     use crate::domain::PathDomain;
     use crate::ordering::{NumericalOrdering, OrderingKind, SumBasedOrdering};
     use crate::ranking::LabelRanking;
@@ -96,10 +97,11 @@ mod tests {
     #[test]
     fn ordered_frequencies_is_a_permutation() {
         let g = erdos_renyi(40, 160, 3, LabelDistribution::Zipf { exponent: 1.0 }, 3);
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let sparse = SparseCatalog::compute(&g, 3).unwrap();
+        let catalog = sparse.to_dense().unwrap();
         let domain = PathDomain::new(3, 3);
         for kind in OrderingKind::ALL {
-            let ordering = kind.build(&g, &catalog, 3);
+            let ordering = kind.build_sparse(&g, &sparse, 3);
             let ordered = ordered_frequencies(&catalog, ordering.as_ref());
             let mut a = ordered.clone();
             let mut b = catalog.counts().to_vec();
@@ -114,9 +116,9 @@ mod tests {
     fn sparse_permutation_matches_dense() {
         let g = erdos_renyi(40, 160, 3, LabelDistribution::Zipf { exponent: 1.0 }, 3);
         let dense = SelectivityCatalog::compute(&g, 3);
-        let sparse = phe_pathenum::SparseCatalog::compute(&g, 3).unwrap();
+        let sparse = SparseCatalog::compute(&g, 3).unwrap();
         for kind in OrderingKind::ALL {
-            let ordering = kind.build(&g, &dense, 3);
+            let ordering = kind.build_sparse(&g, &sparse, 3);
             let ordered = ordered_frequencies(&dense, ordering.as_ref());
             let runs: Vec<(u64, u64)> =
                 sparse_ordered_frequencies(&sparse, ordering.as_ref()).to_vec();
@@ -131,16 +133,36 @@ mod tests {
     }
 
     #[test]
-    fn sparse_ordering_builders_agree_with_dense() {
+    fn catalog_reading_orderings_match_textbook_oracles() {
         let g = erdos_renyi(40, 160, 4, LabelDistribution::Zipf { exponent: 1.1 }, 11);
-        let dense = SelectivityCatalog::compute(&g, 3);
-        let sparse = phe_pathenum::SparseCatalog::compute(&g, 3).unwrap();
-        for kind in [OrderingKind::SumBasedL2, OrderingKind::Ideal] {
-            let a = kind.build(&g, &dense, 3);
-            let b = kind.build_sparse(&g, &sparse, 3);
-            for i in 0..a.domain_size() {
-                assert_eq!(a.path_at(i), b.path_at(i), "{} at {i}", kind.name());
-            }
+        let oracle = phe_pathenum::naive::compute_catalog_naive(&g, 3);
+        let sparse = SparseCatalog::compute(&g, 3).unwrap();
+        let domain = PathDomain::new(4, 3);
+        let n = 4u16;
+
+        // Ideal: every canonical index sorted by (naive count, index).
+        let mut by_count: Vec<u64> = (0..domain.size()).collect();
+        by_count.sort_by_key(|&c| (oracle.selectivity_at(c as usize), c));
+        let ideal = OrderingKind::Ideal.build_sparse(&g, &sparse, 3);
+        for (i, &c) in by_count.iter().enumerate() {
+            assert_eq!(
+                ideal.path_at(i as u64),
+                domain.canonical_path(c),
+                "ideal at {i}"
+            );
+        }
+
+        // Sum-based-L2: the explicit-frequency constructor over the naive
+        // single and pair counts.
+        let singles: Vec<u64> = (0..n).map(|l| oracle.selectivity(&[LabelId(l)])).collect();
+        let pairs: Vec<u64> = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .map(|(a, b)| oracle.selectivity(&[LabelId(a), LabelId(b)]))
+            .collect();
+        let textbook = SumBasedL2Ordering::from_frequencies(domain, &singles, &pairs);
+        let built = OrderingKind::SumBasedL2.build_sparse(&g, &sparse, 3);
+        for i in 0..domain.size() {
+            assert_eq!(built.path_at(i), textbook.path_at(i), "sum-based-L2 at {i}");
         }
     }
 

@@ -151,11 +151,10 @@ impl LabelPathHistogram {
     /// Builds a histogram from **block-compressed** sparse ordered
     /// `(index, frequency)` runs (implicit zeros), already permuted into
     /// `ordering`'s index space by
-    /// [`crate::eval::sparse_ordered_frequencies`] (or, in the dense
-    /// reference pipeline, compressed from its dense permutation). This is
-    /// the one construction path: the builders decode the blocks through a
-    /// cursor, and the streaming pipeline never materializes the dense
-    /// ordered sequence or a plain pair vector.
+    /// [`crate::eval::sparse_ordered_frequencies`]. This is the one
+    /// construction path: the builders decode the blocks through a
+    /// cursor, and the pipeline never materializes the dense ordered
+    /// sequence or a plain pair vector.
     pub fn from_sparse_frequencies(
         ordering: Box<dyn DomainOrdering>,
         runs: &phe_pathenum::CompressedRuns,

@@ -62,9 +62,11 @@
 //! over the full domain is never materialized, so `(|L|, k)` points whose
 //! dense vector would not even allocate (e.g. `|L| = 64, k = 6`: ~70
 //! billion paths, half a terabyte dense) build in seconds from tens of
-//! megabytes of realized counts. Sparse and dense pipelines produce
-//! **bit-identical** estimates (property-tested across every ordering ×
-//! histogram kind in `tests/sparse_equivalence.rs`).
+//! megabytes of realized counts. The estimates are **bit-identical** to
+//! the textbook construction — naive per-path counts, permuted by
+//! unranking every index, one histogram over the dense sequence
+//! (property-tested across every ordering × histogram kind in
+//! `tests/sparse_equivalence.rs`).
 //!
 //! Ground truth is the one thing that still costs `O(|Lk|)`: set
 //! [`EstimatorConfig::retain_catalog`] (`estimator` module) to keep the

@@ -12,7 +12,7 @@
 //! be mistaken for a practical estimator — its memory footprint is
 //! `O(|Lk|)`, defeating the purpose of the histogram.
 
-use phe_pathenum::SelectivityCatalog;
+use phe_pathenum::SparseCatalog;
 
 use crate::domain::PathDomain;
 use crate::ordering::DomainOrdering;
@@ -31,35 +31,18 @@ pub struct IdealOrdering {
 }
 
 impl IdealOrdering {
-    /// Builds the ideal ordering from the exact catalog.
-    pub fn from_catalog(domain: PathDomain, catalog: &SelectivityCatalog) -> IdealOrdering {
-        assert_eq!(
-            catalog.len() as u64,
-            domain.size(),
-            "catalog does not cover the domain"
-        );
-        let mut by_index: Vec<u32> = (0..catalog.len() as u32).collect();
-        by_index.sort_by_key(|&c| (catalog.selectivity_at(c as usize), c));
-        let mut position = vec![0u32; catalog.len()];
-        for (pos, &c) in by_index.iter().enumerate() {
-            position[c as usize] = pos as u32;
-        }
-        IdealOrdering {
-            domain,
-            by_index,
-            position,
-        }
-    }
-
-    /// Builds the ideal ordering from a sparse catalog. Identical to
-    /// [`IdealOrdering::from_catalog`] on the equivalent dense catalog:
-    /// the `(selectivity, canonical)` sort key puts the whole zero plateau
-    /// first in canonical order, followed by the realized entries sorted
-    /// by `(count, canonical)` — both reconstructable without the dense
-    /// vector. Memory stays `O(|Lk|)`, of course: that is the point of
-    /// this reference ordering, and why it has no place past the dense
-    /// limit.
-    pub fn from_sparse(domain: PathDomain, catalog: &phe_pathenum::SparseCatalog) -> IdealOrdering {
+    /// Builds the ideal ordering from the exact (sparse) catalog: every
+    /// canonical index sorted by `(selectivity, canonical)`. That key puts
+    /// the whole zero plateau first in canonical order, followed by the
+    /// realized entries sorted by `(count, canonical)` — both
+    /// reconstructable without a dense vector. Memory stays `O(|Lk|)`, of
+    /// course: that is the point of this reference ordering, and why it
+    /// has no place past the dense limit.
+    ///
+    /// # Panics
+    /// Panics if the catalog does not cover exactly the domain, or the
+    /// domain exceeds the `u32` index space.
+    pub fn from_sparse(domain: PathDomain, catalog: &SparseCatalog) -> IdealOrdering {
         assert_eq!(
             catalog.len() as u64,
             domain.size(),
@@ -139,11 +122,11 @@ mod tests {
     use phe_datasets::{erdos_renyi, LabelDistribution};
     use phe_graph::LabelId;
 
-    fn setup() -> (PathDomain, SelectivityCatalog, IdealOrdering) {
+    fn setup() -> (PathDomain, SparseCatalog, IdealOrdering) {
         let g = erdos_renyi(40, 300, 3, LabelDistribution::Zipf { exponent: 1.0 }, 5);
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let domain = PathDomain::new(3, 3);
-        let ideal = IdealOrdering::from_catalog(domain, &catalog);
+        let ideal = IdealOrdering::from_sparse(domain, &catalog);
         (domain, catalog, ideal)
     }
 
@@ -175,9 +158,10 @@ mod tests {
         use crate::ordering::OrderingKind;
         let g = erdos_renyi(50, 600, 4, LabelDistribution::Zipf { exponent: 1.0 }, 9);
         let k = 3;
-        let catalog = SelectivityCatalog::compute(&g, k);
+        let sparse = SparseCatalog::compute(&g, k).unwrap();
+        let catalog = sparse.to_dense().unwrap();
         let domain = PathDomain::new(4, k);
-        let ideal = IdealOrdering::from_catalog(domain, &catalog);
+        let ideal = IdealOrdering::from_sparse(domain, &sparse);
         let beta = catalog.len() / 16;
         // Exact V-optimal on the monotone sequence is the global optimum
         // over (ordering, bucketing) pairs; no computable ordering with the
@@ -187,7 +171,7 @@ mod tests {
                 .unwrap()
                 .mean_abs_error_rate;
         for kind in OrderingKind::ALL {
-            let o = kind.build(&g, &catalog, k);
+            let o = kind.build_sparse(&g, &sparse, k);
             let err =
                 evaluate_configuration(&catalog, o.as_ref(), HistogramKind::VOptimalExact, beta)
                     .unwrap()
@@ -201,15 +185,21 @@ mod tests {
     }
 
     #[test]
-    fn from_sparse_matches_from_catalog() {
+    fn from_sparse_matches_the_textbook_sort() {
+        // The definition: every canonical index, sorted by (naive count,
+        // canonical index).
         let g = erdos_renyi(40, 300, 3, LabelDistribution::Zipf { exponent: 1.0 }, 5);
-        let dense = SelectivityCatalog::compute(&g, 3);
-        let sparse = phe_pathenum::SparseCatalog::compute(&g, 3).unwrap();
+        let oracle = phe_pathenum::naive::compute_catalog_naive(&g, 3);
+        let mut expected: Vec<u64> = (0..oracle.len() as u64).collect();
+        expected.sort_by_key(|&c| (oracle.selectivity_at(c as usize), c));
         let domain = PathDomain::new(3, 3);
-        let a = IdealOrdering::from_catalog(domain, &dense);
-        let b = IdealOrdering::from_sparse(domain, &sparse);
-        for i in 0..domain.size() {
-            assert_eq!(a.path_at(i), b.path_at(i), "position {i}");
+        let ideal = IdealOrdering::from_sparse(domain, &SparseCatalog::compute(&g, 3).unwrap());
+        for (i, &c) in expected.iter().enumerate() {
+            assert_eq!(
+                ideal.path_at(i as u64),
+                domain.canonical_path(c),
+                "position {i}"
+            );
         }
     }
 
@@ -232,8 +222,8 @@ mod tests {
     #[should_panic(expected = "does not cover")]
     fn mismatched_catalog_rejected() {
         let g = erdos_renyi(10, 30, 2, LabelDistribution::Uniform, 1);
-        let catalog = SelectivityCatalog::compute(&g, 2);
-        let _ = IdealOrdering::from_catalog(PathDomain::new(2, 3), &catalog);
+        let catalog = SparseCatalog::compute(&g, 2).unwrap();
+        let _ = IdealOrdering::from_sparse(PathDomain::new(2, 3), &catalog);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub use numerical::NumericalOrdering;
 pub use sum_based::SumBasedOrdering;
 
 use phe_graph::Graph;
-use phe_pathenum::SelectivityCatalog;
+use phe_pathenum::SparseCatalog;
 
 use crate::base_set::SumBasedL2Ordering;
 use crate::domain::PathDomain;
@@ -159,45 +159,19 @@ impl OrderingKind {
         }
     }
 
-    /// Builds the ordering for a graph. The catalog supplies the pair
-    /// cardinalities needed by [`OrderingKind::SumBasedL2`] (and must have
-    /// been computed with the same `k`).
-    pub fn build(
-        &self,
-        graph: &Graph,
-        catalog: &SelectivityCatalog,
-        k: usize,
-    ) -> Box<dyn DomainOrdering> {
-        let domain = PathDomain::new(graph.label_count(), k);
-        match self {
-            OrderingKind::SumBasedL2 => Box::new(SumBasedL2Ordering::from_catalog(domain, catalog)),
-            OrderingKind::Ideal => Box::new(IdealOrdering::from_catalog(domain, catalog)),
-            graph_only => graph_only.build_from_graph(graph, domain),
-        }
-    }
-
-    /// Builds the ordering from a **sparse** catalog — the sparse-first
-    /// pipeline's counterpart of [`OrderingKind::build`]. Identical
-    /// orderings result; only the two catalog-dependent kinds read the
-    /// catalog (sum-based-L2 looks up its `n²` pair selectivities by
-    /// binary search, the ideal reference sorts the realized entries and
-    /// inherits the canonical tie-break for the zero plateau).
+    /// Builds the ordering for a graph over its sparse catalog. Only the
+    /// two catalog-dependent kinds read the catalog: sum-based-L2 looks up
+    /// its `n + n²` single and pair selectivities (so any catalog counted
+    /// with `k ≥ 2` serves every domain length), and the ideal reference
+    /// sorts the realized entries, inheriting the canonical tie-break for
+    /// the zero plateau (its catalog must cover exactly the `k` domain).
     pub fn build_sparse(
         &self,
         graph: &Graph,
-        catalog: &phe_pathenum::SparseCatalog,
+        catalog: &SparseCatalog,
         k: usize,
     ) -> Box<dyn DomainOrdering> {
         let domain = PathDomain::new(graph.label_count(), k);
-        match self {
-            OrderingKind::SumBasedL2 => Box::new(SumBasedL2Ordering::from_sparse(domain, catalog)),
-            OrderingKind::Ideal => Box::new(IdealOrdering::from_sparse(domain, catalog)),
-            graph_only => graph_only.build_from_graph(graph, domain),
-        }
-    }
-
-    /// The five catalog-free methods, shared by both pipelines.
-    fn build_from_graph(&self, graph: &Graph, domain: PathDomain) -> Box<dyn DomainOrdering> {
         match self {
             OrderingKind::NumAlph => Box::new(NumericalOrdering::new(
                 domain,
@@ -223,9 +197,8 @@ impl OrderingKind {
                 domain,
                 LabelRanking::cardinality(graph),
             )),
-            OrderingKind::SumBasedL2 | OrderingKind::Ideal => {
-                unreachable!("catalog-dependent kinds are handled by the callers")
-            }
+            OrderingKind::SumBasedL2 => Box::new(SumBasedL2Ordering::from_sparse(domain, catalog)),
+            OrderingKind::Ideal => Box::new(IdealOrdering::from_sparse(domain, catalog)),
         }
     }
 }

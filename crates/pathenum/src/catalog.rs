@@ -158,8 +158,8 @@ pub struct SelectivityCatalog {
 impl SelectivityCatalog {
     /// Computes the catalog single-threaded: the sparse count
     /// ([`SparseCatalog::compute`]) materialized with
-    /// [`SparseCatalog::to_dense`]. See
-    /// [`crate::parallel::compute_parallel`] for the multi-threaded view.
+    /// [`SparseCatalog::to_dense`]. For the multi-threaded count, call
+    /// [`SparseCatalog::compute_parallel`] and materialize its result.
     ///
     /// # Panics
     /// Panics if the domain overflows the index space or the dense

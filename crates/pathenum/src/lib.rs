@@ -26,10 +26,8 @@
 //!   refused with a checked [`catalog::CatalogError`] rather than an
 //!   allocation panic;
 //! * [`catalog::SelectivityCatalog`] — the full `f` table, zeros included:
-//!   a dense view (`to_dense`) of the sparse count;
-//! * [`parallel`] — the same view over the source-partitioned parallel
-//!   count, exact because `f(ℓ) = Σ_s |targets(s, ℓ)|` decomposes over
-//!   disjoint source sets;
+//!   a dense view ([`sparse::SparseCatalog::to_dense`]) of the sparse
+//!   count, for the full-domain scoring that indexes every path;
 //! * [`naive`] — an independent per-path evaluator used as the correctness
 //!   oracle and as the unshared baseline in benchmarks;
 //! * [`delta`] — incremental maintenance: [`delta::compute_delta`] counts
@@ -61,7 +59,6 @@ pub mod encoding;
 pub mod file;
 pub mod mmap;
 pub mod naive;
-pub mod parallel;
 pub mod relation;
 pub mod runs;
 pub mod sampling;

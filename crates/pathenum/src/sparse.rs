@@ -34,10 +34,9 @@
 //! `b`-edge starts, every relation ending in `a` composes with `b` to the
 //! empty set), and counts the depth-`k` children with
 //! [`PathRelation::compose_count`] instead of building them. The dense
-//! [`SelectivityCatalog`] is a view: [`SelectivityCatalog::compute`] and
-//! [`crate::parallel::compute_parallel`] materialize this module's result
-//! with [`SparseCatalog::to_dense`]; [`crate::naive`] stays the
-//! independent oracle.
+//! [`SelectivityCatalog`] is a view: [`SelectivityCatalog::compute`]
+//! materializes this module's result with [`SparseCatalog::to_dense`];
+//! [`crate::naive`] stays the independent oracle.
 //!
 //! The builders around the kernel:
 //!
@@ -867,6 +866,9 @@ mod tests {
         assert_eq!(c.len(), 3); // one pseudo-label alphabet
         assert_eq!(c.nonzero_count(), 0);
         assert_eq!(c.total_mass(), 0);
+        let dense = c.to_dense().unwrap();
+        assert_eq!(dense.len(), 3);
+        assert_eq!(dense.total_mass(), 0);
     }
 
     #[test]

@@ -9,9 +9,7 @@ use std::collections::HashSet;
 
 use phe_graph::delta::GraphDelta;
 use phe_graph::{FixedBitSet, FollowMatrix, Graph, GraphBuilder, LabelId, VertexId};
-use phe_pathenum::{
-    compute_delta, naive, parallel, PathRelation, SelectivityCatalog, SparseCatalog,
-};
+use phe_pathenum::{compute_delta, naive, PathRelation, SelectivityCatalog, SparseCatalog};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = (Graph, u16)> {
@@ -109,10 +107,10 @@ proptest! {
     }
 
     #[test]
-    fn parallel_catalog_matches_naive_oracle((g, _labels) in arb_graph(), k in 1usize..4, threads in 2usize..5) {
-        let par = parallel::compute_parallel(&g, k, threads);
+    fn parallel_catalog_matches_naive_oracle((g, _labels) in arb_graph(), k in 1usize..4, threads in 1usize..9) {
+        let par = SparseCatalog::compute_parallel(&g, k, threads).unwrap();
         let slow = naive::compute_catalog_naive(&g, k);
-        prop_assert_eq!(par.counts(), slow.counts());
+        prop_assert_eq!(&par, &SparseCatalog::from_dense(&slow));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use phe_core::{PathSelectivityEstimator, MAX_K};
 use phe_graph::{FollowMatrix, LabelId};
-use phe_pathenum::{SamplingEstimator, SelectivityCatalog};
+use phe_pathenum::{SamplingEstimator, SparseCatalog};
 
 use crate::expr::{ExpandError, ExpandOptions, PathExpr, DEFAULT_MAX_PATHS};
 
@@ -108,16 +108,17 @@ pub trait CardinalityEstimator {
     }
 }
 
-/// Perfect estimates from a selectivity catalog — the upper bound on what
-/// any estimator can achieve, used to calibrate plan-quality experiments.
+/// Perfect estimates from a sparse selectivity catalog — the upper bound
+/// on what any estimator can achieve, used to calibrate plan-quality
+/// experiments.
 pub struct ExactOracle<'a> {
-    catalog: &'a SelectivityCatalog,
+    catalog: &'a SparseCatalog,
     follow: Option<FollowMatrix>,
 }
 
 impl<'a> ExactOracle<'a> {
     /// Wraps a catalog.
-    pub fn new(catalog: &'a SelectivityCatalog) -> Self {
+    pub fn new(catalog: &'a SparseCatalog) -> Self {
         ExactOracle {
             catalog,
             follow: None,
@@ -318,7 +319,7 @@ mod tests {
         b.add_edge_named(0, "a", 1);
         b.add_edge_named(1, "b", 2);
         let g = b.build();
-        let catalog = SelectivityCatalog::compute(&g, 2);
+        let catalog = SparseCatalog::compute(&g, 2).unwrap();
         let oracle = ExactOracle::new(&catalog);
         assert_eq!(oracle.estimate(&[LabelId(0)]), 1.0);
         assert_eq!(oracle.estimate(&[LabelId(0), LabelId(1)]), 1.0);
@@ -375,7 +376,7 @@ mod tests {
         b.add_edge_named(1, "b", 2);
         b.add_edge_named(2, "b", 3);
         let g = b.build();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
 
         let expr = parse_expr(&g, "a|a/b").unwrap();
@@ -396,7 +397,7 @@ mod tests {
         b.add_edge_named(1, "b", 2);
         b.add_edge_named(5, "c", 6);
         let g = b.build();
-        let catalog = SelectivityCatalog::compute(&g, 2);
+        let catalog = SparseCatalog::compute(&g, 2).unwrap();
         let pruned_oracle = ExactOracle::new(&catalog).with_follow(FollowMatrix::from_graph(&g));
         let plain_oracle = ExactOracle::new(&catalog);
 

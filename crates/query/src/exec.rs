@@ -64,7 +64,7 @@ mod tests {
     use crate::optimizer::{enumerate_plans, optimize};
     use crate::parse::parse_path;
     use phe_graph::GraphBuilder;
-    use phe_pathenum::SelectivityCatalog;
+    use phe_pathenum::SparseCatalog;
 
     fn graph() -> Graph {
         let mut b = GraphBuilder::new();
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn result_matches_direct_evaluation() {
         let g = graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let query = parse_path(&g, "a/b/c").unwrap();
         let plan = optimize(&query, &oracle);
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn every_plan_shape_gives_the_same_answer() {
         let g = graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let query = parse_path(&g, "a/b/c").unwrap();
         let reference: Vec<_> = PathRelation::evaluate(&g, &query).iter_pairs().collect();
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn oracle_guided_plan_is_cheapest_in_actual_cost() {
         let g = graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let query = parse_path(&g, "a/b/c").unwrap();
         let chosen = optimize(&query, &oracle);
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn intermediates_recorded_per_node() {
         let g = graph();
-        let catalog = SelectivityCatalog::compute(&g, 2);
+        let catalog = SparseCatalog::compute(&g, 2).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let query = parse_path(&g, "a/b").unwrap();
         let plan = optimize(&query, &oracle);

@@ -17,7 +17,7 @@
 //! ```
 //! use phe_graph::GraphBuilder;
 //! use phe_query::{parse_path, optimize, execute, ExactOracle};
-//! use phe_pathenum::SelectivityCatalog;
+//! use phe_pathenum::SparseCatalog;
 //!
 //! let mut b = GraphBuilder::new();
 //! b.add_edge_named(0, "knows", 1);
@@ -26,7 +26,7 @@
 //! let g = b.build();
 //!
 //! let query = parse_path(&g, "knows/likes/knows").unwrap();
-//! let catalog = SelectivityCatalog::compute(&g, 3);
+//! let catalog = SparseCatalog::compute(&g, 3).unwrap();
 //! let oracle = ExactOracle::new(&catalog);
 //! let plan = optimize(&query, &oracle);
 //! let report = execute(&g, &plan);
@@ -43,7 +43,7 @@
 //! ```
 //! use phe_graph::{FollowMatrix, GraphBuilder};
 //! use phe_query::{parse_expr, optimize_expr, CardinalityEstimator, ExactOracle};
-//! use phe_pathenum::SelectivityCatalog;
+//! use phe_pathenum::SparseCatalog;
 //!
 //! let mut b = GraphBuilder::new();
 //! b.add_edge_named(0, "knows", 1);
@@ -52,7 +52,7 @@
 //! let g = b.build();
 //!
 //! let expr = parse_expr(&g, "knows/(likes|knows)?").unwrap();
-//! let catalog = SelectivityCatalog::compute(&g, 3);
+//! let catalog = SparseCatalog::compute(&g, 3).unwrap();
 //! let oracle = ExactOracle::new(&catalog).with_follow(FollowMatrix::from_graph(&g));
 //! let estimate = oracle.estimate_expr(&expr).unwrap();
 //! // knows (2 pairs) + knows/likes (1); the knows/knows branch is

@@ -149,7 +149,7 @@ mod tests {
     use super::*;
     use crate::estimate::ExactOracle;
     use phe_graph::GraphBuilder;
-    use phe_pathenum::SelectivityCatalog;
+    use phe_pathenum::SparseCatalog;
 
     /// A graph where a/b is tiny but b/c is huge, so the optimizer should
     /// join a/b first in the query a/b/c.
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn optimizer_prefers_small_intermediates() {
         let g = skewed_graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let query = crate::parse::parse_path(&g, "a/b/c").unwrap();
         let plan = optimize(&query, &oracle);
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn dp_matches_exhaustive_enumeration() {
         let g = skewed_graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let query = crate::parse::parse_path(&g, "a/b/c").unwrap();
         let chosen = optimize(&query, &oracle);
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn single_step_is_a_leaf() {
         let g = skewed_graph();
-        let catalog = SelectivityCatalog::compute(&g, 1);
+        let catalog = SparseCatalog::compute(&g, 1).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let plan = optimize(&[phe_graph::LabelId(0)], &oracle);
         assert!(matches!(plan, Plan::Leaf { .. }));
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn plan_covers_query_in_order() {
         let g = skewed_graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let query = crate::parse::parse_path(&g, "c/b/a").unwrap();
         let plan = optimize(&query, &oracle);
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn optimize_expr_unions_per_branch_plans() {
         let g = skewed_graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let expr = crate::parse::parse_expr(&g, "(a|b)/c | a/b/c").unwrap();
         let plan = optimize_expr(&expr, &oracle).unwrap();
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn optimize_expr_reports_empty_expansions_as_errors() {
         let g = skewed_graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         // Every branch exceeds the oracle's max_len of 3.
         let expr = crate::parse::parse_expr(&g, "a/b/c/a").unwrap();
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn enumerate_counts_catalan() {
         let g = skewed_graph();
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         let oracle = ExactOracle::new(&catalog);
         let query = crate::parse::parse_path(&g, "a/b/c").unwrap();
         // C(2) = 2 trees over 3 leaves.

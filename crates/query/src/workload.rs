@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 
 use phe_graph::{FollowMatrix, LabelId};
-use phe_pathenum::SelectivityCatalog;
+use phe_pathenum::SparseCatalog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,22 +31,22 @@ pub struct Workload {
 /// # Panics
 /// Panics if `len` is 0 or exceeds the catalog's `k`.
 pub fn stratified_workload(
-    catalog: &SelectivityCatalog,
+    catalog: &SparseCatalog,
     len: usize,
     count: usize,
     seed: u64,
 ) -> Workload {
     let k = catalog.encoding().max_len();
     assert!(len >= 1 && len <= k, "length {len} outside 1..={k}");
-    // Collect (canonical index, selectivity) for non-zero paths of the
-    // requested length.
-    let lo = catalog.encoding().offset_of_length(len);
-    let hi = lo + catalog.encoding().label_count().pow(len as u32);
-    let mut candidates: Vec<(usize, u64)> = (lo..hi)
-        .filter_map(|i| {
-            let f = catalog.selectivity_at(i);
-            (f > 0).then_some((i, f))
-        })
+    // Collect (canonical index, selectivity) for the realized paths of the
+    // requested length: the catalog's entries inside the length block.
+    let lo = catalog.encoding().offset_of_length(len) as u64;
+    let hi = lo + catalog.encoding().label_count().pow(len as u32) as u64;
+    let mut candidates: Vec<(usize, u64)> = catalog
+        .iter()
+        .skip_while(|&(i, _)| i < lo)
+        .take_while(|&(i, _)| i < hi)
+        .map(|(i, f)| (i as usize, f))
         .collect();
     if candidates.is_empty() {
         return Workload {
@@ -128,18 +128,14 @@ pub const EXPR_WIDTH_STRATA: [(usize, usize); 3] = [(1, 1), (2, 4), (5, 16)];
 /// Returns fewer expressions when the graph is too small to fill a
 /// stratum.
 pub fn stratified_expr_workload(
-    catalog: &SelectivityCatalog,
+    catalog: &SparseCatalog,
     follow: Option<&FollowMatrix>,
     per_stratum: usize,
     seed: u64,
 ) -> ExprWorkload {
     let k = catalog.encoding().max_len();
     let label_count = catalog.encoding().label_count();
-    let realized: Vec<Vec<LabelId>> = catalog
-        .iter()
-        .filter(|(_, f)| *f > 0)
-        .map(|(p, _)| p)
-        .collect();
+    let realized: Vec<Vec<LabelId>> = catalog.iter_nonzero().map(|(p, _)| p).collect();
     if realized.is_empty() || per_stratum == 0 {
         return ExprWorkload {
             exprs: Vec::new(),
@@ -296,9 +292,9 @@ mod tests {
     use super::*;
     use phe_datasets::{erdos_renyi, LabelDistribution};
 
-    fn catalog() -> SelectivityCatalog {
+    fn catalog() -> SparseCatalog {
         let g = erdos_renyi(80, 900, 4, LabelDistribution::Zipf { exponent: 1.0 }, 3);
-        SelectivityCatalog::compute(&g, 3)
+        SparseCatalog::compute(&g, 3).unwrap()
     }
 
     #[test]
@@ -392,7 +388,7 @@ mod tests {
     #[test]
     fn expr_workload_respects_follow_pruning() {
         let g = erdos_renyi(80, 900, 4, LabelDistribution::Zipf { exponent: 1.0 }, 3);
-        let c = SelectivityCatalog::compute(&g, 3);
+        let c = SparseCatalog::compute(&g, 3).unwrap();
         let follow = FollowMatrix::from_graph(&g);
         let w = stratified_expr_workload(&c, Some(&follow), 3, 21);
         assert!(!w.exprs.is_empty());

@@ -11,7 +11,7 @@ use std::time::Instant;
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::datasets::moreno_health_like_scaled;
 use phe::histogram::{mean_abs_error_rate, PointEstimator};
-use phe::pathenum::{parallel, SamplingConfig, SamplingEstimator};
+use phe::pathenum::{SamplingConfig, SamplingEstimator, SparseCatalog};
 use phe::query::stratified_workload;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
 
     // Ground truth + a stratified query workload.
     let t = Instant::now();
-    let catalog = parallel::compute_parallel(&graph, k, 0);
+    let catalog = SparseCatalog::compute_parallel(&graph, k, 0).expect("domain fits u48");
     let catalog_build = t.elapsed();
     let workload = stratified_workload(&catalog, k, 64, 7);
     let truths: Vec<u64> = workload
@@ -47,10 +47,11 @@ fn main() {
 
     // 1. Exact catalog: perfect but stores the whole table.
     {
+        let dense = catalog.to_dense().expect("dense-feasible domain");
         let t = Instant::now();
         let mut acc = 0.0;
         for q in &workload.queries {
-            acc += catalog.selectivity(q) as f64;
+            acc += dense.selectivity(q) as f64;
         }
         std::hint::black_box(acc);
         let per_query = t.elapsed().as_nanos() as f64 / workload.queries.len() as f64;
@@ -58,7 +59,7 @@ fn main() {
             "{:<26} {:>9.2}s {:>11}B {:>12.0} {:>12.4}",
             "exact catalog",
             catalog_build.as_secs_f64(),
-            catalog.len() * 8,
+            dense.len() * 8,
             per_query,
             0.0
         );
@@ -67,7 +68,7 @@ fn main() {
     // 2. Histograms under two orderings (the paper's subject).
     for ordering in [OrderingKind::NumAlph, OrderingKind::SumBased] {
         let t = Instant::now();
-        let est = PathSelectivityEstimator::from_catalog(
+        let est = PathSelectivityEstimator::from_sparse_catalog(
             &graph,
             catalog.clone(),
             EstimatorConfig {

@@ -12,7 +12,7 @@ use phe::core::ordering::OrderingKind;
 use phe::datasets::moreno_health_like_scaled;
 use phe::histogram::builder::{EquiWidth, HistogramBuilder};
 use phe::histogram::{PointEstimator, SparseFrequencies};
-use phe::pathenum::SelectivityCatalog;
+use phe::pathenum::SparseCatalog;
 
 const WIDTH: usize = 56;
 
@@ -24,11 +24,12 @@ fn bar(value: f64, max: f64) -> String {
 fn main() {
     let graph = moreno_health_like_scaled(0.25, 42);
     let k = 2; // small domain so the plot fits a terminal
-    let catalog = SelectivityCatalog::compute(&graph, k);
+    let sparse = SparseCatalog::compute(&graph, k).expect("domain fits u48");
+    let catalog = sparse.to_dense().expect("dense-feasible domain");
     let beta = 6;
 
     for kind in [OrderingKind::NumAlph, OrderingKind::SumBased] {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &sparse, k);
         let ordered = ordered_frequencies(&catalog, ordering.as_ref());
         let histogram = EquiWidth
             .build(&SparseFrequencies::dense(&ordered), beta)

@@ -12,7 +12,7 @@
 
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::datasets::dbpedia_like_scaled;
-use phe::pathenum::parallel::compute_parallel;
+use phe::pathenum::SparseCatalog;
 use phe::query::{
     execute, optimize, CardinalityEstimator, ExactOracle, HistogramEstimator, IndependenceBaseline,
 };
@@ -27,8 +27,8 @@ fn main() {
     );
 
     let k = 4;
-    let catalog = compute_parallel(&graph, k, 0);
-    let estimator = PathSelectivityEstimator::from_catalog(
+    let catalog = SparseCatalog::compute_parallel(&graph, k, 0).expect("domain fits u48");
+    let estimator = PathSelectivityEstimator::from_sparse_catalog(
         &graph,
         catalog.clone(),
         EstimatorConfig {

@@ -14,7 +14,7 @@ use phe::core::eval::evaluate_configuration;
 use phe::core::ordering::OrderingKind;
 use phe::core::{EstimatorConfig, HistogramKind, PathSelectivityEstimator};
 use phe::datasets::{forest_fire, ForestFireParams, LabelDistribution};
-use phe::pathenum::SelectivityCatalog;
+use phe::pathenum::SparseCatalog;
 
 fn main() {
     // A 2 000-person social network; labels skewed like real platforms:
@@ -37,7 +37,8 @@ fn main() {
     );
 
     let k = 4;
-    let catalog = SelectivityCatalog::compute(&graph, k);
+    let sparse = SparseCatalog::compute(&graph, k).expect("domain fits u48");
+    let catalog = sparse.to_dense().expect("dense-feasible domain");
     let beta = catalog.len() / 16;
     println!(
         "domain: {} label paths (k = {k}), histogram budget β = {beta}\n",
@@ -49,7 +50,7 @@ fn main() {
         "ordering", "mean |err|", "median q-error"
     );
     for kind in OrderingKind::ALL {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &sparse, k);
         let report = evaluate_configuration(
             &catalog,
             ordering.as_ref(),

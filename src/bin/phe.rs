@@ -606,13 +606,15 @@ fn cmd_accuracy(args: &[String]) -> Result<(), String> {
     let graph = load_graph(path)?;
     let k: usize = flags.require("k")?;
     let beta: usize = flags.require("beta")?;
-    let catalog = phe::pathenum::parallel::compute_parallel(&graph, k, 0);
+    let sparse =
+        phe::pathenum::SparseCatalog::compute_parallel(&graph, k, 0).map_err(|e| e.to_string())?;
+    let catalog = sparse.to_dense().map_err(|e| e.to_string())?;
     println!(
         "{:<14} {:>12} {:>14}",
         "ordering", "mean |err|", "median q-error"
     );
     for kind in OrderingKind::ALL {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &sparse, k);
         let report = phe::core::evaluate_configuration(
             &catalog,
             ordering.as_ref(),

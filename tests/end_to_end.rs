@@ -6,7 +6,7 @@ use phe::core::ordering::OrderingKind;
 use phe::core::{EstimatorConfig, HistogramKind, PathSelectivityEstimator};
 use phe::datasets::{self, LabelDistribution};
 use phe::graph::LabelId;
-use phe::pathenum::{parallel, SelectivityCatalog};
+use phe::pathenum::SparseCatalog;
 
 /// Every (ordering, histogram) configuration builds and produces finite,
 /// non-negative estimates over the whole domain on every paper dataset
@@ -16,7 +16,8 @@ fn every_configuration_builds_on_every_dataset() {
     for dataset in datasets::paper_datasets(0.01, 11) {
         let graph = &dataset.graph;
         let k = 2;
-        let catalog = SelectivityCatalog::compute(graph, k);
+        let sparse = SparseCatalog::compute(graph, k).unwrap();
+        let catalog = sparse.to_dense().unwrap();
         for ordering in OrderingKind::ALL {
             for histogram in [
                 HistogramKind::EquiWidth,
@@ -24,7 +25,7 @@ fn every_configuration_builds_on_every_dataset() {
                 HistogramKind::VOptimalGreedy,
                 HistogramKind::VOptimalMaxDiff,
             ] {
-                let built = ordering.build(graph, &catalog, k);
+                let built = ordering.build_sparse(graph, &sparse, k);
                 let report = evaluate_configuration(&catalog, built.as_ref(), histogram, 8)
                     .unwrap_or_else(|e| {
                         panic!(
@@ -55,10 +56,11 @@ fn every_configuration_builds_on_every_dataset() {
 fn sum_based_wins_on_skewed_synthetic_data() {
     let graph = datasets::erdos_renyi(120, 2400, 5, LabelDistribution::Zipf { exponent: 1.1 }, 99);
     let k = 3;
-    let catalog = SelectivityCatalog::compute(&graph, k);
+    let sparse = SparseCatalog::compute(&graph, k).unwrap();
+    let catalog = sparse.to_dense().unwrap();
     let beta = catalog.len() / 32;
     let error_of = |kind: OrderingKind| {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &sparse, k);
         evaluate_configuration(
             &catalog,
             ordering.as_ref(),
@@ -133,7 +135,10 @@ fn full_budget_estimator_is_an_oracle() {
         },
     )
     .unwrap();
-    let reference = parallel::compute_parallel(&graph, k, 2);
+    let reference = SparseCatalog::compute_parallel(&graph, k, 2)
+        .unwrap()
+        .to_dense()
+        .unwrap();
     for (path, truth) in reference.iter() {
         assert_eq!(
             est.estimate(&path),
@@ -149,9 +154,10 @@ fn full_budget_estimator_is_an_oracle() {
 fn accuracy_improves_with_budget_end_to_end() {
     let graph = datasets::dbpedia_like_scaled(0.01, 5);
     let k = 3;
-    let catalog = SelectivityCatalog::compute(&graph, k);
+    let sparse = SparseCatalog::compute(&graph, k).unwrap();
+    let catalog = sparse.to_dense().unwrap();
     for kind in [OrderingKind::NumCard, OrderingKind::SumBased] {
-        let ordering = kind.build(&graph, &catalog, k);
+        let ordering = kind.build_sparse(&graph, &sparse, k);
         let mut last = f64::INFINITY;
         for beta in [4usize, 16, 64, 256] {
             let err = evaluate_configuration(

@@ -174,7 +174,7 @@ fn assert_converged(registry: &EstimatorRegistry, name: &str, final_graph: &Grap
 /// re-derived from the maintained catalog: its `build_id` and every
 /// realized-path estimate — maintained and served — equal a full build of
 /// the maintained graph, and no counting time was spent.
-fn assert_rederived_from_catalog(registry: &EstimatorRegistry, name: &str) {
+fn assert_rederived_from_maintained_catalog(registry: &EstimatorRegistry, name: &str) {
     let state = registry.maintenance(name).expect("slot stays maintained");
     let reference = PathSelectivityEstimator::build(&state.graph, config()).expect("full build");
     assert_eq!(state.estimator.build_id(), reference.build_id());
@@ -399,7 +399,7 @@ fn drift_crossing_triggers_exactly_one_rebuild_and_resets_gauges() {
     let state = registry.maintenance("main").expect("still maintained");
     assert_eq!(state.estimator.applied_deltas(), 0);
     assert!(state.estimator.drift().is_none());
-    assert_rederived_from_catalog(&registry, "main");
+    assert_rederived_from_maintained_catalog(&registry, "main");
     assert_eq!(
         prometheus_value(&metrics, "phe_drift_mean_abs_error", &[("slot", "main")]),
         None,
@@ -479,7 +479,7 @@ fn applied_deltas_threshold_triggers_full_rebuild() {
             .applied_deltas(),
         0
     );
-    assert_rederived_from_catalog(&registry, "main");
+    assert_rederived_from_maintained_catalog(&registry, "main");
     assert_eq!(
         prometheus_value(
             &metrics,

@@ -11,7 +11,13 @@
 //!    (length-major, lexicographic), across **all 7 orderings × 6
 //!    histogram kinds** — and the exact-oracle path agrees with actual
 //!    graph counts.
-//! 4. **The walk's counts.** `pruned` and `truncated` equal their
+//! 4. **Consistency across the four `CardinalityEstimator` impls**
+//!    (exact oracle, histogram, independence, sampling): every estimate
+//!    is finite and non-negative, widening an expression by alternation
+//!    never lowers its total, and a histogram with one bucket budget per
+//!    domain path (β = |Lk|) *is* the exact oracle, for every ordering
+//!    and histogram kind — per path and, bit for bit, per expression.
+//! 5. **The walk's counts.** `pruned` and `truncated` equal their
 //!    definitions over a brute-force prefix enumeration: `pruned` is the
 //!    number of distinct prefixes `q = p·l` (`2 ≤ |q| ≤ k`) of the
 //!    expression's words whose `p` the follow matrix allows and whose last
@@ -22,8 +28,11 @@ use std::collections::BTreeSet;
 
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::graph::{FollowMatrix, Graph, GraphBuilder, LabelId, VertexId};
-use phe::pathenum::{PathRelation, SelectivityCatalog};
-use phe::query::{CardinalityEstimator, ExactOracle, ExpandOptions, HistogramEstimator, PathExpr};
+use phe::pathenum::{PathRelation, SamplingConfig, SamplingEstimator, SparseCatalog};
+use phe::query::{
+    CardinalityEstimator, ExactOracle, ExpandOptions, HistogramEstimator, IndependenceBaseline,
+    PathExpr, SamplingAdapter,
+};
 use proptest::prelude::*;
 
 const LABELS: u16 = 3;
@@ -324,7 +333,7 @@ proptest! {
         g in arb_graph(),
         k in 1usize..4,
     ) {
-        let catalog = SelectivityCatalog::compute(&g, k);
+        let catalog = SparseCatalog::compute(&g, k).unwrap();
         let follow = FollowMatrix::from_graph(&g);
         let oracle = ExactOracle::new(&catalog).with_follow(follow.clone());
         let got = oracle.estimate_expr(&expr).unwrap();
@@ -346,5 +355,132 @@ proptest! {
         let unpruned = ExactOracle::new(&catalog).estimate_expr(&expr).unwrap();
         prop_assert_eq!(unpruned.total, got.total);
         prop_assert!(unpruned.width() >= got.width());
+    }
+}
+
+/// Every path of length `1..=k` over the test alphabet, canonical order.
+fn domain_paths(k: usize) -> Vec<Vec<LabelId>> {
+    let domain = phe::core::PathDomain::new(LABELS as usize, k);
+    (0..domain.size())
+        .map(|i| domain.canonical_path(i).label_ids())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Every estimator answers every path with a finite, non-negative
+    // estimate, and an alternation's total is never below either of its
+    // branches' totals (its expansion is a superset, every term ≥ 0).
+    #[test]
+    fn estimators_are_finite_nonnegative_and_monotone_under_alternation(
+        e1 in ArbExpr { depth: 3 },
+        e2 in ArbExpr { depth: 3 },
+        g in arb_graph(),
+        k in 1usize..4,
+        beta in 1usize..16,
+    ) {
+        let follow = FollowMatrix::from_graph(&g);
+        let catalog = SparseCatalog::compute(&g, k).unwrap();
+        let built = PathSelectivityEstimator::build(
+            &g,
+            EstimatorConfig {
+                k,
+                beta,
+                threads: 1,
+                ..EstimatorConfig::default()
+            },
+        )
+        .unwrap();
+        let oracle = ExactOracle::new(&catalog).with_follow(follow.clone());
+        let histogram = HistogramEstimator::new(&built).with_follow(follow.clone());
+        let independence = IndependenceBaseline::from_graph(&g);
+        let sampling = SamplingAdapter::new(SamplingEstimator::new(
+            &g,
+            SamplingConfig {
+                sample_size: 4,
+                seed: 11,
+            },
+        ))
+        .with_follow(follow);
+        let estimators: [&dyn CardinalityEstimator; 4] =
+            [&oracle, &histogram, &independence, &sampling];
+        let widened = PathExpr::Alt(vec![e1.clone(), e2.clone()]);
+        for est in estimators {
+            for path in domain_paths(k) {
+                let e = est.estimate(&path);
+                prop_assert!(e.is_finite() && e >= 0.0, "{}: {} for {:?}", est.name(), e, path);
+            }
+            for narrow in [&e1, &e2] {
+                if let (Ok(wide), Ok(narrow)) = (est.estimate_expr(&widened), est.estimate_expr(narrow)) {
+                    prop_assert!(
+                        wide.total >= narrow.total,
+                        "{}: {} total {} < branch total {}",
+                        est.name(),
+                        widened,
+                        wide.total,
+                        narrow.total
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // With one bucket per domain path (β = |Lk|) every histogram kind
+    // reproduces the counts exactly under every ordering: the histogram
+    // estimator equals the exact oracle on every path, and its
+    // expression totals equal the oracle's bit for bit.
+    #[test]
+    fn full_budget_histograms_equal_the_exact_oracle(
+        expr in ArbExpr { depth: 3 },
+        g in arb_graph(),
+        k in 1usize..4,
+    ) {
+        let follow = FollowMatrix::from_graph(&g);
+        let catalog = SparseCatalog::compute(&g, k).unwrap();
+        let oracle = ExactOracle::new(&catalog).with_follow(follow.clone());
+        let paths = domain_paths(k);
+        let truth = oracle.estimate_expr(&expr);
+        for ordering in OrderingKind::ALL.into_iter().chain([OrderingKind::Ideal]) {
+            for histogram in HistogramKind::ALL {
+                let config = EstimatorConfig {
+                    k,
+                    beta: catalog.len(),
+                    ordering,
+                    histogram,
+                    threads: 1,
+                    retain_catalog: false,
+                    retain_sparse: false,
+                };
+                let built = PathSelectivityEstimator::build(&g, config).unwrap();
+                let estimator = HistogramEstimator::new(&built).with_follow(follow.clone());
+                for path in &paths {
+                    prop_assert_eq!(
+                        estimator.estimate(path).to_bits(),
+                        oracle.estimate(path).to_bits(),
+                        "{}/{}: {:?}",
+                        ordering.name(),
+                        histogram.name(),
+                        path
+                    );
+                }
+                let got = estimator.estimate_expr(&expr);
+                match (&got, &truth) {
+                    (Ok(got), Ok(truth)) => prop_assert_eq!(
+                        got.total.to_bits(),
+                        truth.total.to_bits(),
+                        "{}/{}: expr {}",
+                        ordering.name(),
+                        histogram.name(),
+                        expr
+                    ),
+                    _ => prop_assert_eq!(got.is_ok(), truth.is_ok()),
+                }
+            }
+        }
     }
 }

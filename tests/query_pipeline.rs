@@ -4,7 +4,7 @@
 
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::datasets::dbpedia_like_scaled;
-use phe::pathenum::{parallel, PathRelation};
+use phe::pathenum::{PathRelation, SparseCatalog};
 use phe::query::{
     execute, optimize, CardinalityEstimator, ExactOracle, HistogramEstimator, IndependenceBaseline,
 };
@@ -15,8 +15,8 @@ use phe::query::{
 fn all_estimators_produce_correct_answers() {
     let graph = dbpedia_like_scaled(0.01, 13);
     let k = 4;
-    let catalog = parallel::compute_parallel(&graph, k, 2);
-    let estimator = PathSelectivityEstimator::from_catalog(
+    let catalog = SparseCatalog::compute_parallel(&graph, k, 2).unwrap();
+    let estimator = PathSelectivityEstimator::from_sparse_catalog(
         &graph,
         catalog.clone(),
         EstimatorConfig {
@@ -59,8 +59,8 @@ fn all_estimators_produce_correct_answers() {
 fn oracle_plans_lower_bound_other_estimators() {
     let graph = dbpedia_like_scaled(0.008, 29);
     let k = 3;
-    let catalog = parallel::compute_parallel(&graph, k, 2);
-    let estimator = PathSelectivityEstimator::from_catalog(
+    let catalog = SparseCatalog::compute_parallel(&graph, k, 2).unwrap();
+    let estimator = PathSelectivityEstimator::from_sparse_catalog(
         &graph,
         catalog.clone(),
         EstimatorConfig {

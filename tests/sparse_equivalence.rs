@@ -1,15 +1,15 @@
-//! The sparse pipeline's contract: for arbitrary graphs, every ordering ×
-//! histogram configuration built through the sparse streaming pipeline
-//! produces **bit-identical** estimates to the dense reference pipeline,
-//! the two catalog representations round-trip losslessly, and — for
-//! arbitrary edge churn — incremental delta application reproduces a
-//! from-scratch build exactly.
+//! The estimator pipeline's contract: for arbitrary graphs, every
+//! ordering × histogram configuration estimates **bit-identically** to
+//! the textbook construction over naive-oracle counts, the two catalog
+//! representations round-trip losslessly, and — for arbitrary edge churn
+//! — incremental delta application reproduces a from-scratch build
+//! exactly.
 
-use std::time::Duration;
-
+use phe::core::eval::ordered_frequencies;
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::graph::{Graph, GraphBuilder, GraphDelta, LabelId, VertexId};
-use phe::pathenum::{SelectivityCatalog, SparseCatalog};
+use phe::histogram::{PointEstimator, SparseFrequencies};
+use phe::pathenum::{naive, SelectivityCatalog, SparseCatalog};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = phe::graph::Graph> {
@@ -29,16 +29,22 @@ fn arb_graph() -> impl Strategy<Value = phe::graph::Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Sparse build ≡ dense build, across every ordering and histogram
-    // kind, over every path in the domain.
+    // The built estimator ≡ the paper's three steps done by hand over
+    // independent counts: naive per-path counts, permuted into the
+    // ordering by unranking every index (`ordered_frequencies`), one
+    // histogram over the dense ordered sequence — across every ordering
+    // and histogram kind, over every path in the domain.
     #[test]
-    fn sparse_and_dense_pipelines_estimate_identically(
+    fn estimates_match_the_naive_oracle_pipeline(
         g in arb_graph(),
         k in 1usize..4,
         beta in 1usize..24,
     ) {
-        let dense_catalog = SelectivityCatalog::compute(&g, k);
+        let oracle = naive::compute_catalog_naive(&g, k);
+        let oracle_sparse = SparseCatalog::from_dense(&oracle);
         for ordering in OrderingKind::ALL.into_iter().chain([OrderingKind::Ideal]) {
+            let textbook_ordering = ordering.build_sparse(&g, &oracle_sparse, k);
+            let ordered = ordered_frequencies(&oracle, textbook_ordering.as_ref());
             for histogram in HistogramKind::ALL {
                 let config = EstimatorConfig {
                     k,
@@ -49,25 +55,22 @@ proptest! {
                     retain_catalog: false,
                     retain_sparse: false,
                 };
-                let sparse_est = PathSelectivityEstimator::build(&g, config).unwrap();
-                let dense_est = PathSelectivityEstimator::from_catalog(
-                    &g,
-                    dense_catalog.clone(),
-                    config,
-                    Duration::ZERO,
-                )
-                .unwrap();
-                for (path, _) in dense_catalog.iter() {
-                    let d = dense_est.estimate(&path);
-                    let s = sparse_est.estimate(&path);
+                let built = PathSelectivityEstimator::build(&g, config).unwrap();
+                let textbook = histogram
+                    .build(&SparseFrequencies::dense(&ordered), beta)
+                    .unwrap();
+                for (path, _) in oracle.iter() {
+                    let index = textbook_ordering.index_of(&phe::core::LabelPath::new(&path));
+                    let want = textbook.estimate(index as usize);
+                    let got = built.estimate(&path);
                     prop_assert_eq!(
-                        d.to_bits(),
-                        s.to_bits(),
-                        "{}/{}: dense {} != sparse {} for {:?}",
+                        want.to_bits(),
+                        got.to_bits(),
+                        "{}/{}: textbook {} != built {} for {:?}",
                         ordering.name(),
                         histogram.name(),
-                        d,
-                        s,
+                        want,
+                        got,
                         path
                     );
                 }
@@ -201,10 +204,10 @@ proptest! {
     // ordering, including the combinatorial overrides.
     #[test]
     fn ordered_index_matches_index_of(g in arb_graph(), k in 1usize..4) {
-        let catalog = SelectivityCatalog::compute(&g, k);
+        let catalog = SparseCatalog::compute(&g, k).unwrap();
         let domain = phe::core::PathDomain::new(g.label_count(), k);
         for kind in OrderingKind::ALL.into_iter().chain([OrderingKind::Ideal]) {
-            let ordering = kind.build(&g, &catalog, k);
+            let ordering = kind.build_sparse(&g, &catalog, k);
             for c in 0..domain.size() {
                 let via_path = ordering.index_of(&domain.canonical_path(c));
                 prop_assert_eq!(
