@@ -33,6 +33,32 @@ fn bench_construction(c: &mut Criterion) {
             b.iter(|| builder.build(&view, beta).unwrap().bucket_count())
         });
     }
+
+    // The greedy's heap phase alone: 120k cells over a six-value alphabet
+    // leave about 94k equal-value runs, so the indexed merge heap does
+    // nearly all of the work.
+    let mut x = 42u64;
+    let cells: Vec<u64> = (0..120_000)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let roll = (x >> 33) % 8;
+            if roll < 3 {
+                0
+            } else {
+                roll * 5
+            }
+        })
+        .collect();
+    let runs = 1 + cells.windows(2).filter(|w| w[0] != w[1]).count();
+    assert!(runs >= 50_000, "{runs} runs");
+    let view = SparseFrequencies::dense(&cells);
+    let greedy = VOptimal::greedy();
+    group.bench_function(
+        BenchmarkId::from_parameter("v-optimal-greedy-phase2"),
+        |b| b.iter(|| greedy.build(&view, 256).unwrap().bucket_count()),
+    );
     group.finish();
 
     // The other construction-time cost: permuting frequencies through the

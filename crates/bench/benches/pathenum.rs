@@ -3,7 +3,8 @@
 //! parallel variant, on a near-complete follow matrix (Erdős–Rényi: every
 //! label can follow every other, so follow pruning rarely fires) and on a
 //! follow-sparse chained schema (each label is followed by a few
-//! neighbours, so pruning skips most compositions).
+//! neighbours, so pruning skips most compositions), plus a chained
+//! schema with about 8 successors per label for the fused leaf pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phe_datasets::schema::{narrow_chained_schema, schema_graph};
@@ -46,6 +47,18 @@ fn bench_catalog(c: &mut Criterion) {
                 .unwrap()
                 .total_mass()
         })
+    });
+    group.finish();
+
+    // The leaf pass: 32 labels whose follow windows hold about 8
+    // successors each (8.3 on average at this seed), so every depth-(k − 1) relation fans out to ~8
+    // leaf labels counted in one fused pass over its targets' out-edges.
+    let fanout = schema_graph(1500, &narrow_chained_schema(32, 32 * 80, 0.16), 42);
+    let k = 4;
+    let mut group = c.benchmark_group("catalog-leaf-fanout");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("trie-dfs"), |b| {
+        b.iter(|| SparseCatalog::compute(&fanout, k).unwrap().total_mass())
     });
     group.finish();
 

@@ -12,16 +12,15 @@
 //!   start from singleton buckets and repeatedly merge the adjacent pair
 //!   with the smallest SSE increase. Not optimal, but close in practice
 //!   (the `ablation_voptimal` binary quantifies the gap). Zero runs and
-//!   other equal-value runs collapse without touching their indexes, so
-//!   the cost is `O(nnz log nnz)` however large the domain.
+//!   other equal-value runs collapse without touching their indexes, and
+//!   the remaining `≤ 2·nnz + 1` segments merge through an indexed heap
+//!   that holds one entry per segment, so the cost is `O(nnz log nnz)`
+//!   however large the domain.
 //! * [`VOptimalMode::MaxDiff`] — place the `β − 1` boundaries at the
 //!   largest adjacent differences. Cheapest, crudest: `O(nnz log nnz)`.
 //!
 //! Every mode reads [`SparsePrefix`] range statistics, which equal the
 //! textbook dense prefix sums bit for bit.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::builder::{check_inputs, histogram_from_ends, HistogramBuilder};
 use crate::error::HistogramError;
@@ -106,24 +105,6 @@ impl HistogramBuilder for VOptimal {
     }
 }
 
-/// `f64` ordered by `total_cmp`, for use in heaps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TotalF64(f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// Exact `O(N²β)` dynamic program over a domain within the DP limit.
 /// Returns inclusive bucket end indexes.
 ///
@@ -191,7 +172,9 @@ fn exact_dp_ends(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
 /// merges does a real heap phase start, and by then the segmentation is
 /// the equal-value runs (≤ 2·nnz + 1 of them), over which we replay the
 /// identical heap algorithm with [`SparsePrefix`] supplying bit-identical
-/// SSE values.
+/// SSE values. The replay's heap is indexed ([`MergeHeap`]): each merge
+/// deletes or re-keys the three entries it changes in place, where the
+/// textbook heap pushes fresh pairs and skips the stale ones on pop.
 ///
 /// The phase split equals the all-singletons heap whenever the
 /// squared-frequency prefix sums are exact in `f64` (`Σ f² < 2⁵³`); past
@@ -235,7 +218,6 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
     // carries its entry-rank span `[rank_lo, rank_hi)` so SSE reads are
     // plain prefix-array subtractions — no binary search in the loop.
     let prefix = SparsePrefix::new(data);
-    #[derive(Clone)]
     struct Seg {
         lo: u64,
         hi: u64,
@@ -243,8 +225,6 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
         rank_lo: u32,
         rank_hi: u32,
         sse: f64,
-        version: u32,
-        alive: bool,
     }
     let mut segs: Vec<Seg> = Vec::with_capacity(runs.len());
     let mut rank = 0usize;
@@ -266,8 +246,6 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
             } else {
                 prefix.range_sse_at(lo, hi, rank_lo, rank)
             },
-            version: 0,
-            alive: true,
         });
     }
     let r = segs.len();
@@ -277,13 +255,12 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
         .collect();
     let mut prev_l: Vec<usize> = (0..r).map(|i| if i > 0 { i - 1 } else { NONE }).collect();
 
-    // Heap keys carry the *arena index* of the left segment. The dense
-    // algorithm tie-breaks equal costs by leader domain index; segments
-    // are created in ascending `lo` order, so arena order and `lo` order
-    // coincide and the pop sequence (hence every merge decision) is
-    // unchanged — while the pop path loses its hash-map lookup, which
-    // dominated the replay on large inputs. The initial entries are
-    // heapified in one O(r) pass instead of r pushes.
+    // The heap holds one entry per segment with a right neighbour, keyed
+    // by (merge cost, arena index). The dense algorithm tie-breaks equal
+    // costs by leader domain index; segments are created in ascending
+    // `lo` order, so arena order and `lo` order coincide. The dense heap
+    // also has exactly one live pair per leader (its others are stale), so
+    // popping the least live key here makes every merge decision it does.
     let merge_cost = |segs: &[Seg], l: usize, r: usize, prefix: &SparsePrefix| {
         prefix.range_sse_at(
             segs[l].lo,
@@ -293,27 +270,14 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
         ) - segs[l].sse
             - segs[r].sse
     };
-    let mut heap: BinaryHeap<Reverse<(TotalF64, u64, u32, u32)>> = (0..r - 1)
-        .map(|l| {
-            let cost = merge_cost(&segs, l, l + 1, &prefix);
-            Reverse((TotalF64(cost), l as u64, 0, 0))
-        })
-        .collect();
+    let mut heap = MergeHeap::new((0..r - 1).map(|l| merge_cost(&segs, l, l + 1, &prefix)));
 
     let mut alive = r;
     while alive > beta {
-        // LINT-ALLOW(panic): every merge pushes a fresh pair for each
-        // surviving neighbour, so while more than β ≥ 1 segments are alive
-        // an adjacent pair with current versions is always queued.
-        let Reverse((_, leader, vl, vr)) = heap.pop().expect("heap exhausted before reaching beta");
-        let l = leader as usize;
-        if !segs[l].alive || segs[l].version != vl {
-            continue;
-        }
+        // While more than β ≥ 1 segments are alive, some segment has a
+        // right neighbour, hence an entry.
+        let Some(l) = heap.peek() else { break };
         let right = next[l];
-        if right == NONE || !segs[right].alive || segs[right].version != vr {
-            continue;
-        }
         segs[l].hi = segs[right].hi;
         segs[l].rank_hi = segs[right].rank_hi;
         segs[l].sse = prefix.range_sse_at(
@@ -322,38 +286,24 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
             segs[l].rank_lo as usize,
             segs[l].rank_hi as usize,
         );
-        segs[l].version += 1;
-        segs[right].alive = false;
         let rn = next[right];
         next[l] = rn;
-        if rn != NONE {
-            prev_l[rn] = l;
-        }
         alive -= 1;
-        if rn != NONE {
-            let cost = merge_cost(&segs, l, rn, &prefix);
-            heap.push(Reverse((
-                TotalF64(cost),
-                l as u64,
-                segs[l].version,
-                segs[rn].version,
-            )));
+        if rn == NONE {
+            heap.remove(l);
+        } else {
+            heap.remove(right);
+            prev_l[rn] = l;
+            heap.update(l, merge_cost(&segs, l, rn, &prefix));
         }
         let lp = prev_l[l];
         if lp != NONE {
-            let cost = merge_cost(&segs, lp, l, &prefix);
-            heap.push(Reverse((
-                TotalF64(cost),
-                lp as u64,
-                segs[lp].version,
-                segs[l].version,
-            )));
+            heap.update(lp, merge_cost(&segs, lp, l, &prefix));
         }
     }
 
     let mut ends = Vec::with_capacity(beta);
     let mut i = 0usize;
-    debug_assert!(segs[0].alive);
     loop {
         ends.push(segs[i].hi);
         i = next[i];
@@ -363,6 +313,119 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
     }
     debug_assert_eq!(ends.len(), beta);
     ends
+}
+
+/// An indexed binary min-heap of merge candidates, one entry per left
+/// segment: `pos[l]` locates segment `l`'s entry, so a merge re-keys or
+/// deletes entries in place and the heap never holds a stale one. Entries
+/// order by `(cost, leader)`, cost under `total_cmp`.
+struct MergeHeap {
+    /// `(cost, leader)` in heap order.
+    entries: Vec<(f64, u32)>,
+    /// Heap position of each leader's entry; [`MergeHeap::ABSENT`] once
+    /// deleted.
+    pos: Vec<u32>,
+}
+
+impl MergeHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    /// A heap holding leader `l` with the `l`-th cost, heapified in one
+    /// `O(n)` pass.
+    fn new(costs: impl Iterator<Item = f64>) -> MergeHeap {
+        let entries: Vec<(f64, u32)> = costs.enumerate().map(|(l, c)| (c, l as u32)).collect();
+        let pos = (0..entries.len() as u32).collect();
+        let mut heap = MergeHeap { entries, pos };
+        for i in (0..heap.entries.len() / 2).rev() {
+            heap.sift_down(i);
+        }
+        heap
+    }
+
+    /// The leader with the least `(cost, leader)` key.
+    fn peek(&self) -> Option<usize> {
+        self.entries.first().map(|&(_, l)| l as usize)
+    }
+
+    /// Sets `leader`'s cost, which must be in the heap.
+    fn update(&mut self, leader: usize, cost: f64) {
+        let i = self.pos[leader] as usize;
+        debug_assert!(i < self.entries.len(), "leader {leader} has no entry");
+        self.entries[i].0 = cost;
+        self.restore(i);
+    }
+
+    /// Deletes `leader`'s entry, if it has one.
+    fn remove(&mut self, leader: usize) {
+        let i = self.pos[leader];
+        if i == Self::ABSENT {
+            return;
+        }
+        let i = i as usize;
+        self.pos[leader] = Self::ABSENT;
+        let last = self.entries.len() - 1;
+        if i != last {
+            self.entries.swap(i, last);
+            self.entries.pop();
+            self.pos[self.entries[i].1 as usize] = i as u32;
+            self.restore(i);
+        } else {
+            self.entries.pop();
+        }
+    }
+
+    fn less(a: (f64, u32), b: (f64, u32)) -> bool {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
+    }
+
+    /// Moves the entry at `i` up or down to its place.
+    fn restore(&mut self, i: usize) {
+        if i > 0 && Self::less(self.entries[i], self.entries[(i - 1) / 2]) {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let moving = self.entries[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::less(moving, self.entries[parent]) {
+                break;
+            }
+            self.entries[i] = self.entries[parent];
+            self.pos[self.entries[i].1 as usize] = i as u32;
+            i = parent;
+        }
+        self.entries[i] = moving;
+        self.pos[moving.1 as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.entries.len();
+        let moving = self.entries[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && Self::less(self.entries[right], self.entries[left]) {
+                right
+            } else {
+                left
+            };
+            if !Self::less(self.entries[child], moving) {
+                break;
+            }
+            self.entries[i] = self.entries[child];
+            self.pos[self.entries[i].1 as usize] = i as u32;
+            i = child;
+        }
+        self.entries[i] = moving;
+        self.pos[moving.1 as usize] = i as u32;
+    }
 }
 
 /// Max-diff boundaries: the `β − 1` largest adjacent differences, ties

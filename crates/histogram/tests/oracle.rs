@@ -227,6 +227,35 @@ fn arb_frequencies() -> impl Strategy<Value = Vec<u64>> {
         })
 }
 
+/// A deep heap: 20,000 cells over {0, 1, 2, 3} leave about 15,000
+/// equal-value runs, so the greedy's heap phase deletes and re-keys
+/// entries far from the root, and the tiny alphabet makes many merge
+/// costs exactly equal, so leader tie-breaks decide the order. β runs
+/// from one bucket to one merge short of the run segmentation.
+#[test]
+fn greedy_matches_its_oracle_on_a_deep_heap() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let data: Vec<u64> = (0..20_000)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % 4
+        })
+        .collect();
+    let runs = 1 + data.windows(2).filter(|w| w[0] != w[1]).count();
+    assert!(runs > 10_000, "{runs} runs");
+    let view = SparseFrequencies::dense(&data);
+    for beta in [1, 2, 256, runs - 1] {
+        let built = VOptimal::greedy().build(&view, beta).unwrap();
+        let expected = buckets_from_ends(&data, &greedy(&data, beta));
+        assert!(
+            built.buckets() == expected.as_slice(),
+            "greedy diverged from its oracle at β = {beta}"
+        );
+    }
+}
+
 type Oracle = fn(&[u64], usize) -> Vec<usize>;
 
 proptest! {

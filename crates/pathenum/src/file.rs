@@ -39,8 +39,9 @@
 //! after it, so a crash leaves the old file or the new one, never a torn
 //! one. Spill shards reuse the same writer as [`Durability::Scratch`];
 //! being process-private temp files deleted after the build, they skip
-//! the fsyncs, and the shard reader trusts them (a torn shard is a bug,
-//! not an input).
+//! the fsyncs. The shard reader trusts their format (a malformed shard is
+//! a bug, not an input), but a failing read ends its stream with an error
+//! the build returns as [`crate::catalog::CatalogError::SpillIo`].
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -286,8 +287,11 @@ pub fn open_catalog_file(path: &Path) -> Result<SparseCatalog, CatalogFileError>
 /// bytes are read one block at a time through a buffered reader — peak
 /// memory per shard is one block, regardless of shard size.
 ///
-/// Shards are process-private temp files written moments earlier, so IO
-/// or format failures mid-stream are bugs, not inputs, and panic.
+/// Shards are process-private temp files written moments earlier, so a
+/// format failure mid-stream is a bug, not an input. They live in the
+/// shared temp dir, though, so a failing read is an environment fault:
+/// the reader records the first IO error, ends its stream there, and
+/// hands the error over through [`ShardReader::take_error`].
 pub(crate) struct ShardReader {
     reader: BufReader<File>,
     skip: Vec<BlockMeta>,
@@ -300,6 +304,8 @@ pub(crate) struct ShardReader {
     buf: Vec<u8>,
     tail_idx: [u64; BLOCK_ENTRIES],
     tail_cnt: [u64; BLOCK_ENTRIES],
+    /// The read failure that ended the stream early, if any.
+    error: Option<io::Error>,
 }
 
 /// Opens a spill shard for streaming. Header and skip rows land on the
@@ -339,6 +345,7 @@ pub(crate) fn open_shard(path: &Path) -> io::Result<ShardReader> {
         buf: Vec::new(),
         tail_idx: [0; BLOCK_ENTRIES],
         tail_cnt: [0; BLOCK_ENTRIES],
+        error: None,
     })
 }
 
@@ -346,16 +353,20 @@ impl ShardReader {
     /// Reads the bytes of block `block` (the one `meta` describes) into
     /// `buf`. Blocks are consumed strictly in order, so this is a pure
     /// sequential read.
-    fn load_block(&mut self, meta: &BlockMeta) {
+    fn load_block(&mut self, meta: &BlockMeta) -> io::Result<()> {
         let end = self
             .skip
             .get(self.block + 1)
             .map_or(self.payload_len, |m| m.byte_offset);
         let len = end - meta.byte_offset;
         self.buf.resize(len, 0);
-        self.reader
-            .read_exact(&mut self.buf)
-            .expect("spill shard truncated mid-block");
+        self.reader.read_exact(&mut self.buf)
+    }
+
+    /// The IO error that ended this stream early, if any. A merge that
+    /// drained a failed shard is short and must be discarded.
+    pub(crate) fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 }
 
@@ -367,7 +378,12 @@ impl RunStream for ShardReader {
     fn next_entry(&mut self) -> Option<(u64, u64)> {
         let meta = *self.skip.get(self.block)?;
         if self.in_block == 0 {
-            self.load_block(&meta);
+            if let Err(e) = self.load_block(&meta) {
+                // End the stream: no later block is read either.
+                self.error = Some(e);
+                self.block = self.skip.len();
+                return None;
+            }
             let head = decode_block_head(&self.buf);
             if meta.len == 1 {
                 self.block += 1;
@@ -514,7 +530,7 @@ mod tests {
         let path = temp_path("shard");
         write_runs_file(&path, &encoding, &runs, Durability::Scratch).unwrap();
         let shard = open_shard(&path).unwrap();
-        let from_disk = merge_streams(vec![shard]);
+        let from_disk = merge_streams(&mut [shard]);
         assert_eq!(from_disk, runs, "single-shard merge is the identity");
         // The wholesale path kept the exact block boundaries.
         assert_eq!(from_disk.skip_index(), runs.skip_index());
@@ -526,7 +542,7 @@ mod tests {
         let high_path = temp_path("shard-high");
         write_runs_file(&low_path, &encoding, &low, Durability::Scratch).unwrap();
         write_runs_file(&high_path, &encoding, &high, Durability::Scratch).unwrap();
-        let merged = merge_streams(vec![
+        let merged = merge_streams(&mut [
             open_shard(&low_path).unwrap(),
             open_shard(&high_path).unwrap(),
         ]);
@@ -549,13 +565,43 @@ mod tests {
         let path_b = temp_path("inter-b");
         write_runs_file(&path_a, &encoding, &run_a, Durability::Scratch).unwrap();
         write_runs_file(&path_b, &encoding, &run_b, Durability::Scratch).unwrap();
-        let from_disk = merge_streams(vec![
-            open_shard(&path_a).unwrap(),
-            open_shard(&path_b).unwrap(),
-        ]);
+        let from_disk =
+            merge_streams(&mut [open_shard(&path_a).unwrap(), open_shard(&path_b).unwrap()]);
         let in_memory = CompressedRuns::merge_many(&[run_a, run_b]);
         assert_eq!(from_disk, in_memory, "disk merge ≡ memory merge");
         std::fs::remove_file(&path_a).unwrap();
         std::fs::remove_file(&path_b).unwrap();
+    }
+
+    #[test]
+    fn truncated_shard_ends_its_stream_with_an_error() {
+        let entries: Vec<(u64, u64)> = (0..2000u64).map(|i| (i * 7, 1 + i % 90)).collect();
+        let runs = CompressedRuns::from_entries(&entries);
+        assert!(runs.skip_index().len() > 4, "several blocks to cut between");
+        let encoding = PathEncoding::new(4, 8);
+        let path = temp_path("truncated");
+        write_runs_file(&path, &encoding, &runs, Durability::Scratch).unwrap();
+
+        // Cut the file in the middle of the payload: the header and skip
+        // rows still read, so the failure surfaces mid-stream.
+        let payload_start = HEADER_LEN + runs.skip_index().len() * ROW_LEN;
+        let cut = payload_start + runs.bytes().len() / 2;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(cut as u64)
+            .unwrap();
+
+        let mut streams = [open_shard(&path).unwrap()];
+        let merged = merge_streams(&mut streams);
+        let error = streams[0]
+            .take_error()
+            .expect("the cut must surface as an error");
+        assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(merged.len() < runs.len(), "the stream ended at the cut");
+        assert!(!merged.is_empty(), "blocks before the cut still streamed");
+        assert!(streams[0].take_error().is_none(), "taken once");
+        std::fs::remove_file(&path).unwrap();
     }
 }

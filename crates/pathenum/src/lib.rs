@@ -11,15 +11,14 @@
 //! * [`relation::PathRelation`] — a binary relation over vertices stored
 //!   CSR-style (sorted, duplicate-free target lists per source);
 //! * [`relation::PathRelation::compose`] — relation ∘ edge-label composition
-//!   with bitset de-duplication, and
-//!   [`relation::PathRelation::compose_count`], its size without the
-//!   relation;
+//!   with bitset de-duplication;
 //! * [`sparse`] — the [`sparse::SparseCatalog`]: sorted
 //!   `(canonical_index, count)` runs over only the *realized* paths,
 //!   counted by the crate's one trie-walk kernel — a depth-first traversal
 //!   of the label-path trie that shares each prefix relation between all
 //!   its extensions, descends only along labels that can follow, and
-//!   counts depth-`k` leaves without building them — sequentially or
+//!   sizes all depth-`k` leaves of a node in one fused pass over its
+//!   targets' out-edges, without building them — sequentially or
 //!   sharded per thread with a k-way merge. This is the
 //!   representation that scales past the dense limit
 //!   ([`catalog::DENSE_DOMAIN_LIMIT`]); oversized `(|L|, k)` requests are

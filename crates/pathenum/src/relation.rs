@@ -145,29 +145,6 @@ impl PathRelation {
         out
     }
 
-    /// `self.compose(graph, label, scratch).pair_count()` without building
-    /// the composed relation — what the catalog walk needs at depth `k`,
-    /// where a relation's only use would be its size.
-    ///
-    /// `scratch` has the same contract as in [`PathRelation::compose`] and
-    /// is likewise left cleared.
-    pub fn compose_count(&self, graph: &Graph, label: LabelId, scratch: &mut FixedBitSet) -> u64 {
-        debug_assert!(scratch.is_empty(), "scratch bitset must start cleared");
-        debug_assert!(scratch.capacity() >= graph.vertex_count());
-        let csr = graph.forward_csr(label);
-        let mut pairs = 0u64;
-        for i in 0..self.sources.len() {
-            for &t in self.targets_of_nth(i) {
-                for &w in csr.neighbors(t) {
-                    scratch.insert(w);
-                }
-            }
-            pairs += scratch.len() as u64;
-            scratch.clear();
-        }
-        pairs
-    }
-
     /// Composes two path relations: `{ (s, w) | ∃t: (s,t) ∈ self ∧ (t,w) ∈ rhs }`.
     ///
     /// Used by the query executor to join arbitrary sub-path results (not

@@ -536,7 +536,8 @@ impl CompressedRuns {
     /// precedes every other run's next entry is copied wholesale; the
     /// per-entry heap path runs only where the runs interleave.
     pub fn merge_many(runs: &[CompressedRuns]) -> CompressedRuns {
-        merge_streams(runs.iter().map(MemStream::new).collect())
+        let mut streams: Vec<MemStream<'_>> = runs.iter().map(MemStream::new).collect();
+        merge_streams(&mut streams)
     }
 
     /// The raw bytes of one block. Skip rows are sorted by byte offset,
@@ -614,29 +615,30 @@ impl RunStream for MemStream<'_> {
 /// spill-to-disk build: sums counts of equal indexes and wholesale-copies
 /// any block whose range precedes every other stream's next entry.
 /// Because disk shards drain through the same loop as in-memory runs,
-/// a spilled build is bit-identical to the in-memory one.
-pub(crate) fn merge_streams<S: RunStream>(sources: Vec<S>) -> CompressedRuns {
+/// a spilled build is bit-identical to the in-memory one. The streams are
+/// borrowed, so a caller can ask a stream afterwards why it ended.
+pub(crate) fn merge_streams<S: RunStream>(sources: &mut [S]) -> CompressedRuns {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     /// One stream's read head: the pre-decoded next entry, plus — when
     /// that entry opened a fresh block — the block's skip row, which is
     /// the wholesale-copy opportunity.
-    struct Head<S> {
-        source: S,
+    struct Head<'s, S> {
+        source: &'s mut S,
         next: Option<(u64, u64)>,
         head_block: Option<BlockMeta>,
     }
 
-    impl<S: RunStream> Head<S> {
+    impl<S: RunStream> Head<'_, S> {
         fn advance(&mut self) {
             self.head_block = self.source.head_block();
             self.next = self.source.next_entry();
         }
     }
 
-    let mut heads: Vec<Head<S>> = sources
-        .into_iter()
+    let mut heads: Vec<Head<'_, S>> = sources
+        .iter_mut()
         .map(|source| {
             let mut head = Head {
                 source,

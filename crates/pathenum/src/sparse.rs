@@ -32,8 +32,10 @@
 //! extensions. It descends only along labels that can follow the last one
 //! (per the graph's [`FollowMatrix`]: when no `a`-edge ends where a
 //! `b`-edge starts, every relation ending in `a` composes with `b` to the
-//! empty set), and counts the depth-`k` children with
-//! [`PathRelation::compose_count`] instead of building them. The dense
+//! empty set), and never builds the depth-`k` children: one fused pass
+//! over each depth-`k − 1` relation walks its targets' out-edges over
+//! every label once and counts each distinct `(label, target)` a source
+//! reaches, which sizes all of the node's children together. The dense
 //! [`SelectivityCatalog`] is a view: [`SelectivityCatalog::compute`]
 //! materializes this module's result with [`SparseCatalog::to_dense`];
 //! [`crate::naive`] stays the independent oracle.
@@ -98,7 +100,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use phe_graph::{FixedBitSet, FollowMatrix, Graph, LabelId};
 
@@ -185,12 +187,11 @@ impl SparseCatalog {
         {
             let _count = phe_obs::span::stage("build.count");
             let walk = TrieWalk::new(graph, encoding);
-            let mut scratch = FixedBitSet::new(graph.vertex_count());
-            let mut path = Vec::with_capacity(k);
+            let mut scratch = walk.scratch();
             for label in graph.label_ids() {
                 let rel = PathRelation::from_label(graph, label);
                 if !rel.is_empty() {
-                    walk.collect(&rel, label, &mut path, &mut scratch, &mut entries);
+                    walk.collect(&rel, label, &mut scratch, &mut entries);
                 }
             }
         }
@@ -253,17 +254,17 @@ impl SparseCatalog {
         let encoding = PathEncoding::try_new(graph.label_count().max(1), k)?;
 
         // Each worker gets an equal share of the budget, measured
-        // against its *uncompressed* local buffer (16 B/entry).
-        let per_thread_budget = memory_budget.map(|b| (b / threads).max(ENTRY_BYTES));
-        let spill_dir = match memory_budget {
-            Some(_) => {
+        // against its *uncompressed* local buffer (16 B/entry), and spills
+        // into a directory of this build's own.
+        let spill: Option<(usize, PathBuf)> = match memory_budget {
+            Some(budget) => {
                 // ORDERING: the sequence only needs uniqueness for the
                 // directory name; the RMW provides that without ordering.
                 let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
                 let dir =
                     std::env::temp_dir().join(format!("phe-spill-{}-{seq}", std::process::id()));
                 std::fs::create_dir_all(&dir).map_err(spill_err)?;
-                Some(dir)
+                Some(((budget / threads).max(ENTRY_BYTES), dir))
             }
             None => None,
         };
@@ -283,8 +284,7 @@ impl SparseCatalog {
             for _ in 0..threads {
                 scope.spawn(|| {
                     let mut local: Vec<(u64, u64)> = Vec::new();
-                    let mut scratch = FixedBitSet::new(graph.vertex_count());
-                    let mut path = Vec::with_capacity(k);
+                    let mut scratch = walk.scratch();
                     loop {
                         // ORDERING: work-stealing ticket — each worker
                         // only needs a unique index into the read-only
@@ -295,25 +295,24 @@ impl SparseCatalog {
                         };
                         let rel = PathRelation::from_label_source_range(graph, label, lo, hi);
                         if !rel.is_empty() {
-                            walk.collect(&rel, label, &mut path, &mut scratch, &mut local);
+                            walk.collect(&rel, label, &mut scratch, &mut local);
                         }
                         // Past the budget: compress what we have and
                         // push it out to a shard file, freeing the
                         // buffer. Coalescing first can shrink the
                         // buffer back under budget without IO.
-                        let Some(limit) = per_thread_budget else {
+                        let Some((limit, dir)) = &spill else {
                             continue;
                         };
-                        if local.len() * ENTRY_BYTES < limit {
+                        if local.len() * ENTRY_BYTES < *limit {
                             continue;
                         }
                         coalesce_sorted(&mut local);
-                        if local.len() * ENTRY_BYTES < limit {
+                        if local.len() * ENTRY_BYTES < *limit {
                             continue;
                         }
                         let shard = CompressedRuns::from_entries(&local);
                         local = Vec::new();
-                        let dir = spill_dir.as_ref().expect("budget implies a spill dir");
                         // ORDERING: unique shard file name; no ordering.
                         let n = shard_seq.fetch_add(1, Ordering::Relaxed);
                         let path = dir.join(format!("shard-{n}.phc"));
@@ -322,10 +321,13 @@ impl SparseCatalog {
                                 // ORDERING: statistics counter read only
                                 // after scope join (which synchronizes).
                                 spilled_bytes.fetch_add(written, Ordering::Relaxed);
-                                shard_paths.lock().expect("shard mutex poisoned").push(path);
+                                shard_paths
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .push(path);
                             }
                             Err(e) => {
-                                *spill_failure.lock().expect("failure mutex poisoned") =
+                                *spill_failure.lock().unwrap_or_else(PoisonError::into_inner) =
                                     Some(e.to_string());
                                 break;
                             }
@@ -337,16 +339,25 @@ impl SparseCatalog {
                     // combine step to the compressed shards.
                     coalesce_sorted(&mut local);
                     let shard = CompressedRuns::from_entries(&local);
-                    runs.lock().expect("run mutex poisoned").push(shard);
+                    runs.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(shard);
                 });
             }
         });
 
         drop(count_span);
 
-        let mem_runs = runs.into_inner().expect("run mutex poisoned");
-        let shard_paths = shard_paths.into_inner().expect("shard mutex poisoned");
-        let failure = spill_failure.into_inner().expect("failure mutex poisoned");
+        // `thread::scope` re-raises a worker's panic at the join above, so
+        // a poisoned lock cannot be observed here; recovering the guard
+        // keeps this path free of panics all the same.
+        let mem_runs = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let shard_paths = shard_paths
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let failure = spill_failure
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         let merged = (|| -> Result<CompressedRuns, CatalogError> {
             if let Some(message) = failure {
                 return Err(CatalogError::SpillIo { message });
@@ -365,9 +376,19 @@ impl SparseCatalog {
             for path in &shard_paths {
                 streams.push(BuildStream::Disk(open_shard(path).map_err(spill_err)?));
             }
-            Ok(merge_streams(streams))
+            let merged = merge_streams(&mut streams);
+            // A shard that fails to read back ends its stream early; the
+            // merge is then short and is refused here.
+            for stream in &mut streams {
+                if let BuildStream::Disk(shard) = stream {
+                    if let Some(e) = shard.take_error() {
+                        return Err(spill_err(e));
+                    }
+                }
+            }
+            Ok(merged)
         })();
-        if let Some(dir) = &spill_dir {
+        if let Some((_, dir)) = &spill {
             let _ = std::fs::remove_dir_all(dir);
         }
         let stats = SpillStats {
@@ -586,16 +607,42 @@ impl SparseCatalog {
 ///   `!follows(a, b)`, no `a`-edge target has an outgoing `b`-edge, so
 ///   every relation ending in `a` composes with `b` to the empty set (the
 ///   argument delta counting and query pruning rest on as well).
-/// * **Count-only leaves.** The children at depth `k` are never extended,
-///   so only their size is read: [`PathRelation::compose_count`] counts
-///   them without building them.
+/// * **One fused pass for the leaves.** The children at depth `k` are
+///   never extended, so only their sizes are read, and all of them at
+///   once: each source of the depth-`k − 1` relation walks its targets'
+///   out-edges over every label a single time, counting each distinct
+///   `(label, target)` it reaches once (see [`TrieWalk::count_leaves`]).
 ///
-/// Read-only once built, so the parallel build shares one across workers.
+/// Read-only once built, so the parallel build shares one across workers;
+/// each worker brings its own [`WalkScratch`].
 struct TrieWalk<'g> {
     graph: &'g Graph,
     encoding: PathEncoding,
     /// `successors[a]`: every label `b` with `follows(a, b)`, ascending.
     successors: Vec<Vec<LabelId>>,
+    /// The combined out-adjacency over every label: vertex `t`'s
+    /// out-edges are `out_edges[out_offsets[t]..out_offsets[t + 1]]`.
+    out_offsets: Vec<u32>,
+    /// `(label, slot)` per out-edge, where `slot` numbers the distinct
+    /// `(label, target)` pairs densely — at most `|E|` of them.
+    out_edges: Vec<(LabelId, u32)>,
+    /// Number of distinct slots.
+    slots: usize,
+}
+
+/// One worker's mutable state for a [`TrieWalk`], `O(|V| + |E|)` in size.
+struct WalkScratch {
+    /// The label path of the node being visited.
+    path: Vec<LabelId>,
+    /// De-duplicates targets per source in [`PathRelation::compose`].
+    bits: FixedBitSet,
+    /// `stamps[slot] == epoch` once the current source has reached
+    /// `slot`; bumping `epoch` per source forgets every slot at once.
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// Per-label leaf counts of the relation being counted; all zero
+    /// between relations.
+    counts: Vec<u64>,
 }
 
 impl<'g> TrieWalk<'g> {
@@ -610,10 +657,61 @@ impl<'g> TrieWalk<'g> {
                     .collect()
             })
             .collect();
+
+        let n = graph.vertex_count();
+        let mut out_offsets = vec![0u32; n + 1];
+        for label in graph.label_ids() {
+            let csr = graph.forward_csr(label);
+            for t in csr.non_empty_rows() {
+                out_offsets[t as usize + 1] += csr.degree(t) as u32;
+            }
+        }
+        for v in 0..n {
+            out_offsets[v + 1] += out_offsets[v];
+        }
+        // One slot per `(label, target)`: per label, per vertex with an
+        // incoming edge of that label, filed under each of its sources.
+        let mut fill: Vec<u32> = out_offsets[..n].to_vec();
+        let mut out_edges = vec![(LabelId(0), 0u32); out_offsets[n] as usize];
+        let mut slots = 0u32;
+        for label in graph.label_ids() {
+            let reverse = graph.reverse_csr(label);
+            for target in reverse.non_empty_rows() {
+                for &t in reverse.neighbors(target) {
+                    out_edges[fill[t as usize] as usize] = (label, slots);
+                    fill[t as usize] += 1;
+                }
+                slots += 1;
+            }
+        }
         TrieWalk {
             graph,
             encoding,
             successors,
+            out_offsets,
+            out_edges,
+            slots: slots as usize,
+        }
+    }
+
+    /// Fresh per-worker state.
+    fn scratch(&self) -> WalkScratch {
+        WalkScratch {
+            path: Vec::with_capacity(self.encoding.max_len()),
+            bits: FixedBitSet::new(self.graph.vertex_count()),
+            stamps: vec![0; self.slots],
+            epoch: 0,
+            counts: vec![0; self.graph.label_count()],
+        }
+    }
+
+    /// Per-worker state whose stamp starts at `epoch`, so a test can
+    /// drive the stamp through its wraparound.
+    #[cfg(test)]
+    fn scratch_at_epoch(&self, epoch: u32) -> WalkScratch {
+        WalkScratch {
+            epoch,
+            ..self.scratch()
         }
     }
 
@@ -625,32 +723,72 @@ impl<'g> TrieWalk<'g> {
         &self,
         rel: &PathRelation,
         label: LabelId,
-        path: &mut Vec<LabelId>,
-        scratch: &mut FixedBitSet,
+        scratch: &mut WalkScratch,
         entries: &mut Vec<(u64, u64)>,
     ) {
-        path.push(label);
-        entries.push((self.encoding.encode(path) as u64, rel.pair_count()));
-        let successors = &self.successors[label.index()];
+        scratch.path.push(label);
+        entries.push((self.encoding.encode(&scratch.path) as u64, rel.pair_count()));
         let k = self.encoding.max_len();
-        if path.len() + 1 == k {
-            for &next in successors {
-                let count = rel.compose_count(self.graph, next, scratch);
-                if count > 0 {
-                    path.push(next);
-                    entries.push((self.encoding.encode(path) as u64, count));
-                    path.pop();
-                }
-            }
-        } else if path.len() < k {
-            for &next in successors {
-                let child = rel.compose(self.graph, next, scratch);
+        if scratch.path.len() + 1 == k {
+            self.count_leaves(rel, label, scratch, entries);
+        } else if scratch.path.len() < k {
+            for &next in &self.successors[label.index()] {
+                let child = rel.compose(self.graph, next, &mut scratch.bits);
                 if !child.is_empty() {
-                    self.collect(&child, next, path, scratch, entries);
+                    self.collect(&child, next, scratch, entries);
                 }
             }
         }
-        path.pop();
+        scratch.path.pop();
+    }
+
+    /// Pushes an entry for every non-empty `path/next` with `next` a
+    /// successor of `last`, where `rel` is the relation of `path` (ending
+    /// in `last`). `|path/next|` is the number of distinct
+    /// `(source, (next, target))` pairs the out-edges of `rel`'s targets
+    /// reach, so one pass over them counts every `next` at once: a slot
+    /// counts for its label the first time the current source reaches it.
+    /// Every label reached follows `last` by the definition of
+    /// [`FollowMatrix`], so the counts all land in `successors[last]`.
+    fn count_leaves(
+        &self,
+        rel: &PathRelation,
+        last: LabelId,
+        scratch: &mut WalkScratch,
+        entries: &mut Vec<(u64, u64)>,
+    ) {
+        for i in 0..rel.source_count() {
+            scratch.epoch = scratch.epoch.wrapping_add(1);
+            if scratch.epoch == 0 {
+                scratch.stamps.fill(0);
+                scratch.epoch = 1;
+            }
+            let epoch = scratch.epoch;
+            for &t in rel.targets_of_nth(i) {
+                let lo = self.out_offsets[t as usize] as usize;
+                let hi = self.out_offsets[t as usize + 1] as usize;
+                for &(label, slot) in &self.out_edges[lo..hi] {
+                    // Branch-free: freshness depends on the data, so a
+                    // branch on it mispredicts often.
+                    let stamp = &mut scratch.stamps[slot as usize];
+                    let fresh = *stamp != epoch;
+                    *stamp = epoch;
+                    scratch.counts[label.index()] += u64::from(fresh);
+                }
+            }
+        }
+        for &next in &self.successors[last.index()] {
+            let count = std::mem::take(&mut scratch.counts[next.index()]);
+            if count > 0 {
+                scratch.path.push(next);
+                entries.push((self.encoding.encode(&scratch.path) as u64, count));
+                scratch.path.pop();
+            }
+        }
+        debug_assert!(
+            scratch.counts.iter().all(|&c| c == 0),
+            "a leaf label outside successors[{last}]"
+        );
     }
 }
 
@@ -722,20 +860,75 @@ mod tests {
         assert_eq!(sparse.zero_count(), oracle.zero_count());
     }
 
+    /// Every builder of the fused leaf pass — sequential and 2..5
+    /// workers — equals the naive oracle at every `k` in `ks`.
+    fn assert_builds_match_naive(g: &Graph, ks: std::ops::RangeInclusive<usize>) {
+        for k in ks {
+            let oracle = SparseCatalog::from_dense(&naive::compute_catalog_naive(g, k));
+            assert_eq!(SparseCatalog::compute(g, k).unwrap(), oracle, "k = {k}");
+            for threads in 2..5 {
+                let par = SparseCatalog::compute_parallel(g, k, threads).unwrap();
+                assert_eq!(par, oracle, "k = {k}, threads = {threads}");
+            }
+        }
+    }
+
     #[test]
-    fn compose_count_matches_composed_pair_count() {
-        let g = dense_graph(40, 4, 11);
-        let mut scratch = FixedBitSet::new(g.vertex_count());
-        for first in g.label_ids() {
-            let rel = PathRelation::from_label(&g, first);
-            for second in g.label_ids() {
-                let mid = rel.compose(&g, second, &mut scratch);
-                for next in g.label_ids() {
-                    let built = mid.compose(&g, next, &mut scratch).pair_count();
-                    assert_eq!(mid.compose_count(&g, next, &mut scratch), built);
-                    assert!(scratch.is_empty(), "compose_count leaves scratch cleared");
+    fn leaf_pass_counts_a_shared_target_once_per_label() {
+        // 0 reaches 3 as 0/a/1/b/3 and as 0/a/2/c/3: the slots (b, 3) and
+        // (c, 3) differ, so a/b and a/c each hold the pair (0, 3).
+        let mut b = GraphBuilder::new();
+        b.add_edge_named(0, "a", 1);
+        b.add_edge_named(0, "a", 2);
+        b.add_edge_named(1, "b", 3);
+        b.add_edge_named(2, "c", 3);
+        let g = b.build();
+        let catalog = SparseCatalog::compute(&g, 2).unwrap();
+        assert_eq!(catalog.selectivity(&[LabelId(0), LabelId(1)]), 1);
+        assert_eq!(catalog.selectivity(&[LabelId(0), LabelId(2)]), 1);
+        assert_builds_match_naive(&g, 1..=3);
+    }
+
+    #[test]
+    fn leaf_pass_counts_a_slot_reached_through_two_targets_once() {
+        // 0 reaches (b, 3) through both of its a-targets 1 and 2: one pair.
+        let mut b = GraphBuilder::new();
+        b.add_edge_named(0, "a", 1);
+        b.add_edge_named(0, "a", 2);
+        b.add_edge_named(1, "b", 3);
+        b.add_edge_named(2, "b", 3);
+        b.add_edge_named(1, "b", 4);
+        let g = b.build();
+        let catalog = SparseCatalog::compute(&g, 2).unwrap();
+        assert_eq!(catalog.selectivity(&[LabelId(0), LabelId(1)]), 2);
+        assert_builds_match_naive(&g, 1..=3);
+    }
+
+    #[test]
+    fn leaf_pass_under_the_roots() {
+        // k = 1 has no leaf pass; at k = 2 it runs on the roots directly.
+        assert_builds_match_naive(&dense_graph(30, 3, 17), 1..=2);
+    }
+
+    #[test]
+    fn leaf_pass_survives_stamp_wraparound() {
+        let g = dense_graph(50, 3, 7);
+        for k in 2..=3 {
+            let walk = TrieWalk::new(&g, PathEncoding::new(g.label_count(), k));
+            // The second source wraps the stamp: slots stamped just before
+            // must not read as reached by the sources after.
+            let mut scratch = walk.scratch_at_epoch(u32::MAX - 1);
+            let mut entries = Vec::new();
+            for label in g.label_ids() {
+                let rel = PathRelation::from_label(&g, label);
+                if !rel.is_empty() {
+                    walk.collect(&rel, label, &mut scratch, &mut entries);
                 }
             }
+            assert!(scratch.epoch < u32::MAX - 1, "the stamp wrapped");
+            coalesce_sorted(&mut entries);
+            let oracle = SparseCatalog::from_dense(&naive::compute_catalog_naive(&g, k));
+            assert_eq!(entries, oracle.iter().collect::<Vec<_>>(), "k = {k}");
         }
     }
 
