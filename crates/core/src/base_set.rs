@@ -27,20 +27,15 @@
 //! 3. by the pair-rank multiset in Formula 4 order, then by multiset
 //!    permutation rank (Algorithm 1), as in plain sum-based ordering.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 use phe_graph::LabelId;
 use phe_pathenum::SparseCatalog;
 
 use crate::combinatorics::{
-    dist_table, integer_partitions, multiset_permutation_rank, multiset_permutation_unrank, nop,
-    Partition,
+    dist_table, multiset_permutation_rank, multiset_permutation_unrank, PartitionRanker,
 };
 use crate::domain::PathDomain;
 use crate::ordering::DomainOrdering;
-use crate::path::LabelPath;
+use crate::path::{LabelPath, MAX_K};
 use crate::ranking::LabelRanking;
 
 /// One piece of a greedy decomposition over `B = L²`.
@@ -79,11 +74,9 @@ pub struct SumBasedL2Ordering {
     pair_ranking: LabelRanking,
     /// `dist_pairs[j][s]` = #length-`j` pair-rank sequences summing to `s`.
     dist_pairs: Vec<Vec<u64>>,
-    cache: PartitionCache,
+    /// Stage 3: Formula 4 offsets over pair ranks in `[1, n²]`.
+    pairs: PartitionRanker,
 }
-
-/// Memoized Formula-4 partition lists keyed by `(part count, sum)`.
-type PartitionCache = RwLock<HashMap<(u8, u32), Arc<Vec<Partition>>>>;
 
 impl SumBasedL2Ordering {
     /// Builds the ordering from a sparse catalog, which supplies both
@@ -142,7 +135,7 @@ impl SumBasedL2Ordering {
             single_ranking,
             pair_ranking,
             dist_pairs,
-            cache: RwLock::new(HashMap::new()),
+            pairs: PartitionRanker::new((n * n) as u64, j_max),
         }
     }
 
@@ -183,20 +176,6 @@ impl SumBasedL2Ordering {
             .unwrap_or(0)
     }
 
-    fn partitions(&self, sum: u64, j: usize) -> Arc<Vec<Partition>> {
-        let a = (self.domain.label_count() * self.domain.label_count()) as u64;
-        let key = (j as u8, sum as u32);
-        if let Some(hit) = self.cache.read().get(&key) {
-            return Arc::clone(hit);
-        }
-        let computed = Arc::new(integer_partitions(sum, j, a));
-        self.cache
-            .write()
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&computed))
-            .clone()
-    }
-
     fn sum_bounds(&self, m: usize) -> (u64, u64) {
         let n = self.domain.label_count() as u64;
         let j = (m / 2) as u64;
@@ -206,6 +185,66 @@ impl SumBasedL2Ordering {
         } else {
             (j + 1, j * a + n)
         }
+    }
+
+    /// The path at `index`; `None` only for an index outside the domain.
+    fn locate(&self, index: u64) -> Option<LabelPath> {
+        if index >= self.domain.size() {
+            return None;
+        }
+        let (m, mut rem) = self.domain.length_of_index(index);
+        let n = self.domain.label_count() as u64;
+        let j = m / 2;
+        let odd = m % 2 == 1;
+
+        // Stage 2: total sum group.
+        let (min_sum, max_sum) = self.sum_bounds(m);
+        let mut sr = min_sum;
+        while sr <= max_sum {
+            let block = self.group_size(m, sr);
+            if rem < block {
+                break;
+            }
+            rem -= block;
+            sr += 1;
+        }
+        debug_assert!(sr <= max_sum, "index beyond the last sum group");
+
+        // Stage 2b: single rank (odd m).
+        let mut single_rank = 0u64;
+        if odd {
+            single_rank = 1;
+            while single_rank <= n {
+                let block = self.dist_at(j, sr - single_rank);
+                if rem < block {
+                    break;
+                }
+                rem -= block;
+                single_rank += 1;
+            }
+            debug_assert!(single_rank <= n, "single rank out of range");
+        }
+
+        // Stage 3: pair combination + permutation.
+        let mut sorted = [0u32; MAX_K / 2];
+        let rem = self
+            .pairs
+            .multiset_at(sr - single_rank, rem, &mut sorted[..j])?;
+        let mut pair_ranks = [0u32; MAX_K / 2];
+        multiset_permutation_unrank(rem, &sorted[..j], &mut pair_ranks[..j])?;
+
+        // Reassemble the label path from pieces.
+        let n16 = self.domain.label_count() as u16;
+        let mut labels = Vec::with_capacity(m);
+        for &r in &pair_ranks[..j] {
+            let code = self.pair_ranking.unrank(r).0;
+            labels.push(LabelId(code / n16));
+            labels.push(LabelId(code % n16));
+        }
+        if odd {
+            labels.push(self.single_ranking.unrank(single_rank as u32));
+        }
+        Some(LabelPath::new(&labels))
     }
 }
 
@@ -253,84 +292,14 @@ impl DomainOrdering for SumBasedL2Ordering {
             }
         }
         // Stage 3: pair-rank combinations before ours, then permutation.
-        let pair_sum = sr - single_rank;
         let mut sorted = pair_ranks.clone();
         sorted.sort_unstable();
-        for p in self.partitions(pair_sum, j).iter() {
-            if p[..] == sorted[..] {
-                break;
-            }
-            index += nop(p);
-        }
-        index + multiset_permutation_rank(&pair_ranks)
+        index + self.pairs.offset_of(&sorted) + multiset_permutation_rank(&pair_ranks)
     }
 
     fn path_at(&self, index: u64) -> LabelPath {
-        let (m, mut rem) = self.domain.length_of_index(index);
-        let n = self.domain.label_count() as u64;
-        let j = m / 2;
-        let odd = m % 2 == 1;
-
-        // Stage 2: total sum group.
-        let (min_sum, max_sum) = self.sum_bounds(m);
-        let mut sr = min_sum;
-        while sr <= max_sum {
-            let block = self.group_size(m, sr);
-            if rem < block {
-                break;
-            }
-            rem -= block;
-            sr += 1;
-        }
-        debug_assert!(sr <= max_sum, "index beyond the last sum group");
-
-        // Stage 2b: single rank (odd m).
-        let mut single_rank = 0u64;
-        if odd {
-            single_rank = 1;
-            while single_rank <= n {
-                let block = self.dist_at(j, sr - single_rank);
-                if rem < block {
-                    break;
-                }
-                rem -= block;
-                single_rank += 1;
-            }
-            debug_assert!(single_rank <= n, "single rank out of range");
-        }
-
-        // Stage 3: pair combination + permutation.
-        let pair_sum = sr - single_rank;
-        let mut pair_ranks: Option<Vec<u32>> = None;
-        if j == 0 {
-            debug_assert_eq!(pair_sum, 0);
-            debug_assert_eq!(rem, 0);
-            pair_ranks = Some(Vec::new());
-        } else {
-            for p in self.partitions(pair_sum, j).iter() {
-                let block = nop(p);
-                if rem >= block {
-                    rem -= block;
-                    continue;
-                }
-                pair_ranks = Some(multiset_permutation_unrank(rem, p).expect("rank within nop(p)"));
-                break;
-            }
-        }
-        let pair_ranks = pair_ranks.expect("stage-3 residual exceeded its group");
-
-        // Reassemble the label path from pieces.
-        let n16 = self.domain.label_count() as u16;
-        let mut labels = Vec::with_capacity(m);
-        for &r in &pair_ranks {
-            let code = self.pair_ranking.unrank(r).0;
-            labels.push(LabelId(code / n16));
-            labels.push(LabelId(code % n16));
-        }
-        if odd {
-            labels.push(self.single_ranking.unrank(single_rank as u32));
-        }
-        LabelPath::new(&labels)
+        // LINT-ALLOW(panic): `DomainOrdering::path_at` documents the panic for an index outside the domain.
+        self.locate(index).expect("index outside the domain")
     }
 }
 

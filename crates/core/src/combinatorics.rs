@@ -5,9 +5,14 @@
 //! * [`dist`] — how many rank sequences of length `m` over ranks
 //!   `[1, n]` sum to `sr` (Formula 3, inclusion–exclusion; also a DP
 //!   variant used for precomputed tables and as a cross-check);
+//! * [`PartitionRanker`] — Formula 4 in closed form: the offset of a rank
+//!   multiset inside its `(m, sr)` group, and the inverse, from a small
+//!   binomial table and at most `m` subtree counts, with no partition
+//!   list held anywhere;
 //! * [`integer_partitions`] — the multisets of ranks with a given sum, in
 //!   the exact enumeration order induced by Formula 4 (most-max-parts
-//!   last; the order that makes the paper's Table 2 come out);
+//!   last; the order that makes the paper's Table 2 come out). It is the
+//!   oracle the closed form is tested against;
 //! * [`nop`] — the number of distinct permutations of a rank multiset
 //!   (Formula 5);
 //! * [`multiset_permutation_unrank`] / [`multiset_permutation_rank`] —
@@ -15,8 +20,11 @@
 //!   the distinct permutations of `C` in ascending lexicographic order.
 //!
 //! All counts fit `u64` for the sizes this workspace targets
-//! (`n ≤ 4096`, `m ≤ 8`); intermediate inclusion–exclusion terms use
-//! `i128` to absorb the alternating sums.
+//! (`n ≤ 4096`, `m ≤ 8`). [`dist`]'s inclusion–exclusion terms use `i128`
+//! intermediates; [`PartitionRanker`] runs the same sums modulo 2⁶⁴,
+//! which is exact because every count it returns fits `u64`.
+
+use crate::path::MAX_K;
 
 /// Binomial coefficient `C(n, k)` in `i128` (0 when `k > n`).
 pub fn binomial(n: u64, k: u64) -> i128 {
@@ -142,27 +150,25 @@ fn factorial(n: u64) -> u64 {
     (1..=n).product::<u64>().max(1)
 }
 
-/// Distinct values of a small multiset with their counts, on the stack.
-/// Paths have at most [`crate::path::MAX_K`] = 8 elements.
+/// Distinct values of a small sorted multiset with their counts, on the
+/// stack. Paths have at most [`MAX_K`] elements.
 struct CountedMultiset {
-    values: [u32; 8],
-    counts: [u8; 8],
+    values: [u32; MAX_K],
+    counts: [u8; MAX_K],
     distinct: usize,
-    total: usize,
 }
 
 impl CountedMultiset {
     fn from_sorted(sorted: &[u32]) -> CountedMultiset {
-        debug_assert!(sorted.len() <= 8, "multiset longer than MAX_K");
+        debug_assert!(sorted.len() <= MAX_K, "multiset longer than MAX_K");
         debug_assert!(
             sorted.windows(2).all(|w| w[0] <= w[1]),
             "input must be sorted"
         );
         let mut set = CountedMultiset {
-            values: [0; 8],
-            counts: [0; 8],
+            values: [0; MAX_K],
+            counts: [0; MAX_K],
             distinct: 0,
-            total: sorted.len(),
         };
         for &v in sorted {
             if set.distinct > 0 && set.values[set.distinct - 1] == v {
@@ -175,94 +181,272 @@ impl CountedMultiset {
         }
         set
     }
-
-    /// `nop(self \ one copy of values[i])`: distinct permutations of the
-    /// multiset with one copy of the `i`-th distinct value removed.
-    #[inline]
-    fn nop_without(&self, i: usize) -> u64 {
-        let mut result = FACTORIALS[self.total - 1];
-        for j in 0..self.distinct {
-            let c = if j == i {
-                self.counts[j] - 1
-            } else {
-                self.counts[j]
-            };
-            result /= FACTORIALS[c as usize];
-        }
-        result
-    }
-
-    #[inline]
-    fn remove(&mut self, i: usize) {
-        self.counts[i] -= 1;
-        self.total -= 1;
-        if self.counts[i] == 0 {
-            for j in i..self.distinct - 1 {
-                self.values[j] = self.values[j + 1];
-                self.counts[j] = self.counts[j + 1];
-            }
-            self.distinct -= 1;
-        }
-    }
-
-    fn position_of(&self, v: u32) -> usize {
-        (0..self.distinct)
-            .find(|&i| self.values[i] == v)
-            .expect("value not in multiset")
-    }
 }
 
-const FACTORIALS: [u64; 9] = [1, 1, 2, 6, 24, 120, 720, 5040, 40320];
+const FACTORIALS: [u64; MAX_K + 1] = [1, 1, 2, 6, 24, 120, 720, 5040, 40320];
 
-/// Algorithm 1: the `index`-th distinct permutation of the sorted multiset
-/// `sorted` in ascending lexicographic order, or `None` if out of range.
+/// `SMALL_BINOM[x][y] = C(x, y)` for `x ≤ MAX_K`: Formula 4 subtree
+/// counts without division.
+const SMALL_BINOM: [[u64; MAX_K + 1]; MAX_K + 1] = {
+    let mut table = [[0u64; MAX_K + 1]; MAX_K + 1];
+    let mut x = 0;
+    while x <= MAX_K {
+        table[x][0] = 1;
+        let mut y = 1;
+        while y <= x {
+            table[x][y] = table[x - 1][y - 1] + table[x - 1][y];
+            y += 1;
+        }
+        x += 1;
+    }
+    table
+};
+
+/// Algorithm 1: writes the `index`-th distinct permutation of the sorted
+/// multiset `sorted` in ascending lexicographic order into `out`, or
+/// returns `None` if `index ≥ nop(sorted)` or `out` is not as long as
+/// `sorted`.
 ///
 /// Implemented iteratively and allocation-free (the paper presents it
-/// recursively): at each output position, walk the distinct remaining
-/// values in ascending order and skip whole blocks of
-/// `nop(remaining \ value)` permutations.
-pub fn multiset_permutation_unrank(mut index: u64, sorted: &[u32]) -> Option<Vec<u32>> {
-    if index >= nop(sorted) {
+/// recursively). With `perms = nop(remaining)` and `t` values left, the
+/// permutations starting with value `u` form a block of
+/// `perms · count(u) / t`; each position skips whole blocks in ascending
+/// value order, then `perms` becomes the chosen block.
+pub fn multiset_permutation_unrank(mut index: u64, sorted: &[u32], out: &mut [u32]) -> Option<()> {
+    let mut perms = nop(sorted);
+    if index >= perms || out.len() != sorted.len() {
         return None;
     }
     let mut set = CountedMultiset::from_sorted(sorted);
-    let mut out = Vec::with_capacity(sorted.len());
-    while set.total > 0 {
+    for (remaining, slot) in (1..=sorted.len() as u64).rev().zip(out.iter_mut()) {
         let mut i = 0usize;
         loop {
-            let block = set.nop_without(i);
-            if index >= block {
-                index -= block;
-                i += 1;
-                debug_assert!(i < set.distinct, "index exhausted candidates");
-            } else {
-                out.push(set.values[i]);
-                set.remove(i);
+            let block = perms * u64::from(set.counts[i]) / remaining;
+            if index < block {
+                perms = block;
                 break;
             }
+            index -= block;
+            i += 1;
         }
+        *slot = set.values[i];
+        set.counts[i] -= 1;
     }
-    Some(out)
+    Some(())
 }
 
 /// Inverse of Algorithm 1: the ascending-lexicographic rank of `sequence`
 /// among the distinct permutations of its own multiset. Allocation-free;
-/// this is the estimation-time hot path of sum-based ordering.
+/// this is the estimation-time hot path of both sum-based orderings.
+///
+/// With `t` values left at a position, `less` of them smaller than the
+/// one placed there and `same` equal to it, the rank gains
+/// `nop(remaining) · less / t`, and the next position's `nop` is
+/// `nop(remaining) · same / t`. Writing `nop(remaining) / t` as
+/// `(t − 1)! · removed / D`, with `D = Π c!` over the whole multiset and
+/// `removed` the product of the `same` counts so far, every term shares
+/// the denominator `D`, so the sum takes one division at the end.
 pub fn multiset_permutation_rank(sequence: &[u32]) -> u64 {
-    let mut sorted = [0u32; 8];
-    sorted[..sequence.len()].copy_from_slice(sequence);
-    let sorted = &mut sorted[..sequence.len()];
-    sorted.sort_unstable();
-    let mut set = CountedMultiset::from_sorted(sorted);
-    let mut rank = 0u64;
-    for &v in sequence {
-        let pos = set.position_of(v);
-        for i in 0..pos {
-            rank += set.nop_without(i);
+    let (mut scaled, mut removed) = (0u64, 1u64);
+    for (p, &v) in sequence.iter().enumerate() {
+        let (mut less, mut same) = (0u64, 0u64);
+        for &u in &sequence[p..] {
+            less += u64::from(u < v);
+            same += u64::from(u == v);
         }
-        set.remove(pos);
+        scaled += less * FACTORIALS[sequence.len() - p - 1] * removed;
+        removed *= same;
     }
-    rank
+    scaled / removed
+}
+
+/// Closed-form Formula 4 rank and unrank: the bijection between the rank
+/// multisets of one `(parts, sum)` group — `parts ≤ max_parts` values in
+/// `[1, bound]` summing to `sum` — and the prefix sums of their `nop`
+/// counts in [`integer_partitions`] order.
+///
+/// The enumeration walks values `b = bound, bound − 1, …, 1` and at each
+/// one picks `i`, the number of parts equal to `b`, `i = 0` first. With
+/// counts `c_{b'}` already fixed above `b`, `r` parts still free and `v`
+/// their sum, the subtree that takes exactly `i` copies of `b` covers
+///
+/// `m! / (Π_{b'>b} c_{b'}! · i! · (r − i)!) · dist(v − i·b, r − i, b − 1)`
+///
+/// paths (`dist` is Formula 3 with the part bound lowered to `b − 1`).
+/// A multiset's offset is the sum of its earlier siblings' subtrees: at
+/// most `m` terms. Unranking descends the same tree; `dist` is
+/// non-decreasing in its bound, so the next value taken is found by
+/// binary search.
+///
+/// `dist` reads a binomial table `C(x, y)`, `x < max_parts · bound`,
+/// `y < max_parts`, in exact integer arithmetic: `O(max_parts² · bound)`
+/// memory (11 KB at 56 labels, `k = 5`) and no enumeration.
+/// [`integer_partitions`] and [`nop`] remain as the test oracle.
+#[derive(Debug)]
+pub struct PartitionRanker {
+    bound: u64,
+    max_parts: usize,
+    /// `binom[x · max_parts + y] = C(x, y) mod 2⁶⁴` (exact where it
+    /// matters: see `dist`).
+    binom: Vec<u64>,
+}
+
+impl PartitionRanker {
+    /// The ranker for up to `max_parts` parts in `[1, bound]`.
+    ///
+    /// # Panics
+    /// Panics if `max_parts > MAX_K`, or if a group can hold more than
+    /// `u64::MAX` sequences (`bound^max_parts` overflows `u64`).
+    pub fn new(bound: u64, max_parts: usize) -> PartitionRanker {
+        assert!(
+            max_parts <= MAX_K,
+            "{max_parts} parts exceed MAX_K = {MAX_K}"
+        );
+        assert!(
+            bound.checked_pow(max_parts as u32).is_some(),
+            "groups of {max_parts} parts in [1, {bound}] overflow u64"
+        );
+        let rows = max_parts * bound as usize;
+        let mut binom = vec![0u64; rows * max_parts];
+        for x in 0..rows {
+            binom[x * max_parts] = 1;
+            for y in 1..max_parts.min(x + 1) {
+                binom[x * max_parts + y] =
+                    binom[(x - 1) * max_parts + y - 1].wrapping_add(binom[(x - 1) * max_parts + y]);
+            }
+        }
+        PartitionRanker {
+            bound,
+            max_parts,
+            binom,
+        }
+    }
+
+    /// Bytes of the binomial table.
+    pub fn size_bytes(&self) -> usize {
+        self.binom.len() * std::mem::size_of::<u64>()
+    }
+
+    /// Formula 3: the number of `parts`-long sequences over `[1, bound]`
+    /// summing to `sum` — the size of the `(parts, sum)` group.
+    pub fn group_size(&self, sum: u64, parts: usize) -> u64 {
+        self.dist(sum, parts, self.bound)
+    }
+
+    /// Formula 3 with part bound `b ≤ bound`, by inclusion–exclusion
+    /// over the table, in exact integer arithmetic modulo 2⁶⁴. Binomials
+    /// and terms can pass 2⁶⁴ (`C(2039, 7)` at `bound = 255`, 8 parts),
+    /// but the result is a count below `bound^r ≤ u64::MAX` (checked in
+    /// `new`), so its residue modulo 2⁶⁴ is the count itself.
+    fn dist(&self, s: u64, r: usize, b: u64) -> u64 {
+        if r == 0 {
+            return u64::from(s == 0);
+        }
+        if s < r as u64 || s > r as u64 * b {
+            return 0;
+        }
+        let mut total = 0u64;
+        let mut top = s; // s − j·b
+        for (j, &choose) in SMALL_BINOM[r][..=r].iter().enumerate() {
+            // C(top − 1, r − 1) vanishes once top < r, and so do all
+            // later terms.
+            if top < r as u64 {
+                break;
+            }
+            let term = choose.wrapping_mul(self.binom[(top - 1) as usize * self.max_parts + r - 1]);
+            total = if j % 2 == 0 {
+                total.wrapping_add(term)
+            } else {
+                total.wrapping_sub(term)
+            };
+            top = top.saturating_sub(b);
+        }
+        total
+    }
+
+    /// Sequences under the subtree that fixes `i` more copies of the
+    /// current value, leaving `free − i` parts summing to `rest` in
+    /// `[1, below]`. `prefix = m! / (Π c! · free!)` is the multinomial
+    /// over the counts fixed so far, so the subtree's arrangements number
+    /// `prefix · C(free, i)` times `dist` of what is left.
+    #[inline]
+    fn subtree(&self, prefix: u64, free: usize, i: usize, rest: u64, below: u64) -> u64 {
+        prefix * SMALL_BINOM[free][i] * self.dist(rest, free - i, below)
+    }
+
+    /// The offset of the sorted rank multiset `sorted` inside its
+    /// `(sorted.len(), Σ sorted)` group: `Σ nop` over the multisets
+    /// [`integer_partitions`] lists before it.
+    pub fn offset_of(&self, sorted: &[u32]) -> u64 {
+        debug_assert!(sorted.len() <= self.max_parts, "more parts than max_parts");
+        let mut rest: u64 = sorted.iter().map(|&x| u64::from(x)).sum();
+        let (mut free, mut prefix, mut offset) = (sorted.len(), 1u64, 0u64);
+        // The `free` smallest parts are `sorted[..free]`; take the largest
+        // value's run off the top each round.
+        while free > 0 {
+            let b = u64::from(sorted[free - 1]);
+            let count = sorted[..free]
+                .iter()
+                .rev()
+                .take_while(|&&x| u64::from(x) == b)
+                .count();
+            for i in 0..count {
+                offset += self.subtree(prefix, free, i, rest - i as u64 * b, b - 1);
+            }
+            rest -= count as u64 * b;
+            prefix *= SMALL_BINOM[free][count];
+            free -= count;
+        }
+        offset
+    }
+
+    /// The inverse of [`PartitionRanker::offset_of`]: writes into `out`
+    /// (ascending) the multiset of `out.len()` parts summing to `sum`
+    /// whose `nop` permutations hold group position `rem`, and returns
+    /// `rem`'s rank among those permutations. `None` when
+    /// `rem ≥ group_size(sum, out.len())`.
+    pub fn multiset_at(&self, sum: u64, mut rem: u64, out: &mut [u32]) -> Option<u64> {
+        let (mut rest, mut free, mut prefix, mut top) = (sum, out.len(), 1u64, self.bound);
+        while free > 0 {
+            // The largest value b ≤ top whose i = 0 subtree (no part equal
+            // to b) ends at or before `rem`. Any b up to the mean part,
+            // `⌈rest / free⌉`, qualifies: parts below it cannot reach
+            // `rest`, so that subtree is empty. Any b above
+            // `rest − (free − 1)` does not, or `rem` is past the group.
+            let mut lo = rest.div_ceil(free as u64).max(1);
+            let mut hi = top.min((rest + 1).saturating_sub(free as u64));
+            if lo > hi {
+                return None;
+            }
+            while lo < hi {
+                let mid = lo + (hi - lo).div_ceil(2);
+                if self.subtree(prefix, free, 0, rest, mid - 1) <= rem {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            let b = lo;
+            let mut i = 0usize;
+            loop {
+                if i > free || i as u64 * b > rest {
+                    return None;
+                }
+                let block = self.subtree(prefix, free, i, rest - i as u64 * b, b - 1);
+                if rem < block {
+                    break;
+                }
+                rem -= block;
+                i += 1;
+            }
+            out[free - i..free].fill(b as u32);
+            rest -= i as u64 * b;
+            prefix *= SMALL_BINOM[free][i];
+            free -= i;
+            top = b - 1;
+        }
+        (rest == 0).then_some(rem)
+    }
 }
 
 #[cfg(test)]
@@ -361,6 +545,11 @@ mod tests {
         assert_eq!(nop(&[1, 1, 2, 2]), 6);
     }
 
+    fn unrank(index: u64, sorted: &[u32]) -> Option<Vec<u32>> {
+        let mut out = vec![0; sorted.len()];
+        multiset_permutation_unrank(index, sorted, &mut out).map(|()| out)
+    }
+
     #[test]
     fn unrank_enumerates_lexicographically() {
         let c = [1u32, 1, 2, 3];
@@ -368,7 +557,7 @@ mod tests {
         assert_eq!(total, 12);
         let mut perms: Vec<Vec<u32>> = Vec::new();
         for i in 0..total {
-            perms.push(multiset_permutation_unrank(i, &c).unwrap());
+            perms.push(unrank(i, &c).unwrap());
         }
         // Strictly increasing lexicographic order.
         for w in perms.windows(2) {
@@ -378,14 +567,14 @@ mod tests {
         assert_eq!(perms[0], vec![1, 1, 2, 3]);
         assert_eq!(perms[11], vec![3, 2, 1, 1]);
         // Out of range.
-        assert!(multiset_permutation_unrank(12, &c).is_none());
+        assert!(unrank(12, &c).is_none());
     }
 
     #[test]
     fn rank_inverts_unrank() {
         let c = [1u32, 2, 2, 4, 4];
         for i in 0..nop(&c) {
-            let p = multiset_permutation_unrank(i, &c).unwrap();
+            let p = unrank(i, &c).unwrap();
             assert_eq!(multiset_permutation_rank(&p), i, "at {i} ({p:?})");
         }
     }
@@ -396,6 +585,26 @@ mod tests {
         assert_eq!(multiset_permutation_rank(&[1, 2, 3]), 0);
         assert_eq!(multiset_permutation_rank(&[3, 2, 1]), 5);
         assert_eq!(multiset_permutation_rank(&[2, 1, 3]), 2);
+    }
+
+    #[test]
+    fn ranker_is_exact_where_binomials_pass_u64() {
+        // 8 parts in [1, 255]: every group holds fewer than 2⁶⁴
+        // sequences, but its inclusion–exclusion terms do not.
+        let ranker = PartitionRanker::new(255, 8);
+        assert!(binomial(8 * 255 - 1, 7) > u64::MAX as i128);
+        for sum in [8, 600, 1020, 1024, 1500, 2039, 2040] {
+            assert_eq!(ranker.group_size(sum, 8), dist(sum, 8, 255), "sum {sum}");
+        }
+        let sorted = [3u32, 77, 77, 128, 200, 254, 255, 255];
+        let sum = sorted.iter().map(|&r| r as u64).sum();
+        let last = ranker.offset_of(&sorted) + nop(&sorted) - 1;
+        let mut out = [0u32; 8];
+        assert_eq!(
+            ranker.multiset_at(sum, last, &mut out),
+            Some(nop(&sorted) - 1)
+        );
+        assert_eq!(out, sorted);
     }
 
     #[test]

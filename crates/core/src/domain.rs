@@ -68,14 +68,16 @@ impl PathDomain {
     pub fn length_of_index(&self, index: u64) -> (usize, u64) {
         assert!(index < self.size(), "index {index} outside domain");
         let mut rem = index;
-        for m in 1..=self.k {
+        // The bound check above stops the walk at length k at the latest.
+        let mut m = 1;
+        loop {
             let block = self.length_block(m);
             if rem < block {
                 return (m, rem);
             }
             rem -= block;
+            m += 1;
         }
-        unreachable!("index bounds checked above");
     }
 
     /// The equivalent `phe-pathenum` encoding.
@@ -89,10 +91,21 @@ impl PathDomain {
         self.encoding().encode(&ids) as u64
     }
 
-    /// Path at a canonical index.
+    /// Path at a canonical index: its base-`n` digits, decoded on the
+    /// stack (every ordering's default `ordered_index` runs this per
+    /// catalog entry).
+    ///
+    /// # Panics
+    /// Panics if `index ≥ size()`.
     pub fn canonical_path(&self, index: u64) -> LabelPath {
-        let ids = self.encoding().decode(index as usize);
-        LabelPath::new(&ids)
+        let (m, mut digits) = self.length_of_index(index);
+        let n = self.n as u64;
+        let mut labels = [LabelId(0); MAX_K];
+        for slot in labels[..m].iter_mut().rev() {
+            *slot = LabelId((digits % n) as u16);
+            digits /= n;
+        }
+        LabelPath::new(&labels[..m])
     }
 
     /// Iterates the whole domain in canonical order.

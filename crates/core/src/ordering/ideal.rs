@@ -208,14 +208,16 @@ mod tests {
         let (domain, _, ideal) = setup();
         assert_eq!(ideal.size_bytes(), domain.size() as usize * 8);
         // The trait-level accounting reports the same tables, so serving
-        // footprints include them; rank-based orderings report 0.
+        // footprints include them. The sum-based ordering reports its
+        // O(k²·|L|) tables: C(x, y) for x < 9, y < 3 in u64, and
+        // 4 + 6 + 8 cumulative group sizes in u64.
         let as_ordering: &dyn DomainOrdering = &ideal;
         assert_eq!(as_ordering.size_bytes(), domain.size() as usize * 8);
         let sum_based = crate::ordering::SumBasedOrdering::new(
             domain,
             crate::ranking::LabelRanking::cardinality_from_frequencies(&[3, 1, 2]),
         );
-        assert_eq!(DomainOrdering::size_bytes(&sum_based), 0);
+        assert_eq!(DomainOrdering::size_bytes(&sum_based), (9 * 3 + 18) * 8);
     }
 
     #[test]

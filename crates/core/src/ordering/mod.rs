@@ -95,9 +95,10 @@ pub trait DomainOrdering: Send + Sync {
     ///
     /// Most orderings hold only a ranking (a few bytes per label) and
     /// report 0; table-backed orderings — the ideal reference with its
-    /// `O(|Lk|)` permutation — override this so memory accounting
-    /// (`phe-service`'s `list`, the estimator footprint) reflects what
-    /// they actually pin.
+    /// `O(|Lk|)` permutation, and the sum-based ordering with its
+    /// `O(k²·|L|)` group-size and binomial tables — override this so
+    /// memory accounting (`phe-service`'s `list`, the estimator
+    /// footprint) reflects what they actually pin.
     fn size_bytes(&self) -> usize {
         0
     }

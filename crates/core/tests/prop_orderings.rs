@@ -5,6 +5,7 @@
 use phe_core::base_set::SumBasedL2Ordering;
 use phe_core::combinatorics::{
     dist, integer_partitions, multiset_permutation_rank, multiset_permutation_unrank, nop,
+    PartitionRanker,
 };
 use phe_core::ordering::{
     DomainOrdering, LexicographicalOrdering, NumericalOrdering, SumBasedOrdering,
@@ -15,6 +16,18 @@ use proptest::prelude::*;
 /// An arbitrary frequency assignment for up to 5 labels.
 fn arb_freqs() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..10_000, 2..6)
+}
+
+/// Formula 4 order, stated directly: from the largest value down, the
+/// first value whose count differs decides, fewer copies first.
+fn formula4_precedes(a: &[u32], b: &[u32]) -> bool {
+    let count = |s: &[u32], v: u32| s.iter().filter(|&&x| x == v).count();
+    let top = a.iter().chain(b).copied().max().unwrap_or(0);
+    (1..=top)
+        .rev()
+        .map(|v| (count(a, v), count(b, v)))
+        .find(|(ca, cb)| ca != cb)
+        .is_some_and(|(ca, cb)| ca < cb)
 }
 
 fn all_orderings(freqs: &[u64], k: usize) -> Vec<Box<dyn DomainOrdering>> {
@@ -133,7 +146,8 @@ proptest! {
         // Spot-check a spread of ranks instead of all (total can be 720).
         for i in [0, total / 3, total / 2, total.saturating_sub(1)] {
             if i < total {
-                let perm = multiset_permutation_unrank(i, &sorted).unwrap();
+                let mut perm = vec![0; sorted.len()];
+                prop_assert!(multiset_permutation_unrank(i, &sorted, &mut perm).is_some());
                 prop_assert_eq!(multiset_permutation_rank(&perm), i);
                 let mut back = perm.clone();
                 back.sort_unstable();
@@ -174,5 +188,48 @@ proptest! {
         for (i, p) in paths.iter().enumerate() {
             prop_assert_eq!(o.index_of(p), i as u64);
         }
+    }
+}
+
+proptest! {
+    // Cheap cases (no enumeration), so many of them.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn closed_form_partition_rank_tiles_its_group(
+        case in (1u32..65).prop_flat_map(|n| (Just(n), prop::collection::vec(1..n + 1, 1..7)))
+    ) {
+        let (n, ranks) = case;
+        let ranker = PartitionRanker::new(n as u64, 6);
+        let mut sorted = ranks.clone();
+        sorted.sort_unstable();
+        let (m, sum) = (sorted.len(), sorted.iter().map(|&r| r as u64).sum::<u64>());
+        let size = ranker.group_size(sum, m);
+        prop_assert_eq!(size, dist(sum, m, n as usize));
+        let at = |position: u64| {
+            let mut out = vec![0; m];
+            ranker.multiset_at(sum, position, &mut out).map(|rem| (out, rem))
+        };
+        // The multiset owns positions [offset, offset + nop) of its group.
+        let offset = ranker.offset_of(&sorted);
+        let count = nop(&sorted);
+        prop_assert!(offset + count <= size);
+        prop_assert_eq!(at(offset), Some((sorted.clone(), 0)));
+        prop_assert_eq!(at(offset + count - 1), Some((sorted.clone(), count - 1)));
+        // Its neighbours in the group abut it and sit on the right side
+        // of it in Formula 4 order.
+        if offset > 0 {
+            let (before, rem) = at(offset - 1).unwrap();
+            prop_assert_eq!(ranker.offset_of(&before) + rem, offset - 1);
+            prop_assert_eq!(rem + 1, nop(&before));
+            prop_assert!(formula4_precedes(&before, &sorted), "{:?} !< {:?}", before, sorted);
+        }
+        if offset + count < size {
+            let (after, rem) = at(offset + count).unwrap();
+            prop_assert_eq!(rem, 0);
+            prop_assert_eq!(ranker.offset_of(&after), offset + count);
+            prop_assert!(formula4_precedes(&sorted, &after), "{:?} !< {:?}", sorted, after);
+        }
+        prop_assert_eq!(at(size), None);
     }
 }
