@@ -2,7 +2,7 @@
 //! estimate cache buy at the request level.
 //!
 //! Measured at the protocol-line layer (`Request::parse` → registry →
-//! validate → batch estimate → response serialization), i.e. everything a
+//! validate → batch estimate → response writer), i.e. everything a
 //! request costs except the socket, so the numbers isolate the serving
 //! subsystem:
 //!
@@ -32,11 +32,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use phe_core::{EstimatorConfig, HistogramKind, LabelPath, OrderingKind, PathSelectivityEstimator};
 use phe_datasets::{erdos_renyi, LabelDistribution};
 use phe_graph::LabelId;
-use phe_service::protocol::{ok_response, PathStep, Request};
+use phe_service::protocol::{write_ok, PathStep, Request};
 use phe_service::{
     EstimatorRegistry, ServableEstimator, Server, ServerConfig, ServiceClient, ServiceMetrics,
 };
-use serde_json::{Number, Value};
 
 const LABELS: u16 = 5;
 const K: usize = 4;
@@ -112,22 +111,16 @@ fn serve_line(registry: &EstimatorRegistry, line: &str) -> usize {
         })
         .collect();
     let estimates = generation.estimate_id_batch(&id_paths).unwrap();
-    // Serialize the response exactly like the server's estimate handler.
-    let response = ok_response(vec![
-        (
-            "version".into(),
-            Value::Number(Number::PosInt(generation.version())),
-        ),
-        (
-            "estimates".into(),
-            Value::Array(
-                estimates
-                    .into_iter()
-                    .map(|e| Value::Number(Number::Float(e)))
-                    .collect(),
-            ),
-        ),
-    ]);
+    // Write the response exactly like the server's estimate handler.
+    let mut response = String::new();
+    write_ok(&mut response, |o| {
+        o.field("version", generation.version())
+            .array("estimates", |a| {
+                for &e in &estimates {
+                    a.item(e);
+                }
+            });
+    });
     response.len()
 }
 

@@ -7,6 +7,10 @@
 //! floats print with Rust's shortest round-trip formatting, so
 //! parse(print(x)) == x bit-for-bit — the property the snapshot round-trip
 //! tests rely on.
+//!
+//! Like serde_json, the parser refuses input nested 128 or more arrays
+//! and objects deep (its default recursion limit), so hostile input
+//! cannot exhaust the stack.
 
 use serde::{Deserialize, Serialize};
 pub use serde::{Error, Number, Value};
@@ -40,6 +44,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -148,9 +153,15 @@ fn write_string(out: &mut String, s: &str) {
 
 // ----------------------------------------------------------------- parser
 
+/// Nesting depth at which parsing stops, as serde_json's default
+/// recursion limit: 127 nested arrays or objects parse, 128 do not.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -182,8 +193,22 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') => {
+                self.depth += 1;
+                if self.depth >= RECURSION_LIMIT {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded at offset {}",
+                        self.pos
+                    )));
+                }
+                let value = if self.peek() == Some(b'{') {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
@@ -298,6 +323,9 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error::new("truncated \\u escape"))?;
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(Error::new("invalid \\u escape"));
+                            }
                             let code = u32::from_str_radix(
                                 std::str::from_utf8(hex)
                                     .map_err(|_| Error::new("invalid \\u escape"))?,
@@ -451,5 +479,18 @@ mod tests {
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("\"unterminated").is_err());
         assert!(from_str::<Value>("{} trailing").is_err());
+        assert!(from_str::<Value>(r#""\u+041""#).is_err());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_recursion_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT - 1)).is_ok());
+        let error = from_str::<Value>(&nested(RECURSION_LIMIT)).unwrap_err();
+        assert!(error.to_string().contains("recursion limit"), "{error}");
+        // Far past the limit: an error, not a stack overflow.
+        assert!(from_str::<Value>(&nested(100_000)).is_err());
+        let object = format!("{}1{}", r#"{"a":"#.repeat(200_000), "}".repeat(200_000));
+        assert!(from_str::<Value>(&object).is_err());
     }
 }

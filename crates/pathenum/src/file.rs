@@ -213,20 +213,22 @@ pub fn open_catalog_file(path: &Path) -> Result<SparseCatalog, CatalogFileError>
     if &bytes[..8] != MAGIC {
         return Err(corrupt("bad magic (not a PHECAT1 file)"));
     }
-    let stored_sum = read_u64_le(bytes, bytes.len() - 8).expect("length checked");
+    let field = |offset: usize| {
+        read_u64_le(bytes, offset).ok_or_else(|| corrupt(format!("no u64 at offset {offset}")))
+    };
+    let stored_sum = field(bytes.len() - 8)?;
     let actual_sum = fnv1a64(&bytes[..bytes.len() - 8]);
     if stored_sum != actual_sum {
         return Err(corrupt(format!(
             "checksum mismatch: stored {stored_sum:#018x}, computed {actual_sum:#018x}"
         )));
     }
-    let field = |offset: usize| read_u64_le(bytes, offset).expect("header length checked");
-    let label_count = field(8);
-    let max_len = field(16);
-    let nnz = field(24);
-    let total_mass = field(32);
-    let block_count = field(40) as usize;
-    let payload_len = field(48) as usize;
+    let label_count = field(8)?;
+    let max_len = field(16)?;
+    let nnz = field(24)?;
+    let total_mass = field(32)?;
+    let block_count = field(40)? as usize;
+    let payload_len = field(48)? as usize;
     let encoding = PathEncoding::try_new(label_count as usize, max_len as usize)
         .map_err(|e| corrupt(e.to_string()))?;
     let rows_len = block_count
@@ -247,17 +249,17 @@ pub fn open_catalog_file(path: &Path) -> Result<SparseCatalog, CatalogFileError>
     let mut lens = Vec::with_capacity(block_count);
     for block in 0..block_count {
         let off = HEADER_LEN + block * ROW_LEN;
-        let len = field(off + 24);
+        let len = field(off + 24)?;
         if len == 0 || len > BLOCK_ENTRIES as u64 {
             return Err(corrupt(format!("block {block} declares {len} entries")));
         }
         lens.push(len as u32);
         stored_rows.push(BlockMeta {
-            first_index: field(off),
-            last_index: field(off + 8),
-            byte_offset: field(off + 16) as usize,
+            first_index: field(off)?,
+            last_index: field(off + 8)?,
+            byte_offset: field(off + 16)? as usize,
             len: len as u32,
-            mass: field(off + 32),
+            mass: field(off + 32)?,
         });
     }
     let payload = &bytes[payload_off..payload_off + payload_len];
@@ -320,20 +322,31 @@ pub(crate) fn open_shard(path: &Path) -> io::Result<ShardReader> {
             "bad spill shard magic",
         ));
     }
-    let block_count = read_u64_le(&head, 40).expect("fixed header") as usize;
-    let payload_len = read_u64_le(&head, 48).expect("fixed header") as usize;
-    let mut rows = vec![0u8; block_count * ROW_LEN];
-    reader.read_exact(&mut rows)?;
+    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
+    let field = |bytes: &[u8], at: usize| {
+        read_u64_le(bytes, at).ok_or_else(|| invalid("spill shard field out of bounds"))
+    };
+    let block_count = field(&head, 40)? as usize;
+    let payload_len = field(&head, 48)? as usize;
+    let rows_len = block_count
+        .checked_mul(ROW_LEN)
+        .ok_or_else(|| invalid("spill shard block count overflows"))?;
+    let mut rows = Vec::new();
+    (&mut reader).take(rows_len as u64).read_to_end(&mut rows)?;
+    if rows.len() != rows_len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "spill shard skip rows are truncated",
+        ));
+    }
     let mut skip = Vec::with_capacity(block_count);
-    for block in 0..block_count {
-        let off = block * ROW_LEN;
-        let field = |at: usize| read_u64_le(&rows, off + at).expect("row length checked");
+    for off in (0..rows_len).step_by(ROW_LEN) {
         skip.push(BlockMeta {
-            first_index: field(0),
-            last_index: field(8),
-            byte_offset: field(16) as usize,
-            len: field(24) as u32,
-            mass: field(32),
+            first_index: field(&rows, off)?,
+            last_index: field(&rows, off + 8)?,
+            byte_offset: field(&rows, off + 16)? as usize,
+            len: field(&rows, off + 24)? as u32,
+            mass: field(&rows, off + 32)?,
         });
     }
     Ok(ShardReader {
@@ -602,6 +615,45 @@ mod tests {
         assert!(merged.len() < runs.len(), "the stream ended at the cut");
         assert!(!merged.is_empty(), "blocks before the cut still streamed");
         assert!(streams[0].take_error().is_none(), "taken once");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn truncated_headers_are_errors_not_panics() {
+        let path = temp_path("short-header");
+        write_catalog_file(&path, &sample_catalog()).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        // Every cut inside the fixed header (and the first skip row).
+        for cut in [0, 7, 8, 30, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 8] {
+            std::fs::write(&path, &pristine[..cut]).unwrap();
+            assert!(
+                matches!(open_catalog_file(&path), Err(CatalogFileError::Corrupt(_))),
+                "catalog cut at {cut}"
+            );
+        }
+
+        let entries: Vec<(u64, u64)> = (0..2000u64).map(|i| (i * 7, 1 + i % 90)).collect();
+        let runs = CompressedRuns::from_entries(&entries);
+        write_runs_file(&path, &PathEncoding::new(4, 8), &runs, Durability::Scratch).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let rows_end = HEADER_LEN + runs.skip_index().len() * ROW_LEN;
+        for cut in [0, 8, 44, HEADER_LEN - 1, HEADER_LEN + 1, rows_end - 1] {
+            std::fs::write(&path, &pristine[..cut]).unwrap();
+            let error = open_shard(&path).err().expect("a cut header must not open");
+            assert_eq!(
+                error.kind(),
+                io::ErrorKind::UnexpectedEof,
+                "shard cut at {cut}"
+            );
+        }
+        // A block count whose rows overflow the address space.
+        let mut huge = pristine.clone();
+        huge[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &huge).unwrap();
+        let error = open_shard(&path)
+            .err()
+            .expect("an overflowing count must not open");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).unwrap();
     }
 }

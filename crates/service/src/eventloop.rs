@@ -267,13 +267,15 @@ struct ShardCtx {
 struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
-    /// Unparsed request bytes; lines are carved off the front.
+    /// Unanswered request bytes; answered lines are dropped off the
+    /// front.
     buf: Vec<u8>,
     /// Index into `buf` already scanned for a newline, so a large line
     /// arriving in many chunks is not rescanned from the start each time.
     scanned: usize,
-    /// Response bytes not yet accepted by the socket.
-    out: Vec<u8>,
+    /// Response lines not yet accepted by the socket; handlers write
+    /// into it directly.
+    out: String,
     /// How much of `out` has been written.
     out_pos: usize,
     /// Requests dispatched to workers and not yet answered; parsing
@@ -292,7 +294,7 @@ impl Conn {
             peer,
             buf: Vec::new(),
             scanned: 0,
-            out: Vec::new(),
+            out: String::new(),
             out_pos: 0,
             waiting: 0,
             read_closed: false,
@@ -305,14 +307,15 @@ impl Conn {
     }
 
     fn push_response(&mut self, response: &str) {
-        self.out.extend_from_slice(response.as_bytes());
-        self.out.push(b'\n');
+        self.out.push_str(response);
+        self.out.push('\n');
     }
 
     /// Writes as much of `out` as the socket accepts right now.
     fn flush(&mut self) {
         while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
+            let pending = self.out.as_bytes().get(self.out_pos..).unwrap_or_default();
+            match self.stream.write(pending) {
                 Ok(0) => {
                     self.dead = true;
                     return;
@@ -491,8 +494,15 @@ impl Server {
                     ticket,
                     t0,
                 } = job;
-                let (response, paths, ok) =
-                    handle_request(request, &registry, &metrics, &maintenance, allow_load);
+                let mut response = String::new();
+                let (paths, ok) = handle_request(
+                    request,
+                    &registry,
+                    &metrics,
+                    &maintenance,
+                    allow_load,
+                    &mut response,
+                );
                 metrics.dispatch_dequeued();
                 let elapsed = t0.elapsed();
                 metrics.record_request(paths, elapsed, ok);
@@ -734,47 +744,57 @@ fn run_shard(ctx: ShardCtx, inbox: Receiver<ShardMsg>, wake: Arc<WakePipe>) {
     }
 }
 
-/// Carves complete lines off `c.buf` and answers them, pausing whenever
-/// a request goes to the dispatch workers (`waiting > 0`) so responses
-/// keep arriving in request order.
+/// Answers the complete lines in `c.buf` straight from the buffer,
+/// pausing whenever a request goes to the dispatch workers (`waiting >
+/// 0`) so responses keep arriving in request order. The answered prefix
+/// is dropped once, after the last line.
 fn process_lines(ctx: &ShardCtx, token: usize, c: &mut Conn) {
+    // Moved out so a line can borrow it while its answer is written to
+    // the connection.
+    let mut buf = std::mem::take(&mut c.buf);
+    let mut start = 0;
     while !c.dead && c.waiting == 0 {
-        let newline = c.buf[c.scanned..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map(|i| c.scanned + i);
-        let line: Vec<u8> = match newline {
+        let from = c.scanned.max(start);
+        let newline = buf
+            .get(from..)
+            .and_then(|rest| rest.iter().position(|&b| b == b'\n'))
+            .map(|i| from + i);
+        let line = match newline {
             Some(end) => {
-                c.scanned = 0;
-                c.buf.drain(..=end).collect()
+                let line = buf.get(start..end).unwrap_or_default();
+                start = end + 1;
+                line
             }
             None => {
-                c.scanned = c.buf.len();
-                if c.buf.len() > MAX_REQUEST_BYTES {
+                c.scanned = buf.len();
+                if buf.len() - start > MAX_REQUEST_BYTES {
                     ctx.metrics.record_request(0, Duration::ZERO, false);
                     c.push_response(&error_response("request line too large"));
-                    c.buf.clear();
-                    c.scanned = 0;
+                    start = buf.len();
                     c.read_closed = true;
-                    return;
+                    break;
                 }
-                if c.read_closed && !c.buf.is_empty() {
+                if c.read_closed && start < buf.len() {
                     // EOF with a trailing unterminated fragment: answer
                     // it as a final request.
-                    c.scanned = 0;
-                    std::mem::take(&mut c.buf)
+                    let line = buf.get(start..).unwrap_or_default();
+                    start = buf.len();
+                    line
                 } else {
-                    return;
+                    break;
                 }
             }
         };
-        let text = String::from_utf8_lossy(&line);
+        let text = String::from_utf8_lossy(line);
         let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
         handle_one(ctx, token, c, trimmed);
     }
+    buf.drain(..start);
+    c.scanned = c.scanned.saturating_sub(start);
+    c.buf = buf;
 }
 
 /// Admission-checks and answers (or dispatches) one request line.
@@ -838,17 +858,18 @@ fn handle_one(ctx: &ShardCtx, token: usize, c: &mut Conn, line: &str) {
         }
     } else {
         ctx.metrics.record_admitted();
-        let (response, paths, ok) = handle_request(
+        let (paths, ok) = handle_request(
             request,
             &ctx.registry,
             &ctx.metrics,
             &ctx.maintenance,
             ctx.allow_load,
+            &mut c.out,
         );
+        c.out.push('\n');
         let elapsed = t0.elapsed();
         ctx.metrics.record_request(paths, elapsed, ok);
         ctx.admission.observe_latency(elapsed);
         drop(ticket);
-        c.push_response(&response);
     }
 }

@@ -12,16 +12,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde_json::{Number, Value};
-
 use crate::estimator::ServableEstimator;
-use crate::maintenance::{EnqueueError, MaintenanceCoordinator};
+use crate::maintenance::{EnqueueError, MaintenanceConfig, MaintenanceCoordinator, SlotStatus};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{
-    backpressure_response, error_response, metrics_to_value, ok_response, MaintenanceAction,
-    PathStep, Request,
+    backpressure_response, error_response, write_metrics, write_ok, MaintenanceAction,
+    ObjectWriter, PathStep, Request,
 };
-use crate::registry::{EstimatorRegistry, MaintenanceState};
+use crate::registry::{EstimatorInfo, EstimatorRegistry, ExprOutcome, MaintenanceState};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -83,16 +81,18 @@ impl ServerConfig {
     }
 }
 
-/// Answers one parsed request; returns `(response, paths_estimated, ok)`.
-/// The event loop parses on its shard thread, classifies, and runs the
-/// heavy ops on dispatch workers.
+/// Answers one parsed request by writing its response line into `out`
+/// (no newline); returns `(paths_estimated, ok)`. The event loop parses
+/// on its shard thread, classifies, and runs the heavy ops on dispatch
+/// workers.
 pub(crate) fn handle_request(
     request: Request,
     registry: &Arc<EstimatorRegistry>,
     metrics: &Arc<ServiceMetrics>,
     maintenance: &Arc<MaintenanceCoordinator>,
     allow_load: bool,
-) -> (String, usize, bool) {
+    out: &mut String,
+) -> (usize, bool) {
     metrics.record_op(match &request {
         Request::Ping => "ping",
         Request::List => "list",
@@ -105,161 +105,55 @@ pub(crate) fn handle_request(
         Request::Maintenance { .. } => "maintenance",
     });
     match request {
-        Request::Ping => (ok_response(vec![]), 0, true),
+        Request::Ping => {
+            write_ok(out, |_| {});
+            (0, true)
+        }
         Request::List => {
-            let estimators = registry
+            let rows: Vec<_> = registry
                 .list()
                 .into_iter()
                 .map(|info| {
-                    let slot_name = info.name.clone();
-                    let mut row = vec![
-                        ("name".into(), Value::string(info.name)),
-                        (
-                            "version".into(),
-                            Value::Number(Number::PosInt(info.version)),
-                        ),
-                        ("k".into(), Value::Number(Number::PosInt(info.k as u64))),
-                        (
-                            "labels".into(),
-                            Value::Number(Number::PosInt(info.label_count as u64)),
-                        ),
-                        (
-                            "size_bytes".into(),
-                            Value::Number(Number::PosInt(info.size_bytes as u64)),
-                        ),
-                        ("description".into(), Value::string(info.description)),
-                        (
-                            "base_build_id".into(),
-                            info.lineage
-                                .map_or(Value::Null, |(id, _)| Value::string(format!("{id:016x}"))),
-                        ),
-                        (
-                            "applied_deltas".into(),
-                            info.lineage.map_or(Value::Null, |(_, deltas)| {
-                                Value::Number(Number::PosInt(deltas))
-                            }),
-                        ),
-                        (
-                            "expr_cache_hits".into(),
-                            Value::Number(Number::PosInt(info.expr_cache.0)),
-                        ),
-                        (
-                            "expr_cache_misses".into(),
-                            Value::Number(Number::PosInt(info.expr_cache.1)),
-                        ),
-                        ("follow_pruning".into(), Value::Bool(info.follow_pruning)),
-                    ];
-                    if let Some(c) = info.catalog {
-                        row.push(("catalog_mapped".into(), Value::Bool(c.mapped)));
-                        row.push((
-                            "catalog_heap_bytes".into(),
-                            Value::Number(Number::PosInt(c.heap_bytes)),
-                        ));
-                        row.push((
-                            "catalog_payload_bytes".into(),
-                            Value::Number(Number::PosInt(c.payload_bytes)),
-                        ));
-                        row.push((
-                            "catalog_nonzero_paths".into(),
-                            Value::Number(Number::PosInt(c.nonzero_paths)),
-                        ));
-                    }
-                    if let Some(m) = info.maintained {
-                        row.push((
-                            "maintained_catalog_bytes".into(),
-                            Value::Number(Number::PosInt(m.catalog_bytes)),
-                        ));
-                        row.push((
-                            "maintained_plain_bytes".into(),
-                            Value::Number(Number::PosInt(m.plain_bytes)),
-                        ));
-                        row.push((
-                            "maintained_bytes_per_entry".into(),
-                            Value::Number(Number::Float(
-                                m.catalog_bytes as f64 / (m.nonzero_paths as f64).max(1.0),
-                            )),
-                        ));
-                    }
-                    if let Some(d) = info.drift {
-                        row.push((
-                            "drift_mean_abs_error".into(),
-                            Value::Number(Number::Float(d.mean_abs_error_rate)),
-                        ));
-                        row.push((
-                            "drift_max_q_error".into(),
-                            Value::Number(Number::Float(d.max_q_error)),
-                        ));
-                        row.push((
-                            "drift_sampled_paths".into(),
-                            Value::Number(Number::PosInt(d.sampled as u64)),
-                        ));
-                    }
-                    let status = maintenance.status(&slot_name);
-                    if status != crate::maintenance::SlotStatus::default() {
-                        row.push((
-                            "maintenance_queued".into(),
-                            Value::Number(Number::PosInt(status.queued as u64)),
-                        ));
-                        row.push((
-                            "maintenance_compacted".into(),
-                            Value::Number(Number::PosInt(status.compacted)),
-                        ));
-                        row.push((
-                            "maintenance_last_trigger".into(),
-                            status.last_trigger.map_or(Value::Null, Value::string),
-                        ));
-                        row.push((
-                            "maintenance_last_outcome".into(),
-                            status.last_outcome.map_or(Value::Null, Value::string),
-                        ));
-                    }
-                    Value::Object(row)
+                    let status = maintenance.status(&info.name);
+                    (info, status)
                 })
                 .collect();
-            (
-                ok_response(vec![("estimators".into(), Value::Array(estimators))]),
-                0,
-                true,
-            )
+            write_ok(out, |o| {
+                o.array("estimators", |a| {
+                    for (info, status) in &rows {
+                        a.object(|row| write_list_row(row, info, status));
+                    }
+                });
+            });
+            (0, true)
         }
-        Request::Metrics { prometheus } => {
-            if prometheus {
-                return (
-                    ok_response(vec![(
-                        "exposition".into(),
-                        Value::string(metrics.render_prometheus()),
-                    )]),
-                    0,
-                    true,
-                );
-            }
+        Request::Metrics { prometheus: true } => {
+            write_ok(out, |o| {
+                o.field("exposition", metrics.render_prometheus());
+            });
+            (0, true)
+        }
+        Request::Metrics { prometheus: false } => {
             let report = metrics.report();
-            (
-                ok_response(vec![("metrics".into(), metrics_to_value(&report))]),
-                0,
-                true,
-            )
+            write_ok(out, |o| {
+                o.object("metrics", |m| write_metrics(m, &report));
+            });
+            (0, true)
         }
         Request::Estimate { estimator, paths } => {
             let path_count = paths.len();
             match estimate(registry, &estimator, &paths) {
-                Ok((version, estimates)) => (
-                    ok_response(vec![
-                        ("version".into(), Value::Number(Number::PosInt(version))),
-                        (
-                            "estimates".into(),
-                            Value::Array(
-                                estimates
-                                    .into_iter()
-                                    .map(|e| Value::Number(Number::Float(e)))
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                    path_count,
-                    true,
-                ),
-                Err(message) => (error_response(&message), path_count, false),
+                Ok((version, estimates)) => {
+                    write_ok(out, |o| {
+                        o.field("version", version).array("estimates", |a| {
+                            for &e in &estimates {
+                                a.item(e);
+                            }
+                        });
+                    });
+                    (path_count, true)
+                }
+                Err(message) => (path_count, fail(out, &message)),
             }
         }
         Request::EstimateExpr {
@@ -269,21 +163,23 @@ pub(crate) fn handle_request(
         } => {
             let expr_count = exprs.len();
             match estimate_exprs(registry, &estimator, &exprs, explain) {
-                Ok((version, results)) => (
-                    ok_response(vec![
-                        ("version".into(), Value::Number(Number::PosInt(version))),
-                        ("results".into(), results),
-                    ]),
-                    expr_count,
-                    true,
-                ),
-                Err(message) => (error_response(&message), expr_count, false),
+                Ok((version, rows)) => {
+                    write_ok(out, |o| {
+                        o.field("version", version).array("results", |a| {
+                            for (outcome, stages) in &rows {
+                                a.object(|row| write_expr_row(row, outcome, stages.as_deref()));
+                            }
+                        });
+                    });
+                    (expr_count, true)
+                }
+                Err(message) => (expr_count, fail(out, &message)),
             }
         }
         Request::Delta { name, changes } => {
             // Delta reads the server's filesystem, like `load`/`rebuild`.
             if !allow_load {
-                return (error_response("delta is disabled on this server"), 0, false);
+                return (0, fail(out, "delta is disabled on this server"));
             }
             // Parse now (labels resolve against the maintained base — a
             // delta can't introduce labels, so the alphabet is stable
@@ -291,31 +187,27 @@ pub(crate) fn handle_request(
             // maintenance loop's next compacted publish fold it in.
             let Some(state) = registry.maintenance(&name) else {
                 let refusal = EnqueueError::NoLineage { slot: name };
-                return (error_response(&refusal.to_string()), 0, false);
+                return (0, fail(out, &refusal.to_string()));
             };
             let delta = match phe_graph::delta::read_changes_path(&changes, &state.graph) {
                 Ok(delta) => delta,
-                Err(e) => return (error_response(&format!("reading {changes}: {e}")), 0, false),
+                Err(e) => return (0, fail(out, &format!("reading {changes}: {e}"))),
             };
             match maintenance.enqueue(&name, delta) {
-                Ok(queued) => (
-                    ok_response(vec![
-                        ("status".into(), Value::string("queued")),
-                        (
-                            "queued".into(),
-                            Value::Number(Number::PosInt(queued as u64)),
-                        ),
-                    ]),
-                    0,
-                    true,
-                ),
+                Ok(queued) => {
+                    write_ok(out, |o| {
+                        o.field("status", "queued").field("queued", queued as u64);
+                    });
+                    (0, true)
+                }
                 // A full queue is backpressure, not a hard error: the
                 // structured marker tells the client to retry after the
                 // next compacted publish drains it.
                 Err(e @ EnqueueError::QueueFull { .. }) => {
-                    (backpressure_response(&e.to_string()), 0, false)
+                    out.push_str(&backpressure_response(&e.to_string()));
+                    (0, false)
                 }
-                Err(e) => (error_response(&e.to_string()), 0, false),
+                Err(e) => (0, fail(out, &e.to_string())),
             }
         }
         Request::Rebuild {
@@ -330,50 +222,27 @@ pub(crate) fn handle_request(
         } => {
             // Rebuild reads the server's filesystem, like `load`.
             if !allow_load {
-                return (
-                    error_response("rebuild is disabled on this server"),
-                    0,
-                    false,
-                );
+                return (0, fail(out, "rebuild is disabled on this server"));
             }
-            let ordering = match phe_core::OrderingKind::ALL
+            let Some(ordering) = phe_core::OrderingKind::ALL
                 .into_iter()
                 .find(|o| o.name() == ordering)
-            {
-                Some(o) => o,
-                None => {
-                    return (
-                        error_response(&format!("unknown ordering {ordering:?}")),
-                        0,
-                        false,
-                    )
-                }
+            else {
+                return (0, fail(out, &format!("unknown ordering {ordering:?}")));
             };
-            let histogram = match phe_core::HistogramKind::ALL
+            let Some(histogram) = phe_core::HistogramKind::ALL
                 .into_iter()
                 .find(|h| h.name() == histogram)
-            {
-                Some(h) => h,
-                None => {
-                    return (
-                        error_response(&format!("unknown histogram {histogram:?}")),
-                        0,
-                        false,
-                    )
-                }
+            else {
+                return (0, fail(out, &format!("unknown histogram {histogram:?}")));
             };
             if k == 0 || k > phe_core::MAX_K || beta == 0 {
-                return (
-                    error_response(&format!("invalid k = {k} or beta = {beta}")),
-                    0,
-                    false,
-                );
+                return (0, fail(out, &format!("invalid k = {k} or beta = {beta}")));
             }
             if !registry.try_begin_rebuild(&name) {
                 return (
-                    error_response(&format!("rebuild of {name:?} already in flight")),
                     0,
-                    false,
+                    fail(out, &format!("rebuild of {name:?} already in flight")),
                 );
             }
             // The version observed now is the publish precondition: if the
@@ -398,15 +267,14 @@ pub(crate) fn handle_request(
                 expected_version,
                 maintain,
             );
-            (
-                ok_response(vec![("status".into(), Value::string("rebuilding"))]),
-                0,
-                true,
-            )
+            write_ok(out, |o| {
+                o.field("status", "rebuilding");
+            });
+            (0, true)
         }
         Request::Load { name, snapshot } => {
             if !allow_load {
-                return (error_response("load is disabled on this server"), 0, false);
+                return (0, fail(out, "load is disabled on this server"));
             }
             match load_snapshot(&snapshot) {
                 Ok(servable) => {
@@ -418,150 +286,202 @@ pub(crate) fn handle_request(
                     // drift gauges measured that lineage and must not
                     // outlive it in the exposition.
                     metrics.clear_drift(&name);
-                    (
-                        ok_response(vec![(
-                            "version".into(),
-                            Value::Number(Number::PosInt(version)),
-                        )]),
+                    write_ok(out, |o| {
+                        o.field("version", version);
+                    });
+                    (0, true)
+                }
+                Err(message) => (0, fail(out, &message)),
+            }
+        }
+        Request::Maintenance { name, action } => match action {
+            MaintenanceAction::Status => {
+                write_maintenance_status(out, maintenance);
+                (0, true)
+            }
+            MaintenanceAction::Compact => {
+                if !allow_load {
+                    // A forced compaction can trigger a full rebuild —
+                    // gate it with the other mutating ops.
+                    return (
                         0,
-                        true,
-                    )
-                }
-                Err(message) => (error_response(&message), 0, false),
-            }
-        }
-        Request::Maintenance { name, action } => {
-            match action {
-                MaintenanceAction::Status => (maintenance_status(maintenance), 0, true),
-                MaintenanceAction::Compact => {
-                    if !allow_load {
-                        // A forced compaction can trigger a full rebuild —
-                        // gate it with the other mutating ops.
-                        return (
-                            error_response("maintenance compact is disabled on this server"),
-                            0,
-                            false,
-                        );
-                    }
-                    let outcome = maintenance.run_slot(&name);
-                    let ok = !matches!(
-                        outcome,
-                        crate::maintenance::RunOutcome::Failed { .. }
-                            | crate::maintenance::RunOutcome::NoLineage { .. }
+                        fail(out, "maintenance compact is disabled on this server"),
                     );
-                    let response = ok_response(vec![
-                        ("name".into(), Value::string(name)),
-                        ("outcome".into(), Value::string(outcome.to_string())),
-                    ]);
-                    if ok {
-                        (response, 0, true)
-                    } else {
-                        (error_response(&outcome.to_string()), 0, false)
-                    }
                 }
-                MaintenanceAction::SetPolicy {
-                    max_applied_deltas,
-                    drift_scale,
-                    drift_mean_threshold,
-                    drift_q_threshold,
-                } => {
-                    if !allow_load {
-                        return (
-                            error_response("maintenance set-policy is disabled on this server"),
-                            0,
-                            false,
-                        );
-                    }
-                    let mut policy = maintenance.config().policy;
-                    if let Some(n) = max_applied_deltas {
-                        policy.max_applied_deltas = n;
-                    }
-                    if let Some(scale) = drift_scale {
-                        policy.drift_scale = scale;
-                    }
-                    if let (Some(mean), Some(q)) = (drift_mean_threshold, drift_q_threshold) {
-                        policy.drift_override = Some(phe_core::DriftThreshold {
-                            mean_abs_error_rate: mean,
-                            max_q_error: q,
-                        });
-                    }
-                    maintenance.set_policy(policy);
-                    (maintenance_status(maintenance), 0, true)
+                let outcome = maintenance.run_slot(&name);
+                if matches!(
+                    outcome,
+                    crate::maintenance::RunOutcome::Failed { .. }
+                        | crate::maintenance::RunOutcome::NoLineage { .. }
+                ) {
+                    return (0, fail(out, &outcome.to_string()));
                 }
+                write_ok(out, |o| {
+                    o.field("name", name).field("outcome", outcome.to_string());
+                });
+                (0, true)
             }
-        }
+            MaintenanceAction::SetPolicy {
+                max_applied_deltas,
+                drift_scale,
+                drift_mean_threshold,
+                drift_q_threshold,
+            } => {
+                if !allow_load {
+                    return (
+                        0,
+                        fail(out, "maintenance set-policy is disabled on this server"),
+                    );
+                }
+                let mut policy = maintenance.config().policy;
+                if let Some(n) = max_applied_deltas {
+                    policy.max_applied_deltas = n;
+                }
+                if let Some(scale) = drift_scale {
+                    policy.drift_scale = scale;
+                }
+                if let (Some(mean), Some(q)) = (drift_mean_threshold, drift_q_threshold) {
+                    policy.drift_override = Some(phe_core::DriftThreshold {
+                        mean_abs_error_rate: mean,
+                        max_q_error: q,
+                    });
+                }
+                maintenance.set_policy(policy);
+                write_maintenance_status(out, maintenance);
+                (0, true)
+            }
+        },
     }
 }
 
-/// Renders the maintenance loop's policy, interval, and per-slot status
-/// as the `maintenance` op's `status`/`set-policy` response.
-fn maintenance_status(coordinator: &MaintenanceCoordinator) -> String {
-    let config = coordinator.config();
-    let mut policy = vec![
-        (
-            "max_applied_deltas".into(),
-            Value::Number(Number::PosInt(config.policy.max_applied_deltas)),
-        ),
-        (
-            "drift_scale".into(),
-            Value::Number(Number::Float(config.policy.drift_scale)),
-        ),
-    ];
-    if let Some(pinned) = config.policy.drift_override {
-        policy.push((
-            "drift_mean_threshold".into(),
-            Value::Number(Number::Float(pinned.mean_abs_error_rate)),
-        ));
-        policy.push((
-            "drift_q_threshold".into(),
-            Value::Number(Number::Float(pinned.max_q_error)),
-        ));
+/// Writes an error line for `message`; returns `false` for the caller's
+/// `ok` flag.
+fn fail(out: &mut String, message: &str) -> bool {
+    out.push_str(&error_response(message));
+    false
+}
+
+/// Writes one `list` row: a slot's statistics, lineage, caches and
+/// residency, plus its maintenance counters once it has any.
+fn write_list_row(row: &mut ObjectWriter<'_>, info: &EstimatorInfo, status: &SlotStatus) {
+    row.field("name", &info.name)
+        .field("version", info.version)
+        .field("k", info.k as u64)
+        .field("labels", info.label_count as u64)
+        .field("size_bytes", info.size_bytes as u64)
+        .field("description", &info.description)
+        .field(
+            "base_build_id",
+            info.lineage.map(|(id, _)| format!("{id:016x}")),
+        )
+        .field("applied_deltas", info.lineage.map(|(_, deltas)| deltas))
+        .field("expr_cache_hits", info.expr_cache.0)
+        .field("expr_cache_misses", info.expr_cache.1)
+        .field("follow_pruning", info.follow_pruning);
+    if let Some(c) = &info.catalog {
+        row.field("catalog_mapped", c.mapped)
+            .field("catalog_heap_bytes", c.heap_bytes)
+            .field("catalog_payload_bytes", c.payload_bytes)
+            .field("catalog_nonzero_paths", c.nonzero_paths);
     }
-    let slots = coordinator
-        .status_all()
-        .into_iter()
-        .map(|(name, status)| {
-            Value::Object(vec![
-                ("name".into(), Value::string(name)),
-                (
-                    "queued".into(),
-                    Value::Number(Number::PosInt(status.queued as u64)),
-                ),
-                (
-                    "enqueued".into(),
-                    Value::Number(Number::PosInt(status.enqueued)),
-                ),
-                (
-                    "rejected".into(),
-                    Value::Number(Number::PosInt(status.rejected)),
-                ),
-                (
-                    "compacted".into(),
-                    Value::Number(Number::PosInt(status.compacted)),
-                ),
-                (
-                    "purged".into(),
-                    Value::Number(Number::PosInt(status.purged)),
-                ),
-                (
-                    "last_trigger".into(),
-                    status.last_trigger.map_or(Value::Null, Value::string),
-                ),
-                (
-                    "last_outcome".into(),
-                    status.last_outcome.map_or(Value::Null, Value::string),
-                ),
-            ])
-        })
-        .collect();
-    ok_response(vec![
-        (
-            "publish_interval_ms".into(),
-            Value::Number(Number::PosInt(config.publish_interval.as_millis() as u64)),
-        ),
-        ("policy".into(), Value::Object(policy)),
-        ("slots".into(), Value::Array(slots)),
-    ])
+    if let Some(m) = &info.maintained {
+        row.field("maintained_catalog_bytes", m.catalog_bytes)
+            .field("maintained_plain_bytes", m.plain_bytes)
+            .field(
+                "maintained_bytes_per_entry",
+                m.catalog_bytes as f64 / (m.nonzero_paths as f64).max(1.0),
+            );
+    }
+    if let Some(d) = &info.drift {
+        row.field("drift_mean_abs_error", d.mean_abs_error_rate)
+            .field("drift_max_q_error", d.max_q_error)
+            .field("drift_sampled_paths", d.sampled as u64);
+    }
+    if *status != SlotStatus::default() {
+        row.field("maintenance_queued", status.queued as u64)
+            .field("maintenance_compacted", status.compacted)
+            .field("maintenance_last_trigger", &status.last_trigger)
+            .field("maintenance_last_outcome", &status.last_outcome);
+    }
+}
+
+/// One expression's answer, with the flattened `(depth, stage,
+/// duration)` span tree of an explain request.
+type ExprRow = (ExprOutcome, Option<Vec<(usize, &'static str, Duration)>>);
+
+/// Writes one `estimate_expr` result row.
+fn write_expr_row(
+    row: &mut ObjectWriter<'_>,
+    outcome: &ExprOutcome,
+    stages: Option<&[(usize, &'static str, Duration)]>,
+) {
+    row.field("estimate", outcome.total)
+        .field("paths", outcome.width)
+        .field("pruned", outcome.pruned)
+        .field("truncated", outcome.truncated)
+        .field("matches_empty", outcome.matches_empty)
+        .field("cached", outcome.cached);
+    if let Some(branches) = &outcome.branches {
+        row.array("branches", |a| {
+            for (path, estimate) in branches {
+                a.array(|pair| {
+                    pair.item(path).item(*estimate);
+                });
+            }
+        });
+    }
+    if let Some(stages) = stages {
+        row.array("stages", |a| {
+            for &(depth, stage, duration) in stages {
+                a.object(|s| {
+                    s.field("stage", stage)
+                        .field("depth", depth as u64)
+                        .field("seconds", duration.as_secs_f64());
+                });
+            }
+        });
+    }
+}
+
+/// Writes the maintenance loop's policy, interval, and per-slot status
+/// as the `maintenance` op's `status`/`set-policy` response.
+fn write_maintenance_status(out: &mut String, coordinator: &MaintenanceCoordinator) {
+    let config = coordinator.config();
+    let slots = coordinator.status_all();
+    write_ok(out, |o| write_maintenance_fields(o, &config, &slots));
+}
+
+fn write_maintenance_fields(
+    o: &mut ObjectWriter<'_>,
+    config: &MaintenanceConfig,
+    slots: &[(String, SlotStatus)],
+) {
+    o.field(
+        "publish_interval_ms",
+        config.publish_interval.as_millis() as u64,
+    )
+    .object("policy", |p| {
+        p.field("max_applied_deltas", config.policy.max_applied_deltas)
+            .field("drift_scale", config.policy.drift_scale);
+        if let Some(pinned) = config.policy.drift_override {
+            p.field("drift_mean_threshold", pinned.mean_abs_error_rate)
+                .field("drift_q_threshold", pinned.max_q_error);
+        }
+    })
+    .array("slots", |a| {
+        for (name, status) in slots {
+            a.object(|s| {
+                s.field("name", name)
+                    .field("queued", status.queued as u64)
+                    .field("enqueued", status.enqueued)
+                    .field("rejected", status.rejected)
+                    .field("compacted", status.compacted)
+                    .field("purged", status.purged)
+                    .field("last_trigger", &status.last_trigger)
+                    .field("last_outcome", &status.last_outcome);
+            });
+        }
+    });
 }
 
 fn estimate(
@@ -598,7 +518,7 @@ fn estimate_exprs(
     name: &str,
     exprs: &[String],
     explain: bool,
-) -> Result<(u64, Value), String> {
+) -> Result<(u64, Vec<ExprRow>), String> {
     let generation = registry
         .get(name)
         .ok_or_else(|| format!("no estimator {name:?} (try \"list\")"))?;
@@ -610,64 +530,15 @@ fn estimate_exprs(
         let (outcome, stages) = if explain {
             let (outcome, roots) =
                 phe_obs::span::capture(|| generation.estimate_expr(source, true));
-            (outcome, Some(roots))
+            let flat = roots.iter().flat_map(|root| root.flatten()).collect();
+            (outcome, Some(flat))
         } else {
             (generation.estimate_expr(source, false), None)
         };
         let outcome = outcome.map_err(|e| format!("{source:?}: {e}"))?;
-        let mut row = vec![
-            (
-                "estimate".into(),
-                Value::Number(Number::Float(outcome.total)),
-            ),
-            ("paths".into(), Value::Number(Number::PosInt(outcome.width))),
-            (
-                "pruned".into(),
-                Value::Number(Number::PosInt(outcome.pruned)),
-            ),
-            (
-                "truncated".into(),
-                Value::Number(Number::PosInt(outcome.truncated)),
-            ),
-            ("matches_empty".into(), Value::Bool(outcome.matches_empty)),
-            ("cached".into(), Value::Bool(outcome.cached)),
-        ];
-        if let Some(branches) = outcome.branches {
-            row.push((
-                "branches".into(),
-                Value::Array(
-                    branches
-                        .into_iter()
-                        .map(|(path, estimate)| {
-                            Value::Array(vec![
-                                Value::string(path),
-                                Value::Number(Number::Float(estimate)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        if let Some(roots) = stages {
-            let flat: Vec<Value> = roots
-                .iter()
-                .flat_map(|root| root.flatten())
-                .map(|(depth, stage, duration)| {
-                    Value::Object(vec![
-                        ("stage".into(), Value::string(stage)),
-                        ("depth".into(), Value::Number(Number::PosInt(depth as u64))),
-                        (
-                            "seconds".into(),
-                            Value::Number(Number::Float(duration.as_secs_f64())),
-                        ),
-                    ])
-                })
-                .collect();
-            row.push(("stages".into(), Value::Array(flat)));
-        }
-        rows.push(Value::Object(row));
+        rows.push((outcome, stages));
     }
-    Ok((generation.version(), Value::Array(rows)))
+    Ok((generation.version(), rows))
 }
 
 /// Kicks off a detached background rebuild: load the graph, build fresh
@@ -822,6 +693,7 @@ mod tests {
         EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator, RebuildPolicy,
     };
     use phe_datasets::{erdos_renyi, LabelDistribution};
+    use serde_json::{Number, Value};
     use std::time::Instant;
 
     /// Parses and answers one request line, as a shard does.
@@ -833,7 +705,18 @@ mod tests {
         allow_load: bool,
     ) -> (String, usize, bool) {
         match Request::parse(line) {
-            Ok(request) => handle_request(request, registry, metrics, maintenance, allow_load),
+            Ok(request) => {
+                let mut out = String::new();
+                let (paths, ok) = handle_request(
+                    request,
+                    registry,
+                    metrics,
+                    maintenance,
+                    allow_load,
+                    &mut out,
+                );
+                (out, paths, ok)
+            }
             Err(e) => (error_response(&e.to_string()), 0, false),
         }
     }
@@ -1469,5 +1352,455 @@ mod tests {
             false,
         );
         assert!(!ok && r.contains("disabled"), "{r}");
+    }
+
+    // ------------------------------------------ response shapes vs oracle
+
+    fn printed(value: Value) -> String {
+        serde_json::to_string(&value).unwrap()
+    }
+
+    fn int(v: u64) -> Value {
+        Value::Number(Number::PosInt(v))
+    }
+
+    fn float(v: f64) -> Value {
+        Value::Number(Number::Float(v))
+    }
+
+    fn opt_string(v: &Option<String>) -> Value {
+        v.clone().map_or(Value::Null, Value::string)
+    }
+
+    /// Today's `list` row, member for member.
+    fn list_row_value(info: &EstimatorInfo, status: &SlotStatus) -> Value {
+        let mut row = vec![
+            ("name".into(), Value::string(&info.name)),
+            ("version".into(), int(info.version)),
+            ("k".into(), int(info.k as u64)),
+            ("labels".into(), int(info.label_count as u64)),
+            ("size_bytes".into(), int(info.size_bytes as u64)),
+            ("description".into(), Value::string(&info.description)),
+            (
+                "base_build_id".into(),
+                info.lineage
+                    .map_or(Value::Null, |(id, _)| Value::string(format!("{id:016x}"))),
+            ),
+            (
+                "applied_deltas".into(),
+                info.lineage.map_or(Value::Null, |(_, deltas)| int(deltas)),
+            ),
+            ("expr_cache_hits".into(), int(info.expr_cache.0)),
+            ("expr_cache_misses".into(), int(info.expr_cache.1)),
+            ("follow_pruning".into(), Value::Bool(info.follow_pruning)),
+        ];
+        if let Some(c) = info.catalog {
+            row.push(("catalog_mapped".into(), Value::Bool(c.mapped)));
+            row.push(("catalog_heap_bytes".into(), int(c.heap_bytes)));
+            row.push(("catalog_payload_bytes".into(), int(c.payload_bytes)));
+            row.push(("catalog_nonzero_paths".into(), int(c.nonzero_paths)));
+        }
+        if let Some(m) = info.maintained {
+            row.push(("maintained_catalog_bytes".into(), int(m.catalog_bytes)));
+            row.push(("maintained_plain_bytes".into(), int(m.plain_bytes)));
+            row.push((
+                "maintained_bytes_per_entry".into(),
+                float(m.catalog_bytes as f64 / (m.nonzero_paths as f64).max(1.0)),
+            ));
+        }
+        if let Some(d) = info.drift {
+            row.push(("drift_mean_abs_error".into(), float(d.mean_abs_error_rate)));
+            row.push(("drift_max_q_error".into(), float(d.max_q_error)));
+            row.push(("drift_sampled_paths".into(), int(d.sampled as u64)));
+        }
+        if *status != SlotStatus::default() {
+            row.push(("maintenance_queued".into(), int(status.queued as u64)));
+            row.push(("maintenance_compacted".into(), int(status.compacted)));
+            row.push((
+                "maintenance_last_trigger".into(),
+                opt_string(&status.last_trigger),
+            ));
+            row.push((
+                "maintenance_last_outcome".into(),
+                opt_string(&status.last_outcome),
+            ));
+        }
+        Value::Object(row)
+    }
+
+    /// Today's `estimate_expr` result row, member for member.
+    fn expr_row_value(
+        outcome: &ExprOutcome,
+        stages: Option<&[(usize, &'static str, Duration)]>,
+    ) -> Value {
+        let mut row = vec![
+            ("estimate".into(), float(outcome.total)),
+            ("paths".into(), int(outcome.width)),
+            ("pruned".into(), int(outcome.pruned)),
+            ("truncated".into(), int(outcome.truncated)),
+            ("matches_empty".into(), Value::Bool(outcome.matches_empty)),
+            ("cached".into(), Value::Bool(outcome.cached)),
+        ];
+        if let Some(branches) = &outcome.branches {
+            row.push((
+                "branches".into(),
+                Value::Array(
+                    branches
+                        .iter()
+                        .map(|(path, e)| Value::Array(vec![Value::string(path), float(*e)]))
+                        .collect(),
+                ),
+            ));
+        }
+        if let Some(stages) = stages {
+            row.push((
+                "stages".into(),
+                Value::Array(
+                    stages
+                        .iter()
+                        .map(|&(depth, stage, duration)| {
+                            Value::Object(vec![
+                                ("stage".into(), Value::string(stage)),
+                                ("depth".into(), int(depth as u64)),
+                                ("seconds".into(), float(duration.as_secs_f64())),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ));
+        }
+        Value::Object(row)
+    }
+
+    /// Today's `maintenance` status members.
+    fn maintenance_value(config: &MaintenanceConfig, slots: &[(String, SlotStatus)]) -> Value {
+        let mut policy = vec![
+            (
+                "max_applied_deltas".into(),
+                int(config.policy.max_applied_deltas),
+            ),
+            ("drift_scale".into(), float(config.policy.drift_scale)),
+        ];
+        if let Some(pinned) = config.policy.drift_override {
+            policy.push((
+                "drift_mean_threshold".into(),
+                float(pinned.mean_abs_error_rate),
+            ));
+            policy.push(("drift_q_threshold".into(), float(pinned.max_q_error)));
+        }
+        let slots = slots
+            .iter()
+            .map(|(name, status)| {
+                Value::Object(vec![
+                    ("name".into(), Value::string(name)),
+                    ("queued".into(), int(status.queued as u64)),
+                    ("enqueued".into(), int(status.enqueued)),
+                    ("rejected".into(), int(status.rejected)),
+                    ("compacted".into(), int(status.compacted)),
+                    ("purged".into(), int(status.purged)),
+                    ("last_trigger".into(), opt_string(&status.last_trigger)),
+                    ("last_outcome".into(), opt_string(&status.last_outcome)),
+                ])
+            })
+            .collect();
+        Value::Object(vec![
+            ("ok".into(), Value::Bool(true)),
+            (
+                "publish_interval_ms".into(),
+                int(config.publish_interval.as_millis() as u64),
+            ),
+            ("policy".into(), Value::Object(policy)),
+            ("slots".into(), Value::Array(slots)),
+        ])
+    }
+
+    /// A small deterministic generator for shape inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn int(&mut self) -> u64 {
+            let shift = self.next() % 64;
+            self.next() >> shift
+        }
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 0
+        }
+        fn float(&mut self) -> f64 {
+            match self.next() % 4 {
+                0 => f64::from_bits(self.next()),
+                1 => self.int() as f64,
+                2 => [0.0, -0.0, 1e300, 5e-324, f64::NAN, f64::INFINITY][self.next() as usize % 6],
+                _ => self.int() as f64 / 1e6,
+            }
+        }
+        fn text(&mut self) -> String {
+            const CHARS: [char; 10] = ['a', '"', '\\', '\n', '\u{1}', 'é', '😀', '/', ' ', '9'];
+            (0..self.next() % 8)
+                .map(|_| CHARS[self.next() as usize % CHARS.len()])
+                .collect()
+        }
+        fn opt_text(&mut self) -> Option<String> {
+            self.coin().then(|| self.text())
+        }
+        fn status(&mut self) -> SlotStatus {
+            if self.coin() {
+                return SlotStatus::default();
+            }
+            SlotStatus {
+                queued: self.int() as usize,
+                enqueued: self.int(),
+                rejected: self.int(),
+                compacted: self.int(),
+                purged: self.int(),
+                last_trigger: self.opt_text(),
+                last_outcome: self.opt_text(),
+            }
+        }
+    }
+
+    fn object_of(write: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+        let mut out = String::new();
+        write_ok(&mut out, |o| {
+            o.object("x", write);
+        });
+        out
+    }
+
+    fn object_value(value: Value) -> String {
+        printed(Value::Object(vec![
+            ("ok".into(), Value::Bool(true)),
+            ("x".into(), value),
+        ]))
+    }
+
+    #[test]
+    fn list_rows_match_the_oracle() {
+        let mut rng = Rng(1);
+        for _ in 0..2000 {
+            let info = EstimatorInfo {
+                name: rng.text(),
+                version: rng.int(),
+                k: rng.int() as usize,
+                label_count: rng.int() as usize,
+                size_bytes: rng.int() as usize,
+                description: rng.text(),
+                lineage: rng.coin().then(|| (rng.next(), rng.int())),
+                expr_cache: (rng.int(), rng.int()),
+                maintained: rng.coin().then(|| crate::registry::MaintainedFootprint {
+                    nonzero_paths: rng.int() % 3,
+                    catalog_bytes: rng.int(),
+                    plain_bytes: rng.int(),
+                }),
+                drift: rng.coin().then(|| phe_core::DriftReport {
+                    touched: rng.int() as usize,
+                    sampled: rng.int() as usize,
+                    mean_abs_error_rate: rng.float(),
+                    max_q_error: rng.float(),
+                }),
+                follow_pruning: rng.coin(),
+                catalog: rng.coin().then(|| crate::estimator::CatalogResidency {
+                    mapped: rng.coin(),
+                    heap_bytes: rng.int(),
+                    payload_bytes: rng.int(),
+                    nonzero_paths: rng.int(),
+                }),
+            };
+            let status = rng.status();
+            assert_eq!(
+                object_of(|row| write_list_row(row, &info, &status)),
+                object_value(list_row_value(&info, &status))
+            );
+        }
+    }
+
+    #[test]
+    fn expr_rows_match_the_oracle() {
+        const STAGES: [&str; 3] = ["query.parse", "query.expand", "query.estimate"];
+        let mut rng = Rng(2);
+        for _ in 0..2000 {
+            let outcome = ExprOutcome {
+                total: rng.float(),
+                width: rng.int(),
+                pruned: rng.int(),
+                truncated: rng.int(),
+                matches_empty: rng.coin(),
+                cached: rng.coin(),
+                branches: rng.coin().then(|| {
+                    (0..rng.next() % 4)
+                        .map(|_| (rng.text(), rng.float()))
+                        .collect()
+                }),
+            };
+            let stages: Option<Vec<_>> = rng.coin().then(|| {
+                (0..rng.next() % 4)
+                    .map(|_| {
+                        let stage = STAGES[rng.next() as usize % STAGES.len()];
+                        (rng.int() as usize, stage, Duration::from_nanos(rng.int()))
+                    })
+                    .collect()
+            });
+            assert_eq!(
+                object_of(|row| write_expr_row(row, &outcome, stages.as_deref())),
+                object_value(expr_row_value(&outcome, stages.as_deref()))
+            );
+        }
+    }
+
+    #[test]
+    fn maintenance_status_matches_the_oracle() {
+        let mut rng = Rng(3);
+        for _ in 0..1000 {
+            let config = MaintenanceConfig {
+                publish_interval: Duration::from_millis(rng.int() >> 20),
+                policy: RebuildPolicy {
+                    max_applied_deltas: rng.int(),
+                    drift_scale: rng.float(),
+                    drift_override: rng.coin().then(|| phe_core::DriftThreshold {
+                        mean_abs_error_rate: rng.float(),
+                        max_q_error: rng.float(),
+                    }),
+                },
+                ..MaintenanceConfig::default()
+            };
+            let slots: Vec<(String, SlotStatus)> = (0..rng.next() % 4)
+                .map(|_| (rng.text(), rng.status()))
+                .collect();
+            let mut out = String::new();
+            write_ok(&mut out, |o| write_maintenance_fields(o, &config, &slots));
+            assert_eq!(out, printed(maintenance_value(&config, &slots)));
+        }
+    }
+
+    /// Sends raw lines over one connection and reads one line back each.
+    fn raw_roundtrips(addr: std::net::SocketAddr, lines: &[String]) -> Vec<String> {
+        use std::io::{BufRead, BufReader, Write};
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        lines
+            .iter()
+            .map(|line| {
+                writer.write_all(line.as_bytes()).unwrap();
+                writer.write_all(b"\n").unwrap();
+                let mut response = String::new();
+                reader.read_line(&mut response).unwrap();
+                assert!(response.ends_with('\n'), "{response}");
+                response.pop();
+                response
+            })
+            .collect()
+    }
+
+    fn test_server() -> crate::Server {
+        crate::Server::start(
+            test_registry(),
+            Arc::new(ServiceMetrics::new()),
+            ServerConfig {
+                addr: "127.0.0.1:0".to_owned(),
+                workers: 1,
+                shards: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn tcp_estimates_are_byte_identical_to_the_value_printer() {
+        let server = test_server();
+        // A twin registry (same build, cold caches) answers in-process.
+        let twin = test_registry();
+        let generation = twin.get("default").unwrap();
+        let paths: Vec<Vec<phe_graph::LabelId>> = (0..40u16)
+            .map(|i| {
+                (0..1 + i % 3)
+                    .map(|j| phe_graph::LabelId((i + j) % 3))
+                    .collect()
+            })
+            .collect();
+        let estimates = generation.estimate_id_batch(&paths).unwrap();
+        let exprs = ["0|1", "0/1?", "(0|1|2){1,3}", "./2", "2{2}"];
+        let outcomes: Vec<ExprOutcome> = exprs
+            .iter()
+            .map(|e| generation.estimate_expr(e, false).unwrap())
+            .collect();
+
+        let ids = |p: &[phe_graph::LabelId]| {
+            p.iter()
+                .map(|l| l.0.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let lines = vec![
+            format!(
+                r#"{{"op":"estimate","paths":[{}]}}"#,
+                paths
+                    .iter()
+                    .map(|p| format!("[{}]", ids(p)))
+                    .collect::<Vec<_>>()
+                    .join(",")
+            ),
+            format!(
+                r#"{{ "exprs" : [{}], "op" : "estimate_expr" }}"#,
+                exprs
+                    .iter()
+                    .map(|e| format!("{e:?}"))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
+        ];
+        let expected = [
+            printed(Value::Object(vec![
+                ("ok".into(), Value::Bool(true)),
+                ("version".into(), int(1)),
+                (
+                    "estimates".into(),
+                    Value::Array(estimates.into_iter().map(float).collect()),
+                ),
+            ])),
+            printed(Value::Object(vec![
+                ("ok".into(), Value::Bool(true)),
+                ("version".into(), int(1)),
+                (
+                    "results".into(),
+                    Value::Array(outcomes.iter().map(|o| expr_row_value(o, None)).collect()),
+                ),
+            ])),
+        ];
+        let got = raw_roundtrips(server.local_addr(), &lines);
+        assert_eq!(got, expected);
+        server.shutdown();
+    }
+
+    #[test]
+    fn deep_json_nesting_gets_an_error_line_and_the_server_keeps_serving() {
+        let server = test_server();
+        // 100,000 levels: about 200 KB, far under the request size limit.
+        let hostile = format!(
+            r#"{{"op":"ping","x":{}{}}}"#,
+            "[".repeat(100_000),
+            "]".repeat(100_000)
+        );
+        let got = raw_roundtrips(
+            server.local_addr(),
+            &[hostile, r#"{"op":"ping"}"#.to_owned()],
+        );
+        assert!(
+            got[0].starts_with(r#"{"ok":false,"error":"invalid JSON: recursion limit"#),
+            "{}",
+            got[0]
+        );
+        assert_eq!(got[1], r#"{"ok":true}"#);
+        server.shutdown();
     }
 }
