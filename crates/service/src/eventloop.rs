@@ -333,17 +333,26 @@ impl Conn {
         self.out_pos = 0;
     }
 
-    /// Reads whatever the socket has ready (bounded per call; the
-    /// level-triggered backend reports again if more remains).
+    /// Reads whatever the socket has ready straight into `buf` (bounded
+    /// per call; the level-triggered backend reports again if more
+    /// remains). A read that fills less than the room offered has drained
+    /// the socket for now, so no second read is spent on `WouldBlock`.
     fn fill(&mut self) {
-        let mut chunk = [0u8; 64 * 1024];
         for _ in 0..16 {
-            match self.stream.read(&mut chunk) {
+            let len = self.buf.len();
+            // At least 4 KiB of room, doubling while a long line streams
+            // in, capped at 64 KiB per read.
+            let room = len.clamp(4 * 1024, 64 * 1024);
+            self.buf.resize(len + room, 0);
+            let read = self.stream.read(&mut self.buf[len..]);
+            self.buf.truncate(len + read.as_ref().map_or(0, |&n| n));
+            match read {
                 Ok(0) => {
                     self.read_closed = true;
                     return;
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) if n < room => return,
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {

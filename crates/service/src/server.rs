@@ -493,21 +493,23 @@ fn estimate(
         .get(name)
         .ok_or_else(|| format!("no estimator {name:?} (try \"list\")"))?;
     let servable = generation.estimator();
-    let mut id_paths = Vec::with_capacity(paths.len());
-    for steps in paths {
-        let mut ids = Vec::with_capacity(steps.len());
-        for step in steps {
-            ids.push(match step {
-                PathStep::Name(n) => servable.resolve(n).map_err(|e| e.to_string())?,
-                PathStep::Id(id) => phe_graph::LabelId(*id),
-            });
-        }
-        id_paths.push(ids);
+    // Every name resolves before any path validates, so the first
+    // complaint is the one `estimate_id_batch` would make.
+    let mut ids = Vec::with_capacity(paths.iter().map(Vec::len).sum());
+    for step in paths.iter().flatten() {
+        ids.push(match step {
+            PathStep::Name(n) => servable.resolve(n).map_err(|e| e.to_string())?,
+            PathStep::Id(id) => phe_graph::LabelId(*id),
+        });
     }
-    let estimates = generation
-        .estimate_id_batch(&id_paths)
-        .map_err(|e| e.to_string())?;
-    Ok((generation.version(), estimates))
+    let mut validated = Vec::with_capacity(paths.len());
+    let mut rest = ids.as_slice();
+    for steps in paths {
+        let (path, tail) = rest.split_at(steps.len().min(rest.len()));
+        rest = tail;
+        validated.push(servable.validate(path).map_err(|e| e.to_string())?);
+    }
+    Ok((generation.version(), generation.estimate_batch(&validated)))
 }
 
 /// Answers a batch of expression strings against one pinned generation.
@@ -1801,6 +1803,64 @@ mod tests {
             got[0]
         );
         assert_eq!(got[1], r#"{"ok":true}"#);
+        server.shutdown();
+    }
+
+    #[test]
+    fn lines_are_framed_across_reads_and_batched_writes() {
+        use std::io::{BufRead, BufReader, Read, Write};
+        let server = test_server();
+        let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut next_line = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+        // Three requests in one write, one of them blank-padded.
+        writer
+            .write_all(b"{\"op\":\"ping\"}\n  \n{\"op\":\"estimate\",\"paths\":[[0]]}\r\n{\"op\":\"nope\"}\n")
+            .unwrap();
+        assert_eq!(next_line(), "{\"ok\":true}\n");
+        assert!(next_line().starts_with(r#"{"ok":true,"version":1,"estimates":["#));
+        assert_eq!(
+            next_line(),
+            "{\"ok\":false,\"error\":\"unknown op \\\"nope\\\"\"}\n"
+        );
+        // One request in three writes.
+        for part in ["{\"op\"", ":\"pi", "ng\"}\n"] {
+            writer.write_all(part.as_bytes()).unwrap();
+            writer.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(next_line(), "{\"ok\":true}\n");
+        // A trailing fragment with no newline is answered at EOF.
+        writer.write_all(b"{\"op\":\"ping\"}").unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(next_line(), "{\"ok\":true}\n");
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest, "");
+
+        // A line past the 16 MiB cap is refused and the connection closes.
+        let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // One byte past the cap: the server reads all of it before it
+        // answers, so it closes without unread bytes (no reset).
+        writer.write_all(&vec![b' '; (16 << 20) + 1]).unwrap();
+        let mut answer = String::new();
+        BufReader::new(stream).read_to_string(&mut answer).unwrap();
+        assert_eq!(
+            answer,
+            "{\"ok\":false,\"error\":\"request line too large\"}\n"
+        );
         server.shutdown();
     }
 }
