@@ -314,8 +314,7 @@ impl Conn {
     /// Writes as much of `out` as the socket accepts right now.
     fn flush(&mut self) {
         while self.out_pos < self.out.len() {
-            let pending = self.out.as_bytes().get(self.out_pos..).unwrap_or_default();
-            match self.stream.write(pending) {
+            match self.stream.write(&self.out.as_bytes()[self.out_pos..]) {
                 Ok(0) => {
                     self.dead = true;
                     return;

@@ -91,8 +91,8 @@
 //! buffer through [`ObjectWriter`]. Their bytes are exactly what the
 //! compat `serde_json` printer makes of the same object: members in
 //! handler order, floats in Rust's shortest round-trip form with `.0`
-//! kept on integral values, non-finite floats as `null`, and control
-//! characters escaped as `\u00XX`.
+//! kept on integral values, non-finite floats as `null`, `\n`, `\r` and
+//! `\t` escaped by name and other control characters as `\u00xx`.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -609,18 +609,18 @@ impl<'a> Reader<'a> {
             }
             self.pos += 1;
         }
-        let text = self.since(start);
         if !float && !negative {
-            return digits
-                .map(Number::PosInt)
-                .ok_or_else(|| syntax(format_args!("invalid number {text:?}")));
+            if let Some(v) = digits {
+                return Ok(Number::PosInt(v));
+            }
         }
+        let text = self.since(start);
         let number = if float {
             text.parse().ok().map(Number::Float)
         } else if negative {
             text.parse().ok().map(Number::NegInt)
         } else {
-            text.parse().ok().map(Number::PosInt)
+            None
         };
         number.ok_or_else(|| syntax(format_args!("invalid number {text:?}")))
     }
@@ -682,20 +682,20 @@ impl<'a> Reader<'a> {
             return Ok(Err(err(not_array)));
         }
         self.open(b'[')?;
-        let mut items = Ok(Vec::new());
+        let mut items = Vec::new();
+        let mut failed = None;
         let mut first = true;
         while self.next(&mut first, b']')? {
-            match &mut items {
-                Ok(list) => match item(self)? {
-                    Ok(value) => list.push(value),
-                    Err(e) => items = Err(e),
-                },
-                Err(_) => {
-                    self.skip()?;
-                }
+            if failed.is_some() {
+                self.skip()?;
+                continue;
+            }
+            match item(self)? {
+                Ok(value) => items.push(value),
+                Err(e) => failed = Some(e),
             }
         }
-        Ok(items)
+        Ok(failed.map_or(Ok(items), Err))
     }
 
     fn step(&mut self) -> Result<Field<PathStep>, ProtocolError> {
