@@ -1033,15 +1033,6 @@ impl<T: WriteJson> WriteJson for Option<T> {
     }
 }
 
-impl WriteJson for Value {
-    fn write_json(&self, out: &mut String) {
-        match serde_json::to_string(self) {
-            Ok(text) => out.push_str(&text),
-            Err(_) => out.push_str("null"),
-        }
-    }
-}
-
 /// Writes the members of one JSON object straight into a line buffer.
 pub struct ObjectWriter<'a> {
     out: &'a mut String,
@@ -1141,15 +1132,13 @@ pub fn write_ok(out: &mut String, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
     });
 }
 
-/// Builds a success response carrying `fields`.
-pub fn ok_response(fields: Vec<(String, Value)>) -> String {
-    let mut line = String::new();
-    write_ok(&mut line, |o| {
-        for (key, value) in &fields {
-            o.field(key, value);
-        }
-    });
-    line
+/// Builds a success response carrying `fields`, for callers that hold
+/// `Value`s; the server itself writes through [`write_ok`].
+pub fn ok_response(mut fields: Vec<(String, Value)>) -> String {
+    let mut all = vec![("ok".to_string(), Value::Bool(true))];
+    all.append(&mut fields);
+    serde_json::to_string(&Value::Object(all))
+        .unwrap_or_else(|_| error_response("response serialization failed"))
 }
 
 /// Builds an error line carrying `message` plus the members `extra`
