@@ -110,18 +110,12 @@ pub(crate) fn handle_request(
             (0, true)
         }
         Request::List => {
-            let rows: Vec<_> = registry
-                .list()
-                .into_iter()
-                .map(|info| {
-                    let status = maintenance.status(&info.name);
-                    (info, status)
-                })
-                .collect();
+            let rows = registry.list();
             write_ok(out, |o| {
                 o.array("estimators", |a| {
-                    for (info, status) in &rows {
-                        a.object(|row| write_list_row(row, info, status));
+                    for info in &rows {
+                        let status = maintenance.status(&info.name);
+                        a.object(|row| write_list_row(row, info, &status));
                     }
                 });
             });
