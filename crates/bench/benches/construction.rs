@@ -2,7 +2,6 @@
 //! discussion (exact DP vs greedy merge vs the cheap heuristics).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_histogram::builder::{EquiDepth, EquiWidth, HistogramBuilder, VOptimal};
 use phe_histogram::SparseFrequencies;
@@ -12,9 +11,10 @@ fn bench_construction(c: &mut Criterion) {
     let graph = phe_datasets::moreno_health_like_scaled(0.25, 42);
     let k = 4;
     let sparse = SparseCatalog::compute(&graph, k).unwrap();
-    let catalog = sparse.to_dense().unwrap();
     let ordering = OrderingKind::SumBased.build_sparse(&graph, &sparse, k);
-    let ordered = ordered_frequencies(&catalog, ordering.as_ref());
+    let ordered: Vec<u64> = (0..ordering.domain_size())
+        .map(|i| sparse.selectivity(ordering.path_at(i).as_label_ids()))
+        .collect();
     let beta = ordered.len() / 16;
     let view = SparseFrequencies::dense(&ordered);
 
@@ -60,18 +60,6 @@ fn bench_construction(c: &mut Criterion) {
         |b| b.iter(|| greedy.build(&view, 256).unwrap().bucket_count()),
     );
     group.finish();
-
-    // The other construction-time cost: permuting frequencies through the
-    // unranking function (where sum-based pays again).
-    let mut permute = c.benchmark_group("ordered_frequencies");
-    permute.sample_size(10);
-    for kind in [OrderingKind::NumCard, OrderingKind::SumBased] {
-        let ordering = kind.build_sparse(&graph, &sparse, k);
-        permute.bench_function(BenchmarkId::from_parameter(kind.name()), |b| {
-            b.iter(|| ordered_frequencies(&catalog, ordering.as_ref()).len())
-        });
-    }
-    permute.finish();
 }
 
 criterion_group! {

@@ -7,33 +7,32 @@
 //! of an O(k) positional computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use phe_core::eval::ordered_frequencies;
+use phe_core::eval::sparse_ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_core::{HistogramKind, LabelPath};
-use phe_histogram::{PointEstimator, SparseFrequencies};
+use phe_histogram::PointEstimator;
 use phe_pathenum::SparseCatalog;
 
 fn bench_estimation(c: &mut Criterion) {
     let graph = phe_datasets::moreno_health_like_scaled(0.25, 42);
     let k = 4;
     let sparse = SparseCatalog::compute(&graph, k).unwrap();
-    let catalog = sparse.to_dense().unwrap();
-    let n = catalog.len();
+    let n = sparse.len();
     let beta = n / 8;
 
     // A fixed batch of query paths spread over the domain.
     let queries: Vec<LabelPath> = (0..n)
         .step_by(7)
-        .map(|i| LabelPath::new(&catalog.encoding().decode(i)))
+        .map(|i| LabelPath::new(&sparse.encoding().decode(i)))
         .collect();
 
     let mut group = c.benchmark_group("estimation");
     group.sample_size(20);
     for kind in OrderingKind::ALL {
         let ordering = kind.build_sparse(&graph, &sparse, k);
-        let ordered = ordered_frequencies(&catalog, ordering.as_ref());
+        let runs = sparse_ordered_frequencies(&sparse, ordering.as_ref());
         let histogram = HistogramKind::VOptimalGreedy
-            .build(&SparseFrequencies::dense(&ordered), beta)
+            .build_from_runs(&runs, ordering.domain_size(), beta)
             .unwrap();
         group.bench_function(BenchmarkId::from_parameter(kind.name()), |b| {
             b.iter(|| {

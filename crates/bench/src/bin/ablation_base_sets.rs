@@ -33,19 +33,18 @@ fn main() {
         let (sparse, secs) =
             timed(|| SparseCatalog::compute_parallel(graph, k, 0).expect("domain fits u48"));
         eprintln!("{}: catalog in {secs:.1}s", dataset.name);
-        let catalog = sparse.to_dense().expect("dense-feasible domain");
         let built: Vec<_> = orderings
             .iter()
             .map(|kind| kind.build_sparse(graph, &sparse, k))
             .collect();
-        for beta in beta_sweep(catalog.len(), 5) {
+        for beta in beta_sweep(sparse.len(), 5) {
             if beta < 2 {
                 continue;
             }
             let mut row = vec![dataset.name.to_string(), beta.to_string()];
             for ordering in &built {
                 let report = evaluate_configuration(
-                    &catalog,
+                    &sparse,
                     ordering.as_ref(),
                     HistogramKind::VOptimalGreedy,
                     beta,

@@ -9,7 +9,7 @@
 //! family under the sum-based ordering, plus construction time.
 
 use phe_bench::{beta_sweep, emit, timed, RunConfig};
-use phe_core::eval::{evaluate_configuration, ordered_frequencies};
+use phe_core::eval::evaluate_configuration;
 use phe_core::ordering::OrderingKind;
 use phe_core::HistogramKind;
 use phe_histogram::builder::{EquiDepth, EquiWidth, HistogramBuilder, VOptimal};
@@ -22,9 +22,11 @@ fn main() {
     let k = config.k_override.unwrap_or(4).min(4);
     let graph = config.moreno();
     let sparse = SparseCatalog::compute_parallel(&graph, k, 0).expect("domain fits u48");
-    let catalog = sparse.to_dense().expect("dense-feasible domain");
     let ordering = OrderingKind::SumBased.build_sparse(&graph, &sparse, k);
-    let ordered = ordered_frequencies(&catalog, ordering.as_ref());
+    // SSE is defined over the dense sequence: unrank every index.
+    let ordered: Vec<u64> = (0..ordering.domain_size())
+        .map(|i| sparse.selectivity(ordering.path_at(i).as_label_ids()))
+        .collect();
     let n = ordered.len();
     let view = SparseFrequencies::dense(&ordered);
     eprintln!("domain: {n} paths (k = {k}), sum-based ordering");
@@ -54,7 +56,7 @@ fn main() {
                 }
             };
             let sse = histogram.sse(&ordered);
-            let report = evaluate_configuration(&catalog, ordering.as_ref(), *kind, beta).unwrap();
+            let report = evaluate_configuration(&sparse, ordering.as_ref(), *kind, beta).unwrap();
             rows.push(vec![
                 beta.to_string(),
                 kind.name().to_string(),

@@ -5,13 +5,10 @@
 //! records, per point:
 //!
 //! * sparse catalog build time and realized-path count;
-//! * sparse vs dense catalog bytes (the dense side computed in `u128`,
-//!   because past the dense limit it *cannot* be allocated);
-//! * the dense build time where the dense representation is feasible, or
-//!   `"infeasible"` where it is not — the configurations only the sparse
-//!   pipeline can reach. The dense catalog is a view of the sparse one,
-//!   so this times the same single-threaded count plus its `to_dense`
-//!   materialization.
+//! * sparse catalog bytes against the bytes a dense count vector would
+//!   need (computed in `u128`, because at the headline point it *cannot*
+//!   be allocated);
+//! * the end-to-end estimator pipeline time over the counted catalog.
 //!
 //! Output: an aligned table, one per-stage timing line per observed
 //! build span (`"bench": "build_stages"`, collected into the
@@ -22,8 +19,7 @@ use phe_bench::{emit, timed, RunConfig, Scale};
 use phe_core::{EstimatorConfig, PathSelectivityEstimator};
 use phe_datasets::schema::{narrow_chained_schema, schema_graph};
 use phe_obs::span::{capture, TraceNode};
-use phe_pathenum::catalog::DENSE_DOMAIN_LIMIT;
-use phe_pathenum::{SelectivityCatalog, SparseCatalog};
+use phe_pathenum::SparseCatalog;
 use serde_json::{Number, Value};
 
 struct Point {
@@ -49,8 +45,8 @@ fn main() {
             });
         }
     }
-    // The headline: a domain the dense pipeline cannot even allocate
-    // (both are past DENSE_DOMAIN_LIMIT; paper scale pushes to the
+    // The headline: a domain whose dense count vector could not even be
+    // allocated (past 2^28 paths at both scales; paper scale pushes to the
     // paper's k = 6, CI keeps the sweep inside the smoke budget).
     points.push(Point {
         labels: 64,
@@ -82,14 +78,6 @@ fn main() {
         let dense_bytes = sparse.dense_bytes();
         let ratio = dense_bytes as f64 / (sparse_bytes as f64).max(1.0);
 
-        let dense_feasible = sparse.len() <= DENSE_DOMAIN_LIMIT;
-        let dense_secs = if dense_feasible {
-            let (_, secs) = timed(|| SelectivityCatalog::compute(&graph, k));
-            Some(secs)
-        } else {
-            None
-        };
-
         // End-to-end sparse estimator build (catalog → remap → histogram),
         // with its stage spans collected for the per-stage JSON lines.
         let ((estimator, pipeline_secs), pipeline_spans) = capture(|| {
@@ -101,7 +89,6 @@ fn main() {
                         k,
                         beta: 256,
                         threads: 1,
-                        retain_catalog: false,
                         retain_sparse: false,
                         ..EstimatorConfig::default()
                     },
@@ -145,9 +132,6 @@ fn main() {
             format!("{dense_bytes}"),
             format!("{ratio:.1}x"),
             format!("{sparse_secs:.3}"),
-            dense_secs
-                .map(|s| format!("{s:.3}"))
-                .unwrap_or_else(|| "infeasible".into()),
             format!("{pipeline_secs:.3}"),
         ]);
         let obj = Value::Object(vec![
@@ -188,11 +172,6 @@ fn main() {
                 Value::Number(Number::Float(sparse_secs)),
             ),
             (
-                "dense_build_seconds".into(),
-                dense_secs.map_or(Value::Null, |s| Value::Number(Number::Float(s))),
-            ),
-            ("dense_feasible".into(), Value::Bool(dense_feasible)),
-            (
                 "pipeline_seconds".into(),
                 Value::Number(Number::Float(pipeline_secs)),
             ),
@@ -217,7 +196,7 @@ fn main() {
     }
 
     emit(
-        "Sparse-first build scaling (* = dense-infeasible headline)",
+        "Sparse-first build scaling (* = headline past 2^28 paths)",
         &[
             "|L|",
             "k",
@@ -229,7 +208,6 @@ fn main() {
             "dense B",
             "ratio",
             "sparse s",
-            "dense s",
             "pipeline s",
         ],
         &rows,

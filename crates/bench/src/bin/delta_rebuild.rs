@@ -155,7 +155,6 @@ fn main() {
 
     let estimator_config = EstimatorConfig {
         beta: 256,
-        retain_catalog: false,
         retain_sparse: true,
         ..EstimatorConfig::default()
     };

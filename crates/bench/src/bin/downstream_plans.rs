@@ -41,7 +41,6 @@ fn main() {
                     ordering,
                     histogram: HistogramKind::VOptimalGreedy,
                     threads: 1,
-                    retain_catalog: false,
                     retain_sparse: false,
                 },
                 std::time::Duration::ZERO,

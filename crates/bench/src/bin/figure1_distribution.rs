@@ -5,7 +5,6 @@
 //! CSV ready for plotting.
 
 use phe_bench::{emit, RunConfig};
-use phe_core::eval::ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_histogram::builder::{EquiWidth, HistogramBuilder};
 use phe_histogram::{PointEstimator, SparseFrequencies};
@@ -17,9 +16,11 @@ fn main() {
     let k = config.k_override.unwrap_or(3);
     let graph = config.moreno();
     let sparse = SparseCatalog::compute_parallel(&graph, k, 0).expect("domain fits u48");
-    let catalog = sparse.to_dense().expect("dense-feasible domain");
     let ordering = OrderingKind::NumAlph.build_sparse(&graph, &sparse, k);
-    let ordered = ordered_frequencies(&catalog, ordering.as_ref());
+    // The figure plots every index, so unrank each one.
+    let ordered: Vec<u64> = (0..ordering.domain_size())
+        .map(|i| sparse.selectivity(ordering.path_at(i).as_label_ids()))
+        .collect();
 
     // The paper's figure shows an equi-width histogram; its bucket count
     // is not stated, so we use domain/16 which matches the plot's visual

@@ -33,23 +33,18 @@ fn main() {
 
     for dataset in &datasets {
         let graph = &dataset.graph;
-        let (sparse, secs) =
-            timed(|| SparseCatalog::compute_parallel(graph, k_max, 0).expect("domain fits u48"));
-        eprintln!(
-            "{}: catalog of {} paths in {secs:.1}s",
-            dataset.name,
-            sparse.len()
-        );
-        let catalog_full = sparse.to_dense().expect("dense-feasible domain");
-
         let mut rows = Vec::new();
         for &k in &k_values {
-            let catalog = catalog_full.truncated(k);
-            // One count at k_max serves every k: the only catalog-reading
-            // kind here, sum-based-L2, reads just the length-1 and -2 counts.
+            let (catalog, secs) =
+                timed(|| SparseCatalog::compute_parallel(graph, k, 0).expect("domain fits u48"));
+            eprintln!(
+                "{}: catalog of {} paths in {secs:.1}s",
+                dataset.name,
+                catalog.len()
+            );
             let built: Vec<_> = orderings
                 .iter()
-                .map(|kind| kind.build_sparse(graph, &sparse, k))
+                .map(|kind| kind.build_sparse(graph, &catalog, k))
                 .collect();
             for &beta in &beta_sweep(catalog.len(), 6) {
                 if beta < 2 {

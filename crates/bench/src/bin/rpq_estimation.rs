@@ -59,7 +59,6 @@ fn main() {
             k,
             beta: 64,
             threads: 1,
-            retain_catalog: false,
             retain_sparse: false,
             ..EstimatorConfig::default()
         },
@@ -186,7 +185,6 @@ fn main() {
                     k,
                     beta: 64,
                     threads: 1,
-                    retain_catalog: false,
                     retain_sparse: false,
                     ..EstimatorConfig::default()
                 },

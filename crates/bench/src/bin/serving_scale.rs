@@ -60,7 +60,6 @@ fn build_servable() -> ServableEstimator {
                 ordering: OrderingKind::SumBased,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         )

@@ -15,10 +15,10 @@
 use std::time::Instant;
 
 use phe_bench::{beta_sweep, emit, timed, RunConfig};
-use phe_core::eval::ordered_frequencies;
+use phe_core::eval::sparse_ordered_frequencies;
 use phe_core::ordering::OrderingKind;
 use phe_core::{HistogramKind, LabelPath};
-use phe_histogram::{PointEstimator, SparseFrequencies};
+use phe_histogram::PointEstimator;
 use phe_pathenum::SparseCatalog;
 
 fn main() {
@@ -33,15 +33,14 @@ fn main() {
 
     let (sparse, secs) =
         timed(|| SparseCatalog::compute_parallel(&graph, k, 0).expect("domain fits u48"));
-    let catalog = sparse.to_dense().expect("dense-feasible domain");
-    let n = catalog.len();
+    let n = sparse.len();
     eprintln!("catalog: {n} label paths in {secs:.1}s");
 
     // Pre-decode every query path once; the timed loop then measures pure
     // estimation (ranking + lookup), not decode overhead.
     let queries: Vec<LabelPath> = (0..n)
         .map(|i| {
-            let ids = catalog.encoding().decode(i);
+            let ids = sparse.encoding().decode(i);
             LabelPath::new(&ids)
         })
         .collect();
@@ -56,9 +55,9 @@ fn main() {
     for &beta in &betas {
         let mut row = vec![beta.to_string()];
         for (_, ordering) in &orderings {
-            let ordered = ordered_frequencies(&catalog, ordering.as_ref());
+            let runs = sparse_ordered_frequencies(&sparse, ordering.as_ref());
             let histogram = HistogramKind::VOptimalGreedy
-                .build(&SparseFrequencies::dense(&ordered), beta)
+                .build_from_runs(&runs, ordering.domain_size(), beta)
                 .expect("non-empty domain");
             // Warm up, then time enough rounds for ≥ ~2M estimates so the
             // per-call figure is stable.

@@ -3,14 +3,12 @@
 use std::time::{Duration, Instant};
 
 use phe_graph::{FollowMatrix, Graph, GraphDelta, LabelId};
-use phe_histogram::{error_rate, AccuracyReport, HistogramError};
-use phe_pathenum::{
-    compute_delta, CatalogError, CompressedRuns, SelectivityCatalog, SparseCatalog,
-};
+use phe_histogram::{error_rate, AccuracyReport, HistogramError, PointEstimator};
+use phe_pathenum::{compute_delta, CatalogError, CompressedRuns, SparseCatalog};
 
 pub use crate::label_histogram::HistogramKind;
 
-use crate::eval::{evaluate_histogram, sparse_ordered_frequencies};
+use crate::eval::sparse_ordered_frequencies;
 use crate::label_histogram::LabelPathHistogram;
 use crate::ordering::OrderingKind;
 use crate::path::{LabelPath, MAX_K};
@@ -29,19 +27,15 @@ pub struct EstimatorConfig {
     /// Worker threads for catalog computation (0 ⇒ all cores, 1 ⇒
     /// sequential).
     pub threads: usize,
-    /// Keep the full **dense** ground-truth catalog on the built
-    /// estimator. Off (the default), [`PathSelectivityEstimator::build`]
-    /// streams sparse counts straight into the histogram and retains only
-    /// buckets + ordering state — the serving footprint. On, the catalog
-    /// is materialized for [`PathSelectivityEstimator::exact`] /
-    /// [`PathSelectivityEstimator::accuracy_report`], which requires a
-    /// dense-feasible domain.
-    pub retain_catalog: bool,
     /// Keep the **sparse** catalog (sorted `(canonical_index, count)`
-    /// runs, `O(realized paths)` bytes) on the built estimator — the
-    /// state [`PathSelectivityEstimator::apply_delta`] merges graph
-    /// changes into. Off (the default) the estimator cannot absorb deltas
-    /// and a graph change means a full rebuild.
+    /// runs, `O(realized paths)` bytes) and its ordering-permuted runs on
+    /// the built estimator — the state
+    /// [`PathSelectivityEstimator::apply_delta`] merges graph changes
+    /// into, and the ground truth [`PathSelectivityEstimator::exact`] and
+    /// [`PathSelectivityEstimator::accuracy_report`] read. Off (the
+    /// default), the build streams counts straight into the histogram and
+    /// retains only buckets + ordering state — the serving footprint — so
+    /// a graph change means a full rebuild.
     pub retain_sparse: bool,
 }
 
@@ -56,7 +50,6 @@ impl Default for EstimatorConfig {
             ordering: OrderingKind::SumBased,
             histogram: HistogramKind::VOptimalGreedy,
             threads: 0,
-            retain_catalog: false,
             retain_sparse: false,
         }
     }
@@ -142,12 +135,13 @@ const DRIFT_SAMPLE_CAP: usize = 256;
 
 impl DriftReport {
     /// Measures estimate-vs-exact drift over a deterministic stride
-    /// sample of the delta's touched canonical indexes.
-    fn sample(estimator: &PathSelectivityEstimator, touched: &[(u64, i64)]) -> DriftReport {
-        let sparse = estimator
-            .sparse
-            .as_ref()
-            .expect("drift is sampled on delta results, which retain the sparse catalog");
+    /// sample of the delta's touched canonical indexes, against the
+    /// estimator's merged catalog `sparse`.
+    fn sample(
+        estimator: &PathSelectivityEstimator,
+        sparse: &SparseCatalog,
+        touched: &[(u64, i64)],
+    ) -> DriftReport {
         let stride = touched.len().div_ceil(DRIFT_SAMPLE_CAP).max(1);
         let mut labels = Vec::with_capacity(estimator.config.k);
         let mut sampled = 0usize;
@@ -218,14 +212,11 @@ struct Provenance {
     applied_deltas: u64,
 }
 
-/// A built estimator: histogram + ordering, with the construction-time
-/// catalog optionally retained for ground-truth queries and accuracy
-/// reports ([`EstimatorConfig::retain_catalog`]) and the sparse catalog
-/// optionally retained for incremental maintenance
-/// ([`EstimatorConfig::retain_sparse`]).
+/// A built estimator: histogram + ordering, with the sparse catalog
+/// optionally retained for incremental maintenance, ground-truth queries
+/// and accuracy reports ([`EstimatorConfig::retain_sparse`]).
 pub struct PathSelectivityEstimator {
     config: EstimatorConfig,
-    catalog: Option<SelectivityCatalog>,
     /// The sparse counts, kept only under `retain_sparse` — the state
     /// `apply_delta` merges graph changes into.
     sparse: Option<SparseCatalog>,
@@ -235,7 +226,9 @@ pub struct PathSelectivityEstimator {
     /// permutation unchanged (the common case: small churn rarely
     /// reorders label frequencies), `apply_delta` remaps **only the delta
     /// entries** and block-merges them into these runs instead of
-    /// re-permuting all `nnz` entries.
+    /// re-permuting all `nnz` entries. With the histogram's pieces they
+    /// also score the whole domain in closed form
+    /// ([`PathSelectivityEstimator::accuracy_report`]).
     ordered_runs: Option<CompressedRuns>,
     footprint: CatalogFootprint,
     histogram: LabelPathHistogram,
@@ -264,17 +257,15 @@ pub struct PathSelectivityEstimator {
 impl PathSelectivityEstimator {
     /// Builds the estimator through the **sparse streaming pipeline**:
     /// sharded sparse catalog → combinatorial index remap → sparse
-    /// histogram build. The dense path domain is never materialized unless
-    /// [`EstimatorConfig::retain_catalog`] asks for the ground-truth
-    /// catalog.
+    /// histogram build. The dense path domain is never materialized.
     ///
     /// # Errors
     /// Propagates histogram construction failures (e.g. asking for the
-    /// exact V-optimal DP on a paper-scale domain), and
+    /// exact V-optimal DP on a paper-scale domain);
     /// [`HistogramError::DomainTooLarge`] when the domain overflows the
-    /// canonical index space (2⁴⁸ paths) or when `retain_catalog` (or a
-    /// builder with no sparse path) needs a dense domain the machine
-    /// cannot hold.
+    /// canonical index space (2⁴⁸ paths), and
+    /// [`HistogramError::Catalog`] when counting refuses the graph
+    /// otherwise (an alphabet past the `u16` id space).
     ///
     /// # Panics
     /// Panics if `k` is 0 or exceeds [`MAX_K`], or the graph has no
@@ -337,14 +328,21 @@ impl PathSelectivityEstimator {
         let ordering_time = t1.elapsed();
         let t2 = Instant::now();
         let histogram_span = phe_obs::span::stage("build.histogram");
-        let histogram = histogram_over(&sparse, config, ordering, &runs)?;
+        let histogram = LabelPathHistogram::from_sparse_frequencies(
+            ordering,
+            &runs,
+            config.histogram,
+            config.beta,
+        )?;
         drop(histogram_span);
         let stats = BuildStats {
             catalog_time,
             ordering_time,
             histogram_time: t2.elapsed(),
         };
-        Self::assemble(graph, sparse, config, provenance, histogram, runs, stats)
+        Ok(Self::assemble(
+            graph, sparse, config, provenance, histogram, runs, stats,
+        ))
     }
 
     /// Captures every piece of retained state around a built histogram.
@@ -358,21 +356,15 @@ impl PathSelectivityEstimator {
         histogram: LabelPathHistogram,
         runs: CompressedRuns,
         stats: BuildStats,
-    ) -> Result<PathSelectivityEstimator, HistogramError> {
+    ) -> PathSelectivityEstimator {
         let footprint = CatalogFootprint::from_sparse(&sparse);
         let ordered_runs = config.retain_sparse.then_some(runs);
         let pair_frequencies = pair_frequencies_for(config, &sparse);
-        let catalog = if config.retain_catalog {
-            Some(sparse.to_dense().map_err(catalog_to_histogram_error)?)
-        } else {
-            None
-        };
         let sparse = config.retain_sparse.then_some(sparse);
 
         let (label_names, label_frequencies) = snapshot_state(graph);
-        Ok(PathSelectivityEstimator {
+        PathSelectivityEstimator {
             config,
-            catalog,
             sparse,
             ordered_runs,
             footprint,
@@ -385,7 +377,7 @@ impl PathSelectivityEstimator {
             pair_frequencies,
             follow: FollowMatrix::from_graph(graph),
             drift: None,
-        })
+        }
     }
 
     /// Absorbs a graph change **incrementally**: applies `delta` to
@@ -477,14 +469,21 @@ impl PathSelectivityEstimator {
                 // one-to-one.
                 old_runs
                     .merge_signed(&ordered_delta)
+                    // LINT-ALLOW(panic): the canonical merge above refused
+                    // every underflow, and the permutation is a bijection.
                     .expect("validated by the canonical merge")
             }
             None => sparse_ordered_frequencies(&merged, ordering.as_ref()),
         };
         let ordering_time = t1.elapsed();
         let t2 = Instant::now();
-        let histogram =
-            histogram_over(&merged, self.config, ordering, &runs).map_err(DeltaError::Histogram)?;
+        let histogram = LabelPathHistogram::from_sparse_frequencies(
+            ordering,
+            &runs,
+            self.config.histogram,
+            self.config.beta,
+        )
+        .map_err(DeltaError::Histogram)?;
         let stats = BuildStats {
             catalog_time,
             ordering_time,
@@ -501,10 +500,12 @@ impl PathSelectivityEstimator {
             histogram,
             runs,
             stats,
-        )
-        .map_err(DeltaError::Histogram)?;
+        );
         drop(rederive_span);
-        estimator.drift = Some(DriftReport::sample(&estimator, run.entries()));
+        estimator.drift = estimator
+            .sparse
+            .as_ref()
+            .map(|merged| DriftReport::sample(&estimator, merged, run.entries()));
         Ok((estimator, new_graph))
     }
 
@@ -563,30 +564,37 @@ impl PathSelectivityEstimator {
         self.label_names.len()
     }
 
-    /// Exact selectivity `f(ℓ)` from the retained catalog.
+    /// Exact selectivity `f(ℓ)` from the retained sparse catalog; `None`
+    /// unless the estimator was built with
+    /// [`EstimatorConfig::retain_sparse`].
     ///
     /// # Panics
-    /// Panics when the estimator was built without
-    /// [`EstimatorConfig::retain_catalog`] — ground truth is a build-time
-    /// opt-in under the sparse pipeline.
-    pub fn exact(&self, labels: &[LabelId]) -> u64 {
-        self.require_catalog().selectivity(labels)
+    /// Panics if the path is empty, longer than `k`, or mentions unknown
+    /// labels.
+    pub fn exact(&self, labels: &[LabelId]) -> Option<u64> {
+        self.sparse
+            .as_ref()
+            .map(|sparse| sparse.selectivity(labels))
     }
 
-    /// The paper's signed error rate `err(ℓ)` (Formula 6) for one path.
+    /// The paper's signed error rate `err(ℓ)` (Formula 6) for one path;
+    /// `None` as for [`PathSelectivityEstimator::exact`].
     ///
     /// # Panics
     /// As for [`PathSelectivityEstimator::exact`].
-    pub fn error(&self, labels: &[LabelId]) -> f64 {
-        error_rate(self.estimate(labels), self.exact(labels))
+    pub fn error(&self, labels: &[LabelId]) -> Option<f64> {
+        self.exact(labels)
+            .map(|truth| error_rate(self.estimate(labels), truth))
     }
 
-    /// Accuracy over the whole domain — one Figure 2 data point.
-    ///
-    /// # Panics
-    /// As for [`PathSelectivityEstimator::exact`].
-    pub fn accuracy_report(&self) -> AccuracyReport {
-        evaluate_histogram(self.require_catalog(), &self.histogram)
+    /// Accuracy over the whole domain, zeros included — one Figure 2 data
+    /// point — scored in closed form from the retained ordered runs and
+    /// the histogram's constant pieces: O(nnz + β), whatever the domain
+    /// size. `None` unless the estimator was built with
+    /// [`EstimatorConfig::retain_sparse`].
+    pub fn accuracy_report(&self) -> Option<AccuracyReport> {
+        let runs = self.ordered_runs.as_ref()?;
+        AccuracyReport::from_pieces(&self.histogram.histogram().pieces(), runs.iter()).ok()
     }
 
     /// The configuration this estimator was built with.
@@ -603,12 +611,6 @@ impl PathSelectivityEstimator {
     /// paths; `None` for fresh builds and snapshot restores.
     pub fn drift(&self) -> Option<&DriftReport> {
         self.drift.as_ref()
-    }
-
-    /// The retained ground-truth catalog, if the build kept one
-    /// ([`EstimatorConfig::retain_catalog`]).
-    pub fn catalog(&self) -> Option<&SelectivityCatalog> {
-        self.catalog.as_ref()
     }
 
     /// The retained sparse catalog, if the build kept one
@@ -637,12 +639,6 @@ impl PathSelectivityEstimator {
         self.provenance.applied_deltas
     }
 
-    fn require_catalog(&self) -> &SelectivityCatalog {
-        self.catalog
-            .as_ref()
-            .expect("ground-truth catalog not retained; build with EstimatorConfig::retain_catalog")
-    }
-
     /// Memory accounting of the catalog stage (domain size, realized
     /// paths, sparse vs dense bytes) — kept even when the catalog itself
     /// was dropped.
@@ -651,15 +647,14 @@ impl PathSelectivityEstimator {
     }
 
     /// Approximate retained memory of this estimator: histogram buckets +
-    /// ordering reconstruction state + the optional dense and sparse
-    /// catalogs.
+    /// ordering reconstruction state + the optional sparse catalog and
+    /// its ordered runs.
     pub fn size_bytes(&self) -> usize {
         let names: usize = self.label_names.iter().map(String::len).sum();
         self.histogram.size_bytes()
             + names
             + self.label_frequencies.len() * 8
             + self.pair_frequencies.as_ref().map_or(0, |p| p.len() * 8)
-            + self.catalog.as_ref().map_or(0, |c| c.len() * 8)
             + self.sparse.as_ref().map_or(0, |s| s.size_bytes())
             + self.ordered_runs.as_ref().map_or(0, |r| r.size_bytes())
     }
@@ -689,24 +684,6 @@ impl PathSelectivityEstimator {
     pub fn into_serving_parts(self) -> (EstimatorConfig, Vec<String>, LabelPathHistogram) {
         (self.config, self.label_names, self.histogram)
     }
-}
-
-/// Builds the histogram over ordering-permuted runs, failing the
-/// `retain_catalog` precondition (a dense-feasible domain) first. The
-/// caller owns the stage span: `build.histogram` in a build, the
-/// enclosing `delta.rederive` in a delta.
-fn histogram_over(
-    sparse: &SparseCatalog,
-    config: EstimatorConfig,
-    ordering: Box<dyn crate::ordering::DomainOrdering>,
-    runs: &CompressedRuns,
-) -> Result<LabelPathHistogram, HistogramError> {
-    if config.retain_catalog {
-        sparse
-            .check_dense_feasible()
-            .map_err(catalog_to_histogram_error)?;
-    }
-    LabelPathHistogram::from_sparse_frequencies(ordering, runs, config.histogram, config.beta)
 }
 
 /// The id a fresh full build stamps on its lineage: an FNV-1a hash of the
@@ -800,22 +777,17 @@ fn pair_frequencies_for(config: EstimatorConfig, sparse: &SparseCatalog) -> Opti
     Some(pairs)
 }
 
-/// Maps a catalog failure into the estimator's error type: both size
-/// refusals become [`HistogramError::DomainTooLarge`] (sizes saturate at
-/// `u64::MAX` — past 2⁴⁸ the exact value no longer matters). Alphabet /
-/// length violations stay panics: `build` asserts them first, so reaching
-/// one here is a caller bug, not an input condition.
+/// Maps a counting failure into the estimator's error type: the size
+/// refusal becomes [`HistogramError::DomainTooLarge`] (sizes saturate at
+/// `u64::MAX` — past 2⁴⁸ the exact value no longer matters), anything else
+/// [`HistogramError::Catalog`].
 fn catalog_to_histogram_error(e: CatalogError) -> HistogramError {
     match e {
-        CatalogError::DenseTooLarge { size, limit } => HistogramError::DomainTooLarge {
-            domain: size.min(u64::MAX as u128) as u64,
-            limit: limit as u64,
-        },
         CatalogError::DomainTooLarge { size, limit, .. } => HistogramError::DomainTooLarge {
             domain: size.min(u64::MAX as u128) as u64,
             limit: limit.min(u64::MAX as u128) as u64,
         },
-        other => panic!("unexpected catalog conversion failure: {other}"),
+        other => HistogramError::Catalog(other.to_string()),
     }
 }
 
@@ -855,7 +827,6 @@ mod tests {
                     ordering,
                     histogram: HistogramKind::VOptimalGreedy,
                     threads: 1,
-                    retain_catalog: false,
                     retain_sparse: false,
                 },
             )
@@ -877,15 +848,14 @@ mod tests {
                 ordering: OrderingKind::SumBased,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: true,
-                retain_sparse: false,
+                retain_sparse: true,
             },
         )
         .unwrap();
         let path = [l(0), l(2)];
-        let f = est.exact(&path);
+        let f = est.exact(&path).unwrap();
         let e = est.estimate(&path);
-        let err = est.error(&path);
+        let err = est.error(&path).unwrap();
         if (e - f as f64).abs() < f64::EPSILON {
             assert_eq!(err, 0.0);
         } else {
@@ -904,13 +874,50 @@ mod tests {
                 ordering: OrderingKind::NumCard,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: true,
-                retain_sparse: false,
+                retain_sparse: true,
             },
         )
         .unwrap();
-        let report = est.accuracy_report();
+        let report = est.accuracy_report().unwrap();
         assert_eq!(report.mean_abs_error_rate, 0.0);
+    }
+
+    #[test]
+    fn ground_truth_needs_the_retained_sparse_catalog() {
+        let est = PathSelectivityEstimator::build(&graph(), EstimatorConfig::default()).unwrap();
+        assert_eq!(est.exact(&[l(0)]), None);
+        assert_eq!(est.error(&[l(0)]), None);
+        assert!(est.accuracy_report().is_none());
+    }
+
+    #[test]
+    fn accuracy_is_scored_over_domains_past_two_to_the_28() {
+        // 64 labels at k = 5: 1,090,785,344 paths, four times the 2^28
+        // cells a dense count vector could hold. The report still covers
+        // every path, from the ~100 realized ones and the β buckets.
+        let mut b = phe_graph::GraphBuilder::with_numeric_labels(40, 64);
+        for i in 0..120u32 {
+            b.add_edge(
+                phe_graph::VertexId(i % 40),
+                l((i * 7 % 64) as u16),
+                phe_graph::VertexId((i * 13 + 1) % 40),
+            );
+        }
+        let est = PathSelectivityEstimator::build(
+            &b.build(),
+            EstimatorConfig {
+                k: 5,
+                retain_sparse: true,
+                threads: 1,
+                ..EstimatorConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(est.domain_size(), 1_090_785_344);
+        let report = est.accuracy_report().unwrap();
+        assert_eq!(report.count, 1_090_785_344);
+        assert!((0.0..=1.0).contains(&report.mean_abs_error_rate));
+        assert!(report.median_q_error >= 1.0);
     }
 
     #[test]
@@ -926,7 +933,6 @@ mod tests {
                 ordering: OrderingKind::NumAlph,
                 histogram: HistogramKind::VOptimalExact,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         );
@@ -948,6 +954,27 @@ mod tests {
             },
         );
         assert!(matches!(res, Err(HistogramError::DomainTooLarge { .. })));
+    }
+
+    #[test]
+    fn an_alphabet_past_the_id_space_is_a_checked_error() {
+        // 65,536 labels fill the u16 id space, one more than the
+        // canonical encoding admits: counting refuses the graph, and the
+        // build returns that refusal instead of panicking.
+        let mut b = phe_graph::GraphBuilder::new();
+        for name in 0..=u16::MAX as u32 {
+            b.intern_label(&name.to_string());
+        }
+        b.add_edge(phe_graph::VertexId(0), l(0), phe_graph::VertexId(1));
+        let res = PathSelectivityEstimator::build(
+            &b.build(),
+            EstimatorConfig {
+                k: 1,
+                threads: 1,
+                ..EstimatorConfig::default()
+            },
+        );
+        assert!(matches!(res, Err(HistogramError::Catalog(_))));
     }
 
     #[test]

@@ -43,6 +43,13 @@ impl PointEstimator for BuiltHistogram {
             BuiltHistogram::EndBiased(h) => h.size_bytes(),
         }
     }
+
+    fn pieces(&self) -> Vec<(u64, u64, f64)> {
+        match self {
+            BuiltHistogram::Buckets(h) => h.pieces(),
+            BuiltHistogram::EndBiased(h) => h.pieces(),
+        }
+    }
 }
 
 /// Histogram families available to the estimator.
@@ -115,6 +122,20 @@ impl HistogramKind {
             }
         })
     }
+
+    /// Builds the histogram over **block-compressed** ordered runs of a
+    /// `domain_size`-index sequence: the builders decode the blocks
+    /// through a cursor, so neither the dense sequence nor a plain pair
+    /// vector is materialized.
+    pub fn build_from_runs(
+        &self,
+        runs: &phe_pathenum::CompressedRuns,
+        domain_size: u64,
+        beta: usize,
+    ) -> Result<BuiltHistogram, HistogramError> {
+        let source = CompressedSource(runs);
+        self.build(&SparseFrequencies::from_source(&source, domain_size)?, beta)
+    }
 }
 
 impl std::fmt::Display for HistogramKind {
@@ -152,18 +173,14 @@ impl LabelPathHistogram {
     /// `(index, frequency)` runs (implicit zeros), already permuted into
     /// `ordering`'s index space by
     /// [`crate::eval::sparse_ordered_frequencies`]. This is the one
-    /// construction path: the builders decode the blocks through a
-    /// cursor, and the pipeline never materializes the dense ordered
-    /// sequence or a plain pair vector.
+    /// construction path ([`HistogramKind::build_from_runs`]).
     pub fn from_sparse_frequencies(
         ordering: Box<dyn DomainOrdering>,
         runs: &phe_pathenum::CompressedRuns,
         kind: HistogramKind,
         beta: usize,
     ) -> Result<LabelPathHistogram, HistogramError> {
-        let source = CompressedSource(runs);
-        let data = SparseFrequencies::from_source(&source, ordering.domain_size())?;
-        let histogram = kind.build(&data, beta)?;
+        let histogram = kind.build_from_runs(runs, ordering.domain_size(), beta)?;
         Ok(LabelPathHistogram {
             ordering,
             histogram,

@@ -41,12 +41,15 @@
 //!         ordering: OrderingKind::SumBased,
 //!         histogram: HistogramKind::VOptimalGreedy,
 //!         threads: 1,
-//!         retain_catalog: false,
-//!         retain_sparse: false,
+//!         retain_sparse: true,
 //!     },
 //! ).unwrap();
 //! let e = est.estimate(&[LabelId(0), LabelId(1)]);
 //! assert!(e >= 0.0);
+//! // Ground truth and whole-domain accuracy read the retained sparse state.
+//! let truth = est.exact(&[LabelId(0), LabelId(1)]).unwrap();
+//! assert_eq!(est.error(&[LabelId(0), LabelId(1)]), Some(phe_histogram::error_rate(e, truth)));
+//! assert_eq!(est.accuracy_report().unwrap().count, 3 + 9 + 27);
 //! ```
 //!
 //! ## Scaling
@@ -68,14 +71,16 @@
 //! (property-tested across every ordering × histogram kind in
 //! `tests/sparse_equivalence.rs`).
 //!
-//! Ground truth is the one thing that still costs `O(|Lk|)`: set
-//! [`EstimatorConfig::retain_catalog`] (`estimator` module) to keep the
-//! dense catalog for [`PathSelectivityEstimator::exact`] /
-//! [`PathSelectivityEstimator::accuracy_report`] on dense-feasible
-//! domains; leave it off (the default) and the estimator retains only
-//! buckets + ordering state — the serving footprint. Snapshots are
-//! versioned (currently v3, which records the delta lineage below); every
-//! older format restores unchanged.
+//! Ground truth costs `O(realized paths)` too: set
+//! [`EstimatorConfig::retain_sparse`] (`estimator` module) to keep the
+//! sparse catalog and its ordered runs for
+//! [`PathSelectivityEstimator::exact`] and
+//! [`PathSelectivityEstimator::accuracy_report`], which scores the whole
+//! domain in closed form from the runs and the histogram's constant
+//! pieces ([`eval`]); leave it off (the default) and the estimator
+//! retains only buckets + ordering state — the serving footprint.
+//! Snapshots are versioned (currently v3, which records the delta lineage
+//! below); every older format restores unchanged.
 //!
 //! ## Keeping statistics fresh
 //!
@@ -118,7 +123,7 @@ pub use domain::PathDomain;
 pub use estimator::{
     DeltaError, DriftReport, EstimatorConfig, HistogramKind, PathSelectivityEstimator,
 };
-pub use eval::{evaluate_configuration, evaluate_histogram, ordered_frequencies};
+pub use eval::evaluate_configuration;
 pub use label_histogram::LabelPathHistogram;
 pub use maintenance::{DriftThreshold, RebuildPolicy, RebuildTrigger};
 pub use ordering::{

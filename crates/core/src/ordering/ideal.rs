@@ -37,7 +37,7 @@ impl IdealOrdering {
     /// realized entries sorted by `(count, canonical)` — both
     /// reconstructable without a dense vector. Memory stays `O(|Lk|)`, of
     /// course: that is the point of this reference ordering, and why it
-    /// has no place past the dense limit.
+    /// has no place at scale.
     ///
     /// # Panics
     /// Panics if the catalog does not cover exactly the domain, or the
@@ -159,21 +159,19 @@ mod tests {
         let g = erdos_renyi(50, 600, 4, LabelDistribution::Zipf { exponent: 1.0 }, 9);
         let k = 3;
         let sparse = SparseCatalog::compute(&g, k).unwrap();
-        let catalog = sparse.to_dense().unwrap();
         let domain = PathDomain::new(4, k);
         let ideal = IdealOrdering::from_sparse(domain, &sparse);
-        let beta = catalog.len() / 16;
+        let beta = sparse.len() / 16;
         // Exact V-optimal on the monotone sequence is the global optimum
         // over (ordering, bucketing) pairs; no computable ordering with the
         // same builder may do better.
-        let ideal_err =
-            evaluate_configuration(&catalog, &ideal, HistogramKind::VOptimalExact, beta)
-                .unwrap()
-                .mean_abs_error_rate;
+        let ideal_err = evaluate_configuration(&sparse, &ideal, HistogramKind::VOptimalExact, beta)
+            .unwrap()
+            .mean_abs_error_rate;
         for kind in OrderingKind::ALL {
             let o = kind.build_sparse(&g, &sparse, k);
             let err =
-                evaluate_configuration(&catalog, o.as_ref(), HistogramKind::VOptimalExact, beta)
+                evaluate_configuration(&sparse, o.as_ref(), HistogramKind::VOptimalExact, beta)
                     .unwrap()
                     .mean_abs_error_rate;
             assert!(
@@ -191,7 +189,7 @@ mod tests {
         let g = erdos_renyi(40, 300, 3, LabelDistribution::Zipf { exponent: 1.0 }, 5);
         let oracle = phe_pathenum::naive::compute_catalog_naive(&g, 3);
         let mut expected: Vec<u64> = (0..oracle.len() as u64).collect();
-        expected.sort_by_key(|&c| (oracle.selectivity_at(c as usize), c));
+        expected.sort_by_key(|&c| (oracle.selectivity_at(c), c));
         let domain = PathDomain::new(3, 3);
         let ideal = IdealOrdering::from_sparse(domain, &SparseCatalog::compute(&g, 3).unwrap());
         for (i, &c) in expected.iter().enumerate() {
@@ -242,7 +240,6 @@ mod tests {
                 ordering: OrderingKind::Ideal,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         )

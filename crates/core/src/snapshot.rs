@@ -384,7 +384,6 @@ mod tests {
                 ordering,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         )
@@ -541,7 +540,6 @@ mod tests {
                 ordering: OrderingKind::SumBased,
                 histogram: crate::label_histogram::HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: true,
             },
         )
@@ -656,7 +654,6 @@ mod tests {
                 ordering: OrderingKind::SumBased,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         )

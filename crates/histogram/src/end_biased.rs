@@ -102,6 +102,30 @@ impl PointEstimator for EndBiasedHistogram {
         self.exact.len() * (std::mem::size_of::<usize>() + std::mem::size_of::<u64>())
             + std::mem::size_of::<f64>()
     }
+
+    /// Each singleton is a one-cell piece; the runs between them estimate
+    /// the rest-average.
+    fn pieces(&self) -> Vec<(u64, u64, f64)> {
+        let mut singles: Vec<(u64, u64)> = self
+            .exact
+            .iter()
+            .map(|(&index, &value)| (index as u64, value))
+            .collect();
+        singles.sort_unstable();
+        let mut pieces = Vec::with_capacity(2 * singles.len() + 1);
+        let mut next = 0u64;
+        for (index, value) in singles {
+            if index > next {
+                pieces.push((next, index - 1, self.rest_mean));
+            }
+            pieces.push((index, index, value as f64));
+            next = index + 1;
+        }
+        if next < self.domain_size as u64 {
+            pieces.push((next, self.domain_size as u64 - 1, self.rest_mean));
+        }
+        pieces
+    }
 }
 
 #[cfg(test)]

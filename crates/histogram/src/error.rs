@@ -20,7 +20,7 @@ pub enum HistogramError {
     /// A build needs a dense-sized output or input past the
     /// materialization limit: a bucket budget above
     /// [`crate::sparse::DENSE_MATERIALIZE_LIMIT`], or (in `phe-core`) a
-    /// dense catalog the machine cannot hold.
+    /// path domain past the canonical index space.
     DomainTooLarge {
         /// The (implicit-zeros) domain size.
         domain: u64,
@@ -30,6 +30,9 @@ pub enum HistogramError {
     /// The sparse `(index, frequency)` runs violated an invariant
     /// (unsorted, duplicate, or out-of-domain indexes).
     InvalidSparseRuns(String),
+    /// Counting the catalog a histogram is built over failed (`phe-core`
+    /// owns the count; the message is its error, rendered).
+    Catalog(String),
 }
 
 impl fmt::Display for HistogramError {
@@ -50,6 +53,7 @@ impl fmt::Display for HistogramError {
             HistogramError::InvalidSparseRuns(msg) => {
                 write!(f, "invalid sparse frequency runs: {msg}")
             }
+            HistogramError::Catalog(msg) => write!(f, "counting the path catalog: {msg}"),
         }
     }
 }

@@ -148,6 +148,14 @@ impl PointEstimator for Histogram {
         self.buckets.len() * std::mem::size_of::<Bucket>()
             + self.starts.len() * std::mem::size_of::<usize>()
     }
+
+    /// One piece per bucket, at the bucket mean.
+    fn pieces(&self) -> Vec<(u64, u64, f64)> {
+        self.buckets
+            .iter()
+            .map(|b| (b.lo as u64, b.hi as u64, b.mean()))
+            .collect()
+    }
 }
 
 #[cfg(test)]

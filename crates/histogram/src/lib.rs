@@ -75,4 +75,10 @@ pub trait PointEstimator {
 
     /// Approximate in-memory footprint, for space-budget comparisons.
     fn size_bytes(&self) -> usize;
+
+    /// The estimator as constant pieces `(first, last, estimate)`: every
+    /// index in `first..=last` estimates `estimate`, and the pieces tile
+    /// `[0, domain_size)` in ascending order. O(β) of them — what
+    /// [`AccuracyReport::from_pieces`] scores the whole domain from.
+    fn pieces(&self) -> Vec<(u64, u64, f64)>;
 }

@@ -863,7 +863,6 @@ pub(crate) mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::SelectivityCatalog;
     use crate::sparse::SparseCatalog;
     use phe_graph::{GraphBuilder, VertexId};
 
@@ -929,16 +928,14 @@ mod tests {
         delta
     }
 
-    /// The brute-force oracle: dense catalogs of both graphs, diffed.
+    /// The brute-force oracle: the naive catalogs of both graphs, diffed
+    /// index by index over the whole domain.
     fn dense_diff(old: &Graph, new: &Graph, k: usize) -> Vec<(u64, i64)> {
-        let co = SelectivityCatalog::compute(old, k);
-        let cn = SelectivityCatalog::compute(new, k);
-        co.counts()
-            .iter()
-            .zip(cn.counts())
-            .enumerate()
-            .filter(|(_, (&o, &n))| o != n)
-            .map(|(i, (&o, &n))| (i as u64, n as i64 - o as i64))
+        let co = crate::naive::compute_catalog_naive(old, k);
+        let cn = crate::naive::compute_catalog_naive(new, k);
+        (0..co.len() as u64)
+            .map(|i| (i, cn.selectivity_at(i) as i64 - co.selectivity_at(i) as i64))
+            .filter(|&(_, diff)| diff != 0)
             .collect()
     }
 

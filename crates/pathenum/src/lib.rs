@@ -19,14 +19,11 @@
 //!   its extensions, descends only along labels that can follow, and
 //!   sizes all depth-`k` leaves of a node in one fused pass over its
 //!   targets' out-edges, without building them — sequentially or
-//!   sharded per thread with a k-way merge. This is the
-//!   representation that scales past the dense limit
-//!   ([`catalog::DENSE_DOMAIN_LIMIT`]); oversized `(|L|, k)` requests are
-//!   refused with a checked [`catalog::CatalogError`] rather than an
-//!   allocation panic;
-//! * [`catalog::SelectivityCatalog`] — the full `f` table, zeros included:
-//!   a dense view ([`sparse::SparseCatalog::to_dense`]) of the sparse
-//!   count, for the full-domain scoring that indexes every path;
+//!   sharded per thread with a k-way merge. It is the only catalog: a
+//!   path absent from the runs has selectivity 0, so its size follows the
+//!   graph, not the domain, and domains up to the canonical index space
+//!   (2⁴⁸ paths) count; larger `(|L|, k)` requests are refused with a
+//!   checked [`catalog::CatalogError`] rather than an allocation panic;
 //! * [`naive`] — an independent per-path evaluator used as the correctness
 //!   oracle and as the unshared baseline in benchmarks;
 //! * [`delta`] — incremental maintenance: [`delta::compute_delta`] counts
@@ -38,7 +35,7 @@
 //!
 //! ```
 //! use phe_graph::GraphBuilder;
-//! use phe_pathenum::SelectivityCatalog;
+//! use phe_pathenum::SparseCatalog;
 //! use phe_graph::LabelId;
 //!
 //! let mut b = GraphBuilder::new();
@@ -47,9 +44,11 @@
 //! b.add_edge_named(0, "a", 2);
 //! let g = b.build();
 //!
-//! let catalog = SelectivityCatalog::compute(&g, 2);
+//! let catalog = SparseCatalog::compute(&g, 2).unwrap();
 //! assert_eq!(catalog.selectivity(&[LabelId(0)]), 2);             // a
 //! assert_eq!(catalog.selectivity(&[LabelId(0), LabelId(1)]), 1); // a/b
+//! assert_eq!(catalog.selectivity(&[LabelId(1), LabelId(1)]), 0); // b/b
+//! assert_eq!((catalog.len(), catalog.nonzero_count()), (6, 3));  // a, b, a/b
 //! ```
 
 pub mod catalog;
@@ -63,7 +62,7 @@ pub mod runs;
 pub mod sampling;
 pub mod sparse;
 
-pub use catalog::{CatalogError, SelectivityCatalog};
+pub use catalog::CatalogError;
 pub use delta::{compute_delta, SparseDeltaRun};
 pub use encoding::PathEncoding;
 pub use relation::PathRelation;

@@ -7,8 +7,9 @@
 
 use phe_graph::{FixedBitSet, Graph, LabelId};
 
-use crate::catalog::SelectivityCatalog;
 use crate::encoding::PathEncoding;
+use crate::runs::CompressedRuns;
+use crate::sparse::SparseCatalog;
 
 /// Computes `f(path)` by frontier expansion from every source vertex.
 ///
@@ -53,21 +54,27 @@ pub fn selectivity(graph: &Graph, path: &[LabelId]) -> u64 {
     total
 }
 
-/// Computes the whole catalog naively: one independent evaluation per path.
-/// Used for oracle comparison in tests and as the no-sharing baseline in
+/// Computes the whole catalog naively: one independent evaluation per path
+/// of the domain, the realized ones kept. Used for oracle comparison in
+/// tests (a catalog compares with `==`) and as the no-sharing baseline in
 /// the `pathenum` Criterion bench.
-pub fn compute_catalog_naive(graph: &Graph, k: usize) -> SelectivityCatalog {
+pub fn compute_catalog_naive(graph: &Graph, k: usize) -> SparseCatalog {
     let encoding = PathEncoding::new(graph.label_count().max(1), k);
-    let mut counts = vec![0u64; encoding.domain_size()];
-    if graph.label_count() == 0 {
-        return SelectivityCatalog::from_counts(encoding, counts);
-    }
+    // A label-less graph counts nothing (its one pseudo-label has no edges).
+    let domain = if graph.label_count() == 0 {
+        0
+    } else {
+        encoding.domain_size()
+    };
     let mut buf = Vec::with_capacity(k);
-    for (i, slot) in counts.iter_mut().enumerate() {
-        encoding.decode_into(i, &mut buf);
-        *slot = selectivity(graph, &buf);
-    }
-    SelectivityCatalog::from_counts(encoding, counts)
+    let counts = (0..domain)
+        .map(|index| {
+            encoding.decode_into(index, &mut buf);
+            (index as u64, selectivity(graph, &buf))
+        })
+        .filter(|&(_, count)| count > 0);
+    SparseCatalog::from_runs(encoding, CompressedRuns::from_sorted_iter(counts))
+        .expect("every index comes from the encoding's own domain")
 }
 
 #[cfg(test)]
@@ -127,8 +134,8 @@ mod tests {
             b.add_edge_named(s, lbl, t);
         }
         let g = b.build();
-        let fast = SelectivityCatalog::compute(&g, 4);
+        let fast = SparseCatalog::compute(&g, 4).unwrap();
         let slow = compute_catalog_naive(&g, 4);
-        assert_eq!(fast.counts(), slow.counts());
+        assert_eq!(fast, slow);
     }
 }

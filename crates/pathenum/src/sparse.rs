@@ -1,13 +1,12 @@
 //! Sparse selectivity catalogs: only the *realized* label paths.
 //!
-//! The dense [`SelectivityCatalog`] stores `f(ℓ)` for every path in the
-//! domain `Σ |L|^i` — including the overwhelming majority that never occur
+//! The domain `Σ |L|^i` is overwhelmingly made of paths that never occur
 //! in the graph. Real graphs realize only the paths reachable by actual
 //! edge chains, a set bounded by the trie of non-empty path relations, so
 //! a catalog of sorted `(canonical_index, count)` runs scales with the
 //! *graph*, not with the combinatorial domain. That is what lets the
-//! build pipeline reach `(|L|, k)` configurations whose dense vector would
-//! not even allocate (see [`crate::catalog::DENSE_DOMAIN_LIMIT`]).
+//! build pipeline reach `(|L|, k)` configurations whose dense count
+//! vector would not even allocate.
 //!
 //! ## Storage: block-compressed runs
 //!
@@ -35,9 +34,7 @@
 //! empty set), and never builds the depth-`k` children: one fused pass
 //! over each depth-`k − 1` relation walks its targets' out-edges over
 //! every label once and counts each distinct `(label, target)` a source
-//! reaches, which sizes all of the node's children together. The dense
-//! [`SelectivityCatalog`] is a view: [`SelectivityCatalog::compute`]
-//! materializes this module's result with [`SparseCatalog::to_dense`];
+//! reaches, which sizes all of the node's children together.
 //! [`crate::naive`] stays the independent oracle.
 //!
 //! The builders around the kernel:
@@ -56,9 +53,6 @@
 //!   ([`crate::file`]); the final k-way merge streams the spilled shards
 //!   back one block at a time, so peak memory tracks the budget plus one
 //!   block per shard instead of the whole entry set;
-//! * [`SparseCatalog::from_dense`] / [`SparseCatalog::to_dense`] — lossless
-//!   conversions (the dense direction is guarded by the materialization
-//!   limit);
 //! * [`SparseCatalog::merge_delta`] — incremental maintenance: folds a
 //!   signed [`crate::delta::SparseDeltaRun`] (the outcome of
 //!   [`crate::delta::compute_delta`] over a graph change) into this
@@ -104,7 +98,7 @@ use std::sync::{Mutex, PoisonError};
 
 use phe_graph::{FixedBitSet, FollowMatrix, Graph, LabelId};
 
-use crate::catalog::{check_dense_domain, CatalogError, SelectivityCatalog};
+use crate::catalog::CatalogError;
 use crate::encoding::PathEncoding;
 use crate::file::{open_shard, write_runs_file, Durability, ShardReader};
 use crate::relation::PathRelation;
@@ -406,23 +400,6 @@ impl SparseCatalog {
         ))
     }
 
-    /// Converts a dense catalog by dropping its zero entries. Lossless:
-    /// [`SparseCatalog::to_dense`] restores the original exactly.
-    pub fn from_dense(catalog: &SelectivityCatalog) -> SparseCatalog {
-        let runs = CompressedRuns::from_sorted_iter(
-            catalog
-                .counts()
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .map(|(index, &count)| (index as u64, count)),
-        );
-        SparseCatalog {
-            encoding: *catalog.encoding(),
-            runs,
-        }
-    }
-
     /// Wraps an already-validated compressed run (snapshot restore). The
     /// entries must uphold the module invariants and stay inside the
     /// encoding's domain.
@@ -442,32 +419,6 @@ impl SparseCatalog {
             });
         }
         Ok(SparseCatalog { encoding, runs })
-    }
-
-    /// Whether [`SparseCatalog::to_dense`] would succeed — a
-    /// microseconds-cheap precondition callers can test *before* spending
-    /// a full build on a pipeline that will need the dense form.
-    ///
-    /// # Errors
-    /// [`CatalogError::DenseTooLarge`] past
-    /// [`crate::catalog::DENSE_DOMAIN_LIMIT`].
-    pub fn check_dense_feasible(&self) -> Result<(), CatalogError> {
-        check_dense_domain(&self.encoding)
-    }
-
-    /// Materializes the dense catalog (zeros included).
-    ///
-    /// # Errors
-    /// [`CatalogError::DenseTooLarge`] when the domain exceeds
-    /// [`crate::catalog::DENSE_DOMAIN_LIMIT`] — exactly the configurations
-    /// the sparse catalog exists for.
-    pub fn to_dense(&self) -> Result<SelectivityCatalog, CatalogError> {
-        check_dense_domain(&self.encoding)?;
-        let mut counts = vec![0u64; self.encoding.domain_size()];
-        for (index, count) in self.runs.iter() {
-            counts[index as usize] = count;
-        }
-        SelectivityCatalog::try_from_counts(self.encoding, counts)
     }
 
     /// Folds a signed delta run into this catalog, yielding the catalog of
@@ -854,8 +805,7 @@ mod tests {
         let g = dense_graph(50, 3, 7);
         let oracle = naive::compute_catalog_naive(&g, 4);
         let sparse = SparseCatalog::compute(&g, 4).unwrap();
-        assert_eq!(sparse, SparseCatalog::from_dense(&oracle));
-        assert_eq!(sparse.to_dense().unwrap().counts(), oracle.counts());
+        assert_eq!(sparse, oracle);
         assert_eq!(sparse.total_mass(), oracle.total_mass());
         assert_eq!(sparse.zero_count(), oracle.zero_count());
     }
@@ -864,7 +814,7 @@ mod tests {
     /// workers — equals the naive oracle at every `k` in `ks`.
     fn assert_builds_match_naive(g: &Graph, ks: std::ops::RangeInclusive<usize>) {
         for k in ks {
-            let oracle = SparseCatalog::from_dense(&naive::compute_catalog_naive(g, k));
+            let oracle = naive::compute_catalog_naive(g, k);
             assert_eq!(SparseCatalog::compute(g, k).unwrap(), oracle, "k = {k}");
             for threads in 2..5 {
                 let par = SparseCatalog::compute_parallel(g, k, threads).unwrap();
@@ -927,7 +877,7 @@ mod tests {
             }
             assert!(scratch.epoch < u32::MAX - 1, "the stamp wrapped");
             coalesce_sorted(&mut entries);
-            let oracle = SparseCatalog::from_dense(&naive::compute_catalog_naive(&g, k));
+            let oracle = naive::compute_catalog_naive(&g, k);
             assert_eq!(entries, oracle.iter().collect::<Vec<_>>(), "k = {k}");
         }
     }
@@ -995,9 +945,9 @@ mod tests {
         let g = dense_graph(40, 4, 9);
         let oracle = naive::compute_catalog_naive(&g, 3);
         let sparse = SparseCatalog::compute(&g, 3).unwrap();
-        for index in 0..oracle.len() {
+        for index in 0..oracle.len() as u64 {
             assert_eq!(
-                sparse.selectivity_at(index as u64),
+                sparse.selectivity_at(index),
                 oracle.selectivity_at(index),
                 "index {index}"
             );
@@ -1039,17 +989,77 @@ mod tests {
 
     #[test]
     fn handles_infeasible_dense_domains() {
-        // |L| = 64, k = 6: the dense vector would be ~550 GB; sparse build
-        // succeeds and conversion back is refused with a checked error.
+        // |L| = 64, k = 6: a dense vector would be ~550 GB; the sparse
+        // build holds only the realized paths.
         let g = dense_graph(30, 64, 5);
         let sparse = SparseCatalog::compute(&g, 6).unwrap();
         assert!(sparse.nonzero_count() > 0);
         assert!(sparse.dense_bytes() > 1 << 39);
         assert!((sparse.size_bytes() as u128) < sparse.dense_bytes() / 10);
-        assert!(matches!(
-            sparse.to_dense(),
-            Err(CatalogError::DenseTooLarge { .. })
-        ));
+    }
+
+    /// Two-label chain: 0 -a-> 1 -b-> 2 -a-> 3.
+    fn chain() -> Graph {
+        let mut b = GraphBuilder::new();
+        b.add_edge_named(0, "a", 1);
+        b.add_edge_named(1, "b", 2);
+        b.add_edge_named(2, "a", 3);
+        b.build()
+    }
+
+    #[test]
+    fn chain_catalog_k3() {
+        let l = LabelId;
+        let c = SparseCatalog::compute(&chain(), 3).unwrap();
+        assert_eq!(c.len(), 2 + 4 + 8);
+        assert_eq!(c.selectivity(&[l(0)]), 2); // a
+        assert_eq!(c.selectivity(&[l(1)]), 1); // b
+        assert_eq!(c.selectivity(&[l(0), l(1)]), 1); // a/b
+        assert_eq!(c.selectivity(&[l(1), l(0)]), 1); // b/a
+        assert_eq!(c.selectivity(&[l(0), l(0)]), 0); // a/a
+        assert_eq!(c.selectivity(&[l(0), l(1), l(0)]), 1); // a/b/a
+        assert_eq!(c.selectivity(&[l(1), l(1)]), 0);
+        assert_eq!(c.nonzero_count(), 5);
+    }
+
+    #[test]
+    fn diamond_and_cycle_selectivities() {
+        // 0 -a-> {1,2} -b-> 3: a/b must count (0,3) once.
+        let mut b = GraphBuilder::new();
+        b.add_edge_named(0, "a", 1);
+        b.add_edge_named(0, "a", 2);
+        b.add_edge_named(1, "b", 3);
+        b.add_edge_named(2, "b", 3);
+        let c = SparseCatalog::compute(&b.build(), 2).unwrap();
+        assert_eq!(c.selectivity(&[LabelId(0), LabelId(1)]), 1);
+        // 0 -a-> 1 -a-> 0 : a/a = {(0,0),(1,1)}, a/a/a = {(0,1),(1,0)}.
+        let mut b = GraphBuilder::new();
+        b.add_edge_named(0, "a", 1);
+        b.add_edge_named(1, "a", 0);
+        let c = SparseCatalog::compute(&b.build(), 3).unwrap();
+        for path in [&[LabelId(0)][..], &[LabelId(0); 2], &[LabelId(0); 3]] {
+            assert_eq!(c.selectivity(path), 2, "{path:?}");
+        }
+    }
+
+    #[test]
+    fn length_one_catalog_equals_label_frequencies() {
+        let g = chain();
+        let c = SparseCatalog::compute(&g, 1).unwrap();
+        for label in g.label_ids() {
+            assert_eq!(c.selectivity(&[label]), g.label_frequency(label));
+        }
+    }
+
+    #[test]
+    fn domains_past_the_index_space_are_checked_errors() {
+        // |L| = 1000, k = 8 ⇒ 10^24 paths: overflows the index space.
+        let mut b = GraphBuilder::with_numeric_labels(2, 1000);
+        b.add_edge_named(0, "l0", 1);
+        match SparseCatalog::compute(&b.build(), 8) {
+            Err(CatalogError::DomainTooLarge { size, .. }) => assert!(size > 1 << 48, "{size}"),
+            other => panic!("expected DomainTooLarge, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1059,9 +1069,7 @@ mod tests {
         assert_eq!(c.len(), 3); // one pseudo-label alphabet
         assert_eq!(c.nonzero_count(), 0);
         assert_eq!(c.total_mass(), 0);
-        let dense = c.to_dense().unwrap();
-        assert_eq!(dense.len(), 3);
-        assert_eq!(dense.total_mass(), 0);
+        assert_eq!(c.zero_count(), 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 
 use phe_graph::delta::GraphDelta;
 use phe_graph::{FixedBitSet, FollowMatrix, Graph, GraphBuilder, LabelId, VertexId};
-use phe_pathenum::{compute_delta, naive, PathRelation, SelectivityCatalog, SparseCatalog};
+use phe_pathenum::{compute_delta, naive, PathRelation, SparseCatalog};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = (Graph, u16)> {
@@ -93,24 +93,24 @@ proptest! {
         let band = band % (edgeless.0 - 1);
         let delta = band_churn(&g, band, &edits);
         let new = g.apply_delta(&delta).unwrap();
-        let base = SparseCatalog::from_dense(&naive::compute_catalog_naive(&g, k));
+        let base = naive::compute_catalog_naive(&g, k);
         let run = compute_delta(&g, &new, &delta, k).unwrap();
-        let oracle = SparseCatalog::from_dense(&naive::compute_catalog_naive(&new, k));
+        let oracle = naive::compute_catalog_naive(&new, k);
         prop_assert_eq!(&base.merge_delta(&run).unwrap(), &oracle);
     }
 
     #[test]
     fn trie_catalog_matches_naive_oracle((g, _labels) in arb_graph(), k in 1usize..4) {
-        let fast = SelectivityCatalog::compute(&g, k);
+        let fast = SparseCatalog::compute(&g, k).unwrap();
         let slow = naive::compute_catalog_naive(&g, k);
-        prop_assert_eq!(fast.counts(), slow.counts());
+        prop_assert_eq!(&fast, &slow);
     }
 
     #[test]
     fn parallel_catalog_matches_naive_oracle((g, _labels) in arb_graph(), k in 1usize..4, threads in 1usize..9) {
         let par = SparseCatalog::compute_parallel(&g, k, threads).unwrap();
         let slow = naive::compute_catalog_naive(&g, k);
-        prop_assert_eq!(&par, &SparseCatalog::from_dense(&slow));
+        prop_assert_eq!(&par, &slow);
     }
 
     #[test]
@@ -121,7 +121,7 @@ proptest! {
         for l in g.label_ids() {
             prop_assert!(!follows.follows(l, edgeless) && !follows.follows(edgeless, l));
         }
-        let oracle = SparseCatalog::from_dense(&naive::compute_catalog_naive(&g, k));
+        let oracle = naive::compute_catalog_naive(&g, k);
         prop_assert_eq!(&SparseCatalog::compute(&g, k).unwrap(), &oracle);
         prop_assert_eq!(&SparseCatalog::compute_parallel(&g, k, threads).unwrap(), &oracle);
     }
@@ -147,7 +147,7 @@ proptest! {
     fn evaluate_agrees_with_catalog((g, labels) in arb_graph(), raw_path in prop::collection::vec(0u16..4, 1..4)) {
         let path: Vec<LabelId> = raw_path.iter().map(|&l| LabelId(l % labels)).collect();
         let k = path.len();
-        let catalog = SelectivityCatalog::compute(&g, k);
+        let catalog = SparseCatalog::compute(&g, k).unwrap();
         let rel = PathRelation::evaluate(&g, &path);
         prop_assert_eq!(catalog.selectivity(&path), rel.pair_count());
     }
@@ -156,7 +156,7 @@ proptest! {
     fn selectivity_monotone_under_extension((g, labels) in arb_graph()) {
         // Pairs of an extended path never exceed |sources(prefix)| * |V|;
         // weaker but useful sanity: if prefix has zero pairs, extension does too.
-        let catalog = SelectivityCatalog::compute(&g, 3);
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
         for l1 in 0..labels {
             for l2 in 0..labels {
                 let prefix = [LabelId(l1)];

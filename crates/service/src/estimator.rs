@@ -312,7 +312,6 @@ mod tests {
                 ordering: OrderingKind::SumBased,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         )
@@ -329,7 +328,6 @@ mod tests {
             ordering: OrderingKind::SumBased,
             histogram: HistogramKind::VOptimalGreedy,
             threads: 1,
-            retain_catalog: false,
             retain_sparse: false,
         };
         let est = PathSelectivityEstimator::build(&g, config).unwrap();

@@ -603,7 +603,6 @@ mod tests {
                     ordering: OrderingKind::SumBased,
                     histogram: HistogramKind::VOptimalGreedy,
                     threads: 1,
-                    retain_catalog: false,
                     retain_sparse: false,
                 },
             )

@@ -254,7 +254,6 @@ pub(crate) fn handle_request(
                     ordering,
                     histogram,
                     threads,
-                    retain_catalog: false,
                     // The sparse catalog is what later deltas merge into.
                     retain_sparse: maintain,
                 },
@@ -749,7 +748,6 @@ mod tests {
                 ordering: OrderingKind::SumBased,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         )

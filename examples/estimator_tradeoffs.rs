@@ -45,13 +45,12 @@ fn main() {
         "estimator", "build", "memory", "ns/query", "mean |err|"
     );
 
-    // 1. Exact catalog: perfect but stores the whole table.
+    // 1. Exact catalog: perfect but stores every realized path.
     {
-        let dense = catalog.to_dense().expect("dense-feasible domain");
         let t = Instant::now();
         let mut acc = 0.0;
         for q in &workload.queries {
-            acc += dense.selectivity(q) as f64;
+            acc += catalog.selectivity(q) as f64;
         }
         std::hint::black_box(acc);
         let per_query = t.elapsed().as_nanos() as f64 / workload.queries.len() as f64;
@@ -59,7 +58,7 @@ fn main() {
             "{:<26} {:>9.2}s {:>11}B {:>12.0} {:>12.4}",
             "exact catalog",
             catalog_build.as_secs_f64(),
-            dense.len() * 8,
+            catalog.size_bytes(),
             per_query,
             0.0
         );
@@ -77,7 +76,6 @@ fn main() {
                 ordering,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 0,
-                retain_catalog: false,
                 retain_sparse: false,
             },
             catalog_build,

@@ -7,7 +7,6 @@
 //! cargo run --release --example histogram_viz
 //! ```
 
-use phe::core::eval::ordered_frequencies;
 use phe::core::ordering::OrderingKind;
 use phe::datasets::moreno_health_like_scaled;
 use phe::histogram::builder::{EquiWidth, HistogramBuilder};
@@ -25,12 +24,14 @@ fn main() {
     let graph = moreno_health_like_scaled(0.25, 42);
     let k = 2; // small domain so the plot fits a terminal
     let sparse = SparseCatalog::compute(&graph, k).expect("domain fits u48");
-    let catalog = sparse.to_dense().expect("dense-feasible domain");
     let beta = 6;
 
     for kind in [OrderingKind::NumAlph, OrderingKind::SumBased] {
         let ordering = kind.build_sparse(&graph, &sparse, k);
-        let ordered = ordered_frequencies(&catalog, ordering.as_ref());
+        // The plot shows every index, so unrank each one.
+        let ordered: Vec<u64> = (0..ordering.domain_size())
+            .map(|i| sparse.selectivity(ordering.path_at(i).as_label_ids()))
+            .collect();
         let histogram = EquiWidth
             .build(&SparseFrequencies::dense(&ordered), beta)
             .expect("non-empty");

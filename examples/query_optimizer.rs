@@ -37,7 +37,6 @@ fn main() {
             ordering: OrderingKind::SumBased,
             histogram: HistogramKind::VOptimalGreedy,
             threads: 0,
-            retain_catalog: false,
             retain_sparse: false,
         },
         std::time::Duration::ZERO,

@@ -44,8 +44,8 @@ fn main() {
             ordering: OrderingKind::SumBased,
             histogram: HistogramKind::VOptimalGreedy,
             threads: 1,
-            retain_catalog: true,
-            retain_sparse: false,
+            // Keeps the counts, for ground truth and the accuracy report.
+            retain_sparse: true,
         },
     )
     .expect("estimator");
@@ -60,13 +60,13 @@ fn main() {
     for expr in ["knows", "knows/likes", "knows/knows/likes", "likes/follows"] {
         let path = parse_path(&graph, expr).expect("known labels");
         let estimate = estimator.estimate(&path);
-        let exact = estimator.exact(&path);
-        let err = estimator.error(&path);
+        let exact = estimator.exact(&path).expect("retained");
+        let err = estimator.error(&path).expect("retained");
         println!("{expr:<20} estimate {estimate:>6.2}   true {exact:>3}   err {err:+.3}");
     }
 
     // The whole-domain accuracy report (one Figure 2 data point).
-    let report = estimator.accuracy_report();
+    let report = estimator.accuracy_report().expect("retained");
     println!(
         "\nwhole-domain accuracy: mean |err| = {:.4}, median q-error = {:.3} over {} paths",
         report.mean_abs_error_rate, report.median_q_error, report.count

@@ -38,11 +38,10 @@ fn main() {
 
     let k = 4;
     let sparse = SparseCatalog::compute(&graph, k).expect("domain fits u48");
-    let catalog = sparse.to_dense().expect("dense-feasible domain");
-    let beta = catalog.len() / 16;
+    let beta = sparse.len() / 16;
     println!(
         "domain: {} label paths (k = {k}), histogram budget β = {beta}\n",
-        catalog.len()
+        sparse.len()
     );
 
     println!(
@@ -52,7 +51,7 @@ fn main() {
     for kind in OrderingKind::ALL {
         let ordering = kind.build_sparse(&graph, &sparse, k);
         let report = evaluate_configuration(
-            &catalog,
+            &sparse,
             ordering.as_ref(),
             HistogramKind::VOptimalGreedy,
             beta,
@@ -75,8 +74,7 @@ fn main() {
             ordering: OrderingKind::SumBased,
             histogram: HistogramKind::VOptimalGreedy,
             threads: 0,
-            retain_catalog: true,
-            retain_sparse: false,
+            retain_sparse: true,
         },
     )
     .expect("estimator");
@@ -99,8 +97,8 @@ fn main() {
         println!(
             "{desc:<38} {:>10.1} {:>8} {:>+8.3}",
             estimator.estimate(&path),
-            estimator.exact(&path),
-            estimator.error(&path)
+            estimator.exact(&path).expect("retained"),
+            estimator.error(&path).expect("retained")
         );
     }
     println!(

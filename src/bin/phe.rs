@@ -61,7 +61,7 @@ USAGE:
       dataset: moreno | dbpedia | snap-er | snap-ff | chained
   phe stats <graph.tsv>
   phe build <graph.tsv> --k K --beta B [--ordering O] [--histogram H] [--stats]
-            [--no-accuracy] [--trace] [--catalog-file NAME.phc] --out <stats.json>
+            [--trace] [--catalog-file NAME.phc] --out <stats.json>
       ordering:  num-alph | num-card | lex-alph | lex-card | sum-based | sum-based-L2
       histogram: equi-width | equi-depth | v-optimal-greedy | v-optimal-exact |
                  v-optimal-maxdiff | end-biased
@@ -70,12 +70,8 @@ USAGE:
                      the snapshot) instead of inlining it in the JSON;
                      `phe serve` memory-maps the sidecar so the catalog
                      payload stays disk-resident
-      --stats        report sparse vs dense catalog memory; past the dense
-                     domain limit (2^28 paths) this needs --no-accuracy,
-                     since only the sparse pipeline can run there
-      --no-accuracy  skip the whole-domain accuracy report; keeps the
-                     build sparse end-to-end (REQUIRED past the dense
-                     domain limit)
+      --stats        report the sparse catalog's memory against its dense
+                     equivalent (never allocated)
       --trace        print the nested stage-time tree of the build
                      (count/merge/order/histogram)
   phe delta --graph <graph.tsv> --changes <changes.tsv> --k K --beta B
@@ -278,15 +274,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_booleans(args, &["stats", "no-accuracy", "trace"])?;
+    let flags = Flags::parse_with_booleans(args, &["stats", "trace"])?;
     let [path] = flags.positional.as_slice() else {
         return Err("build needs exactly one graph file".into());
     };
     let graph = load_graph(path)?;
-    // The accuracy report needs the dense ground-truth catalog; skipping
-    // it (--no-accuracy) keeps the build sparse end-to-end, which is the
-    // only way through domains past the dense limit.
-    let with_accuracy = flags.get("no-accuracy").is_none();
     // --catalog-file NAME writes the sparse catalog to a `.phc` sidecar
     // next to --out instead of inlining it in the snapshot JSON;
     // `phe serve` then memory-maps it, keeping the payload disk-resident.
@@ -305,41 +297,32 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         ordering: parse_ordering(flags.get("ordering").unwrap_or("sum-based"))?,
         histogram: parse_histogram(flags.get("histogram").unwrap_or("v-optimal-greedy"))?,
         threads: 0,
-        retain_catalog: with_accuracy,
-        // The sidecar is written from the retained sparse catalog.
-        retain_sparse: catalog_file.is_some(),
+        // The whole-domain accuracy report reads the retained sparse
+        // state, and the sidecar is written from the sparse catalog.
+        retain_sparse: true,
     };
     let out: String = flags.require("out")?;
     let trace = flags.get("trace").is_some();
     let (result, spans) =
         phe::obs::span::capture(|| PathSelectivityEstimator::build(&graph, config));
-    let estimator = result.map_err(|e| {
-        if with_accuracy && matches!(e, phe::histogram::HistogramError::DomainTooLarge { .. }) {
-            format!(
-                "{e}\nhint: this domain is past the dense materialization limit, where \
-                 only the sparse pipeline can run — retry with --no-accuracy (the \
-                 ground-truth accuracy report is what needs the dense catalog; \
-                 --stats still works without it)"
-            )
-        } else {
-            e.to_string()
-        }
-    })?;
+    let estimator = result.map_err(|e| e.to_string())?;
     if trace {
         print!("{}", phe::obs::span::render_tree(&spans));
     }
     let mut snapshot = estimator.snapshot().map_err(|e| e.to_string())?;
+    // The snapshot inlines the sparse catalog only for maintained slots;
+    // `phe build` statistics ship without it, or point at the sidecar.
+    snapshot.sparse_runs = None;
     if let Some(sidecar) = &catalog_file {
         let catalog = estimator
             .sparse_catalog()
-            .expect("retain_sparse is set when --catalog-file is given");
+            .ok_or("the build retained no sparse catalog")?;
         let phc_path = std::path::Path::new(&out).parent().map_or_else(
             || std::path::PathBuf::from(sidecar),
             |dir| dir.join(sidecar),
         );
         let bytes = phe::pathenum::file::write_catalog_file(&phc_path, catalog)
             .map_err(|e| format!("writing {}: {e}", phc_path.display()))?;
-        snapshot.sparse_runs = None;
         snapshot.catalog_file = Some(sidecar.clone());
         println!(
             "wrote {} ({bytes} bytes; `phe serve` memory-maps it disk-resident)",
@@ -360,13 +343,13 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         estimator.build_stats().ordering_time.as_secs_f64(),
         estimator.build_stats().histogram_time.as_secs_f64()
     );
-    if with_accuracy {
-        let report = estimator.accuracy_report();
-        println!(
-            "whole-domain mean |err| = {:.4}, median q-error = {:.3}",
-            report.mean_abs_error_rate, report.median_q_error
-        );
-    }
+    let report = estimator
+        .accuracy_report()
+        .ok_or("the build retained no ordered runs to score")?;
+    println!(
+        "whole-domain mean |err| = {:.4}, median q-error = {:.3}",
+        report.mean_abs_error_rate, report.median_q_error
+    );
     if flags.get("stats").is_some() {
         let fp = estimator.footprint();
         let percent = 100.0 * fp.nonzero_paths as f64 / fp.domain_size.max(1) as f64;
@@ -385,13 +368,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             fp.dense_bytes as f64 / (fp.sparse_bytes as f64).max(1.0)
         );
         println!(
-            "retained         {} bytes ({})",
-            estimator.size_bytes(),
-            if with_accuracy {
-                "histogram + ordering state + dense catalog"
-            } else {
-                "histogram + ordering state only"
-            }
+            "retained         {} bytes (histogram + ordering state + sparse catalog and \
+             ordered runs)",
+            estimator.size_bytes()
         );
     }
     println!(
@@ -417,7 +396,6 @@ fn cmd_delta(args: &[String]) -> Result<(), String> {
         ordering: parse_ordering(flags.get("ordering").unwrap_or("sum-based"))?,
         histogram: parse_histogram(flags.get("histogram").unwrap_or("v-optimal-greedy"))?,
         threads: 0,
-        retain_catalog: false,
         // The sparse catalog is the state the delta merges into.
         retain_sparse: true,
     };
@@ -608,7 +586,6 @@ fn cmd_accuracy(args: &[String]) -> Result<(), String> {
     let beta: usize = flags.require("beta")?;
     let sparse =
         phe::pathenum::SparseCatalog::compute_parallel(&graph, k, 0).map_err(|e| e.to_string())?;
-    let catalog = sparse.to_dense().map_err(|e| e.to_string())?;
     println!(
         "{:<14} {:>12} {:>14}",
         "ordering", "mean |err|", "median q-error"
@@ -616,7 +593,7 @@ fn cmd_accuracy(args: &[String]) -> Result<(), String> {
     for kind in OrderingKind::ALL {
         let ordering = kind.build_sparse(&graph, &sparse, k);
         let report = phe::core::evaluate_configuration(
-            &catalog,
+            &sparse,
             ordering.as_ref(),
             HistogramKind::VOptimalGreedy,
             beta,

@@ -128,8 +128,8 @@ fn build_stats_reports_sparse_memory() {
         .unwrap();
     assert!(out.status.success());
 
-    // --stats + --no-accuracy: sparse end-to-end, memory report printed,
-    // no accuracy line.
+    // --stats: memory report printed beside the whole-domain accuracy
+    // line, which the build scores from its sparse state.
     let out = phe()
         .args([
             "build",
@@ -139,7 +139,6 @@ fn build_stats_reports_sparse_memory() {
             "--beta",
             "32",
             "--stats",
-            "--no-accuracy",
             "--out",
             stats.to_str().unwrap(),
         ])
@@ -155,8 +154,11 @@ fn build_stats_reports_sparse_memory() {
     assert!(text.contains("realized"), "{text}");
     assert!(text.contains("bytes/entry"), "{text}");
     assert!(text.contains("compression"), "{text}");
-    assert!(text.contains("histogram + ordering state only"), "{text}");
-    assert!(!text.contains("whole-domain mean"), "{text}");
+    assert!(
+        text.contains("histogram + ordering state + sparse catalog"),
+        "{text}"
+    );
+    assert!(text.contains("whole-domain mean"), "{text}");
 
     // The written snapshot is v5 and still estimates.
     let json = std::fs::read_to_string(&stats).unwrap();
@@ -204,7 +206,6 @@ fn build_catalog_file_writes_a_servable_sidecar() {
             "3",
             "--beta",
             "32",
-            "--no-accuracy",
             "--catalog-file",
             "cat.phc",
             "--out",
@@ -244,7 +245,6 @@ fn build_catalog_file_writes_a_servable_sidecar() {
             "2",
             "--beta",
             "8",
-            "--no-accuracy",
             "--catalog-file",
             "/tmp/abs.phc",
             "--out",

@@ -17,7 +17,6 @@ fn every_configuration_builds_on_every_dataset() {
         let graph = &dataset.graph;
         let k = 2;
         let sparse = SparseCatalog::compute(graph, k).unwrap();
-        let catalog = sparse.to_dense().unwrap();
         for ordering in OrderingKind::ALL {
             for histogram in [
                 HistogramKind::EquiWidth,
@@ -26,7 +25,7 @@ fn every_configuration_builds_on_every_dataset() {
                 HistogramKind::VOptimalMaxDiff,
             ] {
                 let built = ordering.build_sparse(graph, &sparse, k);
-                let report = evaluate_configuration(&catalog, built.as_ref(), histogram, 8)
+                let report = evaluate_configuration(&sparse, built.as_ref(), histogram, 8)
                     .unwrap_or_else(|e| {
                         panic!(
                             "{}/{}/{}: {e}",
@@ -57,12 +56,11 @@ fn sum_based_wins_on_skewed_synthetic_data() {
     let graph = datasets::erdos_renyi(120, 2400, 5, LabelDistribution::Zipf { exponent: 1.1 }, 99);
     let k = 3;
     let sparse = SparseCatalog::compute(&graph, k).unwrap();
-    let catalog = sparse.to_dense().unwrap();
-    let beta = catalog.len() / 32;
+    let beta = sparse.len() / 32;
     let error_of = |kind: OrderingKind| {
         let ordering = kind.build_sparse(&graph, &sparse, k);
         evaluate_configuration(
-            &catalog,
+            &sparse,
             ordering.as_ref(),
             HistogramKind::VOptimalGreedy,
             beta,
@@ -99,8 +97,7 @@ fn estimates_are_deterministic() {
                 ordering: OrderingKind::SumBased,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 2, // parallel catalog must not break determinism
-                retain_catalog: true,
-                retain_sparse: false,
+                retain_sparse: true,
             },
         )
         .unwrap()
@@ -117,7 +114,8 @@ fn estimates_are_deterministic() {
 }
 
 /// The retained catalog agrees with an independently computed one, and
-/// estimates of a full-budget histogram reproduce it exactly.
+/// estimates of a full-budget histogram reproduce it exactly over the
+/// whole domain.
 #[test]
 fn full_budget_estimator_is_an_oracle() {
     let graph = datasets::snap_er_scaled(0.005, 3);
@@ -130,16 +128,15 @@ fn full_budget_estimator_is_an_oracle() {
             ordering: OrderingKind::LexCard,
             histogram: HistogramKind::VOptimalGreedy,
             threads: 1,
-            retain_catalog: true,
-            retain_sparse: false,
+            retain_sparse: true,
         },
     )
     .unwrap();
-    let reference = SparseCatalog::compute_parallel(&graph, k, 2)
-        .unwrap()
-        .to_dense()
-        .unwrap();
-    for (path, truth) in reference.iter() {
+    let reference = SparseCatalog::compute_parallel(&graph, k, 2).unwrap();
+    assert_eq!(est.sparse_catalog(), Some(&reference));
+    for index in 0..reference.len() {
+        let path = reference.encoding().decode(index);
+        let truth = reference.selectivity_at(index as u64);
         assert_eq!(
             est.estimate(&path),
             truth as f64,
@@ -155,13 +152,12 @@ fn accuracy_improves_with_budget_end_to_end() {
     let graph = datasets::dbpedia_like_scaled(0.01, 5);
     let k = 3;
     let sparse = SparseCatalog::compute(&graph, k).unwrap();
-    let catalog = sparse.to_dense().unwrap();
     for kind in [OrderingKind::NumCard, OrderingKind::SumBased] {
         let ordering = kind.build_sparse(&graph, &sparse, k);
         let mut last = f64::INFINITY;
         for beta in [4usize, 16, 64, 256] {
             let err = evaluate_configuration(
-                &catalog,
+                &sparse,
                 ordering.as_ref(),
                 HistogramKind::VOptimalGreedy,
                 beta,

@@ -5,6 +5,20 @@ use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEst
 use phe::graph::{GraphBuilder, LabelId, VertexId};
 use proptest::prelude::*;
 
+/// Every path of the estimator's domain with its exact count, read from
+/// the retained sparse catalog.
+fn domain(est: &PathSelectivityEstimator) -> Vec<(Vec<LabelId>, u64)> {
+    let catalog = est.sparse_catalog().expect("retained");
+    (0..catalog.len())
+        .map(|index| {
+            (
+                catalog.encoding().decode(index),
+                catalog.selectivity_at(index as u64),
+            )
+        })
+        .collect()
+}
+
 fn arb_graph() -> impl Strategy<Value = phe::graph::Graph> {
     (
         2u16..4,
@@ -41,13 +55,13 @@ proptest! {
     fn estimates_are_finite_and_nonnegative(g in arb_graph(), (k, beta, ordering, histogram) in arb_config()) {
         let est = PathSelectivityEstimator::build(
             &g,
-            EstimatorConfig { k, beta, ordering, histogram, threads: 1, retain_catalog: true, retain_sparse: false },
+            EstimatorConfig { k, beta, ordering, histogram, threads: 1, retain_sparse: true },
         ).unwrap();
         // Walk the whole domain through the public API.
-        for (path, truth) in est.catalog().expect("retained").iter() {
+        for (path, truth) in domain(&est) {
             let e = est.estimate(&path);
             prop_assert!(e.is_finite() && e >= 0.0, "estimate {e} for {path:?}");
-            let err = est.error(&path);
+            let err = est.error(&path).expect("retained");
             prop_assert!((-1.0..=1.0).contains(&err), "err {err}");
             // Formula 6 consistency with the separately computed truth.
             if e == truth as f64 {
@@ -69,17 +83,14 @@ proptest! {
                 ordering: OrderingKind::SumBased,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                            retain_catalog: true,
-                            retain_sparse: false,
+                retain_sparse: true,
             },
         ).unwrap();
-        let total_estimate: f64 = est
-            .catalog()
-            .expect("retained")
+        let total_estimate: f64 = domain(&est)
             .iter()
-            .map(|(path, _)| est.estimate(&path))
+            .map(|(path, _)| est.estimate(path))
             .sum();
-        let total_truth = est.catalog().expect("retained").total_mass() as f64;
+        let total_truth = est.sparse_catalog().expect("retained").total_mass() as f64;
         prop_assert!(
             (total_estimate - total_truth).abs() <= 1e-6 * total_truth.max(1.0) + 1e-3,
             "mass drifted: {total_estimate} vs {total_truth}"
@@ -91,10 +102,10 @@ proptest! {
         prop_assume!(ordering != OrderingKind::Ideal);
         let est = PathSelectivityEstimator::build(
             &g,
-            EstimatorConfig { k, beta, ordering, histogram, threads: 1, retain_catalog: true, retain_sparse: false },
+            EstimatorConfig { k, beta, ordering, histogram, threads: 1, retain_sparse: true },
         ).unwrap();
         let restored = est.snapshot().unwrap().restore().unwrap();
-        for (path, _) in est.catalog().expect("retained").iter() {
+        for (path, _) in domain(&est) {
             prop_assert_eq!(est.estimate(&path), restored.estimate_labels(&path));
         }
     }

@@ -288,7 +288,6 @@ proptest! {
                     ordering,
                     histogram,
                     threads: 1,
-                    retain_catalog: false,
                     retain_sparse: false,
                 };
                 let built = PathSelectivityEstimator::build(&g, config).unwrap();
@@ -453,7 +452,6 @@ proptest! {
                     ordering,
                     histogram,
                     threads: 1,
-                    retain_catalog: false,
                     retain_sparse: false,
                 };
                 let built = PathSelectivityEstimator::build(&g, config).unwrap();

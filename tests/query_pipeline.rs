@@ -25,7 +25,6 @@ fn all_estimators_produce_correct_answers() {
             ordering: OrderingKind::SumBased,
             histogram: HistogramKind::VOptimalGreedy,
             threads: 1,
-            retain_catalog: false,
             retain_sparse: false,
         },
         std::time::Duration::ZERO,
@@ -69,7 +68,6 @@ fn oracle_plans_lower_bound_other_estimators() {
             ordering: OrderingKind::SumBased,
             histogram: HistogramKind::VOptimalGreedy,
             threads: 1,
-            retain_catalog: false,
             retain_sparse: false,
         },
         std::time::Duration::ZERO,

@@ -40,7 +40,6 @@ fn build_servable(beta: usize, ordering: OrderingKind) -> ServableEstimator {
                 ordering,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         )
@@ -357,7 +356,6 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
         ordering: OrderingKind::SumBased,
         histogram: HistogramKind::VOptimalGreedy,
         threads: 1,
-        retain_catalog: false,
         retain_sparse: true,
     };
     let estimator = PathSelectivityEstimator::build(&g0, maintained_config).expect("base build");

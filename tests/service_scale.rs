@@ -52,7 +52,6 @@ fn build_servable(beta: usize, ordering: OrderingKind) -> ServableEstimator {
                 ordering,
                 histogram: HistogramKind::VOptimalGreedy,
                 threads: 1,
-                retain_catalog: false,
                 retain_sparse: false,
             },
         )

@@ -1,16 +1,22 @@
 //! The estimator pipeline's contract: for arbitrary graphs, every
 //! ordering × histogram configuration estimates **bit-identically** to
-//! the textbook construction over naive-oracle counts, the two catalog
-//! representations round-trip losslessly, and — for arbitrary edge churn
-//! — incremental delta application reproduces a from-scratch build
+//! the textbook construction over naive-oracle counts, its closed-form
+//! whole-domain accuracy report equals the per-index oracle, every
+//! counting route agrees with the naive oracle, and — for arbitrary edge
+//! churn — incremental delta application reproduces a from-scratch build
 //! exactly.
 
-use phe::core::eval::ordered_frequencies;
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::graph::{Graph, GraphBuilder, GraphDelta, LabelId, VertexId};
-use phe::histogram::{PointEstimator, SparseFrequencies};
-use phe::pathenum::{naive, SelectivityCatalog, SparseCatalog};
+use phe::histogram::{AccuracyReport, PointEstimator, SparseFrequencies};
+use phe::pathenum::{naive, CompressedRuns, PathEncoding, SparseCatalog};
 use proptest::prelude::*;
+
+/// Every path of the `(|L|, k)` domain, in canonical order.
+fn domain_paths(labels: usize, k: usize) -> impl Iterator<Item = Vec<LabelId>> {
+    let encoding = PathEncoding::new(labels, k);
+    (0..encoding.domain_size()).map(move |index| encoding.decode(index))
+}
 
 fn arb_graph() -> impl Strategy<Value = phe::graph::Graph> {
     (
@@ -31,9 +37,9 @@ proptest! {
 
     // The built estimator ≡ the paper's three steps done by hand over
     // independent counts: naive per-path counts, permuted into the
-    // ordering by unranking every index (`ordered_frequencies`), one
-    // histogram over the dense ordered sequence — across every ordering
-    // and histogram kind, over every path in the domain.
+    // ordering by unranking every index, one histogram over the dense
+    // ordered sequence — across every ordering and histogram kind, over
+    // every path in the domain.
     #[test]
     fn estimates_match_the_naive_oracle_pipeline(
         g in arb_graph(),
@@ -41,10 +47,11 @@ proptest! {
         beta in 1usize..24,
     ) {
         let oracle = naive::compute_catalog_naive(&g, k);
-        let oracle_sparse = SparseCatalog::from_dense(&oracle);
         for ordering in OrderingKind::ALL.into_iter().chain([OrderingKind::Ideal]) {
-            let textbook_ordering = ordering.build_sparse(&g, &oracle_sparse, k);
-            let ordered = ordered_frequencies(&oracle, textbook_ordering.as_ref());
+            let textbook_ordering = ordering.build_sparse(&g, &oracle, k);
+            let ordered: Vec<u64> = (0..textbook_ordering.domain_size())
+                .map(|i| oracle.selectivity(textbook_ordering.path_at(i).as_label_ids()))
+                .collect();
             for histogram in HistogramKind::ALL {
                 let config = EstimatorConfig {
                     k,
@@ -52,14 +59,13 @@ proptest! {
                     ordering,
                     histogram,
                     threads: 1,
-                    retain_catalog: false,
                     retain_sparse: false,
                 };
                 let built = PathSelectivityEstimator::build(&g, config).unwrap();
                 let textbook = histogram
                     .build(&SparseFrequencies::dense(&ordered), beta)
                     .unwrap();
-                for (path, _) in oracle.iter() {
+                for path in domain_paths(g.label_count(), k) {
                     let index = textbook_ordering.index_of(&phe::core::LabelPath::new(&path));
                     let want = textbook.estimate(index as usize);
                     let got = built.estimate(&path);
@@ -83,24 +89,79 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // `SparseCatalog ⇄ SelectivityCatalog` round-trips losslessly, and
-    // both computation routes agree (sequential, sharded-parallel,
-    // converted-from-dense).
+    // Block-compressed runs ⇄ plain `(index, count)` pairs round-trip
+    // losslessly, and every computation route (sequential,
+    // sharded-parallel) equals the naive per-path oracle.
     #[test]
     fn catalog_representations_round_trip(g in arb_graph(), k in 1usize..5) {
-        let dense = SelectivityCatalog::compute(&g, k);
+        let oracle = naive::compute_catalog_naive(&g, k);
         let sparse = SparseCatalog::compute(&g, k).unwrap();
-        prop_assert_eq!(&sparse, &SparseCatalog::from_dense(&dense));
-        let round_tripped = sparse.to_dense().unwrap();
-        prop_assert_eq!(round_tripped.counts(), dense.counts());
+        prop_assert_eq!(&sparse, &oracle);
+        let pairs = sparse.runs().to_vec();
+        let round_tripped =
+            SparseCatalog::from_runs(*sparse.encoding(), CompressedRuns::from_entries(&pairs))
+                .unwrap();
+        prop_assert_eq!(&round_tripped, &sparse);
         for threads in [2, 5] {
             let parallel = SparseCatalog::compute_parallel(&g, k, threads).unwrap();
             prop_assert_eq!(&sparse, &parallel, "threads = {}", threads);
         }
-        // Aggregates agree with the dense oracle.
-        prop_assert_eq!(sparse.total_mass(), dense.total_mass());
-        prop_assert_eq!(sparse.zero_count(), dense.zero_count());
-        prop_assert_eq!(sparse.len(), dense.len());
+        // Aggregates agree with the per-path oracle over the whole domain.
+        let truths: Vec<u64> = domain_paths(g.label_count(), k)
+            .map(|path| naive::selectivity(&g, &path))
+            .collect();
+        prop_assert_eq!(sparse.total_mass(), truths.iter().sum::<u64>());
+        prop_assert_eq!(sparse.zero_count(), truths.iter().filter(|&&f| f == 0).count());
+        prop_assert_eq!(sparse.len(), truths.len());
+    }
+
+    // The closed-form whole-domain report (ordered runs + the
+    // histogram's constant pieces) equals `AccuracyReport::evaluate` over
+    // the per-index estimates and naive truths: the count, maximum,
+    // median and p95 exactly; the sums up to summation order.
+    #[test]
+    fn full_domain_accuracy_matches_the_per_index_oracle(
+        g in arb_graph(),
+        k in 1usize..4,
+        beta in 1usize..24,
+    ) {
+        let paths: Vec<Vec<LabelId>> = domain_paths(g.label_count(), k).collect();
+        let truths: Vec<u64> = paths.iter().map(|path| naive::selectivity(&g, path)).collect();
+        for ordering in OrderingKind::ALL {
+            for histogram in HistogramKind::ALL {
+                let config = EstimatorConfig {
+                    k,
+                    beta,
+                    ordering,
+                    histogram,
+                    threads: 1,
+                    retain_sparse: true,
+                };
+                let est = PathSelectivityEstimator::build(&g, config).unwrap();
+                let estimates: Vec<f64> = paths.iter().map(|path| est.estimate(path)).collect();
+                let oracle = AccuracyReport::evaluate(&estimates, &truths);
+                let report = est.accuracy_report().unwrap();
+                let name = format!("{}/{}", ordering.name(), histogram.name());
+                prop_assert_eq!(report.count, oracle.count, "{}", name);
+                for (got, want) in [
+                    (report.median_q_error, oracle.median_q_error),
+                    (report.p95_q_error, oracle.p95_q_error),
+                    (report.max_abs_error_rate, oracle.max_abs_error_rate),
+                ] {
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{}: {} vs {}", name, got, want);
+                }
+                for (got, want) in [
+                    (report.mean_abs_error_rate, oracle.mean_abs_error_rate),
+                    (report.mean_signed_error_rate, oracle.mean_signed_error_rate),
+                    (report.rmse, oracle.rmse),
+                ] {
+                    prop_assert!(
+                        (got - want).abs() <= 1e-12 * got.abs().max(want.abs()),
+                        "{}: {} vs {}", name, got, want
+                    );
+                }
+            }
+        }
     }
 
 }
@@ -159,7 +220,6 @@ proptest! {
                     ordering,
                     histogram,
                     threads: 1,
-                    retain_catalog: false,
                     retain_sparse: true,
                 };
                 let base = PathSelectivityEstimator::build(&g, config).unwrap();
@@ -177,7 +237,7 @@ proptest! {
                 );
 
                 // And every estimate in the domain agrees bit-for-bit.
-                for (path, _) in SelectivityCatalog::compute(&g2, k).iter() {
+                for path in domain_paths(g2.label_count(), k) {
                     let a = refreshed.estimate(&path);
                     let b = fresh.estimate(&path);
                     prop_assert_eq!(
