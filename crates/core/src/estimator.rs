@@ -110,12 +110,13 @@ pub struct BuildStats {
     pub histogram_time: Duration,
 }
 
-/// Post-delta accuracy drift: after a delta merge, the paths the change
-/// touched are sampled and the refreshed histogram's estimates are
-/// compared against the exact counts the merged sparse catalog holds
-/// for them. This is the sensor the ROADMAP's drift-triggered rebuild
-/// direction needs — the touched paths are exactly where an ordering or
-/// bucketing grown stale by churn shows up first.
+/// The current statistics' error on the paths a delta touched: after a
+/// delta merge, the touched paths are sampled and the re-derived
+/// histogram's estimates are compared against the exact counts the merged
+/// sparse catalog holds for them. A delta publish is already a fresh
+/// build (the ordering and histogram are re-derived over the merged
+/// catalog), so this is an accuracy gauge on the churned paths, not a
+/// staleness signal: rebuilding would reproduce the same estimates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftReport {
     /// Paths the delta touched (signed-difference entries).
@@ -607,7 +608,7 @@ impl PathSelectivityEstimator {
         &self.stats
     }
 
-    /// Accuracy drift measured over the last applied delta's touched
+    /// The current statistics' error on the last applied delta's touched
     /// paths; `None` for fresh builds and snapshot restores.
     pub fn drift(&self) -> Option<&DriftReport> {
         self.drift.as_ref()

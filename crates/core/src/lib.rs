@@ -113,7 +113,6 @@ pub mod domain;
 pub mod estimator;
 pub mod eval;
 pub mod label_histogram;
-pub mod maintenance;
 pub mod ordering;
 pub mod path;
 pub mod ranking;
@@ -125,7 +124,6 @@ pub use estimator::{
 };
 pub use eval::evaluate_configuration;
 pub use label_histogram::LabelPathHistogram;
-pub use maintenance::{DriftThreshold, RebuildPolicy, RebuildTrigger};
 pub use ordering::{
     DomainOrdering, IdealOrdering, LexicographicalOrdering, NumericalOrdering, OrderingKind,
     SumBasedOrdering,

@@ -192,9 +192,20 @@ impl Graph {
     /// # Errors
     /// [`GraphError::Delta`] when the delta violates its contract: a
     /// removal of an absent edge, an insertion of a present edge, a
-    /// duplicate change, or a label id outside this graph's alphabet (a
-    /// delta cannot extend the label set — that requires a full rebuild).
+    /// duplicate change, a label id outside this graph's alphabet (a
+    /// delta cannot extend the label set — that requires a full rebuild),
+    /// or a vertex id of `u32::MAX` (the vertex count is a `u32`, so ids
+    /// run below it).
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<Graph, GraphError> {
+        let vertex_count = match delta.max_vertex() {
+            None => self.vertex_count() as u32,
+            Some(max) => max
+                .checked_add(1)
+                .ok_or_else(|| GraphError::Delta {
+                    message: format!("vertex id {max} out of range (ids must be below {max})"),
+                })?
+                .max(self.vertex_count() as u32),
+        };
         let label_count = self.label_count();
         let check_label = |l: LabelId| -> Result<(), GraphError> {
             if l.index() >= label_count {
@@ -246,8 +257,6 @@ impl Graph {
             }
         }
 
-        let vertex_count =
-            (self.vertex_count() as u32).max(delta.max_vertex().map_or(0, |v| v + 1));
         let mut dirty = vec![false; label_count];
         for l in delta.dirty_labels() {
             dirty[l.index()] = true;
@@ -363,6 +372,11 @@ pub fn read_changes_path(path: impl AsRef<Path>, graph: &Graph) -> Result<GraphD
 
 /// Writes a delta as a changes file (removals first, matching apply
 /// order). Round-trips through [`read_changes`].
+///
+/// # Errors
+/// [`GraphError::Delta`] when the delta names a label id outside
+/// `graph`'s alphabet (the lines before it are already written);
+/// [`GraphError::Io`] when the writer fails.
 pub fn write_changes(
     delta: &GraphDelta,
     graph: &Graph,
@@ -375,16 +389,18 @@ pub fn write_changes(
         delta.insertions().len()
     )?;
     let name = |l: LabelId| {
-        graph
-            .labels()
-            .name(l)
-            .expect("delta references uninterned label")
+        graph.labels().name(l).ok_or_else(|| GraphError::Delta {
+            message: format!(
+                "label id {l} outside the graph's alphabet of {}",
+                graph.label_count()
+            ),
+        })
     };
     for &(s, l, t) in delta.removals() {
-        writeln!(writer, "-\t{}\t{}\t{}", s.0, name(l), t.0)?;
+        writeln!(writer, "-\t{}\t{}\t{}", s.0, name(l)?, t.0)?;
     }
     for &(s, l, t) in delta.insertions() {
-        writeln!(writer, "+\t{}\t{}\t{}", s.0, name(l), t.0)?;
+        writeln!(writer, "+\t{}\t{}\t{}", s.0, name(l)?, t.0)?;
     }
     writer.flush()?;
     Ok(())
@@ -489,6 +505,35 @@ mod tests {
             g.apply_delta(&duplicate),
             Err(GraphError::Delta { .. })
         ));
+    }
+
+    #[test]
+    fn vertex_id_u32_max_is_a_contract_violation() {
+        let g = base();
+        // A vertex count is a `u32`, so `u32::MAX` can name no vertex;
+        // `u32::MAX + 1` rows would not fit the count.
+        for (s, t) in [(u32::MAX, 0), (0, u32::MAX)] {
+            let mut insert = GraphDelta::new();
+            insert.insert(v(s), l(0), v(t));
+            let err = g.apply_delta(&insert).unwrap_err();
+            assert!(matches!(err, GraphError::Delta { .. }), "{err}");
+            assert!(err.to_string().contains("4294967295"), "{err}");
+        }
+        // One id below is a vertex a graph can hold: removing an edge
+        // there is the ordinary absent-edge violation.
+        let mut remove = GraphDelta::new();
+        remove.remove(v(u32::MAX - 1), l(0), v(0));
+        let err = g.apply_delta(&remove).unwrap_err();
+        assert!(err.to_string().contains("absent edge"), "{err}");
+    }
+
+    #[test]
+    fn writers_report_labels_outside_the_alphabet() {
+        let g = base();
+        let mut delta = GraphDelta::new();
+        delta.insert(v(0), l(7), v(1));
+        let err = write_changes(&delta, &g, Vec::new()).unwrap_err();
+        assert!(matches!(err, GraphError::Delta { .. }), "{err}");
     }
 
     #[test]

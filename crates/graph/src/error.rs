@@ -26,8 +26,8 @@ pub enum GraphError {
     /// The label alphabet exceeded the `u16` capacity of [`crate::LabelId`].
     TooManyLabels,
     /// A [`crate::GraphDelta`] violated its contract against the base
-    /// graph (absent removal, present insertion, duplicate change, or a
-    /// label outside the alphabet).
+    /// graph (absent removal, present insertion, duplicate change, a
+    /// label outside the alphabet, or a vertex id of `u32::MAX`).
     Delta {
         /// Human-readable description of the violation.
         message: String,

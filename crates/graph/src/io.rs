@@ -79,12 +79,10 @@ pub fn write_tsv(graph: &Graph, mut writer: impl Write) -> Result<(), GraphError
         graph.edge_count(),
         graph.label_count()
     )?;
-    for (src, label, dst) in graph.iter_edges() {
-        let name = graph
-            .labels()
-            .name(label)
-            .expect("edge references uninterned label");
-        writeln!(writer, "{}\t{}\t{}", src.0, name, dst.0)?;
+    for (label, name) in graph.labels().iter() {
+        for (src, dst) in graph.forward_csr(label).iter_edges() {
+            writeln!(writer, "{}\t{}\t{}", src.0, name, dst.0)?;
+        }
     }
     writer.flush()?;
     Ok(())

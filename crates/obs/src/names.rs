@@ -56,15 +56,17 @@ pub const UPTIME_SECONDS: &str = "phe_uptime_seconds";
 /// or `superseded`.
 pub const DELTAS_TOTAL: &str = "phe_deltas_total";
 
-/// Mean absolute error rate of histogram estimates vs exact counts over
-/// the paths sampled after the latest delta (`slot` label).
+/// Mean absolute error rate of the current histogram's estimates vs
+/// exact counts over the sampled paths the latest delta touched (`slot`
+/// label).
 pub const DRIFT_MEAN_ABS_ERROR: &str = "phe_drift_mean_abs_error";
 
-/// Worst q-error among the drift-sampled paths after the latest delta
-/// (`slot` label).
+/// Worst q-error of the current histogram among the sampled paths the
+/// latest delta touched (`slot` label).
 pub const DRIFT_MAX_Q_ERROR: &str = "phe_drift_max_q_error";
 
-/// Paths sampled for the latest drift measurement (`slot` label).
+/// Touched paths sampled for the latest accuracy measurement (`slot`
+/// label).
 pub const DRIFT_SAMPLED_PATHS: &str = "phe_drift_sampled_paths";
 
 /// Maintenance delta batches by queue `event` label: `enqueued`,
@@ -74,10 +76,6 @@ pub const MAINTENANCE_BATCHES_TOTAL: &str = "phe_maintenance_batches_total";
 /// Delta batches queued for a slot's next compacted publish
 /// (`slot` label).
 pub const MAINTENANCE_QUEUE_DEPTH: &str = "phe_maintenance_queue_depth";
-
-/// Policy-triggered full rebuilds of maintained slots by `trigger`
-/// label: `applied-deltas`, `drift`, or `forced`.
-pub const MAINTENANCE_REBUILDS_TOTAL: &str = "phe_maintenance_rebuilds_total";
 
 /// Background rebuilds by `event` label: `started`, `failed`, or
 /// `superseded`.
@@ -99,7 +97,6 @@ pub const ALL: &[&str] = &[
     ERRORS_TOTAL,
     MAINTENANCE_BATCHES_TOTAL,
     MAINTENANCE_QUEUE_DEPTH,
-    MAINTENANCE_REBUILDS_TOTAL,
     OPS_TOTAL,
     PATHS_TOTAL,
     REBUILDS_TOTAL,

@@ -139,8 +139,8 @@ impl ServableEstimator {
 
     /// Derives the servable form of an estimator that must outlive the
     /// publish as a slot's maintenance state, so it is read through its
-    /// snapshot instead of consumed. Every maintained publish — rebuild,
-    /// compacted delta, policy rebuild — derives its statistics here.
+    /// snapshot instead of consumed. Every maintained publish — rebuild
+    /// or compacted delta — derives its statistics here.
     pub(crate) fn from_maintained(
         estimator: &PathSelectivityEstimator,
     ) -> Result<ServableEstimator, String> {

@@ -3,28 +3,28 @@
 //! Applying one change batch per request is correct, but the counting
 //! pass dominates cost, so N small batches would pay N passes. The
 //! [`MaintenanceCoordinator`] — one per server, the only write path for
-//! `delta` ops — makes maintained slots self-managing instead:
+//! `delta` ops — makes maintained slots self-managing instead: `delta`
+//! ops *enqueue* parsed change batches, and on each publish interval (or
+//! a forced `maintenance` `compact`) the worker folds every queued batch
+//! into **one** composed delta ([`phe_graph::GraphDelta::compose`], which
+//! cancels insert-then-remove churn) and runs one pass: count, merge,
+//! re-derive, derive a servable, compare-and-swap publish. Queued batches
+//! are *peeked*, not popped: they leave the queue only after the CAS
+//! confirms their statistics won, so a crashed or failed pass retries the
+//! same batches and a superseded pass cannot double-apply them.
 //!
-//! * **Delta queue + compactor** — `delta` ops *enqueue* parsed change
-//!   batches. On each publish interval (or a forced `maintenance`
-//!   `compact`), the worker folds every queued batch into **one**
-//!   composed delta ([`phe_graph::GraphDelta::compose`], which cancels
-//!   insert-then-remove churn) and runs a single counting pass + merge +
-//!   compare-and-swap publish. Queued batches are *peeked*, not popped:
-//!   they leave the queue only after the CAS confirms their statistics
-//!   won, so a crashed or failed pass retries the same batches and a
-//!   superseded pass cannot double-apply them.
-//! * **Rebuild triggers** — after each pass the slot's lineage is held
-//!   against a [`RebuildPolicy`]: too many applied deltas, or a sampled
-//!   [`phe_core::DriftReport`] crossing the Baraud–Birgé-derived
-//!   threshold (see `phe_core::maintenance`), trigger one policy
-//!   rebuild: the ordering and histogram are re-derived from scratch over
-//!   the slot's own maintained catalog — no recount, no filesystem — which
-//!   restarts the lineage and resets drift.
+//! A publish is already a fresh build:
+//! [`PathSelectivityEstimator::apply_delta`](phe_core::PathSelectivityEstimator::apply_delta)
+//! re-derives the ordering over the new graph and the histogram over the
+//! merged catalog, which equals a recount, so the served estimates equal
+//! [`PathSelectivityEstimator::build`](phe_core::PathSelectivityEstimator::build)
+//! of the maintained graph. No second rebuild follows; the lineage
+//! (`applied_deltas`) only grows, and the [`phe_core::DriftReport`] each
+//! publish samples is the current statistics' error on the touched paths.
 //!
 //! A publish interval of zero means *apply on arrival*: the ticker sleeps
 //! until an enqueue wakes it, so each batch publishes as soon as it is
-//! queued — still through the queue, the CAS, and the rebuild policy.
+//! queued — still through the queue and the CAS.
 //!
 //! Every publish goes through the same
 //! [`EstimatorRegistry::register_if_version_maintained`] compare-and-swap
@@ -48,7 +48,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use phe_core::{PathSelectivityEstimator, RebuildPolicy, RebuildTrigger};
 use phe_graph::GraphDelta;
 
 use crate::estimator::ServableEstimator;
@@ -69,8 +68,6 @@ pub enum FailPoint {
     /// Immediately before the compare-and-swap — the window where a
     /// concurrent `load` races the worker and must win.
     BeforeCas,
-    /// Before a policy-triggered rebuild's re-derivation.
-    BeforeRebuild,
 }
 
 /// A two-phase rendezvous for deterministic interleavings: the worker
@@ -186,12 +183,9 @@ impl FailurePlan {
 /// Tuning for the maintenance loop.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintenanceConfig {
-    /// How often the ticker compacts queued batches and evaluates
-    /// rebuild triggers. Zero means apply on arrival: every enqueue
-    /// wakes the ticker.
+    /// How often the ticker compacts queued batches. Zero means apply on
+    /// arrival: every enqueue wakes the ticker.
     pub publish_interval: Duration,
-    /// When a maintained slot should stop merging and fully rebuild.
-    pub policy: RebuildPolicy,
     /// Per-slot delta queue cap: an [`MaintenanceCoordinator::enqueue`]
     /// past this depth is refused with [`EnqueueError::QueueFull`]
     /// (structured backpressure) instead of growing the queue — and the
@@ -200,12 +194,11 @@ pub struct MaintenanceConfig {
 }
 
 impl Default for MaintenanceConfig {
-    /// Two-second publish cadence under the default [`RebuildPolicy`],
-    /// queues capped at 1024 batches per slot.
+    /// Two-second publish cadence, queues capped at 1024 batches per
+    /// slot.
     fn default() -> MaintenanceConfig {
         MaintenanceConfig {
             publish_interval: Duration::from_secs(2),
-            policy: RebuildPolicy::default(),
             max_queue_depth: 1024,
         }
     }
@@ -261,9 +254,6 @@ pub struct SlotStatus {
     pub compacted: u64,
     /// Batches discarded because their target lineage disappeared.
     pub purged: u64,
-    /// Human-readable description of the last rebuild trigger that
-    /// fired, if any.
-    pub last_trigger: Option<String>,
     /// Outcome of the slot's most recent maintenance pass.
     pub last_outcome: Option<String>,
 }
@@ -274,7 +264,7 @@ pub enum RunOutcome {
     /// Another rebuild or compaction holds the slot's single-flight
     /// mark; nothing was done.
     Busy,
-    /// Nothing queued and no rebuild trigger armed.
+    /// Nothing queued, or the queued batches composed to no change.
     Idle,
     /// The slot has no maintained lineage; any queued batches were
     /// purged (they can never apply).
@@ -283,15 +273,15 @@ pub enum RunOutcome {
         purged: usize,
     },
     /// A publish landed: `batches` queued batches were folded into one
-    /// pass (0 when only a trigger-driven rebuild published), and
-    /// `rebuilt` names the trigger kind if a full rebuild followed.
+    /// pass whose statistics equal a fresh build of the maintained graph.
     Published {
         /// The slot version the publish installed.
         version: u64,
         /// Queued batches consumed by the compacted pass.
         batches: usize,
-        /// `Some(trigger kind)` when a policy-triggered full rebuild
-        /// also published.
+        /// Always `None`: a publish is already a fresh build, so no
+        /// second rebuild follows it. Kept only for callers that still
+        /// destructure it.
         rebuilt: Option<String>,
     },
     /// The compare-and-swap lost to a concurrent publish; the queue,
@@ -319,16 +309,8 @@ impl std::fmt::Display for RunOutcome {
                 write!(f, "no maintained lineage ({purged} purged)")
             }
             RunOutcome::Published {
-                version,
-                batches,
-                rebuilt,
-            } => match rebuilt {
-                Some(kind) => write!(
-                    f,
-                    "published v{version} ({batches} batches; {kind} rebuild)"
-                ),
-                None => write!(f, "published v{version} ({batches} batches)"),
-            },
+                version, batches, ..
+            } => write!(f, "published v{version} ({batches} batches)"),
             RunOutcome::Superseded { purged } => write!(f, "superseded ({purged} purged)"),
             RunOutcome::Failed { message, retained } => {
                 write!(f, "failed: {message} ({retained} retained)")
@@ -345,7 +327,6 @@ struct SlotQueue {
     rejected: u64,
     compacted: u64,
     purged: u64,
-    last_trigger: Option<String>,
     last_outcome: Option<String>,
 }
 
@@ -363,12 +344,12 @@ struct TickerSignal {
 const RETRY_AFTER: Duration = Duration::from_millis(250);
 
 /// The per-process maintenance loop: one delta queue per maintained
-/// slot, a compactor, and policy-triggered rebuilds. See the module doc
-/// for the design; every [`crate::Server`] owns one and runs its ticker.
+/// slot and a compactor. See the module doc for the design; every
+/// [`crate::Server`] owns one and runs its ticker.
 pub struct MaintenanceCoordinator {
     registry: Arc<EstimatorRegistry>,
     metrics: Arc<ServiceMetrics>,
-    config: Mutex<MaintenanceConfig>,
+    config: MaintenanceConfig,
     slots: Mutex<HashMap<String, SlotQueue>>,
     plan: FailurePlan,
     signal: StdMutex<TickerSignal>,
@@ -385,7 +366,7 @@ impl MaintenanceCoordinator {
         Arc::new(MaintenanceCoordinator {
             registry,
             metrics,
-            config: Mutex::new(config),
+            config,
             slots: Mutex::new(HashMap::new()),
             plan: FailurePlan::default(),
             signal: StdMutex::new(TickerSignal::default()),
@@ -400,12 +381,7 @@ impl MaintenanceCoordinator {
 
     /// The current loop configuration.
     pub fn config(&self) -> MaintenanceConfig {
-        *self.config.lock()
-    }
-
-    /// Replaces the rebuild policy (the `maintenance` op's `set-policy`).
-    pub fn set_policy(&self, policy: RebuildPolicy) {
-        self.config.lock().policy = policy;
+        self.config
     }
 
     /// Queues one parsed change batch for `name`'s next compacted
@@ -423,7 +399,7 @@ impl MaintenanceCoordinator {
                 slot: name.to_owned(),
             });
         }
-        let cap = self.config.lock().max_queue_depth;
+        let cap = self.config.max_queue_depth;
         let mut slots = self.slots.lock();
         let queue = slots.entry(name.to_owned()).or_default();
         if queue.batches.len() >= cap {
@@ -453,7 +429,6 @@ impl MaintenanceCoordinator {
                 rejected: q.rejected,
                 compacted: q.compacted,
                 purged: q.purged,
-                last_trigger: q.last_trigger.clone(),
                 last_outcome: q.last_outcome.clone(),
             })
             .unwrap_or_default()
@@ -471,21 +446,16 @@ impl MaintenanceCoordinator {
             .collect()
     }
 
-    /// One maintenance pass over every slot that has queued batches or a
-    /// maintained lineage; returns what each pass did.
+    /// One maintenance pass over every slot with queued batches; returns
+    /// what each pass did.
     pub fn tick(&self) -> Vec<(String, RunOutcome)> {
-        let mut names: BTreeSet<String> = self
+        let names: BTreeSet<String> = self
             .slots
             .lock()
             .iter()
             .filter(|(_, q)| !q.batches.is_empty())
             .map(|(name, _)| name.clone())
             .collect();
-        for info in self.registry.list() {
-            if info.maintained.is_some() {
-                names.insert(info.name);
-            }
-        }
         names
             .into_iter()
             .map(|name| {
@@ -496,11 +466,10 @@ impl MaintenanceCoordinator {
     }
 
     /// One maintenance pass over `name`: compact queued batches into a
-    /// single counting pass + CAS publish, then evaluate rebuild
-    /// triggers. Serialized against protocol-level rebuilds and deltas
-    /// through the slot's single-flight mark; panics (real or injected)
-    /// are recovered and reported as [`RunOutcome::Failed`] with the
-    /// queue intact.
+    /// single counting pass + CAS publish. Serialized against
+    /// protocol-level rebuilds and deltas through the slot's single-flight
+    /// mark; panics (real or injected) are recovered and reported as
+    /// [`RunOutcome::Failed`] with the queue intact.
     pub fn run_slot(&self, name: &str) -> RunOutcome {
         if !self.registry.try_begin_rebuild(name) {
             return RunOutcome::Busy;
@@ -536,212 +505,78 @@ impl MaintenanceCoordinator {
             .get(name)
             .map_or_else(Vec::new, |q| q.batches.clone());
         let batches = pending.len();
-        let mut published = None;
-        if batches > 0 {
-            if let Err(message) = self.plan.hit(FailPoint::BeforeCount) {
-                return RunOutcome::Failed {
-                    message,
-                    retained: batches,
-                };
-            }
-            let composed = GraphDelta::compose(&pending);
-            if composed.is_empty() {
-                // The batches cancel to nothing: folding them in is a
-                // no-op, so they are consumed without a publish.
-                self.pop(name, batches, true);
-            } else {
-                self.metrics.record_delta_started();
-                let (estimator, graph) = match state.estimator.apply_delta(&state.graph, &composed)
-                {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        // A contract violation can never succeed on retry;
-                        // dropping the batches is the only way forward.
-                        self.pop(name, batches, false);
-                        self.metrics.record_delta_failed();
-                        return RunOutcome::Failed {
-                            message: format!("compacted delta rejected: {e}"),
-                            retained: 0,
-                        };
-                    }
-                };
-                if let Err(message) = self.plan.hit(FailPoint::BeforePublish) {
-                    return RunOutcome::Failed {
-                        message,
-                        retained: batches,
-                    };
-                }
-                // Drift is published only once the CAS confirms these
-                // statistics won.
-                let drift = estimator.drift().copied();
-                let servable = match ServableEstimator::from_maintained(&estimator) {
-                    Ok(servable) => servable,
-                    Err(message) => {
-                        self.metrics.record_delta_failed();
-                        return RunOutcome::Failed {
-                            message: format!("deriving servable: {message}"),
-                            retained: batches,
-                        };
-                    }
-                };
-                if let Err(message) = self.plan.hit(FailPoint::BeforeCas) {
-                    return RunOutcome::Failed {
-                        message,
-                        retained: batches,
-                    };
-                }
-                match self.registry.register_if_version_maintained(
-                    name,
-                    servable,
-                    expected,
-                    Some(MaintenanceState { graph, estimator }),
-                ) {
-                    Some(version) => {
-                        self.pop(name, batches, true);
-                        if version > 1 {
-                            self.metrics.record_swap();
-                        }
-                        if let Some(drift) = drift {
-                            self.metrics.record_drift(name, &drift);
-                        }
-                        published = Some(version);
-                    }
-                    None => {
-                        // A fresher publish (a `load`) won the race; the
-                        // queued batches target a lineage that no longer
-                        // exists and must not be replayed against the new
-                        // statistics.
-                        self.metrics.record_delta_superseded();
-                        return RunOutcome::Superseded {
-                            purged: self.purge(name),
-                        };
-                    }
-                }
-            }
+        if batches == 0 {
+            return RunOutcome::Idle;
         }
-        // Hold the (possibly just-advanced) lineage against the policy.
-        let Some(state) = self.registry.maintenance(name) else {
-            return match published {
-                Some(version) => RunOutcome::Published {
-                    version,
-                    batches,
-                    rebuilt: None,
-                },
-                None => RunOutcome::NoLineage {
-                    purged: self.purge(name),
-                },
-            };
+        let failed = |message| RunOutcome::Failed {
+            message,
+            retained: batches,
         };
-        let policy = self.config.lock().policy;
-        let estimator = &state.estimator;
-        let trigger = policy.trigger(
-            estimator.applied_deltas(),
-            estimator.drift(),
-            estimator.config().beta,
-            estimator.footprint().nonzero_paths,
-        );
-        match trigger {
-            Some(trigger) => self.rebuild_locked(name, &state, trigger, batches),
-            None => match published {
-                Some(version) => RunOutcome::Published {
-                    version,
-                    batches,
-                    rebuilt: None,
-                },
-                None => RunOutcome::Idle,
-            },
+        if let Err(message) = self.plan.hit(FailPoint::BeforeCount) {
+            return failed(message);
         }
-    }
-
-    /// A policy-triggered rebuild: re-derives the ordering and histogram
-    /// from scratch over the slot's maintained sparse catalog, restarting
-    /// the lineage and resetting drift on success. No recount — the
-    /// maintained catalog already equals one (delta ≡ rebuild), so the
-    /// result is bit-identical to a full build of the maintained graph,
-    /// `build_id` included. The operator's `rebuild` op is the path that
-    /// counts from a graph file.
-    fn rebuild_locked(
-        &self,
-        name: &str,
-        state: &MaintenanceState,
-        trigger: RebuildTrigger,
-        batches: usize,
-    ) -> RunOutcome {
-        self.slots
-            .lock()
-            .entry(name.to_owned())
-            .or_default()
-            .last_trigger = Some(trigger.to_string());
-        if let Err(message) = self.plan.hit(FailPoint::BeforeRebuild) {
-            return RunOutcome::Failed {
-                message,
-                retained: self.queue_len(name),
-            };
+        let composed = GraphDelta::compose(&pending);
+        if composed.is_empty() {
+            // The batches cancel to nothing: folding them in is a no-op,
+            // so they are consumed without a publish.
+            self.pop(name, batches, true);
+            return RunOutcome::Idle;
         }
-        let expected = self.registry.get(name).map_or(0, |g| g.version());
-        self.metrics.record_rebuild_started();
-        // A maintained estimator always retains its catalog; a state
-        // without one is a bug, reported rather than papered over with a
-        // recount.
-        let Some(catalog) = state.estimator.sparse_catalog() else {
-            self.metrics.record_rebuild_failed();
-            return RunOutcome::Failed {
-                message: "policy rebuild: maintained state has no sparse catalog".into(),
-                retained: self.queue_len(name),
-            };
-        };
-        // `retain_sparse` is already set in a maintained config, so the
-        // fresh estimator starts a new maintainable lineage.
-        let fresh = match PathSelectivityEstimator::from_sparse_catalog(
-            &state.graph,
-            catalog.clone(),
-            *state.estimator.config(),
-            Duration::ZERO,
-        ) {
-            Ok(estimator) => estimator,
+        self.metrics.record_delta_started();
+        let (estimator, graph) = match state.estimator.apply_delta(&state.graph, &composed) {
+            Ok(pair) => pair,
             Err(e) => {
-                self.metrics.record_rebuild_failed();
+                // A contract violation can never succeed on retry;
+                // dropping the batches is the only way forward.
+                self.pop(name, batches, false);
+                self.metrics.record_delta_failed();
                 return RunOutcome::Failed {
-                    message: format!("policy rebuild: {e}"),
-                    retained: self.queue_len(name),
+                    message: format!("compacted delta rejected: {e}"),
+                    retained: 0,
                 };
             }
         };
-        let servable = match ServableEstimator::from_maintained(&fresh) {
+        if let Err(message) = self.plan.hit(FailPoint::BeforePublish) {
+            return failed(message);
+        }
+        // Drift is published only once the CAS confirms these statistics
+        // won.
+        let drift = estimator.drift().copied();
+        let servable = match ServableEstimator::from_maintained(&estimator) {
             Ok(servable) => servable,
             Err(message) => {
-                self.metrics.record_rebuild_failed();
-                return RunOutcome::Failed {
-                    message: format!("policy rebuild snapshot: {message}"),
-                    retained: self.queue_len(name),
-                };
+                self.metrics.record_delta_failed();
+                return failed(format!("deriving servable: {message}"));
             }
         };
+        if let Err(message) = self.plan.hit(FailPoint::BeforeCas) {
+            return failed(message);
+        }
         match self.registry.register_if_version_maintained(
             name,
             servable,
             expected,
-            Some(MaintenanceState {
-                graph: state.graph.clone(),
-                estimator: fresh,
-            }),
+            Some(MaintenanceState { graph, estimator }),
         ) {
             Some(version) => {
-                self.metrics.record_maintenance_rebuild(trigger.kind());
+                self.pop(name, batches, true);
                 if version > 1 {
                     self.metrics.record_swap();
                 }
-                // The fresh lineage has no sampled drift; the stale
-                // gauges must not outlive the lineage they measured.
-                self.metrics.clear_drift(name);
+                if let Some(drift) = drift {
+                    self.metrics.record_drift(name, &drift);
+                }
                 RunOutcome::Published {
                     version,
                     batches,
-                    rebuilt: Some(trigger.kind().to_owned()),
+                    rebuilt: None,
                 }
             }
             None => {
-                self.metrics.record_rebuild_superseded();
+                // A fresher publish (a `load`) won the race; the queued
+                // batches target a lineage that no longer exists and must
+                // not be replayed against the new statistics.
+                self.metrics.record_delta_superseded();
                 RunOutcome::Superseded {
                     purged: self.purge(name),
                 }
@@ -756,7 +591,7 @@ impl MaintenanceCoordinator {
         std::thread::spawn(move || {
             let mut backlog = false;
             loop {
-                let interval = this.config.lock().publish_interval;
+                let interval = this.config.publish_interval;
                 let on_arrival = interval.is_zero();
                 let idle = |s: &mut TickerSignal| !(s.shutdown || (on_arrival && s.pending));
                 // The signal is two booleans — recovering a poisoned lock
@@ -874,7 +709,7 @@ impl MaintenanceCoordinator {
 impl std::fmt::Debug for MaintenanceCoordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaintenanceCoordinator")
-            .field("config", &*self.config.lock())
+            .field("config", &self.config)
             .field("slots", &self.slots.lock().len())
             .finish_non_exhaustive()
     }

@@ -309,39 +309,41 @@ impl ServiceMetrics {
         self.deltas_superseded.inc();
     }
 
-    /// Publishes the per-slot accuracy-drift gauges sampled after a delta
-    /// (`phe_drift_*{slot=…}`).
+    /// Publishes the per-slot touched-path accuracy gauges sampled after
+    /// a delta (`phe_drift_*{slot=…}`): the current statistics' error on
+    /// the paths the latest delta touched.
     pub fn record_drift(&self, slot: &str, drift: &DriftReport) {
         let labels = [("slot", slot)];
         self.registry
             .gauge_with(
                 names::DRIFT_MEAN_ABS_ERROR,
-                "Mean absolute error rate (paper's bounded error, [0,1]) of \
-                 histogram estimates vs exact counts over paths sampled after \
-                 the latest delta.",
+                "Mean absolute error rate (paper's bounded error, [0,1]) of the \
+                 current histogram's estimates vs exact counts over the paths \
+                 the latest delta touched (sampled).",
                 &labels,
             )
             .set(drift.mean_abs_error_rate);
         self.registry
             .gauge_with(
                 names::DRIFT_MAX_Q_ERROR,
-                "Worst q-error among the drift-sampled paths after the latest delta.",
+                "Worst q-error of the current histogram among the sampled paths \
+                 the latest delta touched.",
                 &labels,
             )
             .set(drift.max_q_error);
         self.registry
             .gauge_with(
                 names::DRIFT_SAMPLED_PATHS,
-                "Paths sampled for the latest drift measurement.",
+                "Touched paths sampled for the latest accuracy measurement.",
                 &labels,
             )
             .set(drift.sampled as f64);
     }
 
     /// Drops the per-slot drift gauges from the exposition. Called when
-    /// a slot's maintenance state is invalidated (a `load`, a plain
-    /// rebuild) — the last sampled drift describes a lineage that no
-    /// longer serves, and a gauge that cannot be unpublished would keep
+    /// a slot's maintenance state is invalidated (a `load`, a
+    /// rebuild) — the last sampled drift describes statistics that no
+    /// longer serve, and a gauge that cannot be unpublished would keep
     /// reporting it forever.
     pub fn clear_drift(&self, slot: &str) {
         let labels = [("slot", slot)];
@@ -378,19 +380,6 @@ impl ServiceMetrics {
                 &[("event", event)],
             )
             .add(n);
-    }
-
-    /// Counts a policy-triggered full rebuild of a maintained slot
-    /// (`phe_maintenance_rebuilds_total{trigger=…}`): `applied-deltas`,
-    /// `drift`, or `forced`.
-    pub fn record_maintenance_rebuild(&self, trigger: &str) {
-        self.registry
-            .counter_with(
-                names::MAINTENANCE_REBUILDS_TOTAL,
-                "Policy-triggered full rebuilds of maintained slots by trigger.",
-                &[("trigger", trigger)],
-            )
-            .inc();
     }
 
     /// Renders the registry in Prometheus text exposition format
@@ -618,7 +607,6 @@ mod tests {
         m.record_drift("b", &report);
         m.record_maintenance_queue_depth("a", 3);
         m.record_maintenance_batches("enqueued", 3);
-        m.record_maintenance_rebuild("drift");
         m.clear_drift("a");
         let text = m.render_prometheus();
         assert!(
@@ -635,10 +623,6 @@ mod tests {
         );
         assert!(
             text.contains("phe_maintenance_batches_total{event=\"enqueued\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("phe_maintenance_rebuilds_total{trigger=\"drift\"} 1"),
             "{text}"
         );
         // Clearing a slot that never reported drift is a no-op.

@@ -26,12 +26,12 @@
 //! | `ping` | — | `{"ok":true}` | liveness probe |
 //! | `estimate` | `estimator` (default `"default"`), `paths` | `version`, `estimates` | one pinned generation answers the whole batch |
 //! | `estimate_expr` | `estimator` (default `"default"`), `exprs` (expression strings), `explain` (false) | `version`, `results` rows: `estimate`, `paths`, `pruned`, `truncated`, `matches_empty`, `cached`, plus `branches` (`[path, estimate]` pairs) when `explain` | regular path expressions — alternation `(a\|b)`, optional `a?`, repetition `a{m,n}`, wildcard `.`; cached by *normalized* expression, so `(a\|b)c` and `(b\|a)c` share an entry; one pinned generation answers the whole batch. With `k` the estimator's maximum path length: `pruned` counts the distinct prefixes `q = p·l` (`2 ≤ \|q\| ≤ k`) of the expression's words whose `p` the follow matrix allows but whose last step `l` it refutes; `truncated` counts the distinct prefixes of length `k + 1` whose first `k` labels it allows |
-//! | `list` | — | `estimators` rows: `name`, `version`, `k`, `labels`, `size_bytes`, `description`, `base_build_id`, `applied_deltas` (lineage; `null` for pre-lineage snapshots), plus `maintained_catalog_bytes` / `maintained_plain_bytes` / `maintained_bytes_per_entry` for slots with maintenance state and `drift_mean_abs_error` / `drift_max_q_error` / `drift_sampled_paths` once a delta has been applied | each row read from a single generation; a climbing `applied_deltas` flags a slot due for a compacting rebuild |
+//! | `list` | — | `estimators` rows: `name`, `version`, `k`, `labels`, `size_bytes`, `description`, `base_build_id`, `applied_deltas` (lineage; `null` for pre-lineage snapshots), plus `maintained_catalog_bytes` / `maintained_plain_bytes` / `maintained_bytes_per_entry` for slots with maintenance state and `drift_mean_abs_error` / `drift_max_q_error` / `drift_sampled_paths` once a delta has been applied | each row read from a single generation; `applied_deltas` counts the delta publishes since the originating build (each publish is already a fresh build) |
 //! | `metrics` | `format` (`"report"`) | `metrics` object, or `exposition` text when `format` is `"prometheus"` | qps, p50/p99, cache hit rate, rebuild + delta counters; the Prometheus form is the same text the `--metrics-addr` scrape endpoint serves |
 //! | `load` | `name`, `snapshot` | `version` | restores a snapshot file from the **server's** filesystem and hot-swaps the slot |
 //! | `rebuild` | `name`, `graph`, `k` (3), `beta` (64), `ordering` (`"sum-based"`), `histogram` (`"v-optimal-greedy"`), `threads` (1), `maintain` (false) | `{"status":"rebuilding"}` | asynchronous full build from a graph file |
 //! | `delta` | `name`, `changes` | `{"status":"queued","queued":n}` | incremental update from a changes file, parsed at once (a bad file is an error line) and queued on the server's maintenance loop for its next compacted publish — on arrival at a zero publish interval |
-//! | `maintenance` | `action` (`"status"`), `name` (for `compact`), `max_applied_deltas` / `drift_scale` / `drift_mean_threshold`+`drift_q_threshold` (for `set-policy`) | `status`/`set-policy`: `policy`, `publish_interval_ms`, `slots` rows (`queued`, `enqueued`, `compacted`, `purged`, `last_trigger`, `last_outcome`); `compact`: `outcome` | inspect or steer the server's maintenance loop |
+//! | `maintenance` | `action` (`"status"` or `"compact"`), `name` (for `compact`) | `status`: `publish_interval_ms`, `slots` rows (`queued`, `enqueued`, `rejected`, `compacted`, `purged`, `last_outcome`); `compact`: `outcome` | inspect the server's maintenance loop, or publish a slot's queued batches now |
 //!
 //! ```text
 //! → {"op":"ping"}
@@ -186,12 +186,11 @@ pub enum Request {
         /// Path to the changes file on the server host.
         changes: String,
     },
-    /// Inspect or steer the maintenance loop: queue depths and last
-    /// trigger per slot, the rebuild policy, or a forced compaction.
-    /// Refused when the server runs without a maintenance loop.
+    /// Inspect the maintenance loop (queue depths and last outcome per
+    /// slot) or force a compaction.
     Maintenance {
-        /// Registry slot name (`compact` acts on it; `status` and
-        /// `set-policy` are loop-wide).
+        /// Registry slot name (`compact` acts on it; `status` is
+        /// loop-wide).
         name: String,
         /// What to do.
         action: MaintenanceAction,
@@ -201,28 +200,13 @@ pub enum Request {
 /// The `maintenance` op's sub-command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MaintenanceAction {
-    /// Report the loop's policy, publish interval, and per-slot queue
-    /// depth + counters + last trigger/outcome.
+    /// Report the loop's publish interval and per-slot queue depth,
+    /// counters and last outcome.
     Status,
     /// Compact the named slot's queue now — one counting pass over the
-    /// composed batches, publish, and rebuild-trigger evaluation —
-    /// instead of waiting for the next publish interval.
+    /// composed batches and one publish — instead of waiting for the
+    /// next publish interval.
     Compact,
-    /// Merge the provided fields into the rebuild policy; absent fields
-    /// keep their current values.
-    SetPolicy {
-        /// Full rebuild once this many deltas are in the lineage
-        /// (0 disables the arm).
-        max_applied_deltas: Option<u64>,
-        /// Multiplier on the Baraud–Birgé drift bound (≤ 0 disables
-        /// drift-triggered rebuilds).
-        drift_scale: Option<f64>,
-        /// Pin the drift threshold explicitly: mean |error| rate arm.
-        /// Must be given together with `drift_q_threshold`.
-        drift_mean_threshold: Option<f64>,
-        /// Pin the drift threshold explicitly: worst q-error arm.
-        drift_q_threshold: Option<f64>,
-    },
 }
 
 /// A protocol-level failure (malformed request line).
@@ -343,35 +327,13 @@ impl Request {
                     .field("changes", changes);
             }
             Request::Maintenance { name, action } => {
-                o.field("op", "maintenance").field("name", name);
-                match action {
-                    MaintenanceAction::Status => {
-                        o.field("action", "status");
-                    }
-                    MaintenanceAction::Compact => {
-                        o.field("action", "compact");
-                    }
-                    MaintenanceAction::SetPolicy {
-                        max_applied_deltas,
-                        drift_scale,
-                        drift_mean_threshold,
-                        drift_q_threshold,
-                    } => {
-                        o.field("action", "set-policy");
-                        if let Some(n) = max_applied_deltas {
-                            o.field("max_applied_deltas", *n);
-                        }
-                        for (key, value) in [
-                            ("drift_scale", drift_scale),
-                            ("drift_mean_threshold", drift_mean_threshold),
-                            ("drift_q_threshold", drift_q_threshold),
-                        ] {
-                            if let Some(v) = value {
-                                o.field(key, *v);
-                            }
-                        }
-                    }
-                }
+                let action = match action {
+                    MaintenanceAction::Status => "status",
+                    MaintenanceAction::Compact => "compact",
+                };
+                o.field("op", "maintenance")
+                    .field("name", name)
+                    .field("action", action);
             }
         });
         line
@@ -387,7 +349,7 @@ const MAX_DEPTH: usize = 128;
 
 /// The top-level fields requests read as scalars (`paths` and `exprs`
 /// are read straight into their typed lists instead).
-const SCALAR_KEYS: [&str; 19] = [
+const SCALAR_KEYS: [&str; 15] = [
     "op",
     "estimator",
     "format",
@@ -403,10 +365,6 @@ const SCALAR_KEYS: [&str; 19] = [
     "maintain",
     "changes",
     "action",
-    "max_applied_deltas",
-    "drift_scale",
-    "drift_mean_threshold",
-    "drift_q_threshold",
 ];
 
 /// A field-level outcome. The error is a well-formed line asking for the
@@ -846,10 +804,6 @@ impl<'a> Scalars<'a> {
             })
             .transpose()
     }
-
-    fn float(&self, key: &str) -> Result<Option<f64>, ProtocolError> {
-        Ok(self.number(key)?.map(|n| n.as_f64()))
-    }
 }
 
 impl Fields<'_> {
@@ -914,26 +868,9 @@ impl Fields<'_> {
                 action: match f.str("action").as_deref() {
                     None | Some("status") => MaintenanceAction::Status,
                     Some("compact") => MaintenanceAction::Compact,
-                    Some("set-policy") => {
-                        let drift_mean_threshold = f.float("drift_mean_threshold")?;
-                        let drift_q_threshold = f.float("drift_q_threshold")?;
-                        if drift_mean_threshold.is_some() != drift_q_threshold.is_some() {
-                            return Err(err(
-                                "\"drift_mean_threshold\" and \"drift_q_threshold\" must be \
-                                 given together",
-                            ));
-                        }
-                        MaintenanceAction::SetPolicy {
-                            max_applied_deltas: f.uint("max_applied_deltas")?,
-                            drift_scale: f.float("drift_scale")?,
-                            drift_mean_threshold,
-                            drift_q_threshold,
-                        }
-                    }
                     Some(other) => {
                         return Err(err(format!(
-                            "field \"action\" must be \"status\", \"compact\", or \
-                             \"set-policy\", got {other:?}"
+                            "field \"action\" must be \"status\" or \"compact\", got {other:?}"
                         )))
                     }
                 },
@@ -1390,46 +1327,9 @@ mod tests {
                 let action = match value.get("action").and_then(Value::as_str) {
                     None | Some("status") => MaintenanceAction::Status,
                     Some("compact") => MaintenanceAction::Compact,
-                    Some("set-policy") => {
-                        let uint = |field: &str| -> Result<Option<u64>, ProtocolError> {
-                            match value.get(field) {
-                                None => Ok(None),
-                                Some(Value::Number(n)) => n.as_u64().map(Some).ok_or_else(|| {
-                                    err(format!("field {field:?} must be a non-negative integer"))
-                                }),
-                                Some(other) => Err(err(format!(
-                                    "field {field:?} must be a number, got {other:?}"
-                                ))),
-                            }
-                        };
-                        let float = |field: &str| -> Result<Option<f64>, ProtocolError> {
-                            match value.get(field) {
-                                None => Ok(None),
-                                Some(Value::Number(n)) => Ok(Some(n.as_f64())),
-                                Some(other) => Err(err(format!(
-                                    "field {field:?} must be a number, got {other:?}"
-                                ))),
-                            }
-                        };
-                        let drift_mean_threshold = float("drift_mean_threshold")?;
-                        let drift_q_threshold = float("drift_q_threshold")?;
-                        if drift_mean_threshold.is_some() != drift_q_threshold.is_some() {
-                            return Err(err(
-                                "\"drift_mean_threshold\" and \"drift_q_threshold\" must be \
-                                 given together",
-                            ));
-                        }
-                        MaintenanceAction::SetPolicy {
-                            max_applied_deltas: uint("max_applied_deltas")?,
-                            drift_scale: float("drift_scale")?,
-                            drift_mean_threshold,
-                            drift_q_threshold,
-                        }
-                    }
                     Some(other) => {
                         return Err(err(format!(
-                            "field \"action\" must be \"status\", \"compact\", or \
-                             \"set-policy\", got {other:?}"
+                            "field \"action\" must be \"status\" or \"compact\", got {other:?}"
                         )))
                     }
                 };
@@ -1502,24 +1402,6 @@ mod tests {
                 name: "x".into(),
                 action: MaintenanceAction::Compact,
             },
-            Request::Maintenance {
-                name: "default".into(),
-                action: MaintenanceAction::SetPolicy {
-                    max_applied_deltas: Some(8),
-                    drift_scale: Some(2.5),
-                    drift_mean_threshold: Some(0.25),
-                    drift_q_threshold: Some(3.5),
-                },
-            },
-            Request::Maintenance {
-                name: "default".into(),
-                action: MaintenanceAction::SetPolicy {
-                    max_applied_deltas: None,
-                    drift_scale: Some(0.0),
-                    drift_mean_threshold: None,
-                    drift_q_threshold: None,
-                },
-            },
         ];
         for r in requests {
             assert_eq!(Request::parse(&r.to_line()).unwrap(), r);
@@ -1537,15 +1419,6 @@ mod tests {
             }
         );
         assert!(Request::parse(r#"{"op":"maintenance","action":"explode"}"#).is_err());
-        assert!(Request::parse(
-            r#"{"op":"maintenance","action":"set-policy","max_applied_deltas":-1}"#
-        )
-        .is_err());
-        // A pinned drift threshold needs both arms.
-        assert!(Request::parse(
-            r#"{"op":"maintenance","action":"set-policy","drift_mean_threshold":0.2}"#
-        )
-        .is_err());
     }
 
     #[test]
@@ -1766,7 +1639,6 @@ mod tests {
         Str,
         Bool,
         Uint,
-        Float,
         Paths,
         Exprs,
         OneOf(&'static [&'static str]),
@@ -1810,14 +1682,7 @@ mod tests {
             "maintenance",
             &[
                 ("name", Kind::Str),
-                (
-                    "action",
-                    Kind::OneOf(&["status", "compact", "set-policy", "set-policy", "explode"]),
-                ),
-                ("max_applied_deltas", Kind::Uint),
-                ("drift_scale", Kind::Float),
-                ("drift_mean_threshold", Kind::Float),
-                ("drift_q_threshold", Kind::Float),
+                ("action", Kind::OneOf(&["status", "compact", "explode"])),
             ],
         ),
         ("nope", &[]),
@@ -1849,7 +1714,6 @@ mod tests {
             }
             Kind::Bool => (*pick(rng, &["true", "false"])).into(),
             Kind::Uint => (*pick(rng, &["0", "1", "3", "64", "1.0", "-1", "2.5", "1e+2"])).into(),
-            Kind::Float => (*pick(rng, &["0", "0.25", "3.5", "-1", "1e-3", "2E+1", "7"])).into(),
             Kind::OneOf(options) => {
                 let option = *pick(rng, options);
                 quoted(rng, option)

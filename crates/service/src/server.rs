@@ -294,7 +294,7 @@ pub(crate) fn handle_request(
             }
             MaintenanceAction::Compact => {
                 if !allow_load {
-                    // A forced compaction can trigger a full rebuild —
+                    // A forced compaction publishes new statistics —
                     // gate it with the other mutating ops.
                     return (
                         0,
@@ -312,35 +312,6 @@ pub(crate) fn handle_request(
                 write_ok(out, |o| {
                     o.field("name", name).field("outcome", outcome.to_string());
                 });
-                (0, true)
-            }
-            MaintenanceAction::SetPolicy {
-                max_applied_deltas,
-                drift_scale,
-                drift_mean_threshold,
-                drift_q_threshold,
-            } => {
-                if !allow_load {
-                    return (
-                        0,
-                        fail(out, "maintenance set-policy is disabled on this server"),
-                    );
-                }
-                let mut policy = maintenance.config().policy;
-                if let Some(n) = max_applied_deltas {
-                    policy.max_applied_deltas = n;
-                }
-                if let Some(scale) = drift_scale {
-                    policy.drift_scale = scale;
-                }
-                if let (Some(mean), Some(q)) = (drift_mean_threshold, drift_q_threshold) {
-                    policy.drift_override = Some(phe_core::DriftThreshold {
-                        mean_abs_error_rate: mean,
-                        max_q_error: q,
-                    });
-                }
-                maintenance.set_policy(policy);
-                write_maintenance_status(out, maintenance);
                 (0, true)
             }
         },
@@ -393,7 +364,6 @@ fn write_list_row(row: &mut ObjectWriter<'_>, info: &EstimatorInfo, status: &Slo
     if *status != SlotStatus::default() {
         row.field("maintenance_queued", status.queued as u64)
             .field("maintenance_compacted", status.compacted)
-            .field("maintenance_last_trigger", &status.last_trigger)
             .field("maintenance_last_outcome", &status.last_outcome);
     }
 }
@@ -436,8 +406,8 @@ fn write_expr_row(
     }
 }
 
-/// Writes the maintenance loop's policy, interval, and per-slot status
-/// as the `maintenance` op's `status`/`set-policy` response.
+/// Writes the maintenance loop's interval and per-slot status as the
+/// `maintenance` op's `status` response.
 fn write_maintenance_status(out: &mut String, coordinator: &MaintenanceCoordinator) {
     let config = coordinator.config();
     let slots = coordinator.status_all();
@@ -453,14 +423,6 @@ fn write_maintenance_fields(
         "publish_interval_ms",
         config.publish_interval.as_millis() as u64,
     )
-    .object("policy", |p| {
-        p.field("max_applied_deltas", config.policy.max_applied_deltas)
-            .field("drift_scale", config.policy.drift_scale);
-        if let Some(pinned) = config.policy.drift_override {
-            p.field("drift_mean_threshold", pinned.mean_abs_error_rate)
-                .field("drift_q_threshold", pinned.max_q_error);
-        }
-    })
     .array("slots", |a| {
         for (name, status) in slots {
             a.object(|s| {
@@ -470,7 +432,6 @@ fn write_maintenance_fields(
                     .field("rejected", status.rejected)
                     .field("compacted", status.compacted)
                     .field("purged", status.purged)
-                    .field("last_trigger", &status.last_trigger)
                     .field("last_outcome", &status.last_outcome);
             });
         }
@@ -684,9 +645,7 @@ pub fn install_sigint_flag() -> impl Fn() -> bool {
 mod tests {
     use super::*;
     use crate::maintenance::MaintenanceConfig;
-    use phe_core::{
-        EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator, RebuildPolicy,
-    };
+    use phe_core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
     use phe_datasets::{erdos_renyi, LabelDistribution};
     use serde_json::{Number, Value};
     use std::time::Instant;
@@ -716,9 +675,8 @@ mod tests {
         }
     }
 
-    /// An apply-on-arrival coordinator (publish interval 0) with the
-    /// rebuild triggers off, so every publish is the delta's own; its
-    /// ticker runs only where a test starts it.
+    /// An apply-on-arrival coordinator (publish interval 0); its ticker
+    /// runs only where a test starts it.
     fn coordinator(
         registry: &Arc<EstimatorRegistry>,
         metrics: &Arc<ServiceMetrics>,
@@ -728,11 +686,6 @@ mod tests {
             Arc::clone(metrics),
             MaintenanceConfig {
                 publish_interval: Duration::ZERO,
-                policy: RebuildPolicy {
-                    max_applied_deltas: 0,
-                    drift_scale: 0.0,
-                    drift_override: None,
-                },
                 ..MaintenanceConfig::default()
             },
         )
@@ -1411,10 +1364,6 @@ mod tests {
             row.push(("maintenance_queued".into(), int(status.queued as u64)));
             row.push(("maintenance_compacted".into(), int(status.compacted)));
             row.push((
-                "maintenance_last_trigger".into(),
-                opt_string(&status.last_trigger),
-            ));
-            row.push((
                 "maintenance_last_outcome".into(),
                 opt_string(&status.last_outcome),
             ));
@@ -1468,20 +1417,6 @@ mod tests {
 
     /// Today's `maintenance` status members.
     fn maintenance_value(config: &MaintenanceConfig, slots: &[(String, SlotStatus)]) -> Value {
-        let mut policy = vec![
-            (
-                "max_applied_deltas".into(),
-                int(config.policy.max_applied_deltas),
-            ),
-            ("drift_scale".into(), float(config.policy.drift_scale)),
-        ];
-        if let Some(pinned) = config.policy.drift_override {
-            policy.push((
-                "drift_mean_threshold".into(),
-                float(pinned.mean_abs_error_rate),
-            ));
-            policy.push(("drift_q_threshold".into(), float(pinned.max_q_error)));
-        }
         let slots = slots
             .iter()
             .map(|(name, status)| {
@@ -1492,7 +1427,6 @@ mod tests {
                     ("rejected".into(), int(status.rejected)),
                     ("compacted".into(), int(status.compacted)),
                     ("purged".into(), int(status.purged)),
-                    ("last_trigger".into(), opt_string(&status.last_trigger)),
                     ("last_outcome".into(), opt_string(&status.last_outcome)),
                 ])
             })
@@ -1503,7 +1437,6 @@ mod tests {
                 "publish_interval_ms".into(),
                 int(config.publish_interval.as_millis() as u64),
             ),
-            ("policy".into(), Value::Object(policy)),
             ("slots".into(), Value::Array(slots)),
         ])
     }
@@ -1553,7 +1486,6 @@ mod tests {
                 rejected: self.int(),
                 compacted: self.int(),
                 purged: self.int(),
-                last_trigger: self.opt_text(),
                 last_outcome: self.opt_text(),
             }
         }
@@ -1653,14 +1585,6 @@ mod tests {
         for _ in 0..1000 {
             let config = MaintenanceConfig {
                 publish_interval: Duration::from_millis(rng.int() >> 20),
-                policy: RebuildPolicy {
-                    max_applied_deltas: rng.int(),
-                    drift_scale: rng.float(),
-                    drift_override: rng.coin().then(|| phe_core::DriftThreshold {
-                        mean_abs_error_rate: rng.float(),
-                        max_q_error: rng.float(),
-                    }),
-                },
                 ..MaintenanceConfig::default()
             };
             let slots: Vec<(String, SlotStatus)> = (0..rng.next() % 4)

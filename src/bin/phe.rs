@@ -92,7 +92,6 @@ USAGE:
             [--max-connections N] [--max-inflight-per-client N]
             [--shed-p99-ms MS] [--shed-queue-depth N] [--max-queue-depth N]
             [--metrics-addr 127.0.0.1:9464] [--publish-interval-ms MS]
-            [--compact-after N] [--drift-scale S]
       serves batched estimates over newline-delimited JSON TCP via a
       readiness-driven event loop: --shards event-loop threads multiplex
       connections (0 = auto) and --workers dispatch threads run the
@@ -110,11 +109,9 @@ USAGE:
       per slot they are refused with a backpressure line, default 1024);
       every --publish-interval-ms (default 2000; 0 publishes each batch
       as it arrives) the queue is compacted into one counting pass and
-      published; a rebuild (ordering and histogram re-derived from the
-      maintained catalog, no recount) triggers after --compact-after
-      applied deltas (default 64; 0 disables) or when accuracy drift
-      exceeds the Baraud-Birge threshold scaled by --drift-scale
-      (default 1.0; 0 disables)
+      published. A publish is already a fresh build: the ordering and
+      histogram are re-derived over the merged catalog, so the served
+      estimates equal a full build of the maintained graph
   phe query (--remote 127.0.0.1:7878 | --snapshot stats.json) [--estimator NAME]
             [--graph graph.tsv] [--explain] [--trace] <path-expr>...
       estimates regular path expressions — locally against a snapshot, or
@@ -716,19 +713,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // --publish-interval-ms 0 publishes each queued batch on arrival.
     let publish_interval_ms: u64 = flags.get_parsed("publish-interval-ms")?.unwrap_or(2000);
     let max_queue_depth: Option<usize> = flags.get_parsed("max-queue-depth")?;
-    let mut policy = phe::core::RebuildPolicy::default();
-    if let Some(compact_after) = flags.get_parsed("compact-after")? {
-        policy.max_applied_deltas = compact_after;
-    }
-    if let Some(drift_scale) = flags.get_parsed("drift-scale")? {
-        policy.drift_scale = drift_scale;
-    }
     let coordinator = phe::service::MaintenanceCoordinator::new(
         std::sync::Arc::clone(&registry),
         metrics.clone(),
         phe::service::MaintenanceConfig {
             publish_interval: std::time::Duration::from_millis(publish_interval_ms),
-            policy,
             max_queue_depth: max_queue_depth
                 .unwrap_or(phe::service::MaintenanceConfig::default().max_queue_depth),
         },

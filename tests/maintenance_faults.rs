@@ -13,11 +13,8 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
 
-use phe::core::{
-    DriftThreshold, EstimatorConfig, LabelPath, PathSelectivityEstimator, RebuildPolicy,
-};
+use phe::core::{EstimatorConfig, LabelPath, OrderingKind, PathSelectivityEstimator};
 use phe::datasets::{erdos_renyi, LabelDistribution};
 use phe::graph::{Graph, GraphDelta, LabelId, VertexId};
 use phe::service::registry::MaintenanceState;
@@ -31,9 +28,14 @@ const BETA: usize = 8;
 const LABELS: u16 = 4;
 
 fn config() -> EstimatorConfig {
+    config_for(OrderingKind::SumBased)
+}
+
+fn config_for(ordering: OrderingKind) -> EstimatorConfig {
     EstimatorConfig {
         k: K,
         beta: BETA,
+        ordering,
         threads: 1,
         retain_sparse: true,
         ..EstimatorConfig::default()
@@ -57,11 +59,12 @@ fn servable_of(est: &PathSelectivityEstimator) -> ServableEstimator {
 }
 
 /// A registry + coordinator serving one maintained slot built over
-/// `graph`, exactly as a `rebuild --maintain` would leave it.
-fn maintained_slot(
+/// `graph` with `config`, exactly as a `rebuild --maintain` would leave
+/// it.
+fn maintained_slot_with(
     name: &str,
     graph: &Graph,
-    policy: RebuildPolicy,
+    config: EstimatorConfig,
 ) -> (
     Arc<EstimatorRegistry>,
     Arc<ServiceMetrics>,
@@ -69,7 +72,7 @@ fn maintained_slot(
 ) {
     let metrics = Arc::new(ServiceMetrics::new());
     let registry = Arc::new(EstimatorRegistry::new(metrics.cache_counters(), 1024));
-    let estimator = PathSelectivityEstimator::build(graph, config()).expect("base build");
+    let estimator = PathSelectivityEstimator::build(graph, config).expect("base build");
     let version = registry.register_if_version_maintained(
         name,
         servable_of(&estimator),
@@ -85,11 +88,22 @@ fn maintained_slot(
         Arc::clone(&metrics),
         MaintenanceConfig {
             publish_interval: std::time::Duration::from_secs(3600), // ticked by hand
-            policy,
             ..MaintenanceConfig::default()
         },
     );
     (registry, metrics, coordinator)
+}
+
+/// [`maintained_slot_with`] under the default sum-based configuration.
+fn maintained_slot(
+    name: &str,
+    graph: &Graph,
+) -> (
+    Arc<EstimatorRegistry>,
+    Arc<ServiceMetrics>,
+    Arc<MaintenanceCoordinator>,
+) {
+    maintained_slot_with(name, graph, config())
 }
 
 /// A small valid churn batch against `graph`: `removals` existing edges
@@ -158,8 +172,18 @@ fn sequential_batches(graph: &Graph, n: usize, seed: u64) -> (Vec<GraphDelta>, G
 /// single-threaded recount of `final_graph` — the lineage-consistency
 /// oracle every scenario converges to.
 fn assert_converged(registry: &EstimatorRegistry, name: &str, final_graph: &Graph) {
+    assert_converged_with(registry, name, final_graph, config());
+}
+
+/// [`assert_converged`] for a slot built with `config`.
+fn assert_converged_with(
+    registry: &EstimatorRegistry,
+    name: &str,
+    final_graph: &Graph,
+    config: EstimatorConfig,
+) {
     let state = registry.maintenance(name).expect("slot stays maintained");
-    let reference = PathSelectivityEstimator::build(final_graph, config()).expect("recount");
+    let reference = PathSelectivityEstimator::build(final_graph, config).expect("recount");
     assert_eq!(
         state
             .estimator
@@ -168,29 +192,6 @@ fn assert_converged(registry: &EstimatorRegistry, name: &str, final_graph: &Grap
         reference.sparse_catalog().expect("reference catalog"),
         "maintained catalog diverged from a recount of the final graph"
     );
-}
-
-/// Asserts the slot's lineage was restarted by a policy rebuild that
-/// re-derived from the maintained catalog: its `build_id` and every
-/// realized-path estimate — maintained and served — equal a full build of
-/// the maintained graph, and no counting time was spent.
-fn assert_rederived_from_maintained_catalog(registry: &EstimatorRegistry, name: &str) {
-    let state = registry.maintenance(name).expect("slot stays maintained");
-    let reference = PathSelectivityEstimator::build(&state.graph, config()).expect("full build");
-    assert_eq!(state.estimator.build_id(), reference.build_id());
-    assert_eq!(
-        state.estimator.build_stats().catalog_time,
-        Duration::ZERO,
-        "a policy rebuild must re-derive from the maintained catalog, not recount"
-    );
-    let served = registry.get(name).expect("slot serves");
-    let catalog = reference.sparse_catalog().expect("reference catalog");
-    for (path, _) in catalog.iter_nonzero() {
-        let want = reference.estimate(&path).to_bits();
-        assert_eq!(state.estimator.estimate(&path).to_bits(), want, "{path:?}");
-        let got = served.estimator().estimate(&LabelPath::new(&path));
-        assert_eq!(got.to_bits(), want, "served {path:?}");
-    }
 }
 
 fn prometheus_value(metrics: &ServiceMetrics, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
@@ -210,12 +211,7 @@ fn prometheus_value(metrics: &ServiceMetrics, name: &str, labels: &[(&str, &str)
 #[test]
 fn counting_failure_mid_compaction_retains_queue_and_converges() {
     let graph = base_graph(11);
-    let policy = RebuildPolicy {
-        max_applied_deltas: 0,
-        drift_scale: 0.0,
-        drift_override: None,
-    };
-    let (registry, _metrics, coordinator) = maintained_slot("main", &graph, policy);
+    let (registry, _metrics, coordinator) = maintained_slot("main", &graph);
     let (batches, final_graph) = sequential_batches(&graph, 3, 101);
     for batch in &batches {
         coordinator.enqueue("main", batch.clone()).expect("enqueue");
@@ -259,12 +255,7 @@ fn counting_failure_mid_compaction_retains_queue_and_converges() {
 #[test]
 fn worker_crash_before_cas_is_recovered_and_retried() {
     let graph = base_graph(13);
-    let policy = RebuildPolicy {
-        max_applied_deltas: 0,
-        drift_scale: 0.0,
-        drift_override: None,
-    };
-    let (registry, _metrics, coordinator) = maintained_slot("main", &graph, policy);
+    let (registry, _metrics, coordinator) = maintained_slot("main", &graph);
     let (batches, final_graph) = sequential_batches(&graph, 3, 211);
     for batch in &batches {
         coordinator.enqueue("main", batch.clone()).expect("enqueue");
@@ -312,12 +303,7 @@ fn worker_crash_before_cas_is_recovered_and_retried() {
 #[test]
 fn publish_superseded_by_concurrent_load_purges_queue() {
     let graph = base_graph(17);
-    let policy = RebuildPolicy {
-        max_applied_deltas: 0,
-        drift_scale: 0.0,
-        drift_override: None,
-    };
-    let (registry, _metrics, coordinator) = maintained_slot("main", &graph, policy);
+    let (registry, _metrics, coordinator) = maintained_slot("main", &graph);
     let (batches, _) = sequential_batches(&graph, 3, 307);
     for batch in &batches {
         coordinator.enqueue("main", batch.clone()).expect("enqueue");
@@ -358,160 +344,9 @@ fn publish_superseded_by_concurrent_load_purges_queue() {
 }
 
 #[test]
-fn drift_crossing_triggers_exactly_one_rebuild_and_resets_gauges() {
-    let graph = base_graph(19);
-    // A threshold any nonzero drift crosses, with the lineage arm off:
-    // the rebuild below is attributable to drift alone.
-    let policy = RebuildPolicy {
-        max_applied_deltas: 0,
-        drift_scale: 1.0,
-        drift_override: Some(DriftThreshold {
-            mean_abs_error_rate: 1e-9,
-            max_q_error: 1.0 + 1e-9,
-        }),
-    };
-    let (registry, metrics, coordinator) = maintained_slot("main", &graph, policy);
-    let (batches, final_graph) = sequential_batches(&graph, 2, 401);
-    for batch in &batches {
-        coordinator.enqueue("main", batch.clone()).expect("enqueue");
-    }
-
-    let outcome = coordinator.run_slot("main");
-    assert_eq!(
-        outcome,
-        RunOutcome::Published {
-            version: 3, // v2 = compacted publish, v3 = the drift rebuild
-            batches: 2,
-            rebuilt: Some("drift".into()),
-        },
-        "the crossing must trigger a rebuild in the same pass"
-    );
-    assert_eq!(
-        prometheus_value(
-            &metrics,
-            "phe_maintenance_rebuilds_total",
-            &[("trigger", "drift")]
-        ),
-        Some(1.0)
-    );
-    // The rebuild reset the lineage and unpublished the drift gauges the
-    // dead lineage sampled.
-    let state = registry.maintenance("main").expect("still maintained");
-    assert_eq!(state.estimator.applied_deltas(), 0);
-    assert!(state.estimator.drift().is_none());
-    assert_rederived_from_maintained_catalog(&registry, "main");
-    assert_eq!(
-        prometheus_value(&metrics, "phe_drift_mean_abs_error", &[("slot", "main")]),
-        None,
-        "drift gauges must not outlive the lineage they measured"
-    );
-    assert!(coordinator
-        .status("main")
-        .last_trigger
-        .as_deref()
-        .unwrap()
-        .starts_with("drift"));
-
-    // Exactly one: the post-rebuild lineage has no drift sample, so the
-    // next pass is a no-op.
-    assert_eq!(coordinator.run_slot("main"), RunOutcome::Idle);
-    assert_eq!(
-        prometheus_value(
-            &metrics,
-            "phe_maintenance_rebuilds_total",
-            &[("trigger", "drift")]
-        ),
-        Some(1.0)
-    );
-    assert_converged(&registry, "main", &final_graph);
-}
-
-#[test]
-fn applied_deltas_threshold_triggers_full_rebuild() {
-    let graph = base_graph(23);
-    let policy = RebuildPolicy {
-        max_applied_deltas: 2,
-        drift_scale: 0.0,
-        drift_override: None,
-    };
-    let (registry, metrics, coordinator) = maintained_slot("main", &graph, policy);
-    let (batches, final_graph) = sequential_batches(&graph, 2, 503);
-
-    // First batch: ordinary compacted publish, lineage below threshold.
-    coordinator
-        .enqueue("main", batches[0].clone())
-        .expect("enqueue");
-    assert_eq!(
-        coordinator.run_slot("main"),
-        RunOutcome::Published {
-            version: 2,
-            batches: 1,
-            rebuilt: None,
-        }
-    );
-    assert_eq!(
-        registry
-            .maintenance("main")
-            .unwrap()
-            .estimator
-            .applied_deltas(),
-        1
-    );
-
-    // Second batch crosses max_applied_deltas: compacted publish, then a
-    // full maintaining rebuild folds the lineage back to zero.
-    coordinator
-        .enqueue("main", batches[1].clone())
-        .expect("enqueue");
-    assert_eq!(
-        coordinator.run_slot("main"),
-        RunOutcome::Published {
-            version: 4, // v3 = compacted publish, v4 = the rebuild
-            batches: 1,
-            rebuilt: Some("applied-deltas".into()),
-        }
-    );
-    assert_eq!(
-        registry
-            .maintenance("main")
-            .unwrap()
-            .estimator
-            .applied_deltas(),
-        0
-    );
-    assert_rederived_from_maintained_catalog(&registry, "main");
-    assert_eq!(
-        prometheus_value(
-            &metrics,
-            "phe_maintenance_rebuilds_total",
-            &[("trigger", "applied-deltas")],
-        ),
-        Some(1.0)
-    );
-    // Each of the two non-empty compacted passes started one delta.
-    assert_eq!(metrics.report().deltas_started, 2);
-    assert_eq!(
-        prometheus_value(&metrics, "phe_deltas_total", &[("event", "started")]),
-        Some(2.0)
-    );
-    assert!(coordinator
-        .status("main")
-        .last_trigger
-        .as_deref()
-        .unwrap()
-        .starts_with("applied-deltas"));
-    assert_converged(&registry, "main", &final_graph);
-}
-
-#[test]
 fn cancelling_batches_compact_to_a_no_op_without_publishing() {
     let graph = base_graph(29);
-    let policy = RebuildPolicy {
-        max_applied_deltas: 0,
-        drift_scale: 0.0,
-        drift_override: None,
-    };
-    let (registry, _metrics, coordinator) = maintained_slot("main", &graph, policy);
+    let (registry, _metrics, coordinator) = maintained_slot("main", &graph);
 
     // A batch and its exact inverse: valid sequentially, net nothing.
     let delta = churn(&graph, 601, 5, 5);
@@ -536,77 +371,22 @@ fn cancelling_batches_compact_to_a_no_op_without_publishing() {
     assert_converged(&registry, "main", &graph);
 }
 
-#[test]
-fn failure_before_rebuild_retains_queue_and_next_tick_completes_it() {
-    let graph = base_graph(31);
-    let policy = RebuildPolicy {
-        max_applied_deltas: 1, // every compacted publish demands a rebuild
-        drift_scale: 0.0,
-        drift_override: None,
-    };
-    let (registry, _metrics, coordinator) = maintained_slot("main", &graph, policy);
-    let (batches, final_graph) = sequential_batches(&graph, 1, 701);
-    coordinator
-        .enqueue("main", batches[0].clone())
-        .expect("enqueue");
-
-    // The compacted publish lands (v2), then the policy rebuild dies.
-    coordinator.failure_plan().inject(
-        FailPoint::BeforeRebuild,
-        FailAction::Fail("rebuild oom".into()),
-    );
-    let outcome = coordinator.run_slot("main");
-    let RunOutcome::Failed { message, retained } = outcome else {
-        panic!("expected rebuild failure, got {outcome:?}");
-    };
-    assert!(message.contains("rebuild oom"), "{message}");
-    assert_eq!(retained, 0, "the compacted batch already published");
-    assert_eq!(registry.get("main").unwrap().version(), 2);
-    assert_converged(&registry, "main", &final_graph);
-
-    // The trigger condition still holds; the next tick completes the
-    // rebuild it owes.
-    assert_eq!(
-        coordinator.run_slot("main"),
-        RunOutcome::Published {
-            version: 3,
-            batches: 0,
-            rebuilt: Some("applied-deltas".into()),
-        }
-    );
-    assert_eq!(
-        registry
-            .maintenance("main")
-            .unwrap()
-            .estimator
-            .applied_deltas(),
-        0
-    );
-    assert_converged(&registry, "main", &final_graph);
-}
-
-/// Satellite: the delta queue is bounded. Past `max_queue_depth` the
-/// coordinator refuses with a structured [`EnqueueError::QueueFull`]
-/// (counted as `phe_maintenance_batches_total{event="rejected"}`), the
-/// refusal holds even while a publish pass is parked mid-flight over the
-/// full queue, and the cap reopens once the pass drains it — with the
-/// retried batch converging the lineage as if nothing was ever refused.
+/// The delta queue is bounded. Past `max_queue_depth` the coordinator
+/// refuses with a structured [`EnqueueError::QueueFull`] (counted as
+/// `phe_maintenance_batches_total{event="rejected"}`), the refusal holds
+/// even while a publish pass is parked mid-flight over the full queue,
+/// and the cap reopens once the pass drains it — with the retried batch
+/// converging the lineage as if nothing was ever refused.
 #[test]
 fn enqueue_past_cap_is_structured_backpressure_and_recovers() {
     let graph = base_graph(23);
-    let policy = RebuildPolicy {
-        max_applied_deltas: 0,
-        drift_scale: 0.0,
-        drift_override: None,
-    };
-    let (registry, metrics, _wide) = maintained_slot("main", &graph, policy);
+    let (registry, metrics, _wide) = maintained_slot("main", &graph);
     // A second coordinator over the same slot, with a 2-batch cap.
     let coordinator = MaintenanceCoordinator::new(
         Arc::clone(&registry),
         Arc::clone(&metrics),
         MaintenanceConfig {
             publish_interval: std::time::Duration::from_secs(3600),
-            policy,
             max_queue_depth: 2,
         },
     );
@@ -675,4 +455,105 @@ fn enqueue_past_cap_is_structured_backpressure_and_recovers() {
         ),
         Some(2.0)
     );
+}
+
+/// A publish is already a fresh build, for every ordering a slot can
+/// serve: over eight passes each publish advances the version by exactly
+/// one and the lineage by one delta, keeps the origin's `build_id`, and
+/// serves — and maintains — estimates bit-equal to a full build of the
+/// maintained graph on every realized path.
+#[test]
+fn every_publish_equals_a_fresh_build_and_extends_the_lineage() {
+    const PASSES: u64 = 8;
+    for ordering in OrderingKind::ALL {
+        let config = config_for(ordering);
+        let graph = base_graph(37);
+        let (registry, metrics, coordinator) = maintained_slot_with("main", &graph, config);
+        let origin = registry
+            .maintenance("main")
+            .expect("maintained")
+            .estimator
+            .build_id();
+        let (batches, final_graph) = sequential_batches(&graph, PASSES as usize, 907);
+        for (pass, batch) in (1..=PASSES).zip(batches) {
+            coordinator.enqueue("main", batch).expect("enqueue");
+            assert_eq!(
+                coordinator.run_slot("main"),
+                RunOutcome::Published {
+                    version: 1 + pass,
+                    batches: 1,
+                    rebuilt: None,
+                },
+                "{ordering:?} pass {pass}: one publish, one version"
+            );
+            let state = registry.maintenance("main").expect("still maintained");
+            assert_eq!(state.estimator.applied_deltas(), pass, "{ordering:?}");
+            assert_eq!(state.estimator.build_id(), origin, "{ordering:?}");
+            let served = registry.get("main").expect("slot serves");
+            assert_eq!(served.version(), 1 + pass);
+            let fresh = PathSelectivityEstimator::build(&state.graph, config).expect("full build");
+            let catalog = fresh.sparse_catalog().expect("fresh catalog");
+            for (path, _) in catalog.iter_nonzero() {
+                let want = fresh.estimate(&path).to_bits();
+                assert_eq!(
+                    state.estimator.estimate(&path).to_bits(),
+                    want,
+                    "{ordering:?} pass {pass} maintained {path:?}"
+                );
+                let got = served.estimator().estimate(&LabelPath::new(&path));
+                assert_eq!(
+                    got.to_bits(),
+                    want,
+                    "{ordering:?} pass {pass} served {path:?}"
+                );
+            }
+            // The touched-path accuracy gauge follows the latest publish.
+            let drift = state.estimator.drift().expect("a publish samples drift");
+            assert_eq!(
+                prometheus_value(&metrics, "phe_drift_sampled_paths", &[("slot", "main")]),
+                Some(drift.sampled as f64)
+            );
+        }
+        assert_converged_with(&registry, "main", &final_graph, config);
+    }
+}
+
+/// A batch naming vertex `u32::MAX` is a contract violation, not an
+/// overflow: the pass drops it as one, the slot keeps serving its
+/// statistics, and the next valid batch publishes.
+#[test]
+fn batch_naming_vertex_u32_max_is_dropped_and_the_slot_keeps_serving() {
+    let graph = base_graph(41);
+    let (registry, metrics, coordinator) = maintained_slot("main", &graph);
+    let mut overflow = GraphDelta::new();
+    overflow.insert(VertexId(u32::MAX), LabelId(0), VertexId(0));
+    coordinator.enqueue("main", overflow).expect("enqueue");
+
+    let outcome = coordinator.run_slot("main");
+    let RunOutcome::Failed { message, retained } = outcome else {
+        panic!("expected the batch to be refused, got {outcome:?}");
+    };
+    assert!(message.contains("invalid graph delta"), "{message}");
+    assert_eq!(
+        retained, 0,
+        "a contract violation can never succeed on retry"
+    );
+    assert_eq!(registry.get("main").unwrap().version(), 1);
+    assert_eq!(metrics.report().deltas_failed, 1);
+    let status = coordinator.status("main");
+    assert_eq!((status.queued, status.purged), (0, 1));
+
+    let (batches, final_graph) = sequential_batches(&graph, 1, 1103);
+    coordinator
+        .enqueue("main", batches[0].clone())
+        .expect("enqueue");
+    assert_eq!(
+        coordinator.run_slot("main"),
+        RunOutcome::Published {
+            version: 2,
+            batches: 1,
+            rebuilt: None,
+        }
+    );
+    assert_converged(&registry, "main", &final_graph);
 }

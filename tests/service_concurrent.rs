@@ -321,16 +321,15 @@ fn churn(graph: &phe::graph::Graph, seed: u64, removals: usize, insertions: usiz
     delta
 }
 
-/// Concurrent `delta` ops racing an **in-flight drift-triggered
-/// rebuild**: the maintenance worker is parked inside the rebuild (fault
-/// gate), wire clients enqueue fresh batches and hammer
-/// `estimate_id_batch` across the rebuild's publish, and every response
-/// must stay single-generation-consistent (a batch with each path asked
-/// twice must answer both copies identically, and equal versions must
-/// answer identically across the whole run).
+/// Concurrent `delta` ops racing an **in-flight publish**: the
+/// maintenance worker is parked just before the compare-and-swap of a
+/// publish whose drift gauge it will report (fault gate), wire clients
+/// enqueue fresh batches and hammer `estimate_id_batch` across that
+/// publish, and every response must stay single-generation-consistent (a
+/// batch with each path asked twice must answer both copies identically,
+/// and equal versions must answer identically across the whole run).
 #[test]
 fn concurrent_deltas_during_inflight_drift_rebuild() {
-    use phe::core::{DriftThreshold, RebuildPolicy};
     use phe::graph::delta::write_changes_path;
     use phe::service::protocol::Request;
     use phe::service::registry::MaintenanceState;
@@ -339,7 +338,7 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
 
     let dir = std::env::temp_dir()
         .join("phe_service_concurrent")
-        .join("drift_rebuild");
+        .join("inflight_publish");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
 
@@ -380,16 +379,6 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
         Arc::clone(&metrics),
         MaintenanceConfig {
             publish_interval: std::time::Duration::from_secs(3600), // ticked by hand
-            // A threshold any nonzero drift crosses: the first compacted
-            // publish flows straight into a drift-triggered rebuild.
-            policy: RebuildPolicy {
-                max_applied_deltas: 0,
-                drift_scale: 1.0,
-                drift_override: Some(DriftThreshold {
-                    mean_abs_error_rate: 1e-9,
-                    max_q_error: 1.0 + 1e-9,
-                }),
-            },
             ..MaintenanceConfig::default()
         },
     );
@@ -422,8 +411,7 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
         );
     };
 
-    // Batch 1 drives the drift crossing; its compacted publish is v2 and
-    // the triggered rebuild parks at the gate with v3 still unpublished.
+    // Batch 1's publish parks at the gate with v2 still unpublished.
     let driver = churn(&g0, 1009, 6, 6);
     let driver_path = dir.join("driver.tsv");
     write_changes_path(&driver, &g0, &driver_path).expect("write driver");
@@ -431,10 +419,9 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
     let g1 = g0.apply_delta(&driver).expect("driver applies");
 
     let gate = Gate::new();
-    coordinator.failure_plan().inject(
-        FailPoint::BeforeRebuild,
-        FailAction::Hold(Arc::clone(&gate)),
-    );
+    coordinator
+        .failure_plan()
+        .inject(FailPoint::BeforeCas, FailAction::Hold(Arc::clone(&gate)));
     let worker = {
         let coordinator = Arc::clone(&coordinator);
         std::thread::spawn(move || coordinator.run_slot("main"))
@@ -442,13 +429,13 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
     gate.wait_arrived();
     assert_eq!(
         registry.get("main").unwrap().version(),
-        2,
-        "the compacted publish lands before the rebuild parks"
+        1,
+        "nothing publishes before the compare-and-swap"
     );
 
-    // Wire batches valid against g1 (the parked rebuild holds the
-    // single-flight mark, so nothing can compact them out from under
-    // their base until it finishes).
+    // Wire batches valid against g1 (the parked publish holds the
+    // single-flight mark and will pop only batch 1, so they queue
+    // behind it and ride the next pass).
     const WIRE_BATCHES: usize = 6;
     let batch_files: Vec<std::path::PathBuf> = (0..WIRE_BATCHES)
         .map(|i| {
@@ -477,7 +464,7 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
 
     std::thread::scope(|scope| {
         // Estimate hammer: runs across the parked window, the release,
-        // the rebuild's publish, and the drain below.
+        // the parked publish, and the drain below.
         let mut estimate_handles = Vec::new();
         for client_id in 0..3 {
             let doubled = doubled.clone();
@@ -522,9 +509,9 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
             }));
         }
 
-        // Concurrent delta ops, all guaranteed to land while the
-        // drift-triggered rebuild is in flight: the gate is released only
-        // after every enqueue returned.
+        // Concurrent delta ops, all guaranteed to land while the publish
+        // is in flight: the gate is released only after every enqueue
+        // returned.
         let mut delta_handles = Vec::new();
         for chunk in batch_files.chunks(2) {
             delta_handles.push(scope.spawn(move || {
@@ -536,11 +523,11 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
         for handle in delta_handles {
             handle.join().expect("delta thread");
         }
-        assert_eq!(coordinator.status("main").queued, WIRE_BATCHES);
+        assert_eq!(coordinator.status("main").queued, 1 + WIRE_BATCHES);
         assert_eq!(
             registry.get("main").unwrap().version(),
-            2,
-            "nothing may publish while the rebuild holds the slot"
+            1,
+            "nothing may publish while the parked publish holds the slot"
         );
 
         gate.release();
@@ -548,23 +535,32 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
         assert_eq!(
             outcome,
             phe::service::RunOutcome::Published {
-                version: 3,
+                version: 2,
                 batches: 1,
-                rebuilt: Some("drift".to_owned()),
+                rebuilt: None,
             }
         );
-        // Drain the batches queued during the rebuild in one compacted
-        // pass (drift arm off now — this pass is about the queue).
-        coordinator.set_policy(RebuildPolicy {
-            max_applied_deltas: 0,
-            drift_scale: 0.0,
-            drift_override: None,
-        });
+        // The parked publish reported the touched-path accuracy gauge of
+        // the statistics it installed.
+        let drift = registry
+            .maintenance("main")
+            .expect("maintained")
+            .estimator
+            .drift()
+            .copied()
+            .expect("a publish samples drift");
+        let gauge = format!("phe_drift_sampled_paths{{slot=\"main\"}} {}", drift.sampled);
+        assert!(
+            metrics.render_prometheus().contains(&gauge),
+            "missing {gauge}"
+        );
+        // Drain the batches queued during the parked publish in one
+        // compacted pass.
         let outcome = coordinator.run_slot("main");
         assert_eq!(
             outcome,
             phe::service::RunOutcome::Published {
-                version: 4,
+                version: 3,
                 batches: WIRE_BATCHES,
                 rebuilt: None,
             }
@@ -612,11 +608,11 @@ fn concurrent_deltas_during_inflight_drift_rebuild() {
 
     // A fresh request sees the drained generation.
     let mut client = ServiceClient::connect(addr).expect("final client");
-    assert_eq!(client.estimate("main", wire_paths).unwrap().version, 4);
+    assert_eq!(client.estimate("main", wire_paths).unwrap().version, 3);
     assert_eq!(
         metrics.report().errors,
         0,
-        "no request may fail mid-rebuild"
+        "no request may fail mid-publish"
     );
 
     server.shutdown();
