@@ -2,6 +2,7 @@
 
 use std::time::{Duration, Instant};
 
+use phe_encoding::Fnv64;
 use phe_graph::{FollowMatrix, Graph, GraphDelta, LabelId};
 use phe_histogram::{error_rate, AccuracyReport, HistogramError, PointEstimator};
 use phe_pathenum::{compute_delta, CatalogError, CompressedRuns, SparseCatalog};
@@ -692,56 +693,38 @@ impl PathSelectivityEstimator {
 /// Deterministic, so the same graph + configuration always yields the
 /// same id, and deltas applied on top inherit it unchanged.
 fn build_id(graph: &Graph, sparse: &SparseCatalog, config: EstimatorConfig) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.mix(config.k as u64);
-    fnv.mix(config.beta as u64);
+    let mut fnv = Fnv64::new();
+    fnv.update(&(config.k as u64).to_le_bytes());
+    fnv.update(&(config.beta as u64).to_le_bytes());
     for byte in config
         .ordering
         .name()
         .bytes()
         .chain(config.histogram.name().bytes())
     {
-        fnv.mix(byte as u64);
+        fnv.update(&(byte as u64).to_le_bytes());
     }
     for l in graph.label_ids() {
-        fnv.mix(graph.label_frequency(l));
+        fnv.update(&graph.label_frequency(l).to_le_bytes());
     }
-    fnv.mix(sparse.len() as u64);
-    fnv.mix(sparse.nonzero_count() as u64);
-    fnv.mix(sparse.total_mass());
-    fnv.0
-}
-
-/// The one FNV-1a accumulator behind both provenance hashes
-/// ([`build_id`] and [`graph_fingerprint`]) — a single definition so the
-/// two can never silently desynchronize.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn mix(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
+    fnv.update(&(sparse.len() as u64).to_le_bytes());
+    fnv.update(&(sparse.nonzero_count() as u64).to_le_bytes());
+    fnv.update(&sparse.total_mass().to_le_bytes());
+    fnv.finish()
 }
 
 /// FNV-1a over the graph's vertex count and full edge set (in the
 /// deterministic `iter_edges` order) — the identity `apply_delta` checks
 /// its base graph against.
 fn graph_fingerprint(graph: &Graph) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.mix(graph.vertex_count() as u64);
+    let mut fnv = Fnv64::new();
+    fnv.update(&(graph.vertex_count() as u64).to_le_bytes());
     for (s, l, t) in graph.iter_edges() {
-        fnv.mix(s.0 as u64);
-        fnv.mix(l.0 as u64);
-        fnv.mix(t.0 as u64);
+        fnv.update(&(s.0 as u64).to_le_bytes());
+        fnv.update(&(l.0 as u64).to_le_bytes());
+        fnv.update(&(t.0 as u64).to_le_bytes());
     }
-    fnv.0
+    fnv.finish()
 }
 
 /// Captures the small snapshot reconstruction state from the graph.
@@ -814,6 +797,32 @@ mod tests {
 
     fn graph() -> Graph {
         erdos_renyi(50, 400, 3, LabelDistribution::Zipf { exponent: 1.0 }, 31)
+    }
+
+    #[test]
+    fn provenance_hashes_are_pinned() {
+        // Snapshots carry `base_build_id`, and `apply_delta` checks the
+        // base graph's fingerprint: neither hash may move across releases.
+        let mut b = phe_graph::GraphBuilder::new();
+        b.add_edge_named(0, "a", 1);
+        b.add_edge_named(3, "a", 4);
+        b.add_edge_named(1, "b", 2);
+        b.add_edge_named(4, "b", 5);
+        let g = b.build();
+        let est = PathSelectivityEstimator::build(
+            &g,
+            EstimatorConfig {
+                k: 2,
+                beta: 4,
+                ordering: OrderingKind::SumBased,
+                histogram: HistogramKind::VOptimalGreedy,
+                threads: 1,
+                retain_sparse: false,
+            },
+        )
+        .unwrap();
+        assert_eq!(est.build_id(), 6468770220603811403);
+        assert_eq!(graph_fingerprint(&g), 10787791330549621991);
     }
 
     #[test]

@@ -661,6 +661,8 @@ pub(crate) fn merge_streams<S: RunStream>(sources: &mut [S]) -> CompressedRuns {
     let mut acc: Option<(u64, u64)> = None;
     while let Some(Reverse((index, run))) = heap.pop() {
         let head = &mut heads[run];
+        // LINT-ALLOW(panic): a run is on the heap exactly while its head
+        // holds a pending entry (pushed only from `Some` below).
         let (_, count) = head.next.expect("heap entries are pending");
         match acc {
             Some((i, ref mut c)) if i == index => *c += count,
@@ -1070,8 +1072,8 @@ fn encode_varint_block(out: &mut Vec<u8>, idx: &[u64], cnt: &[u64]) {
 /// tail stays untouched (wholesale merges never need it).
 pub(crate) fn decode_block_head(block: &[u8]) -> (u64, u64) {
     let mut pos = 1; // past the codec tag
-    let index = decode_varint(block, &mut pos).expect("validated block head");
-    let count = decode_varint(block, &mut pos).expect("validated block head");
+    let index = validated_varint(block, &mut pos);
+    let count = validated_varint(block, &mut pos);
     (index, count)
 }
 
@@ -1089,25 +1091,25 @@ pub(crate) fn decode_block_tail(
     debug_assert!(len > 1);
     let tag = block[0];
     let mut pos = 1;
-    decode_varint(block, &mut pos).expect("validated head index");
-    decode_varint(block, &mut pos).expect("validated head count");
+    validated_varint(block, &mut pos);
+    validated_varint(block, &mut pos);
     let n = len - 1;
     match tag {
         TAG_VARINT => {
             let mut prev = first_index;
             for (i_slot, c_slot) in idx[..n].iter_mut().zip(cnt[..n].iter_mut()) {
-                let gap = decode_varint(block, &mut pos).expect("validated gap");
+                let gap = validated_varint(block, &mut pos);
                 prev += gap;
                 *i_slot = prev;
-                *c_slot = decode_varint(block, &mut pos).expect("validated count");
+                *c_slot = validated_varint(block, &mut pos);
             }
         }
         TAG_PACKED => {
             let gap_width = block[pos];
             let cnt_width = block[pos + 1];
             pos += 2;
-            let gap_min = decode_varint(block, &mut pos).expect("validated gap min");
-            let cnt_min = decode_varint(block, &mut pos).expect("validated count min");
+            let gap_min = validated_varint(block, &mut pos);
+            let cnt_min = validated_varint(block, &mut pos);
             let gap_lane = lane_bytes(n, gap_width);
             unpack_lane(&block[pos..pos + gap_lane], n, gap_min, gap_width, idx);
             pos += gap_lane;
@@ -1120,8 +1122,20 @@ pub(crate) fn decode_block_tail(
                 *slot = prev;
             }
         }
+        // LINT-ALLOW(panic): `validate_tagged` refuses any other codec
+        // tag, and every stream decoded here passed it or was encoded by
+        // `RunsBuilder` (`from_encoded` re-encodes legacy streams).
         other => unreachable!("validated codec tag, got {other}"),
     }
+}
+
+/// [`decode_varint`] on bytes known to be well formed.
+fn validated_varint(block: &[u8], pos: &mut usize) -> u64 {
+    // LINT-ALLOW(panic): `validate_tagged` decodes every varint of a
+    // block before any decoder reads it, and every stream decoded here
+    // passed it or was encoded by `RunsBuilder` (`from_encoded`
+    // re-encodes legacy streams), so the read cannot truncate.
+    decode_varint(block, pos).expect("validated varint")
 }
 
 /// Bytes a lane of `n` values at `width` bits occupies: whole `u64`
@@ -1178,8 +1192,8 @@ fn unpack_lane(lane: &[u8], n: usize, min: u64, width: u8, out: &mut [u64; BLOCK
         // take the two-word u128 path. Rare: counts would need ≥ 2^57
         // spread within one block.
         let mut words = [0u64; BLOCK_ENTRIES + 1];
-        for (word, chunk) in words.iter_mut().zip(lane.chunks_exact(8)) {
-            *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        for (word, chunk) in words.iter_mut().zip(lane.as_chunks::<8>().0) {
+            *word = u64::from_le_bytes(*chunk);
         }
         for (i, slot) in out[..n].iter_mut().enumerate() {
             let bit = i * width;
@@ -1225,8 +1239,11 @@ fn unpack_lane(lane: &[u8], n: usize, min: u64, width: u8, out: &mut [u64; BLOCK
         for (i, slot) in out[direct..n].iter_mut().enumerate() {
             let bit = (direct + i) * width - base_bit;
             let byte = bit >> 3;
-            let window =
-                u64::from_le_bytes(tail[byte..byte + 8].try_into().expect("8-byte window"));
+            let window = u64::from_le_bytes(
+                // LINT-ALLOW(panic): the range is exactly 8 bytes long, so
+                // it always converts to `[u8; 8]`.
+                tail[byte..byte + 8].try_into().expect("8-byte window"),
+            );
             *slot = min.wrapping_add((window >> (bit & 7)) & mask);
         }
     }

@@ -79,9 +79,7 @@ pub struct ServableEstimator {
     description: String,
     /// Delta lineage of the statistics being served: the originating full
     /// build's id and how many incremental deltas were folded in since.
-    /// `None` for pre-v3 snapshots, which carry no lineage. Operators
-    /// watch `applied_deltas` to spot slots drifting far from their last
-    /// full build (candidates for a compacting rebuild).
+    /// `None` for pre-v3 snapshots, which carry no lineage.
     lineage: Option<(u64, u64)>,
     /// The label-follow matrix, when the source carried one (a live
     /// build, or a v5 snapshot): what [`ServingEstimator`] expansion

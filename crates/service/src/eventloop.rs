@@ -1,7 +1,7 @@
 //! The [`Server`]: a readiness-driven event loop over `poll(2)`.
 //!
 //! Connections are multiplexed across a fixed set of **shards**, each a
-//! thread blocking in [`ReadinessBackend::wait`] over its connections
+//! thread blocking in [`PollBackend::wait`] over its connections
 //! plus a [`WakePipe`]. Every connection is a small state machine: a
 //! read buffer reassembling NDJSON lines across partial reads (UTF-8
 //! safe: bytes are decoded only once a line is complete), inline
@@ -42,9 +42,7 @@ use parking_lot::Mutex;
 use crate::maintenance::{MaintenanceConfig, MaintenanceCoordinator};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{error_response, overloaded_response, MaintenanceAction, Request};
-use crate::reactor::{
-    raise_nofile_limit, PollBackend, ReadinessBackend, WakePipe, READABLE, WRITABLE,
-};
+use crate::reactor::{raise_nofile_limit, PollBackend, WakePipe, READABLE, WRITABLE};
 use crate::registry::EstimatorRegistry;
 use crate::server::{handle_request, ServerConfig};
 

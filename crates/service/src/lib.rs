@@ -22,8 +22,8 @@
 //!   through the `phe serve` and `phe query --remote` CLI subcommands.
 //! * [`maintenance::MaintenanceCoordinator`] — the one write path for
 //!   `delta` ops: every server runs one, queueing change batches and
-//!   folding them into compacted compare-and-swap publishes, with
-//!   rebuilds triggered by lineage length or accuracy drift.
+//!   folding them into compacted compare-and-swap publishes, each of
+//!   which equals a fresh build of the maintained graph.
 //! * [`metrics::ServiceMetrics`] — qps, p50/p99 latency, cache hit rate;
 //!   the serve loop prints the report on SIGINT/shutdown.
 //!

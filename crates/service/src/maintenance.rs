@@ -487,12 +487,13 @@ impl MaintenanceCoordinator {
 
     /// The pass body; the single-flight mark is held by the caller.
     fn run_locked(&self, name: &str) -> RunOutcome {
-        // Version first, maintenance second: a `load` racing us either
-        // clears the state (pass refused) or bumps the version (CAS below
-        // fails). Fetching the state first would open a window where a
-        // stale pass overwrites a fresh load.
-        let expected = self.registry.get(name).map_or(0, |g| g.version());
-        let Some(state) = self.registry.maintenance(name) else {
+        // The CAS precondition and the base state come from one pinned
+        // generation, so a `load` racing this pass makes the CAS fail.
+        let Some((expected, state)) = self
+            .registry
+            .get(name)
+            .and_then(|g| Some((g.version(), Arc::clone(g.maintenance()?))))
+        else {
             return RunOutcome::NoLineage {
                 purged: self.purge(name),
             };

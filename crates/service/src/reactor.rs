@@ -3,13 +3,10 @@
 //! The event-loop server ([`crate::Server`]) multiplexes every
 //! connection over non-blocking sockets; this module supplies the one
 //! primitive std lacks — *readiness*: "which of these descriptors can
-//! make progress right now?". It is deliberately shaped like the
-//! register/modify/wait surface of `mio`-style reactors, behind the
-//! [`ReadinessBackend`] trait, so an `epoll(7)` or io_uring backend can
-//! drop in later without touching the shard loop. The default
-//! [`PollBackend`] rebuilds a `pollfd` array per wait — `poll(2)` is
-//! `O(n)` in kernel anyway, and a shard watches at most a few hundred
-//! descriptors.
+//! make progress right now?". [`PollBackend`] offers the
+//! register/modify/wait surface of `mio`-style reactors and rebuilds a
+//! `pollfd` array per wait — `poll(2)` is `O(n)` in kernel anyway, and a
+//! shard watches at most a few hundred descriptors.
 //!
 //! The compat environment has no `libc` crate, so the handful of
 //! syscalls (`poll`, `pipe`, `read`, `write`, `close`, `fcntl`) are
@@ -27,7 +24,7 @@ pub const READABLE: u8 = 0b01;
 /// Interest in write readiness.
 pub const WRITABLE: u8 = 0b10;
 
-/// One readiness event delivered by [`ReadinessBackend::wait`].
+/// One readiness event delivered by [`PollBackend::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The token the descriptor was registered under.
@@ -39,26 +36,6 @@ pub struct Event {
     /// The peer hung up or the descriptor errored; the owner should
     /// drain what is readable and then drop the connection.
     pub hangup: bool,
-}
-
-/// The readiness surface the event-loop shards are written against.
-///
-/// [`PollBackend`] is the std-only default; an epoll or io_uring
-/// implementation only has to honour the same register/modify/wait
-/// contract (level-triggered: a still-ready descriptor is reported
-/// again on the next wait).
-pub trait ReadinessBackend {
-    /// Starts watching `fd` under `token` for `interest`
-    /// ([`READABLE`] | [`WRITABLE`]).
-    fn register(&mut self, fd: RawFd, token: usize, interest: u8);
-    /// Replaces `fd`'s interest set (registering it if unknown).
-    fn modify(&mut self, fd: RawFd, token: usize, interest: u8);
-    /// Stops watching `fd`.
-    fn deregister(&mut self, fd: RawFd);
-    /// Blocks until at least one watched descriptor is ready (or the
-    /// timeout elapses; `None` blocks indefinitely), appending events
-    /// to `events` (cleared first).
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
 }
 
 // --------------------------------------------------------------- syscalls
@@ -106,7 +83,9 @@ fn set_nonblocking(fd: RawFd) -> io::Result<()> {
 
 // ------------------------------------------------------------ PollBackend
 
-/// The std-only default backend: interest map + one `poll(2)` per wait.
+/// The readiness surface the event-loop shards are written against: an
+/// interest map + one `poll(2)` per wait. Level-triggered: a still-ready
+/// descriptor is reported again on the next wait.
 #[derive(Debug, Default)]
 pub struct PollBackend {
     interest: HashMap<RawFd, (usize, u8)>,
@@ -119,22 +98,27 @@ impl PollBackend {
     pub fn new() -> PollBackend {
         PollBackend::default()
     }
-}
 
-impl ReadinessBackend for PollBackend {
-    fn register(&mut self, fd: RawFd, token: usize, interest: u8) {
+    /// Starts watching `fd` under `token` for `interest`
+    /// ([`READABLE`] | [`WRITABLE`]).
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: u8) {
         self.interest.insert(fd, (token, interest));
     }
 
-    fn modify(&mut self, fd: RawFd, token: usize, interest: u8) {
+    /// Replaces `fd`'s interest set (registering it if unknown).
+    pub fn modify(&mut self, fd: RawFd, token: usize, interest: u8) {
         self.interest.insert(fd, (token, interest));
     }
 
-    fn deregister(&mut self, fd: RawFd) {
+    /// Stops watching `fd`.
+    pub fn deregister(&mut self, fd: RawFd) {
         self.interest.remove(&fd);
     }
 
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Blocks until at least one watched descriptor is ready (or the
+    /// timeout elapses; `None` blocks indefinitely), appending events
+    /// to `events` (cleared first).
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
         self.fds.clear();
         let mut tokens = Vec::with_capacity(self.interest.len());
@@ -195,7 +179,7 @@ impl ReadinessBackend for PollBackend {
 // -------------------------------------------------------------- WakePipe
 
 /// A self-pipe: any thread can [`WakePipe::wake`] a shard blocked in
-/// [`ReadinessBackend::wait`], immediately and without locks. Both ends
+/// [`PollBackend::wait`], immediately and without locks. Both ends
 /// are non-blocking; wakes coalesce (a full pipe already guarantees a
 /// pending wakeup).
 #[derive(Debug)]

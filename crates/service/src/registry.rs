@@ -11,6 +11,12 @@
 //! Every generation carries its own cold [`ShardedLruCache`]; hit/miss
 //! counters live in the shared [`crate::metrics::ServiceMetrics`] so the
 //! cumulative rates survive swaps.
+//!
+//! A maintained slot's generation also carries its [`MaintenanceState`]:
+//! the graph and sparse catalog its statistics were derived from. The
+//! statistics and their lineage are published by the same swap, so a
+//! reader that pins a generation sees both from one publish, and a
+//! `load` drops the lineage by construction.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -26,12 +32,14 @@ use crate::cache::{CacheCounters, CachedExpr, ExprCache, ShardedLruCache};
 use crate::estimator::{CatalogResidency, EstimateError, ServableEstimator};
 
 /// One published generation: an immutable estimator plus its caches (the
-/// sharded per-path LRU and the normalized-expression LRU).
+/// sharded per-path LRU and the normalized-expression LRU) and, for a
+/// maintained slot, the lineage the estimator was derived from.
 pub struct ServingEstimator {
     estimator: ServableEstimator,
     cache: ShardedLruCache,
     expr_cache: ExprCache,
     version: u64,
+    maintenance: Option<Arc<MaintenanceState>>,
 }
 
 /// One expression answered by [`ServingEstimator::estimate_expr`].
@@ -66,6 +74,12 @@ impl ServingEstimator {
     /// Monotonic version of this generation within its slot (1-based).
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The maintenance state this generation's statistics were derived
+    /// from, when it was published with one.
+    pub(crate) fn maintenance(&self) -> Option<&Arc<MaintenanceState>> {
+        self.maintenance.as_ref()
     }
 
     /// Estimates one validated path through the cache.
@@ -187,11 +201,12 @@ struct Slot {
     expr_counters: Arc<CacheCounters>,
 }
 
-/// What a slot keeps between incremental updates: the graph the published
-/// statistics were counted over and the full estimator with its retained
-/// sparse catalog. A `rebuild` op with `"maintain": true` stores one;
-/// each successful `delta` op replaces it with the post-delta state, so
-/// deltas chain without ever recounting the graph.
+/// What a maintained generation keeps for incremental updates: the graph
+/// its statistics were counted over and the full estimator with its
+/// retained sparse catalog. A `rebuild` op with `"maintain": true`
+/// publishes the first one; each maintenance pass publishes the
+/// post-delta state with its new generation, so deltas chain without
+/// ever recounting the graph.
 pub struct MaintenanceState {
     /// The graph the estimator's counts describe — the base the next
     /// delta's changes apply to.
@@ -235,9 +250,9 @@ pub struct EstimatorInfo {
     /// Provenance string.
     pub description: String,
     /// Delta lineage of the served statistics: `(base_build_id,
-    /// applied_deltas)`. A slot whose `applied_deltas` keeps climbing is
-    /// drifting from its last full build — the operator signal for a
-    /// compacting rebuild. `None` for pre-lineage snapshots.
+    /// applied_deltas)` — the full build the statistics descend from and
+    /// the number of deltas merged into it since. `None` for pre-lineage
+    /// snapshots.
     pub lineage: Option<(u64, u64)>,
     /// Per-slot expression-cache counters `(normalized-key hits, raw
     /// misses)`, cumulative across the slot's generations.
@@ -270,9 +285,6 @@ pub struct EstimatorRegistry {
     /// at a time, so repeated `rebuild` requests cannot stack full-graph
     /// builds or publish out of order.
     rebuilding: Mutex<HashSet<String>>,
-    /// Per-slot incremental-maintenance state (graph + sparse-retaining
-    /// estimator), present only for slots rebuilt with `maintain`.
-    maintenance: Mutex<HashMap<String, Arc<MaintenanceState>>>,
 }
 
 impl EstimatorRegistry {
@@ -292,7 +304,6 @@ impl EstimatorRegistry {
             cache_capacity: cache_capacity.max(1),
             obs: None,
             rebuilding: Mutex::new(HashSet::new()),
-            maintenance: Mutex::new(HashMap::new()),
         }
     }
 
@@ -305,25 +316,11 @@ impl EstimatorRegistry {
         self
     }
 
-    /// Stores (or replaces) a slot's incremental-maintenance state.
-    pub fn store_maintenance(&self, name: &str, state: MaintenanceState) {
-        self.maintenance
-            .lock()
-            .insert(name.to_owned(), Arc::new(state));
-    }
-
-    /// Drops a slot's maintenance state. Publishers that install
-    /// statistics *not* derived from the maintained lineage (a `load`, a
-    /// non-maintaining rebuild) must call this so a later `delta` cannot
-    /// silently merge changes into a stale base.
-    pub fn clear_maintenance(&self, name: &str) {
-        self.maintenance.lock().remove(name);
-    }
-
-    /// The slot's maintenance state, if a maintaining rebuild (or a
-    /// subsequent delta) stored one.
+    /// The maintenance state of `name`'s current generation, if that
+    /// generation was published with one (a maintaining rebuild or a
+    /// maintenance pass).
     pub fn maintenance(&self, name: &str) -> Option<Arc<MaintenanceState>> {
-        self.maintenance.lock().get(name).cloned()
+        self.get(name)?.maintenance.clone()
     }
 
     /// Marks `name` as having a background rebuild in flight. Returns
@@ -353,18 +350,10 @@ impl EstimatorRegistry {
     /// visible atomically, while batches pinned to the old generation
     /// finish undisturbed. Returns the new generation's version.
     ///
-    /// Any maintenance state the slot held is **invalidated**: the newly
-    /// published statistics were not derived from it, so a later `delta`
-    /// must not merge changes into the stale lineage (the slot needs a
-    /// fresh maintaining rebuild first).
+    /// The new generation carries no maintenance state: the published
+    /// statistics were not derived from the slot's maintained lineage, so
+    /// a later `delta` is refused until a fresh maintaining rebuild.
     pub fn register(&self, name: &str, estimator: ServableEstimator) -> u64 {
-        // Hold the maintenance lock across the swap so this publish
-        // serializes with `register_if_version_maintained`: a background
-        // worker can never re-store maintenance state cleared here
-        // between its compare-and-swap and its store. Lock order is
-        // always maintenance → slots.
-        let mut maintenance = self.maintenance.lock();
-        maintenance.remove(name);
         // Fast path: swap an existing slot. The map read lock is held
         // across the inner write so a concurrent `remove` (which needs
         // the map write lock) cannot detach the slot between lookup and
@@ -381,12 +370,17 @@ impl EstimatorRegistry {
         if let Some(slot) = slots.get(name) {
             return self.swap_in(slot, estimator);
         }
-        slots.insert(name.to_owned(), self.new_slot(name, estimator));
+        slots.insert(name.to_owned(), self.new_slot(name, estimator, None));
         1
     }
 
     /// A fresh slot at version 1, with its own expression-cache counters.
-    fn new_slot(&self, name: &str, estimator: ServableEstimator) -> Arc<Slot> {
+    fn new_slot(
+        &self,
+        name: &str,
+        estimator: ServableEstimator,
+        maintenance: Option<MaintenanceState>,
+    ) -> Arc<Slot> {
         let expr_counters = Arc::new(match &self.obs {
             Some(obs) => CacheCounters::registered(obs, &[("cache", "expr"), ("slot", name)]),
             None => CacheCounters::default(),
@@ -396,6 +390,7 @@ impl EstimatorRegistry {
                 estimator,
                 1,
                 Arc::clone(&expr_counters),
+                maintenance,
             ))),
             expr_counters,
         })
@@ -408,20 +403,26 @@ impl EstimatorRegistry {
     fn swap_in(&self, slot: &Slot, estimator: ServableEstimator) -> u64 {
         let mut current = slot.current.write();
         let version = current.version() + 1;
-        *current = Arc::new(self.generation(estimator, version, Arc::clone(&slot.expr_counters)));
+        *current =
+            Arc::new(self.generation(estimator, version, Arc::clone(&slot.expr_counters), None));
         version
     }
 
     /// Publishes `estimator` under `name` **only if** the slot's version
-    /// still equals `expected` (`0` ⇒ the slot must not exist yet).
-    /// Returns the new version, or `None` when a newer generation landed
-    /// in the meantime — the compare-and-swap a slow background rebuild
-    /// needs so it can never stomp a fresher `load`/`register`.
-    pub fn register_if_version(
+    /// still equals `expected` (`0` ⇒ the slot must not exist yet), with
+    /// `state` as the new generation's maintenance state (`None` publishes
+    /// statistics outside any maintained lineage). Returns the new
+    /// version, or `None` when a newer generation landed in the meantime —
+    /// the compare-and-swap a slow background rebuild or maintenance pass
+    /// needs so it can never stomp a fresher `load`/`register`. The state
+    /// is part of the generation, so it is published (or refused) with
+    /// the statistics in the same swap.
+    pub fn register_if_version_maintained(
         &self,
         name: &str,
         estimator: ServableEstimator,
         expected: u64,
+        state: Option<MaintenanceState>,
     ) -> Option<u64> {
         {
             let slots = self.slots.read();
@@ -434,8 +435,12 @@ impl EstimatorRegistry {
                     return None;
                 }
                 let version = expected + 1;
-                *current =
-                    Arc::new(self.generation(estimator, version, Arc::clone(&slot.expr_counters)));
+                *current = Arc::new(self.generation(
+                    estimator,
+                    version,
+                    Arc::clone(&slot.expr_counters),
+                    state,
+                ));
                 return Some(version);
             }
         }
@@ -446,35 +451,8 @@ impl EstimatorRegistry {
         if slots.contains_key(name) {
             return None; // created concurrently: that publish is newer
         }
-        slots.insert(name.to_owned(), self.new_slot(name, estimator));
+        slots.insert(name.to_owned(), self.new_slot(name, estimator, state));
         Some(1)
-    }
-
-    /// [`EstimatorRegistry::register_if_version`] plus an **atomic**
-    /// maintenance update: when the compare-and-swap succeeds, the slot's
-    /// maintenance state is stored (`Some`) or invalidated (`None`) under
-    /// the same maintenance lock a concurrent [`EstimatorRegistry::register`]
-    /// must take — so a `load` can never slip between a background
-    /// worker's publish and its state update and have cleared state
-    /// resurrected over it.
-    pub fn register_if_version_maintained(
-        &self,
-        name: &str,
-        estimator: ServableEstimator,
-        expected: u64,
-        state: Option<MaintenanceState>,
-    ) -> Option<u64> {
-        let mut maintenance = self.maintenance.lock();
-        let version = self.register_if_version(name, estimator, expected)?;
-        match state {
-            Some(state) => {
-                maintenance.insert(name.to_owned(), Arc::new(state));
-            }
-            None => {
-                maintenance.remove(name);
-            }
-        }
-        Some(version)
     }
 
     fn generation(
@@ -482,12 +460,14 @@ impl EstimatorRegistry {
         estimator: ServableEstimator,
         version: u64,
         expr_counters: Arc<CacheCounters>,
+        maintenance: Option<MaintenanceState>,
     ) -> ServingEstimator {
         ServingEstimator {
             estimator,
             cache: ShardedLruCache::new(self.cache_capacity, Arc::clone(&self.counters)),
             expr_cache: ExprCache::new(Self::EXPR_CACHE_CAPACITY, expr_counters),
             version,
+            maintenance: maintenance.map(Arc::new),
         }
     }
 
@@ -500,53 +480,24 @@ impl EstimatorRegistry {
         Some(generation)
     }
 
-    /// Removes a slot (and its maintenance state, if any). In-flight
-    /// readers keep their pinned generations.
+    /// Removes a slot (and with it its maintenance state, if any).
+    /// In-flight readers keep their pinned generations.
     pub fn remove(&self, name: &str) -> bool {
-        self.maintenance.lock().remove(name);
         self.slots.write().remove(name).is_some()
     }
 
     /// Sorted listing, each row read from a single generation (so a
     /// concurrent hot-swap never produces a row mixing two generations).
     /// Maintained slots additionally report their catalog's compressed
-    /// vs plain footprint.
+    /// vs plain footprint and the drift of their latest delta.
     pub fn list(&self) -> Vec<EstimatorInfo> {
-        // Maintenance footprints are captured *before* the slots lock:
-        // publishers take maintenance → slots (see `register`), so
-        // touching the maintenance mutex while holding a slots guard
-        // would invert the lock order and deadlock against a concurrent
-        // publish.
-        let maintained: HashMap<String, (MaintainedFootprint, Option<DriftReport>)> = self
-            .maintenance
-            .lock()
-            .iter()
-            .filter_map(|(name, state)| {
-                // Every maintained estimator is built sparse, so the
-                // catalog is present by construction — but a listing is
-                // diagnostics, not a place to die on a broken invariant:
-                // a slot that somehow lost it is simply reported without
-                // the maintained footprint.
-                let catalog = state.estimator.sparse_catalog()?;
-                Some((
-                    name.clone(),
-                    (
-                        MaintainedFootprint {
-                            nonzero_paths: catalog.nonzero_count() as u64,
-                            catalog_bytes: catalog.size_bytes() as u64,
-                            plain_bytes: catalog.plain_bytes() as u64,
-                        },
-                        state.estimator.drift().copied(),
-                    ),
-                ))
-            })
-            .collect();
         let mut entries: Vec<EstimatorInfo> = self
             .slots
             .read()
             .iter()
             .map(|(name, slot)| {
                 let generation = slot.current.read();
+                let state = generation.maintenance.as_deref();
                 EstimatorInfo {
                     name: name.clone(),
                     version: generation.version(),
@@ -556,8 +507,19 @@ impl EstimatorRegistry {
                     description: generation.estimator().description().to_owned(),
                     lineage: generation.estimator().lineage(),
                     expr_cache: (slot.expr_counters.hits(), slot.expr_counters.misses()),
-                    maintained: maintained.get(name).map(|(footprint, _)| *footprint),
-                    drift: maintained.get(name).and_then(|(_, drift)| *drift),
+                    // Every maintained estimator is built sparse, so the
+                    // catalog is present by construction — but a listing
+                    // is diagnostics, not a place to die on a broken
+                    // invariant: a state that somehow lost it is simply
+                    // reported without the maintained footprint.
+                    maintained: state
+                        .and_then(|s| s.estimator.sparse_catalog())
+                        .map(|catalog| MaintainedFootprint {
+                            nonzero_paths: catalog.nonzero_count() as u64,
+                            catalog_bytes: catalog.size_bytes() as u64,
+                            plain_bytes: catalog.plain_bytes() as u64,
+                        }),
+                    drift: state.and_then(|s| s.estimator.drift().copied()),
                     follow_pruning: generation.estimator().follow().is_some(),
                     catalog: generation.estimator().catalog_residency(),
                 }
@@ -780,29 +742,28 @@ mod tests {
     #[test]
     fn register_if_version_refuses_stale_publishes() {
         let registry = EstimatorRegistry::with_default_counters();
+        let cas = |estimator, expected| {
+            registry.register_if_version_maintained("main", estimator, expected, None)
+        };
         // Fresh slot: expected 0 creates it.
-        assert_eq!(
-            registry.register_if_version("main", servable(4), 0),
-            Some(1)
-        );
+        assert_eq!(cas(servable(4), 0), Some(1));
         // Matching version swaps.
-        assert_eq!(
-            registry.register_if_version("main", servable(8), 1),
-            Some(2)
-        );
+        assert_eq!(cas(servable(8), 1), Some(2));
         // Stale expectation (a newer publish landed): refused, current kept.
-        assert_eq!(registry.register_if_version("main", servable(16), 1), None);
+        assert_eq!(cas(servable(16), 1), None);
         assert_eq!(registry.get("main").unwrap().version(), 2);
         // Expecting an existing version on a missing slot: refused.
-        assert_eq!(registry.register_if_version("other", servable(4), 3), None);
+        assert_eq!(
+            registry.register_if_version_maintained("other", servable(4), 3, None),
+            None
+        );
         // Expecting creation when the slot exists: refused.
-        assert_eq!(registry.register_if_version("main", servable(4), 0), None);
+        assert_eq!(cas(servable(4), 0), None);
     }
 
-    #[test]
-    fn register_invalidates_maintenance_state() {
-        let g = erdos_renyi(30, 150, 3, LabelDistribution::Uniform, 5);
-        let est = PathSelectivityEstimator::build(
+    /// A sparse-retaining build over `g`, as a maintaining rebuild keeps.
+    fn maintained(g: Graph) -> MaintenanceState {
+        let estimator = PathSelectivityEstimator::build(
             &g,
             EstimatorConfig {
                 k: 2,
@@ -813,20 +774,117 @@ mod tests {
             },
         )
         .unwrap();
+        MaintenanceState {
+            graph: g,
+            estimator,
+        }
+    }
+
+    #[test]
+    fn register_invalidates_maintenance_state() {
+        let g = erdos_renyi(30, 150, 3, LabelDistribution::Uniform, 5);
         let registry = EstimatorRegistry::with_default_counters();
         registry.register("main", servable(8));
-        registry.store_maintenance(
-            "main",
-            MaintenanceState {
-                graph: g,
-                estimator: est,
-            },
-        );
+        let published =
+            registry.register_if_version_maintained("main", servable(8), 1, Some(maintained(g)));
+        assert_eq!(published, Some(2));
         assert!(registry.maintenance("main").is_some());
         // An unconditional publish (a `load`) is not derived from the
         // maintained lineage: the state must be invalidated with it.
         registry.register("main", servable(16));
         assert!(registry.maintenance("main").is_none());
+    }
+
+    #[test]
+    fn maintenance_is_read_from_the_pinned_generation() {
+        let registry = EstimatorRegistry::with_default_counters();
+        let first = maintained(erdos_renyi(30, 150, 3, LabelDistribution::Uniform, 5));
+        let first_edges = first.graph.edge_count();
+        registry.register_if_version_maintained("main", servable(8), 0, Some(first));
+        let pinned = registry.get("main").unwrap();
+        let second = maintained(erdos_renyi(30, 90, 3, LabelDistribution::Uniform, 7));
+        let second_edges = second.graph.edge_count();
+        assert_ne!(first_edges, second_edges);
+        registry.register_if_version_maintained("main", servable(8), 1, Some(second));
+
+        // The pinned generation keeps the state it was published with; the
+        // registry answers with the current generation's.
+        assert_eq!(
+            pinned.maintenance().unwrap().graph.edge_count(),
+            first_edges
+        );
+        let current = registry.get("main").unwrap();
+        let state = registry.maintenance("main").unwrap();
+        assert!(Arc::ptr_eq(&state, current.maintenance().unwrap()));
+        assert_eq!(state.graph.edge_count(), second_edges);
+        // Removing the slot removes its lineage with it.
+        assert!(registry.remove("main"));
+        assert!(registry.maintenance("main").is_none());
+    }
+
+    #[test]
+    fn list_rows_pair_each_version_with_its_own_footprint() {
+        // Version v publishes the state over graphs[v % 2]; the two
+        // catalogs differ in size, so a row mixing two generations shows.
+        // Every generation is built up front so the writer publishes
+        // back to back while the reader lists.
+        const LAST: u64 = 2000;
+        let graphs = [
+            erdos_renyi(20, 40, 3, LabelDistribution::Uniform, 7),
+            erdos_renyi(30, 150, 4, LabelDistribution::Zipf { exponent: 1.0 }, 5),
+        ];
+        let mut generations: Vec<_> = (1..=LAST)
+            .map(|version| {
+                let state = maintained(graphs[(version % 2) as usize].clone());
+                let servable = ServableEstimator::from_maintained(&state.estimator).unwrap();
+                (version, servable, state)
+            })
+            .collect();
+        let footprint = |version: u64| {
+            let state = &generations[version as usize - 1].2;
+            state.estimator.sparse_catalog().unwrap().nonzero_count() as u64
+        };
+        let footprints = [footprint(2), footprint(1)];
+        assert_ne!(footprints[0], footprints[1]);
+
+        let registry = EstimatorRegistry::with_default_counters();
+        let (_, servable, state) = generations.remove(0);
+        assert_eq!(
+            registry.register_if_version_maintained("main", servable, 0, Some(state)),
+            Some(1)
+        );
+        let start = std::sync::Barrier::new(2);
+        let rows = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                start.wait();
+                for (version, servable, state) in generations {
+                    let published = registry.register_if_version_maintained(
+                        "main",
+                        servable,
+                        version - 1,
+                        Some(state),
+                    );
+                    assert_eq!(published, Some(version));
+                }
+            });
+            start.wait();
+            let mut rows = 0;
+            while !writer.is_finished() {
+                for row in registry.list() {
+                    let maintained = row.maintained.expect("every generation is maintained");
+                    assert_eq!(
+                        maintained.nonzero_paths,
+                        footprints[(row.version % 2) as usize],
+                        "row at v{} carries another generation's footprint",
+                        row.version
+                    );
+                    rows += 1;
+                }
+            }
+            rows
+        });
+        assert!(rows > 0);
+        assert_eq!(registry.list()[0].version, LAST);
     }
 
     #[test]
@@ -882,14 +940,18 @@ mod tests {
         assert_eq!(row.lineage, Some((build_id, 0)));
         assert!(row.maintained.is_none());
 
-        registry.store_maintenance(
+        let servable = ServableEstimator::from_maintained(&est).unwrap();
+        registry.register_if_version_maintained(
             "main",
-            MaintenanceState {
+            servable,
+            1,
+            Some(MaintenanceState {
                 graph: g,
                 estimator: est,
-            },
+            }),
         );
         let row = &registry.list()[0];
+        assert_eq!((row.version, row.lineage), (2, Some((build_id, 0))));
         let m = row.maintained.expect("maintained slot reports its catalog");
         assert!(m.nonzero_paths > 0);
         assert_eq!(m.plain_bytes, m.nonzero_paths * 16);

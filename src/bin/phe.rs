@@ -116,10 +116,11 @@ USAGE:
             [--graph graph.tsv] [--explain] [--trace] <path-expr>...
       estimates regular path expressions — locally against a snapshot, or
       remotely via the estimate_expr op (one batched request, answered by
-      a single estimator generation). --graph enables follow-matrix
-      pruning of impossible branches (local mode). --explain prints the
-      expansion tree, per-branch estimates, prune counts, and (remote)
-      the server-side stage timings. --trace prints the local
+      a single estimator generation). Local mode prunes impossible
+      branches with the follow matrix a v5 snapshot carries, as a server
+      does; --graph takes it from the build graph instead. --explain
+      prints the expansion tree, per-branch estimates, prune counts, and
+      (remote) the server-side stage timings. --trace prints the local
       stage-time tree (parse/expand/estimate)
 ";
 
@@ -504,7 +505,7 @@ struct LocalExprEstimate {
 
 /// Parses, expands, and estimates one expression against a restored
 /// snapshot — the local counterpart of the service's `estimate_expr` op,
-/// plus optional follow-matrix pruning when the build graph is at hand.
+/// pruning with `follow` when there is one.
 fn local_expr_estimate(
     snapshot: &EstimatorSnapshot,
     restored: &phe::core::LabelPathHistogram,
@@ -566,11 +567,37 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
     }
     let snapshot = read_snapshot(snapshot_path)?;
     let restored = snapshot.restore().map_err(|e| e.to_string())?;
+    let follow = follow_matrix(&snapshot, None)?;
     for expr in exprs {
-        let estimate = local_expr_estimate(&snapshot, &restored, expr, None)?;
+        let estimate = local_expr_estimate(&snapshot, &restored, expr, follow.as_ref())?;
         println!("{expr}\t{:.2}", estimate.total);
     }
     Ok(())
+}
+
+/// The follow matrix local expansion prunes with: the build graph's when
+/// `graph_path` is given, else the one a v5 snapshot carries — the same
+/// matrix a server loading the snapshot prunes with, so local and remote
+/// estimates agree.
+fn follow_matrix(
+    snapshot: &EstimatorSnapshot,
+    graph_path: Option<&str>,
+) -> Result<Option<phe::graph::FollowMatrix>, String> {
+    let Some(path) = graph_path else {
+        return snapshot.restore_follow_matrix().map_err(|e| e.to_string());
+    };
+    let graph = load_graph(path)?;
+    let graph_names: Vec<&str> = graph
+        .label_ids()
+        .map(|l| graph.labels().name(l).unwrap_or("?"))
+        .collect();
+    if graph_names != snapshot.label_names {
+        return Err(format!(
+            "{path} does not match the statistics: its labels differ from the \
+             snapshot's (follow-matrix pruning needs the build graph)"
+        ));
+    }
+    Ok(Some(phe::graph::FollowMatrix::from_graph(&graph)))
 }
 
 fn cmd_accuracy(args: &[String]) -> Result<(), String> {
@@ -890,8 +917,7 @@ fn query_remote(
 }
 
 /// Local expression estimation against a snapshot — `phe estimate` with
-/// the full expression surface, plus follow-matrix pruning when the
-/// build graph is supplied.
+/// the full expression surface, explain and trace output.
 fn query_local(
     snapshot_path: &str,
     graph_path: Option<&str>,
@@ -901,23 +927,7 @@ fn query_local(
 ) -> Result<(), String> {
     let snapshot = read_snapshot(snapshot_path)?;
     let restored = snapshot.restore().map_err(|e| e.to_string())?;
-    let follow = match graph_path {
-        None => None,
-        Some(path) => {
-            let graph = load_graph(path)?;
-            let graph_names: Vec<&str> = graph
-                .label_ids()
-                .map(|l| graph.labels().name(l).unwrap_or("?"))
-                .collect();
-            if graph_names != snapshot.label_names {
-                return Err(format!(
-                    "{path} does not match the statistics: its labels differ from the \
-                     snapshot's (follow-matrix pruning needs the build graph)"
-                ));
-            }
-            Some(phe::graph::FollowMatrix::from_graph(&graph))
-        }
-    };
+    let follow = follow_matrix(&snapshot, graph_path)?;
     for expr in exprs {
         let (estimate, spans) = phe::obs::span::capture(|| {
             local_expr_estimate(&snapshot, &restored, expr, follow.as_ref())

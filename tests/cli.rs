@@ -413,33 +413,45 @@ fn query_estimates_expressions_locally_with_explain_and_pruning() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // The snapshot carries its follow matrix, so the impossible branch
+    // (c/b) is pruned without the build graph.
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("concrete path(s)"), "{text}");
     assert!(text.contains("alt"), "{text}");
     assert!(text.contains("a/b\t"), "{text}");
-    assert!(text.contains("0 pruned"), "{text}");
-
-    // With the build graph, impossible branches (c/b) are pruned.
-    let out = phe()
-        .args([
-            "query",
-            "--snapshot",
-            stats.to_str().unwrap(),
-            "--graph",
-            graph.to_str().unwrap(),
-            "--explain",
-            "(a|c)/b?",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("1 pruned"), "{text}");
     assert!(!text.contains("c/b\t"), "{text}");
+
+    // A snapshot without follow bits expands syntactically, unless the
+    // build graph supplies the matrix.
+    let snapshot: phe::core::snapshot::EstimatorSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+    let stripped = dir.join("stats_no_follow.json");
+    std::fs::write(
+        &stripped,
+        serde_json::to_string(&phe::core::snapshot::EstimatorSnapshot {
+            follow_bits_base64: None,
+            ..snapshot
+        })
+        .unwrap(),
+    )
+    .unwrap();
+    for (graph_flag, pruned) in [(None, "0 pruned"), (Some(&graph), "1 pruned")] {
+        let mut cmd = phe();
+        cmd.args(["query", "--snapshot", stripped.to_str().unwrap()]);
+        if let Some(graph) = graph_flag {
+            cmd.args(["--graph", graph.to_str().unwrap()]);
+        }
+        let out = cmd.args(["--explain", "(a|c)/b?"]).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(pruned), "{graph_flag:?}: {text}");
+        assert_eq!(text.contains("c/b\t"), graph_flag.is_none(), "{text}");
+    }
 
     // Parse errors point at the offending bytes with a caret snippet.
     let out = phe()
@@ -451,6 +463,77 @@ fn query_estimates_expressions_locally_with_explain_and_pruning() {
     assert!(err.contains("unknown edge label \"zzz\""), "{err}");
     assert!(err.contains("a/zzz"), "{err}");
     assert!(err.contains("  ^^^"), "caret underline expected: {err}");
+}
+
+/// Kills the spawned server when the test ends, pass or fail.
+struct ServerProcess(std::process::Child);
+
+impl Drop for ServerProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `expr\ttotal` lines a `phe` invocation prints.
+fn totals(args: &[&str]) -> String {
+    let out = phe().args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn local_expression_totals_equal_the_servers() {
+    use std::io::BufRead as _;
+
+    let dir = workdir("local_equals_remote");
+    let graph = dir.join("g.tsv");
+    let stats = dir.join("stats.json");
+    // a feeds b; c is disconnected from both.
+    std::fs::write(&graph, "0\ta\t1\n1\tb\t2\n1\tb\t3\n7\tc\t8\n").unwrap();
+    let stats_path = stats.to_str().unwrap();
+    totals(&[
+        "build",
+        graph.to_str().unwrap(),
+        "--k",
+        "2",
+        "--beta",
+        "2",
+        "--histogram",
+        "equi-width",
+        "--out",
+        stats_path,
+    ]);
+
+    let mut child = phe()
+        .args(["serve", "--snapshot", stats_path, "--addr", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let stdout = child.stdout.take().unwrap();
+    let server = ServerProcess(child);
+    let addr = std::io::BufReader::new(stdout)
+        .lines()
+        .map(Result::unwrap)
+        .find_map(|line| {
+            let start = line.find("127.0.0.1:")?;
+            line[start..].split_whitespace().next().map(str::to_owned)
+        })
+        .expect("the server reports its address");
+
+    let exprs = ["c/b", "(a|c)/b?", "a/b", "./."];
+    let remote = totals(&[&["query", "--remote", &addr][..], &exprs].concat());
+    drop(server);
+    let estimate = totals(&[&["estimate", stats_path][..], &exprs].concat());
+    let query = totals(&[&["query", "--snapshot", stats_path][..], &exprs].concat());
+    assert_eq!(estimate, remote);
+    assert_eq!(query, remote);
+    assert!(remote.starts_with("c/b\t0.00\n"), "{remote}");
 }
 
 #[test]
