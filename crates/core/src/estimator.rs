@@ -236,10 +236,10 @@ pub struct PathSelectivityEstimator {
     histogram: LabelPathHistogram,
     stats: BuildStats,
     provenance: Provenance,
-    /// Hash of the build graph's full edge set — how `apply_delta`
-    /// verifies the supplied base graph really is the one these counts
-    /// describe (label frequencies alone cannot distinguish rewired
-    /// edges).
+    /// The build graph's content fingerprint ([`Graph::fingerprint`]) —
+    /// how `apply_delta` verifies the supplied base graph really is the
+    /// one these counts describe (label frequencies alone cannot
+    /// distinguish rewired edges).
     graph_fingerprint: u64,
     /// Snapshot inputs captured at build time (label names/frequencies,
     /// pair frequencies for the L2 ordering).
@@ -373,7 +373,7 @@ impl PathSelectivityEstimator {
             histogram,
             stats,
             provenance,
-            graph_fingerprint: graph_fingerprint(graph),
+            graph_fingerprint: graph.fingerprint(),
             label_names,
             label_frequencies,
             pair_frequencies,
@@ -415,9 +415,10 @@ impl PathSelectivityEstimator {
             )));
         }
         // Frequencies can collide (same edge counts, rewired endpoints);
-        // the edge-set hash cannot. One O(|E|) pass guards against
-        // silently merging a delta computed over the wrong base.
-        if graph_fingerprint(old_graph) != self.graph_fingerprint {
+        // the content fingerprint cannot. The graph carries it, so the
+        // guard against merging a delta computed over the wrong base is
+        // O(1) on a maintained graph.
+        if old_graph.fingerprint() != self.graph_fingerprint {
             return Err(DeltaError::GraphMismatch(
                 "edge-set fingerprint differs from the build graph".into(),
             ));
@@ -511,13 +512,31 @@ impl PathSelectivityEstimator {
         Ok((estimator, new_graph))
     }
 
-    /// Captures the retained state (ordering inputs + histogram) as a
-    /// serializable [`crate::snapshot::EstimatorSnapshot`].
+    /// Captures the retained state (ordering inputs + histogram, plus the
+    /// sparse catalog when retained) as a serializable
+    /// [`crate::snapshot::EstimatorSnapshot`].
     ///
     /// # Errors
     /// [`crate::snapshot::SnapshotError::IdealNotSupported`] for the ideal
     /// reference ordering.
     pub fn snapshot(
+        &self,
+    ) -> Result<crate::snapshot::EstimatorSnapshot, crate::snapshot::SnapshotError> {
+        let mut snapshot = self.serving_snapshot()?;
+        snapshot.sparse_runs = self
+            .sparse
+            .as_ref()
+            .map(|s| crate::snapshot::CompressedRunsSnapshot::from_runs(s.runs()));
+        Ok(snapshot)
+    }
+
+    /// [`PathSelectivityEstimator::snapshot`] without the sparse catalog:
+    /// everything a serving tier restores its estimates, lineage and follow
+    /// matrix from, at a cost independent of the catalog's size.
+    ///
+    /// # Errors
+    /// As for [`PathSelectivityEstimator::snapshot`].
+    pub fn serving_snapshot(
         &self,
     ) -> Result<crate::snapshot::EstimatorSnapshot, crate::snapshot::SnapshotError> {
         if self.config.ordering == OrderingKind::Ideal {
@@ -536,10 +555,7 @@ impl PathSelectivityEstimator {
             label_names: self.label_names.clone(),
             label_frequencies: self.label_frequencies.clone(),
             pair_frequencies: self.pair_frequencies.clone(),
-            sparse_runs: self
-                .sparse
-                .as_ref()
-                .map(|s| crate::snapshot::CompressedRunsSnapshot::from_runs(s.runs())),
+            sparse_runs: None,
             follow_bits_base64: Some(crate::snapshot::encode_follow_bits(&self.follow)),
             catalog_file: None,
             histogram: self.histogram.histogram().clone(),
@@ -713,20 +729,6 @@ fn build_id(graph: &Graph, sparse: &SparseCatalog, config: EstimatorConfig) -> u
     fnv.finish()
 }
 
-/// FNV-1a over the graph's vertex count and full edge set (in the
-/// deterministic `iter_edges` order) — the identity `apply_delta` checks
-/// its base graph against.
-fn graph_fingerprint(graph: &Graph) -> u64 {
-    let mut fnv = Fnv64::new();
-    fnv.update(&(graph.vertex_count() as u64).to_le_bytes());
-    for (s, l, t) in graph.iter_edges() {
-        fnv.update(&(s.0 as u64).to_le_bytes());
-        fnv.update(&(l.0 as u64).to_le_bytes());
-        fnv.update(&(t.0 as u64).to_le_bytes());
-    }
-    fnv.finish()
-}
-
 /// Captures the small snapshot reconstruction state from the graph.
 fn snapshot_state(graph: &Graph) -> (Vec<String>, Vec<u64>) {
     let label_names: Vec<String> = graph
@@ -801,8 +803,10 @@ mod tests {
 
     #[test]
     fn provenance_hashes_are_pinned() {
-        // Snapshots carry `base_build_id`, and `apply_delta` checks the
-        // base graph's fingerprint: neither hash may move across releases.
+        // Snapshots carry `base_build_id`, so it may not move across
+        // releases. The graph fingerprint is never persisted (only
+        // `apply_delta`'s guard compares it, within one process); it is
+        // pinned so a change to its definition is deliberate.
         let mut b = phe_graph::GraphBuilder::new();
         b.add_edge_named(0, "a", 1);
         b.add_edge_named(3, "a", 4);
@@ -822,7 +826,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(est.build_id(), 6468770220603811403);
-        assert_eq!(graph_fingerprint(&g), 10787791330549621991);
+        assert_eq!(g.fingerprint(), 10487947554840522469);
     }
 
     #[test]

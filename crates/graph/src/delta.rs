@@ -3,7 +3,9 @@
 //! A [`GraphDelta`] is a batch of edge insertions and removals against a
 //! specific [`Graph`]. Applying it ([`Graph::apply_delta`]) produces a new
 //! immutable graph, rebuilding only the CSR pairs of the labels the delta
-//! touches — the untouched labels' adjacency is reused as-is. The delta is
+//! touches — the untouched labels' adjacency is reused as-is — and
+//! carrying the graph's fingerprint and follow counts forward at the
+//! changed edges and their endpoints. The delta is
 //! the input the incremental estimator-maintenance pipeline
 //! (`phe-pathenum`'s delta counting, `phe-core`'s `apply_delta`) is built
 //! around, so its contract is strict by design:
@@ -35,7 +37,8 @@ use std::path::Path;
 
 use crate::csr::Csr;
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::follow::FollowCounts;
+use crate::graph::{edge_hash, Graph};
 use crate::ids::{LabelId, VertexId};
 
 /// One directed labeled edge, as named by a delta.
@@ -189,6 +192,15 @@ impl Graph {
     /// labels the delta touches are rebuilt; untouched labels share no
     /// work beyond a row-count extension when insertions grow `|V|`.
     ///
+    /// The new graph inherits this graph's [`Graph::fingerprint`] and
+    /// [`Graph::follow_counts`] updated in O(|Δ|·|L|): the fingerprint's
+    /// edge-hash sum loses each removal's hash and gains each insertion's
+    /// (exact, because the contract makes every removal present and every
+    /// insertion absent), and the follow counts change only at the
+    /// delta's endpoint vertices, the only ones whose in/out label sets a
+    /// changed edge can alter. This graph's caches are computed first if
+    /// it has none yet.
+    ///
     /// # Errors
     /// [`GraphError::Delta`] when the delta violates its contract: a
     /// removal of an absent edge, an insertion of a present edge, a
@@ -287,12 +299,19 @@ impl Graph {
             forward.push(Csr::from_pairs(vertex_count as usize, pairs));
             reverse.push(Csr::from_pairs(vertex_count as usize, rev_pairs));
         }
-        Ok(Graph::from_parts(
-            vertex_count,
-            self.labels().clone(),
-            forward,
-            reverse,
-        ))
+        let graph = Graph::from_parts(vertex_count, self.labels().clone(), forward, reverse);
+
+        let hash_sum = delta
+            .removals
+            .iter()
+            .fold(self.edge_hash_sum(), |sum, &(s, l, t)| {
+                sum.wrapping_sub(edge_hash(s, l, t))
+            });
+        let hash_sum = delta.insertions.iter().fold(hash_sum, |sum, &(s, l, t)| {
+            sum.wrapping_add(edge_hash(s, l, t))
+        });
+        let follow_counts = FollowCounts::carried(self, &graph, delta);
+        Ok(graph.with_caches(hash_sum, follow_counts))
     }
 }
 

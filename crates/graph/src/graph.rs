@@ -1,8 +1,11 @@
 //! The immutable edge-labeled graph.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::csr::Csr;
+use crate::follow::FollowCounts;
 use crate::ids::{LabelId, VertexId};
 use crate::interner::LabelInterner;
 
@@ -11,12 +14,22 @@ use crate::interner::LabelInterner;
 /// Storage is one forward and one reverse [`Csr`] per label. All neighbor
 /// lists are sorted and duplicate-free. Construct with
 /// [`crate::GraphBuilder`] or [`crate::io::read_tsv`].
+///
+/// Two derived facts are cached on first use and carried through
+/// [`Graph::apply_delta`] in time proportional to the delta: the content
+/// [`Graph::fingerprint`] and the per-pair [`FollowCounts`] behind the
+/// [`crate::FollowMatrix`]. Neither is serialized.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Graph {
     vertex_count: u32,
     labels: LabelInterner,
     forward: Vec<Csr>,
     reverse: Vec<Csr>,
+    /// Wrapping sum of [`edge_hash`] over every edge.
+    #[serde(skip)]
+    edge_hash_sum: OnceLock<u64>,
+    #[serde(skip)]
+    follow_counts: OnceLock<FollowCounts>,
 }
 
 impl Graph {
@@ -37,6 +50,18 @@ impl Graph {
             labels,
             forward,
             reverse,
+            edge_hash_sum: OnceLock::new(),
+            follow_counts: OnceLock::new(),
+        }
+    }
+
+    /// Seeds the caches of a graph derived from a delta with the values
+    /// the delta's update produced.
+    pub(crate) fn with_caches(self, edge_hash_sum: u64, follow_counts: FollowCounts) -> Graph {
+        Graph {
+            edge_hash_sum: OnceLock::from(edge_hash_sum),
+            follow_counts: OnceLock::from(follow_counts),
+            ..self
         }
     }
 
@@ -144,10 +169,54 @@ impl Graph {
         })
     }
 
+    /// An order-independent hash of the graph's content: the vertex count
+    /// mixed with the wrapping sum of a 64-bit hash of every
+    /// `(src, label, dst)`. Two graphs with the same vertex count and edge
+    /// set share it however they were built; any other difference changes
+    /// it with overwhelming probability. O(|E|) on first use, then O(1);
+    /// a graph from [`Graph::apply_delta`] inherits it updated in O(|Δ|).
+    pub fn fingerprint(&self) -> u64 {
+        mix64(self.edge_hash_sum() ^ mix64(u64::from(self.vertex_count)))
+    }
+
+    /// The fingerprint's edge part, which `apply_delta` carries forward.
+    pub(crate) fn edge_hash_sum(&self) -> u64 {
+        *self.edge_hash_sum.get_or_init(|| {
+            self.iter_edges()
+                .fold(0u64, |sum, (s, l, t)| sum.wrapping_add(edge_hash(s, l, t)))
+        })
+    }
+
+    /// For every label pair `(a, b)`, the number of vertices with an
+    /// in-edge labelled `a` and an out-edge labelled `b` — the evidence
+    /// behind [`crate::FollowMatrix::from_graph`]. Computed on first use
+    /// (O(|L|·|V| + |L|²·|V|/64)); a graph from [`Graph::apply_delta`]
+    /// inherits it updated at the delta's endpoint vertices only.
+    pub fn follow_counts(&self) -> &FollowCounts {
+        self.follow_counts
+            .get_or_init(|| FollowCounts::from_masks(self))
+    }
+
     /// Rebuilds internal lookup indexes after deserialization.
     pub fn rebuild_after_deserialize(&mut self) {
         self.labels.rebuild_index();
     }
+}
+
+/// The SplitMix64 finalizer: a bijection on `u64` with full avalanche.
+#[inline]
+fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// One edge's contribution to [`Graph::fingerprint`]. Injective before
+/// the final mix: the first mix is a bijection of `(label, src)`, and
+/// XOR-ing `dst` into it is a bijection for each of them.
+#[inline]
+pub(crate) fn edge_hash(s: VertexId, l: LabelId, t: VertexId) -> u64 {
+    mix64(mix64((u64::from(l.0) << 32) | u64::from(s.0)) ^ u64::from(t.0))
 }
 
 /// Reinterprets a `&[u32]` as `&[VertexId]`.

@@ -20,11 +20,13 @@
 //!    relation `R` (equal in both graphs) with label `m` reads `m`'s CSR
 //!    only at `targets(R)`. Unless `targets(R)` meets the source of some
 //!    changed `m`-edge, `R ∘ E_m` is equal in both graphs too.
-//! 2. **Realized paths are walks of the label-follow graph.** A
-//!    composition chain stays non-empty only while consecutive labels
-//!    `a, b` satisfy `targets(E_a) ∩ sources(E_b) ≠ ∅` (in the old or new
-//!    graph). So a path whose count *changed* must reach a dirty label
-//!    within its remaining length along that |L|-node follow graph.
+//! 2. **Realized paths are walks of the label-follow graph.** In one
+//!    graph, a composition chain stays non-empty only while consecutive
+//!    labels `a, b` satisfy `targets(E_a) ∩ sources(E_b) ≠ ∅`. A path
+//!    whose count *changed* is realized in the old or the new graph, so
+//!    it must reach a dirty label within its remaining length along the
+//!    |L|-node follow graph of the OR of the two graphs' matrices, which
+//!    each graph carries ([`phe_graph::Graph::follow_counts`]).
 //!
 //! The traversal mirrors the full build's shared-prefix trie DFS but runs
 //! in two modes:
@@ -138,7 +140,10 @@ pub fn compute_delta(
         });
     }
 
-    let follows = FollowMatrix::from_graph_union(old, new);
+    // A path whose count changed is realized entirely in one of the two
+    // graphs, so each of its adjacent pairs follows in that graph: the OR
+    // of the two carried matrices prunes soundly.
+    let follows = FollowMatrix::from_graph(old).union(&FollowMatrix::from_graph(new));
     let dist = dirty_distances(&follows, &dirty, k);
     let vertex_count = old.vertex_count().max(new.vertex_count());
     let masks = ReachMasks::build(old, new, &changed_sources, k);
@@ -211,8 +216,8 @@ struct DeltaCtx<'a> {
     /// Follow-graph distance from each label to the nearest dirty label
     /// (0 for dirty labels themselves; `usize::MAX` when unreachable).
     dist: &'a [usize],
-    /// The label-follow matrix over old ∪ new: `!follows(a, b)` proves
-    /// `… a/b …` relations empty on both sides.
+    /// The OR of the old and new graphs' label-follow matrices:
+    /// `!follows(a, b)` proves `… a/b …` relations empty on both sides.
     follows: &'a FollowMatrix,
     /// Vertex-level reachability masks (see [`ReachMasks`]).
     masks: &'a ReachMasks,
@@ -1050,7 +1055,8 @@ mod tests {
         delta.insert(v(0), l(0), v(2));
         let new = old.apply_delta(&delta).unwrap();
         let dirty: Vec<bool> = (0..6).map(|i| i == 0).collect();
-        let dist = dirty_distances(&FollowMatrix::from_graph_union(&old, &new), &dirty, 6);
+        let follows = FollowMatrix::from_graph(&old).union(&FollowMatrix::from_graph(&new));
+        let dist = dirty_distances(&follows, &dirty, 6);
         assert_eq!(dist[0], 0);
         // No label follows into label 0 (vertex 0 has no incoming edges),
         // so everything else is unreachable-from.

@@ -4,9 +4,12 @@
 //! indexes adjacent to `u64::MAX` — the per-block codec chooser
 //! (FOR/bit-packed vs varint) never changes decoded content and never
 //! grows the stream, and the block-wise signed merge is bit-identical
-//! to the plain two-pointer pair merge under random churn.
+//! to the plain two-pointer pair merge under random churn. Both
+//! decoders of the serialized form, fed damaged bytes and block lengths,
+//! refuse them with `RunsCorrupt` or return a well-formed run; neither
+//! panics.
 
-use phe_pathenum::runs::{CompressedRuns, RunsBuilder};
+use phe_pathenum::runs::{CompressedRuns, RunsBuilder, BLOCK_ENTRIES};
 use proptest::prelude::*;
 
 /// Builds a strictly increasing entry run whose consecutive gaps exercise
@@ -103,6 +106,88 @@ fn diff_of(base: &[(u64, u64)], target: &[(u64, u64)]) -> Vec<(u64, i64)> {
         }
     }
     changes
+}
+
+/// The legacy (untagged) serialized form `from_encoded` reads: blocks of
+/// up to [`BLOCK_ENTRIES`] entries, each an absolute head index, then
+/// per-entry index gaps, every index followed by its count, all LEB128.
+fn legacy_encode(entries: &[(u64, u64)]) -> (Vec<u8>, Vec<u32>) {
+    fn varint(out: &mut Vec<u8>, mut value: u64) {
+        while value >= 0x80 {
+            out.push((value as u8) | 0x80);
+            value >>= 7;
+        }
+        out.push(value as u8);
+    }
+    let (mut bytes, mut lens) = (Vec::new(), Vec::new());
+    for block in entries.chunks(BLOCK_ENTRIES) {
+        let mut last = None;
+        for &(index, count) in block {
+            varint(&mut bytes, last.map_or(index, |l| index - l));
+            varint(&mut bytes, count);
+            last = Some(index);
+        }
+        lens.push(block.len() as u32);
+    }
+    (bytes, lens)
+}
+
+/// One damage step: `(target, kind, position, value)`. Target 0 damages
+/// the bytes (flip a bit, truncate, or splice `value`'s low bytes over a
+/// short range); target 1 the block lengths (overwrite one with a length
+/// near the valid range, drop the last, or append one).
+fn damage(
+    bytes: &mut Vec<u8>,
+    lens: &mut Vec<u32>,
+    (target, kind, position, value): (u8, u8, u64, u64),
+) {
+    if target == 0 {
+        let at = (position % (bytes.len() as u64 + 1)) as usize;
+        match kind {
+            0 if at < bytes.len() => bytes[at] ^= 1 << (value % 8),
+            1 => bytes.truncate(at),
+            _ => {
+                let end = (at + (value % 4) as usize).min(bytes.len());
+                let fill = value.to_le_bytes();
+                bytes.splice(at..end, fill[..(value % 9) as usize].iter().copied());
+            }
+        }
+    } else {
+        let len = (value % (BLOCK_ENTRIES as u64 + 2)) as u32;
+        match kind {
+            0 if !lens.is_empty() => {
+                let at = (position % lens.len() as u64) as usize;
+                lens[at] = len;
+            }
+            1 => {
+                lens.pop();
+            }
+            _ => lens.push(len),
+        }
+    }
+}
+
+/// A decoder's answer to damaged input is acceptable when it refuses
+/// it, or when the run it returns iterates strictly increasing indexes
+/// with non-zero counts and rebuilds to itself through `from_entries`.
+fn check_decoded(
+    decoded: Result<CompressedRuns, phe_pathenum::runs::RunsCorrupt>,
+) -> Result<(), TestCaseError> {
+    let Ok(runs) = decoded else {
+        return Ok(());
+    };
+    let entries: Vec<(u64, u64)> = runs.iter().collect();
+    prop_assert_eq!(entries.len(), runs.len());
+    prop_assert!(
+        entries.iter().all(|&(_, count)| count > 0),
+        "zero count decoded"
+    );
+    prop_assert!(
+        entries.windows(2).all(|w| w[0].0 < w[1].0),
+        "indexes do not increase strictly"
+    );
+    prop_assert_eq!(CompressedRuns::from_entries(&entries).to_vec(), entries);
+    Ok(())
 }
 
 fn arb_parts() -> impl Strategy<Value = Vec<(u32, u64, u64)>> {
@@ -211,5 +296,59 @@ proptest! {
             merged.total_mass(),
             target.iter().fold(0u64, |acc, &(_, c)| acc.wrapping_add(c))
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    // Damaged serialized runs never panic either decoder: each refuses
+    // the input with `RunsCorrupt` or returns a well-formed run. Both
+    // decoders see every stream, so each also meets input written in
+    // the other's format.
+    #[test]
+    fn damaged_serialized_runs_are_refused_or_well_formed(
+        parts in prop::collection::vec((0u32..10, 0u64..u64::MAX, 1u64..u64::MAX), 0..120),
+        packed_tail in 0u8..2,
+        narrow in 0u8..2,
+        steps in prop::collection::vec((0u8..2, 0u8..3, 0u64..u64::MAX, 0u64..u64::MAX), 1..4),
+    ) {
+        let mut entries = entries_from_parts(&parts);
+        if narrow == 1 {
+            // A dense run of ones: every gap and count is the byte 0x01,
+            // so one flipped bit zeroes either while the stream stays
+            // well-framed, and only the decoders' value checks stand
+            // between it and the result.
+            entries = (0..parts.len() as u64).map(|index| (index, 1)).collect();
+        }
+        if packed_tail == 1 && entries.last().is_none_or(|&(i, _)| i < u64::MAX - 600) {
+            // A constant-gap stretch: bit-packed blocks to damage.
+            let base = entries.last().map_or(0, |&(i, _)| i + 1);
+            entries.extend((0..200u64).map(|j| (base + j * 8, 5)));
+        }
+        // The chooser's stream (packed where that is smaller), a
+        // varint-only tagged stream, and the legacy untagged stream.
+        let chosen = CompressedRuns::from_entries(&entries);
+        let mut varint = RunsBuilder::new().varint_only();
+        for &(index, count) in &entries {
+            varint.push(index, count);
+        }
+        let varint = varint.finish();
+        let (legacy_bytes, legacy_lens) = legacy_encode(&entries);
+        prop_assert_eq!(
+            CompressedRuns::from_encoded(legacy_bytes.clone(), &legacy_lens).unwrap().to_vec(),
+            entries.clone()
+        );
+        let tagged = |runs: &CompressedRuns| {
+            let lens: Vec<u32> = runs.skip_index().iter().map(|m| m.len).collect();
+            (runs.bytes().to_vec(), lens)
+        };
+        for (mut bytes, mut lens) in [tagged(&chosen), tagged(&varint), (legacy_bytes, legacy_lens)] {
+            for &step in &steps {
+                damage(&mut bytes, &mut lens, step);
+            }
+            check_decoded(CompressedRuns::from_tagged_encoded(bytes.clone(), &lens))?;
+            check_decoded(CompressedRuns::from_encoded(bytes, &lens))?;
+        }
     }
 }

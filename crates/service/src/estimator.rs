@@ -138,11 +138,12 @@ impl ServableEstimator {
     /// Derives the servable form of an estimator that must outlive the
     /// publish as a slot's maintenance state, so it is read through its
     /// snapshot instead of consumed. Every maintained publish — rebuild
-    /// or compacted delta — derives its statistics here.
+    /// or compacted delta — derives its statistics here. The snapshot
+    /// leaves out the sparse catalog, which the servable never reads.
     pub(crate) fn from_maintained(
         estimator: &PathSelectivityEstimator,
     ) -> Result<ServableEstimator, String> {
-        let snapshot = estimator.snapshot().map_err(|e| e.to_string())?;
+        let snapshot = estimator.serving_snapshot().map_err(|e| e.to_string())?;
         ServableEstimator::from_snapshot(&snapshot).map_err(|e| e.to_string())
     }
 
@@ -395,6 +396,42 @@ mod tests {
         v4.follow_bits_base64 = None;
         let legacy = ServableEstimator::from_snapshot(&v4).unwrap();
         assert!(legacy.follow().is_none());
+    }
+
+    #[test]
+    fn maintained_servables_equal_snapshot_restores() {
+        let g = erdos_renyi(50, 300, 3, LabelDistribution::Zipf { exponent: 1.0 }, 5);
+        let est = PathSelectivityEstimator::build(
+            &g,
+            phe_core::EstimatorConfig {
+                k: 3,
+                beta: 16,
+                threads: 1,
+                retain_sparse: true,
+                ..phe_core::EstimatorConfig::default()
+            },
+        )
+        .unwrap();
+        let snapshot = est.snapshot().unwrap();
+        assert!(
+            snapshot.sparse_runs.is_some(),
+            "the full snapshot keeps the catalog"
+        );
+        let restored = ServableEstimator::from_snapshot(&snapshot).unwrap();
+        let maintained = ServableEstimator::from_maintained(&est).unwrap();
+        assert_eq!(maintained.follow(), restored.follow());
+        assert_eq!(maintained.lineage(), restored.lineage());
+        assert_eq!(maintained.description(), restored.description());
+        for l1 in 0..3u16 {
+            for l2 in 0..3u16 {
+                for path in [vec![LabelId(l1)], vec![LabelId(l1), LabelId(l2)]] {
+                    assert_eq!(
+                        maintained.estimate_labels(&path).unwrap().to_bits(),
+                        restored.estimate_labels(&path).unwrap().to_bits(),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

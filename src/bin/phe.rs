@@ -307,10 +307,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     if trace {
         print!("{}", phe::obs::span::render_tree(&spans));
     }
-    let mut snapshot = estimator.snapshot().map_err(|e| e.to_string())?;
-    // The snapshot inlines the sparse catalog only for maintained slots;
-    // `phe build` statistics ship without it, or point at the sidecar.
-    snapshot.sparse_runs = None;
+    // Only maintained slots inline the sparse catalog; `phe build`
+    // statistics ship without it, or point at the sidecar.
+    let mut snapshot = estimator.serving_snapshot().map_err(|e| e.to_string())?;
     if let Some(sidecar) = &catalog_file {
         let catalog = estimator
             .sparse_catalog()
