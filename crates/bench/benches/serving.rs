@@ -32,6 +32,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use phe_core::{EstimatorConfig, HistogramKind, LabelPath, OrderingKind, PathSelectivityEstimator};
 use phe_datasets::{erdos_renyi, LabelDistribution};
 use phe_graph::LabelId;
+use phe_service::metrics::Op;
 use phe_service::protocol::{write_ok, PathStep, Request};
 use phe_service::{
     EstimatorRegistry, ServableEstimator, Server, ServerConfig, ServiceClient, ServiceMetrics,
@@ -131,7 +132,7 @@ fn serve_line_instrumented(
     line: &str,
 ) -> usize {
     let t0 = std::time::Instant::now();
-    metrics.record_op("estimate");
+    metrics.record_op(Op::Estimate);
     let len = serve_line(registry, line);
     metrics.record_request(BATCH, t0.elapsed(), true);
     len

@@ -410,6 +410,21 @@ impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
     }
 }
 
+/// An `Arc` serializes as its contents, and each deserialized `Arc` owns
+/// a fresh value (sharing is not kept). Real serde gates these two impls
+/// behind its `rc` feature.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {

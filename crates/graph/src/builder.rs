@@ -1,5 +1,7 @@
 //! Mutable accumulation of edges, frozen into an immutable [`Graph`].
 
+use std::sync::Arc;
+
 use crate::csr::Csr;
 use crate::graph::Graph;
 use crate::ids::{LabelId, VertexId};
@@ -96,8 +98,8 @@ impl GraphBuilder {
         let mut reverse = Vec::with_capacity(self.edges.len());
         for pairs in self.edges {
             let rev_pairs: Vec<(u32, u32)> = pairs.iter().map(|&(s, t)| (t, s)).collect();
-            forward.push(Csr::from_pairs(n, pairs));
-            reverse.push(Csr::from_pairs(n, rev_pairs));
+            forward.push(Arc::new(Csr::from_pairs(n, pairs)));
+            reverse.push(Arc::new(Csr::from_pairs(n, rev_pairs)));
         }
         Graph::from_parts(self.vertex_count, self.interner, forward, reverse)
     }

@@ -34,6 +34,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::csr::Csr;
 use crate::error::GraphError;
@@ -189,8 +190,8 @@ impl GraphDelta {
 
 impl Graph {
     /// Applies a delta, producing a new graph. Only the CSR pairs of
-    /// labels the delta touches are rebuilt; untouched labels share no
-    /// work beyond a row-count extension when insertions grow `|V|`.
+    /// labels the delta touches are rebuilt; untouched labels share this
+    /// graph's CSRs, or get a row-padded copy when insertions grow `|V|`.
     ///
     /// The new graph inherits this graph's [`Graph::fingerprint`] and
     /// [`Graph::follow_counts`] updated in O(|Δ|·|L|): the fingerprint's
@@ -274,12 +275,20 @@ impl Graph {
             dirty[l.index()] = true;
         }
 
+        let grows = vertex_count as usize > self.vertex_count();
+        let untouched = |csr: &Arc<Csr>| {
+            if grows {
+                Arc::new(csr.with_rows(vertex_count as usize))
+            } else {
+                Arc::clone(csr)
+            }
+        };
         let mut forward = Vec::with_capacity(label_count);
         let mut reverse = Vec::with_capacity(label_count);
         for l in self.label_ids() {
             if !dirty[l.index()] {
-                forward.push(self.forward_csr(l).with_rows(vertex_count as usize));
-                reverse.push(self.reverse_csr(l).with_rows(vertex_count as usize));
+                forward.push(untouched(self.forward_arc(l)));
+                reverse.push(untouched(self.reverse_arc(l)));
                 continue;
             }
             let mut pairs: Vec<(u32, u32)> = self
@@ -296,8 +305,8 @@ impl Graph {
                     .map(|&(s, _, t)| (s.0, t.0)),
             );
             let rev_pairs: Vec<(u32, u32)> = pairs.iter().map(|&(s, t)| (t, s)).collect();
-            forward.push(Csr::from_pairs(vertex_count as usize, pairs));
-            reverse.push(Csr::from_pairs(vertex_count as usize, rev_pairs));
+            forward.push(Arc::new(Csr::from_pairs(vertex_count as usize, pairs)));
+            reverse.push(Arc::new(Csr::from_pairs(vertex_count as usize, rev_pairs)));
         }
         let graph = Graph::from_parts(vertex_count, self.labels().clone(), forward, reverse);
 
@@ -482,6 +491,31 @@ mod tests {
         assert!(g2.has_edge(v(1), l(0), v(9)));
         // The untouched label's CSR covers the new rows.
         assert_eq!(g2.out_neighbors(v(9), l(1)), &[] as &[VertexId]);
+    }
+
+    #[test]
+    fn untouched_labels_share_the_base_csrs() {
+        let g = base();
+        let mut delta = GraphDelta::new();
+        delta.remove(v(0), l(0), v(1));
+        let g2 = g.apply_delta(&delta).unwrap();
+        assert!(Arc::ptr_eq(g.forward_arc(l(1)), g2.forward_arc(l(1))));
+        assert!(Arc::ptr_eq(g.reverse_arc(l(1)), g2.reverse_arc(l(1))));
+        assert!(!Arc::ptr_eq(g.forward_arc(l(0)), g2.forward_arc(l(0))));
+        // Growing the vertex set pads, so it cannot share.
+        let mut grow = GraphDelta::new();
+        grow.insert(v(1), l(0), v(9));
+        let g3 = g.apply_delta(&grow).unwrap();
+        assert!(!Arc::ptr_eq(g.forward_arc(l(1)), g3.forward_arc(l(1))));
+        // Sharing is invisible on the wire.
+        let mut fresh = GraphBuilder::new();
+        for (s, lab, t) in g2.iter_edges() {
+            fresh.add_edge_named(s.0, g2.labels().name(lab).unwrap(), t.0);
+        }
+        assert_eq!(
+            serde::Serialize::to_value(&g2),
+            serde::Serialize::to_value(&fresh.build())
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The immutable edge-labeled graph.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +13,9 @@ use crate::interner::LabelInterner;
 ///
 /// Storage is one forward and one reverse [`Csr`] per label. All neighbor
 /// lists are sorted and duplicate-free. Construct with
-/// [`crate::GraphBuilder`] or [`crate::io::read_tsv`].
+/// [`crate::GraphBuilder`] or [`crate::io::read_tsv`]. Each CSR sits
+/// behind an [`Arc`], so a graph from [`Graph::apply_delta`] shares
+/// every label the delta leaves untouched with its base graph.
 ///
 /// Two derived facts are cached on first use and carried through
 /// [`Graph::apply_delta`] in time proportional to the delta: the content
@@ -23,8 +25,8 @@ use crate::interner::LabelInterner;
 pub struct Graph {
     vertex_count: u32,
     labels: LabelInterner,
-    forward: Vec<Csr>,
-    reverse: Vec<Csr>,
+    forward: Vec<Arc<Csr>>,
+    reverse: Vec<Arc<Csr>>,
     /// Wrapping sum of [`edge_hash`] over every edge.
     #[serde(skip)]
     edge_hash_sum: OnceLock<u64>,
@@ -33,13 +35,14 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Assembles a graph from frozen parts. Used by [`crate::GraphBuilder`];
-    /// prefer the builder in application code.
+    /// Assembles a graph from frozen parts, which may be shared with
+    /// other graphs. Used by [`crate::GraphBuilder`] and
+    /// [`Graph::apply_delta`]; prefer the builder in application code.
     pub fn from_parts(
         vertex_count: u32,
         labels: LabelInterner,
-        forward: Vec<Csr>,
-        reverse: Vec<Csr>,
+        forward: Vec<Arc<Csr>>,
+        reverse: Vec<Arc<Csr>>,
     ) -> Graph {
         debug_assert_eq!(forward.len(), reverse.len());
         for csr in forward.iter().chain(reverse.iter()) {
@@ -79,7 +82,7 @@ impl Graph {
 
     /// Total number of edges `|E|` across all labels.
     pub fn edge_count(&self) -> usize {
-        self.forward.iter().map(Csr::edge_count).sum()
+        self.forward.iter().map(|csr| csr.edge_count()).sum()
     }
 
     /// Number of edges carrying label `l` — the cardinality `f(l)` of the
@@ -135,6 +138,18 @@ impl Graph {
     /// The reverse CSR of label `l`.
     #[inline]
     pub fn reverse_csr(&self, l: LabelId) -> &Csr {
+        &self.reverse[l.index()]
+    }
+
+    /// The shared handle to label `l`'s forward CSR.
+    #[inline]
+    pub(crate) fn forward_arc(&self, l: LabelId) -> &Arc<Csr> {
+        &self.forward[l.index()]
+    }
+
+    /// The shared handle to label `l`'s reverse CSR.
+    #[inline]
+    pub(crate) fn reverse_arc(&self, l: LabelId) -> &Arc<Csr> {
         &self.reverse[l.index()]
     }
 

@@ -8,7 +8,7 @@
 //! dispatch for cheap ops, and a write buffer with partial-write
 //! continuation. CPU-heavy ops (`rebuild`, `load`, `delta`, large
 //! `estimate`/`estimate_expr` batches) are handed to a few **dispatch
-//! workers** over a bounded queue so the loop never blocks; their
+//! workers** over a queue so the loop never blocks; their
 //! responses ride back to the owning shard through its inbox + wake
 //! pipe. A connection with a dispatched request in flight pauses parsing
 //! until the response is queued, which both preserves response ordering
@@ -19,8 +19,13 @@
 //! "capacity"`), each request is charged against a per-peer-address
 //! in-flight quota (`reason = "quota"`), and expensive ops are shed
 //! (`reason = "shed"`) while the dispatch queue or the recent p99
-//! latency sits above threshold. All outcomes flow through
-//! [`ServiceMetrics`]: `phe_connections_open`,
+//! latency sits above threshold. That depth check is the dispatch
+//! queue's only bound: every op that can reach the queue is sheddable,
+//! so the queue itself is unbounded and allocates per queued job — its
+//! memory grows with the jobs actually waiting, never with
+//! `shed_queue_depth` — and there is no separate "dispatch queue full"
+//! refusal. All outcomes flow through [`ServiceMetrics`]:
+//! `phe_connections_open`,
 //! `phe_admission_total{outcome=admitted|refused|shed}`, and
 //! `phe_dispatch_queue_depth`.
 //!
@@ -33,7 +38,7 @@ use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -257,7 +262,7 @@ struct ShardCtx {
     maintenance: Arc<MaintenanceCoordinator>,
     allow_load: bool,
     admission: Arc<Admission>,
-    dispatch_tx: SyncSender<Job>,
+    dispatch_tx: Sender<Job>,
     stop: Arc<AtomicBool>,
 }
 
@@ -443,10 +448,8 @@ impl Server {
 
         let shard_count = config.effective_shards();
         let worker_count = config.workers.max(1);
-        // Bounded dispatch queue: a full queue is itself a shed signal,
-        // so cap it just past the depth threshold.
-        let queue_cap = (config.shed_queue_depth.max(1) + worker_count * 2).max(16);
-        let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Job>(queue_cap);
+        // Unbounded: `Admission::should_shed` is the queue's one bound.
+        let (dispatch_tx, dispatch_rx) = mpsc::channel::<Job>();
         let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
 
         let mut ports = Vec::with_capacity(shard_count);
@@ -833,34 +836,26 @@ fn handle_one(ctx: &ShardCtx, token: usize, c: &mut Conn, line: &str) {
         return;
     };
     if is_heavy(&request) {
+        // Every heavy op is sheddable, so the depth check above already
+        // bounded this enqueue. The check and the enqueue are not one
+        // atomic step: N shards can pass the threshold together, so the
+        // depth overshoots it by at most N racing enqueues.
+        debug_assert!(is_sheddable(&request), "a heavy op escaped the shed check");
         ctx.metrics.dispatch_enqueued();
-        match ctx.dispatch_tx.try_send(Job {
+        let job = Job {
             shard: ctx.shard,
             conn: token,
             request,
             ticket,
             t0,
-        }) {
-            Ok(()) => {
-                ctx.metrics.record_admitted();
-                c.waiting += 1;
-            }
-            Err(TrySendError::Full(job)) => {
-                // The queue itself is the overload signal here; the
-                // ticket rides in the job and releases on this drop.
-                drop(job);
-                ctx.metrics.dispatch_dequeued();
-                ctx.metrics.record_shed();
-                ctx.metrics.record_request(0, t0.elapsed(), false);
-                c.push_response(&overloaded_response(
-                    "shed",
-                    "dispatch queue full; retry after backing off",
-                ));
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                drop(job);
-                ctx.metrics.dispatch_dequeued();
-            }
+        };
+        if ctx.dispatch_tx.send(job).is_ok() {
+            ctx.metrics.record_admitted();
+            c.waiting += 1;
+        } else {
+            // Workers gone: shutting down. The ticket rides in the
+            // dropped job and releases with it.
+            ctx.metrics.dispatch_dequeued();
         }
     } else {
         ctx.metrics.record_admitted();

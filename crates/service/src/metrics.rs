@@ -11,7 +11,7 @@
 //! accurate to ≤ 1.25×).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use phe_core::DriftReport;
@@ -27,6 +27,48 @@ const REBUILD_HELP: &str = "Background rebuilds by outcome event.";
 const DELTA_HELP: &str = "Background delta applications by outcome event.";
 const ADMISSION_HELP: &str =
     "Admission-control decisions: admitted, refused (cap/quota), or shed (overload).";
+
+/// A protocol op, as counted by `phe_ops_total{op}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// `ping`
+    Ping,
+    /// `list`
+    List,
+    /// `metrics`
+    Metrics,
+    /// `estimate`
+    Estimate,
+    /// `estimate_expr`
+    EstimateExpr,
+    /// `delta`
+    Delta,
+    /// `rebuild`
+    Rebuild,
+    /// `load`
+    Load,
+    /// `maintenance`
+    Maintenance,
+}
+
+impl Op {
+    const COUNT: usize = Op::Maintenance as usize + 1;
+
+    /// The op's wire name: the counter's `op` label.
+    fn name(self) -> &'static str {
+        match self {
+            Op::Ping => "ping",
+            Op::List => "list",
+            Op::Metrics => "metrics",
+            Op::Estimate => "estimate",
+            Op::EstimateExpr => "estimate_expr",
+            Op::Delta => "delta",
+            Op::Rebuild => "rebuild",
+            Op::Load => "load",
+            Op::Maintenance => "maintenance",
+        }
+    }
+}
 
 /// Shared counters for one serving process.
 ///
@@ -79,6 +121,9 @@ pub struct ServiceMetrics {
     dispatch_queue_depth: Arc<Gauge>,
     /// Backing count for the dispatch-queue gauge.
     dispatch_count: AtomicU64,
+    /// `phe_ops_total{op}` per [`Op`], registered on the op's first
+    /// request so the exposition lists only ops that were seen.
+    ops: [OnceLock<Arc<Counter>>; Op::COUNT],
 }
 
 impl ServiceMetrics {
@@ -163,6 +208,7 @@ impl ServiceMetrics {
                 "CPU-heavy requests waiting for a dispatch worker.",
             ),
             dispatch_count: AtomicU64::new(0),
+            ops: Default::default(),
             registry,
         }
     }
@@ -187,15 +233,17 @@ impl ServiceMetrics {
         self.latency.record_duration(latency);
     }
 
-    /// Records one request of the named protocol op
-    /// (`phe_ops_total{op=…}`).
-    pub fn record_op(&self, op: &str) {
-        self.registry
-            .counter_with(
-                names::OPS_TOTAL,
-                "Protocol requests by operation.",
-                &[("op", op)],
-            )
+    /// Records one request of protocol op `op` (`phe_ops_total{op=…}`):
+    /// one atomic add once the op's counter is resolved.
+    pub fn record_op(&self, op: Op) {
+        self.ops[op as usize]
+            .get_or_init(|| {
+                self.registry.counter_with(
+                    names::OPS_TOTAL,
+                    "Protocol requests by operation.",
+                    &[("op", op.name())],
+                )
+            })
             .inc();
     }
 
@@ -554,9 +602,9 @@ mod tests {
     fn prometheus_render_parses_and_matches_report() {
         let m = ServiceMetrics::new();
         m.record_request(3, Duration::from_micros(5), true);
-        m.record_op("estimate");
-        m.record_op("estimate");
-        m.record_op("list");
+        m.record_op(Op::Estimate);
+        m.record_op(Op::Estimate);
+        m.record_op(Op::List);
         m.record_drift(
             "main",
             &phe_core::DriftReport {

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use crate::estimator::ServableEstimator;
 use crate::maintenance::{EnqueueError, MaintenanceConfig, MaintenanceCoordinator, SlotStatus};
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{Op, ServiceMetrics};
 use crate::protocol::{
     backpressure_response, error_response, write_metrics, write_ok, MaintenanceAction,
     ObjectWriter, PathStep, Request,
@@ -42,7 +42,9 @@ pub struct ServerConfig {
     /// with `reason = "quota"`.
     pub max_inflight_per_client: usize,
     /// Load shedding: expensive ops are refused with `reason = "shed"`
-    /// while more than this many dispatched requests are queued.
+    /// while more than this many dispatched requests are queued. This is
+    /// the dispatch queue's only bound; the queue allocates per queued
+    /// job, so raising it reserves no memory up front.
     pub shed_queue_depth: usize,
     /// Load shedding: expensive ops are refused with `reason = "shed"`
     /// while the recent p99 request latency exceeds this threshold
@@ -94,15 +96,15 @@ pub(crate) fn handle_request(
     out: &mut String,
 ) -> (usize, bool) {
     metrics.record_op(match &request {
-        Request::Ping => "ping",
-        Request::List => "list",
-        Request::Metrics { .. } => "metrics",
-        Request::Estimate { .. } => "estimate",
-        Request::EstimateExpr { .. } => "estimate_expr",
-        Request::Delta { .. } => "delta",
-        Request::Rebuild { .. } => "rebuild",
-        Request::Load { .. } => "load",
-        Request::Maintenance { .. } => "maintenance",
+        Request::Ping => Op::Ping,
+        Request::List => Op::List,
+        Request::Metrics { .. } => Op::Metrics,
+        Request::Estimate { .. } => Op::Estimate,
+        Request::EstimateExpr { .. } => Op::EstimateExpr,
+        Request::Delta { .. } => Op::Delta,
+        Request::Rebuild { .. } => Op::Rebuild,
+        Request::Load { .. } => Op::Load,
+        Request::Maintenance { .. } => Op::Maintenance,
     });
     match request {
         Request::Ping => {

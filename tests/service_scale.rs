@@ -552,3 +552,37 @@ fn queue_pressure_sheds_heavy_ops_but_answers_ping() {
     });
     server.shutdown();
 }
+
+/// The shed depth is the dispatch queue's only bound, and nothing is
+/// sized from it: a server configured never to shed on depth starts,
+/// answers `ping`, and still runs heavy ops on its dispatch workers.
+#[test]
+fn unbounded_shed_depth_starts_and_dispatches() {
+    const PATHS: usize = 8000; // > inline threshold ⇒ dispatch workers
+
+    let metrics = Arc::new(ServiceMetrics::new());
+    let registry = Arc::new(EstimatorRegistry::new(metrics.cache_counters(), 1024));
+    registry.register("main", build_servable(8, OrderingKind::SumBased));
+    let server = Server::start(
+        Arc::clone(&registry),
+        Arc::clone(&metrics),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 2,
+            allow_load: false,
+            shards: 1,
+            shed_queue_depth: usize::MAX,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let mut client = ServiceClient::connect(server.local_addr()).expect("client connects");
+    client.ping().expect("ping");
+    let batch = client
+        .estimate("main", heavy_paths(PATHS))
+        .expect("dispatched estimate");
+    assert_eq!(batch.estimates.len(), PATHS);
+    assert_eq!(metrics.dispatch_depth(), 0);
+    drop(client);
+    server.shutdown();
+}
