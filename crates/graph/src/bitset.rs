@@ -3,27 +3,39 @@
 //! Relation composition (`phe-pathenum`) de-duplicates join outputs with a
 //! scratch bitset per source vertex. Those outputs are usually much smaller
 //! than `|V|`, so zeroing the whole backing array between sources would
-//! dominate. [`FixedBitSet`] tracks which words were touched and clears only
-//! those, switching to a bulk `fill(0)` when the touched set grows past half
-//! of the backing array (at that point the bulk clear is cheaper and the
-//! touched list has stopped paying for itself).
+//! dominate. [`FixedBitSet`] records which words were touched and clears
+//! only those, switching to a bulk `fill(0)` when the touched set grows past
+//! half of the backing array (at that point the bulk clear is cheaper and
+//! the touched list has stopped paying for itself).
+//!
+//! [`FixedBitSet::insert`] does not branch on the data. About a third of
+//! the inserts a composition makes are duplicates, in no predictable
+//! pattern, so an early return on a duplicate mispredicts often. Instead
+//! every insert sets its bit, adds its freshness to the length, and writes
+//! its word index to the touched buffer's next free slot; the slot is kept
+//! only when the word was zero.
 
 /// A fixed-capacity set of `u32` values backed by a bit array.
 #[derive(Debug, Clone)]
 pub struct FixedBitSet {
     words: Vec<u64>,
-    /// Indexes of words that may be non-zero. May contain duplicates; a word
-    /// is pushed at most twice between clears thanks to the `was_zero` check.
+    /// `touched[..touched_len]` holds the index of every non-zero word,
+    /// each once, in the order the words were first set. One slot longer
+    /// than `words`, so the unconditional write of an insert always has a
+    /// slot past the last kept one, even when every word is touched.
     touched: Vec<u32>,
+    touched_len: usize,
     len: usize,
 }
 
 impl FixedBitSet {
     /// Creates a set able to hold values in `[0, capacity)`.
     pub fn new(capacity: usize) -> Self {
+        let words = capacity.div_ceil(64);
         FixedBitSet {
-            words: vec![0; capacity.div_ceil(64)],
-            touched: Vec::new(),
+            words: vec![0; words],
+            touched: vec![0; words + 1],
+            touched_len: 0,
             len: 0,
         }
     }
@@ -49,22 +61,21 @@ impl FixedBitSet {
     /// Inserts `value`; returns `true` if it was newly inserted.
     ///
     /// # Panics
-    /// Panics in debug builds if `value` exceeds the capacity.
+    /// Panics if `value` exceeds the capacity.
     #[inline]
     pub fn insert(&mut self, value: u32) -> bool {
         let w = (value / 64) as usize;
         let bit = 1u64 << (value % 64);
-        debug_assert!(w < self.words.len(), "bitset value {value} out of range");
         let word = &mut self.words[w];
-        if *word & bit != 0 {
-            return false;
-        }
-        if *word == 0 {
-            self.touched.push(w as u32);
-        }
-        *word |= bit;
-        self.len += 1;
-        true
+        let old = *word;
+        *word = old | bit;
+        let fresh = old & bit == 0;
+        self.len += usize::from(fresh);
+        // Always written; kept (the cursor advances) only for a word that
+        // was zero, so each non-zero word is recorded exactly once.
+        self.touched[self.touched_len] = w as u32;
+        self.touched_len += usize::from(old == 0);
+        fresh
     }
 
     /// Whether `value` is in the set.
@@ -80,14 +91,15 @@ impl FixedBitSet {
     /// words touched since the last clear, or `O(capacity/64)` if more than
     /// half the words were touched.
     pub fn clear(&mut self) {
-        if self.touched.len() * 2 >= self.words.len() {
+        let touched = &self.touched[..self.touched_len];
+        if touched.len() * 2 >= self.words.len() {
             self.words.fill(0);
         } else {
-            for &w in &self.touched {
+            for &w in touched {
                 self.words[w as usize] = 0;
             }
         }
-        self.touched.clear();
+        self.touched_len = 0;
         self.len = 0;
     }
 
@@ -105,11 +117,11 @@ impl FixedBitSet {
     /// de-duplicated targets of one source, reset, move to the next source.
     pub fn drain_sorted_into(&mut self, out: &mut Vec<u32>) {
         out.reserve(self.len);
-        // Sorting the touched list lets us emit in ascending order while
-        // visiting only non-zero words.
-        self.touched.sort_unstable();
-        self.touched.dedup();
-        for &wi in &self.touched {
+        // Sorting the touched words lets us emit in ascending order while
+        // visiting only non-zero words; each is recorded once, so no dedup.
+        let touched = &mut self.touched[..self.touched_len];
+        touched.sort_unstable();
+        for &wi in touched.iter() {
             let base = wi * 64;
             let mut word = self.words[wi as usize];
             while word != 0 {
@@ -119,7 +131,7 @@ impl FixedBitSet {
             }
             self.words[wi as usize] = 0;
         }
-        self.touched.clear();
+        self.touched_len = 0;
         self.len = 0;
     }
 }

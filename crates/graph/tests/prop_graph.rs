@@ -117,6 +117,52 @@ proptest! {
     }
 }
 
+// One bitset reused round after round, as `compose` and delta counting
+// reuse theirs across sources: every round starts from the previous
+// round's reset (a drain or a clear), and one round inserts every value
+// (twice) so the touched buffer fills and `clear` takes its bulk path.
+proptest! {
+    #[test]
+    fn bitset_reuse_matches_btreeset_across_rounds(
+        rounds in prop::collection::vec(
+            (
+                prop::collection::vec(0u32..500, 0..120),
+                prop::sample::select(vec![true, false]),
+            ),
+            1..6,
+        ),
+        full_round in 0usize..6,
+    ) {
+        let mut plan = rounds;
+        let every_value: Vec<u32> = (0..500).rev().chain(0..500).collect();
+        plan.insert(full_round.min(plan.len()), (every_value, false));
+        let mut bs = FixedBitSet::new(500);
+        for (values, drain) in plan {
+            let mut reference = BTreeSet::new();
+            for &v in &values {
+                prop_assert_eq!(bs.insert(v), reference.insert(v), "insert({})", v);
+                prop_assert_eq!(bs.len(), reference.len());
+            }
+            for v in 0..500u32 {
+                prop_assert_eq!(bs.contains(v), reference.contains(&v), "contains({})", v);
+            }
+            let want: Vec<u32> = reference.iter().copied().collect();
+            prop_assert_eq!(bs.iter().collect::<Vec<u32>>(), want.clone());
+            if drain {
+                // Draining appends after whatever the output already holds.
+                let mut drained = vec![u32::MAX];
+                bs.drain_sorted_into(&mut drained);
+                prop_assert_eq!(drained[0], u32::MAX);
+                prop_assert_eq!(&drained[1..], &want[..]);
+            } else {
+                bs.clear();
+            }
+            prop_assert!(bs.is_empty());
+            prop_assert_eq!(bs.iter().count(), 0);
+        }
+    }
+}
+
 // Compacting a queue of sequentially-valid batches into one delta
 // (`GraphDelta::compose`) must reach exactly the graph the batches reach
 // one at a time — across random churn, cross-batch insert-then-remove

@@ -45,11 +45,11 @@ pub(crate) fn check_inputs(
     Ok(beta as usize)
 }
 
-/// Assembles the histogram whose buckets end at the sorted inclusive
-/// `ends`; the last end must be `N − 1`.
-pub(crate) fn histogram_from_ends(data: &SparseFrequencies<'_>, ends: &[u64]) -> Histogram {
-    debug_assert_eq!(ends.last().copied(), data.domain_size().checked_sub(1));
-    let prefix = SparsePrefix::new(data);
+/// Assembles the histogram over the domain `[0, n)` whose buckets end at
+/// the sorted inclusive `ends`, reading bucket statistics from the
+/// sequence's `prefix`; the last end must be `n − 1`.
+pub(crate) fn histogram_from_ends(prefix: &SparsePrefix, n: u64, ends: &[u64]) -> Histogram {
+    debug_assert_eq!(ends.last().copied(), n.checked_sub(1));
     let mut lo = 0u64;
     let buckets = ends
         .iter()
@@ -59,7 +59,7 @@ pub(crate) fn histogram_from_ends(data: &SparseFrequencies<'_>, ends: &[u64]) ->
             bucket
         })
         .collect();
-    Histogram::from_buckets(buckets, data.domain_size() as usize)
+    Histogram::from_buckets(buckets, n as usize)
 }
 
 /// Equal-index-range partitioning — the histogram of the paper's Figure 1.
@@ -86,7 +86,7 @@ impl HistogramBuilder for EquiWidth {
         let ends: Vec<u64> = (1..=beta as u64)
             .map(|i| (n as u128 * i as u128 / beta as u128 - 1) as u64)
             .collect();
-        Ok(histogram_from_ends(data, &ends))
+        Ok(histogram_from_ends(&SparsePrefix::new(data), n, &ends))
     }
 }
 
@@ -141,7 +141,7 @@ impl HistogramBuilder for EquiDepth {
         }
         ends.push(n - 1);
         debug_assert_eq!(ends.len(), beta);
-        Ok(histogram_from_ends(data, &ends))
+        Ok(histogram_from_ends(&SparsePrefix::new(data), n, &ends))
     }
 }
 

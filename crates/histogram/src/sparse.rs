@@ -224,29 +224,6 @@ impl<'a> SparseFrequencies<'a> {
     pub fn total(&self) -> u64 {
         self.total
     }
-
-    /// The maximal equal-value runs of the dense sequence, as inclusive
-    /// `(lo, hi)` ranges in index order. Gaps between entries are zero
-    /// runs; adjacent entries with equal frequencies fuse. This is the
-    /// starting segmentation for the sparse greedy V-optimal builder.
-    pub fn equal_value_runs(&self) -> Vec<(u64, u64)> {
-        let mut runs: Vec<(u64, u64, u64)> = Vec::with_capacity(2 * self.nnz + 1);
-        let mut pos = 0u64;
-        for (index, frequency) in self.cursor() {
-            if pos < index {
-                runs.push((pos, index - 1, 0));
-            }
-            match runs.last_mut() {
-                Some(last) if last.1 + 1 == index && last.2 == frequency => last.1 = index,
-                _ => runs.push((index, index, frequency)),
-            }
-            pos = index + 1;
-        }
-        if pos < self.domain_size {
-            runs.push((pos, self.domain_size - 1, 0));
-        }
-        runs.into_iter().map(|(lo, hi, _)| (lo, hi)).collect()
-    }
 }
 
 /// Iterates the indexes of `[0, domain_size)` **absent** from `occupied`
@@ -269,6 +246,21 @@ where
             true
         }
     })
+}
+
+/// A maximal equal-value run of a frequency sequence: the inclusive
+/// index range `[lo, hi]` and the entry ranks `rank(lo) .. rank(hi + 1)`
+/// it spans (an empty span for a run of implicit zeros).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ValueRun {
+    /// First index of the run.
+    pub lo: u64,
+    /// Last index of the run (inclusive).
+    pub hi: u64,
+    /// Rank of the run's first entry.
+    pub rank_lo: usize,
+    /// Rank one past the run's last entry.
+    pub rank_hi: usize,
 }
 
 /// Sparse prefix sums: exact `u64` range sums and `f64` square sums
@@ -308,6 +300,54 @@ impl SparsePrefix {
             sq.push(q);
         }
         SparsePrefix { indexes, sum, sq }
+    }
+
+    /// The maximal equal-value runs of the sequence over
+    /// `[0, domain_size)`, in index order. Gaps between entries are zero
+    /// runs; adjacent entries with equal frequencies fuse. This is the
+    /// starting segmentation for the sparse greedy V-optimal builder, read
+    /// from the prefix arrays, so it costs no pass over the entries.
+    pub(crate) fn equal_value_runs(&self, domain_size: u64) -> Vec<ValueRun> {
+        let mut runs: Vec<ValueRun> = Vec::with_capacity(2 * self.indexes.len() + 1);
+        let mut pos = 0u64;
+        for (rank, &index) in self.indexes.iter().enumerate() {
+            if pos < index {
+                runs.push(ValueRun {
+                    lo: pos,
+                    hi: index - 1,
+                    rank_lo: rank,
+                    rank_hi: rank,
+                });
+            }
+            let frequency = self.frequency_at_rank(rank);
+            match runs.last_mut() {
+                Some(last)
+                    if last.hi + 1 == index
+                        && last.rank_lo < last.rank_hi
+                        && self.frequency_at_rank(last.rank_lo) == frequency =>
+                {
+                    last.hi = index;
+                    last.rank_hi = rank + 1;
+                }
+                _ => runs.push(ValueRun {
+                    lo: index,
+                    hi: index,
+                    rank_lo: rank,
+                    rank_hi: rank + 1,
+                }),
+            }
+            pos = index + 1;
+        }
+        if pos < domain_size {
+            let entries = self.indexes.len();
+            runs.push(ValueRun {
+                lo: pos,
+                hi: domain_size - 1,
+                rank_lo: entries,
+                rank_hi: entries,
+            });
+        }
+        runs
     }
 
     /// Number of entries with index strictly below `position`.
@@ -457,7 +497,10 @@ mod tests {
         assert_eq!(streamed.total(), sliced.total());
         assert_eq!(streamed.cursor().collect::<Vec<_>>(), entries);
         assert_eq!(sliced.cursor().collect::<Vec<_>>(), entries);
-        assert_eq!(streamed.equal_value_runs(), sliced.equal_value_runs());
+        assert_eq!(
+            SparsePrefix::new(&streamed).equal_value_runs(10),
+            SparsePrefix::new(&sliced).equal_value_runs(10)
+        );
         // Streamed sources are validated just like slices.
         let bad = VecSource(vec![(4, 2), (1, 5)]);
         assert!(SparseFrequencies::from_source(&bad, 10).is_err());
@@ -475,7 +518,10 @@ mod tests {
         assert_eq!(view.total(), 13);
         assert_eq!(view.nnz(), 3);
         let sliced = SparseFrequencies::new(&entries, 7).unwrap();
-        assert_eq!(view.equal_value_runs(), sliced.equal_value_runs());
+        assert_eq!(
+            SparsePrefix::new(&view).equal_value_runs(7),
+            SparsePrefix::new(&sliced).equal_value_runs(7)
+        );
         // All-zero and empty slices are valid views with no entries.
         assert_eq!(SparseFrequencies::dense(&[0, 0]).cursor().count(), 0);
         assert_eq!(SparseFrequencies::dense(&[]).domain_size(), 0);
@@ -528,11 +574,27 @@ mod tests {
 
     #[test]
     fn equal_value_runs_partition_the_domain() {
+        let spans = |prefix: SparsePrefix, n: u64| -> Vec<(u64, u64, usize, usize)> {
+            prefix
+                .equal_value_runs(n)
+                .iter()
+                .map(|run| (run.lo, run.hi, run.rank_lo, run.rank_hi))
+                .collect()
+        };
         let dense = [0u64, 0, 5, 5, 1, 0, 0, 2, 2, 2];
-        let runs = SparseFrequencies::dense(&dense).equal_value_runs();
-        assert_eq!(runs, vec![(0, 1), (2, 3), (4, 4), (5, 6), (7, 9)]);
+        let prefix = SparsePrefix::new(&SparseFrequencies::dense(&dense));
+        assert_eq!(
+            spans(prefix, 10),
+            vec![
+                (0, 1, 0, 0),
+                (2, 3, 0, 2),
+                (4, 4, 2, 3),
+                (5, 6, 3, 3),
+                (7, 9, 3, 6)
+            ]
+        );
         // All-zero and empty-entry domains are one run.
         let s = SparseFrequencies::new(&[], 4).unwrap();
-        assert_eq!(s.equal_value_runs(), vec![(0, 3)]);
+        assert_eq!(spans(SparsePrefix::new(&s), 4), vec![(0, 3, 0, 0)]);
     }
 }

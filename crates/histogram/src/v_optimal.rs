@@ -13,9 +13,9 @@
 //!   with the smallest SSE increase. Not optimal, but close in practice
 //!   (the `ablation_voptimal` binary quantifies the gap). Zero runs and
 //!   other equal-value runs collapse without touching their indexes, and
-//!   the remaining `≤ 2·nnz + 1` segments merge through an indexed heap
-//!   that holds one entry per segment, so the cost is `O(nnz log nnz)`
-//!   however large the domain.
+//!   the remaining `≤ 2·nnz + 1` segments merge through an indexed 4-ary
+//!   heap that holds one integer key per segment, so the cost is
+//!   `O(nnz log nnz)` however large the domain.
 //! * [`VOptimalMode::MaxDiff`] — place the `β − 1` boundaries at the
 //!   largest adjacent differences. Cheapest, crudest: `O(nnz log nnz)`.
 //!
@@ -25,7 +25,7 @@
 use crate::builder::{check_inputs, histogram_from_ends, HistogramBuilder};
 use crate::error::HistogramError;
 use crate::histogram::Histogram;
-use crate::sparse::{SparseFrequencies, SparsePrefix};
+use crate::sparse::{SparseFrequencies, SparsePrefix, ValueRun};
 
 /// Construction mode for [`VOptimal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,21 +87,23 @@ impl HistogramBuilder for VOptimal {
         beta: usize,
     ) -> Result<Histogram, HistogramError> {
         let beta = check_inputs(data, beta)?;
-        let ends = match self.mode {
-            VOptimalMode::Exact { limit } => {
-                let n = data.domain_size();
-                if n > limit as u64 {
-                    return Err(HistogramError::ExactTooLarge {
-                        domain: n as usize,
-                        limit,
-                    });
-                }
-                exact_dp_ends(data, beta)
+        let n = data.domain_size();
+        if let VOptimalMode::Exact { limit } = self.mode {
+            if n > limit as u64 {
+                return Err(HistogramError::ExactTooLarge {
+                    domain: n as usize,
+                    limit,
+                });
             }
-            VOptimalMode::GreedyMerge => greedy_merge_ends_sparse(data, beta),
+        }
+        // One prefix pass serves both the boundary search and the buckets.
+        let prefix = SparsePrefix::new(data);
+        let ends = match self.mode {
+            VOptimalMode::Exact { .. } => exact_dp_ends(&prefix, n, beta),
+            VOptimalMode::GreedyMerge => greedy_merge_ends_sparse(&prefix, n, beta),
             VOptimalMode::MaxDiff => maxdiff_ends(data, beta),
         };
-        Ok(histogram_from_ends(data, &ends))
+        Ok(histogram_from_ends(&prefix, n, &ends))
     }
 }
 
@@ -111,9 +113,8 @@ impl HistogramBuilder for VOptimal {
 /// The entry rank of every position is computed once, so each SSE read
 /// is the same two prefix subtractions the textbook dense DP performs.
 #[allow(clippy::needless_range_loop)] // DP recurrences read clearer with indices
-fn exact_dp_ends(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
-    let n = data.domain_size() as usize;
-    let prefix = SparsePrefix::new(data);
+fn exact_dp_ends(prefix: &SparsePrefix, n: u64, beta: usize) -> Vec<u64> {
+    let n = n as usize;
     let ranks: Vec<usize> = (0..=n as u64).map(|i| prefix.rank(i)).collect();
     let range_sse =
         |lo: usize, hi: usize| prefix.range_sse_at(lo as u64, hi as u64, ranks[lo], ranks[hi + 1]);
@@ -171,21 +172,21 @@ fn exact_dp_ends(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
 /// O(runs) without a heap. Only if the budget outlives all equal-value
 /// merges does a real heap phase start, and by then the segmentation is
 /// the equal-value runs (≤ 2·nnz + 1 of them), over which we replay the
-/// identical heap algorithm with [`SparsePrefix`] supplying bit-identical
-/// SSE values. The replay's heap is indexed ([`MergeHeap`]): each merge
-/// deletes or re-keys the three entries it changes in place, where the
-/// textbook heap pushes fresh pairs and skips the stale ones on pop.
+/// identical heap algorithm with the caller's [`SparsePrefix`] supplying
+/// bit-identical SSE values. The replay's heap is indexed ([`MergeHeap`]):
+/// each merge deletes or re-keys the three entries it changes in place,
+/// where the textbook heap pushes fresh pairs and skips the stale ones on
+/// pop.
 ///
 /// The phase split equals the all-singletons heap whenever the
 /// squared-frequency prefix sums are exact in `f64` (`Σ f² < 2⁵³`); past
 /// that it is simply the algorithm's (deterministic) definition. The
 /// `oracle` integration test pins it to the textbook heap.
-fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u64> {
-    let n = data.domain_size();
+fn greedy_merge_ends_sparse(prefix: &SparsePrefix, n: u64, beta: usize) -> Vec<u64> {
     if beta as u64 >= n {
         return (0..n).collect();
     }
-    let runs = data.equal_value_runs();
+    let runs = prefix.equal_value_runs(n);
     let needed = n - beta as u64;
     let zero_cost_merges = n - runs.len() as u64;
 
@@ -195,7 +196,7 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
         // `budget` elements) followed by untouched singletons.
         let mut ends = Vec::with_capacity(beta);
         let mut budget = needed;
-        for &(lo, hi) in &runs {
+        for &ValueRun { lo, hi, .. } in &runs {
             let len = hi - lo + 1;
             if budget >= len - 1 {
                 budget -= len - 1;
@@ -217,7 +218,6 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
     // heap tie-break key, exactly as in the dense arena. Every segment
     // carries its entry-rank span `[rank_lo, rank_hi)` so SSE reads are
     // plain prefix-array subtractions — no binary search in the loop.
-    let prefix = SparsePrefix::new(data);
     struct Seg {
         lo: u64,
         hi: u64,
@@ -226,34 +226,29 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
         rank_hi: u32,
         sse: f64,
     }
-    let mut segs: Vec<Seg> = Vec::with_capacity(runs.len());
-    let mut rank = 0usize;
-    let mut entry_walk = data.cursor().peekable();
-    for &(lo, hi) in &runs {
-        let rank_lo = rank;
-        while entry_walk.next_if(|&(index, _)| index <= hi).is_some() {
-            rank += 1;
-        }
-        segs.push(Seg {
-            lo,
-            hi,
-            rank_lo: rank_lo as u32,
-            rank_hi: rank as u32,
+    let mut segs: Vec<Seg> = runs
+        .iter()
+        .map(|run| Seg {
+            lo: run.lo,
+            hi: run.hi,
+            rank_lo: run.rank_lo as u32,
+            rank_hi: run.rank_hi as u32,
             // The dense arena recomputes SSE only on merge; a run that
             // was never merged (singleton) still holds its initial 0.0.
-            sse: if lo == hi {
+            sse: if run.lo == run.hi {
                 0.0
             } else {
-                prefix.range_sse_at(lo, hi, rank_lo, rank)
+                prefix.range_sse_at(run.lo, run.hi, run.rank_lo, run.rank_hi)
             },
-        });
-    }
-    let r = segs.len();
-    const NONE: usize = usize::MAX;
-    let mut next: Vec<usize> = (0..r)
-        .map(|i| if i + 1 < r { i + 1 } else { NONE })
+        })
         .collect();
-    let mut prev_l: Vec<usize> = (0..r).map(|i| if i > 0 { i - 1 } else { NONE }).collect();
+    // Segments are linked by `u32` arena index; `NONE` ends a list. There
+    // are at most `2·nnz + 1` of them, and entry ranks are `u32` already.
+    const NONE: u32 = u32::MAX;
+    let r = segs.len() as u32;
+    debug_assert!(segs.len() < NONE as usize, "segment arena outgrows u32");
+    let mut next: Vec<u32> = (1..=r).map(|i| if i < r { i } else { NONE }).collect();
+    let mut prev: Vec<u32> = (0..r).map(|i| if i > 0 { i - 1 } else { NONE }).collect();
 
     // The heap holds one entry per segment with a right neighbour, keyed
     // by (merge cost, arena index). The dense algorithm tie-breaks equal
@@ -261,126 +256,144 @@ fn greedy_merge_ends_sparse(data: &SparseFrequencies<'_>, beta: usize) -> Vec<u6
     // `lo` order, so arena order and `lo` order coincide. The dense heap
     // also has exactly one live pair per leader (its others are stale), so
     // popping the least live key here makes every merge decision it does.
-    let merge_cost = |segs: &[Seg], l: usize, r: usize, prefix: &SparsePrefix| {
+    let merge_cost = |segs: &[Seg], l: u32, r: u32| {
+        let (left, right) = (&segs[l as usize], &segs[r as usize]);
         prefix.range_sse_at(
-            segs[l].lo,
-            segs[r].hi,
-            segs[l].rank_lo as usize,
-            segs[r].rank_hi as usize,
-        ) - segs[l].sse
-            - segs[r].sse
+            left.lo,
+            right.hi,
+            left.rank_lo as usize,
+            right.rank_hi as usize,
+        ) - left.sse
+            - right.sse
     };
-    let mut heap = MergeHeap::new((0..r - 1).map(|l| merge_cost(&segs, l, l + 1, &prefix)));
+    let mut heap = MergeHeap::new((0..r - 1).map(|l| merge_cost(&segs, l, l + 1)));
 
-    let mut alive = r;
+    let mut alive = segs.len();
     while alive > beta {
         // While more than β ≥ 1 segments are alive, some segment has a
         // right neighbour, hence an entry.
         let Some(l) = heap.peek() else { break };
-        let right = next[l];
-        segs[l].hi = segs[right].hi;
-        segs[l].rank_hi = segs[right].rank_hi;
-        segs[l].sse = prefix.range_sse_at(
-            segs[l].lo,
-            segs[l].hi,
-            segs[l].rank_lo as usize,
-            segs[l].rank_hi as usize,
-        );
-        let rn = next[right];
-        next[l] = rn;
+        let right = next[l as usize];
+        let (hi, rank_hi) = (segs[right as usize].hi, segs[right as usize].rank_hi);
+        let seg = &mut segs[l as usize];
+        seg.hi = hi;
+        seg.rank_hi = rank_hi;
+        seg.sse = prefix.range_sse_at(seg.lo, hi, seg.rank_lo as usize, rank_hi as usize);
+        let rn = next[right as usize];
+        next[l as usize] = rn;
         alive -= 1;
         if rn == NONE {
             heap.remove(l);
         } else {
             heap.remove(right);
-            prev_l[rn] = l;
-            heap.update(l, merge_cost(&segs, l, rn, &prefix));
+            prev[rn as usize] = l;
+            heap.update(l, merge_cost(&segs, l, rn));
         }
-        let lp = prev_l[l];
+        let lp = prev[l as usize];
         if lp != NONE {
-            heap.update(lp, merge_cost(&segs, lp, l, &prefix));
+            heap.update(lp, merge_cost(&segs, lp, l));
         }
     }
 
     let mut ends = Vec::with_capacity(beta);
-    let mut i = 0usize;
-    loop {
-        ends.push(segs[i].hi);
-        i = next[i];
-        if i == NONE {
-            break;
-        }
+    let mut i = 0u32;
+    while i != NONE {
+        ends.push(segs[i as usize].hi);
+        i = next[i as usize];
     }
     debug_assert_eq!(ends.len(), beta);
     ends
 }
 
-/// An indexed binary min-heap of merge candidates, one entry per left
+/// An indexed 4-ary min-heap of merge candidates, one entry per left
 /// segment: `pos[l]` locates segment `l`'s entry, so a merge re-keys or
-/// deletes entries in place and the heap never holds a stale one. Entries
-/// order by `(cost, leader)`, cost under `total_cmp`.
+/// deletes entries in place and the heap never holds a stale one.
+///
+/// Each entry is a single integer, [`MergeHeap::key`]: the cost's
+/// `total_cmp` order image above the leader. Plain integer compares then
+/// order entries by `(cost, leader)`, with no float compare and no
+/// tie-break branch. Four children per node halve a binary heap's depth,
+/// and the children a sift compares sit side by side in memory.
 struct MergeHeap {
-    /// `(cost, leader)` in heap order.
-    entries: Vec<(f64, u32)>,
-    /// Heap position of each leader's entry; [`MergeHeap::ABSENT`] once
+    /// Keys in heap order.
+    keys: Vec<u128>,
+    /// Heap position of each leader's key; [`MergeHeap::ABSENT`] once
     /// deleted.
     pos: Vec<u32>,
 }
 
 impl MergeHeap {
     const ABSENT: u32 = u32::MAX;
+    const ARITY: usize = 4;
+
+    /// The key of `leader`'s merge at `cost`: the cost's bits with every
+    /// bit of a negative flipped and only the sign bit of a non-negative
+    /// one, which maps `f64::total_cmp` order (`−0.0 < +0.0`, NaNs at the
+    /// ends) onto unsigned order, then the leader in the low 32 bits.
+    fn key(cost: f64, leader: u32) -> u128 {
+        let bits = cost.to_bits();
+        let negative = ((bits as i64) >> 63) as u64;
+        let ordered = bits ^ (negative | (1 << 63));
+        (u128::from(ordered) << 32) | u128::from(leader)
+    }
+
+    /// The leader a key belongs to.
+    fn leader(key: u128) -> u32 {
+        key as u32
+    }
 
     /// A heap holding leader `l` with the `l`-th cost, heapified in one
     /// `O(n)` pass.
     fn new(costs: impl Iterator<Item = f64>) -> MergeHeap {
-        let entries: Vec<(f64, u32)> = costs.enumerate().map(|(l, c)| (c, l as u32)).collect();
-        let pos = (0..entries.len() as u32).collect();
-        let mut heap = MergeHeap { entries, pos };
-        for i in (0..heap.entries.len() / 2).rev() {
+        let keys: Vec<u128> = costs
+            .zip(0u32..)
+            .map(|(cost, leader)| Self::key(cost, leader))
+            .collect();
+        let pos = (0..keys.len() as u32).collect();
+        let mut heap = MergeHeap { keys, pos };
+        // Exactly the nodes with a child: `ARITY·i + 1 < len`.
+        let parents = heap.keys.len().saturating_sub(1).div_ceil(Self::ARITY);
+        for i in (0..parents).rev() {
             heap.sift_down(i);
         }
         heap
     }
 
     /// The leader with the least `(cost, leader)` key.
-    fn peek(&self) -> Option<usize> {
-        self.entries.first().map(|&(_, l)| l as usize)
+    fn peek(&self) -> Option<u32> {
+        self.keys.first().map(|&key| Self::leader(key))
     }
 
     /// Sets `leader`'s cost, which must be in the heap.
-    fn update(&mut self, leader: usize, cost: f64) {
-        let i = self.pos[leader] as usize;
-        debug_assert!(i < self.entries.len(), "leader {leader} has no entry");
-        self.entries[i].0 = cost;
+    fn update(&mut self, leader: u32, cost: f64) {
+        let i = self.pos[leader as usize] as usize;
+        debug_assert!(i < self.keys.len(), "leader {leader} has no entry");
+        self.keys[i] = Self::key(cost, leader);
         self.restore(i);
     }
 
     /// Deletes `leader`'s entry, if it has one.
-    fn remove(&mut self, leader: usize) {
-        let i = self.pos[leader];
+    fn remove(&mut self, leader: u32) {
+        let i = self.pos[leader as usize];
         if i == Self::ABSENT {
             return;
         }
         let i = i as usize;
-        self.pos[leader] = Self::ABSENT;
-        let last = self.entries.len() - 1;
+        self.pos[leader as usize] = Self::ABSENT;
+        let last = self.keys.len() - 1;
         if i != last {
-            self.entries.swap(i, last);
-            self.entries.pop();
-            self.pos[self.entries[i].1 as usize] = i as u32;
+            self.keys.swap(i, last);
+            self.keys.pop();
+            self.pos[Self::leader(self.keys[i]) as usize] = i as u32;
             self.restore(i);
         } else {
-            self.entries.pop();
+            self.keys.pop();
         }
-    }
-
-    fn less(a: (f64, u32), b: (f64, u32)) -> bool {
-        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
     }
 
     /// Moves the entry at `i` up or down to its place.
     fn restore(&mut self, i: usize) {
-        if i > 0 && Self::less(self.entries[i], self.entries[(i - 1) / 2]) {
+        if i > 0 && self.keys[i] < self.keys[(i - 1) / Self::ARITY] {
             self.sift_up(i);
         } else {
             self.sift_down(i);
@@ -388,43 +401,51 @@ impl MergeHeap {
     }
 
     fn sift_up(&mut self, mut i: usize) {
-        let moving = self.entries[i];
+        let moving = self.keys[i];
         while i > 0 {
-            let parent = (i - 1) / 2;
-            if !Self::less(moving, self.entries[parent]) {
+            let parent = (i - 1) / Self::ARITY;
+            let above = self.keys[parent];
+            if moving > above {
                 break;
             }
-            self.entries[i] = self.entries[parent];
-            self.pos[self.entries[i].1 as usize] = i as u32;
+            self.keys[i] = above;
+            self.pos[Self::leader(above) as usize] = i as u32;
             i = parent;
         }
-        self.entries[i] = moving;
-        self.pos[moving.1 as usize] = i as u32;
+        self.keys[i] = moving;
+        self.pos[Self::leader(moving) as usize] = i as u32;
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let n = self.entries.len();
-        let moving = self.entries[i];
+        let n = self.keys.len();
+        let moving = self.keys[i];
         loop {
-            let left = 2 * i + 1;
-            if left >= n {
+            let first = Self::ARITY * i + 1;
+            if first >= n {
                 break;
             }
-            let right = left + 1;
-            let child = if right < n && Self::less(self.entries[right], self.entries[left]) {
-                right
-            } else {
-                left
+            let child = match self.keys.get(first..first + Self::ARITY) {
+                // A full node: a branch-free tournament of its children.
+                Some(&[k0, k1, k2, k3]) => {
+                    let lo = usize::from(k1 < k0);
+                    let hi = 2 + usize::from(k3 < k2);
+                    let pick = [lo, hi];
+                    let keys = [k0, k1, k2, k3];
+                    first + pick[usize::from(keys[hi] < keys[lo])]
+                }
+                // The last, partial node.
+                _ => (first..n).min_by_key(|&c| self.keys[c]).unwrap_or(first),
             };
-            if !Self::less(self.entries[child], moving) {
+            let least = self.keys[child];
+            if least > moving {
                 break;
             }
-            self.entries[i] = self.entries[child];
-            self.pos[self.entries[i].1 as usize] = i as u32;
+            self.keys[i] = least;
+            self.pos[Self::leader(least) as usize] = i as u32;
             i = child;
         }
-        self.entries[i] = moving;
-        self.pos[moving.1 as usize] = i as u32;
+        self.keys[i] = moving;
+        self.pos[Self::leader(moving) as usize] = i as u32;
     }
 }
 
@@ -620,6 +641,80 @@ mod tests {
     #[test]
     fn default_mode_is_greedy() {
         assert_eq!(VOptimal::default().mode, VOptimalMode::GreedyMerge);
+    }
+
+    /// The merge heap's integer keys must order exactly as
+    /// `(cost.total_cmp, leader)`, through every kind of `f64` a merge
+    /// cost can take, across a scrambled batch of updates and removals.
+    #[test]
+    fn merge_heap_pops_in_total_cmp_then_leader_order() {
+        let palette = [
+            0.0,
+            -0.0,
+            // Negative rounding residues of an SSE difference.
+            -1e-12,
+            -f64::EPSILON,
+            -3.0e-300,
+            // Subnormals of both signs.
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 8.0,
+            -f64::MIN_POSITIVE / 8.0,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            -f64::MAX,
+            // Equal costs under many leaders.
+            1.5,
+            1.5,
+            1.5,
+            42.0,
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        // Fixed anchors hold the palette forwards and then backwards, so
+        // every pair of costs also meets under both leader orders; the
+        // leaders after them are scrambled.
+        let anchors = 2 * palette.len();
+        let leaders = anchors + 97;
+        let mut live: Vec<Option<f64>> = palette
+            .iter()
+            .chain(palette.iter().rev())
+            .map(|&cost| Some(cost))
+            .collect();
+        live.extend((anchors..leaders).map(|_| Some(palette[draw(palette.len())])));
+        let mut heap = MergeHeap::new(live.iter().map(|cost| cost.unwrap_or(0.0)));
+        for _ in 0..600 {
+            let leader = anchors + draw(leaders - anchors);
+            if draw(4) == 0 {
+                heap.remove(leader as u32);
+                live[leader] = None;
+            } else if live[leader].is_some() {
+                let cost = palette[draw(palette.len())];
+                heap.update(leader as u32, cost);
+                live[leader] = Some(cost);
+            }
+        }
+        let mut reference: Vec<(f64, u32)> = live
+            .iter()
+            .enumerate()
+            .filter_map(|(leader, cost)| cost.map(|cost| (cost, leader as u32)))
+            .collect();
+        reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut popped = Vec::new();
+        while let Some(leader) = heap.peek() {
+            popped.push(leader);
+            heap.remove(leader);
+        }
+        let want: Vec<u32> = reference.iter().map(|&(_, leader)| leader).collect();
+        assert_eq!(popped, want);
     }
 
     #[test]

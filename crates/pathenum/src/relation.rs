@@ -128,7 +128,15 @@ impl PathRelation {
         debug_assert!(scratch.is_empty(), "scratch bitset must start cleared");
         debug_assert!(scratch.capacity() >= graph.vertex_count());
         let csr = graph.forward_csr(label);
-        let mut out = PathRelation::empty();
+        // Every output source is an input source, so `sources` and
+        // `offsets` never outgrow these; the input's pair count is a first
+        // guess at the output's that spares most of the regrowth.
+        let mut out = PathRelation {
+            sources: Vec::with_capacity(self.sources.len()),
+            offsets: Vec::with_capacity(self.sources.len() + 1),
+            targets: Vec::with_capacity(self.targets.len()),
+        };
+        out.offsets.push(0);
         for (i, &src) in self.sources.iter().enumerate() {
             for &t in self.targets_of_nth(i) {
                 for &w in csr.neighbors(t) {
