@@ -144,12 +144,21 @@ impl PathEncoding {
     }
 }
 
+/// `Σ_{i=1..k} n^i`, saturating at `u128::MAX`. `k` may come from an
+/// untrusted file header, so one label sums in closed form and more
+/// labels stop once the power overflows: no `k` loops more than 128 times.
 fn domain_size_u128(n: u128, k: usize) -> u128 {
+    if n == 1 {
+        return k as u128;
+    }
     let mut total = 0u128;
     let mut power = 1u128;
     for _ in 0..k {
-        power *= n;
-        total += power;
+        let Some(next) = power.checked_mul(n) else {
+            return u128::MAX;
+        };
+        power = next;
+        total = total.saturating_add(power);
     }
     total
 }
@@ -168,6 +177,49 @@ mod tests {
         assert_eq!(PathEncoding::new(6, 3).domain_size(), 6 + 36 + 216);
         // The paper's k=6 / 6-label domain (the text says 55996; Σ 6^i = 55986).
         assert_eq!(PathEncoding::new(6, 6).domain_size(), 55986);
+    }
+
+    #[test]
+    fn huge_path_lengths_are_refused_without_overflow() {
+        use crate::catalog::CatalogError;
+        // Header-sized lengths, and wide alphabets whose `Σ n^i` passes
+        // `u128::MAX`: every one is refused as too large.
+        for labels in [1, 2, 8, 1000, u16::MAX as usize] {
+            for max_len in [1 << 48, 1 << 60, usize::MAX] {
+                assert!(
+                    matches!(
+                        PathEncoding::try_new(labels, max_len),
+                        Err(CatalogError::DomainTooLarge { .. })
+                    ),
+                    "{labels} labels, max_len {max_len}"
+                );
+            }
+        }
+        for max_len in [9, 20, 47] {
+            assert!(matches!(
+                PathEncoding::try_new(u16::MAX as usize, max_len),
+                Err(CatalogError::DomainTooLarge { .. })
+            ));
+        }
+        // Sizes stay exact where they fit: |L| = 1000, k = 8 ⇒ 10^24 + ….
+        match PathEncoding::try_new(1000, 8) {
+            Err(CatalogError::DomainTooLarge { size, .. }) => {
+                assert_eq!(size, (1..=8).map(|i| 1000u128.pow(i)).sum::<u128>());
+            }
+            other => panic!("expected DomainTooLarge, got {other:?}"),
+        }
+        // The largest domains below the limit are accepted, and one label
+        // sizes a long path length without walking it.
+        assert_eq!(PathEncoding::new(2, 47).domain_size(), (1 << 48) - 2);
+        assert!(PathEncoding::try_new(2, 48).is_err());
+        let one_label = PathEncoding::new(1, (1 << 40) + 3);
+        assert_eq!(one_label.domain_size(), (1 << 40) + 3);
+        assert_eq!(one_label.offset_of_length(1 << 40), (1 << 40) - 1);
+        assert_eq!(
+            PathEncoding::new(1, (1 << 48) - 1).domain_size(),
+            (1 << 48) - 1
+        );
+        assert!(PathEncoding::try_new(1, 1 << 48).is_err());
     }
 
     #[test]

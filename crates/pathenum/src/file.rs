@@ -18,17 +18,13 @@
 //! end−8   8     FNV-1a 64 checksum of every preceding byte
 //! ```
 //!
-//! Two readers share the format:
-//!
-//! * [`open_catalog_file`] — the **serving** path: maps the file
-//!   ([`crate::mmap`]), verifies the checksum, validates the tagged
-//!   payload, and hands back a catalog whose byte stream *borrows the
-//!   mapping* — the skip index (~0.3 B/entry) is the only per-entry heap
-//!   cost, so a serving node's catalog capacity is bounded by disk;
-//! * `ShardReader` (crate-private) — the **spill-to-disk build** path:
-//!   streams blocks sequentially through a small buffer, one block
-//!   resident at a time, so the k-way merge of spilled shards runs in
-//!   bounded memory.
+//! One reader serves every use of the format: [`open_catalog_file`]
+//! maps the file ([`crate::mmap`]), verifies the checksum, validates the
+//! tagged payload, and hands back a catalog whose byte stream *borrows the
+//! mapping*. The skip index (~0.3 B/entry) is the only per-entry heap
+//! cost, so a serving node's catalog capacity is bounded by disk. The
+//! file handle is closed once the bytes are mapped, so any number of
+//! catalogs can be open at once without holding a descriptor each.
 //!
 //! Files are written by [`replace_file`] — to a temporary sibling, then
 //! renamed into place — and never modified afterwards: the immutability
@@ -39,12 +35,13 @@
 //! after it, so a crash leaves the old file or the new one, never a torn
 //! one. Spill shards reuse the same writer as [`Durability::Scratch`];
 //! being process-private temp files deleted after the build, they skip
-//! the fsyncs. The shard reader trusts their format (a malformed shard is
-//! a bug, not an input), but a failing read ends its stream with an error
-//! the build returns as [`crate::catalog::CatalogError::SpillIo`].
+//! the fsyncs. The spill-to-disk build reads them back through
+//! [`open_catalog_file`] as well, so a damaged shard is refused with the
+//! same checks as a damaged catalog, and the build returns it as
+//! [`crate::catalog::CatalogError::SpillIo`].
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -52,10 +49,7 @@ use phe_encoding::{fnv1a64, read_u64_le, write_u64_le, Fnv64};
 
 use crate::encoding::PathEncoding;
 use crate::mmap::MappedRegion;
-use crate::runs::{
-    decode_block_head, decode_block_tail, validate_tagged, BlockMeta, CompressedRuns, RunStream,
-    BLOCK_ENTRIES,
-};
+use crate::runs::{validate_tagged, BlockMeta, CompressedRuns, BLOCK_ENTRIES};
 use crate::sparse::SparseCatalog;
 
 /// File magic: format name + version. Bumping the layout bumps the
@@ -193,19 +187,22 @@ fn sync_parent_dir(_path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Opens a `.phc` catalog file for serving: maps it (read-to-heap
-/// fallback on platforms without mmap), verifies the checksum, validates
-/// the tagged payload, and returns a catalog whose byte stream borrows
-/// the mapping — check [`CompressedRuns::is_mapped`] on
-/// [`SparseCatalog::runs`] for the residency that was achieved.
+/// Opens a `.phc` catalog file (a served catalog or a spill shard): maps
+/// it (read-to-heap fallback on platforms without mmap), verifies the
+/// checksum, validates the tagged payload, and returns a catalog whose
+/// byte stream borrows the mapping — check [`CompressedRuns::is_mapped`]
+/// on [`SparseCatalog::runs`] for the residency that was achieved. The
+/// file handle is closed before this returns, and the file may be
+/// unlinked while the catalog is alive.
 ///
 /// # Errors
 /// [`CatalogFileError::Io`] on filesystem failures;
 /// [`CatalogFileError::Corrupt`] on a bad magic, checksum mismatch,
 /// inconsistent header fields, or an invalid payload stream.
 pub fn open_catalog_file(path: &Path) -> Result<SparseCatalog, CatalogFileError> {
-    let mut file = File::open(path)?;
-    let region = Arc::new(MappedRegion::map_file(&mut file)?);
+    // The handle is closed at the end of this statement: the mapping (or
+    // the heap copy) outlives it, so an open catalog holds no descriptor.
+    let region = Arc::new(MappedRegion::map_file(&mut File::open(path)?)?);
     let bytes = region.as_slice();
     if bytes.len() < HEADER_LEN + 8 {
         return Err(corrupt(format!("{} bytes is too short", bytes.len())));
@@ -284,165 +281,10 @@ pub fn open_catalog_file(path: &Path) -> Result<SparseCatalog, CatalogFileError>
     SparseCatalog::from_runs(encoding, runs).map_err(|e| corrupt(e.to_string()))
 }
 
-/// Sequentially streams a spill shard written by [`write_runs_file`]:
-/// the skip index is loaded to the heap at open (~0.3 B/entry) and block
-/// bytes are read one block at a time through a buffered reader — peak
-/// memory per shard is one block, regardless of shard size.
-///
-/// Shards are process-private temp files written moments earlier, so a
-/// format failure mid-stream is a bug, not an input. They live in the
-/// shared temp dir, though, so a failing read is an environment fault:
-/// the reader records the first IO error, ends its stream there, and
-/// hands the error over through [`ShardReader::take_error`].
-pub(crate) struct ShardReader {
-    reader: BufReader<File>,
-    skip: Vec<BlockMeta>,
-    payload_len: usize,
-    /// Current block id.
-    block: usize,
-    /// Entries already yielded from the current block.
-    in_block: u32,
-    /// The current block's raw bytes (read on block entry).
-    buf: Vec<u8>,
-    tail_idx: [u64; BLOCK_ENTRIES],
-    tail_cnt: [u64; BLOCK_ENTRIES],
-    /// The read failure that ended the stream early, if any.
-    error: Option<io::Error>,
-}
-
-/// Opens a spill shard for streaming. Header and skip rows land on the
-/// heap; the payload stays on disk until blocks are pulled.
-pub(crate) fn open_shard(path: &Path) -> io::Result<ShardReader> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut head = [0u8; HEADER_LEN];
-    reader.read_exact(&mut head)?;
-    if &head[..8] != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad spill shard magic",
-        ));
-    }
-    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    let field = |bytes: &[u8], at: usize| {
-        read_u64_le(bytes, at).ok_or_else(|| invalid("spill shard field out of bounds"))
-    };
-    let block_count = field(&head, 40)? as usize;
-    let payload_len = field(&head, 48)? as usize;
-    let rows_len = block_count
-        .checked_mul(ROW_LEN)
-        .ok_or_else(|| invalid("spill shard block count overflows"))?;
-    let mut rows = Vec::new();
-    (&mut reader).take(rows_len as u64).read_to_end(&mut rows)?;
-    if rows.len() != rows_len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "spill shard skip rows are truncated",
-        ));
-    }
-    let mut skip = Vec::with_capacity(block_count);
-    for off in (0..rows_len).step_by(ROW_LEN) {
-        skip.push(BlockMeta {
-            first_index: field(&rows, off)?,
-            last_index: field(&rows, off + 8)?,
-            byte_offset: field(&rows, off + 16)? as usize,
-            len: field(&rows, off + 24)? as u32,
-            mass: field(&rows, off + 32)?,
-        });
-    }
-    Ok(ShardReader {
-        reader,
-        skip,
-        payload_len,
-        block: 0,
-        in_block: 0,
-        buf: Vec::new(),
-        tail_idx: [0; BLOCK_ENTRIES],
-        tail_cnt: [0; BLOCK_ENTRIES],
-        error: None,
-    })
-}
-
-impl ShardReader {
-    /// Reads the bytes of block `block` (the one `meta` describes) into
-    /// `buf`. Blocks are consumed strictly in order, so this is a pure
-    /// sequential read.
-    fn load_block(&mut self, meta: &BlockMeta) -> io::Result<()> {
-        let end = self
-            .skip
-            .get(self.block + 1)
-            .map_or(self.payload_len, |m| m.byte_offset);
-        let len = end - meta.byte_offset;
-        self.buf.resize(len, 0);
-        self.reader.read_exact(&mut self.buf)
-    }
-
-    /// The IO error that ended this stream early, if any. A merge that
-    /// drained a failed shard is short and must be discarded.
-    pub(crate) fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
-    }
-}
-
-impl RunStream for ShardReader {
-    fn head_block(&self) -> Option<BlockMeta> {
-        (self.in_block == 0).then(|| self.skip.get(self.block).copied())?
-    }
-
-    fn next_entry(&mut self) -> Option<(u64, u64)> {
-        let meta = *self.skip.get(self.block)?;
-        if self.in_block == 0 {
-            if let Err(e) = self.load_block(&meta) {
-                // End the stream: no later block is read either.
-                self.error = Some(e);
-                self.block = self.skip.len();
-                return None;
-            }
-            let head = decode_block_head(&self.buf);
-            if meta.len == 1 {
-                self.block += 1;
-            } else {
-                self.in_block = 1;
-            }
-            return Some(head);
-        }
-        if self.in_block == 1 {
-            decode_block_tail(
-                &self.buf,
-                meta.len as usize,
-                meta.first_index,
-                &mut self.tail_idx,
-                &mut self.tail_cnt,
-            );
-        }
-        let at = (self.in_block - 1) as usize;
-        let entry = (self.tail_idx[at], self.tail_cnt[at]);
-        self.in_block += 1;
-        if self.in_block == meta.len {
-            self.block += 1;
-            self.in_block = 0;
-        }
-        Some(entry)
-    }
-
-    fn take_block(&mut self, meta: &BlockMeta) -> &[u8] {
-        if self.in_block != 0 {
-            debug_assert_eq!(self.in_block, 1, "only the head entry was decoded");
-            debug_assert!(meta.len > 1);
-            self.block += 1;
-            self.in_block = 0;
-        } else {
-            debug_assert_eq!(meta.len, 1, "only a spent block leaves the head at 0");
-        }
-        // `buf` still holds exactly this block's bytes: it was filled
-        // when the head entry was decoded.
-        &self.buf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runs::merge_streams;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn temp_path(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -534,16 +376,21 @@ mod tests {
         ));
     }
 
+    /// Writes `runs` as a scratch shard and reads it back through the
+    /// one reader, as the spill-to-disk build does.
+    fn round_trip_shard(name: &str, runs: &CompressedRuns) -> (PathBuf, CompressedRuns) {
+        let path = temp_path(name);
+        write_runs_file(&path, &PathEncoding::new(4, 8), runs, Durability::Scratch).unwrap();
+        let opened = open_catalog_file(&path).unwrap().runs().clone();
+        (path, opened)
+    }
+
     #[test]
-    fn shard_reader_streams_identically_to_memory() {
+    fn mapped_shard_merges_identically_to_memory() {
         let entries: Vec<(u64, u64)> = (0..2000u64).map(|i| (i * 5 + i % 3, 1 + i % 50)).collect();
         let runs = CompressedRuns::from_entries(&entries);
-        let encoding = PathEncoding::new(4, 8);
-
-        let path = temp_path("shard");
-        write_runs_file(&path, &encoding, &runs, Durability::Scratch).unwrap();
-        let shard = open_shard(&path).unwrap();
-        let from_disk = merge_streams(&mut [shard]);
+        let (path, shard) = round_trip_shard("shard", &runs);
+        let from_disk = CompressedRuns::merge_many(&[shard]);
         assert_eq!(from_disk, runs, "single-shard merge is the identity");
         // The wholesale path kept the exact block boundaries.
         assert_eq!(from_disk.skip_index(), runs.skip_index());
@@ -551,14 +398,9 @@ mod tests {
         // Two disjoint shards merge like their in-memory counterparts.
         let low = CompressedRuns::from_entries(&entries[..1000]);
         let high = CompressedRuns::from_entries(&entries[1000..]);
-        let low_path = temp_path("shard-low");
-        let high_path = temp_path("shard-high");
-        write_runs_file(&low_path, &encoding, &low, Durability::Scratch).unwrap();
-        write_runs_file(&high_path, &encoding, &high, Durability::Scratch).unwrap();
-        let merged = merge_streams(&mut [
-            open_shard(&low_path).unwrap(),
-            open_shard(&high_path).unwrap(),
-        ]);
+        let (low_path, low_shard) = round_trip_shard("shard-low", &low);
+        let (high_path, high_shard) = round_trip_shard("shard-high", &high);
+        let merged = CompressedRuns::merge_many(&[low_shard, high_shard]);
         assert_eq!(merged, CompressedRuns::merge_many(&[low, high]));
         assert_eq!(merged.to_vec(), entries);
 
@@ -573,30 +415,27 @@ mod tests {
         let b: Vec<(u64, u64)> = (0..900u64).map(|i| (i * 3, 5)).collect();
         let run_a = CompressedRuns::from_entries(&a);
         let run_b = CompressedRuns::from_entries(&b);
-        let encoding = PathEncoding::new(4, 8);
-        let path_a = temp_path("inter-a");
-        let path_b = temp_path("inter-b");
-        write_runs_file(&path_a, &encoding, &run_a, Durability::Scratch).unwrap();
-        write_runs_file(&path_b, &encoding, &run_b, Durability::Scratch).unwrap();
-        let from_disk =
-            merge_streams(&mut [open_shard(&path_a).unwrap(), open_shard(&path_b).unwrap()]);
-        let in_memory = CompressedRuns::merge_many(&[run_a, run_b]);
-        assert_eq!(from_disk, in_memory, "disk merge ≡ memory merge");
+        let (path_a, shard_a) = round_trip_shard("inter-a", &run_a);
+        let (path_b, shard_b) = round_trip_shard("inter-b", &run_b);
+        // Both files can go before the merge: the mappings outlive them.
         std::fs::remove_file(&path_a).unwrap();
         std::fs::remove_file(&path_b).unwrap();
+        let from_disk = CompressedRuns::merge_many(&[shard_a, shard_b]);
+        let in_memory = CompressedRuns::merge_many(&[run_a, run_b]);
+        assert_eq!(from_disk, in_memory, "disk merge ≡ memory merge");
     }
 
     #[test]
-    fn truncated_shard_ends_its_stream_with_an_error() {
+    fn truncated_shard_is_refused_at_open() {
         let entries: Vec<(u64, u64)> = (0..2000u64).map(|i| (i * 7, 1 + i % 90)).collect();
         let runs = CompressedRuns::from_entries(&entries);
         assert!(runs.skip_index().len() > 4, "several blocks to cut between");
-        let encoding = PathEncoding::new(4, 8);
         let path = temp_path("truncated");
-        write_runs_file(&path, &encoding, &runs, Durability::Scratch).unwrap();
+        write_runs_file(&path, &PathEncoding::new(4, 8), &runs, Durability::Scratch).unwrap();
 
         // Cut the file in the middle of the payload: the header and skip
-        // rows still read, so the failure surfaces mid-stream.
+        // rows are intact, so only the length, checksum and payload
+        // checks stand between the cut and the merge.
         let payload_start = HEADER_LEN + runs.skip_index().len() * ROW_LEN;
         let cut = payload_start + runs.bytes().len() / 2;
         std::fs::OpenOptions::new()
@@ -605,16 +444,10 @@ mod tests {
             .unwrap()
             .set_len(cut as u64)
             .unwrap();
-
-        let mut streams = [open_shard(&path).unwrap()];
-        let merged = merge_streams(&mut streams);
-        let error = streams[0]
-            .take_error()
-            .expect("the cut must surface as an error");
-        assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(merged.len() < runs.len(), "the stream ended at the cut");
-        assert!(!merged.is_empty(), "blocks before the cut still streamed");
-        assert!(streams[0].take_error().is_none(), "taken once");
+        assert!(matches!(
+            open_catalog_file(&path),
+            Err(CatalogFileError::Corrupt(_))
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -631,29 +464,96 @@ mod tests {
                 "catalog cut at {cut}"
             );
         }
-
-        let entries: Vec<(u64, u64)> = (0..2000u64).map(|i| (i * 7, 1 + i % 90)).collect();
-        let runs = CompressedRuns::from_entries(&entries);
-        write_runs_file(&path, &PathEncoding::new(4, 8), &runs, Durability::Scratch).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-        let rows_end = HEADER_LEN + runs.skip_index().len() * ROW_LEN;
-        for cut in [0, 8, 44, HEADER_LEN - 1, HEADER_LEN + 1, rows_end - 1] {
-            std::fs::write(&path, &pristine[..cut]).unwrap();
-            let error = open_shard(&path).err().expect("a cut header must not open");
-            assert_eq!(
-                error.kind(),
-                io::ErrorKind::UnexpectedEof,
-                "shard cut at {cut}"
-            );
-        }
-        // A block count whose rows overflow the address space.
-        let mut huge = pristine.clone();
-        huge[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&path, &huge).unwrap();
-        let error = open_shard(&path)
-            .err()
-            .expect("an overflowing count must not open");
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn huge_one_label_path_length_opens_without_walking_it() {
+        // A one-label catalog whose header `max_len` has a high bit
+        // flipped, with the checksum re-stamped: sizing its domain must
+        // not loop `max_len` times.
+        let path = temp_path("one-label");
+        let encoding = PathEncoding::new(1, 5);
+        let entries = [(0, 3), (2, 7), (4, 1)];
+        let catalog =
+            SparseCatalog::from_runs(encoding, CompressedRuns::from_entries(&entries)).unwrap();
+        write_catalog_file(&path, &catalog).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let max_len = (1u64 << 40) + 3;
+        bytes[16..24].copy_from_slice(&max_len.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let started = std::time::Instant::now();
+        let opened = open_catalog_file(&path).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        assert_eq!(opened.encoding().max_len() as u64, max_len);
+        assert_eq!(opened.encoding().domain_size() as u64, max_len);
+        assert_eq!(opened.iter().collect::<Vec<_>>(), entries);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn concurrent_opens_see_one_whole_catalog_or_the_other() {
+        let path = temp_path("atomic");
+        let old = sample_catalog();
+        let new = SparseCatalog::from_runs(
+            *old.encoding(),
+            CompressedRuns::from_entries(&[(3, 9), (70, 2), (30_000, 1)]),
+        )
+        .unwrap();
+        write_catalog_file(&path, &old).unwrap();
+        let opens = AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        let seen = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut seen = [0usize; 2];
+                while !done.load(Ordering::Acquire) {
+                    match open_catalog_file(&path) {
+                        Ok(catalog) if catalog == old => seen[0] += 1,
+                        Ok(catalog) if catalog == new => seen[1] += 1,
+                        Ok(_) => panic!("an open returned neither catalog"),
+                        Err(e) => panic!("an open failed mid-replace: {e}"),
+                    }
+                    opens.fetch_add(1, Ordering::Release);
+                }
+                seen
+            });
+            for round in 0..100 {
+                write_catalog_file(&path, if round % 2 == 0 { &new } else { &old }).unwrap();
+                // Two more completed opens: at least one of them started
+                // after this write, so both catalogs are seen.
+                let target = opens.load(Ordering::Acquire) + 2;
+                while opens.load(Ordering::Acquire) < target && !reader.is_finished() {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::Release);
+            reader.join().unwrap()
+        });
+        assert!(seen[0] > 0 && seen[1] > 0, "opens saw {seen:?}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_rename_leaves_no_temp_file() {
+        // A non-empty directory at the target: the rename fails after the
+        // temp file is complete.
+        let path = temp_path("rename-target");
+        std::fs::create_dir_all(&path).unwrap();
+        std::fs::write(path.join("occupant"), b"x").unwrap();
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        for durability in [Durability::Synced, Durability::Scratch] {
+            assert!(replace_file(&path, &[b"new bytes"], durability).is_err());
+            assert!(
+                !Path::new(&tmp).exists(),
+                "{durability:?} left its temp file"
+            );
+            assert!(path.join("occupant").exists(), "the target is untouched");
+        }
+        std::fs::remove_dir_all(&path).unwrap();
     }
 }

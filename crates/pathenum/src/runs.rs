@@ -42,8 +42,8 @@
 //! * [`CompressedRuns::merge_many`] (the sharded build's k-way merge)
 //!   raw-copies any block whose index range precedes every other run's
 //!   next entry, falling back to entry-at-a-time decode only where runs
-//!   interleave. The same merge loop also drains disk-resident shards
-//!   (spill-to-disk builds) through the crate-private stream trait.
+//!   interleave. A spill-to-disk build merges its shards through it too,
+//!   as runs mapped by [`crate::file::open_catalog_file`].
 //!
 //! The only access path for consumers is the zero-alloc [`RunsCursor`]
 //! iterator: histogram builders, ordering remaps, and snapshot writers
@@ -54,7 +54,10 @@
 //!
 //! The byte stream itself may live on the heap **or** borrow from a
 //! memory-mapped catalog file ([`CompressedRuns::is_mapped`]); every
-//! operation reads through the same slice either way.
+//! operation reads through the same slice either way. Every stream the
+//! block decoders read was either encoded by [`RunsBuilder`] or passed
+//! `validate_tagged` (snapshot restore, catalog files and spill shards
+//! alike), which is why the decoders may treat malformed bytes as a bug.
 //!
 //! Blocks may hold *fewer* than [`BLOCK_ENTRIES`] entries: wholesale
 //! copies preserve the source block boundaries, and a re-encoded region
@@ -532,12 +535,86 @@ impl CompressedRuns {
     }
 
     /// K-way merges sorted runs, **summing** counts of equal indexes —
-    /// the sharded build's combine step. A block whose whole index range
-    /// precedes every other run's next entry is copied wholesale; the
-    /// per-entry heap path runs only where the runs interleave.
+    /// the sharded build's combine step, over heap-owned and mapped runs
+    /// alike (a spilled build merges its shards through here). A block
+    /// whose whole index range precedes every other run's next entry is
+    /// copied wholesale; the per-entry heap path runs only where the runs
+    /// interleave.
     pub fn merge_many(runs: &[CompressedRuns]) -> CompressedRuns {
-        let mut streams: Vec<MemStream<'_>> = runs.iter().map(MemStream::new).collect();
-        merge_streams(&mut streams)
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        /// One run's read head: the pre-decoded next entry, plus — when
+        /// that entry opened a fresh block — the block's skip row, which
+        /// is the wholesale-copy opportunity.
+        struct Head<'r> {
+            cursor: RunsCursor<'r>,
+            next: Option<(u64, u64)>,
+            head_block: Option<BlockMeta>,
+        }
+
+        impl Head<'_> {
+            fn advance(&mut self) {
+                self.head_block = self.cursor.block_at_head();
+                self.next = self.cursor.next();
+            }
+        }
+
+        let mut heads: Vec<Head<'_>> = runs
+            .iter()
+            .map(|run| {
+                let mut head = Head {
+                    cursor: run.iter(),
+                    next: None,
+                    head_block: None,
+                };
+                head.advance();
+                head
+            })
+            .collect();
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(run, head)| head.next.map(|(index, _)| Reverse((index, run))))
+            .collect();
+
+        let mut builder = RunsBuilder::new();
+        // The entry merged most recently but not yet pushed: equal
+        // indexes from other runs still need summing into it.
+        let mut acc: Option<(u64, u64)> = None;
+        while let Some(Reverse((index, run))) = heap.pop() {
+            let head = &mut heads[run];
+            // LINT-ALLOW(panic): a run is on the heap exactly while its
+            // head holds a pending entry (pushed only from `Some` below).
+            let (_, count) = head.next.expect("heap entries are pending");
+            match acc {
+                Some((i, ref mut c)) if i == index => *c += count,
+                _ => {
+                    if let Some(entry) = acc.take() {
+                        builder.push(entry.0, entry.1);
+                    }
+                    // Wholesale fast path: the pending entry heads a
+                    // fresh block whose entire range precedes every other
+                    // run's next index — transfer the block raw (head
+                    // entry included) and skip its decode.
+                    let other_min = heap.peek().map_or(u64::MAX, |&Reverse((i, _))| i);
+                    match head.head_block {
+                        Some(meta) if meta.last_index < other_min => {
+                            builder.push_block_raw(&meta, head.cursor.take_block(&meta));
+                        }
+                        _ => acc = Some((index, count)),
+                    }
+                }
+            }
+            head.advance();
+            if let Some((next, _)) = head.next {
+                heap.push(Reverse((next, run)));
+            }
+        }
+        if let Some((index, count)) = acc {
+            builder.push(index, count);
+        }
+        builder.finish()
     }
 
     /// The raw bytes of one block. Skip rows are sorted by byte offset,
@@ -560,139 +637,6 @@ impl<'a> IntoIterator for &'a CompressedRuns {
     fn into_iter(self) -> RunsCursor<'a> {
         self.iter()
     }
-}
-
-/// A sorted entry source the k-way merge can drain: either an in-memory
-/// run ([`MemStream`]) or a disk-resident spill shard. The contract
-/// mirrors [`RunsCursor`]'s lazy head decode so the wholesale-copy fast
-/// path never decodes a block tail.
-pub(crate) trait RunStream {
-    /// Skip row of the block at the read head, when the stream sits
-    /// exactly at an undecoded block boundary (the wholesale-copy
-    /// precondition).
-    fn head_block(&self) -> Option<BlockMeta>;
-
-    /// Next `(index, count)` entry, in index order.
-    fn next_entry(&mut self) -> Option<(u64, u64)>;
-
-    /// Called right after [`RunStream::next_entry`] returned the head
-    /// entry of `meta`: yields the block's raw bytes for a wholesale
-    /// copy and advances the stream past the block's remaining entries.
-    fn take_block(&mut self, meta: &BlockMeta) -> &[u8];
-}
-
-/// [`RunStream`] over an in-memory [`CompressedRuns`].
-pub(crate) struct MemStream<'a> {
-    runs: &'a CompressedRuns,
-    cursor: RunsCursor<'a>,
-}
-
-impl<'a> MemStream<'a> {
-    pub(crate) fn new(runs: &'a CompressedRuns) -> MemStream<'a> {
-        MemStream {
-            runs,
-            cursor: runs.iter(),
-        }
-    }
-}
-
-impl RunStream for MemStream<'_> {
-    fn head_block(&self) -> Option<BlockMeta> {
-        self.cursor.block_at_head()
-    }
-
-    fn next_entry(&mut self) -> Option<(u64, u64)> {
-        self.cursor.next()
-    }
-
-    fn take_block(&mut self, meta: &BlockMeta) -> &[u8] {
-        self.cursor.skip_rest_of_block(meta);
-        self.runs.block_bytes(meta)
-    }
-}
-
-/// The k-way merge shared by [`CompressedRuns::merge_many`] and the
-/// spill-to-disk build: sums counts of equal indexes and wholesale-copies
-/// any block whose range precedes every other stream's next entry.
-/// Because disk shards drain through the same loop as in-memory runs,
-/// a spilled build is bit-identical to the in-memory one. The streams are
-/// borrowed, so a caller can ask a stream afterwards why it ended.
-pub(crate) fn merge_streams<S: RunStream>(sources: &mut [S]) -> CompressedRuns {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    /// One stream's read head: the pre-decoded next entry, plus — when
-    /// that entry opened a fresh block — the block's skip row, which is
-    /// the wholesale-copy opportunity.
-    struct Head<'s, S> {
-        source: &'s mut S,
-        next: Option<(u64, u64)>,
-        head_block: Option<BlockMeta>,
-    }
-
-    impl<S: RunStream> Head<'_, S> {
-        fn advance(&mut self) {
-            self.head_block = self.source.head_block();
-            self.next = self.source.next_entry();
-        }
-    }
-
-    let mut heads: Vec<Head<'_, S>> = sources
-        .iter_mut()
-        .map(|source| {
-            let mut head = Head {
-                source,
-                next: None,
-                head_block: None,
-            };
-            head.advance();
-            head
-        })
-        .collect();
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = heads
-        .iter()
-        .enumerate()
-        .filter_map(|(run, head)| head.next.map(|(index, _)| Reverse((index, run))))
-        .collect();
-
-    let mut builder = RunsBuilder::new();
-    // The entry merged most recently but not yet pushed: equal
-    // indexes from other streams still need summing into it.
-    let mut acc: Option<(u64, u64)> = None;
-    while let Some(Reverse((index, run))) = heap.pop() {
-        let head = &mut heads[run];
-        // LINT-ALLOW(panic): a run is on the heap exactly while its head
-        // holds a pending entry (pushed only from `Some` below).
-        let (_, count) = head.next.expect("heap entries are pending");
-        match acc {
-            Some((i, ref mut c)) if i == index => *c += count,
-            _ => {
-                if let Some(entry) = acc.take() {
-                    builder.push(entry.0, entry.1);
-                }
-                // Wholesale fast path: the pending entry heads a fresh
-                // block whose entire range precedes every other stream's
-                // next index — transfer the block raw (head entry
-                // included) and skip its decode.
-                let other_min = heap.peek().map_or(u64::MAX, |&Reverse((i, _))| i);
-                match head.head_block {
-                    Some(meta) if meta.last_index < other_min => {
-                        let bytes = head.source.take_block(&meta);
-                        builder.push_block_raw(&meta, bytes);
-                    }
-                    _ => acc = Some((index, count)),
-                }
-            }
-        }
-        head.advance();
-        if let Some((next, _)) = head.next {
-            heap.push(Reverse((next, run)));
-        }
-    }
-    if let Some((index, count)) = acc {
-        builder.push(index, count);
-    }
-    builder.finish()
 }
 
 /// The decoded tail of one block (entries after the head), staged in
@@ -759,19 +703,21 @@ impl<'a> RunsCursor<'a> {
         (self.in_block == 0).then(|| self.runs.skip.get(self.block).copied())?
     }
 
-    /// Jumps past the remaining entries of `meta`, whose head the cursor
-    /// already yielded (the caller transferred the block raw instead of
-    /// decoding the tail). No-op for single-entry blocks — the head
-    /// decode already advanced past them.
-    fn skip_rest_of_block(&mut self, meta: &BlockMeta) {
+    /// Called right after [`Iterator::next`] yielded the head entry of
+    /// `meta` (the row [`RunsCursor::block_at_head`] returned): jumps past
+    /// the block's remaining entries and returns its raw bytes, so the
+    /// caller can transfer the block instead of decoding its tail.
+    fn take_block(&mut self, meta: &BlockMeta) -> &'a [u8] {
         if self.in_block == 0 {
+            // A single-entry block: the head decode already advanced.
             debug_assert_eq!(meta.len, 1, "only a spent block leaves the head at 0");
-            return;
+        } else {
+            debug_assert_eq!(self.in_block, 1, "only the head entry was decoded");
+            debug_assert!(meta.len > 1);
+            self.block += 1;
+            self.in_block = 0;
         }
-        debug_assert_eq!(self.in_block, 1, "only the head entry was decoded");
-        debug_assert!(meta.len > 1);
-        self.block += 1;
-        self.in_block = 0;
+        self.block_slice(self.block - 1, meta)
     }
 }
 
@@ -1070,7 +1016,7 @@ fn encode_varint_block(out: &mut Vec<u8>, idx: &[u64], cnt: &[u64]) {
 
 /// Decodes a block's head entry — the tag byte plus two varints; the
 /// tail stays untouched (wholesale merges never need it).
-pub(crate) fn decode_block_head(block: &[u8]) -> (u64, u64) {
+fn decode_block_head(block: &[u8]) -> (u64, u64) {
     let mut pos = 1; // past the codec tag
     let index = validated_varint(block, &mut pos);
     let count = validated_varint(block, &mut pos);
@@ -1081,7 +1027,7 @@ pub(crate) fn decode_block_head(block: &[u8]) -> (u64, u64) {
 /// `[0..len-1]` as absolute indexes and counts. `block` is the block's
 /// own byte slice (tag first); the stream was validated at construction,
 /// so malformed bytes are a programming error (panic), not a result.
-pub(crate) fn decode_block_tail(
+fn decode_block_tail(
     block: &[u8],
     len: usize,
     first_index: u64,
@@ -1123,8 +1069,9 @@ pub(crate) fn decode_block_tail(
             }
         }
         // LINT-ALLOW(panic): `validate_tagged` refuses any other codec
-        // tag, and every stream decoded here passed it or was encoded by
-        // `RunsBuilder` (`from_encoded` re-encodes legacy streams).
+        // tag, and every stream decoded here was encoded by `RunsBuilder`
+        // (`from_encoded` re-encodes legacy streams) or passed it: snapshot
+        // restore, catalog files and spill shards all open through it.
         other => unreachable!("validated codec tag, got {other}"),
     }
 }
@@ -1133,8 +1080,9 @@ pub(crate) fn decode_block_tail(
 fn validated_varint(block: &[u8], pos: &mut usize) -> u64 {
     // LINT-ALLOW(panic): `validate_tagged` decodes every varint of a
     // block before any decoder reads it, and every stream decoded here
-    // passed it or was encoded by `RunsBuilder` (`from_encoded`
-    // re-encodes legacy streams), so the read cannot truncate.
+    // was encoded by `RunsBuilder` (`from_encoded` re-encodes legacy
+    // streams) or passed it: snapshot restore, catalog files and spill
+    // shards all open through it. So the read cannot truncate.
     decode_varint(block, pos).expect("validated varint")
 }
 

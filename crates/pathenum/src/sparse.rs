@@ -50,9 +50,12 @@
 //! * [`SparseCatalog::compute_parallel_spilling`] — the same build under
 //!   a memory budget: a worker whose local entry buffer exceeds its
 //!   budget share compresses it and **spills it to a shard file**
-//!   ([`crate::file`]); the final k-way merge streams the spilled shards
-//!   back one block at a time, so peak memory tracks the budget plus one
-//!   block per shard instead of the whole entry set;
+//!   ([`crate::file`]). The final k-way merge maps the spilled shards
+//!   back through [`crate::file::open_catalog_file`], which validates
+//!   each one and closes its file, so the heap holds the budget plus the
+//!   shards' skip rows (~0.3 B/entry) instead of the whole entry set.
+//!   Off 64-bit unix, [`crate::mmap`] falls back to reading each shard
+//!   into the heap, and that bound no longer holds;
 //! * [`SparseCatalog::merge_delta`] — incremental maintenance: folds a
 //!   signed [`crate::delta::SparseDeltaRun`] (the outcome of
 //!   [`crate::delta::compute_delta`] over a graph change) into this
@@ -100,9 +103,9 @@ use phe_graph::{FixedBitSet, FollowMatrix, Graph, LabelId};
 
 use crate::catalog::CatalogError;
 use crate::encoding::PathEncoding;
-use crate::file::{open_shard, write_runs_file, Durability, ShardReader};
+use crate::file::{open_catalog_file, write_runs_file, Durability};
 use crate::relation::PathRelation;
-use crate::runs::{merge_streams, BlockMeta, CompressedRuns, MemStream, RunStream, RunsCursor};
+use crate::runs::{CompressedRuns, RunsCursor};
 
 /// Bytes one uncompressed `(u64, u64)` entry occupies in a worker's
 /// local buffer — the unit the spill budget is accounted in.
@@ -119,36 +122,6 @@ pub struct SpillStats {
     pub shards: usize,
     /// Total size of the spilled shard files in bytes.
     pub bytes: u64,
-}
-
-/// A merge source for the budgeted build: a worker's in-memory
-/// remainder, or a spilled shard streamed back from disk.
-enum BuildStream<'a> {
-    Mem(MemStream<'a>),
-    Disk(ShardReader),
-}
-
-impl RunStream for BuildStream<'_> {
-    fn head_block(&self) -> Option<BlockMeta> {
-        match self {
-            BuildStream::Mem(s) => s.head_block(),
-            BuildStream::Disk(s) => s.head_block(),
-        }
-    }
-
-    fn next_entry(&mut self) -> Option<(u64, u64)> {
-        match self {
-            BuildStream::Mem(s) => s.next_entry(),
-            BuildStream::Disk(s) => s.next_entry(),
-        }
-    }
-
-    fn take_block(&mut self, meta: &BlockMeta) -> &[u8] {
-        match self {
-            BuildStream::Mem(s) => s.take_block(meta),
-            BuildStream::Disk(s) => s.take_block(meta),
-        }
-    }
 }
 
 fn spill_err(e: impl std::fmt::Display) -> CatalogError {
@@ -216,16 +189,23 @@ impl SparseCatalog {
     /// [`SparseCatalog::compute_parallel`] under a memory budget: a
     /// worker whose uncompressed local entry buffer crosses its share of
     /// `memory_budget` bytes compresses it and spills it to a shard file
-    /// in the system temp dir; the final k-way merge streams the spilled
-    /// shards back one block at a time. Entries are identical to the
-    /// unbudgeted build; the returned [`SpillStats`] say how much hit
-    /// disk. `None` (or a budget nothing exceeds) never touches the
+    /// in the system temp dir. Before the final k-way merge, every shard
+    /// is mapped back and validated by
+    /// [`crate::file::open_catalog_file`], and the spill directory is
+    /// removed; the mappings outlive the files' names. The heap then holds
+    /// only the shards' skip rows, and no file stays open, however many
+    /// shards were written. Off 64-bit unix there is no mapping:
+    /// [`crate::mmap`] reads each shard into the heap instead, so the
+    /// merge holds the compressed shards in memory. Entries are identical
+    /// to the unbudgeted build; the returned [`SpillStats`] say how much
+    /// hit disk. `None` (or a budget nothing exceeds) never touches the
     /// filesystem.
     ///
     /// # Errors
     /// [`CatalogError::DomainTooLarge`] as for [`SparseCatalog::compute`];
-    /// [`CatalogError::SpillIo`] when a shard file cannot be written or
-    /// re-read (shards are cleaned up either way).
+    /// [`CatalogError::SpillIo`] when a shard file cannot be written, or
+    /// fails to open, validate or match the build's encoding when read
+    /// back (shards are cleaned up either way).
     pub fn compute_parallel_spilling(
         graph: &Graph,
         k: usize,
@@ -341,50 +321,42 @@ impl SparseCatalog {
         });
 
         drop(count_span);
+        let _merge = phe_obs::span::stage("build.merge");
 
         // `thread::scope` re-raises a worker's panic at the join above, so
         // a poisoned lock cannot be observed here; recovering the guard
         // keeps this path free of panics all the same.
-        let mem_runs = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let mut runs = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
         let shard_paths = shard_paths
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
         let failure = spill_failure
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        let merged = (|| -> Result<CompressedRuns, CatalogError> {
-            if let Some(message) = failure {
-                return Err(CatalogError::SpillIo { message });
-            }
-            let _merge = phe_obs::span::stage("build.merge");
-            if shard_paths.is_empty() {
-                return Ok(CompressedRuns::merge_many(&mem_runs));
-            }
-            let mut streams: Vec<BuildStream<'_>> =
-                Vec::with_capacity(mem_runs.len() + shard_paths.len());
-            streams.extend(
-                mem_runs
-                    .iter()
-                    .map(|run| BuildStream::Mem(MemStream::new(run))),
-            );
-            for path in &shard_paths {
-                streams.push(BuildStream::Disk(open_shard(path).map_err(spill_err)?));
-            }
-            let merged = merge_streams(&mut streams);
-            // A shard that fails to read back ends its stream early; the
-            // merge is then short and is refused here.
-            for stream in &mut streams {
-                if let BuildStream::Disk(shard) = stream {
-                    if let Some(e) = shard.take_error() {
-                        return Err(spill_err(e));
-                    }
+        // Open every shard through the validating catalog reader, which
+        // closes each file once it is mapped, and merge the shards with
+        // the in-memory runs.
+        let mapped = match failure {
+            Some(message) => Err(CatalogError::SpillIo { message }),
+            None => shard_paths.iter().try_for_each(|path| {
+                let shard = open_catalog_file(path)
+                    .map_err(|e| spill_err(format!("shard {}: {e}", path.display())))?;
+                if shard.encoding != encoding {
+                    return Err(spill_err(format!(
+                        "shard {} has a different encoding",
+                        path.display()
+                    )));
                 }
-            }
-            Ok(merged)
-        })();
+                runs.push(shard.runs);
+                Ok(())
+            }),
+        };
+        // A mapping outlives its file's name, so the shards go now.
         if let Some((_, dir)) = &spill {
             let _ = std::fs::remove_dir_all(dir);
         }
+        mapped?;
+        let merged = CompressedRuns::merge_many(&runs);
         let stats = SpillStats {
             shards: shard_paths.len(),
             // ORDERING: thread::scope already joined every writer, so
@@ -394,7 +366,7 @@ impl SparseCatalog {
         Ok((
             SparseCatalog {
                 encoding,
-                runs: merged?,
+                runs: merged,
             },
             stats,
         ))

@@ -7,9 +7,16 @@
 //! to the plain two-pointer pair merge under random churn. Both
 //! decoders of the serialized form, fed damaged bytes and block lengths,
 //! refuse them with `RunsCorrupt` or return a well-formed run; neither
-//! panics.
+//! panics. The `.phc` file reader keeps the same promise for damaged
+//! files, with and without a valid checksum.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use phe_encoding::fnv1a64;
+use phe_pathenum::file::{open_catalog_file, write_catalog_file, CatalogFileError};
 use phe_pathenum::runs::{CompressedRuns, RunsBuilder, BLOCK_ENTRIES};
+use phe_pathenum::{PathEncoding, SparseCatalog};
 use proptest::prelude::*;
 
 /// Builds a strictly increasing entry run whose consecutive gaps exercise
@@ -350,5 +357,130 @@ proptest! {
             check_decoded(CompressedRuns::from_tagged_encoded(bytes.clone(), &lens))?;
             check_decoded(CompressedRuns::from_encoded(bytes, &lens))?;
         }
+    }
+}
+
+/// One damage step on a `.phc` file: `(region, kind, position, value)`.
+/// `region` picks the fixed header, the skip rows or the payload; `kind`
+/// flips one bit there, cuts the file there, or inserts 1–8 of `value`'s
+/// bytes there.
+fn damage_catalog_file(
+    bytes: &mut Vec<u8>,
+    blocks: usize,
+    (region, kind, position, value): (u8, u8, u64, u64),
+) {
+    const HEADER: usize = 56;
+    let rows_end = HEADER + 40 * blocks;
+    let (lo, hi) = match region {
+        0 => (0, HEADER),
+        1 => (HEADER, rows_end),
+        _ => (rows_end, bytes.len() - 8),
+    };
+    let at = lo + (position % (hi - lo).max(1) as u64) as usize;
+    match kind {
+        0 => bytes[at] ^= 1 << (value % 8),
+        1 => bytes.truncate(at),
+        _ => {
+            let fill = value.to_le_bytes();
+            let n = 1 + (value % 8) as usize;
+            bytes.splice(at..at, fill[..n].iter().copied());
+        }
+    }
+}
+
+/// `open_catalog_file`'s answer to a damaged file is acceptable when it
+/// refuses it, or when the catalog it returns keeps the run invariants
+/// inside its domain, answers point lookups from its own entries, and
+/// round-trips through `write_catalog_file` and `open_catalog_file`.
+fn check_opened(
+    opened: Result<SparseCatalog, CatalogFileError>,
+    rewrite_path: &Path,
+) -> Result<(), TestCaseError> {
+    let catalog = match opened {
+        Err(CatalogFileError::Corrupt(_) | CatalogFileError::Io(_)) => return Ok(()),
+        Ok(catalog) => catalog,
+    };
+    let entries: Vec<(u64, u64)> = catalog.iter().collect();
+    prop_assert_eq!(entries.len(), catalog.nonzero_count());
+    prop_assert!(
+        entries.iter().all(|&(_, count)| count > 0),
+        "zero count decoded"
+    );
+    prop_assert!(
+        entries.windows(2).all(|w| w[0].0 < w[1].0),
+        "indexes do not increase strictly"
+    );
+    prop_assert!(entries
+        .last()
+        .is_none_or(|&(index, _)| index < catalog.len() as u64));
+    for &(index, count) in &entries {
+        prop_assert_eq!(catalog.selectivity_at(index), count);
+    }
+    write_catalog_file(rewrite_path, &catalog).unwrap();
+    let reopened = open_catalog_file(rewrite_path);
+    std::fs::remove_file(rewrite_path).unwrap();
+    let reopened = reopened.unwrap();
+    prop_assert_eq!(reopened.encoding(), catalog.encoding());
+    prop_assert_eq!(reopened, catalog);
+    Ok(())
+}
+
+/// A fresh temp path per call, so cases never share a file.
+fn case_path(what: &str) -> PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    // ORDERING: the counter only needs uniqueness, which the RMW gives.
+    let n = CASE.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "phe-prop-phc-{}-{n}-{what}.phc",
+        std::process::id()
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // A damaged `.phc` file never panics `open_catalog_file`: it is
+    // refused with `Corrupt` or `Io`, or it opens to a well-formed
+    // catalog. Each file is opened as damaged and again with its trailing
+    // checksum re-stamped, so the structural checks, not the checksum,
+    // have to do the refusing.
+    #[test]
+    fn damaged_catalog_files_are_refused_or_well_formed(
+        labels in 1usize..9,
+        max_len in 1usize..7,
+        parts in prop::collection::vec((0u32..12, 0u64..u64::MAX, 1u64..u64::MAX), 0..400),
+        step in (0u8..3, 0u8..3, 0u64..u64::MAX, 0u64..u64::MAX),
+    ) {
+        let encoding = PathEncoding::new(labels, max_len);
+        let domain = encoding.domain_size() as u64;
+        let mut entries = Vec::new();
+        let mut index = 0u64;
+        for (i, &(width, raw_gap, raw_count)) in parts.iter().enumerate() {
+            let gap = raw_gap % (1u64 << width);
+            index = if i == 0 { gap } else { index + 1 + gap };
+            if index >= domain {
+                break;
+            }
+            // Small counts most of the time, so blocks pack.
+            let count = if width % 3 == 0 { raw_count } else { 1 + raw_count % 16 };
+            entries.push((index, count));
+        }
+        let catalog =
+            SparseCatalog::from_runs(encoding, CompressedRuns::from_entries(&entries)).unwrap();
+        let path = case_path("damaged");
+        let rewrite_path = case_path("rewrite");
+        write_catalog_file(&path, &catalog).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        damage_catalog_file(&mut bytes, catalog.runs().skip_index().len(), step);
+        std::fs::write(&path, &bytes).unwrap();
+        check_opened(open_catalog_file(&path), &rewrite_path)?;
+        if bytes.len() >= 8 {
+            let body = bytes.len() - 8;
+            let sum = fnv1a64(&bytes[..body]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            check_opened(open_catalog_file(&path), &rewrite_path)?;
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }
