@@ -21,6 +21,17 @@ pub enum BuiltHistogram {
     EndBiased(EndBiasedHistogram),
 }
 
+impl BuiltHistogram {
+    /// Checks the family's structural invariants — what a snapshot
+    /// restore must confirm before it probes a deserialized histogram.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            BuiltHistogram::Buckets(h) => h.validate(),
+            BuiltHistogram::EndBiased(h) => h.validate(),
+        }
+    }
+}
+
 impl PointEstimator for BuiltHistogram {
     #[inline]
     fn estimate(&self, index: usize) -> f64 {

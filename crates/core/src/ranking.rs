@@ -49,7 +49,9 @@ impl LabelRanking {
     /// Cardinality ranking from explicit frequencies (`freqs[i] = f(lᵢ)`):
     /// lowest frequency first, ties by label id.
     pub fn cardinality_from_frequencies(freqs: &[u64]) -> LabelRanking {
-        let mut ids: Vec<LabelId> = (0..freqs.len() as u16).map(LabelId).collect();
+        // Up to 65,536 ids (the sum-based-L2 pair ranking of 256 labels):
+        // truncating the length to `u16` would rank none of them.
+        let mut ids: Vec<LabelId> = (0..freqs.len()).map(|i| LabelId(i as u16)).collect();
         ids.sort_by_key(|l| (freqs[l.index()], l.0));
         LabelRanking::from_rank_order(ids)
     }
@@ -120,6 +122,15 @@ mod tests {
         assert_eq!(r.unrank(1), l(0));
         assert_eq!(r.unrank(2), l(2));
         assert_eq!(r.unrank(3), l(1));
+    }
+
+    #[test]
+    fn cardinality_ranking_covers_every_u16_id() {
+        // 256 labels give 65,536 L2 pair pseudo-labels, ids 0..=65535.
+        let freqs: Vec<u64> = (0..65_536u64).map(|i| i % 7).collect();
+        let r = LabelRanking::cardinality_from_frequencies(&freqs);
+        assert_eq!(r.len(), 65_536);
+        assert_eq!(r.unrank(r.rank(l(u16::MAX))), l(u16::MAX));
     }
 
     #[test]

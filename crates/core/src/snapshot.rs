@@ -227,6 +227,10 @@ impl EstimatorSnapshot {
                 self.k
             )));
         }
+        // `PathDomain::new` panics on an alphabet or domain the path
+        // encoding cannot address; refuse those dimensions here instead.
+        phe_pathenum::PathEncoding::try_new(n, self.k)
+            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
         let domain = PathDomain::new(n, self.k);
         let ordering = self.rebuild_ordering(domain)?;
         if ordering.domain_size() as usize
@@ -238,6 +242,9 @@ impl EstimatorSnapshot {
                 ordering.domain_size()
             )));
         }
+        self.histogram
+            .validate()
+            .map_err(|e| SnapshotError::Corrupt(format!("histogram: {e}")))?;
         Ok(LabelPathHistogram::from_parts(
             ordering,
             self.histogram.clone(),
@@ -268,6 +275,13 @@ impl EstimatorSnapshot {
             OrderingKind::SumBased => Box::new(SumBasedOrdering::new(domain, card())),
             OrderingKind::SumBasedL2 => {
                 let n = self.label_names.len();
+                if n > 256 {
+                    // Pair pseudo-labels `l1 · n + l2` are `u16` label ids.
+                    return Err(SnapshotError::Corrupt(format!(
+                        "sum-based-L2 ranks label pairs as 16-bit ids, so it covers \
+                         at most 256 labels, not {n}"
+                    )));
+                }
                 let pairs = self.pair_frequencies.as_ref().ok_or_else(|| {
                     SnapshotError::Corrupt("sum-based-L2 snapshot without pair frequencies".into())
                 })?;
@@ -723,6 +737,36 @@ mod tests {
 
         let mut snapshot = est.snapshot().unwrap();
         snapshot.k = 0;
+        assert!(matches!(snapshot.restore(), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn domains_past_the_catalog_limit_are_refused_not_panicked() {
+        // 64 labels at k = 8 is Σ 64^i ≈ 2.9 · 10^14 paths, past the 2^48
+        // limit of the path encoding.
+        let mut snapshot = build(OrderingKind::SumBased).snapshot().unwrap();
+        snapshot.label_names = (0..64).map(|i| format!("l{i}")).collect();
+        snapshot.label_frequencies = vec![1; 64];
+        snapshot.k = 8;
+        match snapshot.restore() {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("too large"), "{msg}"),
+            other => panic!("expected a corrupt-snapshot error, got {:?}", other.err()),
+        }
+        // Sum-based-L2 ranks label pairs as `u16` ids: 257 labels are
+        // refused before their pair ranking is built.
+        let mut l2 = build(OrderingKind::SumBasedL2).snapshot().unwrap();
+        l2.label_names = (0..257).map(|i| format!("l{i}")).collect();
+        l2.label_frequencies = vec![1; 257];
+        l2.pair_frequencies = Some(vec![1; 257 * 257]);
+        l2.k = 1;
+        match l2.restore() {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("256"), "{msg}"),
+            other => panic!("expected a corrupt-snapshot error, got {:?}", other.err()),
+        }
+        // Beyond `u16` label ids the alphabet itself is refused.
+        snapshot.label_names = (0..70_000).map(|i| format!("l{i}")).collect();
+        snapshot.label_frequencies = vec![1; 70_000];
+        snapshot.k = 1;
         assert!(matches!(snapshot.restore(), Err(SnapshotError::Corrupt(_))));
     }
 }

@@ -82,6 +82,22 @@ impl EndBiasedHistogram {
     pub fn rest_mean(&self) -> f64 {
         self.rest_mean
     }
+
+    /// Checks what a deserialized histogram could get wrong: singletons
+    /// outside the domain, and a rest-average that is negative or not
+    /// finite.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(index) = self.exact.keys().find(|&&i| i >= self.domain_size) {
+            return Err(format!(
+                "singleton {index} outside a domain of {}",
+                self.domain_size
+            ));
+        }
+        if !(self.rest_mean.is_finite() && self.rest_mean >= 0.0) {
+            return Err(format!("rest average {} is not a count", self.rest_mean));
+        }
+        Ok(())
+    }
 }
 
 impl PointEstimator for EndBiasedHistogram {
@@ -134,6 +150,22 @@ mod tests {
 
     fn dense(data: &[u64]) -> SparseFrequencies<'_> {
         SparseFrequencies::dense(data)
+    }
+
+    #[test]
+    fn validate_refuses_what_a_snapshot_could_carry() {
+        let built = EndBiasedHistogram::build(&dense(&[1, 500, 2, 3]), 2).unwrap();
+        assert_eq!(built.validate(), Ok(()));
+        for rest_mean in [-1.0, f64::NAN, f64::INFINITY] {
+            let bad = EndBiasedHistogram {
+                rest_mean,
+                ..built.clone()
+            };
+            assert!(bad.validate().is_err(), "{rest_mean}");
+        }
+        let mut outside = built;
+        outside.exact.insert(4, 7);
+        assert!(outside.validate().unwrap_err().contains("outside"));
     }
 
     #[test]

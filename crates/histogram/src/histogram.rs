@@ -41,8 +41,21 @@ impl Histogram {
     }
 
     /// Checks the partition invariants, returning a description of the
-    /// first violation.
+    /// first violation. A deserialized histogram is untrusted until this
+    /// passes: it also checks that no bucket is empty and that the cached
+    /// lookup array matches the buckets.
     pub fn validate(&self) -> Result<(), String> {
+        if !self
+            .starts
+            .iter()
+            .copied()
+            .eq(self.buckets.iter().map(|b| b.lo))
+        {
+            return Err("bucket start index does not match the buckets".into());
+        }
+        if let Some(b) = self.buckets.iter().find(|b| b.hi < b.lo) {
+            return Err(format!("bucket [{}, {}] is empty", b.lo, b.hi));
+        }
         if self.domain_size == 0 {
             return if self.buckets.is_empty() {
                 Ok(())
@@ -57,7 +70,7 @@ impl Histogram {
             return Err(format!("first bucket starts at {}", first.lo));
         }
         for w in self.buckets.windows(2) {
-            if w[1].lo != w[0].hi + 1 {
+            if w[0].hi.checked_add(1) != Some(w[1].lo) {
                 return Err(format!(
                     "gap/overlap between buckets ending {} and starting {}",
                     w[0].hi, w[1].lo
@@ -231,6 +244,42 @@ mod tests {
             starts: vec![0],
         };
         assert!(h.validate().is_err());
+    }
+
+    #[test]
+    fn validate_detects_empty_buckets_and_stale_starts() {
+        let raw = |lo, hi| Bucket {
+            lo,
+            hi,
+            sum: 1,
+            min: 1,
+            max: 1,
+        };
+        // [0,1], [2,1], [2,3] is adjacent end to end, but its middle
+        // bucket covers nothing and would divide by a zero count.
+        let empty = Histogram {
+            buckets: vec![raw(0, 1), raw(2, 1), raw(2, 3)],
+            domain_size: 4,
+            starts: vec![0, 2, 2],
+        };
+        assert!(empty.validate().unwrap_err().contains("empty"));
+        // A lookup array that disagrees with the buckets, or is short,
+        // would send probes to the wrong bucket or out of bounds.
+        for starts in [vec![1, 2], vec![0]] {
+            let stale = Histogram {
+                buckets: vec![raw(0, 1), raw(2, 3)],
+                domain_size: 4,
+                starts,
+            };
+            assert!(stale.validate().is_err());
+        }
+        // A bound at `usize::MAX` is refused, not overflowed.
+        let huge = Histogram {
+            buckets: vec![raw(0, usize::MAX), raw(0, 3)],
+            domain_size: 4,
+            starts: vec![0, 0],
+        };
+        assert!(huge.validate().is_err());
     }
 
     #[test]

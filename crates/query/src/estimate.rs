@@ -14,7 +14,7 @@ use phe_core::{PathSelectivityEstimator, MAX_K};
 use phe_graph::{FollowMatrix, LabelId};
 use phe_pathenum::{SamplingEstimator, SparseCatalog};
 
-use crate::expr::{ExpandError, ExpandOptions, PathExpr, DEFAULT_MAX_PATHS};
+use crate::expr::{ExpandError, ExpandOptions, PathExpr};
 
 /// An expression estimate: the branch breakdown and the canonical-order
 /// total, plus the expansion's accounting.
@@ -26,9 +26,6 @@ pub struct ExprEstimate {
     /// One `(concrete path, estimate)` per expansion branch, in canonical
     /// order. Estimates are clamped at 0.
     pub branches: Vec<(phe_core::LabelPath, f64)>,
-    /// Per-length subtotals `(length, paths, subtotal)` for the lengths
-    /// present in the expansion.
-    pub by_length: Vec<(usize, usize, f64)>,
     /// Branches discarded by follow-matrix pruning before estimation.
     pub pruned: u64,
     /// Branches discarded for exceeding the estimator's maximum length.
@@ -71,36 +68,29 @@ pub trait CardinalityEstimator {
     }
 
     /// Estimates a regular path expression: expand (pruned, bounded),
-    /// estimate every concrete branch, and sum in canonical order.
+    /// estimate every concrete branch, and sum in canonical order. The
+    /// branch loop is timed as the `query.estimate` stage, whoever the
+    /// caller is.
     ///
     /// # Errors
     /// [`ExpandError`] when the expansion exceeds its path bound.
     fn estimate_expr(&self, expr: &PathExpr) -> Result<ExprEstimate, ExpandError> {
         let mut opts = ExpandOptions::new(self.label_count(), self.max_len());
-        opts.max_paths = DEFAULT_MAX_PATHS;
         if let Some(follow) = self.follow_matrix() {
             opts = opts.with_follow(follow);
         }
         let expansion = expr.expand(&opts)?;
+        let _estimate = phe_obs::span::stage("query.estimate");
         let mut branches = Vec::with_capacity(expansion.paths.len());
         let mut total = 0.0f64;
-        let mut by_length: Vec<(usize, usize, f64)> = Vec::new();
         for path in &expansion.paths {
             let estimate = self.estimate(path.as_label_ids()).max(0.0);
             total += estimate;
-            match by_length.last_mut() {
-                Some((len, count, subtotal)) if *len == path.len() => {
-                    *count += 1;
-                    *subtotal += estimate;
-                }
-                _ => by_length.push((path.len(), 1, estimate)),
-            }
             branches.push((*path, estimate));
         }
         Ok(ExprEstimate {
             total,
             branches,
-            by_length,
             pruned: expansion.pruned,
             truncated: expansion.truncated,
             matches_empty: expansion.matches_empty,
@@ -386,7 +376,6 @@ mod tests {
         assert_eq!(estimate.total.to_bits(), direct.to_bits());
         assert_eq!(estimate.width(), 2);
         assert_eq!(estimate.branches[0].0.len(), 1, "length-major order");
-        assert_eq!(estimate.by_length.len(), 2);
         assert!(!estimate.matches_empty);
     }
 

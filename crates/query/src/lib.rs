@@ -77,6 +77,10 @@
 //! session maps naturally onto one batched request: collect the candidate
 //! paths for a plan search, estimate them in one round trip (answered
 //! consistently by a single estimator generation), then optimize locally.
+//! Expressions are answered by [`CardinalityEstimator::estimate_expr`]
+//! there too: the serving generation and the restored snapshot behind
+//! `phe estimate` / `phe query --snapshot` both implement the trait, so
+//! the server and the CLI run this crate's expand-and-sum loop.
 
 pub mod estimate;
 pub mod exec;

@@ -24,6 +24,8 @@ use parking_lot::Mutex;
 use phe_core::LabelPath;
 use phe_obs::{Counter, MetricsRegistry};
 
+use crate::registry::ExprOutcome;
+
 /// Cumulative hit/miss counters, shared between cache generations.
 ///
 /// Backed by a pair of [`phe_obs::Counter`] handles. Detached by
@@ -253,28 +255,14 @@ impl ShardedLruCache {
     }
 }
 
-/// A cached expression outcome: everything `estimate_expr` answers apart
-/// from the per-branch breakdown (explain requests recompute).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedExpr {
-    /// Total estimate across the expansion, canonical-order sum.
-    pub total: f64,
-    /// Number of concrete branches estimated.
-    pub width: u64,
-    /// Branches discarded by follow pruning.
-    pub pruned: u64,
-    /// Branches discarded for exceeding the length budget.
-    pub truncated: u64,
-    /// Whether the expression also denotes the empty path.
-    pub matches_empty: bool,
-}
-
 /// The expression cache: one LRU keyed by the **normalized** expression
-/// rendering, so commuted alternations share entries. Expression traffic
-/// is far lighter than per-path traffic (each expression fans out into
-/// many per-path lookups below it), so a single mutex suffices.
+/// rendering, so commuted alternations share entries. An entry is an
+/// answered outcome without its per-branch breakdown (explain requests
+/// recompute). Expression traffic is far lighter than per-path traffic
+/// (each expression fans out into many per-path lookups below it), so a
+/// single mutex suffices.
 pub struct ExprCache {
-    shard: Mutex<Shard<String, CachedExpr>>,
+    shard: Mutex<Shard<String, ExprOutcome>>,
     counters: Arc<CacheCounters>,
 }
 
@@ -289,7 +277,7 @@ impl ExprCache {
     }
 
     /// Looks up a normalized key, counting the hit or miss.
-    pub fn get(&self, key: &str) -> Option<CachedExpr> {
+    pub fn get(&self, key: &str) -> Option<ExprOutcome> {
         let result = self.shard.lock().get(key);
         match result {
             Some(_) => self.counters.hits.inc(),
@@ -299,7 +287,7 @@ impl ExprCache {
     }
 
     /// Inserts an outcome under its normalized key.
-    pub fn insert(&self, key: String, value: CachedExpr) {
+    pub fn insert(&self, key: String, value: ExprOutcome) {
         self.shard.lock().insert(key, value);
     }
 
@@ -392,21 +380,23 @@ mod tests {
     fn expr_cache_hits_normalized_keys_and_evicts() {
         let counters = Arc::new(CacheCounters::default());
         let cache = ExprCache::new(2, counters.clone());
-        let entry = CachedExpr {
+        let entry = ExprOutcome {
             total: 7.5,
             width: 2,
             pruned: 1,
             truncated: 0,
             matches_empty: false,
+            cached: false,
+            branches: None,
         };
         assert_eq!(cache.get("(0|1)/2"), None);
-        cache.insert("(0|1)/2".to_owned(), entry);
+        cache.insert("(0|1)/2".to_owned(), entry.clone());
         // A commuted alternation normalizes to the same key string by the
         // time it reaches the cache.
-        assert_eq!(cache.get("(0|1)/2"), Some(entry));
+        assert_eq!(cache.get("(0|1)/2"), Some(entry.clone()));
         assert_eq!((counters.hits(), counters.misses()), (1, 1));
 
-        cache.insert("0".to_owned(), entry);
+        cache.insert("0".to_owned(), entry.clone());
         cache.insert("1".to_owned(), entry);
         assert_eq!(cache.get("(0|1)/2"), None, "LRU evicted at capacity 2");
         assert_eq!(cache.len(), 2);

@@ -216,11 +216,6 @@ impl ServableEstimator {
         self.k
     }
 
-    /// Number of labels in the statistics' alphabet.
-    pub fn label_count(&self) -> usize {
-        self.label_names.len()
-    }
-
     /// Provenance string for listings.
     pub fn description(&self) -> &str {
         &self.description
@@ -281,9 +276,14 @@ impl ServableEstimator {
         Ok(self.estimate(&self.validate(labels)?))
     }
 
+    /// The name of a label id, `None` when it is outside the alphabet.
+    pub fn label_name(&self, label: LabelId) -> Option<&str> {
+        self.label_names.get(label.index()).map(String::as_str)
+    }
+
     /// Renders a path as slash-joined label names (for explain output).
     pub fn render_path(&self, path: &LabelPath) -> String {
-        phe_query::render_path(path, &|l| self.label_names.get(l.index()).cloned())
+        phe_query::render_path(path, &|l| self.label_name(l).map(str::to_owned))
     }
 }
 
@@ -295,11 +295,38 @@ impl phe_query::LabelResolver for ServableEstimator {
     }
 }
 
+/// Expressions expand over the statistics' alphabet up to `k`, pruned by
+/// the follow matrix they shipped with; each branch is one histogram
+/// probe. A path the statistics do not cover estimates 0.
+impl phe_query::CardinalityEstimator for ServableEstimator {
+    fn estimate(&self, path: &[LabelId]) -> f64 {
+        self.validate(path)
+            .map_or(0.0, |path| self.histogram.estimate(&path))
+    }
+
+    fn name(&self) -> &'static str {
+        "histogram"
+    }
+
+    fn label_count(&self) -> usize {
+        self.label_names.len()
+    }
+
+    fn max_len(&self) -> usize {
+        self.k
+    }
+
+    fn follow_matrix(&self) -> Option<&FollowMatrix> {
+        self.follow.as_ref()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use phe_core::{EstimatorConfig, HistogramKind, OrderingKind};
     use phe_datasets::{erdos_renyi, LabelDistribution};
+    use phe_query::CardinalityEstimator;
 
     fn servable() -> ServableEstimator {
         let g = erdos_renyi(50, 300, 3, LabelDistribution::Zipf { exponent: 1.0 }, 5);

@@ -74,7 +74,7 @@ pub mod reactor;
 pub mod registry;
 pub mod server;
 
-pub use cache::{CacheCounters, CachedExpr, ExprCache, ShardedLruCache};
+pub use cache::{CacheCounters, ExprCache, ShardedLruCache};
 pub use client::{BatchEstimates, BatchExprEstimates, ClientError, ExprResult, ServiceClient};
 pub use estimator::{CatalogResidency, EstimateError, ServableEstimator};
 pub use eventloop::Server;

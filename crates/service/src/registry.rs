@@ -23,12 +23,11 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use phe_core::{DriftReport, LabelPath, PathSelectivityEstimator};
-use phe_graph::Graph;
+use phe_graph::{FollowMatrix, Graph, LabelId};
 use phe_obs::MetricsRegistry;
-use phe_query::expr::ExpandOptions;
-use phe_query::parse_expr;
+use phe_query::{parse_expr, CardinalityEstimator};
 
-use crate::cache::{CacheCounters, CachedExpr, ExprCache, ShardedLruCache};
+use crate::cache::{CacheCounters, ExprCache, ShardedLruCache};
 use crate::estimator::{CatalogResidency, EstimateError, ServableEstimator};
 
 /// One published generation: an immutable estimator plus its caches (the
@@ -119,8 +118,9 @@ impl ServingEstimator {
     /// against this generation's statistics.
     ///
     /// The expression cache is keyed by the **normalized** rendering, so
-    /// `(a|b)/c` and `(b|a)/c` share an entry; per-branch estimates on a
-    /// miss flow through the per-path LRU, so hot branches amortize
+    /// `(a|b)/c` and `(b|a)/c` share an entry. A miss is answered by
+    /// [`CardinalityEstimator::estimate_expr`], whose per-branch
+    /// estimates flow through the per-path LRU, so hot branches amortize
     /// across different expressions. `explain` requests bypass the cache
     /// (they need the branch breakdown, which is not cached) and leave
     /// the hit/miss counters untouched.
@@ -142,54 +142,55 @@ impl ServingEstimator {
         if !explain {
             if let Some(hit) = self.expr_cache.get(&key) {
                 return Ok(ExprOutcome {
-                    total: hit.total,
-                    width: hit.width,
-                    pruned: hit.pruned,
-                    truncated: hit.truncated,
-                    matches_empty: hit.matches_empty,
                     cached: true,
-                    branches: None,
+                    ..hit
                 });
             }
         }
-        // Statistics that shipped their follow matrix prune impossible
-        // branches here — fewer histogram probes, and the estimate stops
-        // summing terms that are provably zero in the graph.
-        let mut opts = ExpandOptions::new(self.estimator.label_count(), self.estimator.k());
-        if let Some(follow) = self.estimator.follow() {
-            opts = opts.with_follow(follow);
-        }
-        let expansion = normalized.expand(&opts).map_err(|e| e.to_string())?;
-        let estimate_span = phe_obs::span::stage("query.estimate");
-        let mut total = 0.0f64;
-        let mut branches = explain.then(|| Vec::with_capacity(expansion.paths.len()));
-        for path in &expansion.paths {
-            let estimate = self.estimate(path);
-            total += estimate;
-            if let Some(rows) = branches.as_mut() {
-                rows.push((self.estimator.render_path(path), estimate));
-            }
-        }
-        drop(estimate_span);
-        let cached_entry = CachedExpr {
-            total,
-            width: expansion.paths.len() as u64,
-            pruned: expansion.pruned,
-            truncated: expansion.truncated,
-            matches_empty: expansion.matches_empty,
+        let estimate =
+            CardinalityEstimator::estimate_expr(self, &normalized).map_err(|e| e.to_string())?;
+        let outcome = ExprOutcome {
+            total: estimate.total,
+            width: estimate.width() as u64,
+            pruned: estimate.pruned,
+            truncated: estimate.truncated,
+            matches_empty: estimate.matches_empty,
+            cached: false,
+            branches: explain.then(|| {
+                let render = |(path, e): &(LabelPath, f64)| (self.estimator.render_path(path), *e);
+                estimate.branches.iter().map(render).collect()
+            }),
         };
         if !explain {
-            self.expr_cache.insert(key, cached_entry);
+            self.expr_cache.insert(key, outcome.clone());
         }
-        Ok(ExprOutcome {
-            total,
-            width: cached_entry.width,
-            pruned: cached_entry.pruned,
-            truncated: cached_entry.truncated,
-            matches_empty: cached_entry.matches_empty,
-            cached: false,
-            branches,
-        })
+        Ok(outcome)
+    }
+}
+
+/// A generation answers expressions like its [`ServableEstimator`], except
+/// that each branch goes through the per-path LRU.
+impl CardinalityEstimator for ServingEstimator {
+    fn estimate(&self, path: &[LabelId]) -> f64 {
+        self.estimator
+            .validate(path)
+            .map_or(0.0, |path| ServingEstimator::estimate(self, &path))
+    }
+
+    fn name(&self) -> &'static str {
+        "cached-histogram"
+    }
+
+    fn label_count(&self) -> usize {
+        self.estimator.label_count()
+    }
+
+    fn max_len(&self) -> usize {
+        self.estimator.k()
+    }
+
+    fn follow_matrix(&self) -> Option<&FollowMatrix> {
+        self.estimator.follow()
     }
 }
 

@@ -1725,6 +1725,66 @@ mod tests {
     }
 
     #[test]
+    fn an_unaddressable_snapshot_domain_is_refused_and_the_worker_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!("phe-wide-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = erdos_renyi(40, 240, 3, LabelDistribution::Zipf { exponent: 1.0 }, 11);
+        let config = EstimatorConfig {
+            k: 3,
+            beta: 16,
+            threads: 1,
+            ..EstimatorConfig::default()
+        };
+        let snapshot = PathSelectivityEstimator::build(&g, config)
+            .unwrap()
+            .snapshot()
+            .unwrap();
+        let good = dir.join("good.json");
+        std::fs::write(&good, serde_json::to_string(&snapshot).unwrap()).unwrap();
+        // 64 labels at k = 8: a domain of about 2.9 · 10^14 paths, past
+        // the 2^48 the path encoding addresses.
+        let wide = phe_core::EstimatorSnapshot {
+            label_names: (0..64).map(|i| format!("l{i}")).collect(),
+            label_frequencies: vec![1; 64],
+            k: 8,
+            ..snapshot
+        };
+        let hostile = dir.join("wide.json");
+        std::fs::write(&hostile, serde_json::to_string(&wide).unwrap()).unwrap();
+        let load = |path: &std::path::Path| {
+            format!(
+                r#"{{"op":"load","name":"default","snapshot":"{}"}}"#,
+                path.display()
+            )
+        };
+
+        // One dispatch worker: the refused load must leave it alive.
+        let server = test_server();
+        let refused = raw_roundtrips(server.local_addr(), &[load(&hostile)]);
+        assert!(
+            refused[0].starts_with(r#"{"ok":false,"error":"corrupt snapshot: "#)
+                && refused[0].contains("too large"),
+            "{}",
+            refused[0]
+        );
+        let answered = raw_roundtrips(
+            server.local_addr(),
+            &[
+                load(&good),
+                r#"{"op":"estimate_expr","exprs":["0|1"]}"#.to_owned(),
+            ],
+        );
+        assert_eq!(answered[0], r#"{"ok":true,"version":2}"#);
+        assert!(
+            answered[1].starts_with(r#"{"ok":true,"version":2,"results":["#),
+            "{}",
+            answered[1]
+        );
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lines_are_framed_across_reads_and_batched_writes() {
         use std::io::{BufRead, BufReader, Read, Write};
         let server = test_server();

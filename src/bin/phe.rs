@@ -25,6 +25,8 @@ use std::process::ExitCode;
 use phe::core::snapshot::EstimatorSnapshot;
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::graph::{Graph, GraphStats};
+use phe::query::CardinalityEstimator;
+use phe::service::ServableEstimator;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -493,62 +495,6 @@ fn render_query_error(source: &str, err: &phe::query::QueryError) -> String {
     out
 }
 
-/// One locally estimated expression: the parsed form, its expansion, and
-/// per-branch estimates (canonical order).
-struct LocalExprEstimate {
-    expr: phe::query::PathExpr,
-    expansion: phe::query::Expansion,
-    branches: Vec<(String, f64)>,
-    total: f64,
-}
-
-/// Parses, expands, and estimates one expression against a restored
-/// snapshot — the local counterpart of the service's `estimate_expr` op,
-/// pruning with `follow` when there is one.
-fn local_expr_estimate(
-    snapshot: &EstimatorSnapshot,
-    restored: &phe::core::LabelPathHistogram,
-    source: &str,
-    follow: Option<&phe::graph::FollowMatrix>,
-) -> Result<LocalExprEstimate, String> {
-    let parse_span = phe::obs::span::stage("query.parse");
-    let expr = phe::query::parse_expr(snapshot.label_names.as_slice(), source)
-        .map_err(|e| render_query_error(source, &e))?;
-    drop(parse_span);
-    // Concrete over-length chains keep the pre-expression error text;
-    // branchy expressions handle the budget per concrete path.
-    if let Some(chain) = expr.as_concrete() {
-        if chain.len() > snapshot.k {
-            return Err(format!(
-                "{source:?} has {} steps but the statistics cover k ≤ {}",
-                chain.len(),
-                snapshot.k
-            ));
-        }
-    }
-    let mut opts = phe::query::ExpandOptions::new(snapshot.label_names.len(), snapshot.k);
-    if let Some(follow) = follow {
-        opts = opts.with_follow(follow);
-    }
-    let expansion = expr.normalize().expand(&opts).map_err(|e| e.to_string())?;
-    let estimate_span = phe::obs::span::stage("query.estimate");
-    let mut total = 0.0f64;
-    let mut branches = Vec::with_capacity(expansion.paths.len());
-    for path in &expansion.paths {
-        let estimate = restored.estimate(path);
-        total += estimate;
-        let name = phe::query::render_path(path, &|l| snapshot.label_names.get(l.index()).cloned());
-        branches.push((name, estimate));
-    }
-    drop(estimate_span);
-    Ok(LocalExprEstimate {
-        expr,
-        expansion,
-        branches,
-        total,
-    })
-}
-
 fn read_snapshot(snapshot_path: &str) -> Result<EstimatorSnapshot, String> {
     let json = std::fs::read_to_string(snapshot_path)
         .map_err(|e| format!("reading {snapshot_path}: {e}"))?;
@@ -556,47 +502,40 @@ fn read_snapshot(snapshot_path: &str) -> Result<EstimatorSnapshot, String> {
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    let (snapshot_path, exprs) = flags
-        .positional
-        .split_first()
-        .ok_or("estimate needs a stats.json and at least one path expression")?;
-    if exprs.is_empty() {
-        return Err("estimate needs at least one path expression".into());
+    match Flags::parse(args)?.positional.split_first() {
+        Some((snapshot_path, exprs)) if !exprs.is_empty() => {
+            query_local(snapshot_path, None, exprs, false, false)
+        }
+        _ => Err("estimate needs a stats.json and at least one path expression".into()),
     }
-    let snapshot = read_snapshot(snapshot_path)?;
-    let restored = snapshot.restore().map_err(|e| e.to_string())?;
-    let follow = follow_matrix(&snapshot, None)?;
-    for expr in exprs {
-        let estimate = local_expr_estimate(&snapshot, &restored, expr, follow.as_ref())?;
-        println!("{expr}\t{:.2}", estimate.total);
-    }
-    Ok(())
 }
 
-/// The follow matrix local expansion prunes with: the build graph's when
-/// `graph_path` is given, else the one a v5 snapshot carries — the same
-/// matrix a server loading the snapshot prunes with, so local and remote
-/// estimates agree.
-fn follow_matrix(
-    snapshot: &EstimatorSnapshot,
+/// Restores the statistics local expression estimates are answered from,
+/// pruning with the build graph's follow matrix when `graph_path` is
+/// given, else with the one a v5 snapshot carries — the same matrix a
+/// server loading the snapshot prunes with, so local and remote estimates
+/// agree.
+fn local_estimator(
+    snapshot_path: &str,
     graph_path: Option<&str>,
-) -> Result<Option<phe::graph::FollowMatrix>, String> {
-    let Some(path) = graph_path else {
-        return snapshot.restore_follow_matrix().map_err(|e| e.to_string());
-    };
-    let graph = load_graph(path)?;
-    let graph_names: Vec<&str> = graph
-        .label_ids()
-        .map(|l| graph.labels().name(l).unwrap_or("?"))
-        .collect();
-    if graph_names != snapshot.label_names {
-        return Err(format!(
-            "{path} does not match the statistics: its labels differ from the \
-             snapshot's (follow-matrix pruning needs the build graph)"
-        ));
+) -> Result<ServableEstimator, String> {
+    let mut snapshot = read_snapshot(snapshot_path)?;
+    if let Some(path) = graph_path {
+        let graph = load_graph(path)?;
+        let graph_names: Vec<&str> = graph
+            .label_ids()
+            .map(|l| graph.labels().name(l).unwrap_or("?"))
+            .collect();
+        if graph_names != snapshot.label_names {
+            return Err(format!(
+                "{path} does not match the statistics: its labels differ from the \
+                 snapshot's (follow-matrix pruning needs the build graph)"
+            ));
+        }
+        let follow = phe::graph::FollowMatrix::from_graph(&graph);
+        snapshot.follow_bits_base64 = Some(phe::core::snapshot::encode_follow_bits(&follow));
     }
-    Ok(Some(phe::graph::FollowMatrix::from_graph(&graph)))
+    ServableEstimator::from_snapshot(&snapshot).map_err(|e| e.to_string())
 }
 
 fn cmd_accuracy(args: &[String]) -> Result<(), String> {
@@ -916,7 +855,9 @@ fn query_remote(
 }
 
 /// Local expression estimation against a snapshot — `phe estimate` with
-/// the full expression surface, explain and trace output.
+/// the full expression surface, explain and trace output. Each expression
+/// is parsed here for the caret diagnostics and the explain tree, then
+/// answered by the same `estimate_expr` the server runs.
 fn query_local(
     snapshot_path: &str,
     graph_path: Option<&str>,
@@ -924,15 +865,29 @@ fn query_local(
     explain: bool,
     trace: bool,
 ) -> Result<(), String> {
-    let snapshot = read_snapshot(snapshot_path)?;
-    let restored = snapshot.restore().map_err(|e| e.to_string())?;
-    let follow = follow_matrix(&snapshot, graph_path)?;
-    for expr in exprs {
-        let (estimate, spans) = phe::obs::span::capture(|| {
-            local_expr_estimate(&snapshot, &restored, expr, follow.as_ref())
+    let estimator = local_estimator(snapshot_path, graph_path)?;
+    for source in exprs {
+        let (answer, spans) = phe::obs::span::capture(|| {
+            let parse_span = phe::obs::span::stage("query.parse");
+            let expr = phe::query::parse_expr(&estimator, source)
+                .map_err(|e| render_query_error(source, &e))?;
+            drop(parse_span);
+            // Concrete over-length chains keep the pre-expression error
+            // text; branchy expressions handle the budget per concrete path.
+            if let Some(chain) = expr.as_concrete().filter(|c| c.len() > estimator.k()) {
+                return Err(format!(
+                    "{source:?} has {} steps but the statistics cover k ≤ {}",
+                    chain.len(),
+                    estimator.k()
+                ));
+            }
+            let estimate = estimator
+                .estimate_expr(&expr.normalize())
+                .map_err(|e| e.to_string())?;
+            Ok((expr, estimate))
         });
-        let estimate = estimate?;
-        println!("{expr}\t{:.2}", estimate.total);
+        let (expr, estimate) = answer?;
+        println!("{source}\t{:.2}", estimate.total);
         if trace {
             for line in phe::obs::span::render_tree(&spans).lines() {
                 println!("  {line}");
@@ -941,24 +896,23 @@ fn query_local(
         if explain {
             println!(
                 "  {} concrete path(s), {} pruned, {} truncated{}",
-                estimate.branches.len(),
-                estimate.expansion.pruned,
-                estimate.expansion.truncated,
-                if estimate.expansion.matches_empty {
+                estimate.width(),
+                estimate.pruned,
+                estimate.truncated,
+                if estimate.matches_empty {
                     ", also matches the empty path"
                 } else {
                     ""
                 }
             );
-            for line in estimate
-                .expr
-                .tree(&|l| snapshot.label_names.get(l.index()).cloned())
+            for line in expr
+                .tree(&|l| estimator.label_name(l).map(str::to_owned))
                 .lines()
             {
                 println!("  {line}");
             }
             for (path, value) in &estimate.branches {
-                println!("    {path}\t{value:.2}");
+                println!("    {}\t{value:.2}", estimator.render_path(path));
             }
         }
     }

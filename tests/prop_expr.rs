@@ -23,6 +23,14 @@
 //!    expression's words whose `p` the follow matrix allows and whose last
 //!    step it refutes; `truncated` is the number of distinct prefixes of
 //!    length `k + 1` whose first `k` labels it allows.
+//! 6. **Served ≡ query crate.** A registry generation's
+//!    `estimate_expr` on the expression's source text (a miss, a cache
+//!    hit, and an explain request) reports the same total bits, width,
+//!    `pruned`, `truncated` and `matches_empty` as the query crate's
+//!    `HistogramEstimator` on the normalized expression, for every
+//!    ordering × histogram kind, and its explain rows are that answer's
+//!    branches, rendered. With item 3 this ties the served answer to the
+//!    brute-force enumeration.
 
 use std::collections::BTreeSet;
 
@@ -33,6 +41,7 @@ use phe::query::{
     CardinalityEstimator, ExactOracle, ExpandOptions, HistogramEstimator, IndependenceBaseline,
     PathExpr, SamplingAdapter,
 };
+use phe::service::{EstimatorRegistry, ServableEstimator};
 use proptest::prelude::*;
 
 const LABELS: u16 = 3;
@@ -478,6 +487,86 @@ proptest! {
                     ),
                     _ => prop_assert_eq!(got.is_ok(), truth.is_ok()),
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // The served answer is the query crate's: a miss, a hit and an
+    // explain request on the source text all report the histogram
+    // estimator's total bits and accounting for the normalized
+    // expression, and the explain rows are its branches, rendered.
+    #[test]
+    fn served_expression_answers_equal_the_query_crates(
+        expr in ArbExpr { depth: 3 },
+        g in arb_graph(),
+        k in 1usize..4,
+        beta in 1usize..16,
+    ) {
+        let follow = FollowMatrix::from_graph(&g);
+        let source = expr.to_string();
+        let normalized = expr.normalize();
+        for ordering in OrderingKind::ALL.into_iter().chain([OrderingKind::Ideal]) {
+            for histogram in HistogramKind::ALL {
+                let config = EstimatorConfig {
+                    k,
+                    beta,
+                    ordering,
+                    histogram,
+                    threads: 1,
+                    retain_sparse: false,
+                };
+                let built = PathSelectivityEstimator::build(&g, config).unwrap();
+                let expected = HistogramEstimator::new(&built)
+                    .with_follow(follow.clone())
+                    .estimate_expr(&normalized)
+                    .unwrap();
+                let registry = EstimatorRegistry::with_default_counters();
+                registry.register("default", ServableEstimator::from_estimator(built));
+                let served = registry.get("default").unwrap();
+                let answers = [
+                    served.estimate_expr(&source, false).unwrap(),
+                    served.estimate_expr(&source, false).unwrap(),
+                    served.estimate_expr(&source, true).unwrap(),
+                ];
+                for (answer, cached) in answers.iter().zip([false, true, false]) {
+                    prop_assert_eq!(
+                        (
+                            answer.total.to_bits(),
+                            answer.width,
+                            answer.pruned,
+                            answer.truncated,
+                            answer.matches_empty,
+                            answer.cached,
+                        ),
+                        (
+                            expected.total.to_bits(),
+                            expected.width() as u64,
+                            expected.pruned,
+                            expected.truncated,
+                            expected.matches_empty,
+                            cached,
+                        ),
+                        "{}/{}: expr {}",
+                        ordering.name(),
+                        histogram.name(),
+                        source
+                    );
+                }
+                let rows: Vec<(String, u64)> = expected
+                    .branches
+                    .iter()
+                    .map(|(path, e)| (served.estimator().render_path(path), e.to_bits()))
+                    .collect();
+                let explained: Option<Vec<(String, u64)>> = answers[2]
+                    .branches
+                    .as_ref()
+                    .map(|b| b.iter().map(|(path, e)| (path.clone(), e.to_bits())).collect());
+                prop_assert_eq!(explained, Some(rows));
+                prop_assert!(answers[0].branches.is_none() && answers[1].branches.is_none());
             }
         }
     }
