@@ -116,6 +116,19 @@ impl FixedBitSet {
     /// This is the hot path of relation composition: collect the
     /// de-duplicated targets of one source, reset, move to the next source.
     pub fn drain_sorted_into(&mut self, out: &mut Vec<u32>) {
+        self.drain_sorted_into_with(out, |_, _| {});
+    }
+
+    /// [`FixedBitSet::drain_sorted_into`] that first hands each non-zero
+    /// word, with its index, to `on_word`, so a caller can fold what it
+    /// drains (into a union, say) at one call per word rather than one
+    /// per value.
+    #[inline]
+    pub fn drain_sorted_into_with(
+        &mut self,
+        out: &mut Vec<u32>,
+        mut on_word: impl FnMut(u32, u64),
+    ) {
         out.reserve(self.len);
         // Sorting the touched words lets us emit in ascending order while
         // visiting only non-zero words; each is recorded once, so no dedup.
@@ -124,6 +137,7 @@ impl FixedBitSet {
         for &wi in touched.iter() {
             let base = wi * 64;
             let mut word = self.words[wi as usize];
+            on_word(wi, word);
             while word != 0 {
                 let tz = word.trailing_zeros();
                 out.push(base + tz);
@@ -234,6 +248,23 @@ mod tests {
         let mut out2 = Vec::new();
         s.drain_sorted_into(&mut out2);
         assert!(out2.is_empty());
+    }
+
+    #[test]
+    fn drain_with_hands_over_each_word_once() {
+        let mut s = FixedBitSet::new(500);
+        for v in [400u32, 3, 64, 65, 2, 499] {
+            s.insert(v);
+        }
+        let mut words = Vec::new();
+        let mut out = Vec::new();
+        s.drain_sorted_into_with(&mut out, |wi, word| words.push((wi, word)));
+        assert_eq!(out, vec![2, 3, 64, 65, 400, 499]);
+        assert_eq!(
+            words,
+            vec![(0, 0b1100), (1, 0b11), (6, 1 << 16), (7, 1 << 51)]
+        );
+        assert!(s.is_empty());
     }
 
     #[test]

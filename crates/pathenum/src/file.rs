@@ -392,7 +392,7 @@ mod tests {
         let (path, shard) = round_trip_shard("shard", &runs);
         let from_disk = CompressedRuns::merge_many(&[shard]);
         assert_eq!(from_disk, runs, "single-shard merge is the identity");
-        // The wholesale path kept the exact block boundaries.
+        // The re-encode gives the block boundaries of `from_entries`.
         assert_eq!(from_disk.skip_index(), runs.skip_index());
 
         // Two disjoint shards merge like their in-memory counterparts.

@@ -18,8 +18,10 @@
 //!   of the label-path trie that shares each prefix relation between all
 //!   its extensions, descends only along labels that can follow, and
 //!   sizes all depth-`k` leaves of a node in one fused pass over its
-//!   targets' out-edges, without building them — sequentially or
-//!   sharded per thread with a k-way merge. It is the only catalog: a
+//!   targets' out-edges, without building them; subtrees whose relations
+//!   fan in are counted target-major, with per-target source bitmasks —
+//!   sequentially or sharded per thread with a k-way merge. It is the
+//!   only catalog: a
 //!   path absent from the runs has selectivity 0, so its size follows the
 //!   graph, not the domain, and domains up to the canonical index space
 //!   (2⁴⁸ paths) count; larger `(|L|, k)` requests are refused with a

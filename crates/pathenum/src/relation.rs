@@ -45,6 +45,19 @@ impl PathRelation {
         src_lo: u32,
         src_hi: u32,
     ) -> PathRelation {
+        Self::from_label_source_range_with(graph, label, src_lo, src_hi, |_| {})
+    }
+
+    /// [`PathRelation::from_label_source_range`] that hands each target it
+    /// copies to `on_target`, once per pair: the catalog kernel counts a
+    /// task's distinct targets in the loop that copies them.
+    pub(crate) fn from_label_source_range_with(
+        graph: &Graph,
+        label: LabelId,
+        src_lo: u32,
+        src_hi: u32,
+        mut on_target: impl FnMut(u32),
+    ) -> PathRelation {
         let csr = graph.forward_csr(label);
         let mut rel = PathRelation::empty();
         for src in src_lo..src_hi.min(csr.row_count() as u32) {
@@ -54,9 +67,37 @@ impl PathRelation {
             }
             rel.sources.push(src);
             rel.targets.extend_from_slice(ns);
+            ns.iter().for_each(|&t| on_target(t));
             rel.offsets.push(rel.targets.len() as u32);
         }
         rel
+    }
+
+    /// The relation with the given CSR parts, which uphold the type's
+    /// invariants.
+    pub(crate) fn from_parts(
+        sources: Vec<u32>,
+        offsets: Vec<u32>,
+        targets: Vec<u32>,
+    ) -> PathRelation {
+        debug_assert!(
+            sources.windows(2).all(|w| w[0] < w[1]),
+            "sources out of order"
+        );
+        debug_assert_eq!(offsets.len(), sources.len() + 1);
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(targets.len()));
+        debug_assert!(
+            offsets.windows(2).all(|w| w[0] < w[1]
+                && targets[w[0] as usize..w[1] as usize]
+                    .windows(2)
+                    .all(|t| t[0] < t[1])),
+            "an empty or unsorted target list"
+        );
+        PathRelation {
+            sources,
+            offsets,
+            targets,
+        }
     }
 
     /// Number of distinct `(source, target)` pairs — the selectivity of the
@@ -125,6 +166,21 @@ impl PathRelation {
         label: LabelId,
         scratch: &mut FixedBitSet,
     ) -> PathRelation {
+        self.compose_with(graph, label, scratch, |_, _| {})
+    }
+
+    /// [`PathRelation::compose`] that hands each word of every source's
+    /// de-duplicated target set, with its index, to `on_word` (see
+    /// [`FixedBitSet::drain_sorted_into_with`]): the catalog kernel ORs
+    /// them into one set to count the result's distinct targets at one
+    /// call per word, not one per pair.
+    pub fn compose_with(
+        &self,
+        graph: &Graph,
+        label: LabelId,
+        scratch: &mut FixedBitSet,
+        mut on_word: impl FnMut(u32, u64),
+    ) -> PathRelation {
         debug_assert!(scratch.is_empty(), "scratch bitset must start cleared");
         debug_assert!(scratch.capacity() >= graph.vertex_count());
         let csr = graph.forward_csr(label);
@@ -147,7 +203,7 @@ impl PathRelation {
                 continue;
             }
             out.sources.push(src);
-            scratch.drain_sorted_into(&mut out.targets);
+            scratch.drain_sorted_into_with(&mut out.targets, &mut on_word);
             out.offsets.push(out.targets.len() as u32);
         }
         out

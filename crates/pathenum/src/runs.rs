@@ -40,17 +40,17 @@
 //!   change **wholesale** (raw bytes + skip row, no re-encode) and
 //!   re-encodes only blocks overlapping a changed index;
 //! * [`CompressedRuns::merge_many`] (the sharded build's k-way merge)
-//!   raw-copies any block whose index range precedes every other run's
-//!   next entry, falling back to entry-at-a-time decode only where runs
-//!   interleave. A spill-to-disk build merges its shards through it too,
-//!   as runs mapped by [`crate::file::open_catalog_file`].
+//!   re-encodes every merged entry, so a parallel or spilled build gets
+//!   the block layout of [`CompressedRuns::from_entries`] whatever its
+//!   thread schedule. A spill-to-disk build merges its shards through it
+//!   too, as runs mapped by [`crate::file::open_catalog_file`].
 //!
 //! The only access path for consumers is the zero-alloc [`RunsCursor`]
 //! iterator: histogram builders, ordering remaps, and snapshot writers
 //! all stream entries; nothing materializes the pair vector. The cursor
-//! decodes lazily — entering a block decodes only its head entry (all a
-//! wholesale merge copy ever needs), and the tail is decoded into a
-//! stack buffer the first time the second entry is demanded.
+//! decodes lazily — entering a block decodes only its head entry, and
+//! the tail is decoded into a stack buffer the first time the second
+//! entry is demanded.
 //!
 //! The byte stream itself may live on the heap **or** borrow from a
 //! memory-mapped catalog file ([`CompressedRuns::is_mapped`]); every
@@ -59,9 +59,10 @@
 //! `validate_tagged` (snapshot restore, catalog files and spill shards
 //! alike), which is why the decoders may treat malformed bytes as a bug.
 //!
-//! Blocks may hold *fewer* than [`BLOCK_ENTRIES`] entries: wholesale
-//! copies preserve the source block boundaries, and a re-encoded region
-//! flushes its partial tail before an adjacent raw copy. Every operation
+//! Blocks may hold *fewer* than [`BLOCK_ENTRIES`] entries: the wholesale
+//! copies of [`CompressedRuns::merge_signed`] preserve the source block
+//! boundaries, and a re-encoded region flushes its partial tail before
+//! an adjacent raw copy. Every operation
 //! preserves the run invariants (strictly increasing indexes, counts
 //! non-zero), and [`PartialEq`] compares the *decoded streams*, so two
 //! runs with different block boundaries but equal content are equal.
@@ -187,8 +188,8 @@ pub struct CompressedRuns {
 
 /// Content equality: two runs are equal iff they decode to the same
 /// entry stream — block boundaries and codec choices are a storage
-/// artifact (a merge that wholesale-copied blocks must compare equal to
-/// a fresh re-encode).
+/// artifact (a delta merge that wholesale-copied blocks must compare
+/// equal to a fresh re-encode).
 impl PartialEq for CompressedRuns {
     fn eq(&self, other: &CompressedRuns) -> bool {
         self.len == other.len && self.total_mass == other.total_mass && self.iter().eq(other.iter())
@@ -536,46 +537,27 @@ impl CompressedRuns {
 
     /// K-way merges sorted runs, **summing** counts of equal indexes —
     /// the sharded build's combine step, over heap-owned and mapped runs
-    /// alike (a spilled build merges its shards through here). A block
-    /// whose whole index range precedes every other run's next entry is
-    /// copied wholesale; the per-entry heap path runs only where the runs
-    /// interleave.
+    /// alike (a spilled build merges its shards through here). Every
+    /// merged entry is re-encoded through one [`RunsBuilder`], so the
+    /// result has the block layout [`CompressedRuns::from_entries`] gives
+    /// the same entries: its bytes depend on the content alone, not on how
+    /// a parallel or spilled build happened to split it into runs.
     pub fn merge_many(runs: &[CompressedRuns]) -> CompressedRuns {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        /// One run's read head: the pre-decoded next entry, plus — when
-        /// that entry opened a fresh block — the block's skip row, which
-        /// is the wholesale-copy opportunity.
-        struct Head<'r> {
-            cursor: RunsCursor<'r>,
-            next: Option<(u64, u64)>,
-            head_block: Option<BlockMeta>,
-        }
-
-        impl Head<'_> {
-            fn advance(&mut self) {
-                self.head_block = self.cursor.block_at_head();
-                self.next = self.cursor.next();
-            }
-        }
-
-        let mut heads: Vec<Head<'_>> = runs
+        let mut heads: Vec<(RunsCursor<'_>, Option<(u64, u64)>)> = runs
             .iter()
             .map(|run| {
-                let mut head = Head {
-                    cursor: run.iter(),
-                    next: None,
-                    head_block: None,
-                };
-                head.advance();
-                head
+                let mut cursor = run.iter();
+                let next = cursor.next();
+                (cursor, next)
             })
             .collect();
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = heads
             .iter()
             .enumerate()
-            .filter_map(|(run, head)| head.next.map(|(index, _)| Reverse((index, run))))
+            .filter_map(|(run, (_, next))| next.map(|(index, _)| Reverse((index, run))))
             .collect();
 
         let mut builder = RunsBuilder::new();
@@ -583,32 +565,21 @@ impl CompressedRuns {
         // indexes from other runs still need summing into it.
         let mut acc: Option<(u64, u64)> = None;
         while let Some(Reverse((index, run))) = heap.pop() {
-            let head = &mut heads[run];
+            let (cursor, next) = &mut heads[run];
             // LINT-ALLOW(panic): a run is on the heap exactly while its
             // head holds a pending entry (pushed only from `Some` below).
-            let (_, count) = head.next.expect("heap entries are pending");
+            let (_, count) = next.expect("heap entries are pending");
             match acc {
                 Some((i, ref mut c)) if i == index => *c += count,
                 _ => {
-                    if let Some(entry) = acc.take() {
-                        builder.push(entry.0, entry.1);
-                    }
-                    // Wholesale fast path: the pending entry heads a
-                    // fresh block whose entire range precedes every other
-                    // run's next index — transfer the block raw (head
-                    // entry included) and skip its decode.
-                    let other_min = heap.peek().map_or(u64::MAX, |&Reverse((i, _))| i);
-                    match head.head_block {
-                        Some(meta) if meta.last_index < other_min => {
-                            builder.push_block_raw(&meta, head.cursor.take_block(&meta));
-                        }
-                        _ => acc = Some((index, count)),
+                    if let Some((i, c)) = acc.replace((index, count)) {
+                        builder.push(i, c);
                     }
                 }
             }
-            head.advance();
-            if let Some((next, _)) = head.next {
-                heap.push(Reverse((next, run)));
+            *next = cursor.next();
+            if let Some((index, _)) = *next {
+                heap.push(Reverse((index, run)));
             }
         }
         if let Some((index, count)) = acc {
@@ -660,8 +631,7 @@ impl TailBuf {
 /// `Iterator<Item = (u64, u64)>` that decodes one block at a time into
 /// a stack buffer. Entering a block decodes only its head entry; the
 /// tail is decoded lazily when (and only when) the second entry is
-/// demanded — so a consumer that skips whole blocks (the merge's
-/// wholesale path) never pays for tails.
+/// demanded.
 #[derive(Clone)]
 pub struct RunsCursor<'a> {
     runs: &'a CompressedRuns,
@@ -695,29 +665,6 @@ impl<'a> RunsCursor<'a> {
             .get(block + 1)
             .map_or(bytes.len(), |m| m.byte_offset);
         &bytes[meta.byte_offset..end]
-    }
-
-    /// When the cursor sits exactly at the head of an undecoded block,
-    /// that block's skip row — the wholesale-copy precondition.
-    fn block_at_head(&self) -> Option<BlockMeta> {
-        (self.in_block == 0).then(|| self.runs.skip.get(self.block).copied())?
-    }
-
-    /// Called right after [`Iterator::next`] yielded the head entry of
-    /// `meta` (the row [`RunsCursor::block_at_head`] returned): jumps past
-    /// the block's remaining entries and returns its raw bytes, so the
-    /// caller can transfer the block instead of decoding its tail.
-    fn take_block(&mut self, meta: &BlockMeta) -> &'a [u8] {
-        if self.in_block == 0 {
-            // A single-entry block: the head decode already advanced.
-            debug_assert_eq!(meta.len, 1, "only a spent block leaves the head at 0");
-        } else {
-            debug_assert_eq!(self.in_block, 1, "only the head entry was decoded");
-            debug_assert!(meta.len > 1);
-            self.block += 1;
-            self.in_block = 0;
-        }
-        self.block_slice(self.block - 1, meta)
     }
 }
 
@@ -1015,7 +962,7 @@ fn encode_varint_block(out: &mut Vec<u8>, idx: &[u64], cnt: &[u64]) {
 }
 
 /// Decodes a block's head entry — the tag byte plus two varints; the
-/// tail stays untouched (wholesale merges never need it).
+/// tail stays untouched until a second entry is demanded.
 fn decode_block_head(block: &[u8]) -> (u64, u64) {
     let mut pos = 1; // past the codec tag
     let index = validated_varint(block, &mut pos);

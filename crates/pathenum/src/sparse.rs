@@ -19,13 +19,12 @@
 //! `Vec<(u64, u64)>` compresses to a few bytes/entry. Consumers never see
 //! the pair vector: [`SparseCatalog::iter`] hands out the zero-alloc
 //! block cursor, [`SparseCatalog::selectivity_at`] binary-searches the
-//! skip index and decodes one block, and the merges below operate at
-//! block granularity (untouched blocks copy wholesale, without a
-//! re-encode).
+//! skip index and decodes one block, and a delta merge operates at block
+//! granularity (untouched blocks copy wholesale, without a re-encode).
 //!
-//! ## Counting: one kernel
+//! ## Counting: one kernel, two relation representations
 //!
-//! Every full count — sparse or dense, one thread or many — runs the same
+//! Every full count — one thread or many, spilling or not — runs the same
 //! trie walk (`TrieWalk`): a depth-first traversal of the label-path trie
 //! that computes each prefix relation once and shares it between its
 //! extensions. It descends only along labels that can follow the last one
@@ -35,7 +34,36 @@
 //! over each depth-`k − 1` relation walks its targets' out-edges over
 //! every label once and counts each distinct `(label, target)` a source
 //! reaches, which sizes all of the node's children together.
-//! [`crate::naive`] stays the independent oracle.
+//!
+//! The walk holds a relation in one of two forms. Source-major (a
+//! [`PathRelation`]) expands every `(source, target)` pair over the
+//! target's out-edges. Target-major (`MaskRelation`) stores each distinct
+//! target once with a bitmask of the sources reaching it, `W =
+//! ⌈sources / 64⌉` words, and expands each target once with `W` word ORs
+//! per out-edge; a pair count is a popcount. Where relations fan in —
+//! many sources, few targets — the second form does the same work in far
+//! fewer operations (the multi-source traversal idea of Then et al.,
+//! "The More the Merrier", PVLDB 8(4), 2014). A source-major node
+//! switches to the target-major form when
+//! `pair_count ≥ W × distinct_targets`: the two forms' inner loops run
+//! `pair_count` and `W × distinct_targets` times per out-edge. A node
+//! followed only by the leaf pass needs twice that, because the
+//! target-major leaf pass also popcounts the slot rows it fills. Below a
+//! switched node, each child and each leaf pass is tested again, on the
+//! edges it will expand: it stays target-major unless the `W` word ORs
+//! per edge outnumber the source-major form's one step per
+//! `(source, edge)` plus the transposition back to that form, and
+//! otherwise returns to the source-major walk, which tests its own
+//! children as before. So a mask row is only allocated where its words
+//! are paid for by the operations they save, and a target-major subtree
+//! never holds more mask words than the source-major walk would spend
+//! steps. The tests compare operation counts on the input rather than
+//! reading a tuned threshold, and a graph without fan-in stays
+//! source-major. The distinct targets are counted while a composition
+//! drains its per-source bitset, one word OR per drained word and one
+//! popcount per distinct word, or, for a root, as its pairs are copied
+//! (a whole label's come with the walk's slot table), so the test adds no
+//! pass over the pairs. [`crate::naive`] stays the independent oracle.
 //!
 //! The builders around the kernel:
 //!
@@ -45,8 +73,8 @@
 //!   over `(label, source-range)` tasks, all workers sharing one walk;
 //!   each worker sorts, coalesces, and **compresses** its local entries
 //!   into a run, and the runs are combined by
-//!   [`CompressedRuns::merge_many`] (k-way heap merge with block-wise
-//!   wholesale copies) that sums counts of equal indexes;
+//!   [`CompressedRuns::merge_many`], a k-way heap merge that sums counts
+//!   of equal indexes and re-encodes every entry;
 //! * [`SparseCatalog::compute_parallel_spilling`] — the same build under
 //!   a memory budget: a worker whose local entry buffer exceeds its
 //!   budget share compresses it and **spills it to a shard file**
@@ -86,9 +114,14 @@
 //!    recount of the changed graph. A sum below zero means the delta was
 //!    computed against a different base and is refused
 //!    ([`CatalogError::DeltaUnderflow`]).
-//! 5. **Block boundaries are a storage artifact.** Wholesale copies keep
-//!    the source's boundaries, re-encodes re-chunk at the block capacity;
-//!    equality ([`PartialEq`]) and every consumer observe the *decoded
+//! 5. **Built catalogs are canonical; maintained ones need not be.**
+//!    Every build — [`SparseCatalog::compute`], and the k-way merge of a
+//!    parallel or spilled build, which re-encodes every entry — lays out
+//!    its blocks as [`CompressedRuns::from_entries`] does, so equal
+//!    entries give equal bytes whatever the thread count or schedule. A
+//!    delta merge keeps the wholesale copies of untouched blocks, so a
+//!    maintained catalog's block boundaries can differ from a rebuild's.
+//!    Equality ([`PartialEq`]) and every consumer observe the *decoded
 //!    stream* only, so differently-blocked runs with equal content are
 //!    the same catalog.
 //!
@@ -267,9 +300,16 @@ impl SparseCatalog {
                         let Some(&(label, lo, hi)) = tasks.get(i) else {
                             break;
                         };
-                        let rel = PathRelation::from_label_source_range(graph, label, lo, hi);
+                        // The task's distinct targets are counted as its
+                        // pairs are copied.
+                        let image = &mut scratch.image;
+                        let rel =
+                            PathRelation::from_label_source_range_with(graph, label, lo, hi, |t| {
+                                image.insert(t)
+                            });
+                        let targets = image.take_count();
                         if !rel.is_empty() {
-                            walk.collect(&rel, label, &mut scratch, &mut local);
+                            walk.visit(&rel, targets, label, &mut scratch, &mut local);
                         }
                         // Past the budget: compress what we have and
                         // push it out to a shard file, freeing the
@@ -532,9 +572,47 @@ impl SparseCatalog {
 ///   argument delta counting and query pruning rest on as well).
 /// * **One fused pass for the leaves.** The children at depth `k` are
 ///   never extended, so only their sizes are read, and all of them at
-///   once: each source of the depth-`k − 1` relation walks its targets'
-///   out-edges over every label a single time, counting each distinct
-///   `(label, target)` it reaches once (see [`TrieWalk::count_leaves`]).
+///   once: one pass over the out-edges of the depth-`k − 1` relation's
+///   targets counts each distinct `(source, (label, target))` it reaches
+///   once (see [`TrieWalk::count_leaves`]).
+///
+/// One walk, two relation representations. A relation starts
+/// source-major ([`PathRelation`]: each source's sorted targets), and
+/// every step of the walk — composing a child, the leaf pass — expands
+/// each of its `(source, target)` pairs over the target's out-edges. Where
+/// many sources reach few targets, that repeats each target's out-edges
+/// once per source. The target-major form ([`MaskRelation`]) holds each
+/// distinct target once, with the set of sources reaching it as a bitmask
+/// of `W = ⌈sources / 64⌉` words, and expands each target once with `W`
+/// word ORs per out-edge. So a node whose relation has
+/// `pair_count ≥ W × distinct_targets` does no more inner-loop work in
+/// the target-major form, and switches to it ([`TrieWalk::descend_masks`]);
+/// every other node stays source-major. A depth-`k − 1` node is the
+/// exception: only the leaf pass follows it, and that pass also popcounts
+/// each slot row an OR opens — up to `W` more word operations per
+/// out-edge, where the source-major pass spends one branch-free stamp per
+/// pair — so it switches only when
+/// `pair_count ≥ 2 × W × distinct_targets`. The test compares the two
+/// kernels' operation counts on the input; it is not a tuned threshold.
+/// Above depth `k − 1` it always holds for a relation of at most 64
+/// sources (`W = 1`, and every target has a pair), and it fails where
+/// sources far outnumber 64 and rarely share a target, as in a sparse
+/// random graph. Below a switched node, a child is the OR
+/// of each target's mask into its out-neighbours' rows, a pair count is a
+/// popcount, and the leaf pass ORs masks into `(label, target)` slot rows
+/// and popcounts them per label. Each such expansion is tested first on
+/// the edges it will cross: with `d(t)` the edges leaving target `t` and
+/// `p(t)` its sources, it runs target-major only while
+/// `W × Σ d(t) ≤ Σ p(t) × d(t)` plus the cost of the way back (one step
+/// per pair of a row with an edge, and one per source bit, for the
+/// counting-sort transposition [`MaskRelation::to_pairs`]). Otherwise the
+/// rows with an edge are transposed to a source-major relation and the
+/// expansion continues in the source-major walk, whose nodes test
+/// themselves again. Rows are allocated in touched order through a
+/// vertex → row map that is reset through the rows' target list, so a
+/// relation's masks take `W` words per distinct target — at the switched
+/// node at most the pairs they replace, below it at most the steps the
+/// source-major expansion would take — and nothing is sized `|V| × W`.
 ///
 /// Read-only once built, so the parallel build shares one across workers;
 /// each worker brings its own [`WalkScratch`].
@@ -551,7 +629,12 @@ struct TrieWalk<'g> {
     out_edges: Vec<(LabelId, u32)>,
     /// Number of distinct slots.
     slots: usize,
+    /// `label_targets[a]`: the number of distinct targets of `a`-edges.
+    label_targets: Vec<usize>,
 }
+
+/// Marks a vertex without a row in the [`MaskRelation`] being built.
+const NO_ROW: u32 = u32::MAX;
 
 /// One worker's mutable state for a [`TrieWalk`], `O(|V| + |E|)` in size.
 struct WalkScratch {
@@ -559,13 +642,268 @@ struct WalkScratch {
     path: Vec<LabelId>,
     /// De-duplicates targets per source in [`PathRelation::compose`].
     bits: FixedBitSet,
-    /// `stamps[slot] == epoch` once the current source has reached
-    /// `slot`; bumping `epoch` per source forgets every slot at once.
+    /// The distinct targets of the relation being built; empty between
+    /// relations.
+    image: TargetImage,
+    /// `stamps[slot] == epoch` once the current source (source-major
+    /// leaf pass) or relation (target-major leaf pass) has reached
+    /// `slot`; bumping `epoch` forgets every slot at once.
     stamps: Vec<u32>,
     epoch: u32,
     /// Per-label leaf counts of the relation being counted; all zero
     /// between relations.
     counts: Vec<u64>,
+    /// Vertex → row of the [`MaskRelation`] being built; [`NO_ROW`]
+    /// between relations.
+    rows: Vec<u32>,
+    /// Slot → row of `slot_masks`, valid where the slot's stamp is
+    /// current.
+    slot_rows: Vec<u32>,
+    /// The label of each slot row of the target-major leaf pass.
+    slot_labels: Vec<LabelId>,
+    /// The source masks of the slot rows, `W` words each.
+    slot_masks: Vec<u64>,
+    /// The paths of the nodes that switched to the target-major form.
+    #[cfg(test)]
+    switched: Vec<Vec<LabelId>>,
+    /// The most mask words one relation or leaf pass held.
+    #[cfg(test)]
+    peak_mask_words: usize,
+}
+
+impl WalkScratch {
+    /// Advances the stamp, so every slot reads as unreached.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+}
+
+/// A set of vertices built word by word from the per-source sets a
+/// composition drains, for the fan-in test's `distinct_targets`. Unlike
+/// a [`FixedBitSet`] it keeps no running length, so adding a word is an
+/// OR and no popcount: the targets are counted once, over the distinct
+/// words, when the relation is complete.
+struct TargetImage {
+    words: Vec<u64>,
+    /// `touched[..touched_len]` holds each non-zero word's index once;
+    /// one slot longer than `words`, as in [`FixedBitSet`].
+    touched: Vec<u32>,
+    touched_len: usize,
+}
+
+impl TargetImage {
+    fn new(vertices: usize) -> TargetImage {
+        let words = vertices.div_ceil(64);
+        TargetImage {
+            words: vec![0; words],
+            touched: vec![0; words + 1],
+            touched_len: 0,
+        }
+    }
+
+    /// Adds the vertices `64 * index + b` for each bit `b` of `word`.
+    #[inline]
+    fn add_word(&mut self, index: u32, word: u64) {
+        let slot = &mut self.words[index as usize];
+        let old = *slot;
+        *slot = old | word;
+        // Branch-free, as in `FixedBitSet::insert`: always written, kept
+        // only for a word that was zero.
+        self.touched[self.touched_len] = index;
+        self.touched_len += usize::from(old == 0);
+    }
+
+    /// Adds vertex `v`.
+    #[inline]
+    fn insert(&mut self, v: u32) {
+        self.add_word(v / 64, 1 << (v % 64));
+    }
+
+    /// The number of distinct vertices added since the last call; empties
+    /// the set.
+    fn take_count(&mut self) -> usize {
+        let mut count = 0;
+        for &index in &self.touched[..self.touched_len] {
+            count += std::mem::take(&mut self.words[index as usize]).count_ones() as usize;
+        }
+        self.touched_len = 0;
+        count
+    }
+}
+
+/// The target-major form of a relation below a switched trie node: one
+/// row per distinct target, in the order the targets were first reached,
+/// each holding the sources that reach it as a `words`-word bitmask (bit
+/// `i` is the switched node's `i`-th source). Every mask is non-zero.
+struct MaskRelation {
+    words: usize,
+    targets: Vec<u32>,
+    /// `masks[row * words..][..words]` is row `row`'s source set.
+    masks: Vec<u64>,
+    /// `row_pairs[row]`: the number of sources in row `row`'s mask.
+    row_pairs: Vec<u32>,
+}
+
+impl MaskRelation {
+    fn new(words: usize) -> MaskRelation {
+        MaskRelation {
+            words,
+            targets: Vec::new(),
+            masks: Vec::new(),
+            row_pairs: Vec::new(),
+        }
+    }
+
+    /// Converts a source-major relation, numbering its sources in order.
+    fn from_pairs(rel: &PathRelation, words: usize, rows: &mut [u32]) -> MaskRelation {
+        let mut out = MaskRelation::new(words);
+        for i in 0..rel.source_count() {
+            let bit = 1u64 << (i % 64);
+            for &t in rel.targets_of_nth(i) {
+                let row = out.row(t, rows);
+                out.masks[row * words + i / 64] |= bit;
+            }
+        }
+        out.finish(rows);
+        out
+    }
+
+    /// Composes with the edge relation of `label`: each target's mask is
+    /// ORed into the row of each of its `label`-neighbours.
+    fn compose(&self, graph: &Graph, label: LabelId, rows: &mut [u32]) -> MaskRelation {
+        let csr = graph.forward_csr(label);
+        let words = self.words;
+        let mut out = MaskRelation::new(words);
+        for (&t, mask) in self.targets.iter().zip(self.masks.chunks_exact(words)) {
+            for &w in csr.neighbors(t) {
+                let row = out.row(w, rows);
+                or_into(&mut out.masks[row * words..][..words], mask);
+            }
+        }
+        out.finish(rows);
+        out
+    }
+
+    /// The row of `target`, appended zeroed if it has none yet.
+    #[inline]
+    fn row(&mut self, target: u32, rows: &mut [u32]) -> usize {
+        let row = &mut rows[target as usize];
+        if *row == NO_ROW {
+            *row = self.targets.len() as u32;
+            self.targets.push(target);
+            self.masks.resize(self.masks.len() + self.words, 0);
+        }
+        *row as usize
+    }
+
+    /// Resets the rows this relation claimed in the vertex → row map and
+    /// counts each row's sources.
+    fn finish(&mut self, rows: &mut [u32]) {
+        for &t in &self.targets {
+            rows[t as usize] = NO_ROW;
+        }
+        self.row_pairs = self
+            .masks
+            .chunks_exact(self.words)
+            .map(|mask| popcount(mask) as u32)
+            .collect();
+    }
+
+    /// Number of `(source, target)` pairs.
+    fn pair_count(&self) -> u64 {
+        self.row_pairs.iter().map(|&p| u64::from(p)).sum()
+    }
+
+    /// The operation counts of expanding every row over the
+    /// `degree(target)` edges leaving its target, `(target-major,
+    /// source-major)`. This form ORs `W` words per edge. The source-major
+    /// form visits each edge once per source of the row, after
+    /// [`MaskRelation::to_pairs`] has moved the pairs of the rows with an
+    /// edge into it, one step per pair and per source bit.
+    fn expansion_ops(&self, degree: impl Fn(u32) -> usize) -> (u64, u64) {
+        let (mut edges, mut pair_edges, mut kept_pairs) = (0u64, 0u64, 0u64);
+        for (&t, &pairs) in self.targets.iter().zip(&self.row_pairs) {
+            let d = degree(t) as u64;
+            edges += d;
+            pair_edges += u64::from(pairs) * d;
+            kept_pairs += u64::from(pairs) * u64::from(d > 0);
+        }
+        let words = self.words as u64;
+        (words * edges, pair_edges + kept_pairs + 64 * words)
+    }
+
+    /// The source-major form of the rows whose target `keep` accepts, each
+    /// source named by its bit: a counting-sort transposition, linear in
+    /// the pairs it keeps and the mask width.
+    fn to_pairs(&self, keep: impl Fn(u32) -> bool) -> PathRelation {
+        let words = self.words;
+        let mut kept: Vec<u32> = (0..self.targets.len() as u32)
+            .filter(|&row| keep(self.targets[row as usize]))
+            .collect();
+        // Kept in target order, each source's targets come out ascending.
+        kept.sort_unstable_by_key(|&row| self.targets[row as usize]);
+        let mask = |row: u32| &self.masks[row as usize * words..][..words];
+        // `ends[i + 1]` counts bit `i`'s targets, then (prefix-summed)
+        // marks where they start, then (once filled) where they end.
+        let mut ends = vec![0u32; words * 64 + 1];
+        for &row in &kept {
+            for_each_bit(mask(row), |i| ends[i + 1] += 1);
+        }
+        for i in 0..words * 64 {
+            ends[i + 1] += ends[i];
+        }
+        let mut targets = vec![0u32; ends[words * 64] as usize];
+        for &row in &kept {
+            let t = self.targets[row as usize];
+            for_each_bit(mask(row), |i| {
+                targets[ends[i] as usize] = t;
+                ends[i] += 1;
+            });
+        }
+        let (mut sources, mut offsets) = (Vec::new(), vec![0u32]);
+        let mut start = 0;
+        for (i, &end) in ends[..words * 64].iter().enumerate() {
+            if end > start {
+                sources.push(i as u32);
+                offsets.push(end);
+            }
+            start = end;
+        }
+        PathRelation::from_parts(sources, offsets, targets)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.targets.is_empty()
+    }
+}
+
+#[inline]
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// Calls `f(i)` for each set bit `i` of `mask`, ascending.
+#[inline]
+fn for_each_bit(mask: &[u64], mut f: impl FnMut(usize)) {
+    for (index, &word) in mask.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(index * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
+}
+
+#[inline]
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 impl<'g> TrieWalk<'g> {
@@ -597,7 +935,9 @@ impl<'g> TrieWalk<'g> {
         let mut fill: Vec<u32> = out_offsets[..n].to_vec();
         let mut out_edges = vec![(LabelId(0), 0u32); out_offsets[n] as usize];
         let mut slots = 0u32;
+        let mut label_targets = Vec::with_capacity(graph.label_count());
         for label in graph.label_ids() {
+            let first = slots;
             let reverse = graph.reverse_csr(label);
             for target in reverse.non_empty_rows() {
                 for &t in reverse.neighbors(target) {
@@ -606,6 +946,7 @@ impl<'g> TrieWalk<'g> {
                 }
                 slots += 1;
             }
+            label_targets.push((slots - first) as usize);
         }
         TrieWalk {
             graph,
@@ -614,17 +955,28 @@ impl<'g> TrieWalk<'g> {
             out_offsets,
             out_edges,
             slots: slots as usize,
+            label_targets,
         }
     }
 
     /// Fresh per-worker state.
     fn scratch(&self) -> WalkScratch {
+        let n = self.graph.vertex_count();
         WalkScratch {
             path: Vec::with_capacity(self.encoding.max_len()),
-            bits: FixedBitSet::new(self.graph.vertex_count()),
+            bits: FixedBitSet::new(n),
+            image: TargetImage::new(n),
             stamps: vec![0; self.slots],
             epoch: 0,
             counts: vec![0; self.graph.label_count()],
+            rows: vec![NO_ROW; n],
+            slot_rows: vec![0; self.slots],
+            slot_labels: Vec::new(),
+            slot_masks: Vec::new(),
+            #[cfg(test)]
+            switched: Vec::new(),
+            #[cfg(test)]
+            peak_mask_words: 0,
         }
     }
 
@@ -638,10 +990,17 @@ impl<'g> TrieWalk<'g> {
         }
     }
 
-    /// Pushes one `(canonical_index, pair_count)` entry for `path/label`,
-    /// whose relation is the non-empty `rel`, and one for each of its
-    /// non-empty extensions up to length `k`. Entries arrive in trie
-    /// order, *not* canonical order.
+    /// The `(label, slot)` out-edges of vertex `t`.
+    #[inline]
+    fn out_edges(&self, t: u32) -> &[(LabelId, u32)] {
+        let lo = self.out_offsets[t as usize] as usize;
+        let hi = self.out_offsets[t as usize + 1] as usize;
+        &self.out_edges[lo..hi]
+    }
+
+    /// [`TrieWalk::visit`] for `rel`, the non-empty relation of every
+    /// `label`-edge, whose distinct targets the walk counted when it built
+    /// its slots.
     fn collect(
         &self,
         rel: &PathRelation,
@@ -649,20 +1008,128 @@ impl<'g> TrieWalk<'g> {
         scratch: &mut WalkScratch,
         entries: &mut Vec<(u64, u64)>,
     ) {
+        debug_assert_eq!(
+            rel.pair_count(),
+            self.graph.forward_csr(label).edge_count() as u64,
+            "not the whole label"
+        );
+        self.visit(
+            rel,
+            self.label_targets[label.index()],
+            label,
+            scratch,
+            entries,
+        );
+    }
+
+    /// Pushes one `(canonical_index, pair_count)` entry for `path/label`,
+    /// whose relation is the non-empty `rel` with `targets` distinct
+    /// targets, and one for each of its non-empty extensions up to length
+    /// `k`. Entries arrive in trie order, *not* canonical order. Switches
+    /// the node to the target-major form when that form's inner loop does
+    /// no more work, and otherwise composes its children source-major.
+    fn visit(
+        &self,
+        rel: &PathRelation,
+        targets: usize,
+        label: LabelId,
+        scratch: &mut WalkScratch,
+        entries: &mut Vec<(u64, u64)>,
+    ) {
         scratch.path.push(label);
         entries.push((self.encoding.encode(&scratch.path) as u64, rel.pair_count()));
         let k = self.encoding.max_len();
-        if scratch.path.len() + 1 == k {
+        let words = rel.source_count().div_ceil(64);
+        let leaves_only = scratch.path.len() + 1 == k;
+        // Per out-edge, the target-major form ORs `words` per target and,
+        // in a leaf pass, may popcount as many words of the slot row the
+        // OR opened: twice the work where no level below reuses the masks.
+        let mask_ops = (1 + usize::from(leaves_only)) * words * targets;
+        if scratch.path.len() >= k {
+            // A depth-`k` root: nothing below it.
+        } else if rel.pair_count() >= mask_ops as u64 {
+            #[cfg(test)]
+            scratch.switched.push(scratch.path.clone());
+            let masks = MaskRelation::from_pairs(rel, words, &mut scratch.rows);
+            self.descend_masks(&masks, label, scratch, entries);
+        } else if leaves_only {
             self.count_leaves(rel, label, scratch, entries);
-        } else if scratch.path.len() < k {
+        } else {
             for &next in &self.successors[label.index()] {
-                let child = rel.compose(self.graph, next, &mut scratch.bits);
-                if !child.is_empty() {
-                    self.collect(&child, next, scratch, entries);
-                }
+                self.visit_child(rel, next, scratch, entries);
             }
         }
         scratch.path.pop();
+    }
+
+    /// Composes the source-major `rel` with `next` and visits the child,
+    /// counting its distinct targets as the composition drains them.
+    fn visit_child(
+        &self,
+        rel: &PathRelation,
+        next: LabelId,
+        scratch: &mut WalkScratch,
+        entries: &mut Vec<(u64, u64)>,
+    ) {
+        let image = &mut scratch.image;
+        let child = rel.compose_with(self.graph, next, &mut scratch.bits, |index, word| {
+            image.add_word(index, word)
+        });
+        let targets = image.take_count();
+        if !child.is_empty() {
+            self.visit(&child, targets, next, scratch, entries);
+        }
+    }
+
+    /// Pushes an entry for every non-empty extension of `path` (ending in
+    /// `last`, shorter than `k`), whose relation is `rel` in the
+    /// target-major form. Each child, and the leaf pass, is expanded in
+    /// the form whose inner loop does less work over the edges that leave
+    /// `rel`'s targets; a child built source-major is visited (and
+    /// tested) afresh.
+    fn descend_masks(
+        &self,
+        rel: &MaskRelation,
+        last: LabelId,
+        scratch: &mut WalkScratch,
+        entries: &mut Vec<(u64, u64)>,
+    ) {
+        #[cfg(test)]
+        {
+            scratch.peak_mask_words = scratch.peak_mask_words.max(rel.masks.len());
+        }
+        if scratch.path.len() + 1 == self.encoding.max_len() {
+            // Unlike `visit`'s leaf-level switch, the masks are charged
+            // their ORs only: they already exist, and the popcounts the
+            // pass adds touch only the slot rows the ORs open.
+            let (mask_ops, pair_ops) = rel.expansion_ops(|t| self.out_edges(t).len());
+            if mask_ops <= pair_ops {
+                self.count_leaves_masks(rel, last, scratch, entries);
+            } else {
+                let rel = rel.to_pairs(|t| !self.out_edges(t).is_empty());
+                self.count_leaves(&rel, last, scratch, entries);
+            }
+            return;
+        }
+        for &next in &self.successors[last.index()] {
+            let csr = self.graph.forward_csr(next);
+            let (mask_ops, pair_ops) = rel.expansion_ops(|t| csr.degree(t));
+            if mask_ops > pair_ops {
+                let rel = rel.to_pairs(|t| csr.degree(t) > 0);
+                self.visit_child(&rel, next, scratch, entries);
+                continue;
+            }
+            let child = rel.compose(self.graph, next, &mut scratch.rows);
+            if !child.is_empty() {
+                scratch.path.push(next);
+                entries.push((
+                    self.encoding.encode(&scratch.path) as u64,
+                    child.pair_count(),
+                ));
+                self.descend_masks(&child, next, scratch, entries);
+                scratch.path.pop();
+            }
+        }
     }
 
     /// Pushes an entry for every non-empty `path/next` with `next` a
@@ -681,16 +1148,9 @@ impl<'g> TrieWalk<'g> {
         entries: &mut Vec<(u64, u64)>,
     ) {
         for i in 0..rel.source_count() {
-            scratch.epoch = scratch.epoch.wrapping_add(1);
-            if scratch.epoch == 0 {
-                scratch.stamps.fill(0);
-                scratch.epoch = 1;
-            }
-            let epoch = scratch.epoch;
+            let epoch = scratch.next_epoch();
             for &t in rel.targets_of_nth(i) {
-                let lo = self.out_offsets[t as usize] as usize;
-                let hi = self.out_offsets[t as usize + 1] as usize;
-                for &(label, slot) in &self.out_edges[lo..hi] {
+                for &(label, slot) in self.out_edges(t) {
                     // Branch-free: freshness depends on the data, so a
                     // branch on it mispredicts often.
                     let stamp = &mut scratch.stamps[slot as usize];
@@ -700,6 +1160,53 @@ impl<'g> TrieWalk<'g> {
                 }
             }
         }
+        self.emit_leaves(last, scratch, entries);
+    }
+
+    /// [`TrieWalk::count_leaves`] over the target-major form: each
+    /// target's mask is ORed into one row per slot its out-edges reach,
+    /// and a slot's sources count for its label by popcount.
+    fn count_leaves_masks(
+        &self,
+        rel: &MaskRelation,
+        last: LabelId,
+        scratch: &mut WalkScratch,
+        entries: &mut Vec<(u64, u64)>,
+    ) {
+        let words = rel.words;
+        let epoch = scratch.next_epoch();
+        for (&t, mask) in rel.targets.iter().zip(rel.masks.chunks_exact(words)) {
+            for &(label, slot) in self.out_edges(t) {
+                let slot = slot as usize;
+                if scratch.stamps[slot] != epoch {
+                    scratch.stamps[slot] = epoch;
+                    scratch.slot_rows[slot] = scratch.slot_labels.len() as u32;
+                    scratch.slot_labels.push(label);
+                    let len = scratch.slot_masks.len();
+                    scratch.slot_masks.resize(len + words, 0);
+                }
+                let row = scratch.slot_rows[slot] as usize;
+                or_into(&mut scratch.slot_masks[row * words..][..words], mask);
+            }
+        }
+        #[cfg(test)]
+        {
+            scratch.peak_mask_words = scratch.peak_mask_words.max(scratch.slot_masks.len());
+        }
+        for (label, mask) in scratch
+            .slot_labels
+            .drain(..)
+            .zip(scratch.slot_masks.chunks_exact(words))
+        {
+            scratch.counts[label.index()] += popcount(mask);
+        }
+        scratch.slot_masks.clear();
+        self.emit_leaves(last, scratch, entries);
+    }
+
+    /// Pushes the leaf counts a leaf pass left for the successors of
+    /// `last`, and zeroes them.
+    fn emit_leaves(&self, last: LabelId, scratch: &mut WalkScratch, entries: &mut Vec<(u64, u64)>) {
         for &next in &self.successors[last.index()] {
             let count = std::mem::take(&mut scratch.counts[next.index()]);
             if count > 0 {
@@ -851,6 +1358,129 @@ mod tests {
             coalesce_sorted(&mut entries);
             let oracle = naive::compute_catalog_naive(&g, k);
             assert_eq!(entries, oracle.iter().collect::<Vec<_>>(), "k = {k}");
+        }
+    }
+
+    /// Runs the sequential walk and returns its scratch, after checking
+    /// the entries against the naive oracle.
+    fn walk_scratch(g: &Graph, k: usize) -> WalkScratch {
+        let walk = TrieWalk::new(g, PathEncoding::new(g.label_count(), k));
+        let mut scratch = walk.scratch();
+        let mut entries = Vec::new();
+        for label in g.label_ids() {
+            let rel = PathRelation::from_label(g, label);
+            if !rel.is_empty() {
+                walk.collect(&rel, label, &mut scratch, &mut entries);
+            }
+        }
+        coalesce_sorted(&mut entries);
+        let oracle = naive::compute_catalog_naive(g, k);
+        assert_eq!(entries, oracle.iter().collect::<Vec<_>>(), "k = {k}");
+        assert!(scratch.rows.iter().all(|&row| row == NO_ROW), "a row kept");
+        scratch
+    }
+
+    /// The paths of the nodes that switched to the target-major form.
+    fn switched_paths(g: &Graph, k: usize) -> Vec<Vec<LabelId>> {
+        walk_scratch(g, k).switched
+    }
+
+    #[test]
+    fn fan_in_switches_a_node_and_its_subtree_to_masks() {
+        // a: 131 sources onto 2 hubs — 131 pairs ≥ 2 × ⌈131/64⌉ × 2, so
+        // it switches, with sources at mask bits 63 and 64 of three words.
+        // b: 2 hubs onto 3 sinks — 3 pairs ≥ 1 × 3 targets, so it switches
+        // where its children are composed (k ≥ 3), but not where only the
+        // leaf pass follows (k = 2: 3 < 2 × 3). c: 70 sources onto 70
+        // targets — 70 < 2 × 70, so it stays source-major. a/b and a/b/…
+        // sit below a switched node, where each is expanded over few
+        // edges with many sources per row, so they stay target-major.
+        let mut b = GraphBuilder::new();
+        for s in 0..130 {
+            b.add_edge_named(s, "a", 130 + s % 2);
+        }
+        b.add_edge_named(130, "b", 132);
+        b.add_edge_named(130, "b", 133);
+        b.add_edge_named(131, "b", 134);
+        for s in 0..70 {
+            b.add_edge_named(s, "c", 200 + s);
+        }
+        b.add_edge_named(134, "a", 131);
+        let g = b.build();
+        let (a, bb) = (LabelId(0), LabelId(1));
+        assert_eq!(switched_paths(&g, 2), vec![vec![a]]);
+        for k in 3..=4 {
+            assert_eq!(switched_paths(&g, k), vec![vec![a], vec![bb]], "k = {k}");
+        }
+        let catalog = SparseCatalog::compute(&g, 3).unwrap();
+        // Even sources reach two sinks, odd ones one, and 134 reaches 134.
+        assert_eq!(catalog.selectivity(&[a, bb]), 65 * 2 + 65 + 1);
+        // k = 1 has nothing below the roots to count either way.
+        assert!(switched_paths(&g, 1).is_empty());
+    }
+
+    #[test]
+    fn a_sparse_child_of_a_switched_node_is_expanded_source_major() {
+        // a: 640 sources onto 3 hubs, and 63 of them onto a vertex x_i
+        // each: 1,983 pairs against W × targets = 10 × 66 (twice that at
+        // k = 2), so `a` switches. The hubs have no out-edges and each x_i
+        // has 20 b-edges. Target-major, a/b (or the leaf pass at k = 2)
+        // would OR 10 words per b-edge into 1,260 rows of 10 words, though
+        // each row has one source; source-major it visits each b-edge once.
+        // So a/b is expanded source-major, and no relation or leaf pass
+        // holds more mask words than a's 1,983 pairs. b: 63 sources onto
+        // 1,260 targets switches where its children are composed (k = 3).
+        let mut b = GraphBuilder::new();
+        for s in 0..640 {
+            for hub in 0..3 {
+                b.add_edge_named(s, "a", 640 + hub);
+            }
+        }
+        for i in 0..63 {
+            let x = 700 + i;
+            b.add_edge_named(i * 10, "a", x);
+            for j in 0..20 {
+                b.add_edge_named(x, "b", 1000 + i * 20 + j);
+            }
+        }
+        let g = b.build();
+        let (a, bb) = (LabelId(0), LabelId(1));
+        let catalog = SparseCatalog::compute(&g, 2).unwrap();
+        assert_eq!(catalog.selectivity(&[a]), 1_983);
+        assert_eq!(catalog.selectivity(&[a, bb]), 1_260);
+        for (k, switched) in [(2, vec![vec![a]]), (3, vec![vec![a], vec![bb]])] {
+            let scratch = walk_scratch(&g, k);
+            assert_eq!(scratch.switched, switched, "k = {k}");
+            assert!(
+                (660..=1_983).contains(&scratch.peak_mask_words),
+                "k = {k}: {} mask words",
+                scratch.peak_mask_words
+            );
+        }
+        assert_builds_match_naive(&g, 1..=4);
+    }
+
+    #[test]
+    fn a_graph_without_fan_in_stays_source_major() {
+        // 1000 vertices, about one out-edge per vertex and label: every
+        // relation down to depth 3 keeps hundreds of sources, so needs
+        // several mask words, while few of them share a target. (A
+        // relation of at most 64 sources always switches: one word per
+        // target is never more work than one per pair.)
+        let mut b = GraphBuilder::with_numeric_labels(1000, 3);
+        let mut x = 11u64;
+        for _ in 0..3000 {
+            let mut draw = |n: u64| {
+                x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+                (x >> 33) % n
+            };
+            let (s, l, t) = (draw(1000) as u32, draw(3) as u16, draw(1000) as u32);
+            b.add_edge(phe_graph::VertexId(s), LabelId(l), phe_graph::VertexId(t));
+        }
+        let g = b.build();
+        for k in 1..=4 {
+            let switched = switched_paths(&g, k);
+            assert!(switched.is_empty(), "k = {k}: {switched:?}");
         }
     }
 

@@ -3,7 +3,10 @@
 //! arbitrary graphs, including graphs whose sparse label-follow matrix
 //! makes the kernel's pruning fire; delta counting merged into the base
 //! catalog agrees with the oracle on the changed graph; and relation
-//! algebra invariants hold.
+//! algebra invariants hold. The kernel's two relation representations
+//! agree with the oracle on graphs that switch to the target-major form
+//! at the roots, mid-trie, and never, and on graphs where a switched
+//! subtree returns to the source-major form.
 
 use std::collections::HashSet;
 
@@ -53,6 +56,150 @@ fn arb_chained_graph() -> impl Strategy<Value = (Graph, LabelId)> {
             }
             (b.build(), LabelId(chain))
         })
+}
+
+/// Many sources, few targets: each of `sources` (65 or more, so a source
+/// mask takes at least two words and sources sit at bits 63 and 64)
+/// points label 0 at one of a handful of hubs, the hubs point label 1 at
+/// a few sinks, and the sinks point label 2 back at the sources. Every
+/// root fans in, so the kernel switches to the target-major form at
+/// depth 1.
+fn arb_hub_graph() -> impl Strategy<Value = Graph> {
+    (
+        65u32..160,
+        1u32..6,
+        prop::collection::vec((0u32..160, 0u32..6), 0..120),
+        prop::collection::vec((0u32..6, 0u32..8), 1..20),
+        prop::collection::vec((0u32..8, 0u32..160), 1..30),
+    )
+        .prop_map(|(sources, hubs, extra, fan_out, back)| {
+            let hub = |h: u32| VertexId(sources + h % hubs);
+            let sink = |x: u32| VertexId(sources + hubs + x);
+            let mut b = GraphBuilder::with_numeric_labels(sources + hubs + 8, 3);
+            for s in 0..sources {
+                b.add_edge(VertexId(s), LabelId(0), hub(s));
+            }
+            for (s, h) in extra {
+                b.add_edge(VertexId(s % sources), LabelId(0), hub(h));
+            }
+            for (h, x) in fan_out {
+                b.add_edge(hub(h), LabelId(1), sink(x));
+            }
+            for (x, s) in back {
+                b.add_edge(sink(x), LabelId(2), VertexId(s % sources));
+            }
+            b.build()
+        })
+}
+
+/// Hubs beside a sparse fan-out: each of `sources` (65 or more) points
+/// label 0 at every one of a few hubs, which have no out-edges, and a few
+/// sources also point label 0 at a vertex of their own that fans out over
+/// label 1 to fresh vertices, some of which lead back to the sources over
+/// label 2. The root `0` fans in and switches to the target-major form,
+/// but each row of its child `0/1` holds one source, so that child (or
+/// the leaf pass, at `k = 2`) is expanded source-major where the fan-out
+/// outweighs the mask width.
+fn arb_hub_fan_out_graph() -> impl Strategy<Value = Graph> {
+    (
+        65u32..200,
+        2u32..5,
+        prop::collection::vec((0u32..200, 1u32..40), 1..20),
+        prop::collection::vec((0u32..800, 0u32..200), 0..20),
+    )
+        .prop_map(|(sources, hubs, fans, back)| {
+            let fresh = sources + hubs + 20;
+            let mut b = GraphBuilder::with_numeric_labels(fresh + 800, 3);
+            for s in 0..sources {
+                for h in 0..hubs {
+                    b.add_edge(VertexId(s), LabelId(0), VertexId(sources + h));
+                }
+            }
+            let mut next = fresh;
+            for (i, (s, degree)) in fans.into_iter().enumerate() {
+                let own = VertexId(sources + hubs + i as u32);
+                b.add_edge(VertexId(s % sources), LabelId(0), own);
+                for _ in 0..degree {
+                    b.add_edge(own, LabelId(1), VertexId(next));
+                    next += 1;
+                }
+            }
+            for (f, s) in back {
+                b.add_edge(
+                    VertexId(fresh + f % (next - fresh)),
+                    LabelId(2),
+                    VertexId(s % sources),
+                );
+            }
+            b.build()
+        })
+}
+
+/// Erdős–Rényi-like: about a thousand vertices and one out-edge per
+/// vertex and label, at random. Relations keep hundreds of sources, so a
+/// source mask takes several words, while few sources share a target, so
+/// a sequential build stays source-major (bar the odd deep relation that
+/// happens to fan in).
+fn arb_sparse_graph() -> impl Strategy<Value = Graph> {
+    (
+        900u32..1100,
+        prop::collection::vec((0u32..1100, 0u16..3, 0u32..1100), 2700..3300),
+    )
+        .prop_map(|(n, edges)| {
+            let mut b = GraphBuilder::with_numeric_labels(n, 3);
+            for (s, l, t) in edges {
+                b.add_edge(VertexId(s % n), LabelId(l), VertexId(t % n));
+            }
+            b.build()
+        })
+}
+
+/// A chain of three blocks that narrows: label 0 maps a wide block
+/// (65 or more vertices) one to one onto a second wide block, plus fewer
+/// extra edges than the block has vertices, so its root relation does
+/// not fan in; label 1 funnels the second block into at most three
+/// vertices, and label 2 leads back to the first block. The relation
+/// `0/1` fans in, so the kernel switches mid-trie.
+fn arb_funnel_graph() -> impl Strategy<Value = Graph> {
+    (
+        65u32..130,
+        1u32..4,
+        prop::collection::vec((0u32..130, 0u32..130), 0..60),
+        prop::collection::vec((0u32..130, 0u32..4), 1..150),
+        prop::collection::vec((0u32..4, 0u32..130), 1..10),
+    )
+        .prop_map(|(wide, narrow, extra, funnel, back)| {
+            let first = |v: u32| VertexId(v % wide);
+            let second = |v: u32| VertexId(wide + v % wide);
+            let third = |v: u32| VertexId(2 * wide + v % narrow);
+            let mut b = GraphBuilder::with_numeric_labels(2 * wide + narrow, 3);
+            for v in 0..wide {
+                b.add_edge(first(v), LabelId(0), second(v));
+            }
+            for (s, t) in extra {
+                b.add_edge(first(s), LabelId(0), second(t));
+            }
+            for (s, t) in funnel {
+                b.add_edge(second(s), LabelId(1), third(t));
+            }
+            for (s, t) in back {
+                b.add_edge(third(s), LabelId(2), first(t));
+            }
+            b.build()
+        })
+}
+
+/// The sequential kernel equals the naive oracle, and the parallel build
+/// at 2–5 threads — whose source-range tasks give each relation fewer
+/// sources, and so switch differently — equals the sequential one.
+fn assert_kernel_matches(g: &Graph, k: usize) -> Result<(), TestCaseError> {
+    let sequential = SparseCatalog::compute(g, k).unwrap();
+    prop_assert_eq!(&sequential, &naive::compute_catalog_naive(g, k));
+    for threads in 2..=5 {
+        let parallel = SparseCatalog::compute_parallel(g, k, threads).unwrap();
+        prop_assert_eq!(&parallel, &sequential, "threads = {}", threads);
+    }
+    Ok(())
 }
 
 /// Churn on the follow-adjacent labels `band` and `band + 1` of a chained
@@ -124,6 +271,26 @@ proptest! {
         let oracle = naive::compute_catalog_naive(&g, k);
         prop_assert_eq!(&SparseCatalog::compute(&g, k).unwrap(), &oracle);
         prop_assert_eq!(&SparseCatalog::compute_parallel(&g, k, threads).unwrap(), &oracle);
+    }
+
+    #[test]
+    fn both_kernels_match_naive_oracle_on_hub_graphs(g in arb_hub_graph(), k in 1usize..5) {
+        assert_kernel_matches(&g, k)?;
+    }
+
+    #[test]
+    fn both_kernels_match_naive_oracle_on_hub_fan_out_graphs(g in arb_hub_fan_out_graph(), k in 1usize..5) {
+        assert_kernel_matches(&g, k)?;
+    }
+
+    #[test]
+    fn both_kernels_match_naive_oracle_on_sparse_graphs(g in arb_sparse_graph(), k in 1usize..5) {
+        assert_kernel_matches(&g, k)?;
+    }
+
+    #[test]
+    fn both_kernels_match_naive_oracle_on_funnel_graphs(g in arb_funnel_graph(), k in 1usize..6) {
+        assert_kernel_matches(&g, k)?;
     }
 
     #[test]

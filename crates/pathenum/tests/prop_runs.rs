@@ -8,14 +8,17 @@
 //! decoders of the serialized form, fed damaged bytes and block lengths,
 //! refuse them with `RunsCorrupt` or return a well-formed run; neither
 //! panics. The `.phc` file reader keeps the same promise for damaged
-//! files, with and without a valid checksum.
+//! files, with and without a valid checksum. A built catalog's bytes
+//! depend on its entries alone: sequential, parallel and spilling builds
+//! lay out their blocks identically, run after run.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use phe_encoding::fnv1a64;
+use phe_graph::{GraphBuilder, LabelId, VertexId};
 use phe_pathenum::file::{open_catalog_file, write_catalog_file, CatalogFileError};
-use phe_pathenum::runs::{CompressedRuns, RunsBuilder, BLOCK_ENTRIES};
+use phe_pathenum::runs::{BlockMeta, CompressedRuns, RunsBuilder, BLOCK_ENTRIES};
 use phe_pathenum::{PathEncoding, SparseCatalog};
 use proptest::prelude::*;
 
@@ -197,6 +200,17 @@ fn check_decoded(
     Ok(())
 }
 
+/// The bytes that make up a catalog's runs: payload, skip rows and the
+/// resident size.
+fn layout(catalog: &SparseCatalog) -> (Vec<u8>, Vec<BlockMeta>, usize) {
+    let runs = catalog.runs();
+    (
+        runs.bytes().to_vec(),
+        runs.skip_index().to_vec(),
+        catalog.size_bytes(),
+    )
+}
+
 fn arb_parts() -> impl Strategy<Value = Vec<(u32, u64, u64)>> {
     prop::collection::vec((0u32..10, 0u64..u64::MAX, 1u64..u64::MAX), 0..300)
 }
@@ -303,6 +317,43 @@ proptest! {
             merged.total_mass(),
             target.iter().fold(0u64, |acc, &(_, c)| acc.wrapping_add(c))
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The k-way merge of a parallel or spilled build re-encodes every
+    // entry, so the runs it returns are byte for byte those of the
+    // sequential build, whatever the thread count and schedule. Label
+    // `l`'s sources sit in vertex block `l` and its targets anywhere, so
+    // the paths starting with `l` come from the one or two source-range
+    // tasks covering block `l`: one worker's run then holds whole blocks
+    // of the catalog alone, the case a layout-preserving merge would copy.
+    #[test]
+    fn every_build_lays_out_the_same_bytes(
+        edges in prop::collection::vec((0u32..8, 0u16..6, 0u32..48), 200..500),
+        k in 3usize..5,
+    ) {
+        let mut b = GraphBuilder::with_numeric_labels(48, 6);
+        for (s, l, t) in edges {
+            b.add_edge(VertexId(u32::from(l) * 8 + s), LabelId(l), VertexId(t));
+        }
+        let g = b.build();
+        let canonical = SparseCatalog::compute(&g, k).unwrap();
+        prop_assert!(canonical.runs().skip_index().len() > 1, "one block shows no layout");
+        let expected = layout(&canonical);
+        for _ in 0..2 {
+            prop_assert_eq!(&layout(&SparseCatalog::compute(&g, k).unwrap()), &expected);
+            for threads in 1..=4 {
+                let parallel = SparseCatalog::compute_parallel(&g, k, threads).unwrap();
+                prop_assert_eq!(&layout(&parallel), &expected, "threads = {}", threads);
+            }
+            let (spilled, stats) =
+                SparseCatalog::compute_parallel_spilling(&g, k, 2, Some(512)).unwrap();
+            prop_assert!(stats.shards > 0, "a 512 B budget must spill");
+            prop_assert_eq!(&layout(&spilled), &expected, "spilled");
+        }
     }
 }
 

@@ -22,6 +22,59 @@
 
 use std::process::ExitCode;
 
+/// The exit status when stdout closes before the output ends, as in
+/// `phe … | head`: 141, what a shell reports for a process a SIGPIPE
+/// ended.
+const EXIT_STDOUT_CLOSED: i32 = 141;
+
+/// `print!` for the CLI's output: see [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for the CLI's output: see [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `println!` for the lines `phe serve` prints until it shuts down: see
+/// [`write_stdout_unless_closed`]. A server's clients do not read its
+/// stdout, so it keeps serving when no one else does either.
+macro_rules! status {
+    ($($arg:tt)*) => {
+        {
+            let _open = write_stdout_unless_closed(format_args!("{}\n", format_args!($($arg)*)));
+        }
+    };
+}
+
+/// Writes to stdout. A closed stdout ends the process quietly with
+/// [`EXIT_STDOUT_CLOSED`], since no reader is left for the rest of the
+/// output. (`println!` panics instead.)
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if !write_stdout_unless_closed(args) {
+        std::process::exit(EXIT_STDOUT_CLOSED);
+    }
+}
+
+/// Writes to stdout and returns whether it is still open. Any other write
+/// error is reported and ends the process with status 1.
+fn write_stdout_unless_closed(args: std::fmt::Arguments<'_>) -> bool {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => false,
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 use phe::core::snapshot::EstimatorSnapshot;
 use phe::core::{EstimatorConfig, HistogramKind, OrderingKind, PathSelectivityEstimator};
 use phe::graph::{Graph, GraphStats};
@@ -124,6 +177,13 @@ USAGE:
       prints the expansion tree, per-branch estimates, prune counts, and
       (remote) the server-side stage timings. --trace prints the local
       stage-time tree (parse/expand/estimate)
+
+EXIT STATUS:
+  0 on success, 1 on an error (reported on stderr), 2 after printing this
+  usage, and 141 when stdout closes before the output ends (as in
+  `phe ... | head`), which ends any subcommand quietly; `phe serve` keeps
+  serving until SIGINT and ends with 141 when its report finds stdout
+  closed
 ";
 
 /// Tiny flag parser: positional args plus `--flag value` pairs.
@@ -235,7 +295,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown dataset {other:?}")),
     };
     phe::graph::io::write_tsv_path(&graph, &out).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
+    outln!(
         "wrote {out}: {} vertices, {} edges, {} labels",
         graph.vertex_count(),
         graph.edge_count(),
@@ -251,20 +311,22 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     };
     let graph = load_graph(path)?;
     let stats = GraphStats::compute(&graph);
-    println!("vertices: {}", stats.vertex_count);
-    println!("edges:    {}", stats.edge_count);
-    println!("labels:   {}", stats.label_count);
-    println!(
+    outln!("vertices: {}", stats.vertex_count);
+    outln!("edges:    {}", stats.edge_count);
+    outln!("labels:   {}", stats.label_count);
+    outln!(
         "degrees:  mean {:.2}, max {}, sinks {}",
-        stats.mean_out_degree, stats.max_out_degree, stats.sink_count
+        stats.mean_out_degree,
+        stats.max_out_degree,
+        stats.sink_count
     );
-    println!(
+    outln!(
         "label independence score: {:.3} (1 = independent chaining)",
         stats.label_independence_correlation()
     );
-    println!("per-label cardinalities:");
+    outln!("per-label cardinalities:");
     for l in graph.label_ids() {
-        println!(
+        outln!(
             "  {:<20} {}",
             graph.labels().name(l).unwrap_or("?"),
             graph.label_frequency(l)
@@ -307,7 +369,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         phe::obs::span::capture(|| PathSelectivityEstimator::build(&graph, config));
     let estimator = result.map_err(|e| e.to_string())?;
     if trace {
-        print!("{}", phe::obs::span::render_tree(&spans));
+        out!("{}", phe::obs::span::render_tree(&spans));
     }
     // Only maintained slots inline the sparse catalog; `phe build`
     // statistics ship without it, or point at the sidecar.
@@ -323,20 +385,20 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         let bytes = phe::pathenum::file::write_catalog_file(&phc_path, catalog)
             .map_err(|e| format!("writing {}: {e}", phc_path.display()))?;
         snapshot.catalog_file = Some(sidecar.clone());
-        println!(
+        outln!(
             "wrote {} ({bytes} bytes; `phe serve` memory-maps it disk-resident)",
             phc_path.display()
         );
     }
     write_snapshot(&out, &snapshot)?;
-    println!(
+    outln!(
         "built {} statistics over {} paths (k = {}, β = {})",
         config.ordering.name(),
         estimator.domain_size(),
         config.k,
         config.beta
     );
-    println!(
+    outln!(
         "catalog {:.2}s | ordering {:.3}s | histogram {:.3}s",
         estimator.build_stats().catalog_time.as_secs_f64(),
         estimator.build_stats().ordering_time.as_secs_f64(),
@@ -345,18 +407,20 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let report = estimator
         .accuracy_report()
         .ok_or("the build retained no ordered runs to score")?;
-    println!(
+    outln!(
         "whole-domain mean |err| = {:.4}, median q-error = {:.3}",
-        report.mean_abs_error_rate, report.median_q_error
+        report.mean_abs_error_rate,
+        report.median_q_error
     );
     if flags.get("stats").is_some() {
         let fp = estimator.footprint();
         let percent = 100.0 * fp.nonzero_paths as f64 / fp.domain_size.max(1) as f64;
-        println!(
+        outln!(
             "domain           {} paths, {} realized ({percent:.2}% non-zero)",
-            fp.domain_size, fp.nonzero_paths
+            fp.domain_size,
+            fp.nonzero_paths
         );
-        println!(
+        outln!(
             "sparse catalog   {} bytes compressed ({:.2} bytes/entry); plain pairs {} bytes \
              ({:.1}x compression); dense equivalent {} bytes ({:.1}x)",
             fp.sparse_bytes,
@@ -366,13 +430,13 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             fp.dense_bytes,
             fp.dense_bytes as f64 / (fp.sparse_bytes as f64).max(1.0)
         );
-        println!(
+        outln!(
             "retained         {} bytes (histogram + ordering state + sparse catalog and \
              ordered runs)",
             estimator.size_bytes()
         );
     }
-    println!(
+    outln!(
         "wrote {out} ({} bytes retained state)",
         snapshot.retained_bytes()
     );
@@ -402,7 +466,7 @@ fn cmd_delta(args: &[String]) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let base = PathSelectivityEstimator::build(&graph, config).map_err(|e| e.to_string())?;
     let base_secs = t0.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "base build       {} paths, {} realized — {base_secs:.3}s (build id {:016x})",
         base.domain_size(),
         base.footprint().nonzero_paths,
@@ -414,7 +478,7 @@ fn cmd_delta(args: &[String]) -> Result<(), String> {
         .apply_delta(&graph, &delta)
         .map_err(|e| e.to_string())?;
     let delta_secs = t1.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "delta            {} removals + {} insertions ⇒ {} realized paths — {delta_secs:.3}s \
          ({:.1}x faster than the base build)",
         delta.removals().len(),
@@ -422,16 +486,19 @@ fn cmd_delta(args: &[String]) -> Result<(), String> {
         refreshed.footprint().nonzero_paths,
         base_secs / delta_secs.max(1e-9)
     );
-    println!(
+    outln!(
         "lineage          build id {:016x}, {} delta(s) applied (snapshot v5)",
         refreshed.build_id(),
         refreshed.applied_deltas()
     );
     if let Some(drift) = refreshed.drift() {
-        println!(
+        outln!(
             "drift            mean |err| = {:.4}, max q-error = {:.3} over {} of {} touched \
              path(s) sampled",
-            drift.mean_abs_error_rate, drift.max_q_error, drift.sampled, drift.touched
+            drift.mean_abs_error_rate,
+            drift.max_q_error,
+            drift.sampled,
+            drift.touched
         );
     }
 
@@ -454,7 +521,7 @@ fn cmd_delta(args: &[String]) -> Result<(), String> {
                 return Err(format!("estimate mismatch on {path:?}: {a} vs {b}"));
             }
         }
-        println!(
+        outln!(
             "verified         merged catalog bit-identical to full recount; \
              full rebuild {full_secs:.3}s ⇒ delta is {:.1}x faster",
             full_secs / delta_secs.max(1e-9)
@@ -464,7 +531,7 @@ fn cmd_delta(args: &[String]) -> Result<(), String> {
     if let Some(out) = flags.get("out") {
         let snapshot = refreshed.snapshot().map_err(|e| e.to_string())?;
         write_snapshot(out, &snapshot)?;
-        println!(
+        outln!(
             "wrote {out} ({} bytes retained state)",
             snapshot.retained_bytes()
         );
@@ -548,9 +615,11 @@ fn cmd_accuracy(args: &[String]) -> Result<(), String> {
     let beta: usize = flags.require("beta")?;
     let sparse =
         phe::pathenum::SparseCatalog::compute_parallel(&graph, k, 0).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{:<14} {:>12} {:>14}",
-        "ordering", "mean |err|", "median q-error"
+        "ordering",
+        "mean |err|",
+        "median q-error"
     );
     for kind in OrderingKind::ALL {
         let ordering = kind.build_sparse(&graph, &sparse, k);
@@ -561,7 +630,7 @@ fn cmd_accuracy(args: &[String]) -> Result<(), String> {
             beta,
         )
         .map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "{:<14} {:>12.4} {:>14.3}",
             kind.name(),
             report.mean_abs_error_rate,
@@ -619,17 +688,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let residency = servable.catalog_residency();
         registry.register(&name, servable);
         match residency {
-            Some(c) if c.mapped => println!(
+            Some(c) if c.mapped => status!(
                 "loaded {name:?} from {path} (catalog mmap-resident: {} payload bytes \
                  on disk, {} heap bytes for the skip index)",
-                c.payload_bytes, c.heap_bytes
+                c.payload_bytes,
+                c.heap_bytes
             ),
-            Some(c) => println!(
+            Some(c) => status!(
                 "loaded {name:?} from {path} (catalog heap-resident: {} bytes — \
                  mmap unavailable on this target)",
                 c.payload_bytes
             ),
-            None => println!("loaded {name:?} from {path}"),
+            None => status!("loaded {name:?} from {path}"),
         }
     }
 
@@ -667,7 +737,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 std::sync::Arc::new(move || render_metrics.render_prometheus()),
             )
             .map_err(|e| format!("starting metrics endpoint on {addr}: {e}"))?;
-            println!(
+            status!(
                 "metrics scrape endpoint on http://{}/metrics",
                 endpoint.local_addr()
             );
@@ -696,39 +766,43 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         config,
     )
     .map_err(|e| format!("starting server: {e}"))?;
-    println!(
+    status!(
         "serving {} estimator(s) on {} — ctrl-C for metrics + shutdown",
         registry.len(),
         server.local_addr()
     );
     match publish_interval_ms {
-        0 => println!("maintenance loop: deltas publish on arrival"),
-        ms => println!("maintenance loop: compacted publish every {ms}ms"),
+        0 => status!("maintenance loop: deltas publish on arrival"),
+        ms => status!("maintenance loop: compacted publish every {ms}ms"),
     }
     while !sigint() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
-    println!("\nshutting down...");
+    status!("\nshutting down...");
     server.shutdown();
     if let Some(mut endpoint) = metrics_server {
         endpoint.shutdown();
     }
-    println!("{}", metrics.report());
+    outln!("{}", metrics.report());
     for info in registry.list() {
         let lineage = info.lineage.map_or_else(
             || "lineage unknown (pre-v3 snapshot)".to_owned(),
             |(id, deltas)| format!("build {id:016x} + {deltas} delta(s)"),
         );
-        println!(
+        outln!(
             "estimator        {:?} v{}: {} bytes retained, {lineage} ({})",
-            info.name, info.version, info.size_bytes, info.description
+            info.name,
+            info.version,
+            info.size_bytes,
+            info.description
         );
-        println!(
+        outln!(
             "                 expression cache: {} normalized-key hit(s) / {} raw miss(es)",
-            info.expr_cache.0, info.expr_cache.1
+            info.expr_cache.0,
+            info.expr_cache.1
         );
         if let Some(m) = info.maintained {
-            println!(
+            outln!(
                 "                 maintained catalog: {} bytes compressed vs {} plain \
                  ({:.2} bytes/entry over {} paths)",
                 m.catalog_bytes,
@@ -738,14 +812,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             );
         }
         if let Some(d) = info.drift {
-            println!(
+            outln!(
                 "                 drift after last delta: mean |err| = {:.4}, \
                  max q-error = {:.3} ({} path(s) sampled)",
-                d.mean_abs_error_rate, d.max_q_error, d.sampled
+                d.mean_abs_error_rate,
+                d.max_q_error,
+                d.sampled
             );
         }
         if let Some(c) = info.catalog {
-            println!(
+            outln!(
                 "                 catalog {}: {} payload bytes, {} heap bytes, \
                  {} realized paths",
                 if c.mapped {
@@ -819,9 +895,9 @@ fn query_remote(
         ));
     }
     for (expr, result) in exprs.iter().zip(&batch.results) {
-        println!("{expr}\t{:.2}", result.estimate);
+        outln!("{expr}\t{:.2}", result.estimate);
         if explain {
-            println!(
+            outln!(
                 "  {} concrete path(s), {} pruned, {} truncated{}{}",
                 result.paths,
                 result.pruned,
@@ -834,10 +910,10 @@ fn query_remote(
                 }
             );
             for (path, estimate) in result.branches.iter().flatten() {
-                println!("    {path}\t{estimate:.2}");
+                outln!("    {path}\t{estimate:.2}");
             }
             for (depth, stage, seconds) in result.stages.iter().flatten() {
-                println!(
+                outln!(
                     "    {:indent$}{stage} {:.3} ms",
                     "",
                     seconds * 1e3,
@@ -887,14 +963,14 @@ fn query_local(
             Ok((expr, estimate))
         });
         let (expr, estimate) = answer?;
-        println!("{source}\t{:.2}", estimate.total);
+        outln!("{source}\t{:.2}", estimate.total);
         if trace {
             for line in phe::obs::span::render_tree(&spans).lines() {
-                println!("  {line}");
+                outln!("  {line}");
             }
         }
         if explain {
-            println!(
+            outln!(
                 "  {} concrete path(s), {} pruned, {} truncated{}",
                 estimate.width(),
                 estimate.pruned,
@@ -909,10 +985,10 @@ fn query_local(
                 .tree(&|l| estimator.label_name(l).map(str::to_owned))
                 .lines()
             {
-                println!("  {line}");
+                outln!("  {line}");
             }
             for (path, value) in &estimate.branches {
-                println!("    {}\t{value:.2}", estimator.render_path(path));
+                outln!("    {}\t{value:.2}", estimator.render_path(path));
             }
         }
     }

@@ -1,8 +1,9 @@
 //! End-to-end tests of the `phe` CLI binary: generate → stats → build →
 //! estimate → accuracy, exercising real process boundaries and file I/O.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn phe() -> Command {
     Command::new(env!("CARGO_BIN_EXE_phe"))
@@ -686,4 +687,95 @@ fn out_replaces_an_existing_snapshot_and_leaves_no_temp_file() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn a_closed_stdout_ends_the_process_quietly() {
+    let dir = workdir("closed_stdout");
+    let graph = dir.join("g.tsv");
+    let stats = dir.join("stats.json");
+    for args in [
+        vec!["generate", "chained", "--scale", "0.05", "--seed", "7"],
+        vec!["build", graph.to_str().unwrap(), "--k", "3", "--beta", "32"],
+    ] {
+        let out_path = if args[0] == "generate" {
+            &graph
+        } else {
+            &stats
+        };
+        let out = phe()
+            .args(args)
+            .args(["--out", out_path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    // Each explained expression prints a few KiB, so the output outgrows
+    // the pipe buffer and the process is still writing when the reader
+    // goes away.
+    let mut child = phe()
+        .args(["query", "--snapshot", stats.to_str().unwrap(), "--explain"])
+        .args(std::iter::repeat_n(".{1,3}", 64))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    assert!(line.starts_with(".{1,3}\t"), "{line}");
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+}
+
+#[test]
+fn a_server_keeps_serving_after_its_stdout_closes() {
+    let dir = workdir("serve_closed_stdout");
+    let graph = dir.join("g.tsv");
+    let stats = dir.join("stats.json");
+    std::fs::write(&graph, "0\ta\t1\n1\tb\t2\n1\tb\t3\n").unwrap();
+    let out = phe()
+        .args(["build", graph.to_str().unwrap(), "--k", "2", "--beta", "2"])
+        .args(["--out", stats.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let mut child = phe()
+        .args(["serve", "--snapshot", stats.to_str().unwrap()])
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let server = ServerProcess(child);
+    let addr = stdout
+        .lines()
+        .map(Result::unwrap)
+        .find_map(|line| {
+            let start = line.find("127.0.0.1:")?;
+            line[start..].split_whitespace().next().map(str::to_owned)
+        })
+        .expect("the server reports its address");
+    // The reader is gone; the server's next status line finds stdout
+    // closed, and it must go on serving.
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    for _ in 0..2 {
+        let total = totals(&["query", "--remote", &addr, "a/b"]);
+        assert!(total.starts_with("a/b\t"), "{total}");
+    }
+    drop(server);
 }
