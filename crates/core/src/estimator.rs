@@ -512,31 +512,16 @@ impl PathSelectivityEstimator {
         Ok((estimator, new_graph))
     }
 
-    /// Captures the retained state (ordering inputs + histogram, plus the
-    /// sparse catalog when retained) as a serializable
-    /// [`crate::snapshot::EstimatorSnapshot`].
+    /// Captures the retained state (ordering inputs, histogram, lineage
+    /// and follow matrix) as a serializable
+    /// [`crate::snapshot::EstimatorSnapshot`]. The sparse catalog, even
+    /// when retained, is left out: its cost would grow with the catalog,
+    /// and nothing restores it.
     ///
     /// # Errors
     /// [`crate::snapshot::SnapshotError::IdealNotSupported`] for the ideal
     /// reference ordering.
     pub fn snapshot(
-        &self,
-    ) -> Result<crate::snapshot::EstimatorSnapshot, crate::snapshot::SnapshotError> {
-        let mut snapshot = self.serving_snapshot()?;
-        snapshot.sparse_runs = self
-            .sparse
-            .as_ref()
-            .map(|s| crate::snapshot::CompressedRunsSnapshot::from_runs(s.runs()));
-        Ok(snapshot)
-    }
-
-    /// [`PathSelectivityEstimator::snapshot`] without the sparse catalog:
-    /// everything a serving tier restores its estimates, lineage and follow
-    /// matrix from, at a cost independent of the catalog's size.
-    ///
-    /// # Errors
-    /// As for [`PathSelectivityEstimator::snapshot`].
-    pub fn serving_snapshot(
         &self,
     ) -> Result<crate::snapshot::EstimatorSnapshot, crate::snapshot::SnapshotError> {
         if self.config.ordering == OrderingKind::Ideal {
@@ -555,9 +540,7 @@ impl PathSelectivityEstimator {
             label_names: self.label_names.clone(),
             label_frequencies: self.label_frequencies.clone(),
             pair_frequencies: self.pair_frequencies.clone(),
-            sparse_runs: None,
             follow_bits_base64: Some(crate::snapshot::encode_follow_bits(&self.follow)),
-            catalog_file: None,
             histogram: self.histogram.histogram().clone(),
         })
     }

@@ -64,16 +64,14 @@ const _: () = {
 /// pipeline) carry no `version` field and restore unchanged; v2 adds the
 /// optional sparse-build provenance (`domain_paths`, `nonzero_paths`);
 /// v3 adds the delta lineage (`base_build_id`, `applied_deltas`) written
-/// by the incremental-maintenance pipeline; v4 adds the optional
-/// block-compressed sparse catalog (`sparse_runs`) for estimators built
-/// with `retain_sparse`, so a restored estimator can resume incremental
-/// maintenance without a recount; v5 adds the tagged block codec marker
-/// on [`CompressedRunsSnapshot`] (untagged streams keep restoring), the
-/// label-follow matrix (`follow_bits_base64`, so serving tiers can prune
-/// impossible expansion branches without the graph), and the optional
-/// external catalog file reference (`catalog_file`, pointing at a `.phc`
-/// sidecar the serving tier memory-maps instead of inlining the blocks
-/// in JSON). Every older version restores; newer versions are refused.
+/// by the incremental-maintenance pipeline; v4 added the sparse catalog
+/// as compressed blocks (`sparse_runs`); v5 adds the label-follow matrix
+/// (`follow_bits_base64`, so serving tiers can prune impossible expansion
+/// branches without the graph) and added a codec marker on `sparse_runs`
+/// and a `.phc` sidecar reference (`catalog_file`). Nothing read either
+/// catalog copy back to estimate, so neither is written any more and both
+/// keys are ignored on read; what is written is still a valid v5 file.
+/// Every older version restores; newer versions are refused.
 pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// The serializable retained state of a built estimator.
@@ -110,97 +108,13 @@ pub struct EstimatorSnapshot {
     /// Pair frequencies `f(l1/l2)` keyed `l1·n + l2`; present only for
     /// the `sum-based-L2` ordering.
     pub pair_frequencies: Option<Vec<u64>>,
-    /// The retained sparse catalog as block-compressed runs (v4; present
-    /// only for estimators built with `retain_sparse`). Persisting the
-    /// *compressed* blocks — not 16 B/entry pairs — is what keeps
-    /// maintained snapshots a few bytes per realized path.
-    pub sparse_runs: Option<CompressedRunsSnapshot>,
     /// The label-follow matrix as base64 of LSB-first packed `|L|²` bits
     /// in `a · |L| + b` layout (v5). Lets a serving tier prune regular
     /// path expression branches with impossible adjacent label pairs —
     /// without the graph the matrix was computed from.
     pub follow_bits_base64: Option<String>,
-    /// Relative path of an external `.phc` catalog file holding the
-    /// sparse catalog (v5; written by disk-resident builds). Resolved
-    /// against the snapshot file's own directory and memory-mapped by
-    /// the loader, so the catalog payload never transits JSON and never
-    /// has to be heap-resident. When set, `sparse_runs` is absent.
-    pub catalog_file: Option<String>,
     /// The built histogram.
     pub histogram: BuiltHistogram,
-}
-
-/// The serialized form of a [`phe_pathenum::CompressedRuns`]: the raw
-/// block bytes (base64, since the wire format is JSON) plus the per-block
-/// entry counts the skip index is re-derived from. Restoring re-validates
-/// every run invariant, so a corrupt file is refused, not trusted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CompressedRunsSnapshot {
-    /// Number of entries (restore cross-checks the decode against it).
-    pub nnz: u64,
-    /// Block stream codec: `None` for the legacy (≤ v4) untagged
-    /// delta-varint stream, [`RUNS_CODEC_TAGGED`] for the tagged
-    /// per-block codec (varint or FOR/bit-packed, chosen block by
-    /// block). Unknown values are refused at restore.
-    pub codec: Option<String>,
-    /// Base64 of the block byte stream (layout per `codec`).
-    pub blocks_base64: String,
-    /// Entries per block, in block order.
-    pub block_lens: Vec<u32>,
-}
-
-/// [`CompressedRunsSnapshot::codec`] marker for the tagged block stream
-/// (v5 writers).
-pub const RUNS_CODEC_TAGGED: &str = "tagged";
-
-impl CompressedRunsSnapshot {
-    /// Captures a run for persistence.
-    pub fn from_runs(runs: &phe_pathenum::CompressedRuns) -> CompressedRunsSnapshot {
-        CompressedRunsSnapshot {
-            nnz: runs.len() as u64,
-            codec: Some(RUNS_CODEC_TAGGED.to_owned()),
-            blocks_base64: base64_encode(runs.bytes()),
-            block_lens: runs.skip_index().iter().map(|meta| meta.len).collect(),
-        }
-    }
-
-    /// Decodes and re-validates the run, dispatching on the codec
-    /// marker: legacy untagged streams are re-encoded into the tagged
-    /// form, tagged streams restore byte-exact.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Corrupt`] on bad base64, an unknown codec,
-    /// violated run invariants, or an entry count that disagrees with
-    /// the declared `nnz`.
-    pub fn restore(&self) -> Result<phe_pathenum::CompressedRuns, SnapshotError> {
-        let bytes = base64_decode(&self.blocks_base64)
-            .ok_or_else(|| SnapshotError::Corrupt("sparse runs are not valid base64".into()))?;
-        let runs = match self.codec.as_deref() {
-            None => phe_pathenum::CompressedRuns::from_encoded(bytes, &self.block_lens),
-            Some(RUNS_CODEC_TAGGED) => {
-                phe_pathenum::CompressedRuns::from_tagged_encoded(bytes, &self.block_lens)
-            }
-            Some(other) => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown sparse run codec {other:?}"
-                )))
-            }
-        }
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        if runs.len() as u64 != self.nnz {
-            return Err(SnapshotError::Corrupt(format!(
-                "sparse runs declare {} entries but decode to {}",
-                self.nnz,
-                runs.len()
-            )));
-        }
-        Ok(runs)
-    }
-
-    /// Serialized payload bytes (base64 blocks + block lengths).
-    pub fn payload_bytes(&self) -> usize {
-        self.blocks_base64.len() + self.block_lens.len() * std::mem::size_of::<u32>()
-    }
 }
 
 impl EstimatorSnapshot {
@@ -302,29 +216,6 @@ impl EstimatorSnapshot {
         })
     }
 
-    /// Rebuilds the retained **sparse catalog** from a v4 snapshot's
-    /// compressed blocks — `None` when the snapshot carries none (older
-    /// formats, or an estimator built without `retain_sparse`). The
-    /// encoding is reconstructed from the snapshot's own dimensions
-    /// (`|L|` = label count, `k`), so no graph access is needed.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Corrupt`] when the blocks fail validation or an
-    /// entry falls outside the snapshot's domain.
-    pub fn restore_sparse_catalog(
-        &self,
-    ) -> Result<Option<phe_pathenum::SparseCatalog>, SnapshotError> {
-        let Some(snapshot_runs) = self.sparse_runs.as_ref() else {
-            return Ok(None);
-        };
-        let runs = snapshot_runs.restore()?;
-        let encoding = phe_pathenum::PathEncoding::try_new(self.label_names.len(), self.k)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        let catalog = phe_pathenum::SparseCatalog::from_runs(encoding, runs)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        Ok(Some(catalog))
-    }
-
     /// Rebuilds the label-follow matrix from a v5 snapshot — `None` for
     /// older formats. The serving tier uses it to prune regular path
     /// expression branches whose adjacent label pairs cannot occur.
@@ -359,7 +250,6 @@ impl EstimatorSnapshot {
         names
             + self.label_frequencies.len() * 8
             + self.pair_frequencies.as_ref().map_or(0, |p| p.len() * 8)
-            + self.sparse_runs.as_ref().map_or(0, |r| r.payload_bytes())
             + self.histogram.size_bytes()
     }
 }
@@ -521,143 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn v3_snapshots_without_sparse_runs_restore() {
-        // A v3 file is today's serialization with version 3 and no
-        // compressed catalog — written before the block-compressed
-        // storage existed.
-        let est = build(OrderingKind::SumBased);
-        let mut v3 = est.snapshot().unwrap();
-        v3.version = Some(3);
-        v3.sparse_runs = None;
-        let json = serde_json::to_string(&v3).unwrap();
-        let parsed: EstimatorSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.version, Some(3));
-        assert!(parsed.sparse_runs.is_none());
-        assert_eq!(parsed.restore_sparse_catalog().unwrap(), None);
-        let restored = parsed.restore().unwrap();
-        for l in 0..4u16 {
-            let path = [LabelId(l)];
-            assert_eq!(est.estimate(&path), restored.estimate_labels(&path));
-        }
-    }
-
-    #[test]
-    fn v4_snapshots_persist_the_compressed_catalog() {
-        // A maintained estimator ships its sparse catalog as compressed
-        // blocks; the restored catalog is bit-identical, and the payload
-        // undercuts what 16 B/entry pairs would cost even after base64.
-        let est = PathSelectivityEstimator::build(
-            &graph(),
-            EstimatorConfig {
-                k: 3,
-                beta: 16,
-                ordering: OrderingKind::SumBased,
-                histogram: crate::label_histogram::HistogramKind::VOptimalGreedy,
-                threads: 1,
-                retain_sparse: true,
-            },
-        )
-        .unwrap();
-        let snapshot = est.snapshot().unwrap();
-        let runs = snapshot
-            .sparse_runs
-            .as_ref()
-            .expect("retain_sparse persists the catalog");
-        assert_eq!(runs.nnz, est.footprint().nonzero_paths);
-
-        let json = serde_json::to_string(&snapshot).unwrap();
-        let parsed: EstimatorSnapshot = serde_json::from_str(&json).unwrap();
-        let catalog = parsed
-            .restore_sparse_catalog()
-            .unwrap()
-            .expect("v4 carries the catalog");
-        assert_eq!(&catalog, est.sparse_catalog().unwrap());
-
-        // Plain pairs through the same base64 envelope would cost
-        // ceil(16/3)·4 ≈ 21.3 B/entry; the compressed payload must come
-        // in well under the raw 16 B/entry.
-        let plain = est.sparse_catalog().unwrap().plain_bytes();
-        assert!(
-            parsed.sparse_runs.as_ref().unwrap().payload_bytes() < plain,
-            "{} base64 bytes vs {} plain bytes",
-            parsed.sparse_runs.as_ref().unwrap().payload_bytes(),
-            plain
-        );
-
-        // An unmaintained estimator persists no runs.
-        let lean = build(OrderingKind::SumBased).snapshot().unwrap();
-        assert!(lean.sparse_runs.is_none());
-
-        // Corrupt payloads are refused, not trusted.
-        let mut broken = snapshot.clone();
-        broken.sparse_runs.as_mut().unwrap().blocks_base64 = "not base64!".into();
-        assert!(matches!(
-            broken.restore_sparse_catalog(),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        let mut truncated = snapshot.clone();
-        truncated.sparse_runs.as_mut().unwrap().block_lens.pop();
-        assert!(matches!(
-            truncated.restore_sparse_catalog(),
-            Err(SnapshotError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn v4_untagged_runs_still_restore() {
-        // A v4 writer stored the raw per-entry delta-varint stream with
-        // no codec marker. Build that wire form by hand and check the
-        // restore path re-encodes it into today's tagged representation
-        // with identical content.
-        let entries: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 7 + 2, i % 9 + 1)).collect();
-        let mut bytes = Vec::new();
-        let mut lens = Vec::new();
-        for block in entries.chunks(128) {
-            let mut prev = 0u64;
-            for (n, &(index, count)) in block.iter().enumerate() {
-                let mut write = |mut v: u64| loop {
-                    if v < 0x80 {
-                        bytes.push(v as u8);
-                        break;
-                    }
-                    bytes.push((v as u8 & 0x7f) | 0x80);
-                    v >>= 7;
-                };
-                write(if n == 0 { index } else { index - prev });
-                write(count);
-                prev = index;
-            }
-            lens.push(block.len() as u32);
-        }
-        let legacy = CompressedRunsSnapshot {
-            nnz: entries.len() as u64,
-            codec: None,
-            blocks_base64: base64_encode(&bytes),
-            block_lens: lens,
-        };
-        let restored = legacy.restore().unwrap();
-        assert_eq!(restored.to_vec(), entries);
-
-        // The same payload under today's marker is refused — tagged
-        // streams start with a tag byte, not a raw delta.
-        let mistagged = CompressedRunsSnapshot {
-            codec: Some(RUNS_CODEC_TAGGED.to_owned()),
-            ..legacy.clone()
-        };
-        assert!(mistagged.restore().is_err());
-
-        // Unknown codecs are refused outright.
-        let unknown = CompressedRunsSnapshot {
-            codec: Some("zstd".to_owned()),
-            ..legacy
-        };
-        assert!(matches!(
-            unknown.restore(),
-            Err(SnapshotError::Corrupt(msg)) if msg.contains("unknown")
-        ));
-    }
-
-    #[test]
     fn v5_snapshots_carry_the_follow_matrix() {
         let g = graph();
         let est = PathSelectivityEstimator::build(
@@ -699,13 +452,6 @@ mod tests {
             short.restore_follow_matrix(),
             Err(SnapshotError::Corrupt(_))
         ));
-
-        // The external catalog reference round-trips.
-        let mut external = snapshot;
-        external.catalog_file = Some("my-catalog.phc".into());
-        let json = serde_json::to_string(&external).unwrap();
-        let parsed: EstimatorSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.catalog_file.as_deref(), Some("my-catalog.phc"));
     }
 
     #[test]

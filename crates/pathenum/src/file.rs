@@ -1,7 +1,9 @@
 //! The on-disk catalog file format (`.phc`) and its readers.
 //!
-//! One flat, checksummed file holds everything needed to serve a
-//! [`SparseCatalog`] without re-deriving state:
+//! One flat, checksummed file holds everything needed to reopen a
+//! [`SparseCatalog`] without re-deriving state. Its one user is the
+//! spill-to-disk build, which writes its shards in this format and
+//! merges them back through [`open_catalog_file`]:
 //!
 //! ```text
 //! offset  size  field
@@ -22,7 +24,7 @@
 //! maps the file ([`crate::mmap`]), verifies the checksum, validates the
 //! tagged payload, and hands back a catalog whose byte stream *borrows the
 //! mapping*. The skip index (~0.3 B/entry) is the only per-entry heap
-//! cost, so a serving node's catalog capacity is bounded by disk. The
+//! cost, so a spilling build's shards stay on disk through the merge. The
 //! file handle is closed once the bytes are mapped, so any number of
 //! catalogs can be open at once without holding a descriptor each.
 //!

@@ -46,7 +46,7 @@
 //!   too, as runs mapped by [`crate::file::open_catalog_file`].
 //!
 //! The only access path for consumers is the zero-alloc [`RunsCursor`]
-//! iterator: histogram builders, ordering remaps, and snapshot writers
+//! iterator: histogram builders and ordering remaps
 //! all stream entries; nothing materializes the pair vector. The cursor
 //! decodes lazily — entering a block decodes only its head entry, and
 //! the tail is decoded into a stack buffer the first time the second
@@ -56,8 +56,8 @@
 //! memory-mapped catalog file ([`CompressedRuns::is_mapped`]); every
 //! operation reads through the same slice either way. Every stream the
 //! block decoders read was either encoded by [`RunsBuilder`] or passed
-//! `validate_tagged` (snapshot restore, catalog files and spill shards
-//! alike), which is why the decoders may treat malformed bytes as a bug.
+//! `validate_tagged` (catalog files, spill shards and
+//! [`CompressedRuns::from_tagged_encoded`] alike), which is why the decoders may treat malformed bytes as a bug.
 //!
 //! Blocks may hold *fewer* than [`BLOCK_ENTRIES`] entries: the wholesale
 //! copies of [`CompressedRuns::merge_signed`] preserve the source block
@@ -99,7 +99,7 @@ pub struct BlockMeta {
 }
 
 /// A decode/validation failure of an externally supplied byte stream
-/// (snapshot restore, catalog files).
+/// (catalog files, spill shards).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunsCorrupt(pub String);
 
@@ -219,74 +219,19 @@ impl CompressedRuns {
         builder.finish()
     }
 
-    /// Rebuilds a run from the **legacy (pre-v5) untagged** serialized
-    /// form: per-entry delta varints with no codec tag byte. The stream
-    /// is validated entry by entry and re-encoded through the current
-    /// tagged codec, so content round-trips but block boundaries and
-    /// bytes do not. Current-format payloads restore through
-    /// [`CompressedRuns::from_tagged_encoded`] instead.
+    /// Rebuilds a heap-owned run from its tagged serialized form: the raw
+    /// byte stream plus the per-block entry counts. It is the in-memory
+    /// entry point to the same validating pass `.phc` files are opened
+    /// through; the skip index is re-derived by that pass and the bytes
+    /// are kept verbatim, so the stream (and every skip row) round-trips
+    /// exactly.
     ///
     /// # Errors
     /// [`RunsCorrupt`] when the bytes truncate mid-varint, an index fails
     /// to increase strictly, a count is zero, a block is empty or
-    /// over-full, or trailing bytes remain after the declared blocks.
-    pub fn from_encoded(bytes: Vec<u8>, block_lens: &[u32]) -> Result<CompressedRuns, RunsCorrupt> {
-        let mut builder = RunsBuilder::new();
-        let mut pos = 0usize;
-        let mut prev: Option<u64> = None;
-        for (block_id, &block_len) in block_lens.iter().enumerate() {
-            if block_len == 0 || block_len as usize > BLOCK_ENTRIES {
-                return Err(RunsCorrupt(format!(
-                    "block {block_id} declares {block_len} entries (1..={BLOCK_ENTRIES})"
-                )));
-            }
-            let mut last_index = 0u64;
-            for entry in 0..block_len {
-                let raw = decode_varint(&bytes, &mut pos)
-                    .ok_or_else(|| RunsCorrupt(format!("block {block_id} truncated")))?;
-                let index = if entry == 0 {
-                    raw
-                } else {
-                    last_index.checked_add(raw).ok_or_else(|| {
-                        RunsCorrupt(format!("block {block_id} index overflows u64"))
-                    })?
-                };
-                if prev.is_some_and(|p| index <= p) {
-                    return Err(RunsCorrupt(format!(
-                        "index {index} does not increase strictly (block {block_id})"
-                    )));
-                }
-                if entry > 0 && raw == 0 {
-                    return Err(RunsCorrupt(format!("zero index delta in block {block_id}")));
-                }
-                let count = decode_varint(&bytes, &mut pos)
-                    .ok_or_else(|| RunsCorrupt(format!("block {block_id} truncated")))?;
-                if count == 0 {
-                    return Err(RunsCorrupt(format!("explicit zero count at index {index}")));
-                }
-                prev = Some(index);
-                last_index = index;
-                builder.push(index, count);
-            }
-        }
-        if pos != bytes.len() {
-            return Err(RunsCorrupt(format!(
-                "{} trailing bytes after the declared blocks",
-                bytes.len() - pos
-            )));
-        }
-        Ok(builder.finish())
-    }
-
-    /// Rebuilds a run from its current (tagged) serialized form: the raw
-    /// byte stream plus the per-block entry counts; the skip index is
-    /// re-derived by one validating pass and the bytes are kept
-    /// verbatim, so the stream (and every skip row) round-trips exactly.
-    ///
-    /// # Errors
-    /// [`RunsCorrupt`] under the same conditions as
-    /// [`CompressedRuns::from_encoded`], plus an unknown codec tag, a
-    /// lane width above 64 bits, or a truncated bit lane.
+    /// over-full, trailing bytes remain after the declared blocks, a codec
+    /// tag is unknown, a lane is wider than 64 bits, or a bit lane is
+    /// truncated.
     pub fn from_tagged_encoded(
         bytes: Vec<u8>,
         block_lens: &[u32],
@@ -382,8 +327,7 @@ impl CompressedRuns {
         self.len * std::mem::size_of::<(u64, u64)>()
     }
 
-    /// Blocks per codec, `(varint, packed)` — observability for benches
-    /// and the `list` op's residency rows.
+    /// Blocks per codec, `(varint, packed)` — observability for benches.
     pub fn block_codec_counts(&self) -> (usize, usize) {
         let bytes = self.bytes();
         let mut varint = 0usize;
@@ -1017,8 +961,8 @@ fn decode_block_tail(
         }
         // LINT-ALLOW(panic): `validate_tagged` refuses any other codec
         // tag, and every stream decoded here was encoded by `RunsBuilder`
-        // (`from_encoded` re-encodes legacy streams) or passed it: snapshot
-        // restore, catalog files and spill shards all open through it.
+        // or passed it: catalog files, spill shards and
+        // `from_tagged_encoded` all open through it.
         other => unreachable!("validated codec tag, got {other}"),
     }
 }
@@ -1027,9 +971,9 @@ fn decode_block_tail(
 fn validated_varint(block: &[u8], pos: &mut usize) -> u64 {
     // LINT-ALLOW(panic): `validate_tagged` decodes every varint of a
     // block before any decoder reads it, and every stream decoded here
-    // was encoded by `RunsBuilder` (`from_encoded` re-encodes legacy
-    // streams) or passed it: snapshot restore, catalog files and spill
-    // shards all open through it. So the read cannot truncate.
+    // was encoded by `RunsBuilder` or passed it: catalog files, spill
+    // shards and `from_tagged_encoded` all open through it. So the read
+    // cannot truncate.
     decode_varint(block, pos).expect("validated varint")
 }
 
@@ -1366,24 +1310,6 @@ mod tests {
         CompressedRuns::from_entries(entries)
     }
 
-    /// Encodes entries in the legacy (pre-v5) untagged delta-varint
-    /// stream — the fixture format for `from_encoded` tests.
-    fn legacy_encode(entries: &[(u64, u64)]) -> (Vec<u8>, Vec<u32>) {
-        let mut bytes = Vec::new();
-        let mut lens = Vec::new();
-        for block in entries.chunks(BLOCK_ENTRIES) {
-            let mut prev = 0u64;
-            for (entry, &(index, count)) in block.iter().enumerate() {
-                let raw = if entry == 0 { index } else { index - prev };
-                encode_varint(&mut bytes, raw);
-                encode_varint(&mut bytes, count);
-                prev = index;
-            }
-            lens.push(block.len() as u32);
-        }
-        (bytes, lens)
-    }
-
     #[test]
     fn round_trips_and_looks_up() {
         let entries: Vec<(u64, u64)> = (0..1000u64).map(|i| (i * i + 7, i + 1)).collect();
@@ -1595,43 +1521,6 @@ mod tests {
         expected.extend((0..400u64).map(|i| (i * 2 + 1, 2)));
         expected.sort_unstable_by_key(|&(i, _)| i);
         assert_eq!(merged.to_vec(), expected);
-    }
-
-    #[test]
-    fn from_encoded_validates_legacy_streams() {
-        let entries: Vec<(u64, u64)> = (0..300u64).map(|i| (i * 7, i + 1)).collect();
-        let (bytes, lens) = legacy_encode(&entries);
-        let restored = CompressedRuns::from_encoded(bytes.clone(), &lens).unwrap();
-        // Content round-trips; the bytes are re-encoded into the tagged
-        // format, so only the decoded stream is compared.
-        assert_eq!(restored, runs_of(&entries));
-        assert_eq!(restored.to_vec(), entries);
-
-        // Truncated bytes.
-        let mut short = bytes.clone();
-        short.pop();
-        assert!(CompressedRuns::from_encoded(short, &lens).is_err());
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(CompressedRuns::from_encoded(long, &lens).is_err());
-        // Wrong block lens.
-        assert!(CompressedRuns::from_encoded(bytes.clone(), &lens[1..]).is_err());
-        // Zero count.
-        let mut raw = Vec::new();
-        encode_varint(&mut raw, 5);
-        encode_varint(&mut raw, 0);
-        assert!(CompressedRuns::from_encoded(raw, &[1]).is_err());
-        // Zero delta (duplicate index).
-        let mut raw = Vec::new();
-        encode_varint(&mut raw, 5);
-        encode_varint(&mut raw, 1);
-        encode_varint(&mut raw, 0);
-        encode_varint(&mut raw, 1);
-        assert!(CompressedRuns::from_encoded(raw, &[2]).is_err());
-        // Oversized block declaration.
-        assert!(CompressedRuns::from_encoded(Vec::new(), &[0]).is_err());
-        assert!(CompressedRuns::from_encoded(Vec::new(), &[BLOCK_ENTRIES as u32 + 1]).is_err());
     }
 
     #[test]

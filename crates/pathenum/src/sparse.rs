@@ -412,7 +412,7 @@ impl SparseCatalog {
         ))
     }
 
-    /// Wraps an already-validated compressed run (snapshot restore). The
+    /// Wraps an already-validated compressed run (catalog files). The
     /// entries must uphold the module invariants and stay inside the
     /// encoding's domain.
     ///
@@ -499,7 +499,7 @@ impl SparseCatalog {
     }
 
     /// The underlying block-compressed run (block-granular consumers:
-    /// snapshots, mergers, footprint reports).
+    /// `.phc` writers, mergers, footprint reports).
     #[inline]
     pub fn runs(&self) -> &CompressedRuns {
         &self.runs

@@ -4,9 +4,9 @@
 //! indexes adjacent to `u64::MAX` — the per-block codec chooser
 //! (FOR/bit-packed vs varint) never changes decoded content and never
 //! grows the stream, and the block-wise signed merge is bit-identical
-//! to the plain two-pointer pair merge under random churn. Both
-//! decoders of the serialized form, fed damaged bytes and block lengths,
-//! refuse them with `RunsCorrupt` or return a well-formed run; neither
+//! to the plain two-pointer pair merge under random churn. The decoder
+//! of the serialized form, fed damaged bytes and block lengths, refuses
+//! them with `RunsCorrupt` or returns a well-formed run; it never
 //! panics. The `.phc` file reader keeps the same promise for damaged
 //! files, with and without a valid checksum. A built catalog's bytes
 //! depend on its entries alone: sequential, parallel and spilling builds
@@ -118,30 +118,6 @@ fn diff_of(base: &[(u64, u64)], target: &[(u64, u64)]) -> Vec<(u64, i64)> {
     changes
 }
 
-/// The legacy (untagged) serialized form `from_encoded` reads: blocks of
-/// up to [`BLOCK_ENTRIES`] entries, each an absolute head index, then
-/// per-entry index gaps, every index followed by its count, all LEB128.
-fn legacy_encode(entries: &[(u64, u64)]) -> (Vec<u8>, Vec<u32>) {
-    fn varint(out: &mut Vec<u8>, mut value: u64) {
-        while value >= 0x80 {
-            out.push((value as u8) | 0x80);
-            value >>= 7;
-        }
-        out.push(value as u8);
-    }
-    let (mut bytes, mut lens) = (Vec::new(), Vec::new());
-    for block in entries.chunks(BLOCK_ENTRIES) {
-        let mut last = None;
-        for &(index, count) in block {
-            varint(&mut bytes, last.map_or(index, |l| index - l));
-            varint(&mut bytes, count);
-            last = Some(index);
-        }
-        lens.push(block.len() as u32);
-    }
-    (bytes, lens)
-}
-
 /// One damage step: `(target, kind, position, value)`. Target 0 damages
 /// the bytes (flip a bit, truncate, or splice `value`'s low bytes over a
 /// short range); target 1 the block lengths (overwrite one with a length
@@ -247,7 +223,7 @@ proptest! {
                 prop_assert_eq!(runs.get(w[0].0 + 1), None);
             }
         }
-        // Serialized round trip (the snapshot path): tagged bytes +
+        // Serialized round trip (the heap entry point): tagged bytes +
         // block lens restore the exact stream, skip index included.
         let lens: Vec<u32> = runs.skip_index().iter().map(|m| m.len).collect();
         let restored = CompressedRuns::from_tagged_encoded(runs.bytes().to_vec(), &lens).unwrap();
@@ -360,10 +336,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
-    // Damaged serialized runs never panic either decoder: each refuses
-    // the input with `RunsCorrupt` or returns a well-formed run. Both
-    // decoders see every stream, so each also meets input written in
-    // the other's format.
+    // Damaged serialized runs never panic the decoder: it refuses the
+    // input with `RunsCorrupt` or returns a well-formed run.
     #[test]
     fn damaged_serialized_runs_are_refused_or_well_formed(
         parts in prop::collection::vec((0u32..10, 0u64..u64::MAX, 1u64..u64::MAX), 0..120),
@@ -384,29 +358,23 @@ proptest! {
             let base = entries.last().map_or(0, |&(i, _)| i + 1);
             entries.extend((0..200u64).map(|j| (base + j * 8, 5)));
         }
-        // The chooser's stream (packed where that is smaller), a
-        // varint-only tagged stream, and the legacy untagged stream.
+        // The chooser's stream (packed where that is smaller) and a
+        // varint-only tagged stream.
         let chosen = CompressedRuns::from_entries(&entries);
         let mut varint = RunsBuilder::new().varint_only();
         for &(index, count) in &entries {
             varint.push(index, count);
         }
         let varint = varint.finish();
-        let (legacy_bytes, legacy_lens) = legacy_encode(&entries);
-        prop_assert_eq!(
-            CompressedRuns::from_encoded(legacy_bytes.clone(), &legacy_lens).unwrap().to_vec(),
-            entries.clone()
-        );
         let tagged = |runs: &CompressedRuns| {
             let lens: Vec<u32> = runs.skip_index().iter().map(|m| m.len).collect();
             (runs.bytes().to_vec(), lens)
         };
-        for (mut bytes, mut lens) in [tagged(&chosen), tagged(&varint), (legacy_bytes, legacy_lens)] {
+        for (mut bytes, mut lens) in [tagged(&chosen), tagged(&varint)] {
             for &step in &steps {
                 damage(&mut bytes, &mut lens, step);
             }
-            check_decoded(CompressedRuns::from_tagged_encoded(bytes.clone(), &lens))?;
-            check_decoded(CompressedRuns::from_encoded(bytes, &lens))?;
+            check_decoded(CompressedRuns::from_tagged_encoded(bytes, &lens))?;
         }
     }
 }

@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use phe_core::snapshot::{EstimatorSnapshot, SnapshotError};
 use phe_core::{LabelPath, LabelPathHistogram, PathSelectivityEstimator};
 use phe_graph::{FollowMatrix, LabelId};
-use phe_pathenum::SparseCatalog;
 
 /// Why an estimate request was rejected. The core estimator panics on
 /// contract violations (it trusts the optimizer driving it); a service
@@ -44,24 +43,6 @@ impl std::fmt::Display for EstimateError {
 
 impl std::error::Error for EstimateError {}
 
-/// Where a slot's attached sparse catalog lives, reported by the `list`
-/// op so operators can see which estimators serve with their catalog
-/// payload disk-resident (mmap) versus heap-resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CatalogResidency {
-    /// Whether the block payload borrows a memory-mapped file instead of
-    /// owning heap bytes.
-    pub mapped: bool,
-    /// **Heap** bytes the catalog pins (skip index + struct overhead;
-    /// excludes the payload when it is mapped).
-    pub heap_bytes: u64,
-    /// Encoded payload bytes, wherever they live (disk for mapped
-    /// catalogs, heap otherwise).
-    pub payload_bytes: u64,
-    /// Realized (non-zero) paths in the catalog.
-    pub nonzero_paths: u64,
-}
-
 /// An immutable, thread-safe estimator ready to answer path-selectivity
 /// queries: the retained histogram, plus label-name resolution.
 ///
@@ -88,11 +69,6 @@ pub struct ServableEstimator {
     ///
     /// [`ServingEstimator`]: crate::registry::ServingEstimator
     follow: Option<FollowMatrix>,
-    /// The sparse catalog backing these statistics, attached by
-    /// [`crate::server::load_snapshot`] when the snapshot references an
-    /// external `.phc` sidecar. For mmap-opened catalogs the block
-    /// payload stays disk-resident; only the skip index is heap memory.
-    catalog: Option<SparseCatalog>,
 }
 
 impl ServableEstimator {
@@ -138,12 +114,11 @@ impl ServableEstimator {
     /// Derives the servable form of an estimator that must outlive the
     /// publish as a slot's maintenance state, so it is read through its
     /// snapshot instead of consumed. Every maintained publish — rebuild
-    /// or compacted delta — derives its statistics here. The snapshot
-    /// leaves out the sparse catalog, which the servable never reads.
+    /// or compacted delta — derives its statistics here.
     pub(crate) fn from_maintained(
         estimator: &PathSelectivityEstimator,
     ) -> Result<ServableEstimator, String> {
-        let snapshot = estimator.serving_snapshot().map_err(|e| e.to_string())?;
+        let snapshot = estimator.snapshot().map_err(|e| e.to_string())?;
         ServableEstimator::from_snapshot(&snapshot).map_err(|e| e.to_string())
     }
 
@@ -168,40 +143,13 @@ impl ServableEstimator {
             description,
             lineage,
             follow,
-            catalog: None,
         }
-    }
-
-    /// Attaches a sparse catalog (builder style) — the loader calls this
-    /// after memory-mapping a snapshot's external `.phc` sidecar, so the
-    /// slot can report its residency. The estimates themselves come from
-    /// the histogram either way; the attached catalog only pins the
-    /// mapping alive and feeds the `list` op's residency columns.
-    pub fn with_catalog(mut self, catalog: SparseCatalog) -> ServableEstimator {
-        self.description.push_str(if catalog.runs().is_mapped() {
-            ", catalog mmap-resident"
-        } else {
-            ", catalog heap-resident"
-        });
-        self.catalog = Some(catalog);
-        self
     }
 
     /// The label-follow matrix these statistics shipped with, when the
     /// source carried one (`None` for pre-v5 snapshots).
     pub fn follow(&self) -> Option<&FollowMatrix> {
         self.follow.as_ref()
-    }
-
-    /// Residency of the attached sparse catalog, or `None` when the slot
-    /// serves histogram-only (the common case).
-    pub fn catalog_residency(&self) -> Option<CatalogResidency> {
-        self.catalog.as_ref().map(|catalog| CatalogResidency {
-            mapped: catalog.runs().is_mapped(),
-            heap_bytes: catalog.runs().size_bytes() as u64,
-            payload_bytes: catalog.runs().payload_bytes() as u64,
-            nonzero_paths: catalog.nonzero_count() as u64,
-        })
     }
 
     /// The served statistics' delta lineage: `(base_build_id,
@@ -222,10 +170,8 @@ impl ServableEstimator {
     }
 
     /// Approximate retained **heap** memory of this estimator: histogram
-    /// buckets + label-name resolution state + follow bits + whatever of
-    /// an attached catalog is heap-resident (for an mmap-opened catalog
-    /// that is just the skip index — the payload stays on disk). This is
-    /// the serve-time footprint the `list` op and the shutdown metrics
+    /// buckets + label-name resolution state + follow bits. This is the
+    /// serve-time footprint the `list` op and the shutdown metrics
     /// dump report.
     pub fn size_bytes(&self) -> usize {
         let names: usize = self.label_names.iter().map(String::len).sum();
@@ -236,7 +182,6 @@ impl ServableEstimator {
             + self.by_name.len() * std::mem::size_of::<LabelId>()
             + self.description.len()
             + self.follow.as_ref().map_or(0, |f| f.as_bits().len())
-            + self.catalog.as_ref().map_or(0, |c| c.runs().size_bytes())
     }
 
     /// Resolves a label name.
@@ -440,10 +385,6 @@ mod tests {
         )
         .unwrap();
         let snapshot = est.snapshot().unwrap();
-        assert!(
-            snapshot.sparse_runs.is_some(),
-            "the full snapshot keeps the catalog"
-        );
         let restored = ServableEstimator::from_snapshot(&snapshot).unwrap();
         let maintained = ServableEstimator::from_maintained(&est).unwrap();
         assert_eq!(maintained.follow(), restored.follow());
@@ -459,38 +400,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn attached_catalog_reports_residency() {
-        let g = erdos_renyi(50, 300, 3, LabelDistribution::Zipf { exponent: 1.0 }, 5);
-        let catalog = phe_pathenum::SparseCatalog::compute(&g, 3).unwrap();
-        let dir = std::env::temp_dir().join(format!("phe-residency-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("catalog.phc");
-        phe_pathenum::file::write_catalog_file(&path, &catalog).unwrap();
-        let mapped = phe_pathenum::file::open_catalog_file(&path).unwrap();
-
-        let plain = servable();
-        assert!(plain.catalog_residency().is_none());
-        let base_bytes = plain.size_bytes();
-        let attached = plain.with_catalog(mapped);
-        let residency = attached.catalog_residency().expect("catalog attached");
-        assert_eq!(residency.nonzero_paths, catalog.nonzero_count() as u64);
-        assert_eq!(
-            residency.payload_bytes,
-            catalog.runs().payload_bytes() as u64
-        );
-        if residency.mapped {
-            // The payload stays disk-resident: the heap delta is just the
-            // skip index + struct overhead, strictly below the payload
-            // for any real catalog.
-            assert!(attached.description().ends_with("catalog mmap-resident"));
-            assert_eq!(
-                attached.size_bytes() - base_bytes,
-                residency.heap_bytes as usize + ", catalog mmap-resident".len()
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -76,7 +76,7 @@ pub mod server;
 
 pub use cache::{CacheCounters, ExprCache, ShardedLruCache};
 pub use client::{BatchEstimates, BatchExprEstimates, ClientError, ExprResult, ServiceClient};
-pub use estimator::{CatalogResidency, EstimateError, ServableEstimator};
+pub use estimator::{EstimateError, ServableEstimator};
 pub use eventloop::Server;
 pub use maintenance::{
     EnqueueError, FailAction, FailPoint, FailurePlan, Gate, MaintenanceConfig,

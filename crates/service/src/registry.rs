@@ -28,7 +28,7 @@ use phe_obs::MetricsRegistry;
 use phe_query::{parse_expr, CardinalityEstimator};
 
 use crate::cache::{CacheCounters, ExprCache, ShardedLruCache};
-use crate::estimator::{CatalogResidency, EstimateError, ServableEstimator};
+use crate::estimator::{EstimateError, ServableEstimator};
 
 /// One published generation: an immutable estimator plus its caches (the
 /// sharded per-path LRU and the normalized-expression LRU) and, for a
@@ -268,9 +268,6 @@ pub struct EstimatorInfo {
     /// Whether the served statistics carry a follow matrix (and so prune
     /// impossible expansion branches remotely).
     pub follow_pruning: bool,
-    /// Residency of an attached disk-resident catalog (`.phc` sidecar),
-    /// when the slot was loaded from a v5 external-catalog snapshot.
-    pub catalog: Option<CatalogResidency>,
 }
 
 /// Named, concurrently readable, hot-swappable estimators.
@@ -522,7 +519,6 @@ impl EstimatorRegistry {
                         }),
                     drift: state.and_then(|s| s.estimator.drift().copied()),
                     follow_pruning: generation.estimator().follow().is_some(),
-                    catalog: generation.estimator().catalog_residency(),
                 }
             })
             .collect();
@@ -721,7 +717,6 @@ mod tests {
         // Both rows advertise the capability.
         for row in registry.list() {
             assert!(row.follow_pruning, "{}", row.name);
-            assert!(row.catalog.is_none(), "{}", row.name);
         }
 
         // A pre-v5 snapshot (no follow bits) expands syntactically:

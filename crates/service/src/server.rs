@@ -327,8 +327,8 @@ fn fail(out: &mut String, message: &str) -> bool {
     false
 }
 
-/// Writes one `list` row: a slot's statistics, lineage, caches and
-/// residency, plus its maintenance counters once it has any.
+/// Writes one `list` row: a slot's statistics, lineage and caches, plus
+/// its maintenance counters once it has any.
 fn write_list_row(row: &mut ObjectWriter<'_>, info: &EstimatorInfo, status: &SlotStatus) {
     row.field("name", &info.name)
         .field("version", info.version)
@@ -344,12 +344,6 @@ fn write_list_row(row: &mut ObjectWriter<'_>, info: &EstimatorInfo, status: &Slo
         .field("expr_cache_hits", info.expr_cache.0)
         .field("expr_cache_misses", info.expr_cache.1)
         .field("follow_pruning", info.follow_pruning);
-    if let Some(c) = &info.catalog {
-        row.field("catalog_mapped", c.mapped)
-            .field("catalog_heap_bytes", c.heap_bytes)
-            .field("catalog_payload_bytes", c.payload_bytes)
-            .field("catalog_nonzero_paths", c.nonzero_paths);
-    }
     if let Some(m) = &info.maintained {
         row.field("maintained_catalog_bytes", m.catalog_bytes)
             .field("maintained_plain_bytes", m.plain_bytes)
@@ -578,40 +572,11 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Reads and restores a snapshot file into a servable estimator.
-///
-/// A v5 snapshot may reference an external `.phc` catalog sidecar
-/// (`catalog_file`, written by `phe build --catalog-file`). The reference
-/// is resolved **relative to the snapshot file's own directory**, opened
-/// through the memory-mapping reader — so the catalog payload stays
-/// disk-resident for the life of the slot — cross-checked against the
-/// snapshot's dimensions, and attached to the servable estimator for the
-/// `list` op's residency columns.
 pub fn load_snapshot(path: &str) -> Result<ServableEstimator, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let snapshot: phe_core::EstimatorSnapshot =
         serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))?;
-    let servable = ServableEstimator::from_snapshot(&snapshot).map_err(|e| e.to_string())?;
-    let Some(sidecar) = snapshot.catalog_file.as_deref() else {
-        return Ok(servable);
-    };
-    let catalog_path = std::path::Path::new(path).parent().map_or_else(
-        || std::path::PathBuf::from(sidecar),
-        |dir| dir.join(sidecar),
-    );
-    let catalog = phe_pathenum::file::open_catalog_file(&catalog_path)
-        .map_err(|e| format!("opening catalog {}: {e}", catalog_path.display()))?;
-    let encoding = catalog.encoding();
-    if encoding.label_count() != snapshot.label_names.len() || encoding.max_len() != snapshot.k {
-        return Err(format!(
-            "catalog {} covers {} labels at k = {} but the snapshot declares {} at k = {}",
-            catalog_path.display(),
-            encoding.label_count(),
-            encoding.max_len(),
-            snapshot.label_names.len(),
-            snapshot.k
-        ));
-    }
-    Ok(servable.with_catalog(catalog))
+    ServableEstimator::from_snapshot(&snapshot).map_err(|e| e.to_string())
 }
 
 // ------------------------------------------------------------------ SIGINT
@@ -1190,93 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn load_snapshot_serves_external_catalogs_disk_resident() {
-        // Build with a retained sparse catalog, then split the snapshot
-        // the disk-resident way: statistics in JSON, catalog in a `.phc`
-        // sidecar referenced by relative path.
-        let g = erdos_renyi(50, 300, 3, LabelDistribution::Zipf { exponent: 1.0 }, 5);
-        let est = PathSelectivityEstimator::build(
-            &g,
-            EstimatorConfig {
-                k: 3,
-                beta: 16,
-                threads: 1,
-                retain_sparse: true,
-                ..EstimatorConfig::default()
-            },
-        )
-        .unwrap();
-        let catalog = est.sparse_catalog().expect("retained").clone();
-        let inline = est.snapshot().unwrap();
-        let mut external = inline.clone();
-        external.sparse_runs = None;
-        external.catalog_file = Some("catalog.phc".into());
-
-        let dir = std::env::temp_dir().join(format!("phe-mmap-load-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let snapshot_path = dir.join("snapshot.json");
-        std::fs::write(&snapshot_path, serde_json::to_string(&external).unwrap()).unwrap();
-        phe_pathenum::file::write_catalog_file(&dir.join("catalog.phc"), &catalog).unwrap();
-
-        let served = load_snapshot(snapshot_path.to_str().unwrap()).unwrap();
-        let residency = served.catalog_residency().expect("sidecar attached");
-        assert_eq!(residency.nonzero_paths, catalog.nonzero_count() as u64);
-        assert_eq!(
-            residency.payload_bytes,
-            catalog.runs().payload_bytes() as u64
-        );
-
-        // Disk-resident answers are bit-identical to the heap route.
-        let heap = ServableEstimator::from_snapshot(&inline).unwrap();
-        for l1 in 0..3u16 {
-            for l2 in 0..3u16 {
-                for l3 in 0..3u16 {
-                    let path = [
-                        phe_graph::LabelId(l1),
-                        phe_graph::LabelId(l2),
-                        phe_graph::LabelId(l3),
-                    ];
-                    assert_eq!(
-                        served.estimate_labels(&path).unwrap().to_bits(),
-                        heap.estimate_labels(&path).unwrap().to_bits()
-                    );
-                }
-            }
-        }
-
-        // The list op surfaces the residency columns.
-        let registry = Arc::new(EstimatorRegistry::with_default_counters());
-        let metrics = Arc::new(ServiceMetrics::new());
-        let maintenance = coordinator(&registry, &metrics);
-        let line = format!(
-            r#"{{"op":"load","name":"disk","snapshot":{:?}}}"#,
-            snapshot_path.to_str().unwrap()
-        );
-        let (r, _, ok) = handle_line(&line, &registry, &metrics, &maintenance, true);
-        assert!(ok, "{r}");
-        let (r, _, ok) = handle_line(r#"{"op":"list"}"#, &registry, &metrics, &maintenance, true);
-        assert!(ok && r.contains(r#""catalog_mapped""#), "{r}");
-        assert!(r.contains(r#""follow_pruning":true"#), "{r}");
-        assert!(r.contains(r#""catalog_payload_bytes""#), "{r}");
-
-        // A missing sidecar refuses the load; so does a sidecar whose
-        // dimensions disagree with the snapshot.
-        std::fs::remove_file(dir.join("catalog.phc")).unwrap();
-        let err = load_snapshot(snapshot_path.to_str().unwrap())
-            .err()
-            .unwrap();
-        assert!(err.contains("opening catalog"), "{err}");
-        let narrow = phe_pathenum::SparseCatalog::compute(&g, 2).unwrap();
-        phe_pathenum::file::write_catalog_file(&dir.join("catalog.phc"), &narrow).unwrap();
-        let err = load_snapshot(snapshot_path.to_str().unwrap())
-            .err()
-            .unwrap();
-        assert!(err.contains("k = 2"), "{err}");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn handle_line_reports_errors_without_dying() {
         let registry = test_registry();
         let metrics = Arc::new(ServiceMetrics::new());
@@ -1343,12 +1221,6 @@ mod tests {
             ("expr_cache_misses".into(), int(info.expr_cache.1)),
             ("follow_pruning".into(), Value::Bool(info.follow_pruning)),
         ];
-        if let Some(c) = info.catalog {
-            row.push(("catalog_mapped".into(), Value::Bool(c.mapped)));
-            row.push(("catalog_heap_bytes".into(), int(c.heap_bytes)));
-            row.push(("catalog_payload_bytes".into(), int(c.payload_bytes)));
-            row.push(("catalog_nonzero_paths".into(), int(c.nonzero_paths)));
-        }
         if let Some(m) = info.maintained {
             row.push(("maintained_catalog_bytes".into(), int(m.catalog_bytes)));
             row.push(("maintained_plain_bytes".into(), int(m.plain_bytes)));
@@ -1533,12 +1405,6 @@ mod tests {
                     max_q_error: rng.float(),
                 }),
                 follow_pruning: rng.coin(),
-                catalog: rng.coin().then(|| crate::estimator::CatalogResidency {
-                    mapped: rng.coin(),
-                    heap_bytes: rng.int(),
-                    payload_bytes: rng.int(),
-                    nonzero_paths: rng.int(),
-                }),
             };
             let status = rng.status();
             assert_eq!(

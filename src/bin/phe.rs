@@ -116,15 +116,10 @@ USAGE:
       dataset: moreno | dbpedia | snap-er | snap-ff | chained
   phe stats <graph.tsv>
   phe build <graph.tsv> --k K --beta B [--ordering O] [--histogram H] [--stats]
-            [--trace] [--catalog-file NAME.phc] --out <stats.json>
+            [--trace] --out <stats.json>
       ordering:  num-alph | num-card | lex-alph | lex-card | sum-based | sum-based-L2
       histogram: equi-width | equi-depth | v-optimal-greedy | v-optimal-exact |
                  v-optimal-maxdiff | end-biased
-      --catalog-file write the sparse catalog to a checksummed .phc
-                     sidecar next to --out (recorded by relative name in
-                     the snapshot) instead of inlining it in the JSON;
-                     `phe serve` memory-maps the sidecar so the catalog
-                     payload stays disk-resident
       --stats        report the sparse catalog's memory against its dense
                      equivalent (never allocated)
       --trace        print the nested stage-time tree of the build
@@ -186,20 +181,23 @@ EXIT STATUS:
   closed
 ";
 
-/// Tiny flag parser: positional args plus `--flag value` pairs.
+/// Tiny flag parser: positional args plus the flags a subcommand declares.
 struct Flags {
     positional: Vec<String>,
     flags: Vec<(String, String)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        Self::parse_with_booleans(args, &[])
-    }
-
-    /// Like [`Flags::parse`], but the named flags are valueless switches
-    /// (recorded with value `"true"`).
-    fn parse_with_booleans(args: &[String], booleans: &[&str]) -> Result<Flags, String> {
+    /// Parses `phe COMMAND`'s arguments: `valued` flags take the next
+    /// argument as their value, `booleans` are valueless switches
+    /// (recorded with value `"true"`), and any other `--name` is refused,
+    /// so a misspelt flag never runs with a default in its place.
+    fn parse(
+        command: &str,
+        args: &[String],
+        valued: &[&str],
+        booleans: &[&str],
+    ) -> Result<Flags, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
@@ -209,6 +207,9 @@ impl Flags {
                     flags.push((name.to_owned(), "true".to_owned()));
                     i += 1;
                     continue;
+                }
+                if !valued.contains(&name) {
+                    return Err(format!("unknown flag --{name} for `phe {command}`"));
                 }
                 let value = args
                     .get(i + 1)
@@ -275,7 +276,7 @@ fn parse_histogram(name: &str) -> Result<HistogramKind, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("generate", args, &["scale", "seed", "out"], &[])?;
     let [dataset] = flags.positional.as_slice() else {
         return Err("generate needs exactly one dataset name".into());
     };
@@ -305,7 +306,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("stats", args, &[], &[])?;
     let [path] = flags.positional.as_slice() else {
         return Err("stats needs exactly one graph file".into());
     };
@@ -336,23 +337,16 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_booleans(args, &["stats", "trace"])?;
+    let flags = Flags::parse(
+        "build",
+        args,
+        &["k", "beta", "ordering", "histogram", "out"],
+        &["stats", "trace"],
+    )?;
     let [path] = flags.positional.as_slice() else {
         return Err("build needs exactly one graph file".into());
     };
     let graph = load_graph(path)?;
-    // --catalog-file NAME writes the sparse catalog to a `.phc` sidecar
-    // next to --out instead of inlining it in the snapshot JSON;
-    // `phe serve` then memory-maps it, keeping the payload disk-resident.
-    let catalog_file = flags.get("catalog-file").map(str::to_owned);
-    if let Some(sidecar) = catalog_file.as_deref() {
-        if std::path::Path::new(sidecar).is_absolute() {
-            return Err(format!(
-                "--catalog-file {sidecar:?} must be a relative name — the snapshot \
-                 records it relative to its own directory so the pair stays movable"
-            ));
-        }
-    }
     let config = EstimatorConfig {
         k: flags.require("k")?,
         beta: flags.require("beta")?,
@@ -360,7 +354,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         histogram: parse_histogram(flags.get("histogram").unwrap_or("v-optimal-greedy"))?,
         threads: 0,
         // The whole-domain accuracy report reads the retained sparse
-        // state, and the sidecar is written from the sparse catalog.
+        // state.
         retain_sparse: true,
     };
     let out: String = flags.require("out")?;
@@ -371,25 +365,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     if trace {
         out!("{}", phe::obs::span::render_tree(&spans));
     }
-    // Only maintained slots inline the sparse catalog; `phe build`
-    // statistics ship without it, or point at the sidecar.
-    let mut snapshot = estimator.serving_snapshot().map_err(|e| e.to_string())?;
-    if let Some(sidecar) = &catalog_file {
-        let catalog = estimator
-            .sparse_catalog()
-            .ok_or("the build retained no sparse catalog")?;
-        let phc_path = std::path::Path::new(&out).parent().map_or_else(
-            || std::path::PathBuf::from(sidecar),
-            |dir| dir.join(sidecar),
-        );
-        let bytes = phe::pathenum::file::write_catalog_file(&phc_path, catalog)
-            .map_err(|e| format!("writing {}: {e}", phc_path.display()))?;
-        snapshot.catalog_file = Some(sidecar.clone());
-        outln!(
-            "wrote {} ({bytes} bytes; `phe serve` memory-maps it disk-resident)",
-            phc_path.display()
-        );
-    }
+    let snapshot = estimator.snapshot().map_err(|e| e.to_string())?;
     write_snapshot(&out, &snapshot)?;
     outln!(
         "built {} statistics over {} paths (k = {}, β = {})",
@@ -444,7 +420,20 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_delta(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_booleans(args, &["compare"])?;
+    let flags = Flags::parse(
+        "delta",
+        args,
+        &[
+            "graph",
+            "changes",
+            "k",
+            "beta",
+            "ordering",
+            "histogram",
+            "out",
+        ],
+        &["compare"],
+    )?;
     let graph_path: String = flags.require("graph")?;
     let changes_path: String = flags.require("changes")?;
     let graph = load_graph(&graph_path)?;
@@ -569,7 +558,10 @@ fn read_snapshot(snapshot_path: &str) -> Result<EstimatorSnapshot, String> {
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), String> {
-    match Flags::parse(args)?.positional.split_first() {
+    match Flags::parse("estimate", args, &[], &[])?
+        .positional
+        .split_first()
+    {
         Some((snapshot_path, exprs)) if !exprs.is_empty() => {
             query_local(snapshot_path, None, exprs, false, false)
         }
@@ -606,7 +598,7 @@ fn local_estimator(
 }
 
 fn cmd_accuracy(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("accuracy", args, &["k", "beta"], &[])?;
     let [path] = flags.positional.as_slice() else {
         return Err("accuracy needs exactly one graph file".into());
     };
@@ -641,7 +633,25 @@ fn cmd_accuracy(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_booleans(args, &["no-load"])?;
+    let flags = Flags::parse(
+        "serve",
+        args,
+        &[
+            "snapshot",
+            "addr",
+            "workers",
+            "shards",
+            "cache",
+            "max-connections",
+            "max-inflight-per-client",
+            "shed-p99-ms",
+            "shed-queue-depth",
+            "max-queue-depth",
+            "metrics-addr",
+            "publish-interval-ms",
+        ],
+        &["no-load"],
+    )?;
     let snapshots = flags.get_all("snapshot");
     if snapshots.is_empty() {
         return Err("serve needs at least one --snapshot [name=]stats.json".into());
@@ -684,23 +694,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 "duplicate estimator name {name:?} (name snapshots explicitly: --snapshot NAME={path})"
             ));
         }
-        let servable = phe::service::load_snapshot(path)?;
-        let residency = servable.catalog_residency();
-        registry.register(&name, servable);
-        match residency {
-            Some(c) if c.mapped => status!(
-                "loaded {name:?} from {path} (catalog mmap-resident: {} payload bytes \
-                 on disk, {} heap bytes for the skip index)",
-                c.payload_bytes,
-                c.heap_bytes
-            ),
-            Some(c) => status!(
-                "loaded {name:?} from {path} (catalog heap-resident: {} bytes — \
-                 mmap unavailable on this target)",
-                c.payload_bytes
-            ),
-            None => status!("loaded {name:?} from {path}"),
-        }
+        registry.register(&name, phe::service::load_snapshot(path)?);
+        status!("loaded {name:?} from {path}");
     }
 
     let mut config = phe::service::ServerConfig {
@@ -820,26 +815,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 d.sampled
             );
         }
-        if let Some(c) = info.catalog {
-            outln!(
-                "                 catalog {}: {} payload bytes, {} heap bytes, \
-                 {} realized paths",
-                if c.mapped {
-                    "mmap-resident"
-                } else {
-                    "heap-resident"
-                },
-                c.payload_bytes,
-                c.heap_bytes,
-                c.nonzero_paths
-            );
-        }
     }
     Ok(())
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_booleans(args, &["explain", "trace"])?;
+    let flags = Flags::parse(
+        "query",
+        args,
+        &["remote", "snapshot", "estimator", "graph"],
+        &["explain", "trace"],
+    )?;
     let explain = flags.get("explain").is_some();
     let trace = flags.get("trace").is_some();
     if flags.positional.is_empty() {
@@ -1005,24 +991,41 @@ mod tests {
 
     #[test]
     fn get_all_collects_repeated_flags() {
-        let f = Flags::parse(&s(&["--snapshot", "a.json", "--snapshot", "b=c.json"])).unwrap();
+        let f = Flags::parse(
+            "serve",
+            &s(&["--snapshot", "a.json", "--snapshot", "b=c.json"]),
+            &["snapshot"],
+            &[],
+        )
+        .unwrap();
         assert_eq!(f.get_all("snapshot"), vec!["a.json", "b=c.json"]);
         assert!(f.get_all("missing").is_empty());
     }
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let f =
-            Flags::parse_with_booleans(&s(&["--no-load", "--addr", "x:1"]), &["no-load"]).unwrap();
+        let f = Flags::parse(
+            "serve",
+            &s(&["--no-load", "--addr", "x:1"]),
+            &["addr"],
+            &["no-load"],
+        )
+        .unwrap();
         assert_eq!(f.get("no-load"), Some("true"));
         assert_eq!(f.get("addr"), Some("x:1"));
         // Bare non-boolean flags still error.
-        assert!(Flags::parse_with_booleans(&s(&["--k"]), &["no-load"]).is_err());
+        assert!(Flags::parse("serve", &s(&["--k"]), &["k"], &["no-load"]).is_err());
     }
 
     #[test]
     fn flags_parse_positional_and_pairs() {
-        let f = Flags::parse(&s(&["g.tsv", "--k", "3", "--beta", "64"])).unwrap();
+        let f = Flags::parse(
+            "build",
+            &s(&["g.tsv", "--k", "3", "--beta", "64"]),
+            &["k", "beta"],
+            &[],
+        )
+        .unwrap();
         assert_eq!(f.positional, vec!["g.tsv"]);
         assert_eq!(f.get("k"), Some("3"));
         assert_eq!(f.require::<usize>("beta").unwrap(), 64);
@@ -1031,18 +1034,59 @@ mod tests {
 
     #[test]
     fn flags_last_wins() {
-        let f = Flags::parse(&s(&["--k", "3", "--k", "5"])).unwrap();
+        let f = Flags::parse("build", &s(&["--k", "3", "--k", "5"]), &["k"], &[]).unwrap();
         assert_eq!(f.require::<usize>("k").unwrap(), 5);
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Flags::parse(&s(&["--k"])).is_err());
+        assert!(Flags::parse("build", &s(&["--k"]), &["k"], &[]).is_err());
+    }
+
+    #[test]
+    fn undeclared_flags_are_refused() {
+        let refused = |args: &[&str]| {
+            Flags::parse("build", &s(args), &["k", "ordering"], &["stats"])
+                .err()
+                .expect("an undeclared flag must be refused")
+        };
+        // A misspelt valued flag, and one another subcommand declares.
+        assert_eq!(
+            refused(&["g.tsv", "--orderng", "lex-alph"]),
+            "unknown flag --orderng for `phe build`"
+        );
+        assert_eq!(
+            refused(&["--snapshot", "s.json"]),
+            "unknown flag --snapshot for `phe build`"
+        );
+        // A boolean is refused by name too, valueless or not.
+        assert_eq!(
+            refused(&["--trace"]),
+            "unknown flag --trace for `phe build`"
+        );
+        // Declared flags of both kinds still parse.
+        let f = Flags::parse(
+            "build",
+            &s(&["--stats", "--ordering", "lex-alph", "g.tsv"]),
+            &["k", "ordering"],
+            &["stats"],
+        )
+        .unwrap();
+        assert_eq!(f.get("stats"), Some("true"));
+        assert_eq!(f.get("ordering"), Some("lex-alph"));
+        assert_eq!(f.positional, vec!["g.tsv"]);
+        // A subcommand that declares no flags refuses every one.
+        assert_eq!(
+            Flags::parse("stats", &s(&["g.tsv", "--k", "3"]), &[], &[])
+                .err()
+                .unwrap(),
+            "unknown flag --k for `phe stats`"
+        );
     }
 
     #[test]
     fn bad_parse_is_reported() {
-        let f = Flags::parse(&s(&["--k", "abc"])).unwrap();
+        let f = Flags::parse("build", &s(&["--k", "abc"]), &["k"], &[]).unwrap();
         let err = f.require::<usize>("k").unwrap_err();
         assert!(err.contains("abc"));
     }

@@ -177,88 +177,122 @@ fn build_stats_reports_sparse_memory() {
     );
 }
 
+/// The `sparse_runs` key of a legacy snapshot: the catalog as compressed
+/// blocks, which writers before the current one inlined in every
+/// snapshot of a maintained estimator.
+const SPARSE_RUNS_KEY: &str = r#""sparse_runs""#;
+
+/// A v5 snapshot as an earlier writer left it (`phe delta --out` over
+/// the four edges `0 a 1`, `1 b 2`, `1 b 3`, `7 c 8` plus `2 a 7`, at
+/// k = 2 and β = 4), with its catalog and sidecar keys given by the
+/// caller. The statistics' 12 domain paths are the concatenations of
+/// one or two of the labels `a`, `b` and `c`.
+fn legacy_snapshot(runs_key: &str, sidecar_key: &str) -> String {
+    format!(
+        r#"{{"version":5,"domain_paths":12,"nonzero_paths":6,"base_build_id":8577179690392907908,"applied_deltas":1,"k":2,"beta":4,"ordering":"SumBased","histogram_kind":"VOptimalGreedy","label_names":["a","b","c"],"label_frequencies":[2,2,1],"pair_frequencies":null,{runs_key}"follow_bits_base64":"DgA=",{sidecar_key}"histogram":{{"Buckets":{{"buckets":[{{"lo":0,"hi":2,"sum":5,"min":1,"max":2}},{{"lo":3,"hi":8,"sum":1,"min":0,"max":1}},{{"lo":9,"hi":10,"sum":3,"min":1,"max":2}},{{"lo":11,"hi":11,"sum":0,"min":0,"max":0}}],"domain_size":12,"starts":[0,3,9,11]}}}}}}"#
+    )
+}
+
 #[test]
-fn build_catalog_file_writes_a_servable_sidecar() {
-    let dir = workdir("catalog_file");
-    let graph = dir.join("g.tsv");
-    let stats = dir.join("stats.json");
-    let out = phe()
-        .args([
-            "generate",
-            "chained",
-            "--scale",
-            "0.05",
-            "--seed",
-            "13",
-            "--out",
-            graph.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+fn legacy_catalog_keys_are_ignored_on_every_load_path() {
+    use phe::graph::LabelId;
+    use phe::service::ServableEstimator;
 
-    // --catalog-file writes the .phc sidecar next to --out and records
-    // it by relative name; the JSON carries no inline runs.
-    let out = phe()
-        .args([
-            "build",
-            graph.to_str().unwrap(),
-            "--k",
-            "3",
-            "--beta",
-            "32",
-            "--catalog-file",
-            "cat.phc",
-            "--out",
-            stats.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("cat.phc"), "{text}");
-    assert!(dir.join("cat.phc").exists());
-    let json = std::fs::read_to_string(&stats).unwrap();
-    assert!(json.contains("\"catalog_file\": \"cat.phc\""), "{json}");
-    assert!(json.contains("\"sparse_runs\": null"), "{json}");
+    let dir = workdir("legacy_snapshot");
+    let sidecar_key = r#""catalog_file":"missing.phc","#;
+    assert!(!dir.join("missing.phc").exists());
+    let cases = [
+        (
+            "inline",
+            format!(
+                r#"{SPARSE_RUNS_KEY}:{{"nnz":6,"codec":"tagged","blocks_base64":"AAACAQIBAQICAQEBAQ==","block_lens":[6]}},"#
+            ),
+        ),
+        (
+            "corrupt",
+            format!(
+                r#"{SPARSE_RUNS_KEY}:{{"nnz":6,"codec":"tagged","blocks_base64":"not base64!","block_lens":[6]}},"#
+            ),
+        ),
+    ];
+    let stripped_text = legacy_snapshot("", "");
+    let stripped_path = dir.join("stripped.json");
+    std::fs::write(&stripped_path, &stripped_text).unwrap();
+    let stripped =
+        ServableEstimator::from_snapshot(&serde_json::from_str(&stripped_text).unwrap()).unwrap();
+    let paths: Vec<Vec<LabelId>> = (0..3u16)
+        .flat_map(|a| {
+            std::iter::once(vec![LabelId(a)])
+                .chain((0..3u16).map(move |b| vec![LabelId(a), LabelId(b)]))
+        })
+        .collect();
+    assert_eq!(paths.len(), 12);
+    let rendered: Vec<String> = paths
+        .iter()
+        .map(|path| {
+            let names: Vec<&str> = path.iter().map(|l| ["a", "b", "c"][l.index()]).collect();
+            names.join("/")
+        })
+        .collect();
+    let exprs: Vec<&str> = rendered.iter().map(String::as_str).collect();
+    let expected = totals(&[&["estimate", stripped_path.to_str().unwrap()][..], &exprs].concat());
 
-    // Estimation needs only the histogram — the sidecar is for serving.
-    let out = phe()
-        .args(["estimate", stats.to_str().unwrap(), "r0/r1"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    for (case, runs_key) in cases {
+        let text = legacy_snapshot(&runs_key, sidecar_key);
+        let path = dir.join(format!("{case}.json"));
+        std::fs::write(&path, &text).unwrap();
 
-    // An absolute sidecar path is refused: the pair must stay movable.
-    let out = phe()
-        .args([
-            "build",
-            graph.to_str().unwrap(),
-            "--k",
-            "2",
-            "--beta",
-            "8",
-            "--catalog-file",
-            "/tmp/abs.phc",
-            "--out",
-            stats.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("relative"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+        // Both library entry points restore it, to the stripped snapshot's
+        // estimates bit for bit.
+        let parsed = ServableEstimator::from_snapshot(&serde_json::from_str(&text).unwrap())
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
+        let loaded = phe::service::load_snapshot(path.to_str().unwrap())
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
+        for labels in &paths {
+            let want = stripped.estimate_labels(labels).unwrap().to_bits();
+            assert_eq!(
+                parsed.estimate_labels(labels).unwrap().to_bits(),
+                want,
+                "{case}: {labels:?}"
+            );
+            assert_eq!(
+                loaded.estimate_labels(labels).unwrap().to_bits(),
+                want,
+                "{case}: {labels:?}"
+            );
+        }
+
+        // `phe estimate` answers it as it answers the stripped file.
+        let estimate = totals(&[&["estimate", path.to_str().unwrap()][..], &exprs].concat());
+        assert_eq!(estimate, expected, "{case}");
+
+        // `phe serve --snapshot` loads it and serves the same answers.
+        let mut child = phe()
+            .args([
+                "serve",
+                "--snapshot",
+                path.to_str().unwrap(),
+                "--addr",
+                "127.0.0.1:0",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let stdout = child.stdout.take().unwrap();
+        let server = ServerProcess(child);
+        let addr = BufReader::new(stdout)
+            .lines()
+            .map(Result::unwrap)
+            .find_map(|line| {
+                let start = line.find("127.0.0.1:")?;
+                line[start..].split_whitespace().next().map(str::to_owned)
+            })
+            .unwrap_or_else(|| panic!("{case}: the server stopped before serving"));
+        let remote = totals(&[&["query", "--remote", &addr][..], &exprs].concat());
+        drop(server);
+        assert_eq!(remote, expected, "{case}");
+    }
 }
 
 #[test]
@@ -322,8 +356,10 @@ fn delta_refreshes_statistics_incrementally() {
     );
 
     // The refreshed snapshot carries the lineage and still estimates.
+    // It leaves the maintained catalog out.
     let json = std::fs::read_to_string(&stats).unwrap();
     assert!(json.contains("\"applied_deltas\": 1"), "{json}");
+    assert!(!json.contains(SPARSE_RUNS_KEY), "{json}");
     let out = phe()
         .args(["estimate", stats.to_str().unwrap(), "r2/r3"])
         .output()
@@ -562,6 +598,41 @@ fn errors_are_reported_not_panicked() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--beta"));
+}
+
+#[test]
+fn undeclared_flags_are_refused_by_name() {
+    let dir = workdir("undeclared_flags");
+    let graph = dir.join("g.tsv");
+    let stats = dir.join("stats.json");
+    std::fs::write(&graph, "0\ta\t1\n1\tb\t2\n").unwrap();
+    let _ = std::fs::remove_file(&stats);
+    for (flag, value) in [("--catalog-file", "cat.phc"), ("--orderng", "lex-alph")] {
+        let out = phe()
+            .args([
+                "build",
+                graph.to_str().unwrap(),
+                "--k",
+                "2",
+                "--beta",
+                "4",
+                flag,
+                value,
+                "--out",
+                stats.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {flag} for `phe build`")),
+            "{err}"
+        );
+        // Refused before anything is built or written.
+        assert!(!stats.exists(), "{flag}");
+        assert!(!dir.join("cat.phc").exists(), "{flag}");
+    }
 }
 
 #[test]

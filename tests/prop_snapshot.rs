@@ -1,10 +1,10 @@
 //! Snapshot restore takes untrusted bytes: a snapshot file handed to
 //! `phe serve`, `phe estimate` or the `load` op. This suite damages the
-//! JSON of random estimators' snapshots (sparse runs included) and checks
-//! both restore entry points, `ServableEstimator::from_snapshot` and
-//! `EstimatorSnapshot::restore_sparse_catalog`: each refuses the damaged
-//! text with an error, or returns a value whose answers over sampled
-//! domain paths are finite and non-negative. Neither may panic.
+//! JSON of random estimators' snapshots and checks the restore entry
+//! point they all share, `ServableEstimator::from_snapshot`: it refuses
+//! the damaged text with an error, or returns statistics whose answers
+//! over sampled domain paths are finite and non-negative. It may not
+//! panic.
 //!
 //! Two kinds of damage: byte-level (a flipped bit, a cut, or inserted
 //! bytes anywhere in the text), and one numeric field (`k`, `beta`, a
@@ -54,7 +54,6 @@ fn snapshot_text(
     )
     .unwrap();
     let snapshot = estimator.snapshot().unwrap();
-    assert!(snapshot.sparse_runs.is_some());
     if pretty {
         serde_json::to_string_pretty(&snapshot).unwrap()
     } else {
@@ -192,9 +191,9 @@ fn sampled_paths(labels: usize, k: usize) -> Vec<Vec<LabelId>> {
     paths
 }
 
-/// What the restore entry points may answer for (possibly damaged)
-/// snapshot text: a parse or restore error, or values whose answers over
-/// sampled domain paths are finite and non-negative.
+/// What restore may answer for (possibly damaged) snapshot text: a parse
+/// or restore error, or statistics whose answers over sampled domain
+/// paths are finite and non-negative.
 fn check_restored(text: &str) -> Result<(), TestCaseError> {
     let Ok(snapshot) = serde_json::from_str::<EstimatorSnapshot>(text) else {
         return Ok(());
@@ -207,17 +206,6 @@ fn check_restored(text: &str) -> Result<(), TestCaseError> {
                 "{estimate:?} for {path:?}"
             );
         }
-    }
-    if let Ok(Some(catalog)) = snapshot.restore_sparse_catalog() {
-        let encoding = catalog.encoding();
-        for path in sampled_paths(encoding.label_count(), encoding.max_len()) {
-            catalog.selectivity(&path);
-        }
-        let entries: Vec<(u64, u64)> = catalog.iter().collect();
-        prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        prop_assert!(entries
-            .last()
-            .is_none_or(|&(index, _)| index < catalog.len() as u64));
     }
     Ok(())
 }
@@ -265,7 +253,8 @@ proptest! {
 }
 
 /// 64 labels at k = 8 address about 2.9 · 10^14 paths, past the 2^48 the
-/// path encoding can index: both entry points refuse the snapshot.
+/// path encoding can index: both `EstimatorSnapshot::restore` and
+/// `ServableEstimator::from_snapshot` refuse the snapshot.
 #[test]
 fn an_unaddressable_domain_is_refused_by_both_entry_points() {
     let text = snapshot_text((4, 3, 8, 4, 3), &[(0, 0, 1), (1, 1, 2)], false);
@@ -277,5 +266,5 @@ fn an_unaddressable_domain_is_refused_by_both_entry_points() {
     check_restored(&text).unwrap();
     let snapshot: EstimatorSnapshot = serde_json::from_str(&text).unwrap();
     assert!(ServableEstimator::from_snapshot(&snapshot).is_err());
-    assert!(snapshot.restore_sparse_catalog().is_err());
+    assert!(snapshot.restore().is_err());
 }
