@@ -78,10 +78,23 @@ pub struct SumBasedL2Ordering {
     pairs: PartitionRanker,
 }
 
+/// The single-label counts `f(l)` (`n` of them) and the label-pair
+/// counts `f(l1/l2)` at `l1·n + l2` (`n²`; all zero unless `pairs`):
+/// the catalog's canonical prefix `[0, n + n²)`, read in one cursor pass.
+pub(crate) fn single_and_pair_counts(catalog: &SparseCatalog, pairs: bool) -> (Vec<u64>, Vec<u64>) {
+    let n = catalog.encoding().label_count();
+    if !pairs {
+        return (catalog.prefix_counts(n), vec![0; n * n]);
+    }
+    let mut singles = catalog.prefix_counts(n + n * n);
+    let pair_counts = singles.split_off(n);
+    (singles, pair_counts)
+}
+
 impl SumBasedL2Ordering {
     /// Builds the ordering from a sparse catalog, which supplies both
-    /// `f(l)` and `f(l1/l2)`; the `n + n²` frequency lookups are binary
-    /// searches over the realized entries.
+    /// `f(l)` and `f(l1/l2)`: the `n + n²` frequencies are the catalog's
+    /// canonical prefix, read in one cursor pass.
     ///
     /// # Panics
     /// Panics if the catalog was computed with `k < 2` (for a domain with
@@ -95,25 +108,16 @@ impl SumBasedL2Ordering {
             n,
             "catalog alphabet does not match the domain"
         );
-        let single_freqs: Vec<u64> = (0..n as u16)
-            .map(|l| catalog.selectivity(&[LabelId(l)]))
-            .collect();
         // A k = 1 domain never decomposes into pairs: the ordering
         // degenerates to cardinality-ranked singles and any pair ranking
         // works. Otherwise the catalog must supply real 2-path counts.
-        let mut pair_freqs = vec![0u64; n * n];
         if domain.max_len() >= 2 {
             assert!(
                 catalog.encoding().max_len() >= 2,
                 "catalog must cover paths of length ≥ 2 to rank pairs"
             );
-            for l1 in 0..n as u16 {
-                for l2 in 0..n as u16 {
-                    pair_freqs[(l1 as usize) * n + l2 as usize] =
-                        catalog.selectivity(&[LabelId(l1), LabelId(l2)]);
-                }
-            }
         }
+        let (single_freqs, pair_freqs) = single_and_pair_counts(catalog, domain.max_len() >= 2);
         SumBasedL2Ordering::from_frequencies(domain, &single_freqs, &pair_freqs)
     }
 

@@ -9,6 +9,7 @@ use phe_pathenum::{compute_delta, CatalogError, CompressedRuns, SparseCatalog};
 
 pub use crate::label_histogram::HistogramKind;
 
+use crate::base_set::single_and_pair_counts;
 use crate::eval::sparse_ordered_frequencies;
 use crate::label_histogram::LabelPathHistogram;
 use crate::ordering::OrderingKind;
@@ -146,13 +147,16 @@ impl DriftReport {
     ) -> DriftReport {
         let stride = touched.len().div_ceil(DRIFT_SAMPLE_CAP).max(1);
         let mut labels = Vec::with_capacity(estimator.config.k);
+        // `touched` is sorted, so the stride sample ascends and one
+        // forward cursor reads every exact count.
+        let mut exact_counts = sparse.iter();
         let mut sampled = 0usize;
         let mut abs_sum = 0.0f64;
         let mut max_q = 1.0f64;
         for &(index, _) in touched.iter().step_by(stride) {
             sparse.encoding().decode_into(index as usize, &mut labels);
             let estimate = estimator.histogram.estimate_labels(&labels);
-            let exact = sparse.selectivity_at(index);
+            let exact = exact_counts.seek(index).unwrap_or(0);
             abs_sum += phe_histogram::metrics::error_rate(estimate, exact).abs();
             max_q = max_q.max(phe_histogram::metrics::q_error(estimate, exact));
             sampled += 1;
@@ -726,24 +730,14 @@ fn snapshot_state(graph: &Graph) -> (Vec<String>, Vec<u64>) {
 }
 
 /// The `n²` pair selectivities the L2 ordering snapshot needs, read from
-/// the catalog. `None` for every other ordering.
+/// the catalog's canonical prefix. `None` for every other ordering.
 fn pair_frequencies_for(config: EstimatorConfig, sparse: &SparseCatalog) -> Option<Vec<u64>> {
     if config.ordering != OrderingKind::SumBasedL2 {
         return None;
     }
-    let n = sparse.encoding().label_count();
-    let mut pairs = vec![0u64; n * n];
     // A k = 1 domain never uses pair ranks (see SumBasedL2Ordering);
     // store zeros so the snapshot stays restorable.
-    if config.k >= 2 {
-        for l1 in 0..n as u16 {
-            for l2 in 0..n as u16 {
-                pairs[(l1 as usize) * n + l2 as usize] =
-                    sparse.selectivity(&[LabelId(l1), LabelId(l2)]);
-            }
-        }
-    }
-    Some(pairs)
+    Some(single_and_pair_counts(sparse, config.k >= 2).1)
 }
 
 /// Maps a counting failure into the estimator's error type: the size

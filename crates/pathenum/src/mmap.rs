@@ -6,7 +6,9 @@
 //! technique `phe-service` uses for `signal(2)`. Everywhere else (or
 //! when the kernel refuses the mapping) the file is read into an
 //! ordinary heap buffer, so callers never observe a platform
-//! difference beyond [`MappedRegion::is_mapped`].
+//! difference beyond [`MappedRegion::is_mapped`]. Under Miri, which
+//! cannot interpret the foreign `mmap` call, every file takes the heap
+//! path, so `.phc` parsing runs under the interpreter too.
 //!
 //! # Safety rules
 //!
@@ -20,7 +22,7 @@
 use std::fs::File;
 use std::io::{self, Read};
 
-#[cfg(all(unix, target_pointer_width = "64"))]
+#[cfg(all(unix, target_pointer_width = "64", not(miri)))]
 mod sys {
     use std::fs::File;
     use std::io;
@@ -92,7 +94,7 @@ mod sys {
 }
 
 enum Region {
-    #[cfg(all(unix, target_pointer_width = "64"))]
+    #[cfg(all(unix, target_pointer_width = "64", not(miri)))]
     Mapped(sys::Map),
     Heap(Vec<u8>),
 }
@@ -109,7 +111,7 @@ impl MappedRegion {
     /// (empty files, unsupported platforms, or a kernel that refuses
     /// the mapping). Errors only if the fallback read itself fails.
     pub fn map_file(file: &mut File) -> io::Result<MappedRegion> {
-        #[cfg(all(unix, target_pointer_width = "64"))]
+        #[cfg(all(unix, target_pointer_width = "64", not(miri)))]
         {
             let len = file.metadata()?.len();
             if len > 0 {
@@ -126,7 +128,7 @@ impl MappedRegion {
     /// The file's bytes.
     pub fn as_slice(&self) -> &[u8] {
         match &self.0 {
-            #[cfg(all(unix, target_pointer_width = "64"))]
+            #[cfg(all(unix, target_pointer_width = "64", not(miri)))]
             Region::Mapped(map) => map.as_slice(),
             Region::Heap(buf) => buf,
         }
@@ -136,7 +138,7 @@ impl MappedRegion {
     /// a heap copy.
     pub fn is_mapped(&self) -> bool {
         match &self.0 {
-            #[cfg(all(unix, target_pointer_width = "64"))]
+            #[cfg(all(unix, target_pointer_width = "64", not(miri)))]
             Region::Mapped(_) => true,
             Region::Heap(_) => false,
         }
@@ -185,7 +187,7 @@ mod tests {
         let region = MappedRegion::map_file(&mut file).unwrap();
         assert_eq!(region.as_slice(), &payload[..]);
         assert_eq!(region.len(), payload.len());
-        #[cfg(all(unix, target_pointer_width = "64"))]
+        #[cfg(all(unix, target_pointer_width = "64", not(miri)))]
         assert!(region.is_mapped(), "64-bit unix should really map");
         drop(region); // must unmap cleanly
         std::fs::remove_file(&path).unwrap();
