@@ -147,16 +147,13 @@ impl DriftReport {
     ) -> DriftReport {
         let stride = touched.len().div_ceil(DRIFT_SAMPLE_CAP).max(1);
         let mut labels = Vec::with_capacity(estimator.config.k);
-        // `touched` is sorted, so the stride sample ascends and one
-        // forward cursor reads every exact count.
-        let mut exact_counts = sparse.iter();
         let mut sampled = 0usize;
         let mut abs_sum = 0.0f64;
         let mut max_q = 1.0f64;
         for &(index, _) in touched.iter().step_by(stride) {
             sparse.encoding().decode_into(index as usize, &mut labels);
             let estimate = estimator.histogram.estimate_labels(&labels);
-            let exact = exact_counts.seek(index).unwrap_or(0);
+            let exact = sparse.selectivity_at(index);
             abs_sum += phe_histogram::metrics::error_rate(estimate, exact).abs();
             max_q = max_q.max(phe_histogram::metrics::q_error(estimate, exact));
             sampled += 1;

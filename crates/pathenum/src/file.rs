@@ -313,7 +313,7 @@ mod tests {
         assert_eq!(opened, catalog, "decoded content must match");
         assert_eq!(opened.runs().skip_index(), catalog.runs().skip_index());
         assert_eq!(opened.encoding(), catalog.encoding());
-        #[cfg(all(unix, target_pointer_width = "64"))]
+        #[cfg(all(unix, target_pointer_width = "64", not(miri)))]
         {
             assert!(opened.runs().is_mapped(), "payload should be disk-resident");
             // Mapped payload is excluded from the heap footprint.

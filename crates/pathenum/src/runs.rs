@@ -37,12 +37,13 @@
 //! * [`CompressedRuns::get`] binary-searches the skip index, then scans
 //!   one block forward only as far as the target, decoding no count but
 //!   the hit's — `O(log #blocks + B)`. On the `build` benchmark's catalog
-//!   (seed 7: 62,259 entries in 487 blocks, 481 of them varint) that is
-//!   about 250 ns per random-index lookup, against about 700 ns for a
-//!   whole-block decode and binary search, on one x86-64 core;
-//! * [`RunsCursor::seek`] serves ascending lookups from one forward
-//!   cursor: the first lookup to land in a block scans it as `get`
-//!   does, and a later one decodes the block's tail once;
+//!   (seed 7: 62,259 entries in 487 blocks, 481 of them varint) a
+//!   random-index lookup takes about a third of the time of a whole-block
+//!   decode and binary search: 250–350 ns against 700–1,100 ns on one
+//!   loaded x86-64 core. On runs of packed blocks only it gains less,
+//!   1.1–2× (116–186 ns against 180–358 ns): 1.4× where the lanes fall
+//!   in the AVX2 band of the whole-block decode, 1.1× with a constant
+//!   count lane;
 //! * [`CompressedRuns::merge_signed`] copies blocks untouched by the
 //!   change **wholesale** (raw bytes + skip row, no re-encode) and
 //!   re-encodes only blocks overlapping a changed index;
@@ -78,9 +79,8 @@ use crate::mmap::MappedRegion;
 use std::sync::Arc;
 
 /// Maximum entries per block. 128 keeps a point lookup to a forward scan
-/// of at most one block (about 64 entries on average, ~250 ns on the
-/// `build` benchmark's catalog) while amortizing the 40-byte skip row to
-/// ~0.3 B/entry.
+/// of at most one block (about 64 entries on average) while amortizing
+/// the 40-byte skip row to ~0.3 B/entry.
 pub const BLOCK_ENTRIES: usize = 128;
 
 /// Worst-case LEB128 length of a `u64` (⌈64 / 7⌉ bytes).
@@ -354,10 +354,8 @@ impl CompressedRuns {
     /// The count at `index`, or `None` when absent: binary search over
     /// the skip index, then a forward scan of at most one block that
     /// stops at the first index ≥ `index` and decodes only the hit's
-    /// count. On the `build` benchmark's catalog a random-index lookup
-    /// costs about 250 ns (see the module docs). Callers with ascending
-    /// indexes should use [`RunsCursor::seek`], which decodes each block
-    /// at most once.
+    /// count. See the module docs for its cost on varint and packed
+    /// blocks.
     pub fn get(&self, index: u64) -> Option<u64> {
         let block = self.skip.partition_point(|meta| meta.last_index < index);
         let meta = self.skip.get(block)?;
@@ -369,7 +367,7 @@ impl CompressedRuns {
             .skip
             .get(block + 1)
             .map_or(bytes.len(), |m| m.byte_offset);
-        scan_block(&bytes[meta.byte_offset..end], meta.len as usize, index).1
+        scan_block(&bytes[meta.byte_offset..end], meta.len as usize, index)
     }
 
     /// A zero-alloc streaming pass over the entries, in index order —
@@ -380,7 +378,6 @@ impl CompressedRuns {
             block: 0,
             in_block: 0,
             tail: TailBuf::new(),
-            tail_block: None,
         }
     }
 
@@ -581,14 +578,12 @@ pub struct RunsCursor<'a> {
     runs: &'a CompressedRuns,
     /// Current block id.
     block: usize,
-    /// Entries already passed in the current block (0 = at a block
-    /// boundary; ≥1 = head passed, the next entry comes from the tail).
+    /// Entries already yielded from the current block (0 = at a block
+    /// boundary; ≥1 = head yielded, tail decoded from 2nd entry on).
     in_block: u32,
-    /// Decoded tail of block `tail_block`.
+    /// Decoded tail of the current block (valid once `in_block ≥ 2`,
+    /// or at `in_block == 1` after the lazy decode).
     tail: TailBuf,
-    /// The block whose tail `tail` holds, if any: the tail is decoded
-    /// lazily, when the second entry is first demanded, and only once.
-    tail_block: Option<usize>,
 }
 
 impl std::fmt::Debug for RunsCursor<'_> {
@@ -612,54 +607,6 @@ impl<'a> RunsCursor<'a> {
             .map_or(bytes.len(), |m| m.byte_offset);
         &bytes[meta.byte_offset..end]
     }
-
-    /// Decodes the current block's tail into the buffer unless it is
-    /// already there.
-    fn load_tail(&mut self, meta: &BlockMeta) {
-        if self.tail_block != Some(self.block) {
-            decode_block_tail(
-                self.block_slice(self.block, meta),
-                meta.len as usize,
-                meta.first_index,
-                &mut self.tail.idx,
-                &mut self.tail.cnt,
-            );
-            self.tail_block = Some(self.block);
-        }
-    }
-
-    /// The count at `index`, or `None` when absent, leaving the cursor
-    /// on the first entry at or after `index` (the next [`Iterator::next`]
-    /// yields it). Forward only: blocks that end below `index` are passed
-    /// by a binary search over the rest of the skip index without being
-    /// decoded. The first seek to land in a block scans it as
-    /// [`CompressedRuns::get`] does, and a later one decodes its tail
-    /// once, so ascending indexes cost one cursor pass over the blocks
-    /// they touch whether they are sparse or dense. An `index` below an
-    /// entry the cursor has already passed reads as absent.
-    pub fn seek(&mut self, index: u64) -> Option<u64> {
-        let skip = &self.runs.skip;
-        if skip.get(self.block)?.last_index < index {
-            self.block += skip[self.block..].partition_point(|m| m.last_index < index);
-            self.in_block = 0;
-        }
-        let meta = *skip.get(self.block)?;
-        if self.in_block == 0 {
-            // Nothing of this block is passed yet: scan to the target.
-            let blk = self.block_slice(self.block, &meta);
-            let (below, count) = scan_block(blk, meta.len as usize, index);
-            self.in_block = below as u32;
-            return count;
-        }
-        // The head is passed and `meta.last_index ≥ index`, so the entry
-        // is in the tail, at or after the cursor.
-        self.load_tail(&meta);
-        let tail = &self.tail.idx[..meta.len as usize - 1];
-        let from = self.in_block as usize - 1;
-        let at = from + tail[from..].partition_point(|&i| i < index);
-        self.in_block = at as u32 + 1;
-        (tail[at] == index).then_some(self.tail.cnt[at])
-    }
 }
 
 impl Iterator for RunsCursor<'_> {
@@ -677,8 +624,16 @@ impl Iterator for RunsCursor<'_> {
             }
             return Some(head);
         }
-        // Second entry demanded: decode the whole tail in one pass.
-        self.load_tail(&meta);
+        if self.in_block == 1 {
+            // Second entry demanded: decode the whole tail in one pass.
+            decode_block_tail(
+                self.block_slice(self.block, &meta),
+                meta.len as usize,
+                meta.first_index,
+                &mut self.tail.idx,
+                &mut self.tail.cnt,
+            );
+        }
         let at = (self.in_block - 1) as usize;
         let entry = (self.tail.idx[at], self.tail.cnt[at]);
         self.in_block += 1;
@@ -720,7 +675,13 @@ impl Iterator for RunsCursor<'_> {
             acc = f(acc, decode_block_head(blk));
             let n = meta.len as usize;
             if n > 1 {
-                self.load_tail(&meta);
+                decode_block_tail(
+                    blk,
+                    n,
+                    meta.first_index,
+                    &mut self.tail.idx,
+                    &mut self.tail.cnt,
+                );
                 for at in 0..n - 1 {
                     acc = f(acc, (self.tail.idx[at], self.tail.cnt[at]));
                 }
@@ -1003,27 +964,24 @@ fn decode_block_tail(
     }
 }
 
-/// Where `index` falls in one block of `len` entries whose last index is
-/// at least `index`: the number of entries below it, and its count when
-/// present. Decodes forward only until the first index ≥ `index`: varint
-/// gaps take a one-byte fast path and counts before the hit are skipped
-/// undecoded; packed gaps are read off their lane one residual at a time
-/// and only the hit's count residual is read. Every read is a checked
-/// index into `block`, whose bytes may be memory-mapped.
-fn scan_block(block: &[u8], len: usize, index: u64) -> (usize, Option<u64>) {
+/// The count at `index` in one block of `len` entries whose last index
+/// is at least `index`, or `None` when absent. Decodes forward only until
+/// the first index ≥ `index`: varint gaps take a one-byte fast path and
+/// counts before the hit are skipped undecoded; packed gaps are read off
+/// their lane one residual at a time and only the hit's count residual
+/// is read. Every read is a checked index into `block`, whose bytes may
+/// be memory-mapped.
+fn scan_block(block: &[u8], len: usize, index: u64) -> Option<u64> {
     let mut pos = 1; // past the codec tag
     let mut prev = validated_varint(block, &mut pos);
     if prev >= index {
-        return (
-            0,
-            (prev == index).then(|| validated_varint(block, &mut pos)),
-        );
+        return (prev == index).then(|| validated_varint(block, &mut pos));
     }
     skip_varint(block, &mut pos);
     let n = len - 1;
     match block[0] {
         TAG_VARINT => {
-            for below in 1..len {
+            for _ in 1..len {
                 let byte = block[pos];
                 let gap = if byte < 0x80 {
                     pos += 1;
@@ -1033,14 +991,11 @@ fn scan_block(block: &[u8], len: usize, index: u64) -> (usize, Option<u64>) {
                 };
                 prev += gap;
                 if prev >= index {
-                    return (
-                        below,
-                        (prev == index).then(|| validated_varint(block, &mut pos)),
-                    );
+                    return (prev == index).then(|| validated_varint(block, &mut pos));
                 }
                 skip_varint(block, &mut pos);
             }
-            (len, None)
+            None
         }
         TAG_PACKED => {
             let gap_width = block[pos];
@@ -1057,11 +1012,10 @@ fn scan_block(block: &[u8], len: usize, index: u64) -> (usize, Option<u64>) {
             for i in 0..n {
                 prev = prev.wrapping_add(gap_min.wrapping_add(gaps.residual(i)));
                 if prev >= index {
-                    let count = (prev == index).then(|| cnt_min.wrapping_add(counts.residual(i)));
-                    return (i + 1, count);
+                    return (prev == index).then(|| cnt_min.wrapping_add(counts.residual(i)));
                 }
             }
-            (len, None)
+            None
         }
         // LINT-ALLOW(panic): `validate_tagged` refuses any other codec
         // tag, and every stream scanned here was encoded by `RunsBuilder`

@@ -481,10 +481,9 @@ impl SparseCatalog {
 
     /// The selectivity at a canonical index: binary search over the skip
     /// index, then a forward scan of one block that stops at the index
-    /// and decodes only its count — `O(log #blocks + B)`, about 250 ns on
-    /// the `build` benchmark's catalog (see [`CompressedRuns::get`]).
-    /// Ascending indexes read faster through [`RunsCursor::seek`] on
-    /// [`SparseCatalog::iter`].
+    /// and decodes only its count — `O(log #blocks + B)`, 250–350 ns on
+    /// the `build` benchmark's mostly varint catalog (see
+    /// [`CompressedRuns::get`]).
     pub fn selectivity_at(&self, canonical_index: u64) -> u64 {
         self.runs.get(canonical_index).unwrap_or(0)
     }

@@ -12,8 +12,7 @@
 //! depend on its entries alone: sequential, parallel and spilling builds
 //! lay out their blocks identically, run after run. Point reads agree
 //! with the decoded stream under both codecs, at every packed lane width
-//! band, on the heap and through a `.phc` file, and a forward cursor's
-//! `seek` over ascending indexes agrees with per-index `get`.
+//! band, on the heap and through a `.phc` file.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,9 +249,7 @@ fn reference_get(entries: &[(u64, u64)], index: u64) -> Option<u64> {
 
 /// `get` against the decoded stream at every entry index, its neighbours
 /// ±1..3 (which fall in gaps or on other entries), `probes`, and past
-/// both ends; then `seek` over all of them sorted, and over `probes`
-/// alone sorted, against `get`, with the cursor left on the first entry
-/// at or after each sought index.
+/// both ends.
 fn check_point_reads(
     runs: &CompressedRuns,
     entries: &[(u64, u64)],
@@ -274,24 +271,6 @@ fn check_point_reads(
             "get({})",
             index
         );
-    }
-    wanted.sort_unstable();
-    let mut sparse = probes.to_vec();
-    sparse.sort_unstable();
-    // Dense seeks land in each block many times; sparse ones mostly once,
-    // anywhere in it.
-    for ascending in [wanted, sparse] {
-        let mut cursor = runs.iter();
-        for &index in &ascending {
-            prop_assert_eq!(cursor.seek(index), runs.get(index), "seek({})", index);
-            let at = entries.partition_point(|&(i, _)| i < index);
-            prop_assert_eq!(
-                cursor.clone().next(),
-                entries.get(at).copied(),
-                "after seek({})",
-                index
-            );
-        }
     }
     Ok(())
 }
@@ -649,7 +628,9 @@ proptest! {
             let opened = open_catalog_file(&path);
             std::fs::remove_file(&path).unwrap();
             let opened = opened.unwrap();
-            prop_assert!(opened.runs().is_mapped());
+            if cfg!(all(unix, target_pointer_width = "64", not(miri))) {
+                prop_assert!(opened.runs().is_mapped());
+            }
             prop_assert_eq!(opened.runs().bytes(), catalog.runs().bytes());
             check_point_reads(opened.runs(), &entries, &probes)?;
         }

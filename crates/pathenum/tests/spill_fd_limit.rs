@@ -5,14 +5,18 @@
 //! the limit applies to the whole process.
 
 // `RLIMIT_NOFILE`'s number and the `struct rlimit` layout differ between
-// platforms, so the test runs only where both are known.
-#![cfg(any(
-    all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ),
-    target_os = "macos",
-    target_os = "freebsd"
+// platforms, so the test runs only where both are known; Miri cannot
+// call `getrlimit`/`setrlimit`, so it skips the test too.
+#![cfg(all(
+    not(miri),
+    any(
+        all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ),
+        target_os = "macos",
+        target_os = "freebsd"
+    )
 ))]
 
 use phe_graph::{GraphBuilder, LabelId, VertexId};
